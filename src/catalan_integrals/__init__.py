@@ -16,6 +16,7 @@ from .exact import (
     CatalanTable,
     catalan_exact,
     catalan_hypergeometric,
+    catalan_numbers,
     catalan_segner,
     count_balanced_parentheses,
     count_polygon_triangulations,
@@ -87,6 +88,7 @@ __all__ = [
     "catalan_gamma_closed_form",
     "catalan_hypergeometric",
     "catalan_malmsten",
+    "catalan_numbers",
     "catalan_penson_mellin",
     "catalan_penson_moment",
     "catalan_segner",

@@ -25,17 +25,8 @@ from .kernels import (
     malmsten_catalan_kernel,
 )
 from .quadrature import HalfLineTransform, QuadConfig, QuadratureNotConverged
-from .report import build_report, to_csv, to_json, to_text
-from .representations import (
-    PENSON_MAX_N,
-    RepresentationResult,
-    catalan_binet,
-    catalan_gamma_closed_form,
-    catalan_malmsten,
-    catalan_penson_mellin,
-    catalan_penson_moment,
-    compare_representations,
-)
+from .report import _fmt, build_report, to_csv, to_json, to_text
+from .representations import ROUTES, RepresentationResult, compare_representations
 from .series import (
     SeriesResult,
     TermBudgetExhausted,
@@ -44,13 +35,7 @@ from .series import (
     stewart_sum_plain,
 )
 
-_METHODS = {
-    "gamma": lambda n, cfg: catalan_gamma_closed_form(n),
-    "malmsten": catalan_malmsten,
-    "binet": catalan_binet,
-    "penson-moment": catalan_penson_moment,
-    "penson-mellin": catalan_penson_mellin,
-}
+_ROUTES_BY_NAME = {route.name: route for route in ROUTES}
 
 _KERNELS = {
     "malmsten": malmsten_catalan_kernel,
@@ -108,10 +93,6 @@ def _config(abs_tol: float, rel_tol: float, max_subdivisions: int, transform: st
         raise click.UsageError(str(exc))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _print_row(row: RepresentationResult) -> None:
     click.echo(
         f"n={row.n} method={row.method.value} ln_value={_fmt(row.ln_value)} "
@@ -136,7 +117,7 @@ def cmd_exact(n: int) -> None:
 
 
 @main.command("rep")
-@click.argument("method", type=click.Choice(sorted(_METHODS)))
+@click.argument("method", type=click.Choice(sorted(_ROUTES_BY_NAME)))
 @click.argument("n", type=click.IntRange(min=0))
 @click.option(
     "--tol",
@@ -157,9 +138,10 @@ def cmd_rep(
 ) -> None:
     """Evaluate one representation METHOD at index N and check it."""
     config = _config(abs_tol, rel_tol, max_subdivisions, transform)
-    if method.startswith("penson") and n > PENSON_MAX_N:
-        raise click.UsageError(f"{method} supports n <= {PENSON_MAX_N}")
-    row = _METHODS[method](n, config)
+    route = _ROUTES_BY_NAME[method]
+    if route.max_n is not None and n > route.max_n:
+        raise click.UsageError(f"{method} supports n <= {route.max_n}")
+    row = route.evaluate(n, config)
     _print_row(row)
     if not row.converged or not (row.abs_err_ln <= tol):
         sys.exit(EXIT_VERIFICATION_FAILED)

@@ -10,7 +10,9 @@ all floating-point work elsewhere in the package:
   over exact rationals
 * ``count_balanced_parentheses`` / ``count_polygon_triangulations``
   -- brute-force enumerations of two classical Catalan families
-* ``CatalanTable``         -- prefix table by the exact ratio recurrence
+* ``catalan_numbers``      -- C_0, C_1, ... streamed by the exact ratio
+  recurrence
+* ``CatalanTable``         -- prefix table of that stream
 * ``ln_exact``             -- ln C_n to ~1 ulp from the exact integer,
   usable far past the range where C_n fits in a double
 """
@@ -18,8 +20,10 @@ all floating-point work elsewhere in the package:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -27,6 +31,7 @@ __all__ = [
     "CatalanTable",
     "catalan_exact",
     "catalan_hypergeometric",
+    "catalan_numbers",
     "catalan_segner",
     "count_balanced_parentheses",
     "count_polygon_triangulations",
@@ -34,6 +39,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_LN_PI = math.log(math.pi)
 
 # Brute-force enumeration walks every valid prefix; past n = 14 the walk
 # is too slow to be useful as an oracle.
@@ -56,6 +62,20 @@ def catalan_exact(n: int) -> int:
     q, r = divmod(math.comb(2 * n, n), n + 1)
     assert r == 0, f"binomial(2n, n) not divisible by n + 1 at n = {n}"
     return q
+
+
+def catalan_numbers() -> Iterator[int]:
+    """C_0, C_1, C_2, ... without end, by the exact ratio recurrence.
+
+    Each step uses C_{n+1} (n + 2) = C_n 2 (2n + 1) with a checked
+    exact division, so a single arithmetic slip is caught where it
+    happens rather than silently corrupting every later value.
+    """
+    value = 1
+    for k in count():
+        yield value
+        value, r = divmod(value * 2 * (2 * k + 1), k + 2)
+        assert r == 0, f"ratio recurrence left a remainder at n = {k + 1}"
 
 
 def catalan_segner(n: int) -> int:
@@ -158,12 +178,7 @@ def ln_exact(n: int) -> float:
 
 @dataclass(frozen=True)
 class CatalanTable:
-    """Prefix table C_0..C_max_n built by the exact ratio recurrence.
-
-    Each step uses C_{n+1} (n + 2) = C_n 2 (2n + 1) with a checked
-    exact division, so a single arithmetic slip would be caught at
-    build time rather than silently corrupting every later entry.
-    """
+    """Prefix table C_0..C_max_n, the first entries of ``catalan_numbers``."""
 
     max_n: int
     values: tuple[int, ...]
@@ -171,12 +186,7 @@ class CatalanTable:
     @classmethod
     def build(cls, max_n: int) -> "CatalanTable":
         _check_index(max_n)
-        values = [1]
-        for k in range(max_n):
-            nxt, r = divmod(values[k] * 2 * (2 * k + 1), k + 2)
-            assert r == 0, f"ratio recurrence left a remainder at n = {k + 1}"
-            values.append(nxt)
-        return cls(max_n=max_n, values=tuple(values))
+        return cls(max_n=max_n, values=tuple(islice(catalan_numbers(), max_n + 1)))
 
     def __len__(self) -> int:
         return len(self.values)

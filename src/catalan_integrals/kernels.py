@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .exact import _check_index
 from .quadrature import Integrand, QuadConfig, QuadResult, TailBound, integrate_half_line
 
 __all__ = [
@@ -188,8 +189,7 @@ def malmsten_catalan_kernel(n: int) -> KernelSpec:
     c = min(1, n + 1/2), and dividing by t >= 1 keeps the difference
     under that same envelope; K = 2.5 adds margin.
     """
-    if n < 0:
-        raise ValueError(f"Catalan index must be >= 0, got {n}")
+    _check_index(n)
     half = n + 0.5
 
     def fn(t: float) -> float:
@@ -219,8 +219,7 @@ def log_gamma_difference_kernel(n: int) -> KernelSpec:
     past t = 300 the literal e^{t/2} would overflow long after the
     integrand is negligible, so the normalized form takes over there.
     """
-    if n < 0:
-        raise ValueError(f"Catalan index must be >= 0, got {n}")
+    _check_index(n)
     half = n + 0.5
 
     def fn(t: float) -> float:
@@ -256,8 +255,7 @@ def binet_catalan_kernel(n: int) -> KernelSpec:
     Tail: binet_core <= 1/2 and e^{-t/2} - e^{-2t} <= e^{-t/2}; with
     1/t <= 1 for t >= 1 the integrand sits under e^{-(n + 1/2) t} / 2.
     """
-    if n < 0:
-        raise ValueError(f"Catalan index must be >= 0, got {n}")
+    _check_index(n)
 
     def fn(t: float) -> float:
         gap = math.expm1(-0.5 * t) - math.expm1(-2.0 * t)

@@ -36,7 +36,7 @@ import enum
 import heapq
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -332,6 +332,10 @@ def _estimate_tail(f: Callable[[float], float], abs_scale: float) -> TailBound:
     return TailBound(K=k, c=c)
 
 
+def _halved(config: QuadConfig) -> QuadConfig:
+    return replace(config, abs_tol=0.5 * config.abs_tol, rel_tol=0.5 * config.rel_tol)
+
+
 def _truncated_half_line(
     f: Callable[[float], float], config: QuadConfig, tail: TailBound | None
 ) -> QuadResult:
@@ -346,13 +350,7 @@ def _truncated_half_line(
     remainder = (tail.K / tail.c) * math.exp(-tail.c * cutoff)
     # The finite pass gets half the budget so that adding the remainder
     # cannot push an otherwise-converged result past the tolerance.
-    inner = QuadConfig(
-        abs_tol=0.5 * config.abs_tol,
-        rel_tol=0.5 * config.rel_tol,
-        max_subdivisions=config.max_subdivisions,
-        transform=config.transform,
-    )
-    base = integrate_finite(f, 0.0, cutoff, inner)
+    base = integrate_finite(f, 0.0, cutoff, _halved(config))
     total_err = base.error_estimate + remainder
     return QuadResult(
         value=base.value,
@@ -370,12 +368,7 @@ def _algebraic_split_half_line(
     Each piece gets half the tolerance so the combined estimate meets
     the original target.
     """
-    half = QuadConfig(
-        abs_tol=0.5 * config.abs_tol,
-        rel_tol=0.5 * config.rel_tol,
-        max_subdivisions=config.max_subdivisions,
-        transform=config.transform,
-    )
+    half = _halved(config)
     near = integrate_finite(f, 0.0, 1.0, half)
 
     def inverted(s: float) -> float:

@@ -12,8 +12,7 @@ except for the ``generated_at`` timestamp:
 * text: an aligned table for humans, same ordering.
 
 Non-finite floats (failed rows carry NaN) serialize as JSON null; the
-CSV writes them as nan/inf literals, which both this module and numpy
-parse back.
+CSV writes them as nan/inf literals.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from .quadrature import QuadConfig
@@ -89,9 +88,7 @@ def build_report(
         schema_version=SCHEMA_VERSION,
         generated_at=datetime.now(timezone.utc).isoformat(),
         config={
-            "abs_tol": config.abs_tol,
-            "rel_tol": config.rel_tol,
-            "max_subdivisions": config.max_subdivisions,
+            **asdict(config),
             "transform": config.transform.value,
             "err_threshold": err_threshold,
         },

@@ -49,9 +49,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
-from .exact import ln_exact
+from .exact import _LN2, _LN_PI, _check_index, ln_exact
 from .kernels import (
     binet_catalan_kernel,
     log_gamma_reference,
@@ -61,15 +62,16 @@ from .quadrature import (
     HalfLineTransform,
     Integrand,
     QuadConfig,
-    QuadResult,
     integrate_finite,
     integrate_half_line,
 )
 
 __all__ = [
     "PENSON_MAX_N",
+    "ROUTES",
     "Method",
     "RepresentationResult",
+    "Route",
     "catalan_binet",
     "catalan_gamma_closed_form",
     "catalan_malmsten",
@@ -77,9 +79,6 @@ __all__ = [
     "catalan_penson_moment",
     "compare_representations",
 ]
-
-_LN2 = math.log(2.0)
-_LN_PI = math.log(math.pi)
 
 # The Penson integrals shrink like 4^-n relative to their prefactor;
 # past n = 200 the moment integral underflows the rel_tol regime and
@@ -116,11 +115,6 @@ class RepresentationResult:
     quad_error_estimate: float
     evaluations: int
     converged: bool
-
-
-def _check_index(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"Catalan index must be >= 0, got {n}")
 
 
 def _assemble(
@@ -212,7 +206,7 @@ def catalan_penson_moment(n: int, config: QuadConfig) -> RepresentationResult:
         return (t * t) ** n * math.sqrt((1.0 - t) * (1.0 + t))
 
     qr = integrate_finite(fn, -1.0, 1.0, config)
-    ln_value = math.log(2.0) - _LN_PI + 2.0 * n * _LN2 + math.log(qr.value)
+    ln_value = _LN2 - _LN_PI + 2.0 * n * _LN2 + math.log(qr.value)
     return _assemble(
         n,
         Method.PENSON_MOMENT,
@@ -239,12 +233,7 @@ def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
             return 0.0
         return math.exp(0.5 * math.log(t) - power * math.log1p(4.0 * t))
 
-    config_rational = QuadConfig(
-        abs_tol=config.abs_tol,
-        rel_tol=config.rel_tol,
-        max_subdivisions=config.max_subdivisions,
-        transform=HalfLineTransform.NONE,
-    )
+    config_rational = replace(config, transform=HalfLineTransform.NONE)
     qr = integrate_half_line(Integrand(fn=fn), config_rational)
     ln_value = 2.0 * power * _LN2 - _LN_PI + math.log(qr.value)
     return _assemble(
@@ -262,12 +251,25 @@ def _check_penson_index(n: int) -> None:
         raise ValueError(f"Penson routes require 0 <= n <= {PENSON_MAX_N}, got {n}")
 
 
-_ROUTES = (
-    (Method.GAMMA_CLOSED_FORM, lambda n, cfg: catalan_gamma_closed_form(n)),
-    (Method.MALMSTEN, catalan_malmsten),
-    (Method.BINET, catalan_binet),
-    (Method.PENSON_MOMENT, catalan_penson_moment),
-    (Method.PENSON_MELLIN, catalan_penson_mellin),
+@dataclass(frozen=True)
+class Route:
+    """One evaluation route: its ``Method``, its short command-line
+    ``name``, the callable ``evaluate(n, config)`` and the largest n it
+    accepts (None when unbounded)."""
+
+    method: Method
+    name: str
+    evaluate: Callable[[int, QuadConfig], RepresentationResult]
+    max_n: int | None = None
+
+
+# The only table of routes, in report row order.
+ROUTES = (
+    Route(Method.GAMMA_CLOSED_FORM, "gamma", lambda n, cfg: catalan_gamma_closed_form(n)),
+    Route(Method.MALMSTEN, "malmsten", catalan_malmsten),
+    Route(Method.BINET, "binet", catalan_binet),
+    Route(Method.PENSON_MOMENT, "penson-moment", catalan_penson_moment, PENSON_MAX_N),
+    Route(Method.PENSON_MELLIN, "penson-mellin", catalan_penson_mellin, PENSON_MAX_N),
 )
 
 
@@ -283,11 +285,11 @@ def compare_representations(
     _check_index(n_max)
     rows: list[RepresentationResult] = []
     for n in range(n_max + 1):
-        for method, route in _ROUTES:
+        for route in ROUTES:
             try:
-                rows.append(route(n, config))
+                rows.append(route.evaluate(n, config))
             except Exception:
                 rows.append(
-                    _assemble(n, method, float("nan"), float("inf"), 0, False)
+                    _assemble(n, route.method, float("nan"), float("inf"), 0, False)
                 )
     return rows

@@ -23,7 +23,7 @@ further by (2N + 1).
 
 Note on the odd-weight target: the plain series matches its target to
 full precision, but the odd-weight series as written converges to
-1.01241973780396448..., not to 8 sqrt(2)/(3 pi) = 1.20042175487614143.
+1.0124197378042575..., not to 8 sqrt(2)/(3 pi) = 1.20042175487614143.
 The target is hit instead by the companion series with the odd weight
 as a factor, sum (2n + 1) C_{2n} C_n / 64^n.  Both behaviors are
 pinned by tests; the verification command reports the discrepancy
@@ -45,11 +45,14 @@ accelerated by Richardson extrapolation in 1/m^2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .exact import CatalanTable
+from .exact import _LN2, _LN_PI, _log_of_positive_int, catalan_exact, catalan_numbers
 from .kernels import log_gamma_reference
 from .quadrature import QuadConfig, integrate_finite
 
@@ -142,31 +145,38 @@ def sum_rule_term(n: int, *, odd_weight: bool = False) -> float:
     """
     if n < 0:
         raise ValueError(f"series index must be >= 0, got {n}")
-    table = _shared_table(2 * n)
-    return _term_from_table(table, n, odd_weight)
+    return _term(n, catalan_exact(2 * n), catalan_exact(n), odd_weight)
 
 
-_TABLE_CACHE: list[CatalanTable] = [CatalanTable.build(64)]
-
-
-def _shared_table(min_len: int) -> CatalanTable:
-    # Grow-on-demand cache; doubling keeps total rebuild work linear.
-    table = _TABLE_CACHE[0]
-    if table.max_n < min_len:
-        table = CatalanTable.build(max(min_len, 2 * table.max_n))
-        _TABLE_CACHE[0] = table
-    return table
-
-
-def _term_from_table(table: CatalanTable, n: int, odd_weight: bool) -> float:
-    ln_term = table.ln(2 * n) + table.ln(n) - n * _LN64
+def _term(n: int, c_2n: int, c_n: int, odd_weight: bool) -> float:
+    ln_term = _log_of_positive_int(c_2n) + _log_of_positive_int(c_n) - n * _LN64
     if odd_weight:
         ln_term -= math.log(2 * n + 1)
     return math.exp(ln_term)
 
 
+def _exact_terms(odd_weight: bool) -> Iterator[float]:
+    """term(0), term(1), ... streamed from exact integers.
+
+    Equal bit for bit to ``sum_rule_term``, at the cost of one ratio
+    recurrence step per Catalan number instead of a binomial per term.
+    """
+    evens = islice(catalan_numbers(), 0, None, 2)
+    for n, (c_n, c_2n) in enumerate(zip(catalan_numbers(), evens)):
+        yield _term(n, c_2n, c_n, odd_weight)
+
+
+def _terms_needed(tol: float, odd_weight: bool) -> int:
+    """Smallest N >= 4 with series_tail_bound(N) <= tol, capped at TERM_BUDGET."""
+    return 4 + bisect_left(
+        range(4, TERM_BUDGET),
+        True,
+        key=lambda n: series_tail_bound(n, odd_weight=odd_weight) <= tol,
+    )
+
+
 def _far_tail_blocks(n_from: int, n_to: int, first_term: float, odd_weight: bool):
-    """Yield partial block sums of term(n) for n in [n_from, n_to).
+    """Yield partial block sums of term(n) for n in (n_from, n_to].
 
     Pure multiplicative float recurrence: the ratio recurrence for the
     Catalan numbers gives
@@ -197,47 +207,34 @@ def _far_tail_blocks(n_from: int, n_to: int, first_term: float, odd_weight: bool
 
 
 def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
+    """Sum term(0..N-1) for the smallest N whose tail bound meets tol.
+
+    Terms up to _EXACT_TERM_CUTOFF come from exact integers with a
+    compensated sum; the float ratio recurrence carries on from there.
+    """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-
-    def result(partial: float, terms_used: int, bound: float) -> SeriesResult:
-        certified = partial + 0.5 * bound
-        return SeriesResult(
-            partial_sum=partial,
-            terms_used=terms_used,
-            tail_bound=bound,
-            certified_value=certified,
-            target=target,
-            abs_err=abs(certified - target),
+    n_stop = _terms_needed(tol, odd_weight)
+    n_exact = min(n_stop, _EXACT_TERM_CUTOFF + 1)
+    partial = math.fsum(islice(_exact_terms(odd_weight), n_exact))
+    if n_stop > n_exact:
+        last_exact = sum_rule_term(n_exact - 1, odd_weight=odd_weight)
+        partial += math.fsum(
+            _far_tail_blocks(n_exact - 1, n_stop - 1, last_exact, odd_weight)
         )
-
-    # Exact-integer phase: ascending terms, compensated final sum.
-    terms: list[float] = []
-    n = 0
-    while n <= _EXACT_TERM_CUTOFF:
-        terms.append(sum_rule_term(n, odd_weight=odd_weight))
-        n += 1
-        if n >= 4:
-            bound = series_tail_bound(n, odd_weight=odd_weight)
-            if bound <= tol:
-                return result(math.fsum(terms), n, bound)
-    partial = math.fsum(terms)
-
-    # Far-tail phase: float ratio recurrence in blocks up to the budget.
-    last_exact = terms[-1]
-    block_sums = []
-    stop_n = TERM_BUDGET
-    block_start = n
-    for block_sum in _far_tail_blocks(n - 1, stop_n - 1, last_exact, odd_weight):
-        block_sums.append(block_sum)
-        block_start = min(block_start + 1_000_000, stop_n)
-        bound = series_tail_bound(block_start, odd_weight=odd_weight)
-        if bound <= tol:
-            return result(partial + math.fsum(block_sums), block_start, bound)
-    total = partial + math.fsum(block_sums)
-    raise TermBudgetExhausted(
-        result(total, stop_n, series_tail_bound(stop_n, odd_weight=odd_weight))
+    bound = series_tail_bound(n_stop, odd_weight=odd_weight)
+    certified = partial + 0.5 * bound
+    result = SeriesResult(
+        partial_sum=partial,
+        terms_used=n_stop,
+        tail_bound=bound,
+        certified_value=certified,
+        target=target,
+        abs_err=abs(certified - target),
     )
+    if bound > tol:
+        raise TermBudgetExhausted(result)
+    return result
 
 
 def stewart_sum_plain(tol: float = 1e-6) -> SeriesResult:
@@ -299,10 +296,6 @@ def glaisher_oracle(m: int = 1000) -> float:
     r1 = (4.0 * a2 - a1) / 3.0
     r2 = (4.0 * a4 - a2) / 3.0
     return (16.0 * r2 - r1) / 15.0
-
-
-_LN2 = math.log(2.0)
-_LN_PI = math.log(math.pi)
 
 
 def glaisher_from_integral(config: QuadConfig) -> GlaisherResult:

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from catalan_integrals.cli import main
 from catalan_integrals.report import parse_report_json
+from catalan_integrals.representations import Method
 
 runner = CliRunner()
 
@@ -72,8 +73,19 @@ def test_rep_unknown_method_is_usage_error():
 
 
 def test_rep_penson_index_cap_is_usage_error():
-    result = runner.invoke(main, ["rep", "penson-moment", "201"])
-    assert result.exit_code == 2
+    for method in ("penson-moment", "penson-mellin"):
+        result = runner.invoke(main, ["rep", method, "201"])
+        assert result.exit_code == 2, method
+
+
+def test_rep_choices_reach_every_method():
+    choices = main.commands["rep"].params[0].type.choices
+    reached = set()
+    for choice in choices:
+        result = runner.invoke(main, ["rep", choice, "1"])
+        assert result.exit_code == 0, choice
+        reached.add(Method(re.search(r"method=(\S+)", result.output).group(1)))
+    assert reached == set(Method)
 
 
 def test_rep_unreachable_tol_fails():

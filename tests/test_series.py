@@ -1,6 +1,7 @@
 """Certified sum rules and the Glaisher-Kinkelin extraction."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from catalan_integrals.series import (
     TERM_BUDGET,
     GlaisherResult,
     TermBudgetExhausted,
+    _exact_terms,
     _hyperfactorial_remainder,
     glaisher_from_integral,
     glaisher_oracle,
@@ -24,11 +26,11 @@ from catalan_integrals.series import (
 # Frozen from 25-digit evaluations with exact rational terms.
 ODD_TARGET_REF = 1.200421754876141426073599  # 8 sqrt(2) / (3 pi)
 PLAIN_TARGET_REF = 1.043977654480579082469279
-# What the odd-weighted series actually converges to.  This is NOT the
-# stated target above; the gap near 0.188 is established independently
-# by summing exact rational terms to n = 4000 with a rigorous tail
-# bound of 4.4e-13.  See the acceptance suite for the consequence.
-ODD_SERIES_LIMIT = 1.012419737803964481528
+# What the odd-weighted series actually converges to: the closed form
+# 4F3(1/4, 3/4, 1/2, 1/2; 3/2, 3/2, 2; 1), evaluated at 40 digits.
+# This is NOT the stated target above; the gap is near 0.188.  See the
+# acceptance suite for the consequence.
+ODD_SERIES_LIMIT = 1.012419737804257542935
 LN_A_REF = 0.2487544770337842625473  # ln of the Glaisher-Kinkelin constant
 GLAISHER_INTEGRAL_REF = -0.04285374065029094455662  # integral on [0, 1/2]
 
@@ -50,6 +52,15 @@ def test_first_terms():
     assert abs(sum_rule_term(1, odd_weight=True) - 1.0 / 96.0) <= 1e-16
     # C_4 C_2 / 64^2 = 28/4096 = 7/1024.
     assert abs(sum_rule_term(2) - 7.0 / 1024.0) <= 1e-16
+
+
+# The weight enters only after the exact integers, so the odd weight
+# needs a shorter (and cheaper) run than the integer stream itself.
+@pytest.mark.parametrize("odd_weight, n_max", [(False, 3000), (True, 300)])
+def test_streamed_terms_match_sum_rule_term_bitwise(odd_weight, n_max):
+    streamed = list(islice(_exact_terms(odd_weight), n_max))
+    direct = [sum_rule_term(n, odd_weight=odd_weight) for n in range(n_max)]
+    assert streamed == direct
 
 
 def test_term_rejects_negative():
@@ -171,6 +182,15 @@ def test_odd_sum_reports_target_miss():
     result = stewart_sum_odd_weight(tol=1e-6)
     assert 0.187 < result.abs_err < 0.189
     assert result.abs_err > result.tail_bound + 1e-6
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-10])
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_sum_stops_at_first_n_whose_bound_meets_tol(tol, odd_weight):
+    rule = stewart_sum_odd_weight if odd_weight else stewart_sum_plain
+    n = rule(tol).terms_used
+    assert series_tail_bound(n, odd_weight=odd_weight) <= tol
+    assert n == 4 or series_tail_bound(n - 1, odd_weight=odd_weight) > tol
 
 
 def test_tolerance_validation():

@@ -4,7 +4,7 @@ quadrature cross-checks.
 The package is organized bottom-up:
 
 * ``exact``           -- arbitrary-precision integer routes and ln C_n
-* ``quadrature``      -- adaptive Gauss-Kronrod with half-line strategies
+* ``quadrature``      -- adaptive Gauss-Kronrod with half-line reductions
 * ``kernels``         -- log-Gamma integrands with origin guards and tails
 * ``representations`` -- five ln C_n routes cross-checked against exact
 * ``series``          -- certified sum rules and the Glaisher-Kinkelin constant
@@ -32,7 +32,6 @@ from .kernels import (
     malmsten_catalan_kernel,
 )
 from .quadrature import (
-    HalfLineTransform,
     Integrand,
     IntegrandEvaluationError,
     QuadConfig,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CatalanTable",
     "GlaisherResult",
-    "HalfLineTransform",
     "Integrand",
     "IntegrandEvaluationError",
     "KernelSpec",

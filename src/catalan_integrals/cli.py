@@ -24,7 +24,7 @@ from .kernels import (
     log_gamma_difference_kernel,
     malmsten_catalan_kernel,
 )
-from .quadrature import HalfLineTransform, QuadConfig, QuadratureNotConverged
+from .quadrature import QuadConfig, QuadratureNotConverged
 from .report import _fmt, build_report, to_csv, to_json, to_text
 from .representations import ROUTES, RepresentationResult, compare_representations
 from .series import (
@@ -71,23 +71,13 @@ def _quad_options(fn):
         show_default=True,
         help="Adaptive bisection budget.",
     )(fn)
-    fn = click.option(
-        "--transform",
-        type=click.Choice([t.value for t in HalfLineTransform]),
-        default=QuadConfig.transform.value,
-        show_default=True,
-        help="Half-line reduction strategy.",
-    )(fn)
     return fn
 
 
-def _config(abs_tol: float, rel_tol: float, max_subdivisions: int, transform: str) -> QuadConfig:
+def _config(abs_tol: float, rel_tol: float, max_subdivisions: int) -> QuadConfig:
     try:
         return QuadConfig(
-            abs_tol=abs_tol,
-            rel_tol=rel_tol,
-            max_subdivisions=max_subdivisions,
-            transform=HalfLineTransform(transform),
+            abs_tol=abs_tol, rel_tol=rel_tol, max_subdivisions=max_subdivisions
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -134,10 +124,9 @@ def cmd_rep(
     abs_tol: float,
     rel_tol: float,
     max_subdivisions: int,
-    transform: str,
 ) -> None:
     """Evaluate one representation METHOD at index N and check it."""
-    config = _config(abs_tol, rel_tol, max_subdivisions, transform)
+    config = _config(abs_tol, rel_tol, max_subdivisions)
     route = _ROUTES_BY_NAME[method]
     if route.max_n is not None and n > route.max_n:
         raise click.UsageError(f"{method} supports n <= {route.max_n}")
@@ -178,10 +167,9 @@ def cmd_verify(
     abs_tol: float,
     rel_tol: float,
     max_subdivisions: int,
-    transform: str,
 ) -> None:
     """Cross-check every representation against exact values for n = 0..N_MAX."""
-    config = _config(abs_tol, rel_tol, max_subdivisions, transform)
+    config = _config(abs_tol, rel_tol, max_subdivisions)
     rows = compare_representations(n_max, config)
     report = build_report(rows, config, err_threshold=tol)
     rendered = {"text": to_text, "csv": to_csv, "json": to_json}[fmt](report)
@@ -242,11 +230,9 @@ def cmd_sumrule(which: str, tol: float) -> None:
 
 @main.command("glaisher")
 @_quad_options
-def cmd_glaisher(
-    abs_tol: float, rel_tol: float, max_subdivisions: int, transform: str
-) -> None:
+def cmd_glaisher(abs_tol: float, rel_tol: float, max_subdivisions: int) -> None:
     """Recover the Glaisher-Kinkelin constant from the log-Gamma integral."""
-    config = _config(abs_tol, rel_tol, max_subdivisions, transform)
+    config = _config(abs_tol, rel_tol, max_subdivisions)
     try:
         result = glaisher_from_integral(config)
     except QuadratureNotConverged as exc:

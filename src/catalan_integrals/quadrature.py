@@ -1,26 +1,24 @@
-"""Adaptive Gauss-Kronrod quadrature with half-line strategies.
+"""Adaptive Gauss-Kronrod quadrature with half-line reductions.
 
 The base rule is the 15-point Kronrod extension of 7-point Gauss
 (G7/K15) with the classical QUADPACK error estimate; the adaptive
 driver bisects the interval with the worst estimate first.
 
-Half-line integrals over (0, inf) are reduced to finite ones by one of
-three strategies, selected via ``QuadConfig.transform``:
+Half-line integrals over (0, inf) are reduced to finite ones in one of
+two ways, picked by whether the caller supplies tail constants:
 
-* ``EXP_DECAY_MAP``: truncate at T chosen from an analytic tail bound
-  |f(t)| <= K exp(-c t), so the discarded remainder (K/c) exp(-c T) is
-  below a tenth of the absolute tolerance.  The remainder is added to
-  the reported error estimate.
-* ``DOUBLE_EXPONENTIAL``: exp-sinh substitution t = exp(L sinh u) with
-  trapezoidal refinement, doubling the node density per level.
-* ``NONE``: generic algebraic-decay reduction, splitting at t = 1 and
-  inverting the far piece (t = 1/s), so the whole line becomes two
-  integrals over (0, 1).  The only choice that handles merely algebraic
-  decay.  The textbook one-map alternative u = t/(1 + t) is avoided on
-  purpose: in doubles it collapses the entire tail t > 1e16 into the
-  last representable value below u = 1, losing tail mass that can
-  exceed tight tolerances, while the inversion lands both singular
-  endpoints at 0 where the floating-point grid stays dense.
+* With an analytic tail bound |f(t)| <= K exp(-c t): truncate at T
+  chosen so that the discarded remainder (K/c) exp(-c T) is below a
+  tenth of the absolute tolerance.  The remainder is added to the
+  reported error estimate.
+* Without one: split at t = 1 and invert the far piece (t = 1/s), so
+  the whole line becomes two integrals over (0, 1).  This needs no
+  decay rate, so it also handles merely algebraic decay.  The textbook
+  one-map alternative u = t/(1 + t) is avoided on purpose: in doubles
+  it collapses the entire tail t > 1e16 into the last representable
+  value below u = 1, losing tail mass that can exceed tight
+  tolerances, while the inversion lands both singular endpoints at 0
+  where the floating-point grid stays dense.
 
 Integrands with a removable singularity at t = 0 carry their analytic
 limit (and optionally the first Taylor coefficient) in an ``Integrand``
@@ -32,7 +30,6 @@ degenerates to 0/0.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import math
 import sys
@@ -40,7 +37,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 __all__ = [
-    "HalfLineTransform",
     "Integrand",
     "IntegrandEvaluationError",
     "QuadConfig",
@@ -81,14 +77,6 @@ class QuadratureNotConverged(RuntimeError):
         )
 
 
-class HalfLineTransform(enum.Enum):
-    """Strategy for reducing an integral over (0, inf) to finite form."""
-
-    NONE = "none"
-    EXP_DECAY_MAP = "exp_decay_map"
-    DOUBLE_EXPONENTIAL = "double_exponential"
-
-
 class TailBound(NamedTuple):
     """Constants of an analytic bound |f(t)| <= K exp(-c t) valid for large t."""
 
@@ -98,7 +86,7 @@ class TailBound(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and strategy knobs shared by all quadrature entry points.
+    """Tolerances and subdivision budget shared by all quadrature entry points.
 
     Convergence target is max(abs_tol, rel_tol * |value|); at least one
     of the two tolerances must be positive.
@@ -107,17 +95,14 @@ class QuadConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-11
     max_subdivisions: int = 2000
-    transform: HalfLineTransform = HalfLineTransform.EXP_DECAY_MAP
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0:
+        if not (self.abs_tol >= 0 and self.rel_tol >= 0):  # also rejects NaN
             raise ValueError("tolerances must be nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("at least one tolerance must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if not isinstance(self.transform, HalfLineTransform):
-            raise ValueError(f"unknown transform: {self.transform!r}")
 
     def tolerance_for(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -295,52 +280,13 @@ def integrate_finite(
     )
 
 
-def _estimate_tail(f: Callable[[float], float], abs_scale: float) -> TailBound:
-    """Heuristic exponential tail fit when no analytic bound is supplied.
-
-    Samples |f| at a geometric ladder of abscissae and takes the most
-    conservative pairwise decay rate; the prefactor gets a 10x safety
-    margin.  Two rejection rules keep the truncation sound: rates below
-    0.05 (decay slower than exp(-t/20) over [5, 80]) and rung-to-rung
-    rate drift beyond 3x.  The drift rule is what catches algebraic
-    decay: t^-p shows an apparent rate proportional to 1/t, giving an
-    8x spread across this ladder for every p, while a genuine
-    exponential (times any fixed power) settles to a constant rate.
-    """
-    ladder = (5.0, 10.0, 20.0, 40.0, 80.0)
-    mags = [abs(f(t)) for t in ladder]
-    if all(m <= abs_scale * 1e-300 for m in mags):
-        return TailBound(K=abs_scale, c=1.0)
-    rates = []
-    for i in range(len(ladder) - 1):
-        t1, m1 = ladder[i], mags[i]
-        t2, m2 = ladder[i + 1], mags[i + 1]
-        if m1 > 0 and 0 < m2 < m1:
-            rates.append(math.log(m1 / m2) / (t2 - t1))
-    if (
-        len(rates) < len(ladder) - 1
-        or min(rates) < 0.05
-        or max(rates) > 3.0 * min(rates)
-    ):
-        raise ValueError(
-            "integrand decay is not consistent with a fixed exponential rate; "
-            "supply explicit TailBound constants or use the NONE / "
-            "DOUBLE_EXPONENTIAL transform"
-        )
-    c = min(rates)
-    k = 10.0 * max(m * math.exp(c * t) for t, m in zip(ladder, mags))
-    return TailBound(K=k, c=c)
-
-
 def _halved(config: QuadConfig) -> QuadConfig:
     return replace(config, abs_tol=0.5 * config.abs_tol, rel_tol=0.5 * config.rel_tol)
 
 
 def _truncated_half_line(
-    f: Callable[[float], float], config: QuadConfig, tail: TailBound | None
+    f: Callable[[float], float], config: QuadConfig, tail: TailBound
 ) -> QuadResult:
-    if tail is None:
-        tail = _estimate_tail(f, abs_scale=1.0)
     if tail.K <= 0 or tail.c <= 0:
         raise ValueError(f"tail bound constants must be positive, got {tail}")
     # Truncation point: remainder (K/c) exp(-c T) <= tol_ref / 10.
@@ -385,98 +331,19 @@ def _algebraic_split_half_line(
     )
 
 
-# Exp-sinh scale: t = exp(_ES_LAMBDA * sinh(u)).
-_ES_LAMBDA = math.pi / 2.0
-# exp() overflows just past 709; beyond this argument the weight is
-# treated as exactly zero, which is sound for any integrand decaying
-# at least algebraically faster than 1/t.
-_ES_MAX_EXPONENT = 690.0
-_ES_MAX_LEVEL = 10
-
-
-def _exp_sinh_half_line(
-    f: Callable[[float], float], config: QuadConfig
-) -> QuadResult:
-    """Exp-sinh rule on (0, inf): trapezoid in u, halving h per level."""
-    evaluations = 0
-
-    def term(u: float) -> float:
-        nonlocal evaluations
-        arg = _ES_LAMBDA * math.sinh(u)
-        if arg > _ES_MAX_EXPONENT:
-            return 0.0
-        t = math.exp(arg)
-        if t == 0.0:
-            return 0.0
-        evaluations += 1
-        y = f(t)
-        if not math.isfinite(y):
-            raise IntegrandEvaluationError(t, y)
-        return y * t * _ES_LAMBDA * math.cosh(u)
-
-    # Terms are cut once they fall below this floor for several nodes in
-    # a row; the double-exponential decay makes the skipped remainder
-    # negligible relative to the floor itself.
-    floor = max(config.abs_tol, 1e-16) * 1e-3
-
-    def row_sum(h: float, only_odd: bool) -> float:
-        # Sum h * term(k h) over k (odd k only on refinement levels),
-        # expanding outward until terms stay below the floor.
-        pieces = []
-        for direction in (1, -1):
-            start = 1 if only_odd else (0 if direction == 1 else 1)
-            step = 2 if only_odd else 1
-            k = start
-            quiet = 0
-            while True:
-                u = direction * k * h
-                if abs(u) > 7.6:
-                    break
-                y = term(u)
-                pieces.append(y)
-                if abs(y) < floor:
-                    quiet += 1
-                    if quiet >= 3 and k * h > 3.0:
-                        break
-                else:
-                    quiet = 0
-                k += step
-        return h * math.fsum(pieces)
-
-    h = 1.0
-    total = row_sum(h, only_odd=False)
-    err = abs(total) if total != 0.0 else 1.0
-    converged = False
-    for _ in range(_ES_MAX_LEVEL):
-        h *= 0.5
-        refined = 0.5 * total + row_sum(h, only_odd=True)
-        err = abs(refined - total)
-        total = refined
-        if err <= config.tolerance_for(total):
-            converged = True
-            break
-    return QuadResult(
-        value=total,
-        error_estimate=err,
-        evaluations=evaluations,
-        converged=converged,
-    )
-
-
 def integrate_half_line(
     f: Callable[[float], float],
     config: QuadConfig,
     tail: TailBound | None = None,
 ) -> QuadResult:
-    """Integrate f over (0, inf) with the strategy named in ``config.transform``.
+    """Integrate f over (0, inf).
 
-    ``tail`` feeds the EXP_DECAY_MAP truncation rule; it is ignored by
-    the other transforms.  Without an explicit bound, the truncation
-    point falls back to a sampled decay-rate fit, which raises if the
-    integrand does not decay exponentially.
+    With ``tail``, the constants of an analytic bound
+    |f(t)| <= K exp(-c t), the integral is truncated and the bounded
+    remainder is added to the error estimate.  With ``tail=None`` it is
+    split at t = 1 and the far piece is inverted, which assumes no decay
+    rate.
     """
-    if config.transform is HalfLineTransform.EXP_DECAY_MAP:
-        return _truncated_half_line(f, config, tail)
-    if config.transform is HalfLineTransform.DOUBLE_EXPONENTIAL:
-        return _exp_sinh_half_line(f, config)
-    return _algebraic_split_half_line(f, config)
+    if tail is None:
+        return _algebraic_split_half_line(f, config)
+    return _truncated_half_line(f, config, tail)

@@ -87,11 +87,7 @@ def build_report(
     return Report(
         schema_version=SCHEMA_VERSION,
         generated_at=datetime.now(timezone.utc).isoformat(),
-        config={
-            **asdict(config),
-            "transform": config.transform.value,
-            "err_threshold": err_threshold,
-        },
+        config={**asdict(config), "err_threshold": err_threshold},
         rows=tuple(rows),
         summary=ReportSummary(max_abs_err_ln=max_err, failures=failures),
     )

@@ -36,8 +36,8 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   moment form.
 * ``penson_mellin``: C_n = (4^{n+2}/pi) I with
   I = integral_0^inf sqrt(t) / (4t + 1)^{n+2} dt.  The integrand decays
-  only algebraically, so this route forces the NONE (split-and-invert)
-  half-line strategy regardless of the configured transform.
+  only algebraically, so it has no exponential tail bound and the
+  half-line integral is split at t = 1 with the far piece inverted.
 
 Both Penson integrals are computed in linear scale (they fit doubles
 comfortably for n <= 200) and only their logs enter the assembly, so
@@ -50,7 +50,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .exact import _LN2, _LN_PI, _check_index, ln_exact
 from .kernels import (
@@ -58,13 +58,7 @@ from .kernels import (
     log_gamma_reference,
     malmsten_catalan_kernel,
 )
-from .quadrature import (
-    HalfLineTransform,
-    Integrand,
-    QuadConfig,
-    integrate_finite,
-    integrate_half_line,
-)
+from .quadrature import QuadConfig, integrate_finite, integrate_half_line
 
 __all__ = [
     "PENSON_MAX_N",
@@ -220,10 +214,9 @@ def catalan_penson_moment(n: int, config: QuadConfig) -> RepresentationResult:
 def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
     """ln C_n = 2(n + 2) ln 2 - ln pi + ln I, I = integral_0^inf sqrt(t)/(4t+1)^{n+2} dt.
 
-    The integrand decays like t^{-(n + 3/2)}, which defeats the
-    exponential-truncation strategy outright, so the algebraic
-    split-and-invert reduction is forced here independent of the
-    configured transform.
+    The integrand decays like t^{-(n + 3/2)}, so no exponential tail
+    bound exists; without one, ``integrate_half_line`` splits at t = 1
+    and inverts the far piece.
     """
     _check_penson_index(n)
     power = n + 2.0
@@ -233,8 +226,7 @@ def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
             return 0.0
         return math.exp(0.5 * math.log(t) - power * math.log1p(4.0 * t))
 
-    config_rational = replace(config, transform=HalfLineTransform.NONE)
-    qr = integrate_half_line(Integrand(fn=fn), config_rational)
+    qr = integrate_half_line(fn, config)
     ln_value = 2.0 * power * _LN2 - _LN_PI + math.log(qr.value)
     return _assemble(
         n,

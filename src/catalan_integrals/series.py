@@ -212,7 +212,7 @@ def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
     Terms up to _EXACT_TERM_CUTOFF come from exact integers with a
     compensated sum; the float ratio recurrence carries on from there.
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
     n_stop = _terms_needed(tol, odd_weight)
     n_exact = min(n_stop, _EXACT_TERM_CUTOFF + 1)

@@ -8,7 +8,7 @@ integrator itself.
 
 import math
 
-from catalan_integrals.quadrature import HalfLineTransform, TailBound
+from catalan_integrals.quadrature import TailBound
 
 # (label, integrand, a, b, exact value) on a finite interval.  The
 # corpus deliberately mixes smooth, oscillatory, and integrable-endpoint
@@ -65,51 +65,59 @@ FINITE_CORPUS = (
     ),
 )
 
-# (label, integrand, tail constants or None, transform, exact value) on
-# [0, inf).  Tail constants are analytic bounds |f(t)| <= K exp(-c t):
+# (label, integrand, tail constants or None, exact value) on [0, inf).
+# Tail constants are analytic bounds |f(t)| <= K exp(-c t):
 #   t exp(-t) <= (2/e) exp(-t/2)           -> K = 1,   c = 1/2
 #   exp(-t^2) <= exp(1/4) exp(-t)          -> K = 1.3, c = 1
+# Entries without constants go through the split at t = 1; they cover
+# exponential, faster-than-exponential and algebraic decay.
 HALF_LINE_CORPUS = (
     (
         "exp decay",
         lambda t: math.exp(-t),
         TailBound(K=1.0, c=1.0),
-        HalfLineTransform.EXP_DECAY_MAP,
         1.0,
     ),
     (
         "first moment",
         lambda t: t * math.exp(-t),
         TailBound(K=1.0, c=0.5),
-        HalfLineTransform.EXP_DECAY_MAP,
         1.0,
     ),
     (
         "half gaussian",
         lambda t: math.exp(-t * t),
         TailBound(K=1.3, c=1.0),
-        HalfLineTransform.EXP_DECAY_MAP,
+        0.5 * math.sqrt(math.pi),
+    ),
+    (
+        "plain exponential (split)",
+        lambda t: math.exp(-2.0 * t),
+        None,
+        0.5,
+    ),
+    (
+        "half gaussian (split)",
+        lambda t: math.exp(-t * t),
+        None,
         0.5 * math.sqrt(math.pi),
     ),
     (
         "gamma(1/2)",
         lambda t: math.exp(-t) / math.sqrt(t) if t > 0.0 else 0.0,
         None,
-        HalfLineTransform.DOUBLE_EXPONENTIAL,
         math.sqrt(math.pi),
     ),
     (
         "algebraic moment",
         lambda t: math.sqrt(t) / (4.0 * t + 1.0) ** 2 if t > 0.0 else 0.0,
         None,
-        HalfLineTransform.NONE,
         math.pi / 16.0,
     ),
     (
         "lorentzian tail",
         lambda t: 1.0 / (1.0 + t * t),
         None,
-        HalfLineTransform.NONE,
         math.pi / 2.0,
     ),
 )

@@ -209,8 +209,8 @@ def test_criterion_8_property_suites():
         honesty = honesty and result.converged
         honesty = honesty and abs(result.value - exact) <= 10.0 * result.error_estimate
         corpus_size += 1
-    for _, f, tail, transform, exact in HALF_LINE_CORPUS:
-        result = integrate_half_line(f, QuadConfig(transform=transform), tail=tail)
+    for _, f, tail, exact in HALF_LINE_CORPUS:
+        result = integrate_half_line(f, CFG, tail=tail)
         honesty = honesty and result.converged
         honesty = honesty and abs(result.value - exact) <= 10.0 * result.error_estimate
         corpus_size += 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import catalan_integrals
 from catalan_integrals.cli import main
 from catalan_integrals.report import parse_report_json
 from catalan_integrals.representations import Method
@@ -94,9 +96,16 @@ def test_rep_unreachable_tol_fails():
 
 
 def test_rep_bad_quad_config_is_usage_error():
-    result = runner.invoke(
-        main, ["rep", "malmsten", "5", "--abs-tol", "0", "--rel-tol", "0"]
-    )
+    for options in (["--abs-tol", "0", "--rel-tol", "0"], ["--abs-tol", "nan"]):
+        result = runner.invoke(main, ["rep", "malmsten", "5", *options])
+        assert result.exit_code == 2, options
+
+
+@pytest.mark.parametrize(
+    "args", [["rep", "malmsten", "5"], ["verify", "--n-max", "1"], ["glaisher"]]
+)
+def test_transform_option_is_gone(args):
+    result = runner.invoke(main, [*args, "--transform", "none"])
     assert result.exit_code == 2
 
 
@@ -218,8 +227,9 @@ def test_sumrule_budget_exhaustion():
 
 
 def test_sumrule_bad_tolerance_is_usage_error():
-    result = runner.invoke(main, ["sumrule", "plain", "--tol", "0"])
-    assert result.exit_code == 2
+    for tol in ("0", "nan"):
+        result = runner.invoke(main, ["sumrule", "plain", "--tol", tol])
+        assert result.exit_code == 2, tol
 
 
 def test_sumrule_unknown_rule_is_usage_error():
@@ -310,11 +320,18 @@ def test_dump_kernel_unknown_kernel_is_usage_error():
 
 
 def test_module_entry_point():
+    # The child interpreter must import the same package copy as this
+    # process, whatever the test runner put on sys.path.
+    package_root = os.path.dirname(os.path.dirname(catalan_integrals.__file__))
+    pythonpath = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "catalan_integrals", "exact", "3"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "5"

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod core and the three half-line strategies."""
+"""Adaptive Gauss-Kronrod core and the two half-line reductions."""
 
 import math
 import random
@@ -7,14 +7,12 @@ import pytest
 
 from closed_forms import FINITE_CORPUS, HALF_LINE_CORPUS
 from catalan_integrals.quadrature import (
-    HalfLineTransform,
     Integrand,
     IntegrandEvaluationError,
     QuadConfig,
     QuadratureNotConverged,
     QuadResult,
     TailBound,
-    _estimate_tail,
     _kronrod_panel,
     integrate_finite,
     integrate_half_line,
@@ -161,7 +159,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(max_subdivisions=0)
     with pytest.raises(ValueError):
-        QuadConfig(transform="exp_decay_map")  # must be the enum, not a string
+        QuadConfig(abs_tol=float("nan"))
+    with pytest.raises(ValueError):
+        QuadConfig(rel_tol=float("nan"))
 
 
 def test_tolerance_for_mixes_absolute_and_relative():
@@ -195,97 +195,51 @@ def test_integrand_above_threshold_calls_through():
 
 
 @pytest.mark.parametrize(
-    "label, f, tail, transform, exact",
+    "label, f, tail, exact",
     HALF_LINE_CORPUS,
     ids=[c[0] for c in HALF_LINE_CORPUS],
 )
-def test_half_line_corpus(label, f, tail, transform, exact):
-    config = QuadConfig(transform=transform)
-    result = integrate_half_line(f, config, tail=tail)
+def test_half_line_corpus(label, f, tail, exact, cfg):
+    result = integrate_half_line(f, cfg, tail=tail)
     assert result.converged, label
     assert abs(result.value - exact) <= 10.0 * result.error_estimate, label
 
 
-def test_half_line_transforms_agree():
-    # One decaying integrand, three routes to the same number.
+def test_half_line_transforms_agree(cfg):
+    # One decaying integrand, both reductions (truncation with a tail
+    # bound, split-and-invert without) to the same number.
     f = lambda t: math.exp(-t)  # noqa: E731
-    values = {}
-    for transform in HalfLineTransform:
-        config = QuadConfig(transform=transform)
-        result = integrate_half_line(f, config, tail=TailBound(1.0, 1.0))
-        assert result.converged
-        values[transform] = result
-    spread = max(r.value for r in values.values()) - min(
-        r.value for r in values.values()
-    )
-    budget = sum(r.error_estimate for r in values.values())
+    results = [
+        integrate_half_line(f, cfg, tail=tail)
+        for tail in (TailBound(1.0, 1.0), None)
+    ]
+    assert all(r.converged for r in results)
+    spread = abs(results[0].value - results[1].value)
+    budget = sum(r.error_estimate for r in results)
     assert spread <= max(budget, 1e-13)
 
 
-def test_tail_heuristic_accepts_plain_exponential():
-    config = QuadConfig(transform=HalfLineTransform.EXP_DECAY_MAP)
-    result = integrate_half_line(lambda t: math.exp(-2.0 * t), config)
-    assert result.converged
-    assert abs(result.value - 0.5) <= 1e-10
-
-
-@pytest.mark.parametrize(
-    "label, f",
-    [
-        ("cubic decay", lambda t: 1.0 / (1.0 + t) ** 3),
-        ("quartic decay", lambda t: 1.0 / (1.0 + t) ** 4),
-        ("gaussian (superexponential drift)", lambda t: math.exp(-t * t)),
-    ],
-)
-def test_tail_heuristic_rejects_inconsistent_rates(label, f):
-    # Algebraic decay shows an apparent rate falling like 1/t across the
-    # sampling ladder; a Gaussian shows one rising like t.  Both must be
-    # refused rather than truncated unsoundly.
-    with pytest.raises(ValueError):
-        _estimate_tail(f, 1.0)
-
-
-def test_explicit_tail_constants_must_be_positive():
-    config = QuadConfig(transform=HalfLineTransform.EXP_DECAY_MAP)
+def test_explicit_tail_constants_must_be_positive(cfg):
     with pytest.raises(ValueError):
         integrate_half_line(
-            lambda t: math.exp(-t), config, tail=TailBound(0.0, 1.0)
+            lambda t: math.exp(-t), cfg, tail=TailBound(0.0, 1.0)
         )
     with pytest.raises(ValueError):
         integrate_half_line(
-            lambda t: math.exp(-t), config, tail=TailBound(1.0, -2.0)
+            lambda t: math.exp(-t), cfg, tail=TailBound(1.0, -2.0)
         )
 
 
-def test_truncation_remainder_enters_estimate():
+def test_truncation_remainder_enters_estimate(cfg):
     # With an exact tail bound K e^{-ct}, the truncated piece contributes
     # (K/c) e^{-cT} to the estimate; the result must still certify the
     # true error honestly.
-    config = QuadConfig(transform=HalfLineTransform.EXP_DECAY_MAP)
     result = integrate_half_line(
-        lambda t: math.exp(-t), config, tail=TailBound(1.0, 1.0)
+        lambda t: math.exp(-t), cfg, tail=TailBound(1.0, 1.0)
     )
     assert result.converged
     assert abs(result.value - 1.0) <= 10.0 * result.error_estimate
     assert result.error_estimate > 0.0
-
-
-def test_double_exponential_flags_non_finite():
-    def bad(t):
-        return float("inf") if t < 1e-6 else math.exp(-t)
-
-    config = QuadConfig(transform=HalfLineTransform.DOUBLE_EXPONENTIAL)
-    with pytest.raises(IntegrandEvaluationError):
-        integrate_half_line(bad, config)
-
-
-def test_double_exponential_handles_origin_singularity():
-    # Gamma(1/2): integrable t^{-1/2} blowup at the origin.
-    f = lambda t: math.exp(-t) / math.sqrt(t) if t > 0.0 else 0.0  # noqa: E731
-    config = QuadConfig(transform=HalfLineTransform.DOUBLE_EXPONENTIAL)
-    result = integrate_half_line(f, config)
-    assert result.converged
-    assert abs(result.value - math.sqrt(math.pi)) <= 1e-10
 
 
 def test_quad_result_is_immutable(cfg):

@@ -198,6 +198,8 @@ def test_tolerance_validation():
         stewart_sum_plain(tol=0.0)
     with pytest.raises(ValueError):
         stewart_sum_odd_weight(tol=-1e-6)
+    with pytest.raises(ValueError):
+        stewart_sum_plain(tol=float("nan"))
 
 
 def test_budget_exhaustion_carries_partial_result():

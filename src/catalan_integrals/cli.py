@@ -15,10 +15,11 @@ through the printed form.
 from __future__ import annotations
 
 import sys
+from decimal import Decimal
 
 import click
 
-from .exact import catalan_exact, ln_exact
+from .exact import _log_of_positive_int, catalan_exact
 from .kernels import (
     binet_catalan_kernel,
     log_gamma_difference_kernel,
@@ -83,6 +84,14 @@ def _config(abs_tol: float, rel_tol: float, max_subdivisions: int) -> QuadConfig
         raise click.UsageError(str(exc))
 
 
+def _nonnegative_tol(
+    ctx: click.Context, param: click.Parameter, value: float
+) -> float:
+    if not value >= 0:
+        raise click.BadParameter(f"must be >= 0, got {value}")
+    return value
+
+
 def _print_row(row: RepresentationResult) -> None:
     click.echo(
         f"n={row.n} method={row.method.value} ln_value={_fmt(row.ln_value)} "
@@ -102,8 +111,11 @@ def main() -> None:
 @click.argument("n", type=click.IntRange(min=0))
 def cmd_exact(n: int) -> None:
     """Print C_N exactly (all digits), then ln C_N."""
-    click.echo(str(catalan_exact(n)))
-    click.echo(f"ln {_fmt(ln_exact(n))}")
+    c = catalan_exact(n)
+    # str(int) stops at sys.int_max_str_digits (4300 digits by default
+    # on CPython 3.10.7+/3.11, reached near N = 7150); Decimal has no limit.
+    click.echo(str(Decimal(c)))
+    click.echo(f"ln {_fmt(_log_of_positive_int(c))}")
 
 
 @main.command("rep")
@@ -114,6 +126,7 @@ def cmd_exact(n: int) -> None:
     type=float,
     default=1e-8,
     show_default=True,
+    callback=_nonnegative_tol,
     help="Acceptable |ln_value - exact_ln|.",
 )
 @_quad_options
@@ -150,6 +163,7 @@ def cmd_rep(
     type=float,
     default=1e-8,
     show_default=True,
+    callback=_nonnegative_tol,
     help="Per-row failure threshold on abs_err_ln.",
 )
 @click.option(

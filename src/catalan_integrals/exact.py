@@ -4,7 +4,9 @@ Every route in this module is arbitrary-precision integer arithmetic
 (plain ``int``), so any two routes must agree bit for bit.  They anchor
 all floating-point work elsewhere in the package:
 
-* ``catalan_exact``        -- closed form binomial(2n, n) / (n + 1)
+* ``catalan_exact``        -- closed form binomial(2n, n) / (n + 1), built
+  as the balanced product of its prime powers, with no big-integer
+  division
 * ``catalan_segner``       -- convolution recurrence
 * ``catalan_hypergeometric`` -- terminating 2F1(1 - n, -n; 2; 1) summed
   over exact rationals
@@ -20,10 +22,10 @@ all floating-point work elsewhere in the package:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import compress, count, islice
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -46,22 +48,76 @@ _LN_PI = math.log(math.pi)
 ENUMERATION_LIMIT = 14
 TRIANGULATION_MAX_SIDES = 16
 
-
 def _check_index(n: int) -> None:
     if n < 0:
         raise ValueError(f"Catalan index must be >= 0, got {n}")
 
 
-def catalan_exact(n: int) -> int:
-    """n-th Catalan number, binomial(2n, n) // (n + 1), exactly.
+def _primes_upto(m: int) -> Iterator[int]:
+    """Primes p <= m, from one bytearray sieve of Eratosthenes."""
+    sieve = bytearray([1]) * max(m + 1, 2)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
+    return compress(range(m + 1), sieve)
 
-    The quotient is known to be an integer; the division is still
-    checked rather than assumed, as a correctness witness.
+
+def _catalan_prime_powers(n: int) -> Iterator[int]:
+    """p ** e_p for every prime p dividing C_n = (2n)! / (n! (n + 1)!).
+
+    e_p is Legendre's formula applied to the three factorials:
+    the sum over k >= 1 of floor(2n / p^k) - floor(n / p^k) - floor((n + 1) / p^k).
+    """
+    two_n = 2 * n
+    for p in _primes_upto(two_n):
+        e = 0
+        q = p
+        while q <= two_n:
+            e += two_n // q - n // q - (n + 1) // q
+            q *= p
+        if e:
+            yield p**e
+
+
+def _balanced_product(factors: Iterable[int]) -> int:
+    """Product of a stream of integers, multiplied as a balanced tree.
+
+    The stack is a binary counter of partial products over 1, 2, 4, ...
+    factors; two of equal count merge as soon as they meet.  Every
+    multiplication then pairs operands of similar length, and the stack
+    never holds more than log2(count) + 1 entries.
+    """
+    stack: list[tuple[int, int]] = []  # (partial product, factors in it)
+    for value in factors:
+        size = 1
+        while stack and stack[-1][1] == size:
+            value *= stack.pop()[0]
+            size *= 2
+        stack.append((value, size))
+    product = 1
+    while stack:
+        product *= stack.pop()[0]
+    return product
+
+
+def catalan_exact(n: int) -> int:
+    """n-th Catalan number, binomial(2n, n) / (n + 1), exactly.
+
+    Built as the balanced product of the prime powers of
+    (2n)! / (n! (n + 1)!), with no big-integer division.  As a
+    correctness witness its log must agree with
+    lgamma(2n + 1) - lgamma(n + 1) - lgamma(n + 2) to 1e-9 (1 + ln C_n);
+    one wrong exponent moves it by at least ln 2, which is outside that
+    tolerance for every n below 10^8.
     """
     _check_index(n)
-    q, r = divmod(math.comb(2 * n, n), n + 1)
-    assert r == 0, f"binomial(2n, n) not divisible by n + 1 at n = {n}"
-    return q
+    c = _balanced_product(_catalan_prime_powers(n))
+    via_lgamma = math.lgamma(2 * n + 1) - math.lgamma(n + 1) - math.lgamma(n + 2)
+    assert abs(_log_of_positive_int(c) - via_lgamma) <= 1e-9 * (1.0 + via_lgamma), (
+        f"prime factorisation of C_n disagrees with lgamma at n = {n}"
+    )
+    return c
 
 
 def catalan_numbers() -> Iterator[int]:

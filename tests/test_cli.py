@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import catalan_integrals
 from catalan_integrals.cli import main
+from catalan_integrals.exact import catalan_exact
 from catalan_integrals.report import parse_report_json
 from catalan_integrals.representations import Method
 
@@ -39,6 +40,18 @@ def test_exact_prints_digits_then_log():
 def test_exact_edge_and_larger_values():
     assert runner.invoke(main, ["exact", "0"]).output.splitlines()[0] == "1"
     assert runner.invoke(main, ["exact", "10"]).output.splitlines()[0] == "16796"
+
+
+def test_exact_prints_every_digit_past_the_str_limit():
+    # C_10000 has 6015 digits, more than str(int) gives by default.
+    n = 10_000
+    result = runner.invoke(main, ["exact", str(n)])
+    assert result.exit_code == 0, result.output
+    digits = result.output.splitlines()[0]
+    c = catalan_exact(n)
+    assert digits.isdigit()
+    assert 10 ** (len(digits) - 1) <= c < 10 ** len(digits)
+    assert int(digits[-18:]) == c % 10**18
 
 
 def test_exact_rejects_negative():
@@ -99,6 +112,14 @@ def test_rep_bad_quad_config_is_usage_error():
     for options in (["--abs-tol", "0", "--rel-tol", "0"], ["--abs-tol", "nan"]):
         result = runner.invoke(main, ["rep", "malmsten", "5", *options])
         assert result.exit_code == 2, options
+
+
+@pytest.mark.parametrize("args", [["rep", "malmsten", "5"], ["verify", "--n-max", "1"]])
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bad_tol_is_usage_error(args, tol):
+    result = runner.invoke(main, [*args, "--tol", tol])
+    assert result.exit_code == 2
+    assert "--tol" in result.output
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import pytest
 
 from catalan_integrals.exact import (
     ENUMERATION_LIMIT,
     TRIANGULATION_MAX_SIDES,
     CatalanTable,
+    _log_of_positive_int,
     catalan_exact,
     catalan_hypergeometric,
     catalan_segner,
@@ -33,6 +35,37 @@ def test_small_value_anchors():
     # The two values every derivation in the package keeps coming back to.
     assert catalan_exact(3) == 5
     assert catalan_exact(5) == 42
+
+
+def _via_comb(n):
+    q, r = divmod(math.comb(2 * n, n), n + 1)
+    assert r == 0
+    return q
+
+
+def test_catalan_exact_matches_comb():
+    for n in (*range(1200), 5000, 31_623):
+        assert catalan_exact(n) == _via_comb(n), n
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6 - 1])
+def test_closed_form_ratio_recurrence_at_large_n(n):
+    # (n + 2) C_{n+1} = 2 (2n + 1) C_n, exactly; no math.comb involved.
+    assert (n + 2) * catalan_exact(n + 1) == 2 * (2 * n + 1) * catalan_exact(n)
+
+
+def test_large_n_needs_no_comb(monkeypatch):
+    # The big-integer division in math.comb is what made large n slow;
+    # catalan_exact must give the same values with it gone.
+    n = 10**5
+    expected = _via_comb(n)
+
+    def comb_is_gone(*args):
+        raise RuntimeError("math.comb called")
+
+    monkeypatch.setattr(math, "comb", comb_is_gone)
+    assert catalan_exact(n) == expected
+    assert ln_exact(n) == _log_of_positive_int(expected)
 
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (4, 14), (10, 16796)])
@@ -137,6 +170,15 @@ def test_ln_exact_cross_checks_stirling():
             - log_gamma_reference(n + 2.0)
         )
         assert abs(ln_exact(n) - via_gamma) <= 1e-10
+
+
+def test_ln_exact_matches_mpmath_loggamma():
+    ctx = mpmath.mp.clone()
+    ctx.dps = 40
+    for n in (2, 10, 100, 316, 1000, 3162, 10**4, 31_623, 10**5, 316_228, 10**6):
+        truth = ctx.loggamma(2 * n + 1) - ctx.loggamma(n + 1) - ctx.loggamma(n + 2)
+        ulp = math.ulp(float(truth))
+        assert abs(ctx.mpf(ln_exact(n)) - truth) <= 2 * ulp, n
 
 
 def test_ln_exact_negative_rejected():

@@ -14,6 +14,7 @@ through the printed form.
 
 from __future__ import annotations
 
+import decimal
 import sys
 from decimal import Decimal
 
@@ -107,14 +108,44 @@ def main() -> None:
     certified series identities."""
 
 
+def _decimal_digits(value: int) -> str:
+    """Every decimal digit of a non-negative int, in subquadratic time.
+
+    str(int) stops at sys.int_max_str_digits (4300 digits by default on
+    CPython 3.10.7+/3.11, reached near C_7150), and both it and
+    Decimal(int) are quadratic in the digit count.  Splitting on powers
+    of two and recombining exactly in decimal, whose multiplication is
+    subquadratic, avoids both; the global settings are left alone.
+    """
+    powers: dict[int, Decimal] = {}
+
+    def two_to(k: int) -> Decimal:
+        if k not in powers:
+            powers[k] = (
+                Decimal(1 << k) if k <= 1024 else two_to(k // 2) * two_to(k - k // 2)
+            )
+        return powers[k]
+
+    def convert(v: int, bits: int) -> Decimal:
+        if bits <= 1024:
+            return Decimal(v)
+        half = bits // 2
+        high = v >> half
+        return convert(high, bits - half) * two_to(half) + convert(v - (high << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(value, value.bit_length()))
+
+
 @main.command("exact")
 @click.argument("n", type=click.IntRange(min=0))
 def cmd_exact(n: int) -> None:
     """Print C_N exactly (all digits), then ln C_N."""
     c = catalan_exact(n)
-    # str(int) stops at sys.int_max_str_digits (4300 digits by default
-    # on CPython 3.10.7+/3.11, reached near N = 7150); Decimal has no limit.
-    click.echo(str(Decimal(c)))
+    click.echo(_decimal_digits(c))
     click.echo(f"ln {_fmt(_log_of_positive_int(c))}")
 
 

@@ -10,16 +10,26 @@ truncation against closed-form targets:
 * odd-weight:  sum_{n>=0} C_{2n} C_n / ((2n + 1) 64^n)
                target 8 sqrt(2) / (3 pi)
 
-All terms are positive, so a tail bound turns a partial sum into a
-certified interval [partial, partial + bound].  The bound comes from
-C_m <= 4^m / (sqrt(pi) m^{3/2}) (via the central-binomial bound
-binomial(2m, m) <= 4^m / sqrt(pi m)), which gives
-term(n) <= n^{-3} / (pi 2^{3/2}) and hence
+The first N terms come from exact integers and enter one compensated
+sum; closed forms with no big integers enclose the tail, in two steps:
 
-    tail(N) = sum_{n>=N} term(n) <= (pi 2^{3/2})^{-1} / (2 (N - 1)^2),
+* Per-term bounds.  With L = 1/(pi 2^{3/2}) and g(n) = n^3 /
+  (pi sqrt((2n + 1/2)(n + 1/2)) (2n + 1)(n + 1)), g(n)/n^3 <= term(n)
+  <= L/n^3 for n >= 1, from 4^m/sqrt(pi (m + 1/2)) <= binomial(2m, m)
+  <= 4^m/sqrt(pi m) at m = n and 2n (the lower bound is Kershaw's
+  gamma-ratio inequality, Math. Comp. 41, 1983, at s = 1/2).  g is
+  increasing, as the product of the increasing sqrt(n/(2n + 1/2)),
+  sqrt(n/(n + 1/2)), n/(2n + 1) and n/(n + 1), so the tail lies in
+  [g(N) zeta(3, N), L zeta(3, N)] with zeta(s, N) = sum_{n>=N} n^{-s};
+  with the odd weight 1/(2n + 1) < 1/(2n), in
+  [g(N) N/(2N + 1) zeta(4, N), (L/2) zeta(4, N)].
+* Zeta bracket.  The derivatives of x^{-s} alternate in sign, so the
+  Euler-Maclaurin remainders do too and zeta(s, N) lies between
+  E = N^{1-s}/(s-1) + N^{-s}/2 + s N^{-s-1}/12 and
+  E - s(s+1)(s+2) N^{-s-3}/720.
 
-the integral comparison for n^{-3}; the odd-weight series divides
-further by (2N + 1).
+Both ends are widened by 16 ulp for rounding.  The plain enclosure is
+about 0.1055/N^3 wide, so tol 1e-10 takes about 1,000 terms.
 
 Note on the odd-weight target: the plain series matches its target to
 full precision, but the odd-weight series as written converges to
@@ -45,12 +55,11 @@ accelerated by Richardson extrapolation in 1/m^2.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
-
-import numpy as np
+from itertools import chain, islice
 
 from .exact import _LN2, _LN_PI, _log_of_positive_int, catalan_exact, catalan_numbers
 from .kernels import log_gamma_reference
@@ -77,27 +86,28 @@ _SQRT2 = math.sqrt(2.0)
 ODD_WEIGHT_TARGET = 8.0 * _SQRT2 / (3.0 * math.pi)
 PLAIN_TARGET = (4.0 / math.pi) * math.log(3.0 + 2.0 * _SQRT2) - ODD_WEIGHT_TARGET
 
-# Hard ceiling on terms per summation; the tail bound shrinks like
-# 1/N^2, so tolerances beyond ~5e-16 are unreachable and must fail
-# loudly instead of spinning forever.
-TERM_BUDGET = 10**7
-
-# Terms are exact-integer-backed up to here; beyond, a float ratio
-# recurrence takes over (the tail past this point totals < 2e-10, so
-# float accuracy is ample there).
-_EXACT_TERM_CUTOFF = 20_000
+# Hard ceiling on terms per summation.  The enclosure width shrinks like
+# 1/N^3 and is about 1.3e-14 here, narrower than the float sum of
+# exp-rounded terms can vouch for, so tighter tolerances fail loudly.
+TERM_BUDGET = 20_000
 
 _TAIL_CONSTANT = 1.0 / (math.pi * 2.0 ** 1.5)
+
+# Relative widening of each enclosure end: it covers fewer than thirty
+# float roundings of at most 2^-53 each, and the error of math.pi.
+_ROUNDING = 16 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class SeriesResult:
     """A certified partial summation.
 
-    All terms are positive, so the true sum lies in
-    [partial_sum, partial_sum + tail_bound]; ``certified_value`` is the
-    midpoint of that interval and ``abs_err`` its distance to the
-    stated closed-form ``target``.
+    The true sum lies in [partial_sum, partial_sum + tail_bound]:
+    ``partial_sum`` is the compensated sum of the first ``terms_used``
+    terms plus the lower end of the tail enclosure, and ``tail_bound``
+    is the enclosure's width.  ``certified_value`` is the midpoint of
+    that interval and ``abs_err`` its distance to the stated
+    closed-form ``target``.
     """
 
     partial_sum: float
@@ -109,7 +119,7 @@ class SeriesResult:
 
 
 class TermBudgetExhausted(RuntimeError):
-    """The tail bound cannot reach the requested tolerance within TERM_BUDGET terms.
+    """The tail enclosure cannot reach the requested tolerance within TERM_BUDGET terms.
 
     Carries the partial result so callers can still report how far the
     summation got.
@@ -123,18 +133,42 @@ class TermBudgetExhausted(RuntimeError):
         )
 
 
-def series_tail_bound(n_start: int, *, odd_weight: bool = False) -> float:
-    """Upper bound on sum_{n >= n_start} of the sum-rule terms.
+def _term_lower_factor(n: int) -> float:
+    """g(n), increasing in n, with g(n) / n^3 <= term(n)."""
+    root = math.sqrt((2 * n + 0.5) * (n + 0.5))
+    return n**3 / (math.pi * root * ((2 * n + 1) * (n + 1)))
 
-    Valid for n_start >= 4 (the term bound n^-3 / (pi 2^{3/2}) needs no
-    small-n corrections from there on).
+
+def _zeta_bracket(s: int, n: int) -> tuple[float, float]:
+    """Lower and upper Euler-Maclaurin bounds on zeta(s, n) = sum_{k>=n} k^-s."""
+    x = float(n)
+    upper = x ** (1 - s) / (s - 1) + 0.5 * x**-s + s * x ** (-s - 1) / 12.0
+    return upper - s * (s + 1) * (s + 2) * x ** (-s - 3) / 720.0, upper
+
+
+def _tail_enclosure(n_start: int, odd_weight: bool) -> tuple[float, float]:
+    """[lo, hi] containing sum_{n >= n_start} term(n), widened for rounding."""
+    g = _term_lower_factor(n_start)
+    if odd_weight:
+        z_lo, z_hi = _zeta_bracket(4, n_start)
+        lo = g * (n_start / (2 * n_start + 1)) * z_lo
+        hi = 0.5 * _TAIL_CONSTANT * z_hi
+    else:
+        z_lo, z_hi = _zeta_bracket(3, n_start)
+        lo, hi = g * z_lo, _TAIL_CONSTANT * z_hi
+    return lo * (1.0 - _ROUNDING), hi * (1.0 + _ROUNDING)
+
+
+def series_tail_bound(n_start: int, *, odd_weight: bool = False) -> float:
+    """Width of the certified enclosure of sum_{n >= n_start} of the sum-rule terms.
+
+    It falls strictly with N = n_start, towards 15 L / (16 N^3) for the
+    plain series; the stopping rule starts its search at N = 4.
     """
     if n_start < 4:
         raise ValueError(f"tail bound requires n_start >= 4, got {n_start}")
-    bound = _TAIL_CONSTANT / (2.0 * (n_start - 1) ** 2)
-    if odd_weight:
-        bound /= 2 * n_start + 1
-    return bound
+    lo, hi = _tail_enclosure(n_start, odd_weight)
+    return hi - lo
 
 
 def sum_rule_term(n: int, *, odd_weight: bool = False) -> float:
@@ -175,54 +209,18 @@ def _terms_needed(tol: float, odd_weight: bool) -> int:
     )
 
 
-def _far_tail_blocks(n_from: int, n_to: int, first_term: float, odd_weight: bool):
-    """Yield partial block sums of term(n) for n in (n_from, n_to].
-
-    Pure multiplicative float recurrence: the ratio recurrence for the
-    Catalan numbers gives
-    term(n+1)/term(n) = [2(4n+1)/(2n+2)] [2(4n+3)/(2n+3)] [2(2n+1)/(n+2)] / 64
-    (times (2n+1)/(2n+3) for the odd weight), vectorized as block
-    cumulative products.  Relative drift is a few ulp per step, which
-    is irrelevant here because everything past _EXACT_TERM_CUTOFF sums
-    to under 2e-10.
-    """
-    block = 1_000_000
-    term = first_term
-    for start in range(n_from, n_to, block):
-        stop = min(start + block, n_to)
-        ns = np.arange(start, stop, dtype=np.float64)
-        ratios = (
-            (2.0 * (4.0 * ns + 1.0) / (2.0 * ns + 2.0))
-            * (2.0 * (4.0 * ns + 3.0) / (2.0 * ns + 3.0))
-            * (2.0 * (2.0 * ns + 1.0) / (ns + 2.0))
-            / 64.0
-        )
-        if odd_weight:
-            ratios *= (2.0 * ns + 1.0) / (2.0 * ns + 3.0)
-        terms = term * np.cumprod(ratios)
-        # terms[i] is term(start + 1 + i); the plain `term` itself was
-        # already counted by the caller or a previous block.
-        yield float(terms.sum())
-        term = float(terms[-1])
-
-
 def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
-    """Sum term(0..N-1) for the smallest N whose tail bound meets tol.
+    """Sum term(0..N-1) for the smallest N whose tail enclosure meets tol.
 
-    Terms up to _EXACT_TERM_CUTOFF come from exact integers with a
-    compensated sum; the float ratio recurrence carries on from there.
+    The terms come from exact integers and enter one compensated sum
+    together with the lower end of the tail enclosure.
     """
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
     n_stop = _terms_needed(tol, odd_weight)
-    n_exact = min(n_stop, _EXACT_TERM_CUTOFF + 1)
-    partial = math.fsum(islice(_exact_terms(odd_weight), n_exact))
-    if n_stop > n_exact:
-        last_exact = sum_rule_term(n_exact - 1, odd_weight=odd_weight)
-        partial += math.fsum(
-            _far_tail_blocks(n_exact - 1, n_stop - 1, last_exact, odd_weight)
-        )
-    bound = series_tail_bound(n_stop, odd_weight=odd_weight)
+    lo, hi = _tail_enclosure(n_stop, odd_weight)
+    partial = math.fsum(chain(islice(_exact_terms(odd_weight), n_stop), (lo,)))
+    bound = hi - lo
     certified = partial + 0.5 * bound
     result = SeriesResult(
         partial_sum=partial,

@@ -39,8 +39,8 @@ from catalan_integrals.quadrature import (
 )
 from catalan_integrals.representations import catalan_malmsten, compare_representations
 from catalan_integrals.series import (
+    _tail_enclosure,
     glaisher_from_integral,
-    series_tail_bound,
     stewart_sum_odd_weight,
     stewart_sum_plain,
     sum_rule_term,
@@ -141,8 +141,8 @@ def _checkpoint_containment(limit: float, odd_weight: bool) -> bool:
         partial = math.fsum(
             sum_rule_term(n, odd_weight=odd_weight) for n in range(checkpoint)
         )
-        bound = series_tail_bound(checkpoint, odd_weight=odd_weight)
-        if not partial <= limit <= partial + bound:
+        lo, hi = _tail_enclosure(checkpoint, odd_weight)
+        if not partial + lo <= limit <= partial + hi:
             return False
     return True
 
@@ -165,7 +165,7 @@ def test_criterion_6_sum_rule_odd_weight():
     # EXPECTED FAILURE, kept red deliberately.  The machinery passes the
     # same certification against the series' measured limit
     # (test_series.py); what fails is the stated closed-form target:
-    # the series converges to 1.01241973780396..., which sits 0.188
+    # the series converges to 1.0124197378042575..., which sits 0.188
     # below 8 sqrt(2) / (3 pi).  Weighting by (2n + 1) instead of
     # dividing reproduces that target; the identity as printed does not.
     started = time.perf_counter()

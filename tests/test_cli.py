@@ -1,17 +1,19 @@
 """Command-line interface: output contracts and exit codes."""
 
+import decimal
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
 
 import catalan_integrals
-from catalan_integrals.cli import main
+from catalan_integrals.cli import _decimal_digits, main
 from catalan_integrals.exact import catalan_exact
 from catalan_integrals.report import parse_report_json
 from catalan_integrals.representations import Method
@@ -52,6 +54,19 @@ def test_exact_prints_every_digit_past_the_str_limit():
     assert digits.isdigit()
     assert 10 ** (len(digits) - 1) <= c < 10 ** len(digits)
     assert int(digits[-18:]) == c % 10**18
+    assert digits == str(Decimal(c))
+
+
+@pytest.mark.parametrize("k", [1, 300, 308, 309, 1024, 1025, 5000, 20_000])
+def test_decimal_digits_exact_at_limb_boundaries(k):
+    # 10^k has a low half of binary zeros and 10^k - 1 a decimal run of
+    # nines; the split points of 2^k fall exactly on the powers of two.
+    precision = decimal.getcontext().prec
+    str_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for value in (10**k - 1, 10**k, 2**k - 1, 2**k, 2**k + 1):
+        assert _decimal_digits(value) == str(Decimal(value)), value
+    assert decimal.getcontext().prec == precision
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == str_digits
 
 
 def test_exact_rejects_negative():
@@ -338,6 +353,30 @@ def test_dump_kernel_unknown_kernel_is_usage_error():
 
 
 # ------------------------------------------------------------- module
+
+
+def test_runs_without_numpy():
+    # numpy is a test-only dependency: blocking its import must leave
+    # the CLI, down to the certified sum rules, fully working.
+    package_root = os.path.dirname(os.path.dirname(catalan_integrals.__file__))
+    pythonpath = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from catalan_integrals.cli import main\n"
+        "main(['sumrule', 'plain', '--tol', '1e-10'])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "terms_used" in proc.stdout
+    assert "numpy" not in proc.stderr
 
 
 def test_module_entry_point():

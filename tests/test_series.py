@@ -1,8 +1,10 @@
 """Certified sum rules and the Glaisher-Kinkelin extraction."""
 
+import functools
 import math
 from itertools import islice
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,8 +15,13 @@ from catalan_integrals.series import (
     TERM_BUDGET,
     GlaisherResult,
     TermBudgetExhausted,
+    _ROUNDING,
+    _TAIL_CONSTANT,
     _exact_terms,
     _hyperfactorial_remainder,
+    _tail_enclosure,
+    _term_lower_factor,
+    _zeta_bracket,
     glaisher_from_integral,
     glaisher_oracle,
     series_tail_bound,
@@ -77,10 +84,12 @@ def test_tail_bound_positive_and_decreasing():
 
 
 def test_tail_bound_odd_weight_divides():
-    for n_start in (4, 50):
+    # The odd weight divides term(n) by 2n + 1 > 2N, and its enclosure is
+    # narrower than the plain one by more than a factor N (about 2.4 N).
+    for n_start in (4, 50, 1000):
         plain = series_tail_bound(n_start)
         odd = series_tail_bound(n_start, odd_weight=True)
-        assert abs(odd - plain / (2 * n_start + 1)) <= 1e-20
+        assert 0.0 < odd < plain / n_start
 
 
 def test_tail_bound_domain():
@@ -117,23 +126,87 @@ def _brute_tail(n_start: int, n_stop: int, odd_weight: bool) -> float:
 @pytest.mark.parametrize("n_start", [10, 100, 1000])
 @pytest.mark.parametrize("odd_weight", [False, True])
 def test_tail_bound_dominates_brute_force(n_start, odd_weight):
+    # The brute-force sum stops at 10^6; what it leaves out is below
+    # L / (2 (10^6 - 1)^2) by the integral comparison for L n^-3.
     brute = _brute_tail(n_start, 1_000_000, odd_weight)
-    bound = series_tail_bound(n_start, odd_weight=odd_weight)
-    assert brute <= bound
-    # The bound is honest, not wildly loose.  For the plain series it
-    # tracks the truth asymptotically; the odd weight only replaces the
-    # varying factor 1/(2n + 1) by its value at the first tail term,
-    # costing up to a factor of two at small n_start.
-    slack = 1.3 if not odd_weight else 2.0
-    assert bound <= slack * brute
+    left_out = _TAIL_CONSTANT / (2.0 * (1_000_000 - 1) ** 2)
+    lo, hi = _tail_enclosure(n_start, odd_weight)
+    assert lo <= brute + left_out
+    assert brute <= hi
+    assert hi - lo == series_tail_bound(n_start, odd_weight=odd_weight)
+    # The enclosure is tight: its width is about 1.9 / N (plain) or
+    # 2.4 / N (odd weight) of the tail itself.
+    assert hi - lo <= 3.0 * brute / n_start
 
 
 @pytest.mark.parametrize("n_start", [10_000, 100_000])
 def test_tail_bound_asymptote(n_start):
-    # bound(n) * n^2 -> 1 / (pi * 2^{5/2}).
-    limit = 1.0 / (math.pi * 2.0**2.5)
-    scaled = series_tail_bound(n_start) * n_start**2
-    assert abs(scaled - limit) <= 0.1 * limit
+    # width(N) N^3 -> 15 L / 16 = 0.1055..., from L - g(N) ~ 15 L / (8 N)
+    # and zeta(3, N) ~ 1 / (2 N^2).
+    limit = 15.0 / (16.0 * math.pi * 2.0**1.5)
+    scaled = series_tail_bound(n_start) * n_start**3
+    assert abs(scaled - limit) <= 1e-3 * limit
+
+
+def test_term_bounds_from_exact_integers():
+    # g(n) / n^3 <= term(n) <= L / n^3, with term(n) from exact integers
+    # at 40 digits.  C_0..C_4000 come from their own ratio recurrence
+    # C_{m+1} = C_m 2 (2m + 1) / (m + 2), not from the package.
+    catalan = [1]
+    for m in range(4000):
+        catalan.append(catalan[m] * 2 * (2 * m + 1) // (m + 2))
+    with mp.workdps(40):
+        for n in range(1, 2001):
+            term = mp.ldexp(catalan[2 * n] * catalan[n], -6 * n)
+            cube = mp.mpf(n) ** 3
+            assert mp.mpf(_term_lower_factor(n)) / cube <= term, n
+            assert term <= mp.mpf(_TAIL_CONSTANT) / cube, n
+
+
+@pytest.mark.parametrize("s", [3, 4])
+@pytest.mark.parametrize("n_start", [4, 10, 10**3, 10**6])
+def test_zeta_bracket_contains_hurwitz_zeta(s, n_start):
+    lo, hi = _zeta_bracket(s, n_start)
+    with mp.workdps(40):
+        exact = mp.zeta(s, n_start)
+        assert lo * (1.0 - _ROUNDING) <= exact <= hi * (1.0 + _ROUNDING)
+        if n_start <= 10:
+            # Here the bracket is far wider than rounding, so its two
+            # ends are seen to lie on the right sides.
+            assert lo < exact < hi
+
+
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_tail_width_strictly_decreasing(odd_weight):
+    # The bisection in _terms_needed relies on this.
+    previous = math.inf
+    for n_start in range(4, max(10**5, TERM_BUDGET) + 1):
+        width = series_tail_bound(n_start, odd_weight=odd_weight)
+        assert 0.0 < width < previous, n_start
+        previous = width
+
+
+@functools.cache
+def _mpmath_limit(odd_weight: bool):
+    # term(n) = (1/4)_n (3/4)_n (1/2)_n / ((3/2)_n (2)_n n!), and the odd
+    # weight 1/(2n + 1) = (1/2)_n / (3/2)_n adds one more pair.
+    upper = [0.25, 0.75, 0.5] + ([0.5] if odd_weight else [])
+    lower = [1.5, 2] + ([1.5] if odd_weight else [])
+    with mp.workdps(40):
+        return mp.hyper(upper, lower, 1)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-13])
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_sum_interval_contains_mpmath_limit(tol, odd_weight):
+    rule = stewart_sum_odd_weight if odd_weight else stewart_sum_plain
+    result = rule(tol)
+    rounding = 2 * math.ulp(result.partial_sum)
+    limit = _mpmath_limit(odd_weight)
+    with mp.workdps(40):
+        low = mp.mpf(result.partial_sum) - rounding
+        high = mp.mpf(result.partial_sum) + result.tail_bound + rounding
+        assert low <= limit <= high
 
 
 # ----------------------------------------------------------- sum rules
@@ -155,8 +228,8 @@ def test_plain_sum_certifies_target():
 @pytest.mark.parametrize("checkpoint", [10, 100, 1000])
 def test_plain_checkpoints_bracket_target(checkpoint):
     partial = math.fsum(sum_rule_term(n) for n in range(checkpoint))
-    bound = series_tail_bound(checkpoint)
-    assert partial <= PLAIN_TARGET <= partial + bound
+    lo, hi = _tail_enclosure(checkpoint, odd_weight=False)
+    assert partial + lo <= PLAIN_TARGET <= partial + hi
 
 
 @pytest.mark.parametrize("checkpoint", [10, 100, 1000])
@@ -166,8 +239,8 @@ def test_odd_checkpoints_bracket_the_series_limit(checkpoint):
     # lies outside these intervals; that discrepancy is the subject of
     # the failing acceptance criterion, not a machinery defect.)
     partial = math.fsum(sum_rule_term(n, odd_weight=True) for n in range(checkpoint))
-    bound = series_tail_bound(checkpoint, odd_weight=True)
-    assert partial <= ODD_SERIES_LIMIT <= partial + bound
+    lo, hi = _tail_enclosure(checkpoint, odd_weight=True)
+    assert partial + lo <= ODD_SERIES_LIMIT <= partial + hi
 
 
 def test_odd_sum_converges_to_series_limit():

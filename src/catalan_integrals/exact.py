@@ -209,6 +209,14 @@ def count_polygon_triangulations(sides: int) -> int:
     return f[0][sides - 1]
 
 
+def _top_bits(m: int) -> tuple[float, int]:
+    """(f, k) with m = f 2^k to a relative 2^-63 + 2^-53, for m >= 0 of
+    any size: f is the top 64 bits of m rounded to a float, and k the
+    number of bits shifted out."""
+    shift = max(m.bit_length() - 64, 0)
+    return float(m >> shift), shift
+
+
 def _log_of_positive_int(m: int) -> float:
     """Natural log of a positive integer of any size, to ~1 ulp.
 
@@ -217,10 +225,8 @@ def _log_of_positive_int(m: int) -> float:
     """
     if m <= 0:
         raise ValueError("argument must be a positive integer")
-    shift = m.bit_length() - 64
-    if shift <= 0:
-        return math.log(m)
-    return math.log(m >> shift) + shift * _LN2
+    top, shift = _top_bits(m)
+    return math.log(top) + shift * _LN2
 
 
 def ln_exact(n: int) -> float:

@@ -312,13 +312,21 @@ def _algebraic_split_half_line(
     """integral_0^inf f = integral_0^1 f(t) dt + integral_0^1 f(1/s)/s^2 ds.
 
     Each piece gets half the tolerance so the combined estimate meets
-    the original target.
+    the original target.  The far piece is divided by s twice rather
+    than by s^2, which underflows below s = 2^-537.  Below s = 2^-1024,
+    1/s overflows: f cannot be sampled there, so an integrand whose
+    far piece needs samples that close to 0 (one decaying barely faster
+    than 1/t) raises IntegrandEvaluationError instead of losing that
+    mass silently.
     """
     half = _halved(config)
     near = integrate_finite(f, 0.0, 1.0, half)
 
     def inverted(s: float) -> float:
-        return f(1.0 / s) / (s * s)
+        t = 1.0 / s
+        if t == math.inf:
+            raise IntegrandEvaluationError(s, t)
+        return f(t) / s / s
 
     far = integrate_finite(inverted, 0.0, 1.0, half)
     value = near.value + far.value

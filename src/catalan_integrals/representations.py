@@ -31,17 +31,29 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   scale it reads e^{3/2} 4^n (n + 1/2)^n / (sqrt(pi) (n + 2)^{n + 3/2}).
   The collapsed identity is verified numerically in the test suite, and
   the theta difference is exactly the Binet-Catalan kernel integral.
-* ``penson_moment``: C_n = (2/pi) 4^n I with
-  I = integral_{-1}^{1} t^{2n} sqrt(1 - t^2) dt, a finite-interval
-  moment form.
-* ``penson_mellin``: C_n = (4^{n+2}/pi) I with
-  I = integral_0^inf sqrt(t) / (4t + 1)^{n+2} dt.  The integrand decays
+* ``penson_moment``: C_n = (2/pi) 4^n integral_{-1}^{1} t^{2n}
+  sqrt(1 - t^2) dt, a finite-interval moment form.  With t = sin(theta)
+  the integrand becomes sin^{2n}(theta) cos^2(theta), which is even, so
+  C_n = (4/pi) 4^n J with J = integral_0^{pi/2} sin^{2n}(theta)
+  cos^2(theta) d theta.
+* ``penson_mellin``: C_n = (4^{n+2}/pi) integral_0^inf sqrt(t) /
+  (4t + 1)^{n+2} dt.  With t = s^2 this is C_n = (4^{n+2}/pi) I with
+  I = integral_0^inf 2 s^2 / (4 s^2 + 1)^{n+2} ds.  The integrand decays
   only algebraically, so it has no exponential tail bound and the
-  half-line integral is split at t = 1 with the far piece inverted.
+  half-line integral is split at s = 1 with the far piece inverted,
+  where it reads 2 s^{2n} / (4 + s^2)^{n+2}.  The substitution
+  4t = tan^2(phi) would remove the singularity as well, but it maps I
+  to (1/4) integral_0^{pi/2} sin^2(phi) cos^{2n}(phi) d phi, which is
+  J reflected about pi/4: the two Penson routes would then evaluate
+  the same integrand and stop being independent checks.
 
-Both Penson integrals are computed in linear scale (they fit doubles
-comfortably for n <= 200) and only their logs enter the assembly, so
-the quadrature error estimate is propagated to the ln scale as
+The substitutions remove the algebraic singularities of the original
+integrands (sqrt(1 - t^2) at t = +-1 and sqrt(t) at t = 0), which the
+adaptive driver could only resolve by bisecting into them many times;
+the substituted integrands are smooth on their whole intervals.  Both
+are computed in linear scale (J and I are of order n^{-3/2}, far from
+the limits of a double) and only their logs enter the assembly, so the
+quadrature error estimate is propagated to the ln scale as
 estimate / value.
 """
 
@@ -74,9 +86,8 @@ __all__ = [
     "compare_representations",
 ]
 
-# The Penson integrals shrink like 4^-n relative to their prefactor;
-# past n = 200 the moment integral underflows the rel_tol regime and
-# the routes stop being meaningful cross-checks.
+# The largest n at which the Penson routes are offered as cross-checks,
+# the range over which their accuracy and cost are tested.
 PENSON_MAX_N = 200
 
 
@@ -111,15 +122,13 @@ class RepresentationResult:
     converged: bool
 
 
-def _assemble(
-    n: int,
-    method: Method,
-    ln_value: float,
-    quad_error_estimate: float,
-    evaluations: int,
-    converged: bool,
-) -> RepresentationResult:
-    exact = ln_exact(n)
+# What a route computes before the comparison with the exact value:
+# (ln_value, quad_error_estimate, evaluations, converged).
+_Estimate = tuple[float, float, int, bool]
+
+
+def _row(n: int, method: Method, estimate: _Estimate, exact: float) -> RepresentationResult:
+    ln_value, quad_error_estimate, evaluations, converged = estimate
     return RepresentationResult(
         n=n,
         method=method,
@@ -137,45 +146,24 @@ def _prefactor_ln(n: int) -> float:
     return 2.0 * n * _LN2 - 0.5 * _LN_PI
 
 
-def catalan_gamma_closed_form(n: int) -> RepresentationResult:
-    """ln C_n from the Gamma closed form with Stirling-series evaluation.
-
-    Quadrature-free; this is the fast route the integral routes are
-    measured against when the exact integer is too slow to build.
-    """
+def _gamma_closed_form(n: int) -> _Estimate:
     _check_index(n)
     ln_value = (
         _prefactor_ln(n)
         + log_gamma_reference(n + 0.5)
         - log_gamma_reference(n + 2.0)
     )
-    return _assemble(n, Method.GAMMA_CLOSED_FORM, ln_value, 0.0, 0, True)
+    return ln_value, 0.0, 0, True
 
 
-def catalan_malmsten(n: int, config: QuadConfig) -> RepresentationResult:
-    """ln C_n = ln(4^n / sqrt(pi)) + integral of the Malmsten-Catalan kernel.
-
-    The identity is derived for n >= 1; at n = 0 the same formula holds
-    by direct evaluation (the integral is ln(pi)/2), so n = 0 is
-    accepted too.
-    """
+def _malmsten(n: int, config: QuadConfig) -> _Estimate:
     _check_index(n)
     spec = malmsten_catalan_kernel(n)
     qr = integrate_half_line(spec.integrand, config, tail=spec.tail_constants)
-    ln_value = _prefactor_ln(n) + qr.value
-    return _assemble(
-        n, Method.MALMSTEN, ln_value, qr.error_estimate, qr.evaluations, qr.converged
-    )
+    return _prefactor_ln(n) + qr.value, qr.error_estimate, qr.evaluations, qr.converged
 
 
-def catalan_binet(n: int, config: QuadConfig) -> RepresentationResult:
-    """ln C_n = 3/2 + 2n ln 2 + n ln(n + 1/2) - ln(pi)/2 - (n + 3/2) ln(n + 2)
-    + integral of the Binet-Catalan kernel.
-
-    The elementary prefactor is exp(3/2) 4^n (n + 1/2)^n /
-    (sqrt(pi) (n + 2)^{n + 3/2}) in linear scale; see the module
-    docstring for how it arises from the Stirling cores.
-    """
+def _binet(n: int, config: QuadConfig) -> _Estimate:
     _check_index(n)
     spec = binet_catalan_kernel(n)
     qr = integrate_half_line(spec.integrand, config, tail=spec.tail_constants)
@@ -187,55 +175,33 @@ def catalan_binet(n: int, config: QuadConfig) -> RepresentationResult:
         - (n + 1.5) * math.log(n + 2.0)
         + qr.value
     )
-    return _assemble(
-        n, Method.BINET, ln_value, qr.error_estimate, qr.evaluations, qr.converged
-    )
+    return ln_value, qr.error_estimate, qr.evaluations, qr.converged
 
 
-def catalan_penson_moment(n: int, config: QuadConfig) -> RepresentationResult:
-    """ln C_n = ln(2/pi) + 2n ln 2 + ln I, I = integral_{-1}^1 t^{2n} sqrt(1-t^2) dt."""
+def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
     _check_penson_index(n)
+    power = 2.0 * n
 
-    def fn(t: float) -> float:
-        return (t * t) ** n * math.sqrt((1.0 - t) * (1.0 + t))
+    def fn(theta: float) -> float:
+        c = math.cos(theta)
+        return math.sin(theta) ** power * (c * c)
 
-    qr = integrate_finite(fn, -1.0, 1.0, config)
-    ln_value = _LN2 - _LN_PI + 2.0 * n * _LN2 + math.log(qr.value)
-    return _assemble(
-        n,
-        Method.PENSON_MOMENT,
-        ln_value,
-        qr.error_estimate / qr.value,
-        qr.evaluations,
-        qr.converged,
-    )
+    qr = integrate_finite(fn, 0.0, 0.5 * math.pi, config)
+    ln_value = 2.0 * _LN2 - _LN_PI + 2.0 * n * _LN2 + math.log(qr.value)
+    return ln_value, qr.error_estimate / qr.value, qr.evaluations, qr.converged
 
 
-def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
-    """ln C_n = 2(n + 2) ln 2 - ln pi + ln I, I = integral_0^inf sqrt(t)/(4t+1)^{n+2} dt.
-
-    The integrand decays like t^{-(n + 3/2)}, so no exponential tail
-    bound exists; without one, ``integrate_half_line`` splits at t = 1
-    and inverts the far piece.
-    """
+def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
     _check_penson_index(n)
     power = n + 2.0
 
-    def fn(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return math.exp(0.5 * math.log(t) - power * math.log1p(4.0 * t))
+    def fn(s: float) -> float:
+        u = s * s
+        return 2.0 * u * math.exp(-power * math.log1p(4.0 * u))
 
     qr = integrate_half_line(fn, config)
     ln_value = 2.0 * power * _LN2 - _LN_PI + math.log(qr.value)
-    return _assemble(
-        n,
-        Method.PENSON_MELLIN,
-        ln_value,
-        qr.error_estimate / qr.value,
-        qr.evaluations,
-        qr.converged,
-    )
+    return ln_value, qr.error_estimate / qr.value, qr.evaluations, qr.converged
 
 
 def _check_penson_index(n: int) -> None:
@@ -243,25 +209,83 @@ def _check_penson_index(n: int) -> None:
         raise ValueError(f"Penson routes require 0 <= n <= {PENSON_MAX_N}, got {n}")
 
 
+def catalan_gamma_closed_form(n: int) -> RepresentationResult:
+    """ln C_n from the Gamma closed form with Stirling-series evaluation.
+
+    Quadrature-free; this is the fast route the integral routes are
+    measured against when the exact integer is too slow to build.
+    """
+    return _row(n, Method.GAMMA_CLOSED_FORM, _gamma_closed_form(n), ln_exact(n))
+
+
+def catalan_malmsten(n: int, config: QuadConfig) -> RepresentationResult:
+    """ln C_n = ln(4^n / sqrt(pi)) + integral of the Malmsten-Catalan kernel.
+
+    The identity is derived for n >= 1; at n = 0 the same formula holds
+    by direct evaluation (the integral is ln(pi)/2), so n = 0 is
+    accepted too.
+    """
+    return _row(n, Method.MALMSTEN, _malmsten(n, config), ln_exact(n))
+
+
+def catalan_binet(n: int, config: QuadConfig) -> RepresentationResult:
+    """ln C_n = 3/2 + 2n ln 2 + n ln(n + 1/2) - ln(pi)/2 - (n + 3/2) ln(n + 2)
+    + integral of the Binet-Catalan kernel.
+
+    The elementary prefactor is exp(3/2) 4^n (n + 1/2)^n /
+    (sqrt(pi) (n + 2)^{n + 3/2}) in linear scale; see the module
+    docstring for how it arises from the Stirling cores.
+    """
+    return _row(n, Method.BINET, _binet(n, config), ln_exact(n))
+
+
+def catalan_penson_moment(n: int, config: QuadConfig) -> RepresentationResult:
+    """ln C_n = 2 ln 2 - ln pi + 2n ln 2 + ln J,
+    J = integral_0^{pi/2} sin^{2n}(theta) cos^2(theta) d theta.
+
+    J is half of the moment integral_{-1}^1 t^{2n} sqrt(1 - t^2) dt after
+    t = sin(theta), which leaves an integrand that is smooth up to both
+    ends of its interval.
+    """
+    return _row(n, Method.PENSON_MOMENT, _penson_moment(n, config), ln_exact(n))
+
+
+def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
+    """ln C_n = 2(n + 2) ln 2 - ln pi + ln I, I = integral_0^inf 2 s^2/(4 s^2 + 1)^{n+2} ds.
+
+    I is the Mellin-type integral_0^inf sqrt(t)/(4t + 1)^{n+2} dt after
+    t = s^2, which removes the square-root singularity at 0.  The
+    integrand decays like s^{-(2n + 2)}, so no exponential tail bound
+    exists; without one, ``integrate_half_line`` splits at s = 1 and
+    inverts the far piece.  The map 4t = tan^2(phi) is not used: it
+    turns I into a quarter of the moment route's J (module docstring).
+    """
+    return _row(n, Method.PENSON_MELLIN, _penson_mellin(n, config), ln_exact(n))
+
+
 @dataclass(frozen=True)
 class Route:
     """One evaluation route: its ``Method``, its short command-line
-    ``name``, the callable ``evaluate(n, config)`` and the largest n it
-    accepts (None when unbounded)."""
+    ``name``, the callable ``estimate(n, config)`` that computes it and
+    the largest n it accepts (None when unbounded)."""
 
     method: Method
     name: str
-    evaluate: Callable[[int, QuadConfig], RepresentationResult]
+    estimate: Callable[[int, QuadConfig], _Estimate]
     max_n: int | None = None
+
+    def evaluate(self, n: int, config: QuadConfig) -> RepresentationResult:
+        """This route's row for n, compared with ``ln_exact(n)``."""
+        return _row(n, self.method, self.estimate(n, config), ln_exact(n))
 
 
 # The only table of routes, in report row order.
 ROUTES = (
-    Route(Method.GAMMA_CLOSED_FORM, "gamma", lambda n, cfg: catalan_gamma_closed_form(n)),
-    Route(Method.MALMSTEN, "malmsten", catalan_malmsten),
-    Route(Method.BINET, "binet", catalan_binet),
-    Route(Method.PENSON_MOMENT, "penson-moment", catalan_penson_moment, PENSON_MAX_N),
-    Route(Method.PENSON_MELLIN, "penson-mellin", catalan_penson_mellin, PENSON_MAX_N),
+    Route(Method.GAMMA_CLOSED_FORM, "gamma", lambda n, cfg: _gamma_closed_form(n)),
+    Route(Method.MALMSTEN, "malmsten", _malmsten),
+    Route(Method.BINET, "binet", _binet),
+    Route(Method.PENSON_MOMENT, "penson-moment", _penson_moment, PENSON_MAX_N),
+    Route(Method.PENSON_MELLIN, "penson-mellin", _penson_mellin, PENSON_MAX_N),
 )
 
 
@@ -272,16 +296,18 @@ def compare_representations(
 
     Returns exactly 5 (n_max + 1) rows ordered by (n, route); a route
     failure is recorded as a non-converged NaN row rather than aborting
-    the sweep, so one bad pair cannot mask the rest of the table.
+    the sweep, so one bad pair cannot mask the rest of the table.  The
+    exact reference is computed once per n and shared by its rows.
     """
     _check_index(n_max)
+    failed = (float("nan"), float("inf"), 0, False)
     rows: list[RepresentationResult] = []
     for n in range(n_max + 1):
+        exact = ln_exact(n)
         for route in ROUTES:
             try:
-                rows.append(route.evaluate(n, config))
+                estimate = route.estimate(n, config)
             except Exception:
-                rows.append(
-                    _assemble(n, route.method, float("nan"), float("inf"), 0, False)
-                )
+                estimate = failed
+            rows.append(_row(n, route.method, estimate, exact))
     return rows

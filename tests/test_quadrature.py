@@ -219,6 +219,16 @@ def test_half_line_transforms_agree(cfg):
     assert spread <= max(budget, 1e-13)
 
 
+def test_slow_algebraic_decay_is_never_silent(cfg):
+    # integral_0^inf (1 + t)^-1.01 dt = 100.  The inverted far piece
+    # behaves like s^-0.99, so the driver bisects towards s = 0 until 1/s
+    # overflows; there the mass near 0 cannot be sampled.  The reduction
+    # must say so rather than divide by an underflowed s^2 or drop it.
+    with pytest.raises(IntegrandEvaluationError) as exc_info:
+        integrate_half_line(lambda t: (1.0 + t) ** -1.01, cfg)
+    assert 0.0 < exc_info.value.abscissa < 2.0**-1023
+
+
 def test_explicit_tail_constants_must_be_positive(cfg):
     with pytest.raises(ValueError):
         integrate_half_line(

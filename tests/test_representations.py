@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
+from catalan_integrals import representations
 from catalan_integrals.exact import ln_exact
 from catalan_integrals.representations import (
     PENSON_MAX_N,
@@ -70,6 +72,47 @@ def test_penson_mellin_anchors(cfg):
         row = catalan_penson_mellin(n, cfg)
         assert row.converged
         assert abs(row.ln_value - ln_exact(n)) <= 1e-9, n
+
+
+PENSON_ROUTES = (catalan_penson_moment, catalan_penson_mellin)
+
+
+@pytest.mark.parametrize("route", PENSON_ROUTES)
+def test_penson_rows_honest_against_mpmath(route, cfg):
+    # Oracle independent of the package: 40-digit loggamma of
+    # C_n = (2n)! / (n! (n + 1)!), over the whole range the routes accept.
+    with mp.workdps(40):
+        for n in range(PENSON_MAX_N + 1):
+            row = route(n, cfg)
+            exact = mp.loggamma(2 * n + 1) - mp.loggamma(n + 1) - mp.loggamma(n + 2)
+            err = float(abs(mp.mpf(row.ln_value) - exact))
+            assert row.converged, n
+            assert err <= 10.0 * row.quad_error_estimate, (n, err)
+            assert err <= 1e-12, (n, err)
+
+
+# Summed integrand evaluations over n = 0..200 at the default config;
+# before the substitutions removed the endpoint singularities they were
+# 306,885 (moment) and 153,930 (Mellin).
+@pytest.mark.parametrize(
+    "route, budget", [(catalan_penson_moment, 35_000), (catalan_penson_mellin, 40_000)]
+)
+def test_penson_evaluation_budget(route, budget, cfg):
+    total = sum(route(n, cfg).evaluations for n in range(PENSON_MAX_N + 1))
+    assert total <= budget
+
+
+def test_sweep_computes_exact_reference_once_per_n(cfg, monkeypatch):
+    calls: list[int] = []
+
+    def counting(n):
+        calls.append(n)
+        return ln_exact(n)
+
+    monkeypatch.setattr(representations, "ln_exact", counting)
+    rows = compare_representations(PENSON_MAX_N, cfg)
+    assert calls == list(range(PENSON_MAX_N + 1))
+    assert all(row.exact_ln == ln_exact(row.n) for row in rows)
 
 
 def test_penson_range_guards(cfg):

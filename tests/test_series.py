@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from catalan_integrals.exact import catalan_exact
 from catalan_integrals.quadrature import QuadConfig, QuadratureNotConverged
 from catalan_integrals.series import (
     ODD_WEIGHT_TARGET,
@@ -68,6 +69,21 @@ def test_streamed_terms_match_sum_rule_term_bitwise(odd_weight, n_max):
     streamed = list(islice(_exact_terms(odd_weight), n_max))
     direct = [sum_rule_term(n, odd_weight=odd_weight) for n in range(n_max)]
     assert streamed == direct
+
+
+@pytest.mark.parametrize("n", [100, 1000, 20_000])
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_term_within_4_ulp_of_mpmath(n, odd_weight):
+    # The reference takes the same exact integers, so it tests only the
+    # float assembly, which must not lose accuracy as n grows.
+    c_2n, c_n = catalan_exact(2 * n), catalan_exact(n)
+    with mp.workdps(40):
+        ref = mp.mpf(c_2n) * mp.mpf(c_n) / mp.mpf(64) ** n
+        if odd_weight:
+            ref /= 2 * n + 1
+        ref = float(ref)
+    term = sum_rule_term(n, odd_weight=odd_weight)
+    assert abs(term - ref) <= 4 * math.ulp(ref), (term - ref) / math.ulp(ref)
 
 
 def test_term_rejects_negative():

@@ -12,16 +12,7 @@ The package is organized bottom-up:
 * ``cli``             -- the ``catalan-integrals`` command
 """
 
-from .exact import (
-    CatalanTable,
-    catalan_exact,
-    catalan_hypergeometric,
-    catalan_numbers,
-    catalan_segner,
-    count_balanced_parentheses,
-    count_polygon_triangulations,
-    ln_exact,
-)
+from .exact import CatalanTable, catalan_exact, catalan_numbers, ln_exact
 from .kernels import (
     KernelSpec,
     binet_catalan_kernel,
@@ -84,15 +75,11 @@ __all__ = [
     "catalan_binet",
     "catalan_exact",
     "catalan_gamma_closed_form",
-    "catalan_hypergeometric",
     "catalan_malmsten",
     "catalan_numbers",
     "catalan_penson_mellin",
     "catalan_penson_moment",
-    "catalan_segner",
     "compare_representations",
-    "count_balanced_parentheses",
-    "count_polygon_triangulations",
     "glaisher_from_integral",
     "glaisher_oracle",
     "integrate_finite",

@@ -55,15 +55,23 @@ class IntegrandEvaluationError(ValueError):
     """An integrand sample came back non-finite.
 
     Carries the offending abscissa so the caller can tell an endpoint
-    singularity from an interior blow-up.
+    singularity from an interior blow-up.  With ``far_piece`` the sample
+    belongs to the inverted far piece f(1/s)/s^2 of a half-line split:
+    the abscissa is then s, and f itself was asked for t = 1/s.
     """
 
-    def __init__(self, abscissa: float, value: float):
+    def __init__(self, abscissa: float, value: float, far_piece: bool = False):
         self.abscissa = abscissa
         self.value = value
-        super().__init__(
-            f"integrand returned {value!r} at t = {abscissa!r}"
-        )
+        self.far_piece = far_piece
+        if far_piece:
+            message = (
+                f"far piece f(1/s)/s^2 returned {value!r} at s = {abscissa!r}, "
+                f"t = 1/s = {1.0 / abscissa!r}"
+            )
+        else:
+            message = f"integrand returned {value!r} at t = {abscissa!r}"
+        super().__init__(message)
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -314,21 +322,24 @@ def _algebraic_split_half_line(
     Each piece gets half the tolerance so the combined estimate meets
     the original target.  The far piece is divided by s twice rather
     than by s^2, which underflows below s = 2^-537.  Below s = 2^-1024,
-    1/s overflows: f cannot be sampled there, so an integrand whose
-    far piece needs samples that close to 0 (one decaying barely faster
-    than 1/t) raises IntegrandEvaluationError instead of losing that
-    mass silently.
+    1/s overflows: f cannot be sampled there and the far piece reads
+    NaN, so an integrand whose far piece needs samples that close to 0
+    (one decaying barely faster than 1/t) raises IntegrandEvaluationError,
+    with ``far_piece`` set, instead of losing that mass silently.
     """
     half = _halved(config)
     near = integrate_finite(f, 0.0, 1.0, half)
 
     def inverted(s: float) -> float:
         t = 1.0 / s
-        if t == math.inf:
-            raise IntegrandEvaluationError(s, t)
-        return f(t) / s / s
+        return f(t) / s / s if t != math.inf else math.nan
 
-    far = integrate_finite(inverted, 0.0, 1.0, half)
+    try:
+        far = integrate_finite(inverted, 0.0, 1.0, half)
+    except IntegrandEvaluationError as exc:
+        raise IntegrandEvaluationError(
+            exc.abscissa, exc.value, far_piece=True
+        ) from None
     value = near.value + far.value
     err = near.error_estimate + far.error_estimate
     return QuadResult(

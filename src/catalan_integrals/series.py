@@ -196,12 +196,17 @@ def _term(n: int, c_2n: int, c_n: int, odd_weight: bool) -> float:
 def _exact_terms(odd_weight: bool) -> Iterator[float]:
     """term(0), term(1), ... streamed from exact integers.
 
-    Equal bit for bit to ``sum_rule_term``, at the cost of one ratio
-    recurrence step per Catalan number instead of a binomial per term.
+    Equal bit for bit to ``sum_rule_term``.  C_n comes from the ratio
+    recurrence and C_{2n} from its two-step form
+    C_{2n+2} (2n + 2)(2n + 3) = C_{2n} 4 (4n + 1)(4n + 3), each with a
+    checked exact division, so no binomial is built per term.
     """
-    evens = islice(catalan_numbers(), 0, None, 2)
-    for n, (c_n, c_2n) in enumerate(zip(catalan_numbers(), evens)):
+    c_2n = 1
+    for n, c_n in enumerate(catalan_numbers()):
         yield _term(n, c_2n, c_n, odd_weight)
+        step = 4 * (4 * n + 1) * (4 * n + 3)
+        c_2n, r = divmod(c_2n * step, (2 * n + 2) * (2 * n + 3))
+        assert r == 0, f"even-index recurrence left a remainder at 2n = {2 * n + 2}"
 
 
 def _terms_needed(tol: float, odd_weight: bool) -> int:

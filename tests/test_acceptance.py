@@ -14,15 +14,14 @@ import time
 from click.testing import CliRunner
 
 from closed_forms import FINITE_CORPUS, HALF_LINE_CORPUS
-from catalan_integrals.cli import main as cli_main
-from catalan_integrals.exact import (
-    catalan_exact,
+from oracles import (
     catalan_hypergeometric,
     catalan_segner,
     count_balanced_parentheses,
     count_polygon_triangulations,
-    ln_exact,
 )
+from catalan_integrals.cli import main as cli_main
+from catalan_integrals.exact import catalan_exact, ln_exact
 from catalan_integrals.kernels import (
     _theta_kernel,
     binet_catalan_kernel,

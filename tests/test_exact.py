@@ -5,16 +5,19 @@ import math
 import mpmath
 import pytest
 
-from catalan_integrals.exact import (
+from oracles import (
     ENUMERATION_LIMIT,
     TRIANGULATION_MAX_SIDES,
-    CatalanTable,
-    _log_of_positive_int,
-    catalan_exact,
     catalan_hypergeometric,
     catalan_segner,
     count_balanced_parentheses,
     count_polygon_triangulations,
+)
+from catalan_integrals import exact, representations
+from catalan_integrals.exact import (
+    CatalanTable,
+    _log_of_positive_int,
+    catalan_exact,
     ln_exact,
 )
 from catalan_integrals.kernels import log_gamma_reference
@@ -173,12 +176,34 @@ def test_ln_exact_cross_checks_stirling():
 
 
 def test_ln_exact_matches_mpmath_loggamma():
+    # One compensated sum of positive logs, each of an integer <= 2n,
+    # stays within 1 ulp; the log of the top bits of C_n did not
+    # (1.22 ulp at n = 88).
     ctx = mpmath.mp.clone()
     ctx.dps = 40
-    for n in (2, 10, 100, 316, 1000, 3162, 10**4, 31_623, 10**5, 316_228, 10**6):
+    for n in (*range(2, 2001), 3162, 10**4, 31_623, 10**5, 316_228, 10**6):
         truth = ctx.loggamma(2 * n + 1) - ctx.loggamma(n + 1) - ctx.loggamma(n + 2)
         ulp = math.ulp(float(truth))
-        assert abs(ctx.mpf(ln_exact(n)) - truth) <= 2 * ulp, n
+        assert abs(ctx.mpf(ln_exact(n)) - truth) <= ulp, n
+
+
+def test_ln_exact_builds_no_big_integer(monkeypatch):
+    # ln C_n comes from the prime exponents alone: neither C_n nor any
+    # partial product of its factors is formed.
+    def no_product(*args):
+        raise RuntimeError("C_n was built")
+
+    monkeypatch.setattr(exact, "_balanced_product", no_product)
+    monkeypatch.setattr(exact, "catalan_exact", no_product)
+    n = 10**6
+    truth = math.lgamma(2 * n + 1) - math.lgamma(n + 1) - math.lgamma(n + 2)
+    assert abs(ln_exact(n) - truth) <= 1e-9 * truth
+
+
+def test_representations_use_exact_ln_exact():
+    # The comparison column of every row, and the benchmark's tap on it,
+    # go through this one name.
+    assert representations.ln_exact is exact.ln_exact
 
 
 def test_ln_exact_negative_rejected():

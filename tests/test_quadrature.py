@@ -226,7 +226,15 @@ def test_slow_algebraic_decay_is_never_silent(cfg):
     # must say so rather than divide by an underflowed s^2 or drop it.
     with pytest.raises(IntegrandEvaluationError) as exc_info:
         integrate_half_line(lambda t: (1.0 + t) ** -1.01, cfg)
-    assert 0.0 < exc_info.value.abscissa < 2.0**-1023
+    s = exc_info.value.abscissa
+    assert 0.0 < s < 2.0**-1023
+    # The message names the far piece and both abscissae: s, and the
+    # t = 1/s that overflowed.
+    assert exc_info.value.far_piece
+    message = str(exc_info.value)
+    assert message.startswith("far piece f(1/s)/s^2 returned nan")
+    assert f"s = {s!r}" in message
+    assert "t = 1/s = inf" in message
 
 
 def test_explicit_tail_constants_must_be_positive(cfg):

@@ -5,7 +5,7 @@ The package is organized bottom-up:
 
 * ``exact``           -- arbitrary-precision integer routes and ln C_n
 * ``quadrature``      -- adaptive Gauss-Kronrod with half-line reductions
-* ``kernels``         -- log-Gamma integrands with origin guards and tails
+* ``kernels``         -- cancellation-free log-Gamma integrands and their tails
 * ``representations`` -- five ln C_n routes cross-checked against exact
 * ``series``          -- certified sum rules and the Glaisher-Kinkelin constant
 * ``report``          -- deterministic text/CSV/JSON verification reports
@@ -16,14 +16,11 @@ from .exact import CatalanTable, catalan_exact, catalan_numbers, ln_exact
 from .kernels import (
     KernelSpec,
     binet_catalan_kernel,
-    binet_theta,
     log_gamma_difference_kernel,
-    log_gamma_malmsten,
     log_gamma_reference,
     malmsten_catalan_kernel,
 )
 from .quadrature import (
-    Integrand,
     IntegrandEvaluationError,
     QuadConfig,
     QuadResult,
@@ -59,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CatalanTable",
     "GlaisherResult",
-    "Integrand",
     "IntegrandEvaluationError",
     "KernelSpec",
     "Method",
@@ -71,7 +67,6 @@ __all__ = [
     "TailBound",
     "TermBudgetExhausted",
     "binet_catalan_kernel",
-    "binet_theta",
     "catalan_binet",
     "catalan_exact",
     "catalan_gamma_closed_form",
@@ -86,7 +81,6 @@ __all__ = [
     "integrate_half_line",
     "ln_exact",
     "log_gamma_difference_kernel",
-    "log_gamma_malmsten",
     "log_gamma_reference",
     "malmsten_catalan_kernel",
     "series_tail_bound",

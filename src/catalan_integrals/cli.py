@@ -294,31 +294,23 @@ def cmd_glaisher(abs_tol: float, rel_tol: float, max_subdivisions: int) -> None:
 @main.command("dump-kernel")
 @click.argument("kernel", type=click.Choice(sorted(_KERNELS)))
 @click.argument("n", type=click.IntRange(min=0))
-@click.option("--t-min", type=float, default=1e-8, show_default=True)
+@click.option(
+    "--t-min",
+    type=click.FloatRange(min=0.0, min_open=True),
+    default=1e-8,
+    show_default=True,
+)
 @click.option("--t-max", type=float, default=50.0, show_default=True)
 @click.option("--points", type=click.IntRange(min=2), default=200, show_default=True)
 def cmd_dump_kernel(
     kernel: str, n: int, t_min: float, t_max: float, points: int
 ) -> None:
-    """Tabulate KERNEL at index N on a log-spaced grid, as CSV ``t,value``.
-
-    Evaluation goes through the origin-limit guard, so t = 0 itself is
-    allowed as T_MIN (its row carries the analytic limit).
-    """
-    if t_min < 0 or not t_min < t_max:
-        raise click.UsageError(f"need 0 <= t_min < t_max, got [{t_min}, {t_max}]")
+    """Tabulate KERNEL at index N on a log-spaced grid, as CSV ``t,value``."""
+    if not t_min < t_max:
+        raise click.UsageError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
     spec = _KERNELS[kernel](n)
-    if t_min == 0.0:
-        # No log spacing from zero: pin the first row at 0 and start the
-        # geometric grid far below the origin-guard threshold.
-        grid = [0.0]
-        lo = t_max * 1e-12
-        rest = points - 1
-        ratio = (t_max / lo) ** (1.0 / (rest - 1)) if rest > 1 else 1.0
-        grid.extend(lo * ratio**k for k in range(rest))
-    else:
-        ratio = (t_max / t_min) ** (1.0 / (points - 1))
-        grid = [t_min * ratio**k for k in range(points)]
+    ratio = (t_max / t_min) ** (1.0 / (points - 1))
+    grid = [t_min * ratio**k for k in range(points)]
     grid[-1] = t_max
     click.echo("t,value")
     for t in grid:

@@ -3,9 +3,8 @@
 The half-line integrands here all follow the Malmsten pattern: smooth
 for t > 0, a removable singularity at t = 0 with a finite analytic
 limit, and exponential decay with explicit constants.  Each kernel
-constructor returns a ``KernelSpec`` bundling the origin-guarded
-``Integrand`` with the tail-bound constants the quadrature layer needs
-for sound truncation.
+constructor returns a ``KernelSpec``: the plain function of t and the
+tail-bound constants the quadrature layer needs for sound truncation.
 
 The two Catalan kernels integrate to ln Gamma(n + 1/2) - ln Gamma(n + 2),
 the integral factor common to both integral representations of C_n:
@@ -17,26 +16,29 @@ the integral factor common to both integral representations of C_n:
   ln Gamma(x + 1) = x ln x - x + ln(2 pi x)/2 + theta(x), applied at
   x = n + 1/2 and x = n + 2.
 
-Origin limits and slopes are hard-coded from Taylor expansions about
-t = 0 (derivations sketched per kernel); the test suite re-derives each
-one by numerical extrapolation of the raw formula.
+Both are written so that no two nearly equal terms are subtracted, so
+they hold their accuracy at every t > 0 a quadrature rule may sample,
+down to the smallest normal double, and need no special case at the
+origin.  ``log_gamma_difference_kernel`` keeps the raw, cancelling
+arrangement on purpose, as an independent pointwise cross-check.  The
+test suite checks each kernel's origin limit and slope, derived by hand
+from its Taylor expansion, against the formula itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .exact import _check_index
-from .quadrature import Integrand, QuadConfig, QuadResult, TailBound, integrate_half_line
+from .quadrature import TailBound
 
 __all__ = [
     "KernelSpec",
     "binet_catalan_kernel",
     "binet_core",
-    "binet_theta",
     "log_gamma_difference_kernel",
-    "log_gamma_malmsten",
     "log_gamma_reference",
     "malmsten_catalan_kernel",
 ]
@@ -83,39 +85,11 @@ def log_gamma_reference(x: float) -> float:
     return (z - 0.5) * math.log(z) - z + _HALF_LN_2PI + series - shift
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A named half-line integrand with its analytic tail-decay constants."""
+class KernelSpec(NamedTuple):
+    """A half-line integrand with the constants of its tail bound."""
 
-    name: str
-    parameter: float
-    integrand: Integrand
+    integrand: Callable[[float], float]
     tail_constants: TailBound
-
-
-def log_gamma_malmsten(x: float, config: QuadConfig) -> QuadResult:
-    """ln Gamma(x + 1) as the half-line integral of
-    [x - (1 - e^{-x t}) / (1 - e^{-t})] e^{-t} / t,  valid for x > -1.
-
-    Expansion about t = 0: writing the bracket as
-    x - (x - x(x+1) t/2 + ...written via the e^{-xt} series.../ (t - t^2/2 + ...)),
-    the integrand tends to x(x - 1)/2 with first-order coefficient
-    x(5/12 - x/4 - x^2/6).  Tail: the bracket grows at most like
-    e^{max(0, -x) t}, so the integrand decays like e^{-min(1, 1+x) t}.
-    """
-    if x <= -1:
-        raise ValueError(f"representation requires x > -1, got {x}")
-
-    def fn(t: float) -> float:
-        return (x - math.expm1(-x * t) / math.expm1(-t)) * math.exp(-t) / t
-
-    integrand = Integrand(
-        fn=fn,
-        origin_limit=0.5 * x * (x - 1.0),
-        origin_slope=x * (5.0 / 12.0 - 0.25 * x - x * x / 6.0),
-    )
-    tail = TailBound(K=abs(x) + 3.0, c=min(1.0, 1.0 + x))
-    return integrate_half_line(integrand, config, tail=tail)
 
 
 def binet_core(t: float) -> float:
@@ -136,76 +110,46 @@ def binet_core(t: float) -> float:
     return math.exp(-t) / (-math.expm1(-t)) - 1.0 / t + 0.5
 
 
-def _theta_kernel(x: float) -> KernelSpec:
-    """Integrand of the Binet correction theta(x): binet_core(t) e^{-x t} / t.
-
-    binet_core(t)/t = 1/12 - t^2/720 + ... has zero slope at the origin,
-    so multiplying by e^{-x t} = 1 - x t + ... gives limit 1/12 with
-    slope -x/12.
-    """
-
-    def fn(t: float) -> float:
-        return binet_core(t) * math.exp(-x * t) / t
-
-    return KernelSpec(
-        name="binet_theta",
-        parameter=x,
-        integrand=Integrand(
-            fn=fn,
-            origin_limit=1.0 / 12.0,
-            origin_slope=-x / 12.0,
-        ),
-        # binet_core <= 1/2 and 1/t <= 1 for t >= 1.
-        tail_constants=TailBound(K=1.0, c=x),
-    )
-
-
-def binet_theta(x: float, config: QuadConfig) -> QuadResult:
-    """Binet correction theta(x) = ln Gamma(x+1) - x ln x + x - ln(2 pi x)/2
-    as a half-line integral, for x > 0.
-
-    Satisfies 0 < theta(x) < 1/(12 x).
-    """
-    if x <= 0:
-        raise ValueError(f"Binet correction requires x > 0, got {x}")
-    spec = _theta_kernel(x)
-    return integrate_half_line(spec.integrand, config, tail=spec.tail_constants)
-
-
 def malmsten_catalan_kernel(n: int) -> KernelSpec:
     """Kernel whose half-line integral is ln Gamma(n + 1/2) - ln Gamma(n + 2).
 
     Defining form: [(e^{3t/2} - 1) / (e^t - 1) e^{-n t} - 3/2] e^{-t} / t.
-    Evaluated in the overflow-safe equivalent
-        [e^{-(n + 1/2) t} (1 - e^{-3t/2}) / (1 - e^{-t}) - (3/2) e^{-t}] / t,
-    obtained by multiplying the ratio through by e^{-3t/2} / e^{-t}.
+    With q = e^{-t/2} the ratio is q^{-1} R, R = (1 - q^3)/(1 - q^2) =
+    (1 + q + q^2)/(1 + q), so the kernel is q^2 [q^{2n-1} R - 3/2] / t.
+    Splitting the bracket as (q^{2n-1} - 1) R + (R - 3/2), with
+    q^{2n-1} - 1 = expm1(-(n - 1/2) t) and
+    R - 3/2 = (q - 1)(q + 1/2)/(1 + q) = expm1(-t/2)(q + 1/2)/(1 + q),
+    gives the evaluated form
 
-    Taylor expansion about t = 0: (e^{3t/2} - 1)/(e^t - 1) =
-    3/2 + 3t/8 + 3t^2/32 + ..., so after multiplying by e^{-(n+1)t} and
-    subtracting 3/2, the integrand tends to 3/8 - 3n/2 with first-order
-    coefficient 3n^2/4 + 9n/8 - 1/4.
+        q^2 [expm1(-(n - 1/2) t)(1 + q + q^2) + expm1(-t/2)(q + 1/2)]
+        / ((1 + q) t).
 
-    Tail: for t >= 1 both exponential terms sit under 1.5 e^{-c t} with
-    c = min(1, n + 1/2), and dividing by t >= 1 keeps the difference
-    under that same envelope; K = 2.5 adds margin.
+    For n >= 1 both products are negative, so nothing cancels, and
+    expm1 keeps q - 1 accurate however small t is: the value stays
+    within a few ulp for every t > 0 whose result is a normal double.
+    At n = 0 the first factor expm1(t/2) would overflow past t = 1420;
+    there q^2 expm1(t/2) = -q expm1(-t/2), and the kernel becomes
+    -q expm1(-t/2)(1 + q/2) / ((1 + q) t), a product of positive
+    factors.
+
+    Tail: for t >= 1 the two exponential terms of the defining form sit
+    under 1.5 e^{-c t} with c = min(1, n + 1/2), and dividing by t >= 1
+    keeps their difference under that same envelope; K = 2.5 adds
+    margin.
     """
     _check_index(n)
-    half = n + 0.5
+    decay = n - 0.5
 
     def fn(t: float) -> float:
-        ratio = math.expm1(-1.5 * t) / math.expm1(-t)
-        return (math.exp(-half * t) * ratio - 1.5 * math.exp(-t)) / t
+        q = math.exp(-0.5 * t)
+        qm1 = math.expm1(-0.5 * t)
+        if n == 0:
+            return -q * qm1 * (1.0 + 0.5 * q) / ((1.0 + q) * t)
+        q2 = q * q
+        bracket = math.expm1(-decay * t) * (1.0 + q + q2) + qm1 * (q + 0.5)
+        return q2 * bracket / ((1.0 + q) * t)
 
-    return KernelSpec(
-        name="malmsten_catalan",
-        parameter=float(n),
-        integrand=Integrand(
-            fn=fn,
-            origin_limit=0.375 - 1.5 * n,
-            origin_slope=0.75 * n * n + 1.125 * n - 0.25,
-        ),
-        tail_constants=TailBound(K=2.5, c=min(1.0, n + 0.5)),
-    )
+    return KernelSpec(fn, TailBound(K=2.5, c=min(1.0, n + 0.5)))
 
 
 def log_gamma_difference_kernel(n: int) -> KernelSpec:
@@ -216,30 +160,21 @@ def log_gamma_difference_kernel(n: int) -> KernelSpec:
     normalized: (e^{-t} - e^{t/2})/(e^{-t} - 1) = (e^{3t/2} - 1)/(e^t - 1)
     after multiplying numerator and denominator by e^t.  Kept as a
     deliberately distinct arithmetic path for pointwise cross-checks;
-    past t = 300 the literal e^{t/2} would overflow long after the
-    integrand is negligible, so the normalized form takes over there.
+    it subtracts nearly equal terms as t -> 0 and loses about
+    log10(1/t) digits there.  Past t = 300 the literal e^{t/2} would
+    overflow long after the integrand is negligible, so the Malmsten
+    kernel takes over there.
     """
-    _check_index(n)
-    half = n + 0.5
+    base = malmsten_catalan_kernel(n)
+    malmsten = base.integrand
 
     def fn(t: float) -> float:
         if t > 300.0:
-            ratio = math.expm1(-1.5 * t) / math.expm1(-t)
-            return (math.exp(-half * t) * ratio - 1.5 * math.exp(-t)) / t
+            return malmsten(t)
         num = math.expm1(-t) - math.expm1(0.5 * t)
         return (num / math.expm1(-t) * math.exp(-n * t) - 1.5) * math.exp(-t) / t
 
-    base = malmsten_catalan_kernel(n)
-    return KernelSpec(
-        name="log_gamma_difference",
-        parameter=float(n),
-        integrand=Integrand(
-            fn=fn,
-            origin_limit=base.integrand.origin_limit,
-            origin_slope=base.integrand.origin_slope,
-        ),
-        tail_constants=base.tail_constants,
-    )
+    return KernelSpec(fn, base.tail_constants)
 
 
 def binet_catalan_kernel(n: int) -> KernelSpec:
@@ -247,10 +182,9 @@ def binet_catalan_kernel(n: int) -> KernelSpec:
     ln Gamma(n + 3/2) and ln Gamma(n + 2): binet_core(t) (e^{-t/2} - e^{-2t}) e^{-n t} / t.
 
     Equals theta-integrand(n + 1/2) - theta-integrand(n + 2) pointwise,
-    so its integral is theta(n + 1/2) - theta(n + 2).
-
-    Origin: binet_core(t)/t -> 1/12 and (e^{-t/2} - e^{-2t}) -> 3t/2 - 15t^2/8,
-    so the product tends to 0 with slope (1/12)(3/2) = 1/8.
+    so its integral is theta(n + 1/2) - theta(n + 2).  Near t = 0
+    binet_core takes its series branch and the gap subtracts -2t from
+    -t/2, which costs under one bit, so it needs no special case there.
 
     Tail: binet_core <= 1/2 and e^{-t/2} - e^{-2t} <= e^{-t/2}; with
     1/t <= 1 for t >= 1 the integrand sits under e^{-(n + 1/2) t} / 2.
@@ -261,9 +195,4 @@ def binet_catalan_kernel(n: int) -> KernelSpec:
         gap = math.expm1(-0.5 * t) - math.expm1(-2.0 * t)
         return binet_core(t) * gap * math.exp(-n * t) / t
 
-    return KernelSpec(
-        name="binet_catalan",
-        parameter=float(n),
-        integrand=Integrand(fn=fn, origin_limit=0.0, origin_slope=0.125),
-        tail_constants=TailBound(K=1.0, c=n + 0.5),
-    )
+    return KernelSpec(fn, TailBound(K=1.0, c=n + 0.5))

@@ -20,12 +20,12 @@ two ways, picked by whether the caller supplies tail constants:
   tolerances, while the inversion lands both singular endpoints at 0
   where the floating-point grid stays dense.
 
-Integrands with a removable singularity at t = 0 carry their analytic
-limit (and optionally the first Taylor coefficient) in an ``Integrand``
-wrapper; below ``small_t_threshold``, evaluation substitutes
-``origin_limit + origin_slope * t`` for the raw formula, which protects
-against catastrophic cancellation where the defining expression
-degenerates to 0/0.
+Integrands are plain functions.  The rule is open, so an endpoint is
+never sampled, but bisection may close in on one until the panels
+reach floating-point resolution, which next to t = 0 means subnormal
+t.  An integrand with a removable singularity at t = 0 must therefore
+stay accurate and finite down to there on its own; the kernels module
+shows how.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 __all__ = [
-    "Integrand",
     "IntegrandEvaluationError",
     "QuadConfig",
     "QuadResult",
@@ -133,29 +132,6 @@ class QuadResult:
         if not self.converged:
             raise QuadratureNotConverged(self, context)
         return self
-
-
-@dataclass(frozen=True)
-class Integrand:
-    """Real function of t > 0 with removable-singularity data at the origin.
-
-    ``origin_limit`` is the analytic limit of fn(t) as t -> 0+ (None if
-    the formula is directly evaluable there), ``origin_slope`` the first
-    Taylor coefficient about 0.  Below ``small_t_threshold`` evaluation
-    returns origin_limit + origin_slope * t instead of calling fn; with
-    the default threshold 1e-6 the quadratic term this drops is O(1e-12)
-    relative, far below the cancellation noise of the raw formula there.
-    """
-
-    fn: Callable[[float], float]
-    origin_limit: float | None = None
-    origin_slope: float = 0.0
-    small_t_threshold: float = 1e-6
-
-    def __call__(self, t: float) -> float:
-        if self.origin_limit is not None and t < self.small_t_threshold:
-            return self.origin_limit + self.origin_slope * t
-        return self.fn(t)
 
 
 # G7/K15 nodes and weights (positive abscissae; the rule is symmetric).

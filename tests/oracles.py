@@ -1,4 +1,4 @@
-"""Exact Catalan oracles that share no arithmetic with the package.
+"""Oracles that share no arithmetic with the routes they check.
 
 The tests compare ``catalan_exact`` against these routes:
 
@@ -7,11 +7,25 @@ The tests compare ``catalan_exact`` against these routes:
   over exact rationals
 * ``count_balanced_parentheses`` / ``count_polygon_triangulations``
   -- brute-force enumerations of two classical Catalan families
+
+and exercise the quadrature layer on two classical half-line integrals
+for a single ln Gamma, apart from the Catalan kernels:
+
+* ``log_gamma_malmsten`` -- Malmsten's integral for ln Gamma(x + 1)
+* ``binet_theta`` / ``theta_kernel`` -- Binet's correction theta(x)
 """
 
+import math
 from fractions import Fraction
 
 from catalan_integrals.exact import _check_index
+from catalan_integrals.kernels import KernelSpec, binet_core
+from catalan_integrals.quadrature import (
+    QuadConfig,
+    QuadResult,
+    TailBound,
+    integrate_half_line,
+)
 
 # Brute-force enumeration walks every valid prefix; past n = 14 the walk
 # is too slow to be useful as an oracle.
@@ -92,3 +106,49 @@ def count_polygon_triangulations(sides: int) -> int:
             j = i + span
             f[i][j] = sum(f[i][k] * f[k][j] for k in range(i + 1, j))
     return f[0][sides - 1]
+
+
+def log_gamma_malmsten(x: float, config: QuadConfig) -> QuadResult:
+    """ln Gamma(x + 1) as the half-line integral of
+    [x - (1 - e^{-x t}) / (1 - e^{-t})] e^{-t} / t,  valid for x > -1.
+
+    The bracket cancels to O(t^2) as t -> 0, so the raw formula loses
+    about log10(1/t) digits there.  At the tolerances the tests use the
+    quadrature does not sample close enough to 0 for that to show; the
+    tests' error bounds would catch it if it did.
+    Tail: the bracket grows at most like e^{max(0, -x) t}, so the
+    integrand decays like e^{-min(1, 1+x) t}.
+    """
+    if x <= -1:
+        raise ValueError(f"representation requires x > -1, got {x}")
+
+    def fn(t: float) -> float:
+        return (x - math.expm1(-x * t) / math.expm1(-t)) * math.exp(-t) / t
+
+    tail = TailBound(K=abs(x) + 3.0, c=min(1.0, 1.0 + x))
+    return integrate_half_line(fn, config, tail=tail)
+
+
+def theta_kernel(x: float) -> KernelSpec:
+    """Integrand of the Binet correction theta(x): binet_core(t) e^{-x t} / t.
+
+    binet_core takes its series branch near 0, so nothing cancels there.
+    Tail: binet_core <= 1/2 and 1/t <= 1 for t >= 1.
+    """
+
+    def fn(t: float) -> float:
+        return binet_core(t) * math.exp(-x * t) / t
+
+    return KernelSpec(fn, TailBound(K=1.0, c=x))
+
+
+def binet_theta(x: float, config: QuadConfig) -> QuadResult:
+    """Binet correction theta(x) = ln Gamma(x+1) - x ln x + x - ln(2 pi x)/2
+    as a half-line integral, for x > 0.
+
+    Satisfies 0 < theta(x) < 1/(12 x).
+    """
+    if x <= 0:
+        raise ValueError(f"Binet correction requires x > 0, got {x}")
+    spec = theta_kernel(x)
+    return integrate_half_line(spec.integrand, config, tail=spec.tail_constants)

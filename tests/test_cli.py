@@ -328,16 +328,12 @@ def test_dump_kernel_two_points():
     assert float(lines[2].split(",")[0]) == pytest.approx(50.0)
 
 
-def test_dump_kernel_t_min_zero_pins_origin_row():
+def test_dump_kernel_t_min_zero_is_usage_error():
+    # The grid is log-spaced and the kernels are sampled only at t > 0.
     result = runner.invoke(
         main, ["dump-kernel", "malmsten", "1", "--t-min", "0", "--points", "5"]
     )
-    assert result.exit_code == 0
-    lines = result.output.splitlines()
-    assert len(lines) == 6
-    t0, v0 = lines[1].split(",")
-    assert float(t0) == 0.0
-    assert float(v0) == -1.125  # exact origin limit for n = 1
+    assert result.exit_code == 2
 
 
 def test_dump_kernel_bad_range_is_usage_error():

@@ -1,17 +1,18 @@
-"""Log-Gamma reference, integral kernels, and their origin/tail data."""
+"""Log-Gamma reference, integral kernels, and their origin/tail behaviour."""
 
 import math
+import sys
 
+import mpmath as mp
 import pytest
 
+from closed_forms import kernel_origin_cases
+from oracles import binet_theta, log_gamma_malmsten
 from catalan_integrals.kernels import (
     KernelSpec,
-    _theta_kernel,
     binet_catalan_kernel,
     binet_core,
-    binet_theta,
     log_gamma_difference_kernel,
-    log_gamma_malmsten,
     log_gamma_reference,
     malmsten_catalan_kernel,
 )
@@ -147,51 +148,73 @@ def test_theta_domain(cfg):
 # ------------------------------------------------------ kernel families
 
 
-def _all_specs() -> list[KernelSpec]:
-    specs = []
-    for n in (0, 1, 5, 20):
-        specs.append(malmsten_catalan_kernel(n))
-        specs.append(log_gamma_difference_kernel(n))
-        specs.append(binet_catalan_kernel(n))
-    specs.append(_theta_kernel(0.5))
-    specs.append(_theta_kernel(2.0))
-    return specs
-
-
 def test_origin_limit_consistency():
-    # Just above the guard threshold the raw formula must sit within 1%
-    # (plus an absolute floor) of the declared limit.
-    for spec in _all_specs():
-        integrand = spec.integrand
-        limit = integrand.origin_limit
-        assert limit is not None, spec.name
-        raw = integrand.fn(integrand.small_t_threshold)
-        assert abs(raw - limit) <= 0.01 * (1.0 + abs(limit)), spec.name
+    # Just above t = 1e-6 every kernel, the cancelling difference form
+    # included, sits within 1% (plus an absolute floor) of its analytic
+    # limit.  The cancellation-free kernels reach it to a few ulp even at
+    # t = 1e-300, where the slope term is below any ulp.
+    for label, spec, limit, _ in kernel_origin_cases():
+        raw = spec.integrand(1e-6)
+        assert abs(raw - limit) <= 0.01 * (1.0 + abs(limit)), label
+        if not label.startswith("difference"):
+            tiny = spec.integrand(1e-300)
+            assert abs(tiny - limit) <= 4 * sys.float_info.epsilon * abs(limit), label
 
 
 def test_origin_extrapolation_matches_declared_data():
-    # Richardson step on the raw formula at t1 = 1e-5, t2 = 2e-5:
+    # Richardson step on the kernel at t1 = 1e-5, t2 = 2e-5:
     # 2 f(t1) - f(t2) = L + O(t1^2) and (f(t2) - f(t1))/t1 = s + O(t1),
-    # an independent check on the hardcoded Taylor data.
+    # checked against the hand-derived Taylor data.
     t1 = 1e-5
-    for spec in _all_specs():
-        integrand = spec.integrand
-        f1 = integrand.fn(t1)
-        f2 = integrand.fn(2.0 * t1)
+    for label, spec, limit, slope in kernel_origin_cases():
+        f1 = spec.integrand(t1)
+        f2 = spec.integrand(2.0 * t1)
         limit_est = 2.0 * f1 - f2
         slope_est = (f2 - f1) / t1
-        limit, slope = integrand.origin_limit, integrand.origin_slope
-        assert abs(limit_est - limit) <= 1e-3 * (1.0 + abs(limit)), spec.name
-        assert abs(slope_est - slope) <= 2e-2 * (1.0 + abs(slope)), spec.name
+        assert abs(limit_est - limit) <= 1e-3 * (1.0 + abs(limit)), label
+        assert abs(slope_est - slope) <= 2e-2 * (1.0 + abs(slope)), label
 
 
 def test_tail_bounds_hold_pointwise():
     # |f(t)| <= K e^{-c t} at t = 10, 20, 40 for every kernel family.
-    for spec in _all_specs():
+    for label, spec, _, _ in kernel_origin_cases():
         k, c = spec.tail_constants
         for t in (10.0, 20.0, 40.0):
             bound = k * math.exp(-c * t)
-            assert abs(spec.integrand.fn(t)) <= bound, (spec.name, t)
+            assert abs(spec.integrand(t)) <= bound, (label, t)
+
+
+def _malmsten_oracle(n: int, t: float) -> mp.mpf:
+    # The defining form [e^{-(n+1/2)t} (1 - e^{-3t/2})/(1 - e^{-t})
+    # - (3/2) e^{-t}] / t cancels about log10(1/t) + log10(n + 1) digits
+    # as t -> 0, so the working precision grows with them.
+    digits = 40 + max(0, math.ceil(-math.log10(t))) + len(str(n))
+    with mp.workdps(digits):
+        t = mp.mpf(t)
+        ratio = mp.expm1(-1.5 * t) / mp.expm1(-t)
+        return (mp.exp(-(n + mp.mpf(0.5)) * t) * ratio - 1.5 * mp.exp(-t)) / t
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 200, 10**5, 10**7])
+def test_malmsten_kernel_matches_mpmath(n):
+    # The evaluated q-form cancels nothing: within 8 eps of the defining
+    # form at every t from 1e-300 to 1e4, the overflow of expm1(t/2) at
+    # n = 0 included.  Past t of about 700 the value leaves the normal
+    # range, where a double carries no relative accuracy, so the bound
+    # keeps a floor of 8 units of the smallest subnormal.
+    f = malmsten_catalan_kernel(n).integrand
+    eps = sys.float_info.epsilon
+    floor = 8.0 * math.ulp(0.0)
+    for exponent in range(-300, 5):
+        for mantissa in (1.0, 3.0):
+            t = mantissa * 10.0**exponent
+            if t > 1e4:
+                continue
+            got = f(t)
+            assert math.isfinite(got), (n, t)
+            expected = _malmsten_oracle(n, t)
+            err = abs(mp.mpf(got) - expected)
+            assert err <= 8.0 * eps * abs(expected) + floor, (n, t, got, expected)
 
 
 def test_malmsten_kernel_direct_value():
@@ -200,7 +223,7 @@ def test_malmsten_kernel_direct_value():
     expected = (
         (math.exp(1.5) - 1.0) / (math.e - 1.0) * math.exp(-1.0) - 1.5
     ) * math.exp(-1.0)
-    got = malmsten_catalan_kernel(1).integrand.fn(1.0)
+    got = malmsten_catalan_kernel(1).integrand(1.0)
     assert abs(got - expected) <= 1e-14 * abs(expected)
 
 
@@ -208,15 +231,15 @@ def test_binet_kernel_direct_value():
     # At t = 1, n = 0: core(1) (e^{-1/2} - e^{-2}) with core(1) = 1/(e-1) - 1/2.
     core = 1.0 / (math.e - 1.0) - 0.5
     expected = core * (math.exp(-0.5) - math.exp(-2.0))
-    got = binet_catalan_kernel(0).integrand.fn(1.0)
+    got = binet_catalan_kernel(0).integrand(1.0)
     assert abs(got - expected) <= 1e-14 * abs(expected)
 
 
 def test_malmsten_and_difference_kernels_agree_pointwise():
     # Same function, two algebraic arrangements.
     for n in (0, 1, 5):
-        f = malmsten_catalan_kernel(n).integrand.fn
-        g = log_gamma_difference_kernel(n).integrand.fn
+        f = malmsten_catalan_kernel(n).integrand
+        g = log_gamma_difference_kernel(n).integrand
         for t in (0.1, 1.0, 5.0):
             fv, gv = f(t), g(t)
             assert abs(fv - gv) <= 1e-13 * max(1.0, abs(fv)), (n, t)
@@ -224,7 +247,7 @@ def test_malmsten_and_difference_kernels_agree_pointwise():
 
 def _kernel_integral(spec: KernelSpec, cfg: QuadConfig) -> float:
     result = integrate_half_line(spec.integrand, cfg, tail=spec.tail_constants)
-    assert result.converged, spec.name
+    assert result.converged
     return result.value
 
 
@@ -250,9 +273,3 @@ def test_binet_kernel_integral_is_theta_difference(cfg):
     # The n = 0 kernel integrates to theta(1/2) - theta(2).
     value = _kernel_integral(binet_catalan_kernel(0), cfg)
     assert abs(value - THETA_HALF_MINUS_TWO) <= 1e-11
-
-
-def test_kernel_parameter_recorded():
-    assert malmsten_catalan_kernel(7).parameter == 7.0
-    assert binet_catalan_kernel(3).parameter == 3.0
-    assert _theta_kernel(2.5).parameter == 2.5

@@ -7,7 +7,6 @@ import pytest
 
 from closed_forms import FINITE_CORPUS, HALF_LINE_CORPUS
 from catalan_integrals.quadrature import (
-    Integrand,
     IntegrandEvaluationError,
     QuadConfig,
     QuadratureNotConverged,
@@ -168,27 +167,6 @@ def test_tolerance_for_mixes_absolute_and_relative():
     config = QuadConfig(abs_tol=1e-12, rel_tol=1e-11)
     assert config.tolerance_for(0.0) == 1e-12
     assert config.tolerance_for(100.0) == pytest.approx(1e-9)
-
-
-# -------------------------------------------------------- origin guard
-
-
-def test_integrand_origin_guard_avoids_evaluation():
-    def explode(t):
-        raise AssertionError(f"guard should have intercepted t = {t}")
-
-    guarded = Integrand(
-        fn=explode, origin_limit=2.0, origin_slope=3.0, small_t_threshold=1e-6
-    )
-    assert guarded(0.0) == 2.0
-    assert guarded(1e-7) == pytest.approx(2.0 + 3.0e-7, rel=1e-12)
-
-
-def test_integrand_above_threshold_calls_through():
-    guarded = Integrand(
-        fn=lambda t: 10.0 * t, origin_limit=0.0, origin_slope=10.0
-    )
-    assert guarded(0.5) == 5.0
 
 
 # ----------------------------------------------------------- half line

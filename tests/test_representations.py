@@ -91,6 +91,39 @@ def test_penson_rows_honest_against_mpmath(route, cfg):
             assert err <= 1e-12, (n, err)
 
 
+# Four per decade from 10 to 1e6, among them 31,623 and 100,000.  The
+# kernels vary on a scale of 1/n near t = 0, so any small-t shortcut at a
+# fixed cutoff shows here first.
+LARGE_NS = [round(10 ** (k / 4)) for k in range(4, 25)]
+
+
+@pytest.mark.parametrize("route", (catalan_malmsten, catalan_binet))
+def test_large_n_rows_honest_against_mpmath(route, cfg):
+    # Past a few thousand, one ulp of ln C_n is above the quadrature's
+    # own estimate: the rounding bound of the assembly keeps the row
+    # honest.
+    assert 31_623 in LARGE_NS and 100_000 in LARGE_NS
+    with mp.workdps(40):
+        for n in LARGE_NS:
+            row = route(n, cfg)
+            exact = mp.loggamma(2 * n + 1) - mp.loggamma(n + 1) - mp.loggamma(n + 2)
+            err = float(abs(mp.mpf(row.ln_value) - exact))
+            assert row.converged, n
+            assert err <= 10.0 * row.quad_error_estimate, (n, err)
+            assert err <= 1e-8, (n, err)
+
+
+def test_malmsten_at_tightest_tolerance_returns_a_row():
+    # At abs_tol = rel_tol = 1e-15 the quadrature bisects towards t = 0
+    # until the panels reach floating-point resolution; the kernel must
+    # stay finite there, down to subnormal t.
+    tight = QuadConfig(abs_tol=1e-15, rel_tol=1e-15)
+    for n in (0, 1, 5):
+        row = catalan_malmsten(n, tight)
+        assert math.isfinite(row.ln_value), n
+        assert row.abs_err_ln <= 1e-12, n
+
+
 # Summed integrand evaluations over n = 0..200 at the default config;
 # before the substitutions removed the endpoint singularities they were
 # 306,885 (moment) and 153,930 (Mellin).

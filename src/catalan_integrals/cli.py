@@ -305,7 +305,13 @@ def cmd_glaisher(abs_tol: float, rel_tol: float, max_subdivisions: int) -> None:
 def cmd_dump_kernel(
     kernel: str, n: int, t_min: float, t_max: float, points: int
 ) -> None:
-    """Tabulate KERNEL at index N on a log-spaced grid, as CSV ``t,value``."""
+    """Tabulate KERNEL at index N on a log-spaced grid, as CSV ``t,value``.
+
+    The difference kernel keeps its raw, cancelling arithmetic and loses
+    about log10(1/t) digits: below t of about 1e-16 it prints rounding
+    noise, not the kernel's value.  The malmsten and binet kernels
+    cancel nothing near t = 0.
+    """
     if not t_min < t_max:
         raise click.UsageError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
     spec = _KERNELS[kernel](n)

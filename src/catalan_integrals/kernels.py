@@ -3,8 +3,9 @@
 The half-line integrands here all follow the Malmsten pattern: smooth
 for t > 0, a removable singularity at t = 0 with a finite analytic
 limit, and exponential decay with explicit constants.  Each kernel
-constructor returns a ``KernelSpec``: the plain function of t and the
-tail-bound constants the quadrature layer needs for sound truncation.
+constructor returns a ``KernelSpec``: the plain function of t, the
+tail-bound constants the quadrature layer needs for sound truncation
+and the scale of the kernel near t = 0, which seeds its mesh there.
 
 The two Catalan kernels integrate to ln Gamma(n + 1/2) - ln Gamma(n + 2),
 the integral factor common to both integral representations of C_n:
@@ -86,10 +87,16 @@ def log_gamma_reference(x: float) -> float:
 
 
 class KernelSpec(NamedTuple):
-    """A half-line integrand with the constants of its tail bound."""
+    """A half-line integrand with the constants of its tail bound.
+
+    ``scale`` is the width over which the integrand changes near t = 0,
+    passed to ``integrate_half_line`` to seed its mesh there; None when
+    the integrand has no such scale of its own.
+    """
 
     integrand: Callable[[float], float]
     tail_constants: TailBound
+    scale: float | None = None
 
 
 def binet_core(t: float) -> float:
@@ -136,6 +143,9 @@ def malmsten_catalan_kernel(n: int) -> KernelSpec:
     under 1.5 e^{-c t} with c = min(1, n + 1/2), and dividing by t >= 1
     keeps their difference under that same envelope; K = 2.5 adds
     margin.
+
+    Scale: the factor e^{-(n + 1/2) t} (q^{2n+1} in the q-form) sets the
+    width 1/(n + 1/2) over which the kernel changes near t = 0.
     """
     _check_index(n)
     decay = n - 0.5
@@ -149,7 +159,7 @@ def malmsten_catalan_kernel(n: int) -> KernelSpec:
         bracket = math.expm1(-decay * t) * (1.0 + q + q2) + qm1 * (q + 0.5)
         return q2 * bracket / ((1.0 + q) * t)
 
-    return KernelSpec(fn, TailBound(K=2.5, c=min(1.0, n + 0.5)))
+    return KernelSpec(fn, TailBound(K=2.5, c=min(1.0, n + 0.5)), 1.0 / (n + 0.5))
 
 
 def log_gamma_difference_kernel(n: int) -> KernelSpec:
@@ -174,7 +184,7 @@ def log_gamma_difference_kernel(n: int) -> KernelSpec:
         num = math.expm1(-t) - math.expm1(0.5 * t)
         return (num / math.expm1(-t) * math.exp(-n * t) - 1.5) * math.exp(-t) / t
 
-    return KernelSpec(fn, base.tail_constants)
+    return base._replace(integrand=fn)
 
 
 def binet_catalan_kernel(n: int) -> KernelSpec:
@@ -188,6 +198,7 @@ def binet_catalan_kernel(n: int) -> KernelSpec:
 
     Tail: binet_core <= 1/2 and e^{-t/2} - e^{-2t} <= e^{-t/2}; with
     1/t <= 1 for t >= 1 the integrand sits under e^{-(n + 1/2) t} / 2.
+    The same factor e^{-(n + 1/2) t} gives the scale 1/(n + 1/2).
     """
     _check_index(n)
 
@@ -195,4 +206,4 @@ def binet_catalan_kernel(n: int) -> KernelSpec:
         gap = math.expm1(-0.5 * t) - math.expm1(-2.0 * t)
         return binet_core(t) * gap * math.exp(-n * t) / t
 
-    return KernelSpec(fn, TailBound(K=1.0, c=n + 0.5))
+    return KernelSpec(fn, TailBound(K=1.0, c=n + 0.5), 1.0 / (n + 0.5))

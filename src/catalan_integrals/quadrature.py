@@ -2,7 +2,8 @@
 
 The base rule is the 15-point Kronrod extension of 7-point Gauss
 (G7/K15) with the classical QUADPACK error estimate; the adaptive
-driver bisects the interval with the worst estimate first.
+driver starts from one panel, or from the panels a caller's breakpoints
+cut, and bisects the panel with the worst estimate first.
 
 Half-line integrals over (0, inf) are reduced to finite ones in one of
 two ways, picked by whether the caller supplies tail constants:
@@ -20,6 +21,10 @@ two ways, picked by whether the caller supplies tail constants:
   tolerances, while the inversion lands both singular endpoints at 0
   where the floating-point grid stays dense.
 
+A caller that knows the width over which f changes near t = 0 passes it
+as ``scale``; the piece that reaches 0 then starts from a dyadic mesh
+down to that width instead of one panel.
+
 Integrands are plain functions.  The rule is open, so an endpoint is
 never sampled, but bisection may close in on one until the panels
 reach floating-point resolution, which next to t = 0 means subnormal
@@ -34,7 +39,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
     "IntegrandEvaluationError",
@@ -211,25 +216,40 @@ def _kronrod_panel(
 
 
 def integrate_finite(
-    f: Callable[[float], float], a: float, b: float, config: QuadConfig
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    config: QuadConfig,
+    breakpoints: Sequence[float] = (),
 ) -> QuadResult:
     """Globally adaptive G7/K15 integration of f over [a, b].
 
     Endpoints are never sampled (the rule is open), so integrable
-    endpoint behavior like sqrt(b - t) is admissible.  Bisects the
-    worst-error interval until the summed estimates meet the tolerance
-    or ``max_subdivisions`` bisections have been spent; in the latter
-    case the result is returned with converged = False.
+    endpoint behavior like sqrt(b - t) is admissible.  The driver starts
+    from the panels that ``breakpoints``, increasing and strictly inside
+    (a, b), cut [a, b] into, as QUADPACK's QAGP does; without them it
+    starts from [a, b] alone.  Each starting panel costs 15 evaluations
+    and is not a subdivision.  The driver then bisects the worst-error
+    panel until the summed estimates meet the tolerance or
+    ``max_subdivisions`` bisections have been spent; in the latter case
+    the result is returned with converged = False.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    value, err = _kronrod_panel(f, a, b)
-    evaluations = 15
+    edges = [a, *breakpoints, b]
+    panels = list(zip(edges, edges[1:]))
+    if not all(lo < hi for lo, hi in panels):
+        raise ValueError(
+            f"need a < breakpoints < b, increasing, got [{a}, {b}] "
+            f"with breakpoints {list(breakpoints)}"
+        )
     # Heap entries: (-error, tiebreak, a, b, value, error).
-    counter = 0
-    heap = [(-err, counter, a, b, value, err)]
-    total_value = value
-    total_err = err
+    heap = []
+    for counter, (lo, hi) in enumerate(panels):
+        value, err = _kronrod_panel(f, lo, hi)
+        heap.append((-err, counter, lo, hi, value, err))
+    heapq.heapify(heap)
+    evaluations = 15 * len(heap)
+    total_value = math.fsum(entry[4] for entry in heap)
+    total_err = math.fsum(entry[5] for entry in heap)
     subdivisions = 0
     while (
         total_err > config.tolerance_for(total_value)
@@ -268,8 +288,30 @@ def _halved(config: QuadConfig) -> QuadConfig:
     return replace(config, abs_tol=0.5 * config.abs_tol, rel_tol=0.5 * config.rel_tol)
 
 
+def _dyadic_edges(top: float, scale: float | None) -> list[float]:
+    """top/2, top/4, ... while above 4 scale, in increasing order.
+
+    These cut [0, top] into panels whose widths halve towards t = 0, the
+    last next to 0 between 4 and 8 times ``scale`` wide (or [0, top]
+    alone if that is already narrower than 8 scale).
+    """
+    if scale is None:
+        return []
+    if not scale > 0:  # also rejects NaN
+        raise ValueError(f"scale must be positive, got {scale}")
+    edges = []
+    edge = 0.5 * top
+    while edge > 4.0 * scale:
+        edges.append(edge)
+        edge *= 0.5
+    return edges[::-1]
+
+
 def _truncated_half_line(
-    f: Callable[[float], float], config: QuadConfig, tail: TailBound
+    f: Callable[[float], float],
+    config: QuadConfig,
+    tail: TailBound,
+    scale: float | None,
 ) -> QuadResult:
     if tail.K <= 0 or tail.c <= 0:
         raise ValueError(f"tail bound constants must be positive, got {tail}")
@@ -280,7 +322,9 @@ def _truncated_half_line(
     remainder = (tail.K / tail.c) * math.exp(-tail.c * cutoff)
     # The finite pass gets half the budget so that adding the remainder
     # cannot push an otherwise-converged result past the tolerance.
-    base = integrate_finite(f, 0.0, cutoff, _halved(config))
+    base = integrate_finite(
+        f, 0.0, cutoff, _halved(config), _dyadic_edges(cutoff, scale)
+    )
     total_err = base.error_estimate + remainder
     return QuadResult(
         value=base.value,
@@ -291,7 +335,7 @@ def _truncated_half_line(
 
 
 def _algebraic_split_half_line(
-    f: Callable[[float], float], config: QuadConfig
+    f: Callable[[float], float], config: QuadConfig, scale: float | None
 ) -> QuadResult:
     """integral_0^inf f = integral_0^1 f(t) dt + integral_0^1 f(1/s)/s^2 ds.
 
@@ -304,7 +348,7 @@ def _algebraic_split_half_line(
     with ``far_piece`` set, instead of losing that mass silently.
     """
     half = _halved(config)
-    near = integrate_finite(f, 0.0, 1.0, half)
+    near = integrate_finite(f, 0.0, 1.0, half, _dyadic_edges(1.0, scale))
 
     def inverted(s: float) -> float:
         t = 1.0 / s
@@ -330,15 +374,22 @@ def integrate_half_line(
     f: Callable[[float], float],
     config: QuadConfig,
     tail: TailBound | None = None,
+    scale: float | None = None,
 ) -> QuadResult:
     """Integrate f over (0, inf).
 
     With ``tail``, the constants of an analytic bound
-    |f(t)| <= K exp(-c t), the integral is truncated and the bounded
-    remainder is added to the error estimate.  With ``tail=None`` it is
-    split at t = 1 and the far piece is inverted, which assumes no decay
-    rate.
+    |f(t)| <= K exp(-c t), the integral is truncated at T and the
+    bounded remainder is added to the error estimate.  With
+    ``tail=None`` it is split at t = 1 and the far piece is inverted,
+    which assumes no decay rate.
+
+    ``scale`` is the width over which f changes near t = 0, when the
+    caller knows it.  The finite piece that reaches 0 ([0, T], or [0, 1]
+    after the split) then starts from a dyadic mesh with edges T/2,
+    T/4, ... down to the last one above 4 scale, so the driver does not
+    have to find that scale by bisecting one panel at a time.
     """
     if tail is None:
-        return _algebraic_split_half_line(f, config)
-    return _truncated_half_line(f, config, tail)
+        return _algebraic_split_half_line(f, config, scale)
+    return _truncated_half_line(f, config, tail, scale)

@@ -187,14 +187,18 @@ def _gamma_closed_form(n: int) -> _Estimate:
 def _malmsten(n: int, config: QuadConfig) -> _Estimate:
     _check_index(n)
     spec = malmsten_catalan_kernel(n)
-    qr = integrate_half_line(spec.integrand, config, tail=spec.tail_constants)
+    qr = integrate_half_line(
+        spec.integrand, config, tail=spec.tail_constants, scale=spec.scale
+    )
     return _assemble(qr, qr.error_estimate, _prefactor_ln(n), qr.value)
 
 
 def _binet(n: int, config: QuadConfig) -> _Estimate:
     _check_index(n)
     spec = binet_catalan_kernel(n)
-    qr = integrate_half_line(spec.integrand, config, tail=spec.tail_constants)
+    qr = integrate_half_line(
+        spec.integrand, config, tail=spec.tail_constants, scale=spec.scale
+    )
     return _assemble(
         qr,
         qr.error_estimate,

@@ -328,6 +328,16 @@ def test_dump_kernel_two_points():
     assert float(lines[2].split(",")[0]) == pytest.approx(50.0)
 
 
+def test_dump_kernel_help_warns_of_difference_noise():
+    # Below t of about 1e-16 the difference kernel prints rounding noise;
+    # --help says so rather than leaving it to the README.
+    result = runner.invoke(main, ["dump-kernel", "--help"])
+    assert result.exit_code == 0
+    text = " ".join(result.output.split())
+    assert "difference kernel" in text
+    assert "below t of about 1e-16 it prints rounding noise" in text
+
+
 def test_dump_kernel_t_min_zero_is_usage_error():
     # The grid is log-spaced and the kernels are sampled only at t > 0.
     result = runner.invoke(

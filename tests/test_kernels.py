@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from closed_forms import kernel_origin_cases
-from oracles import binet_theta, log_gamma_malmsten
+from oracles import binet_theta, log_gamma_malmsten, theta_kernel
 from catalan_integrals.kernels import (
     KernelSpec,
     binet_catalan_kernel,
@@ -245,8 +245,23 @@ def test_malmsten_and_difference_kernels_agree_pointwise():
             assert abs(fv - gv) <= 1e-13 * max(1.0, abs(fv)), (n, t)
 
 
+def test_kernels_carry_the_scale_of_their_origin_factor():
+    # All three Catalan kernels carry e^{-(n + 1/2) t}; the difference
+    # form reuses the Malmsten spec, tail and scale alike.
+    for n in (0, 1, 7, 10_000):
+        malmsten = malmsten_catalan_kernel(n)
+        assert malmsten.scale == 1.0 / (n + 0.5)
+        assert binet_catalan_kernel(n).scale == malmsten.scale
+        difference = log_gamma_difference_kernel(n)
+        assert difference[1:] == malmsten[1:]
+    # A spec built from a function and a tail bound alone has no scale.
+    assert theta_kernel(1.0).scale is None
+
+
 def _kernel_integral(spec: KernelSpec, cfg: QuadConfig) -> float:
-    result = integrate_half_line(spec.integrand, cfg, tail=spec.tail_constants)
+    result = integrate_half_line(
+        spec.integrand, cfg, tail=spec.tail_constants, scale=spec.scale
+    )
     assert result.converged
     return result.value
 

@@ -120,6 +120,39 @@ def test_invalid_interval_rejected(cfg):
         integrate_finite(math.exp, 2.0, 1.0, cfg)
 
 
+def test_breakpoints_seed_panels_at_fifteen_evaluations_each(cfg):
+    # Three starting panels, each smooth enough for one rule: 45
+    # evaluations, no bisection, the same integral.
+    result = integrate_finite(math.exp, 0.0, 1.0, cfg, [0.25, 0.5])
+    assert result.evaluations == 45
+    assert result.converged
+    assert abs(result.value - (math.e - 1.0)) <= 10.0 * result.error_estimate
+
+
+@pytest.mark.parametrize(
+    "breakpoints",
+    [[1.5], [-0.5], [0.0], [1.0], [0.6, 0.3], [0.5, 0.5], [float("nan")]],
+)
+def test_breakpoints_outside_or_out_of_order_rejected(breakpoints, cfg):
+    with pytest.raises(ValueError):
+        integrate_finite(math.exp, 0.0, 1.0, cfg, breakpoints)
+
+
+def test_seeded_panels_are_not_subdivisions():
+    # max_subdivisions limits bisections only: with one allowed, a
+    # singular integrand on four seeded panels costs 4 * 15 + 30.
+    one = QuadConfig(abs_tol=1e-15, rel_tol=0.0, max_subdivisions=1)
+    result = integrate_finite(
+        lambda x: 1.0 / math.sqrt(x) if x > 0.0 else 0.0,
+        0.0,
+        1.0,
+        one,
+        [0.25, 0.5, 0.75],
+    )
+    assert result.evaluations == 90
+    assert not result.converged
+
+
 def test_non_convergence_is_reported_not_raised():
     tight = QuadConfig(abs_tol=1e-15, rel_tol=0.0, max_subdivisions=3)
     result = integrate_finite(
@@ -213,6 +246,36 @@ def test_slow_algebraic_decay_is_never_silent(cfg):
     assert message.startswith("far piece f(1/s)/s^2 returned nan")
     assert f"s = {s!r}" in message
     assert "t = 1/s = inf" in message
+
+
+SPIKE_WIDTH = 1e-6
+
+
+def _spike(t: float) -> float:
+    # t e^{-t/w} / w^2: integral 1, peak at t = w, and for w <= 1/2 it
+    # sits under e^{-t} / w.
+    return t * math.exp(-t / SPIKE_WIDTH) / SPIKE_WIDTH**2
+
+
+@pytest.mark.parametrize(
+    "tail", [TailBound(1.0 / SPIKE_WIDTH, 1.0), None], ids=["truncated", "split"]
+)
+def test_narrow_spike_at_origin_is_found_with_its_scale(tail, cfg):
+    # The first panel, [0, T] or [0, 1], samples no t below a few 1e-3,
+    # where the spike has long vanished: without its scale the driver
+    # sees zeros and stops at once with a value of 0.
+    blind = integrate_half_line(_spike, cfg, tail=tail)
+    assert abs(blind.value) <= 1e-12
+    seeded = integrate_half_line(_spike, cfg, tail=tail, scale=SPIKE_WIDTH)
+    assert seeded.converged
+    assert abs(seeded.value - 1.0) <= 10.0 * seeded.error_estimate
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_scale_must_be_positive(scale, cfg):
+    for tail in (TailBound(1.0, 1.0), None):
+        with pytest.raises(ValueError):
+            integrate_half_line(lambda t: math.exp(-t), cfg, tail=tail, scale=scale)
 
 
 def test_explicit_tail_constants_must_be_positive(cfg):

@@ -77,18 +77,31 @@ def test_penson_mellin_anchors(cfg):
 PENSON_ROUTES = (catalan_penson_moment, catalan_penson_mellin)
 
 
-@pytest.mark.parametrize("route", PENSON_ROUTES)
-def test_penson_rows_honest_against_mpmath(route, cfg):
+def _check_against_mpmath(route, ns, cfg, max_err):
     # Oracle independent of the package: 40-digit loggamma of
-    # C_n = (2n)! / (n! (n + 1)!), over the whole range the routes accept.
+    # C_n = (2n)! / (n! (n + 1)!).  Every row must be converged, honest
+    # (true error within 10 times its estimate) and within max_err.
     with mp.workdps(40):
-        for n in range(PENSON_MAX_N + 1):
+        for n in ns:
             row = route(n, cfg)
             exact = mp.loggamma(2 * n + 1) - mp.loggamma(n + 1) - mp.loggamma(n + 2)
             err = float(abs(mp.mpf(row.ln_value) - exact))
             assert row.converged, n
             assert err <= 10.0 * row.quad_error_estimate, (n, err)
-            assert err <= 1e-12, (n, err)
+            assert err <= max_err, (n, err)
+
+
+@pytest.mark.parametrize("route", PENSON_ROUTES)
+def test_penson_rows_honest_against_mpmath(route, cfg):
+    # Over the whole range the routes accept.
+    _check_against_mpmath(route, range(PENSON_MAX_N + 1), cfg, 1e-12)
+
+
+@pytest.mark.parametrize("route", (catalan_malmsten, catalan_binet))
+def test_half_line_rows_honest_against_mpmath_at_every_n(route, cfg):
+    # The seeded mesh depends on n through the kernel's scale 1/(n + 1/2),
+    # so every n of the sweep gets a partition of its own.
+    _check_against_mpmath(route, range(PENSON_MAX_N + 1), cfg, 1e-12)
 
 
 # Four per decade from 10 to 1e6, among them 31,623 and 100,000.  The
@@ -103,14 +116,7 @@ def test_large_n_rows_honest_against_mpmath(route, cfg):
     # own estimate: the rounding bound of the assembly keeps the row
     # honest.
     assert 31_623 in LARGE_NS and 100_000 in LARGE_NS
-    with mp.workdps(40):
-        for n in LARGE_NS:
-            row = route(n, cfg)
-            exact = mp.loggamma(2 * n + 1) - mp.loggamma(n + 1) - mp.loggamma(n + 2)
-            err = float(abs(mp.mpf(row.ln_value) - exact))
-            assert row.converged, n
-            assert err <= 10.0 * row.quad_error_estimate, (n, err)
-            assert err <= 1e-8, (n, err)
+    _check_against_mpmath(route, LARGE_NS, cfg, 1e-8)
 
 
 def test_malmsten_at_tightest_tolerance_returns_a_row():
@@ -132,6 +138,24 @@ def test_malmsten_at_tightest_tolerance_returns_a_row():
 )
 def test_penson_evaluation_budget(route, budget, cfg):
     total = sum(route(n, cfg).evaluations for n in range(PENSON_MAX_N + 1))
+    assert total <= budget
+
+
+# Summed integrand evaluations at the default config.  Before the
+# half-line driver started from a dyadic mesh at the kernel's scale they
+# were 69,225 (Malmsten) and 18,225 (Binet) over n = 0..200, and 2,685
+# (Malmsten) over the large n.
+@pytest.mark.parametrize(
+    "route, ns, budget",
+    [
+        (catalan_malmsten, range(PENSON_MAX_N + 1), 45_000),
+        (catalan_binet, range(PENSON_MAX_N + 1), 13_000),
+        (catalan_malmsten, (1_000, 3_162, 10_000, 31_623, 100_000), 1_600),
+    ],
+    ids=["malmsten-sweep", "binet-sweep", "malmsten-large-n"],
+)
+def test_half_line_evaluation_budget(route, ns, budget, cfg):
+    total = sum(route(n, cfg).evaluations for n in ns)
     assert total <= budget
 
 

@@ -114,9 +114,10 @@ def _check_against_lgamma(n: int, ln_c: float) -> None:
     least ln 2, outside the 1e-9 (1 + ln C_n) tolerance for every n below
     10^8."""
     via_lgamma = math.lgamma(2 * n + 1) - math.lgamma(n + 1) - math.lgamma(n + 2)
-    assert abs(ln_c - via_lgamma) <= 1e-9 * (1.0 + via_lgamma), (
-        f"prime factorisation of C_n disagrees with lgamma at n = {n}"
-    )
+    if not abs(ln_c - via_lgamma) <= 1e-9 * (1.0 + via_lgamma):
+        raise ArithmeticError(
+            f"prime factorisation of C_n disagrees with lgamma at n = {n}"
+        )
 
 
 def catalan_exact(n: int) -> int:
@@ -143,7 +144,8 @@ def catalan_numbers() -> Iterator[int]:
     for k in count():
         yield value
         value, r = divmod(value * 2 * (2 * k + 1), k + 2)
-        assert r == 0, f"ratio recurrence left a remainder at n = {k + 1}"
+        if r:
+            raise ArithmeticError(f"ratio recurrence left a remainder at n = {k + 1}")
 
 
 def _top_bits(m: int) -> tuple[float, int]:

@@ -2,8 +2,8 @@
 
 The base rule is the 15-point Kronrod extension of 7-point Gauss
 (G7/K15) with the classical QUADPACK error estimate; the adaptive
-driver starts from one panel, or from the panels a caller's breakpoints
-cut, and bisects the panel with the worst estimate first.
+driver starts from one panel and bisects the panel with the worst
+estimate first.
 
 Half-line integrals over (0, inf) are reduced to finite ones in one of
 two ways, picked by whether the caller supplies tail constants:
@@ -21,9 +21,11 @@ two ways, picked by whether the caller supplies tail constants:
   tolerances, while the inversion lands both singular endpoints at 0
   where the floating-point grid stays dense.
 
-A caller that knows the width over which f changes near t = 0 passes it
-as ``scale``; the piece that reaches 0 then starts from a dyadic mesh
-down to that width instead of one panel.
+A caller that knows the width over which f changes next to the lower
+end passes it as ``scale``, the one way to seed a mesh: the driver then
+starts from dyadic panels that halve down to that width instead of one
+panel.  The half-line reductions hand it to the piece that reaches
+t = 0 and leave the inverted far piece unseeded.
 
 Integrands are plain functions.  The rule is open, so an endpoint is
 never sampled, but bisection may close in on one until the panels
@@ -39,7 +41,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 __all__ = [
     "IntegrandEvaluationError",
@@ -220,30 +222,39 @@ def integrate_finite(
     a: float,
     b: float,
     config: QuadConfig,
-    breakpoints: Sequence[float] = (),
+    scale: float | None = None,
 ) -> QuadResult:
     """Globally adaptive G7/K15 integration of f over [a, b].
 
     Endpoints are never sampled (the rule is open), so integrable
-    endpoint behavior like sqrt(b - t) is admissible.  The driver starts
-    from the panels that ``breakpoints``, increasing and strictly inside
-    (a, b), cut [a, b] into, as QUADPACK's QAGP does; without them it
-    starts from [a, b] alone.  Each starting panel costs 15 evaluations
-    and is not a subdivision.  The driver then bisects the worst-error
-    panel until the summed estimates meet the tolerance or
-    ``max_subdivisions`` bisections have been spent; in the latter case
-    the result is returned with converged = False.
+    endpoint behavior like sqrt(b - t) is admissible.  ``scale`` is the
+    width over which f changes next to a, when the caller knows it: the
+    driver then starts from the dyadic panels with edges a + (b - a)/2,
+    a + (b - a)/4, ... down to the last one more than 4 scale from a,
+    as QUADPACK's QAGP starts from its breakpoints, so that it does not
+    have to find that width by bisecting one panel at a time.  Without
+    it the driver starts from [a, b] alone.  Each starting panel costs
+    15 evaluations and is not a subdivision.  The driver then bisects
+    the worst-error panel until the summed estimates meet the tolerance
+    or ``max_subdivisions`` bisections have been spent; in the latter
+    case the result is returned with converged = False.
     """
-    edges = [a, *breakpoints, b]
-    panels = list(zip(edges, edges[1:]))
-    if not all(lo < hi for lo, hi in panels):
-        raise ValueError(
-            f"need a < breakpoints < b, increasing, got [{a}, {b}] "
-            f"with breakpoints {list(breakpoints)}"
-        )
+    if not -math.inf < a < b < math.inf:  # also rejects NaN
+        raise ValueError(f"need finite a < b, got [{a}, {b}]")
+    edges = [b]
+    if scale is not None:
+        if not scale > 0:  # also rejects NaN
+            raise ValueError(f"scale must be positive, got {scale}")
+        # Halved separately so that b - a cannot overflow.
+        width = 0.5 * b - 0.5 * a
+        while width > 4.0 * scale:
+            edges.append(a + width)
+            width *= 0.5
+    edges.append(a)
+    edges.reverse()
     # Heap entries: (-error, tiebreak, a, b, value, error).
     heap = []
-    for counter, (lo, hi) in enumerate(panels):
+    for counter, (lo, hi) in enumerate(zip(edges, edges[1:])):
         value, err = _kronrod_panel(f, lo, hi)
         heap.append((-err, counter, lo, hi, value, err))
     heapq.heapify(heap)
@@ -288,25 +299,6 @@ def _halved(config: QuadConfig) -> QuadConfig:
     return replace(config, abs_tol=0.5 * config.abs_tol, rel_tol=0.5 * config.rel_tol)
 
 
-def _dyadic_edges(top: float, scale: float | None) -> list[float]:
-    """top/2, top/4, ... while above 4 scale, in increasing order.
-
-    These cut [0, top] into panels whose widths halve towards t = 0, the
-    last next to 0 between 4 and 8 times ``scale`` wide (or [0, top]
-    alone if that is already narrower than 8 scale).
-    """
-    if scale is None:
-        return []
-    if not scale > 0:  # also rejects NaN
-        raise ValueError(f"scale must be positive, got {scale}")
-    edges = []
-    edge = 0.5 * top
-    while edge > 4.0 * scale:
-        edges.append(edge)
-        edge *= 0.5
-    return edges[::-1]
-
-
 def _truncated_half_line(
     f: Callable[[float], float],
     config: QuadConfig,
@@ -322,9 +314,7 @@ def _truncated_half_line(
     remainder = (tail.K / tail.c) * math.exp(-tail.c * cutoff)
     # The finite pass gets half the budget so that adding the remainder
     # cannot push an otherwise-converged result past the tolerance.
-    base = integrate_finite(
-        f, 0.0, cutoff, _halved(config), _dyadic_edges(cutoff, scale)
-    )
+    base = integrate_finite(f, 0.0, cutoff, _halved(config), scale)
     total_err = base.error_estimate + remainder
     return QuadResult(
         value=base.value,
@@ -348,7 +338,7 @@ def _algebraic_split_half_line(
     with ``far_piece`` set, instead of losing that mass silently.
     """
     half = _halved(config)
-    near = integrate_finite(f, 0.0, 1.0, half, _dyadic_edges(1.0, scale))
+    near = integrate_finite(f, 0.0, 1.0, half, scale)
 
     def inverted(s: float) -> float:
         t = 1.0 / s
@@ -385,10 +375,8 @@ def integrate_half_line(
     which assumes no decay rate.
 
     ``scale`` is the width over which f changes near t = 0, when the
-    caller knows it.  The finite piece that reaches 0 ([0, T], or [0, 1]
-    after the split) then starts from a dyadic mesh with edges T/2,
-    T/4, ... down to the last one above 4 scale, so the driver does not
-    have to find that scale by bisecting one panel at a time.
+    caller knows it; it is passed to ``integrate_finite`` for the piece
+    that reaches 0 ([0, T], or [0, 1] after the split).
     """
     if tail is None:
         return _algebraic_split_half_line(f, config, scale)

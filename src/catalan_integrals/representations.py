@@ -36,10 +36,11 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   The collapsed identity is verified numerically in the test suite, and
   the theta difference is exactly the Binet-Catalan kernel integral.
 * ``penson_moment``: C_n = (2/pi) 4^n integral_{-1}^{1} t^{2n}
-  sqrt(1 - t^2) dt, a finite-interval moment form.  With t = sin(theta)
-  the integrand becomes sin^{2n}(theta) cos^2(theta), which is even, so
-  C_n = (4/pi) 4^n J with J = integral_0^{pi/2} sin^{2n}(theta)
-  cos^2(theta) d theta.
+  sqrt(1 - t^2) dt, a finite-interval moment form.  With t = cos(phi)
+  the integrand becomes cos^{2n}(phi) sin^2(phi), which is even, so
+  C_n = (4/pi) 4^n J with J = integral_0^{pi/2} cos^{2n}(phi)
+  sin^2(phi) d phi.  J is evaluated as sin^2(phi) exp(n log1p(-sin^2
+  phi)), whose rounding does not grow with n as that of cos^{2n} does.
 * ``penson_mellin``: C_n = (4^{n+2}/pi) integral_0^inf sqrt(t) /
   (4t + 1)^{n+2} dt.  With t = s^2 this is C_n = (4^{n+2}/pi) I with
   I = integral_0^inf 2 s^2 / (4 s^2 + 1)^{n+2} ds.  The integrand decays
@@ -47,18 +48,25 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   half-line integral is split at s = 1 with the far piece inverted,
   where it reads 2 s^{2n} / (4 + s^2)^{n+2}.  The substitution
   4t = tan^2(phi) would remove the singularity as well, but it maps I
-  to (1/4) integral_0^{pi/2} sin^2(phi) cos^{2n}(phi) d phi, which is
-  J reflected about pi/4: the two Penson routes would then evaluate
-  the same integrand and stop being independent checks.
+  to (1/4) integral_0^{pi/2} sin^2(phi) cos^{2n}(phi) d phi, exactly a
+  quarter of the moment route's integrand: the two Penson routes would
+  then evaluate the same integrand and stop being independent checks.
+  From n of about 1,000 on, the far piece reads 0: its true value is
+  below 5^{-n}/8, under every tolerance.
 
 The substitutions remove the algebraic singularities of the original
 integrands (sqrt(1 - t^2) at t = +-1 and sqrt(t) at t = 0), which the
 adaptive driver could only resolve by bisecting into them many times;
 the substituted integrands are smooth on their whole intervals.  Both
-are computed in linear scale (J and I are of order n^{-3/2}, far from
-the limits of a double) and only their logs enter the assembly, so the
-quadrature error estimate is propagated to the ln scale as
-estimate / value.
+peak at 0 over a width of about 1/sqrt(n + 1), which is passed to the
+quadrature as its ``scale``, so the first panels resolve the peak at
+every n.  Both are computed in linear scale (J and I are of order
+n^{-3/2}, far from the limits of a double) and only their logs enter
+the assembly, so the quadrature error estimate is propagated to the ln
+scale as estimate / value.  That estimate stays honest at every n, but
+the quadrature's target max(abs_tol, rel_tol |value|) is absolute once
+the value falls below abs_tol / rel_tol, so at large n it is loose: at
+n = 10^6 about 1e-4 on the ln scale under the default config.
 
 Every quadrature route sums its terms of ln C_n with ``math.fsum`` and
 adds a bound on their rounding, 4 eps times the sum of their absolute
@@ -88,7 +96,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "PENSON_MAX_N",
     "ROUTES",
     "Method",
     "RepresentationResult",
@@ -100,10 +107,6 @@ __all__ = [
     "catalan_penson_moment",
     "compare_representations",
 ]
-
-# The largest n at which the Penson routes are offered as cross-checks,
-# the range over which their accuracy and cost are tested.
-PENSON_MAX_N = 200
 
 
 class Method(enum.Enum):
@@ -210,35 +213,36 @@ def _binet(n: int, config: QuadConfig) -> _Estimate:
     )
 
 
+def _penson_width(n: int) -> float:
+    """Width of the peak at 0 of both Penson integrands, 1/sqrt(n + 1)."""
+    return 1.0 / math.sqrt(n + 1.0)
+
+
 def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
-    _check_penson_index(n)
-    power = 2.0 * n
+    _check_index(n)
 
-    def fn(theta: float) -> float:
-        c = math.cos(theta)
-        return math.sin(theta) ** power * (c * c)
+    def fn(phi: float) -> float:
+        s2 = math.sin(phi) ** 2
+        # Within about 1e-8 of pi/2, sin(phi) rounds to 1, where
+        # log1p(-1) raises; cos^{2n}(phi) is then (1 - s2)^n = 0^n.
+        return s2 * (math.exp(n * math.log1p(-s2)) if s2 < 1.0 else 0.0**n)
 
-    qr = integrate_finite(fn, 0.0, 0.5 * math.pi, config)
+    qr = integrate_finite(fn, 0.0, 0.5 * math.pi, config, _penson_width(n))
     error = qr.error_estimate / qr.value
     return _assemble(qr, error, 2.0 * (n + 1) * _LN2, -_LN_PI, math.log(qr.value))
 
 
 def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
-    _check_penson_index(n)
+    _check_index(n)
     power = n + 2.0
 
     def fn(s: float) -> float:
         u = s * s
         return 2.0 * u * math.exp(-power * math.log1p(4.0 * u))
 
-    qr = integrate_half_line(fn, config)
+    qr = integrate_half_line(fn, config, scale=_penson_width(n))
     error = qr.error_estimate / qr.value
     return _assemble(qr, error, 2.0 * power * _LN2, -_LN_PI, math.log(qr.value))
-
-
-def _check_penson_index(n: int) -> None:
-    if not 0 <= n <= PENSON_MAX_N:
-        raise ValueError(f"Penson routes require 0 <= n <= {PENSON_MAX_N}, got {n}")
 
 
 def catalan_gamma_closed_form(n: int) -> RepresentationResult:
@@ -273,11 +277,12 @@ def catalan_binet(n: int, config: QuadConfig) -> RepresentationResult:
 
 def catalan_penson_moment(n: int, config: QuadConfig) -> RepresentationResult:
     """ln C_n = 2 ln 2 - ln pi + 2n ln 2 + ln J,
-    J = integral_0^{pi/2} sin^{2n}(theta) cos^2(theta) d theta.
+    J = integral_0^{pi/2} cos^{2n}(phi) sin^2(phi) d phi.
 
     J is half of the moment integral_{-1}^1 t^{2n} sqrt(1 - t^2) dt after
-    t = sin(theta), which leaves an integrand that is smooth up to both
-    ends of its interval.
+    t = cos(phi), which leaves an integrand that is smooth up to both
+    ends of its interval and peaks at phi = 0 over a width of about
+    1/sqrt(n + 1), the quadrature's ``scale``.
     """
     return _row(n, Method.PENSON_MOMENT, _penson_moment(n, config), ln_exact(n))
 
@@ -287,10 +292,12 @@ def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
 
     I is the Mellin-type integral_0^inf sqrt(t)/(4t + 1)^{n+2} dt after
     t = s^2, which removes the square-root singularity at 0.  The
-    integrand decays like s^{-(2n + 2)}, so no exponential tail bound
-    exists; without one, ``integrate_half_line`` splits at s = 1 and
-    inverts the far piece.  The map 4t = tan^2(phi) is not used: it
-    turns I into a quarter of the moment route's J (module docstring).
+    integrand peaks at s = 0 over a width of about 1/sqrt(n + 1), the
+    quadrature's ``scale``, and decays like s^{-(2n + 2)}, so no
+    exponential tail bound exists; without one, ``integrate_half_line``
+    splits at s = 1 and inverts the far piece.  The map 4t = tan^2(phi)
+    is not used: it turns I into a quarter of the moment route's
+    integrand (module docstring).
     """
     return _row(n, Method.PENSON_MELLIN, _penson_mellin(n, config), ln_exact(n))
 
@@ -298,13 +305,11 @@ def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
 @dataclass(frozen=True)
 class Route:
     """One evaluation route: its ``Method``, its short command-line
-    ``name``, the callable ``estimate(n, config)`` that computes it and
-    the largest n it accepts (None when unbounded)."""
+    ``name`` and the callable ``estimate(n, config)`` that computes it."""
 
     method: Method
     name: str
     estimate: Callable[[int, QuadConfig], _Estimate]
-    max_n: int | None = None
 
     def evaluate(self, n: int, config: QuadConfig) -> RepresentationResult:
         """This route's row for n, compared with ``ln_exact(n)``."""
@@ -316,8 +321,8 @@ ROUTES = (
     Route(Method.GAMMA_CLOSED_FORM, "gamma", lambda n, cfg: _gamma_closed_form(n)),
     Route(Method.MALMSTEN, "malmsten", _malmsten),
     Route(Method.BINET, "binet", _binet),
-    Route(Method.PENSON_MOMENT, "penson-moment", _penson_moment, PENSON_MAX_N),
-    Route(Method.PENSON_MELLIN, "penson-mellin", _penson_mellin, PENSON_MAX_N),
+    Route(Method.PENSON_MOMENT, "penson-moment", _penson_moment),
+    Route(Method.PENSON_MELLIN, "penson-mellin", _penson_mellin),
 )
 
 

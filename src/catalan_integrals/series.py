@@ -206,7 +206,10 @@ def _exact_terms(odd_weight: bool) -> Iterator[float]:
         yield _term(n, c_2n, c_n, odd_weight)
         step = 4 * (4 * n + 1) * (4 * n + 3)
         c_2n, r = divmod(c_2n * step, (2 * n + 2) * (2 * n + 3))
-        assert r == 0, f"even-index recurrence left a remainder at 2n = {2 * n + 2}"
+        if r:
+            raise ArithmeticError(
+                f"even-index recurrence left a remainder at 2n = {2 * n + 2}"
+            )
 
 
 def _terms_needed(tol: float, odd_weight: bool) -> int:

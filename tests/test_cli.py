@@ -102,10 +102,13 @@ def test_rep_unknown_method_is_usage_error():
     assert result.exit_code == 2
 
 
-def test_rep_penson_index_cap_is_usage_error():
+def test_rep_penson_accepts_large_index():
+    # The Penson routes carry no cap on n: at n = 1e6 they converge and
+    # pass the default --tol.
     for method in ("penson-moment", "penson-mellin"):
-        result = runner.invoke(main, ["rep", method, "201"])
-        assert result.exit_code == 2, method
+        result = runner.invoke(main, ["rep", method, "1000000"])
+        assert result.exit_code == 0, method
+        assert "converged=true" in result.output, method
 
 
 def test_rep_choices_reach_every_method():
@@ -351,6 +354,16 @@ def test_dump_kernel_bad_range_is_usage_error():
         main, ["dump-kernel", "malmsten", "1", "--t-min", "5", "--t-max", "1"]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("t_max", ["inf", "nan"])
+def test_dump_kernel_non_finite_t_max_is_usage_error(t_max):
+    # An infinite end would print inf,nan rows rather than a table.
+    result = runner.invoke(
+        main, ["dump-kernel", "binet", "0", "--t-max", t_max, "--points", "3"]
+    )
+    assert result.exit_code == 2
+    assert "t,value" not in result.output
 
 
 def test_dump_kernel_unknown_kernel_is_usage_error():

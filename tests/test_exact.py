@@ -1,6 +1,9 @@
 """Exact integer routes, combinatorial oracles, and the log table."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -209,3 +212,27 @@ def test_representations_use_exact_ln_exact():
 def test_ln_exact_negative_rejected():
     with pytest.raises(ValueError):
         ln_exact(-3)
+
+
+def test_wrong_exponent_raises_under_python_O():
+    # One extra factor 2 moves ln C_50 from 62.85 to 63.55.  The lgamma
+    # witness must catch it even under -O, which strips assert statements.
+    package_root = os.path.dirname(os.path.dirname(exact.__file__))
+    pythonpath = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )
+    script = (
+        "from catalan_integrals import exact\n"
+        "factors = exact._catalan_factors\n"
+        "exact._catalan_factors = lambda n: iter([*factors(n), 2])\n"
+        "exact.ln_exact(50)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 1
+    assert "ArithmeticError: prime factorisation of C_n disagrees" in proc.stderr

@@ -118,36 +118,33 @@ def test_invalid_interval_rejected(cfg):
         integrate_finite(math.exp, 1.0, 1.0, cfg)
     with pytest.raises(ValueError):
         integrate_finite(math.exp, 2.0, 1.0, cfg)
+    # An infinite end would leave the seeding loop of ``scale`` unbounded.
+    with pytest.raises(ValueError):
+        integrate_finite(math.exp, 0.0, math.inf, cfg, scale=1.0)
 
 
-def test_breakpoints_seed_panels_at_fifteen_evaluations_each(cfg):
-    # Three starting panels, each smooth enough for one rule: 45
-    # evaluations, no bisection, the same integral.
-    result = integrate_finite(math.exp, 0.0, 1.0, cfg, [0.25, 0.5])
+def test_scale_seeds_panels_at_fifteen_evaluations_each(cfg):
+    # Edges 1.5 and 1.25 lie more than 4 scale = 0.2 above a = 1, 1.125
+    # does not: three starting panels, each smooth enough for one rule,
+    # so 45 evaluations, no bisection, the same integral.
+    result = integrate_finite(math.exp, 1.0, 2.0, cfg, scale=0.05)
     assert result.evaluations == 45
     assert result.converged
-    assert abs(result.value - (math.e - 1.0)) <= 10.0 * result.error_estimate
-
-
-@pytest.mark.parametrize(
-    "breakpoints",
-    [[1.5], [-0.5], [0.0], [1.0], [0.6, 0.3], [0.5, 0.5], [float("nan")]],
-)
-def test_breakpoints_outside_or_out_of_order_rejected(breakpoints, cfg):
-    with pytest.raises(ValueError):
-        integrate_finite(math.exp, 0.0, 1.0, cfg, breakpoints)
+    exact = math.e * (math.e - 1.0)
+    assert abs(result.value - exact) <= 10.0 * result.error_estimate
 
 
 def test_seeded_panels_are_not_subdivisions():
     # max_subdivisions limits bisections only: with one allowed, a
-    # singular integrand on four seeded panels costs 4 * 15 + 30.
+    # singular integrand on the four panels that scale = 0.02 seeds
+    # (edges 1/8, 1/4, 1/2) costs 4 * 15 + 30.
     one = QuadConfig(abs_tol=1e-15, rel_tol=0.0, max_subdivisions=1)
     result = integrate_finite(
         lambda x: 1.0 / math.sqrt(x) if x > 0.0 else 0.0,
         0.0,
         1.0,
         one,
-        [0.25, 0.5, 0.75],
+        scale=0.02,
     )
     assert result.evaluations == 90
     assert not result.converged
@@ -273,6 +270,8 @@ def test_narrow_spike_at_origin_is_found_with_its_scale(tail, cfg):
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
 def test_scale_must_be_positive(scale, cfg):
+    with pytest.raises(ValueError):
+        integrate_finite(math.exp, 0.0, 1.0, cfg, scale=scale)
     for tail in (TailBound(1.0, 1.0), None):
         with pytest.raises(ValueError):
             integrate_half_line(lambda t: math.exp(-t), cfg, tail=tail, scale=scale)

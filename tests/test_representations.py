@@ -8,7 +8,6 @@ import pytest
 from catalan_integrals import representations
 from catalan_integrals.exact import ln_exact
 from catalan_integrals.representations import (
-    PENSON_MAX_N,
     Method,
     RepresentationResult,
     catalan_binet,
@@ -18,7 +17,10 @@ from catalan_integrals.representations import (
     catalan_penson_moment,
     compare_representations,
 )
-from catalan_integrals.quadrature import QuadConfig
+from catalan_integrals.quadrature import QuadConfig, integrate_finite
+
+# The n = 0..200 of the benchmark's sweep.
+SWEEP = range(201)
 
 METHOD_ORDER = (
     Method.GAMMA_CLOSED_FORM,
@@ -93,15 +95,15 @@ def _check_against_mpmath(route, ns, cfg, max_err):
 
 @pytest.mark.parametrize("route", PENSON_ROUTES)
 def test_penson_rows_honest_against_mpmath(route, cfg):
-    # Over the whole range the routes accept.
-    _check_against_mpmath(route, range(PENSON_MAX_N + 1), cfg, 1e-12)
+    # The seeded mesh depends on n through the scale 1/sqrt(n + 1).
+    _check_against_mpmath(route, SWEEP, cfg, 1e-12)
 
 
 @pytest.mark.parametrize("route", (catalan_malmsten, catalan_binet))
 def test_half_line_rows_honest_against_mpmath_at_every_n(route, cfg):
     # The seeded mesh depends on n through the kernel's scale 1/(n + 1/2),
     # so every n of the sweep gets a partition of its own.
-    _check_against_mpmath(route, range(PENSON_MAX_N + 1), cfg, 1e-12)
+    _check_against_mpmath(route, SWEEP, cfg, 1e-12)
 
 
 # Four per decade from 10 to 1e6, among them 31,623 and 100,000.  The
@@ -110,11 +112,13 @@ def test_half_line_rows_honest_against_mpmath_at_every_n(route, cfg):
 LARGE_NS = [round(10 ** (k / 4)) for k in range(4, 25)]
 
 
-@pytest.mark.parametrize("route", (catalan_malmsten, catalan_binet))
+@pytest.mark.parametrize("route", (catalan_malmsten, catalan_binet, *PENSON_ROUTES))
 def test_large_n_rows_honest_against_mpmath(route, cfg):
     # Past a few thousand, one ulp of ln C_n is above the quadrature's
     # own estimate: the rounding bound of the assembly keeps the row
-    # honest.
+    # honest.  The Penson integrands peak over a width of 1/sqrt(n + 1),
+    # which one unseeded first panel misses: without their scale they
+    # read converged rows off by tens in ln C_n at n = 1e6.
     assert 31_623 in LARGE_NS and 100_000 in LARGE_NS
     _check_against_mpmath(route, LARGE_NS, cfg, 1e-8)
 
@@ -130,14 +134,43 @@ def test_malmsten_at_tightest_tolerance_returns_a_row():
         assert row.abs_err_ln <= 1e-12, n
 
 
+@pytest.mark.parametrize("route", PENSON_ROUTES)
+def test_penson_at_tightest_tolerance_returns_a_row(route):
+    # Below the float floor the driver may spend its whole budget, but
+    # what it returns stays a finite, accurate row.
+    tight = QuadConfig(abs_tol=1e-15, rel_tol=1e-15)
+    for n in (0, 1, 5):
+        row = route(n, tight)
+        assert math.isfinite(row.ln_value), n
+        assert row.abs_err_ln <= 1e-12, n
+
+
+def test_penson_moment_integrand_is_finite_where_sin_rounds_to_one(cfg, monkeypatch):
+    # Within about 1e-8 of pi/2, sin(phi) is 1.0 and log1p(-1) raises;
+    # the integrand must read (1 - 1)^n there instead.
+    integrands = []
+
+    def capture(f, *args):
+        integrands.append(f)
+        return integrate_finite(f, *args)
+
+    monkeypatch.setattr(representations, "integrate_finite", capture)
+    phi = 0.5 * math.pi - 1e-9
+    assert math.sin(phi) == 1.0
+    for n in (0, 1, 1_000):
+        catalan_penson_moment(n, cfg)
+        assert integrands[-1](phi) == (1.0 if n == 0 else 0.0), n
+
+
 # Summed integrand evaluations over n = 0..200 at the default config;
 # before the substitutions removed the endpoint singularities they were
-# 306,885 (moment) and 153,930 (Mellin).
+# 306,885 (moment) and 153,930 (Mellin), and before the integrands were
+# seeded at their scale 1/sqrt(n + 1) they were 31,515 and 35,220.
 @pytest.mark.parametrize(
-    "route, budget", [(catalan_penson_moment, 35_000), (catalan_penson_mellin, 40_000)]
+    "route, budget", [(catalan_penson_moment, 28_000), (catalan_penson_mellin, 34_000)]
 )
 def test_penson_evaluation_budget(route, budget, cfg):
-    total = sum(route(n, cfg).evaluations for n in range(PENSON_MAX_N + 1))
+    total = sum(route(n, cfg).evaluations for n in SWEEP)
     assert total <= budget
 
 
@@ -148,8 +181,8 @@ def test_penson_evaluation_budget(route, budget, cfg):
 @pytest.mark.parametrize(
     "route, ns, budget",
     [
-        (catalan_malmsten, range(PENSON_MAX_N + 1), 45_000),
-        (catalan_binet, range(PENSON_MAX_N + 1), 13_000),
+        (catalan_malmsten, SWEEP, 45_000),
+        (catalan_binet, SWEEP, 13_000),
         (catalan_malmsten, (1_000, 3_162, 10_000, 31_623, 100_000), 1_600),
     ],
     ids=["malmsten-sweep", "binet-sweep", "malmsten-large-n"],
@@ -167,15 +200,13 @@ def test_sweep_computes_exact_reference_once_per_n(cfg, monkeypatch):
         return ln_exact(n)
 
     monkeypatch.setattr(representations, "ln_exact", counting)
-    rows = compare_representations(PENSON_MAX_N, cfg)
-    assert calls == list(range(PENSON_MAX_N + 1))
+    rows = compare_representations(SWEEP[-1], cfg)
+    assert calls == list(SWEEP)
     assert all(row.exact_ln == ln_exact(row.n) for row in rows)
 
 
 def test_penson_range_guards(cfg):
-    for route in (catalan_penson_moment, catalan_penson_mellin):
-        with pytest.raises(ValueError):
-            route(PENSON_MAX_N + 1, cfg)
+    for route in PENSON_ROUTES:
         with pytest.raises(ValueError):
             route(-1, cfg)
 

@@ -16,7 +16,6 @@ from .exact import CatalanTable, catalan_exact, catalan_numbers, ln_exact
 from .kernels import (
     KernelSpec,
     binet_catalan_kernel,
-    log_gamma_difference_kernel,
     log_gamma_reference,
     malmsten_catalan_kernel,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "integrate_finite",
     "integrate_half_line",
     "ln_exact",
-    "log_gamma_difference_kernel",
     "log_gamma_reference",
     "malmsten_catalan_kernel",
     "series_tail_bound",

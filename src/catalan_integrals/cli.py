@@ -21,12 +21,8 @@ from decimal import Decimal
 
 import click
 
-from .exact import _log_of_positive_int, catalan_exact
-from .kernels import (
-    binet_catalan_kernel,
-    log_gamma_difference_kernel,
-    malmsten_catalan_kernel,
-)
+from .exact import catalan_exact, ln_exact
+from .kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from .quadrature import QuadConfig, QuadratureNotConverged
 from .report import _fmt, build_report, to_csv, to_json, to_text
 from .representations import ROUTES, RepresentationResult, compare_representations
@@ -43,7 +39,6 @@ _ROUTES_BY_NAME = {route.name: route for route in ROUTES}
 _KERNELS = {
     "malmsten": malmsten_catalan_kernel,
     "binet": binet_catalan_kernel,
-    "difference": log_gamma_difference_kernel,
 }
 
 EXIT_OK = 0
@@ -145,9 +140,8 @@ def _decimal_digits(value: int) -> str:
 @click.argument("n", type=click.IntRange(min=0))
 def cmd_exact(n: int) -> None:
     """Print C_N exactly (all digits), then ln C_N."""
-    c = catalan_exact(n)
-    click.echo(_decimal_digits(c))
-    click.echo(f"ln {_fmt(_log_of_positive_int(c))}")
+    click.echo(_decimal_digits(catalan_exact(n)))
+    click.echo(f"ln {_fmt(ln_exact(n))}")
 
 
 @main.command("rep")
@@ -303,13 +297,7 @@ def cmd_glaisher(abs_tol: float, rel_tol: float, max_subdivisions: int) -> None:
 def cmd_dump_kernel(
     kernel: str, n: int, t_min: float, t_max: float, points: int
 ) -> None:
-    """Tabulate KERNEL at index N on a log-spaced grid, as CSV ``t,value``.
-
-    The difference kernel keeps its raw, cancelling arithmetic and loses
-    about log10(1/t) digits: below t of about 1e-16 it prints rounding
-    noise, not the kernel's value.  The malmsten and binet kernels
-    cancel nothing near t = 0.
-    """
+    """Tabulate KERNEL at index N on a log-spaced grid, as CSV ``t,value``."""
     if not t_min < t_max < math.inf:
         raise click.UsageError(
             f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]"

@@ -7,12 +7,14 @@ constructor returns a ``KernelSpec``: the plain function of t, the
 tail-bound constants the quadrature layer needs for sound truncation
 and the scale of the kernel near t = 0, which seeds its mesh there.
 
-The two Catalan kernels integrate to ln Gamma(n + 1/2) - ln Gamma(n + 2),
-the integral factor common to both integral representations of C_n:
+The two Catalan kernels carry the integral factor common to both
+integral representations of C_n, ln Gamma(n + 1/2) - ln Gamma(n + 2):
 
-* ``malmsten_catalan_kernel``: from Malmsten's formula for ln Gamma,
-  applied to the two Gamma factors of the central-binomial closed form
-  and simplified to a single integrand.
+* ``malmsten_catalan_kernel``: Malmsten's formula for ln Gamma, applied
+  to the two Gamma factors of the central-binomial closed form and
+  simplified to a single integrand.  Its one term free of n is
+  integrated in closed form by Frullani's integral, so the kernel
+  integrates to the Gamma difference plus (3/2) ln(n + 1/2).
 * ``binet_catalan_kernel``: from the Binet correction theta(x) in
   ln Gamma(x + 1) = x ln x - x + ln(2 pi x)/2 + theta(x), applied at
   x = n + 1/2 and x = n + 2.
@@ -20,10 +22,12 @@ the integral factor common to both integral representations of C_n:
 Both are written so that no two nearly equal terms are subtracted, so
 they hold their accuracy at every t > 0 a quadrature rule may sample,
 down to the smallest normal double, and need no special case at the
-origin.  ``log_gamma_difference_kernel`` keeps the raw, cancelling
-arrangement on purpose, as an independent pointwise cross-check.  The
-test suite checks each kernel's origin limit and slope, derived by hand
-from its Taylor expansion, against the formula itself.
+origin.  Both decay like e^{-(n + 1/2) t}, and their tail bounds hold
+for every t > 0, as they must: the truncation point falls below t = 1
+from n of about 26 on at the default config.  The test suite checks
+each kernel's origin limit and slope, derived by hand from its Taylor
+expansion, against the formula itself, and the Malmsten kernel against
+its defining form.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "KernelSpec",
     "binet_catalan_kernel",
     "binet_core",
-    "log_gamma_difference_kernel",
     "log_gamma_reference",
     "malmsten_catalan_kernel",
 ]
@@ -118,73 +121,45 @@ def binet_core(t: float) -> float:
 
 
 def malmsten_catalan_kernel(n: int) -> KernelSpec:
-    """Kernel whose half-line integral is ln Gamma(n + 1/2) - ln Gamma(n + 2).
+    """Kernel whose half-line integral is
+    ln Gamma(n + 1/2) - ln Gamma(n + 2) + (3/2) ln(n + 1/2).
 
-    Defining form: [(e^{3t/2} - 1) / (e^t - 1) e^{-n t} - 3/2] e^{-t} / t.
-    With q = e^{-t/2} the ratio is q^{-1} R, R = (1 - q^3)/(1 - q^2) =
-    (1 + q + q^2)/(1 + q), so the kernel is q^2 [q^{2n-1} R - 3/2] / t.
-    Splitting the bracket as (q^{2n-1} - 1) R + (R - 3/2), with
-    q^{2n-1} - 1 = expm1(-(n - 1/2) t) and
-    R - 3/2 = (q - 1)(q + 1/2)/(1 + q) = expm1(-t/2)(q + 1/2)/(1 + q),
-    gives the evaluated form
+    Defining form: Malmsten's integral for the Gamma difference,
+    [(e^{3t/2} - 1) / (e^t - 1) e^{-(n+1) t} - (3/2) e^{-t}] / t.  Its
+    one term free of n, -(3/2) e^{-t}/t, is split off with Frullani's
+    integral_0^inf (e^{-a t} - e^{-b t}) / t dt = ln(b/a): subtracting
+    (3/2)(e^{-(n+1/2) t} - e^{-t}) / t, whose integral is
+    -(3/2) ln(n + 1/2), leaves
 
-        q^2 [expm1(-(n - 1/2) t)(1 + q + q^2) + expm1(-t/2)(q + 1/2)]
-        / ((1 + q) t).
+        [R - 3/2] e^{-(n+1/2) t} / t,  R = (1 - q^3)/(1 - q^2), q = e^{-t/2},
 
-    For n >= 1 both products are negative, so nothing cancels, and
-    expm1 keeps q - 1 accurate however small t is: the value stays
-    within a few ulp for every t > 0 whose result is a normal double.
-    At n = 0 the first factor expm1(t/2) would overflow past t = 1420;
-    there q^2 expm1(t/2) = -q expm1(-t/2), and the kernel becomes
-    -q expm1(-t/2)(1 + q/2) / ((1 + q) t), a product of positive
-    factors.
+    and with R - 3/2 = (q - 1)(q + 1/2)/(1 + q) the evaluated form
 
-    Tail: for t >= 1 the two exponential terms of the defining form sit
-    under 1.5 e^{-c t} with c = min(1, n + 1/2), and dividing by t >= 1
-    keeps their difference under that same envelope; K = 2.5 adds
-    margin.
+        expm1(-t/2) (q + 1/2)/(1 + q) e^{-(n+1/2) t} / t.
 
-    Scale: the factor e^{-(n + 1/2) t} (q^{2n+1} in the q-form) sets the
-    width 1/(n + 1/2) over which the kernel changes near t = 0.
+    The route adds -(3/2) ln(n + 1/2) back in closed form.  The three
+    factors need no subtraction of nearly equal terms and no exponent
+    above 0, so nothing cancels or overflows at any n, and expm1 keeps
+    q - 1 accurate however small t is: the value stays within a few ulp
+    for every t > 0 whose result is a normal double, apart from the
+    rounding of the argument (n + 1/2) t that every double evaluation of
+    e^{-(n + 1/2) t} carries.
+
+    Tail, for every t > 0: |expm1(-t/2)| <= t/2 and (q + 1/2)/(1 + q)
+    <= 3/4 (it increases with q <= 1), so |f| <= (3/8) e^{-(n+1/2) t};
+    K = 1/2 adds margin.
+
+    Scale: the factor e^{-(n + 1/2) t} sets the width 1/(n + 1/2) over
+    which the kernel changes near t = 0.
     """
     _check_index(n)
-    decay = n - 0.5
+    rate = n + 0.5
 
     def fn(t: float) -> float:
         q = math.exp(-0.5 * t)
-        qm1 = math.expm1(-0.5 * t)
-        if n == 0:
-            return -q * qm1 * (1.0 + 0.5 * q) / ((1.0 + q) * t)
-        q2 = q * q
-        bracket = math.expm1(-decay * t) * (1.0 + q + q2) + qm1 * (q + 0.5)
-        return q2 * bracket / ((1.0 + q) * t)
+        return math.expm1(-0.5 * t) / t * (q + 0.5) / (1.0 + q) * math.exp(-rate * t)
 
-    return KernelSpec(fn, TailBound(K=2.5, c=min(1.0, n + 0.5)), 1.0 / (n + 0.5))
-
-
-def log_gamma_difference_kernel(n: int) -> KernelSpec:
-    """The same integral as ``malmsten_catalan_kernel`` through the
-    pre-simplification form [(e^{-t} - e^{t/2}) / (e^{-t} - 1) e^{-n t} - 3/2] e^{-t} / t.
-
-    This is the two-Gamma Malmsten difference before the ratio is
-    normalized: (e^{-t} - e^{t/2})/(e^{-t} - 1) = (e^{3t/2} - 1)/(e^t - 1)
-    after multiplying numerator and denominator by e^t.  Kept as a
-    deliberately distinct arithmetic path for pointwise cross-checks;
-    it subtracts nearly equal terms as t -> 0 and loses about
-    log10(1/t) digits there.  Past t = 300 the literal e^{t/2} would
-    overflow long after the integrand is negligible, so the Malmsten
-    kernel takes over there.
-    """
-    base = malmsten_catalan_kernel(n)
-    malmsten = base.integrand
-
-    def fn(t: float) -> float:
-        if t > 300.0:
-            return malmsten(t)
-        num = math.expm1(-t) - math.expm1(0.5 * t)
-        return (num / math.expm1(-t) * math.exp(-n * t) - 1.5) * math.exp(-t) / t
-
-    return base._replace(integrand=fn)
+    return KernelSpec(fn, TailBound(K=0.5, c=rate), 1.0 / rate)
 
 
 def binet_catalan_kernel(n: int) -> KernelSpec:
@@ -196,9 +171,10 @@ def binet_catalan_kernel(n: int) -> KernelSpec:
     binet_core takes its series branch and the gap subtracts -2t from
     -t/2, which costs under one bit, so it needs no special case there.
 
-    Tail: binet_core <= 1/2 and e^{-t/2} - e^{-2t} <= e^{-t/2}; with
-    1/t <= 1 for t >= 1 the integrand sits under e^{-(n + 1/2) t} / 2.
-    The same factor e^{-(n + 1/2) t} gives the scale 1/(n + 1/2).
+    Tail, for every t > 0: binet_core(t) <= t/12 and e^{-t/2} - e^{-2t}
+    <= e^{-t/2}, so the integrand sits under e^{-(n + 1/2) t} / 12;
+    K = 1 adds margin.  The same factor e^{-(n + 1/2) t} gives the scale
+    1/(n + 1/2).
     """
     _check_index(n)
 

@@ -10,11 +10,7 @@ limit and slope of each kernel at t = 0.
 import math
 
 from oracles import theta_kernel
-from catalan_integrals.kernels import (
-    binet_catalan_kernel,
-    log_gamma_difference_kernel,
-    malmsten_catalan_kernel,
-)
+from catalan_integrals.kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from catalan_integrals.quadrature import TailBound
 
 # (label, integrand, a, b, exact value) on a finite interval.  The
@@ -136,10 +132,10 @@ def kernel_origin_cases():
     The limit and the slope of each kernel as t -> 0+, from its Taylor
     expansion about t = 0:
 
-    * Malmsten-Catalan, and the difference form of the same function:
-      (e^{3t/2} - 1)/(e^t - 1) = 3/2 + 3t/8 + 3t^2/32 + ..., so after
-      multiplying by e^{-(n+1)t} and subtracting 3/2 the kernel tends to
-      3/8 - 3n/2 with slope 3n^2/4 + 9n/8 - 1/4.
+    * Malmsten-Catalan: expm1(-t/2)/t = -1/2 + t/8 - ...,
+      (q + 1/2)/(1 + q) = 3/4 - t/16 + ... with q = e^{-t/2}, and
+      e^{-(n+1/2) t} = 1 - (n + 1/2) t + ..., so the kernel tends to
+      -3/8 with slope 3/32 + 1/32 + (3/8)(n + 1/2) = 3n/8 + 5/16.
     * Binet-Catalan: binet_core(t)/t -> 1/12 and
       e^{-t/2} - e^{-2t} = 3t/2 - 15t^2/8 + ..., so the kernel tends to
       0 with slope (1/12)(3/2) = 1/8.
@@ -148,12 +144,8 @@ def kernel_origin_cases():
     """
     cases = []
     for n in (0, 1, 5, 20):
-        limit = 0.375 - 1.5 * n
-        slope = 0.75 * n * n + 1.125 * n - 0.25
-        cases.append((f"malmsten n={n}", malmsten_catalan_kernel(n), limit, slope))
-        cases.append(
-            (f"difference n={n}", log_gamma_difference_kernel(n), limit, slope)
-        )
+        slope = 0.375 * n + 0.3125
+        cases.append((f"malmsten n={n}", malmsten_catalan_kernel(n), -0.375, slope))
         cases.append((f"binet n={n}", binet_catalan_kernel(n), 0.0, 0.125))
     for x in (0.5, 2.0):
         cases.append((f"theta x={x}", theta_kernel(x), 1.0 / 12.0, -x / 12.0))

@@ -8,11 +8,17 @@ The tests compare ``catalan_exact`` against these routes:
 * ``count_balanced_parentheses`` / ``count_polygon_triangulations``
   -- brute-force enumerations of two classical Catalan families
 
-and exercise the quadrature layer on two classical half-line integrals
+exercise the quadrature layer on two classical half-line integrals
 for a single ln Gamma, apart from the Catalan kernels:
 
 * ``log_gamma_malmsten`` -- Malmsten's integral for ln Gamma(x + 1)
 * ``binet_theta`` / ``theta_kernel`` -- Binet's correction theta(x)
+
+and check the Malmsten-Catalan kernel against its defining form:
+
+* ``log_gamma_difference_kernel`` -- Malmsten's integrand for
+  ln Gamma(n + 1/2) - ln Gamma(n + 2), before the split
+* ``frullani_term`` -- the part the split moves into closed form
 """
 
 import math
@@ -127,6 +133,39 @@ def log_gamma_malmsten(x: float, config: QuadConfig) -> QuadResult:
 
     tail = TailBound(K=abs(x) + 3.0, c=min(1.0, 1.0 + x))
     return integrate_half_line(fn, config, tail=tail)
+
+
+def log_gamma_difference_kernel(n: int) -> KernelSpec:
+    """Malmsten's integrand for ln Gamma(n + 1/2) - ln Gamma(n + 2) in its
+    defining form, [(e^{-t} - e^{t/2}) / (e^{-t} - 1) e^{-n t} - 3/2] e^{-t} / t.
+
+    The ratio equals (e^{3t/2} - 1)/(e^t - 1) after multiplying
+    numerator and denominator by e^t.  This is the raw two-Gamma
+    difference that ``malmsten_catalan_kernel`` splits with Frullani's
+    integral, evaluated on a deliberately different arithmetic path.
+    It subtracts nearly equal terms as t -> 0 and loses about
+    log10(1/t) digits there, and e^{t/2} overflows past t = 1420, far
+    beyond any truncation point its tail bound gives.
+    Tail: for t >= 1 the two exponential terms sit under
+    1.5 e^{-c t} with c = min(1, n + 1/2), and dividing by t >= 1 keeps
+    their difference under that same envelope; K = 2.5 adds margin.
+    With c <= 1 the quadrature truncates no earlier than t = ln 10 > 1,
+    so a bound proved for t >= 1 is enough.
+    """
+    _check_index(n)
+
+    def fn(t: float) -> float:
+        num = math.expm1(-t) - math.expm1(0.5 * t)
+        return (num / math.expm1(-t) * math.exp(-n * t) - 1.5) * math.exp(-t) / t
+
+    return KernelSpec(fn, TailBound(K=2.5, c=min(1.0, n + 0.5)), 1.0 / (n + 0.5))
+
+
+def frullani_term(n: int, t: float) -> float:
+    """(3/2)(e^{-(n+1/2) t} - e^{-t}) / t, whose half-line integral is
+    -(3/2) ln(n + 1/2) by Frullani's integral: the defining form less
+    this term is the split Malmsten-Catalan kernel."""
+    return 1.5 * (math.exp(-(n + 0.5) * t) - math.exp(-t)) / t
 
 
 def theta_kernel(x: float) -> KernelSpec:

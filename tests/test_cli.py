@@ -39,6 +39,14 @@ def test_exact_prints_digits_then_log():
     assert abs(float(lines[1].split()[1]) - math.log(5.0)) <= 1e-15
 
 
+def test_exact_log_is_the_one_rep_prints():
+    # ``exact`` prints ln_exact(n), the exact_ln of every row: at n = 29
+    # the log of the integer itself is 1 ulp away from it.
+    exact_line = runner.invoke(main, ["exact", "29"]).output.splitlines()[1]
+    rep = runner.invoke(main, ["rep", "gamma", "29"]).output
+    assert exact_line == "ln " + re.search(r"exact_ln=(\S+)", rep).group(1)
+
+
 def test_exact_edge_and_larger_values():
     assert runner.invoke(main, ["exact", "0"]).output.splitlines()[0] == "1"
     assert runner.invoke(main, ["exact", "10"]).output.splitlines()[0] == "16796"
@@ -305,10 +313,10 @@ def test_dump_kernel_malmsten_header_and_origin():
     lines = result.output.splitlines()
     assert lines[0] == "t,value"
     assert len(lines) == 1 + 50
-    # At t = 1e-8 the value sits at the origin limit 3/8 - 3n/2 = -9/8.
+    # At t = 1e-8 the value sits at the origin limit -3/8.
     first_t, first_v = lines[1].split(",")
     assert float(first_t) == pytest.approx(1e-8)
-    assert abs(float(first_v) - (-1.125)) <= 1e-6
+    assert abs(float(first_v) - (-0.375)) <= 1e-6
     # Every value parses and is finite.
     for line in lines[1:]:
         value = float(line.split(",")[1])
@@ -323,22 +331,12 @@ def test_dump_kernel_binet_origin_is_zero():
 
 
 def test_dump_kernel_two_points():
-    result = runner.invoke(main, ["dump-kernel", "difference", "0", "--points", "2"])
+    result = runner.invoke(main, ["dump-kernel", "malmsten", "0", "--points", "2"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert len(lines) == 3
     assert float(lines[1].split(",")[0]) == pytest.approx(1e-8)
     assert float(lines[2].split(",")[0]) == pytest.approx(50.0)
-
-
-def test_dump_kernel_help_warns_of_difference_noise():
-    # Below t of about 1e-16 the difference kernel prints rounding noise;
-    # --help says so rather than leaving it to the README.
-    result = runner.invoke(main, ["dump-kernel", "--help"])
-    assert result.exit_code == 0
-    text = " ".join(result.output.split())
-    assert "difference kernel" in text
-    assert "below t of about 1e-16 it prints rounding noise" in text
 
 
 def test_dump_kernel_t_min_zero_is_usage_error():
@@ -367,8 +365,38 @@ def test_dump_kernel_non_finite_t_max_is_usage_error(t_max):
 
 
 def test_dump_kernel_unknown_kernel_is_usage_error():
-    result = runner.invoke(main, ["dump-kernel", "unknown", "1"])
-    assert result.exit_code == 2
+    # The cancelling difference form is a test oracle, not a choice.
+    for kernel in ("unknown", "difference"):
+        result = runner.invoke(main, ["dump-kernel", kernel, "1"])
+        assert result.exit_code == 2, kernel
+
+
+# ------------------------------------------------------------- README
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_tour() -> dict[str, list[str]]:
+    """Each command of the README's Command-line tour with the output
+    lines printed under it, continuation lines joined."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command-line tour", 1)[1].split("```text\n", 1)[1]
+    block = re.sub(r" \\\n\s*", " ", block.split("```", 1)[0])
+    tour: dict[str, list[str]] = {}
+    for example in block.split("\n\n"):
+        command, *output = example.strip().splitlines()
+        tour[command.removeprefix("$ catalan-integrals ")] = output
+    return tour
+
+
+@pytest.mark.parametrize("command", ["exact 5", "rep malmsten 5", "glaisher", "sumrule plain"])
+def test_readme_tour_output_is_current(command):
+    # These examples print their whole output in the README; it must be
+    # what the command prints today.
+    result = runner.invoke(main, command.split())
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == _readme_tour()[command]
 
 
 # ------------------------------------------------------------- module

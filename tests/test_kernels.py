@@ -7,12 +7,17 @@ import mpmath as mp
 import pytest
 
 from closed_forms import kernel_origin_cases
-from oracles import binet_theta, log_gamma_malmsten, theta_kernel
+from oracles import (
+    binet_theta,
+    frullani_term,
+    log_gamma_difference_kernel,
+    log_gamma_malmsten,
+    theta_kernel,
+)
 from catalan_integrals.kernels import (
     KernelSpec,
     binet_catalan_kernel,
     binet_core,
-    log_gamma_difference_kernel,
     log_gamma_reference,
     malmsten_catalan_kernel,
 )
@@ -149,16 +154,15 @@ def test_theta_domain(cfg):
 
 
 def test_origin_limit_consistency():
-    # Just above t = 1e-6 every kernel, the cancelling difference form
-    # included, sits within 1% (plus an absolute floor) of its analytic
-    # limit.  The cancellation-free kernels reach it to a few ulp even at
-    # t = 1e-300, where the slope term is below any ulp.
+    # Just above t = 1e-6 every kernel sits within 1% (plus an absolute
+    # floor) of its analytic limit, and none of them cancels, so each
+    # reaches it to a few ulp even at t = 1e-300, where the slope term is
+    # below any ulp.
     for label, spec, limit, _ in kernel_origin_cases():
         raw = spec.integrand(1e-6)
         assert abs(raw - limit) <= 0.01 * (1.0 + abs(limit)), label
-        if not label.startswith("difference"):
-            tiny = spec.integrand(1e-300)
-            assert abs(tiny - limit) <= 4 * sys.float_info.epsilon * abs(limit), label
+        tiny = spec.integrand(1e-300)
+        assert abs(tiny - limit) <= 4 * sys.float_info.epsilon * abs(limit), label
 
 
 def test_origin_extrapolation_matches_declared_data():
@@ -176,30 +180,40 @@ def test_origin_extrapolation_matches_declared_data():
 
 
 def test_tail_bounds_hold_pointwise():
-    # |f(t)| <= K e^{-c t} at t = 10, 20, 40 for every kernel family.
-    for label, spec, _, _ in kernel_origin_cases():
+    # |f(t)| <= K e^{-c t} for every t > 0, not only far out: at large n
+    # the truncation point falls below t = 1, so the bound must hold
+    # down to the origin.  Checked on a log grid from 1e-6 to 40.
+    specs = [
+        (kernel.__name__, n, kernel(n))
+        for kernel in (malmsten_catalan_kernel, binet_catalan_kernel)
+        for n in (0, 1, 5, 20, 1000, 10**5)
+    ]
+    specs += [("theta_kernel", x, theta_kernel(x)) for x in (0.5, 2.0)]
+    for name, n, spec in specs:
         k, c = spec.tail_constants
-        for t in (10.0, 20.0, 40.0):
-            bound = k * math.exp(-c * t)
-            assert abs(spec.integrand(t)) <= bound, (label, t)
+        for j in range(201):
+            t = 1e-6 * 4e7 ** (j / 200)
+            assert abs(spec.integrand(t)) <= k * math.exp(-c * t), (name, n, t)
 
 
 def _malmsten_oracle(n: int, t: float) -> mp.mpf:
-    # The defining form [e^{-(n+1/2)t} (1 - e^{-3t/2})/(1 - e^{-t})
-    # - (3/2) e^{-t}] / t cancels about log10(1/t) + log10(n + 1) digits
-    # as t -> 0, so the working precision grows with them.
-    digits = 40 + max(0, math.ceil(-math.log10(t))) + len(str(n))
-    with mp.workdps(digits):
+    # The split form expm1(-t/2) (q + 1/2)/(1 + q) e^{-(n+1/2) t} / t,
+    # q = e^{-t/2}, at 40 digits; none of its factors cancels.
+    with mp.workdps(40):
         t = mp.mpf(t)
-        ratio = mp.expm1(-1.5 * t) / mp.expm1(-t)
-        return (mp.exp(-(n + mp.mpf(0.5)) * t) * ratio - 1.5 * mp.exp(-t)) / t
+        q = mp.exp(-t / 2)
+        return mp.expm1(-t / 2) * (q + 0.5) / (1 + q) * mp.exp(-(n + mp.mpf(0.5)) * t) / t
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 200, 10**5, 10**7])
 def test_malmsten_kernel_matches_mpmath(n):
-    # The evaluated q-form cancels nothing: within 8 eps of the defining
-    # form at every t from 1e-300 to 1e4, the overflow of expm1(t/2) at
-    # n = 0 included.  Past t of about 700 the value leaves the normal
+    # The evaluated kernel cancels nothing: within 8 eps of the split
+    # form at every t from 1e-300 to 1e4 where x = (n + 1/2) t <= 1.
+    # Past that, the double product x = (n + 1/2) * t carries a rounding
+    # of up to x eps/2, and e^{-x} turns that absolute error in its
+    # argument into the same relative error in its value; every double
+    # evaluation of e^{-x} carries it, so the bound grows by x eps/2.
+    # Past t of about 700, or x of about 700, the value leaves the normal
     # range, where a double carries no relative accuracy, so the bound
     # keeps a floor of 8 units of the smallest subnormal.
     f = malmsten_catalan_kernel(n).integrand
@@ -213,16 +227,19 @@ def test_malmsten_kernel_matches_mpmath(n):
             got = f(t)
             assert math.isfinite(got), (n, t)
             expected = _malmsten_oracle(n, t)
+            x = (n + 0.5) * t
+            rel = 8.0 * eps + (0.5 * x * eps if x > 1.0 else 0.0)
             err = abs(mp.mpf(got) - expected)
-            assert err <= 8.0 * eps * abs(expected) + floor, (n, t, got, expected)
+            assert err <= rel * abs(expected) + floor, (n, t, got, expected)
 
 
 def test_malmsten_kernel_direct_value():
-    # At t = 1, n = 1 the integrand is
-    # [(e^{3/2} - 1)/(e - 1) e^{-1} - 3/2] e^{-1} / 1 by direct substitution.
+    # At t = 1, n = 1 the defining form is
+    # [(e^{3/2} - 1)/(e - 1) e^{-1} - 3/2] e^{-1} / 1 by direct
+    # substitution, and the split drops (3/2)(e^{-3/2} - e^{-1}) from it.
     expected = (
         (math.exp(1.5) - 1.0) / (math.e - 1.0) * math.exp(-1.0) - 1.5
-    ) * math.exp(-1.0)
+    ) * math.exp(-1.0) - 1.5 * (math.exp(-1.5) - math.exp(-1.0))
     got = malmsten_catalan_kernel(1).integrand(1.0)
     assert abs(got - expected) <= 1e-14 * abs(expected)
 
@@ -236,24 +253,22 @@ def test_binet_kernel_direct_value():
 
 
 def test_malmsten_and_difference_kernels_agree_pointwise():
-    # Same function, two algebraic arrangements.
-    for n in (0, 1, 5):
+    # The split kernel is the defining (difference) form less the
+    # Frullani term, on two independent arithmetic paths.
+    for n in (0, 1, 5, 20):
         f = malmsten_catalan_kernel(n).integrand
         g = log_gamma_difference_kernel(n).integrand
-        for t in (0.1, 1.0, 5.0):
-            fv, gv = f(t), g(t)
+        for t in (0.1, 0.5, 1.0, 5.0, 20.0):
+            fv, gv = f(t), g(t) - frullani_term(n, t)
             assert abs(fv - gv) <= 1e-13 * max(1.0, abs(fv)), (n, t)
 
 
 def test_kernels_carry_the_scale_of_their_origin_factor():
-    # All three Catalan kernels carry e^{-(n + 1/2) t}; the difference
-    # form reuses the Malmsten spec, tail and scale alike.
+    # Both Catalan kernels carry e^{-(n + 1/2) t}.
     for n in (0, 1, 7, 10_000):
         malmsten = malmsten_catalan_kernel(n)
         assert malmsten.scale == 1.0 / (n + 0.5)
         assert binet_catalan_kernel(n).scale == malmsten.scale
-        difference = log_gamma_difference_kernel(n)
-        assert difference[1:] == malmsten[1:]
     # A spec built from a function and a tail bound alone has no scale.
     assert theta_kernel(1.0).scale is None
 
@@ -266,22 +281,25 @@ def _kernel_integral(spec: KernelSpec, cfg: QuadConfig) -> float:
     return result.value
 
 
-def test_difference_kernel_integral_anchors(cfg):
-    # n = 0: ln Gamma(1/2) - ln Gamma(2) = (1/2) ln pi.
-    # n = 1: ln Gamma(3/2) - ln Gamma(3) = ln(sqrt(pi)/2) - ln 2.
-    i0 = _kernel_integral(log_gamma_difference_kernel(0), cfg)
-    assert abs(i0 - 0.5 * math.log(math.pi)) <= 1e-11
-    i1 = _kernel_integral(log_gamma_difference_kernel(1), cfg)
-    expected = math.log(0.5 * math.sqrt(math.pi)) - math.log(2.0)
+def test_malmsten_kernel_integral_anchors(cfg):
+    # The kernel integrates to ln Gamma(n + 1/2) - ln Gamma(n + 2)
+    # + (3/2) ln(n + 1/2).
+    # n = 0: (1/2) ln pi + (3/2) ln(1/2).
+    # n = 1: ln(sqrt(pi)/2) - ln 2 + (3/2) ln(3/2).
+    i0 = _kernel_integral(malmsten_catalan_kernel(0), cfg)
+    assert abs(i0 - (0.5 * math.log(math.pi) + 1.5 * math.log(0.5))) <= 1e-11
+    i1 = _kernel_integral(malmsten_catalan_kernel(1), cfg)
+    expected = math.log(0.5 * math.sqrt(math.pi)) - math.log(2.0) + 1.5 * math.log(1.5)
     assert abs(i1 - expected) <= 1e-11
 
 
 def test_kernel_integrals_agree(cfg):
-    # The two arrangements must integrate to the same number for every n.
+    # Frullani: the split and the defining form integrate to numbers
+    # that differ by exactly (3/2) ln(n + 1/2), for every n.
     for n in range(21):
         a = _kernel_integral(malmsten_catalan_kernel(n), cfg)
         b = _kernel_integral(log_gamma_difference_kernel(n), cfg)
-        assert abs(a - b) <= 1e-11, n
+        assert abs(a - (b + 1.5 * math.log(n + 0.5))) <= 1e-11, n
 
 
 def test_binet_kernel_integral_is_theta_difference(cfg):

@@ -202,7 +202,3 @@ class CatalanTable:
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
-
-    def ln(self, n: int) -> float:
-        """ln C_n for a tabulated index."""
-        return _log_of_positive_int(self.values[n])

@@ -19,14 +19,29 @@ and check the Malmsten-Catalan kernel against its defining form:
 * ``log_gamma_difference_kernel`` -- Malmsten's integrand for
   ln Gamma(n + 1/2) - ln Gamma(n + 2), before the split
 * ``frullani_term`` -- the part the split moves into closed form
+
+and keep the loop form of one G7/K15 panel, which the unrolled
+``_kronrod_panel`` must reproduce bit for bit:
+
+* ``kronrod_panel_reference`` -- one panel, one sample and one check at
+  a time
 """
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from catalan_integrals.exact import _check_index
 from catalan_integrals.kernels import KernelSpec, binet_core
 from catalan_integrals.quadrature import (
+    _EPS,
+    _UFLOW,
+    _WG,
+    _WG_CENTER,
+    _WGK,
+    _WGK_CENTER,
+    _XGK,
+    IntegrandEvaluationError,
     QuadConfig,
     QuadResult,
     TailBound,
@@ -191,3 +206,50 @@ def binet_theta(x: float, config: QuadConfig) -> QuadResult:
         raise ValueError(f"Binet correction requires x > 0, got {x}")
     spec = theta_kernel(x)
     return integrate_half_line(spec.integrand, config, tail=spec.tail_constants)
+
+
+def _sample(f: Callable[[float], float], t: float) -> float:
+    y = f(t)
+    if not math.isfinite(y):
+        raise IntegrandEvaluationError(t, y)
+    return y
+
+
+def kronrod_panel_reference(
+    f: Callable[[float], float], a: float, b: float
+) -> tuple[float, float]:
+    """One G7/K15 application on [a, b] as a loop over the node pairs:
+    (K15 value, error estimate), the QUADPACK estimate.
+
+    Each sample is checked as it is taken, so the first non-finite one
+    raises before f is asked for the next.
+    """
+    h = 0.5 * (b - a)
+    center = 0.5 * (a + b)
+    fc = _sample(f, center)
+    resg = _WG_CENTER * fc
+    resk = _WGK_CENTER * fc
+    resabs = _WGK_CENTER * abs(fc)
+    pairs = []
+    for j, x in enumerate(_XGK):
+        dx = h * x
+        f1 = _sample(f, center - dx)
+        f2 = _sample(f, center + dx)
+        pairs.append((f1, f2))
+        resk += _WGK[j] * (f1 + f2)
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+        if j % 2 == 1:
+            resg += _WG[j // 2] * (f1 + f2)
+    reskh = 0.5 * resk
+    resasc = _WGK_CENTER * abs(fc - reskh)
+    for j, (f1, f2) in enumerate(pairs):
+        resasc += _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+    value = resk * h
+    resabs *= abs(h)
+    resasc *= abs(h)
+    err = abs((resk - resg) * h)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return value, err

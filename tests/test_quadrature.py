@@ -1,12 +1,17 @@
 """Adaptive Gauss-Kronrod core and the two half-line reductions."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from closed_forms import FINITE_CORPUS, HALF_LINE_CORPUS
+from oracles import kronrod_panel_reference
+from catalan_integrals import quadrature, representations
+from catalan_integrals.kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from catalan_integrals.quadrature import (
+    _XGK,
     IntegrandEvaluationError,
     QuadConfig,
     QuadratureNotConverged,
@@ -50,6 +55,156 @@ def test_panel_flags_non_finite_samples():
     with pytest.raises(IntegrandEvaluationError) as exc_info:
         _kronrod_panel(bad, 0.0, 1.0)
     assert 0.0 < exc_info.value.abscissa < 0.2
+
+
+def _recorded_panels(monkeypatch):
+    """Route every panel the driver takes through a recorder: the list
+    fills with (f, a, b, result) as integrations run."""
+    panels = []
+
+    def recording(f, a, b):
+        result = _kronrod_panel(f, a, b)
+        panels.append((f, a, b, result))
+        return result
+
+    monkeypatch.setattr(quadrature, "_kronrod_panel", recording)
+    return panels
+
+
+def _assert_panels_match_reference(panels):
+    assert panels
+    for f, a, b, result in panels:
+        assert result == kronrod_panel_reference(f, a, b), (a, b)
+
+
+BIT_IDENTITY_NS = (0, 1, 7, 200, 100_000)
+
+
+@pytest.mark.parametrize("n", BIT_IDENTITY_NS)
+@pytest.mark.parametrize(
+    "kernel", [malmsten_catalan_kernel, binet_catalan_kernel], ids=["malmsten", "binet"]
+)
+def test_panel_is_bit_identical_to_loop_on_kernels(kernel, n, cfg, monkeypatch):
+    panels = _recorded_panels(monkeypatch)
+    spec = kernel(n)
+    integrate_half_line(
+        spec.integrand, cfg, tail=spec.tail_constants, scale=spec.scale
+    )
+    _assert_panels_match_reference(panels)
+
+
+@pytest.mark.parametrize("n", BIT_IDENTITY_NS)
+def test_panel_is_bit_identical_to_loop_on_penson(n, cfg, monkeypatch):
+    panels = _recorded_panels(monkeypatch)
+    representations._penson_moment(n, cfg)
+    representations._penson_mellin(n, cfg)
+    # Three integrands: the moment route's, and the Mellin route's near
+    # piece and inverted far piece.
+    assert len({id(f) for f, *_ in panels}) == 3
+    _assert_panels_match_reference(panels)
+
+
+def test_panel_is_bit_identical_to_loop_on_finite_corpus(cfg, monkeypatch):
+    panels = _recorded_panels(monkeypatch)
+    for _, f, a, b, _ in FINITE_CORPUS:
+        integrate_finite(f, a, b, cfg)
+    _assert_panels_match_reference(panels)
+
+
+def _panel_nodes(a, b):
+    nodes = []
+    _kronrod_panel(lambda t: nodes.append(t) or t, a, b)
+    return nodes
+
+
+def test_panel_samples_center_then_pairs_in_node_order():
+    h, center = 2.0, 1.0
+    expected = [center]
+    for x in _XGK:
+        expected += [center - h * x, center + h * x]
+    assert _panel_nodes(-1.0, 3.0) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_panel_names_each_non_finite_node(bad):
+    nodes = _panel_nodes(-1.0, 3.0)
+    for node in nodes:
+
+        def f(t, node=node):
+            return bad if t == node else t
+
+        for panel in (_kronrod_panel, kronrod_panel_reference):
+            with pytest.raises(IntegrandEvaluationError) as exc_info:
+                panel(f, -1.0, 3.0)
+            assert exc_info.value.abscissa == node
+            assert repr(exc_info.value.value) == repr(bad)
+
+
+def test_panel_names_the_first_of_two_non_finite_nodes():
+    nodes = _panel_nodes(-1.0, 3.0)
+    for first, second in itertools.combinations(nodes, 2):
+        bad = {first: math.nan, second: math.inf}
+
+        def f(t, bad=bad):
+            return bad.get(t, t)
+
+        with pytest.raises(IntegrandEvaluationError) as exc_info:
+            _kronrod_panel(f, -1.0, 3.0)
+        assert exc_info.value.abscissa == first
+        assert math.isnan(exc_info.value.value)
+
+
+def test_panel_overflowing_finite_samples_raise_nothing():
+    # Every sample is finite, only the sums overflow: the panel reads
+    # inf, as the loop form does, and the driver's tolerance decides.
+    for panel in (_kronrod_panel, kronrod_panel_reference):
+        assert panel(lambda t: 1e308, 0.0, 4.0) == (math.inf, math.inf)
+
+
+def test_panel_takes_every_sample_before_checking():
+    # All 15 samples are taken before any is checked, so an exception
+    # that f raises at a later node propagates ahead of the evaluation
+    # error for an earlier non-finite sample; the loop form stops first.
+    nodes = _panel_nodes(0.0, 1.0)
+
+    def f(t):
+        if t == nodes[0]:
+            return math.nan
+        if t == nodes[5]:
+            raise ZeroDivisionError("late node")
+        return t
+
+    with pytest.raises(ZeroDivisionError):
+        _kronrod_panel(f, 0.0, 1.0)
+    with pytest.raises(IntegrandEvaluationError):
+        kronrod_panel_reference(f, 0.0, 1.0)
+
+
+def _inverse_sqrt(t):
+    return 1.0 / math.sqrt(t) if t > 0.0 else 0.0
+
+
+@pytest.mark.parametrize(
+    "integrate",
+    [
+        lambda f, cfg: integrate_finite(f, 0.0, 1.0, cfg),
+        lambda f, cfg: integrate_finite(f, 0.0, 1.0, cfg, scale=0.02),
+        lambda f, cfg: integrate_half_line(
+            lambda t: f(t) * math.exp(-t), cfg, tail=TailBound(1.0, 0.5)
+        ),
+        lambda f, cfg: integrate_half_line(lambda t: f(t) * math.exp(-t), cfg),
+    ],
+    ids=["unseeded", "seeded", "truncated-half-line", "split-half-line"],
+)
+def test_evaluations_count_the_calls_to_f(integrate, cfg):
+    calls = [0]
+
+    def counted(t):
+        calls[0] += 1
+        return _inverse_sqrt(t)
+
+    result = integrate(counted, cfg)
+    assert result.evaluations == calls[0] > 15
 
 
 # ------------------------------------------------------- finite interval

@@ -84,8 +84,8 @@ def _config(abs_tol: float, rel_tol: float, max_subdivisions: int) -> QuadConfig
 def _nonnegative_tol(
     ctx: click.Context, param: click.Parameter, value: float
 ) -> float:
-    if not value >= 0:
-        raise click.BadParameter(f"must be >= 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise click.BadParameter(f"must be finite and >= 0, got {value}")
     return value
 
 

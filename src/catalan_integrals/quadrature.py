@@ -102,8 +102,9 @@ class TailBound(NamedTuple):
 class QuadConfig:
     """Tolerances and subdivision budget shared by all quadrature entry points.
 
-    Convergence target is max(abs_tol, rel_tol * |value|); at least one
-    of the two tolerances must be positive.
+    Convergence target is max(abs_tol, rel_tol * |value|); both
+    tolerances must be finite and nonnegative, and at least one positive.
+    An infinite tolerance would accept any first estimate as converged.
     """
 
     abs_tol: float = 1e-12
@@ -111,8 +112,9 @@ class QuadConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol >= 0 and self.rel_tol >= 0):  # also rejects NaN
-            raise ValueError("tolerances must be nonnegative")
+        # The comparisons are False for NaN as well.
+        if not (0 <= self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("at least one tolerance must be positive")
         if self.max_subdivisions < 1:

@@ -3,26 +3,36 @@
 A ``Report`` is the machine-readable product of a representation sweep:
 one row per (n, method) pair plus a summary.  Serializations are
 deterministic byte for byte given the same rows and configuration,
-except for the ``generated_at`` timestamp:
+except for the ``generated_at`` timestamp, and their layout is part of
+that byte-stable contract:
 
-* JSON: one top-level object; row field names and order are fixed.
+* JSON: one top-level object in the layout of ``json.dumps(payload,
+  indent=2)``: 2-space indent, fixed key order (``schema_version``,
+  ``generated_at``, ``config``, ``rows``, ``summary``; row fields in
+  ``ROW_FIELDS`` order), floats as ``repr`` (shortest round-trip),
+  non-finite floats as ``null``, lowercase true/false.
 * CSV: header ``n,method,ln_value,exact_ln,abs_err_ln,
   quad_error_estimate,evaluations,converged``, LF line endings,
-  17-significant-digit floats, lowercase true/false.
+  17-significant-digit floats written as nan/inf literals when
+  non-finite, lowercase true/false.
 * text: an aligned table for humans, same ordering.
 
-Non-finite floats (failed rows carry NaN) serialize as JSON null; the
-CSV writes them as nan/inf literals.
+The header and the summary of the JSON go through ``json.dumps``.  The
+rows, which are nearly all of the bytes, are written one format string
+per row, in the same layout: with an indent, CPython's ``json`` never
+reaches its C encoder, and its pure-Python one would cost more than
+building the rows.  CSV rows are one format string each as well.
+``tests/oracles.py`` keeps the stdlib-encoder forms that both must
+match byte for byte.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 from .quadrature import QuadConfig
 from .representations import Method, RepresentationResult
@@ -93,71 +103,103 @@ def build_report(
     )
 
 
-def _row_dict(row: RepresentationResult) -> dict:
-    return {
-        "n": row.n,
-        "method": row.method.value,
-        "ln_value": row.ln_value,
-        "exact_ln": row.exact_ln,
-        "abs_err_ln": row.abs_err_ln,
-        "quad_error_estimate": row.quad_error_estimate,
-        "evaluations": row.evaluations,
-        "converged": row.converged,
-    }
+_JSON_ROW = (
+    "    {\n"
+    + ",\n".join(f'      "{field}": %s' for field in ROW_FIELDS)
+    + "\n    }"
+)
+_CSV_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g,%d,%s\n"
+_METHODS = {m.value: m for m in Method}
 
 
-def _json_safe(x: float):
-    # json has no NaN/Infinity; failed rows become null fields.
-    return x if math.isfinite(x) else None
+def _json_float(x: float) -> str:
+    # json has no NaN/Infinity; failed rows get null fields.
+    return float.__repr__(x) if math.isfinite(x) else "null"
 
 
 def to_json(report: Report) -> str:
-    payload = {
-        "schema_version": report.schema_version,
-        "generated_at": report.generated_at,
-        "config": report.config,
-        "rows": [
-            {
-                k: (_json_safe(v) if isinstance(v, float) else v)
-                for k, v in _row_dict(r).items()
-            }
-            for r in report.rows
-        ],
-        "summary": {
-            "max_abs_err_ln": _json_safe(report.summary.max_abs_err_ln),
-            "failures": report.summary.failures,
+    head = json.dumps(
+        {
+            "schema_version": report.schema_version,
+            "generated_at": report.generated_at,
+            "config": report.config,
         },
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        indent=2,
+        allow_nan=False,
+    )
+    max_err = report.summary.max_abs_err_ln
+    summary = json.dumps(
+        {
+            "summary": {
+                "max_abs_err_ln": max_err if math.isfinite(max_err) else None,
+                "failures": report.summary.failures,
+            }
+        },
+        indent=2,
+        allow_nan=False,
+    )
+    rows = ",\n".join(
+        [
+            _JSON_ROW
+            % (
+                r.n,
+                encode_basestring_ascii(r.method.value),
+                _json_float(r.ln_value),
+                _json_float(r.exact_ln),
+                _json_float(r.abs_err_ln),
+                _json_float(r.quad_error_estimate),
+                r.evaluations,
+                "true" if r.converged else "false",
+            )
+            for r in report.rows
+        ]
+    )
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    # head ends in "\n}" and summary starts with "{\n": the rows go between.
+    return f'{head[:-2]},\n  "rows": {rows},\n{summary[2:]}\n'
+
+
+def _method(value) -> Method:
+    try:
+        return _METHODS[value]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown method {value!r}") from None
 
 
 def parse_report_json(text: str) -> Report:
-    """Inverse of to_json (null fields come back as NaN)."""
+    """Inverse of to_json (null fields come back as NaN).
+
+    Raises ValueError on a ``schema_version`` other than
+    ``SCHEMA_VERSION`` and on an unknown ``method``, naming the value.
+    """
     payload = json.loads(text)
-
-    def num(x) -> float:
-        return float("nan") if x is None else float(x)
-
+    schema = payload["schema_version"]
+    if schema != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported schema_version {schema!r}, expected {SCHEMA_VERSION!r}"
+        )
+    nan = math.nan
     rows = tuple(
         RepresentationResult(
             n=r["n"],
-            method=Method(r["method"]),
-            ln_value=num(r["ln_value"]),
-            exact_ln=num(r["exact_ln"]),
-            abs_err_ln=num(r["abs_err_ln"]),
-            quad_error_estimate=num(r["quad_error_estimate"]),
+            method=_method(r["method"]),
+            ln_value=nan if (x := r["ln_value"]) is None else x,
+            exact_ln=nan if (x := r["exact_ln"]) is None else x,
+            abs_err_ln=nan if (x := r["abs_err_ln"]) is None else x,
+            quad_error_estimate=nan if (x := r["quad_error_estimate"]) is None else x,
             evaluations=r["evaluations"],
             converged=r["converged"],
         )
         for r in payload["rows"]
     )
+    max_err = payload["summary"]["max_abs_err_ln"]
     return Report(
-        schema_version=payload["schema_version"],
+        schema_version=schema,
         generated_at=payload["generated_at"],
         config=payload["config"],
         rows=rows,
         summary=ReportSummary(
-            max_abs_err_ln=num(payload["summary"]["max_abs_err_ln"]),
+            max_abs_err_ln=nan if max_err is None else max_err,
             failures=payload["summary"]["failures"],
         ),
     )
@@ -168,23 +210,23 @@ def _fmt(x: float) -> str:
 
 
 def to_csv(report: Report) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROW_FIELDS)
-    for r in report.rows:
-        writer.writerow(
-            [
+    rows = "".join(
+        [
+            _CSV_ROW
+            % (
                 r.n,
                 r.method.value,
-                _fmt(r.ln_value),
-                _fmt(r.exact_ln),
-                _fmt(r.abs_err_ln),
-                _fmt(r.quad_error_estimate),
+                r.ln_value,
+                r.exact_ln,
+                r.abs_err_ln,
+                r.quad_error_estimate,
                 r.evaluations,
                 "true" if r.converged else "false",
-            ]
-        )
-    return buf.getvalue()
+            )
+            for r in report.rows
+        ]
+    )
+    return ",".join(ROW_FIELDS) + "\n" + rows
 
 
 def to_text(report: Report) -> str:

@@ -25,8 +25,18 @@ and keep the loop form of one G7/K15 panel, which the unrolled
 
 * ``kronrod_panel_reference`` -- one panel, one sample and one check at
   a time
+
+and keep the stdlib-encoder forms of the two byte-stable report
+serializations, which the format-string writers in ``report`` must
+reproduce byte for byte:
+
+* ``to_json_reference`` -- ``json.dumps(payload, indent=2)``
+* ``to_csv_reference``  -- ``csv.writer`` with LF line endings
 """
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 from typing import Callable
@@ -47,6 +57,7 @@ from catalan_integrals.quadrature import (
     TailBound,
     integrate_half_line,
 )
+from catalan_integrals.report import ROW_FIELDS, Report
 
 # Brute-force enumeration walks every valid prefix; past n = 14 the walk
 # is too slow to be useful as an oracle.
@@ -253,3 +264,56 @@ def kronrod_panel_reference(
     if resabs > _UFLOW / (50.0 * _EPS):
         err = max(50.0 * _EPS * resabs, err)
     return value, err
+
+
+def _json_safe(x: float):
+    # json has no NaN/Infinity; failed rows become null fields.
+    return x if math.isfinite(x) else None
+
+
+def to_json_reference(report: Report) -> str:
+    """The report as one ``json.dumps(payload, indent=2)`` call."""
+    payload = {
+        "schema_version": report.schema_version,
+        "generated_at": report.generated_at,
+        "config": report.config,
+        "rows": [
+            {
+                "n": r.n,
+                "method": r.method.value,
+                "ln_value": _json_safe(r.ln_value),
+                "exact_ln": _json_safe(r.exact_ln),
+                "abs_err_ln": _json_safe(r.abs_err_ln),
+                "quad_error_estimate": _json_safe(r.quad_error_estimate),
+                "evaluations": r.evaluations,
+                "converged": r.converged,
+            }
+            for r in report.rows
+        ],
+        "summary": {
+            "max_abs_err_ln": _json_safe(report.summary.max_abs_err_ln),
+            "failures": report.summary.failures,
+        },
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def to_csv_reference(report: Report) -> str:
+    """The report through ``csv.writer``, one ``.17g`` call per float."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ROW_FIELDS)
+    for r in report.rows:
+        writer.writerow(
+            [
+                r.n,
+                r.method.value,
+                f"{r.ln_value:.17g}",
+                f"{r.exact_ln:.17g}",
+                f"{r.abs_err_ln:.17g}",
+                f"{r.quad_error_estimate:.17g}",
+                r.evaluations,
+                "true" if r.converged else "false",
+            ]
+        )
+    return buf.getvalue()

@@ -135,13 +135,26 @@ def test_rep_unreachable_tol_fails():
 
 
 def test_rep_bad_quad_config_is_usage_error():
-    for options in (["--abs-tol", "0", "--rel-tol", "0"], ["--abs-tol", "nan"]):
+    for options in (
+        ["--abs-tol", "0", "--rel-tol", "0"],
+        ["--abs-tol", "nan"],
+        ["--abs-tol", "inf"],
+        ["--rel-tol", "inf"],
+    ):
         result = runner.invoke(main, ["rep", "malmsten", "5", *options])
         assert result.exit_code == 2, options
 
 
+@pytest.mark.parametrize("args", [["verify", "--n-max", "1"], ["glaisher"]])
+@pytest.mark.parametrize("option", ["--abs-tol", "--rel-tol"])
+def test_infinite_quad_tolerance_is_usage_error(args, option):
+    result = runner.invoke(main, [*args, option, "inf"])
+    assert result.exit_code == 2
+    assert "finite" in result.output
+
+
 @pytest.mark.parametrize("args", [["rep", "malmsten", "5"], ["verify", "--n-max", "1"]])
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_bad_tol_is_usage_error(args, tol):
     result = runner.invoke(main, [*args, "--tol", tol])
     assert result.exit_code == 2

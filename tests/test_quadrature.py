@@ -346,6 +346,10 @@ def test_config_validation():
         QuadConfig(abs_tol=float("nan"))
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=float("nan"))
+    with pytest.raises(ValueError):
+        QuadConfig(abs_tol=math.inf)
+    with pytest.raises(ValueError):
+        QuadConfig(rel_tol=math.inf)
 
 
 def test_tolerance_for_mixes_absolute_and_relative():

@@ -5,10 +5,14 @@ import io
 import json
 import math
 
+import pytest
+
 from catalan_integrals.quadrature import QuadConfig
 from catalan_integrals.report import (
     ROW_FIELDS,
     SCHEMA_VERSION,
+    Report,
+    ReportSummary,
     build_report,
     parse_report_json,
     to_csv,
@@ -18,8 +22,12 @@ from catalan_integrals.report import (
 from catalan_integrals.representations import (
     Method,
     RepresentationResult,
+    catalan_binet,
+    catalan_malmsten,
     compare_representations,
 )
+
+from oracles import to_csv_reference, to_json_reference
 
 EXPECTED_HEADER = (
     "n,method,ln_value,exact_ln,abs_err_ln,quad_error_estimate,evaluations,converged"
@@ -151,3 +159,131 @@ def test_reports_identical_up_to_timestamp(cfg):
     a.pop("generated_at")
     b.pop("generated_at")
     assert a == b
+
+
+# ------------------------------------------------ byte identity with json/csv
+
+
+def _row(n, method=Method.MALMSTEN, converged=True, **fields):
+    values = dict(
+        ln_value=1.5, exact_ln=1.5, abs_err_ln=0.0, quad_error_estimate=1e-12
+    )
+    values.update(fields)
+    return RepresentationResult(
+        n=n, method=method, evaluations=15 * n, converged=converged, **values
+    )
+
+
+def _non_finite_rows():
+    """NaN, +inf and -inf in each float field, alternating converged, and
+    a few finite floats whose repr is unusual."""
+    rows = []
+    for field in ("ln_value", "exact_ln", "abs_err_ln", "quad_error_estimate"):
+        for value in (math.nan, math.inf, -math.inf):
+            rows.append(
+                _row(len(rows), converged=len(rows) % 2 == 1, **{field: value})
+            )
+    rows.append(
+        _row(
+            len(rows),
+            Method.BINET,
+            ln_value=-0.0,
+            exact_ln=5e-324,
+            abs_err_ln=1e300,
+            quad_error_estimate=1e-07,
+        )
+    )
+    return rows
+
+
+REPORTS = {
+    "sweep_30": lambda cfg: build_report(compare_representations(30, cfg), cfg, 1e-8),
+    "non_finite": lambda cfg: build_report(_non_finite_rows(), cfg, 1e-8),
+    "one_row": lambda cfg: build_report([_row(3)], cfg, 1e-8),
+    "empty": lambda cfg: build_report([], cfg, 1e-8),
+    "n_1e6": lambda cfg: build_report(
+        [catalan_malmsten(10**6, cfg), catalan_binet(10**6, cfg)], cfg, 1e-8
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_serializations_match_the_stdlib_encoders(cfg, name):
+    report = REPORTS[name](cfg)
+    text = to_json(report)
+    assert text == to_json_reference(report)
+    assert to_csv(report) == to_csv_reference(report)
+    assert to_json(parse_report_json(text)) == text
+
+
+def test_non_finite_report_covers_every_case(cfg):
+    report = REPORTS["non_finite"](cfg)
+    assert {r.converged for r in report.rows} == {True, False}
+    assert not math.isfinite(report.summary.max_abs_err_ln)
+    assert '"max_abs_err_ln": null' in to_json(report)
+
+
+def test_empty_report_prints_an_empty_row_list(cfg):
+    report = REPORTS["empty"](cfg)
+    assert '"rows": [],' in to_json(report)
+    assert to_csv(report) == EXPECTED_HEADER + "\n"
+    assert parse_report_json(to_json(report)).rows == ()
+
+
+def _synthetic_report(n_rows):
+    methods = list(Method)
+    rows = tuple(
+        _row(k // 5, methods[k % 5], ln_value=k / 7) for k in range(n_rows)
+    )
+    return Report(
+        schema_version=SCHEMA_VERSION,
+        generated_at="2000-01-01T00:00:00+00:00",
+        config={"abs_tol": 1e-12},
+        rows=rows,
+        summary=ReportSummary(max_abs_err_ln=0.0, failures=0),
+    )
+
+
+def test_rows_bypass_the_pure_python_encoder(monkeypatch):
+    """With an indent, json encodes through the pure-Python
+    ``_make_iterencode``; the rows must never go that way, so the number
+    of such encodings does not grow with the rows."""
+    real = json.encoder._make_iterencode
+    made = []
+
+    def guarded(*args, **kwargs):
+        iterencode = real(*args, **kwargs)
+        made.append(1)
+
+        def checked(o, level):
+            if isinstance(o, (list, tuple)) or (
+                isinstance(o, dict) and ("rows" in o or "n" in o)
+            ):
+                raise AssertionError("rows reached the pure-Python JSON encoder")
+            return iterencode(o, level)
+
+        return checked
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", guarded)
+    to_json(_synthetic_report(1))
+    per_report = len(made)
+    made.clear()
+    text = to_json(_synthetic_report(1005))
+    assert len(made) == per_report
+    monkeypatch.undo()
+    assert text == to_json_reference(_synthetic_report(1005))
+
+
+def test_parse_rejects_other_schema_versions(cfg):
+    payload = json.loads(to_json(REPORTS["one_row"](cfg)))
+    payload["schema_version"] = "2"
+    with pytest.raises(ValueError, match="schema_version '2'"):
+        parse_report_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("method", ["simpson", "MALMSTEN", None])
+def test_parse_rejects_unknown_methods(cfg, method):
+    payload = json.loads(to_json(REPORTS["one_row"](cfg)))
+    payload["rows"][0]["method"] = method
+    with pytest.raises(ValueError, match=f"unknown method {method!r}"):
+        parse_report_json(json.dumps(payload))

@@ -4,7 +4,7 @@ quadrature cross-checks.
 The package is organized bottom-up:
 
 * ``exact``           -- arbitrary-precision integer routes and ln C_n
-* ``quadrature``      -- adaptive Gauss-Kronrod with half-line reductions
+* ``quadrature``      -- adaptive Gauss-Kronrod with a half-line reduction
 * ``kernels``         -- cancellation-free log-Gamma integrands and their tails
 * ``representations`` -- five ln C_n routes cross-checked against exact
 * ``series``          -- certified sum rules and the Glaisher-Kinkelin constant

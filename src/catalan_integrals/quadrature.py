@@ -1,31 +1,24 @@
-"""Adaptive Gauss-Kronrod quadrature with half-line reductions.
+"""Adaptive Gauss-Kronrod quadrature with a half-line reduction.
 
 The base rule is the 15-point Kronrod extension of 7-point Gauss
 (G7/K15) with the classical QUADPACK error estimate; the adaptive
 driver starts from one panel and bisects the panel with the worst
 estimate first.
 
-Half-line integrals over (0, inf) are reduced to finite ones in one of
-two ways, picked by whether the caller supplies tail constants:
-
-* With an analytic tail bound |f(t)| <= K exp(-c t): truncate at T
-  chosen so that the discarded remainder (K/c) exp(-c T) is below a
-  tenth of the absolute tolerance.  The remainder is added to the
-  reported error estimate.
-* Without one: split at t = 1 and invert the far piece (t = 1/s), so
-  the whole line becomes two integrals over (0, 1).  This needs no
-  decay rate, so it also handles merely algebraic decay.  The textbook
-  one-map alternative u = t/(1 + t) is avoided on purpose: in doubles
-  it collapses the entire tail t > 1e16 into the last representable
-  value below u = 1, losing tail mass that can exceed tight
-  tolerances, while the inversion lands both singular endpoints at 0
-  where the floating-point grid stays dense.
+A half-line integral over (0, inf) is reduced to a finite one by
+truncation: the caller supplies an analytic tail bound
+|f(t)| <= K exp(-c t), the integral is cut at T chosen so that the
+discarded remainder (K/c) exp(-c T) is below a tenth of the absolute
+tolerance, and the remainder is added to the reported error estimate.
+An integrand with no exponential tail bound is mapped onto a finite
+interval by its caller, who knows how fast it decays and so what the
+map loses in doubles; the Penson-Mellin route in the representations
+module shows how.
 
 A caller that knows the width over which f changes next to the lower
 end passes it as ``scale``, the one way to seed a mesh: the driver then
 starts from dyadic panels that halve down to that width instead of one
-panel.  The half-line reductions hand it to the piece that reaches
-t = 0 and leave the inverted far piece unseeded.
+panel.
 
 Integrands are plain functions.  The rule is open, so an endpoint is
 never sampled, but bisection may close in on one until the panels
@@ -61,23 +54,13 @@ class IntegrandEvaluationError(ValueError):
     """An integrand sample came back non-finite.
 
     Carries the offending abscissa so the caller can tell an endpoint
-    singularity from an interior blow-up.  With ``far_piece`` the sample
-    belongs to the inverted far piece f(1/s)/s^2 of a half-line split:
-    the abscissa is then s, and f itself was asked for t = 1/s.
+    singularity from an interior blow-up.
     """
 
-    def __init__(self, abscissa: float, value: float, far_piece: bool = False):
+    def __init__(self, abscissa: float, value: float):
         self.abscissa = abscissa
         self.value = value
-        self.far_piece = far_piece
-        if far_piece:
-            message = (
-                f"far piece f(1/s)/s^2 returned {value!r} at s = {abscissa!r}, "
-                f"t = 1/s = {1.0 / abscissa!r}"
-            )
-        else:
-            message = f"integrand returned {value!r} at t = {abscissa!r}"
-        super().__init__(message)
+        super().__init__(f"integrand returned {value!r} at t = {abscissa!r}")
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -308,16 +291,20 @@ def integrate_finite(
     )
 
 
-def _halved(config: QuadConfig) -> QuadConfig:
-    return replace(config, abs_tol=0.5 * config.abs_tol, rel_tol=0.5 * config.rel_tol)
-
-
-def _truncated_half_line(
+def integrate_half_line(
     f: Callable[[float], float],
     config: QuadConfig,
     tail: TailBound,
-    scale: float | None,
+    scale: float | None = None,
 ) -> QuadResult:
+    """Integrate f over (0, inf), given the constants of an analytic
+    bound |f(t)| <= K exp(-c t) as ``tail``.
+
+    The integral is truncated at T and the bounded remainder is added to
+    the error estimate.  ``scale`` is the width over which f changes
+    near t = 0, when the caller knows it; it is passed to
+    ``integrate_finite`` for [0, T].
+    """
     if tail.K <= 0 or tail.c <= 0:
         raise ValueError(f"tail bound constants must be positive, got {tail}")
     # Truncation point: remainder (K/c) exp(-c T) <= tol_ref / 10.
@@ -327,7 +314,8 @@ def _truncated_half_line(
     remainder = (tail.K / tail.c) * math.exp(-tail.c * cutoff)
     # The finite pass gets half the budget so that adding the remainder
     # cannot push an otherwise-converged result past the tolerance.
-    base = integrate_finite(f, 0.0, cutoff, _halved(config), scale)
+    half = replace(config, abs_tol=0.5 * config.abs_tol, rel_tol=0.5 * config.rel_tol)
+    base = integrate_finite(f, 0.0, cutoff, half, scale)
     total_err = base.error_estimate + remainder
     return QuadResult(
         value=base.value,
@@ -335,62 +323,3 @@ def _truncated_half_line(
         evaluations=base.evaluations,
         converged=total_err <= config.tolerance_for(base.value),
     )
-
-
-def _algebraic_split_half_line(
-    f: Callable[[float], float], config: QuadConfig, scale: float | None
-) -> QuadResult:
-    """integral_0^inf f = integral_0^1 f(t) dt + integral_0^1 f(1/s)/s^2 ds.
-
-    Each piece gets half the tolerance so the combined estimate meets
-    the original target.  The far piece is divided by s twice rather
-    than by s^2, which underflows below s = 2^-537.  Below s = 2^-1024,
-    1/s overflows: f cannot be sampled there and the far piece reads
-    NaN, so an integrand whose far piece needs samples that close to 0
-    (one decaying barely faster than 1/t) raises IntegrandEvaluationError,
-    with ``far_piece`` set, instead of losing that mass silently.
-    """
-    half = _halved(config)
-    near = integrate_finite(f, 0.0, 1.0, half, scale)
-
-    def inverted(s: float) -> float:
-        t = 1.0 / s
-        return f(t) / s / s if t != math.inf else math.nan
-
-    try:
-        far = integrate_finite(inverted, 0.0, 1.0, half)
-    except IntegrandEvaluationError as exc:
-        raise IntegrandEvaluationError(
-            exc.abscissa, exc.value, far_piece=True
-        ) from None
-    value = near.value + far.value
-    err = near.error_estimate + far.error_estimate
-    return QuadResult(
-        value=value,
-        error_estimate=err,
-        evaluations=near.evaluations + far.evaluations,
-        converged=err <= config.tolerance_for(value),
-    )
-
-
-def integrate_half_line(
-    f: Callable[[float], float],
-    config: QuadConfig,
-    tail: TailBound | None = None,
-    scale: float | None = None,
-) -> QuadResult:
-    """Integrate f over (0, inf).
-
-    With ``tail``, the constants of an analytic bound
-    |f(t)| <= K exp(-c t), the integral is truncated at T and the
-    bounded remainder is added to the error estimate.  With
-    ``tail=None`` it is split at t = 1 and the far piece is inverted,
-    which assumes no decay rate.
-
-    ``scale`` is the width over which f changes near t = 0, when the
-    caller knows it; it is passed to ``integrate_finite`` for the piece
-    that reaches 0 ([0, T], or [0, 1] after the split).
-    """
-    if tail is None:
-        return _algebraic_split_half_line(f, config, scale)
-    return _truncated_half_line(f, config, tail, scale)

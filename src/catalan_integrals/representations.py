@@ -46,15 +46,14 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
 * ``penson_mellin``: C_n = (4^{n+2}/pi) integral_0^inf sqrt(t) /
   (4t + 1)^{n+2} dt.  With t = s^2 this is C_n = (4^{n+2}/pi) I with
   I = integral_0^inf 2 s^2 / (4 s^2 + 1)^{n+2} ds.  The integrand decays
-  only algebraically, so it has no exponential tail bound and the
-  half-line integral is split at s = 1 with the far piece inverted,
-  where it reads 2 s^{2n} / (4 + s^2)^{n+2}.  The substitution
-  4t = tan^2(phi) would remove the singularity as well, but it maps I
-  to (1/4) integral_0^{pi/2} sin^2(phi) cos^{2n}(phi) d phi, exactly a
-  quarter of the moment route's integrand: the two Penson routes would
-  then evaluate the same integrand and stop being independent checks.
-  From n of about 1,000 on, the far piece reads 0: its true value is
-  below 5^{-n}/8, under every tolerance.
+  only algebraically, so it has no exponential tail bound; the map
+  s = u/(1 - u), as in QUADPACK's QAGI, takes I onto u in (0, 1), where
+  the integrand tends to 1/8 (n = 0) or 0 (n >= 1) at u = 1.  The
+  substitution 4t = tan^2(phi) would map onto a finite interval as
+  well, but it turns I into (1/4) integral_0^{pi/2} sin^2(phi)
+  cos^{2n}(phi) d phi, exactly a quarter of the moment route's
+  integrand: the two Penson routes would then evaluate the same
+  integrand and stop being independent checks.
 
 The substitutions remove the algebraic singularities of the original
 integrands (sqrt(1 - t^2) at t = +-1 and sqrt(t) at t = 0), which the
@@ -241,11 +240,13 @@ def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
     _check_index(n)
     power = n + 2.0
 
-    def fn(s: float) -> float:
-        u = s * s
-        return 2.0 * u * math.exp(-power * math.log1p(4.0 * u))
+    def fn(u: float) -> float:
+        # s = u/v, ds = du/v^2; the rule never samples u = 1.
+        v = 1.0 - u
+        r = (u / v) ** 2
+        return 2.0 * r / (v * v) * math.exp(-power * math.log1p(4.0 * r))
 
-    qr = integrate_half_line(fn, config, scale=_penson_width(n))
+    qr = integrate_finite(fn, 0.0, 1.0, config, _penson_width(n))
     error = qr.error_estimate / qr.value
     return _assemble(qr, error, 2.0 * power * _LN2, -_LN_PI, math.log(qr.value))
 
@@ -298,12 +299,21 @@ def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
 
     I is the Mellin-type integral_0^inf sqrt(t)/(4t + 1)^{n+2} dt after
     t = s^2, which removes the square-root singularity at 0.  The
-    integrand peaks at s = 0 over a width of about 1/sqrt(n + 1), the
-    quadrature's ``scale``, and decays like s^{-(2n + 2)}, so no
-    exponential tail bound exists; without one, ``integrate_half_line``
-    splits at s = 1 and inverts the far piece.  The map 4t = tan^2(phi)
-    is not used: it turns I into a quarter of the moment route's
-    integrand (module docstring).
+    integrand decays like s^{-(2n + 2)}, so no exponential tail bound
+    exists; s = u/(1 - u) maps I onto (0, 1), where it reads
+    2 r/(1 - u)^2 (4r + 1)^{-(n+2)} with r = s^2, peaks at u = 0 over a
+    width of about 1/sqrt(n + 1), the quadrature's ``scale``, and stays
+    finite up to u = 1.
+
+    In doubles the map collapses every s beyond the last double below
+    u = 1, s = 2^53 - 1, into that one point.  The mass lost there is at
+    most integral_{2^53}^inf ds/(8 s^2) = 1/(8 2^53), about 1.4e-17,
+    which is 7.1e-17 of I at n = 0 (I = pi/16 there) and smaller
+    relative to I at every larger n.  That lies below 50 eps I, the
+    least that the panels' 50 eps resabs error floors add up to, so the
+    map loses nothing the estimate does not already cover.  The map
+    4t = tan^2(phi) is not used: it turns I into a quarter of the moment
+    route's integrand (module docstring).
     """
     return _row(n, Method.PENSON_MELLIN, _penson_mellin(n, config), ln_exact(n))
 

@@ -227,8 +227,9 @@ def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
     The terms come from exact integers and enter one compensated sum
     together with the lower end of the tail enclosure.
     """
-    if not tol > 0:  # also rejects NaN
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    # Also rejects NaN.  An infinite tol would certify any partial sum.
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     n_stop = _terms_needed(tol, odd_weight)
     lo, hi = _tail_enclosure(n_stop, odd_weight)
     partial = math.fsum(chain(islice(_exact_terms(odd_weight), n_stop), (lo,)))

@@ -66,14 +66,36 @@ FINITE_CORPUS = (
         1.0,
         2.0 * math.atan(5.0) / 5.0,
     ),
+    # Two half-line integrals with only algebraic decay, mapped onto
+    # (0, 1) by t = u/(1 - u), dt = du/(1 - u)^2.  The map needs decay
+    # like 1/t^2 or faster: sqrt(t)/(4t + 1)^2 itself would become
+    # (1 - u)^{-1/2}/16 at u = 1, and the mass beyond the last double
+    # below 1, about 1.3e-9, would escape every estimate.  t = s^2
+    # first gives 2 s^2/(4 s^2 + 1)^2 ds, as in the Penson-Mellin route.
+    (
+        "algebraic moment",
+        # 2 s^2/(4 s^2 + 1)^2 ds = 2 u^2/((1 - u)^2 + 4 u^2)^2 du
+        lambda u: 2.0 * u * u / ((1.0 - u) ** 2 + 4.0 * u * u) ** 2,
+        0.0,
+        1.0,
+        math.pi / 16.0,
+    ),
+    (
+        "lorentzian tail",
+        # dt/(1 + t^2) = du/(u^2 + (1 - u)^2)
+        lambda u: 1.0 / (u * u + (1.0 - u) ** 2),
+        0.0,
+        1.0,
+        math.pi / 2.0,
+    ),
 )
 
-# (label, integrand, tail constants or None, exact value) on [0, inf).
-# Tail constants are analytic bounds |f(t)| <= K exp(-c t):
+# (label, integrand, tail constants, exact value) on [0, inf).
+# Tail constants are analytic bounds |f(t)| <= K exp(-c t) for t >= T,
+# the truncation point, which is about 30 at the default tolerances:
 #   t exp(-t) <= (2/e) exp(-t/2)           -> K = 1,   c = 1/2
 #   exp(-t^2) <= exp(1/4) exp(-t)          -> K = 1.3, c = 1
-# Entries without constants go through the split at t = 1; they cover
-# exponential, faster-than-exponential and algebraic decay.
+#   exp(-t)/sqrt(t) <= exp(-t) for t >= 1  -> K = 1,   c = 1
 HALF_LINE_CORPUS = (
     (
         "exp decay",
@@ -94,34 +116,16 @@ HALF_LINE_CORPUS = (
         0.5 * math.sqrt(math.pi),
     ),
     (
-        "plain exponential (split)",
+        "plain exponential",
         lambda t: math.exp(-2.0 * t),
-        None,
+        TailBound(K=1.0, c=2.0),
         0.5,
-    ),
-    (
-        "half gaussian (split)",
-        lambda t: math.exp(-t * t),
-        None,
-        0.5 * math.sqrt(math.pi),
     ),
     (
         "gamma(1/2)",
         lambda t: math.exp(-t) / math.sqrt(t) if t > 0.0 else 0.0,
-        None,
+        TailBound(K=1.0, c=1.0),
         math.sqrt(math.pi),
-    ),
-    (
-        "algebraic moment",
-        lambda t: math.sqrt(t) / (4.0 * t + 1.0) ** 2 if t > 0.0 else 0.0,
-        None,
-        math.pi / 16.0,
-    ),
-    (
-        "lorentzian tail",
-        lambda t: 1.0 / (1.0 + t * t),
-        None,
-        math.pi / 2.0,
     ),
 )
 

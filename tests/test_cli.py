@@ -287,8 +287,10 @@ def test_sumrule_budget_exhaustion():
 
 
 def test_sumrule_bad_tolerance_is_usage_error():
-    for tol in ("0", "nan"):
-        result = runner.invoke(main, ["sumrule", "plain", "--tol", tol])
+    # abs_err <= inf + tail_bound holds for any sum, so an infinite
+    # tolerance would pass odd-weight, whose target is missed.
+    for rule, tol in (("plain", "0"), ("plain", "nan"), ("odd-weight", "inf")):
+        result = runner.invoke(main, ["sumrule", rule, "--tol", tol])
         assert result.exit_code == 2, tol
 
 

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod core and the two half-line reductions."""
+"""Adaptive Gauss-Kronrod core and the half-line reduction."""
 
 import itertools
 import math
@@ -98,9 +98,9 @@ def test_panel_is_bit_identical_to_loop_on_penson(n, cfg, monkeypatch):
     panels = _recorded_panels(monkeypatch)
     representations._penson_moment(n, cfg)
     representations._penson_mellin(n, cfg)
-    # Three integrands: the moment route's, and the Mellin route's near
-    # piece and inverted far piece.
-    assert len({id(f) for f, *_ in panels}) == 3
+    # Two integrands: the moment route's and the Mellin route's, each
+    # over one finite interval.
+    assert len({id(f) for f, *_ in panels}) == 2
     _assert_panels_match_reference(panels)
 
 
@@ -192,9 +192,8 @@ def _inverse_sqrt(t):
         lambda f, cfg: integrate_half_line(
             lambda t: f(t) * math.exp(-t), cfg, tail=TailBound(1.0, 0.5)
         ),
-        lambda f, cfg: integrate_half_line(lambda t: f(t) * math.exp(-t), cfg),
     ],
-    ids=["unseeded", "seeded", "truncated-half-line", "split-half-line"],
+    ids=["unseeded", "seeded", "truncated-half-line"],
 )
 def test_evaluations_count_the_calls_to_f(integrate, cfg):
     calls = [0]
@@ -372,38 +371,6 @@ def test_half_line_corpus(label, f, tail, exact, cfg):
     assert abs(result.value - exact) <= 10.0 * result.error_estimate, label
 
 
-def test_half_line_transforms_agree(cfg):
-    # One decaying integrand, both reductions (truncation with a tail
-    # bound, split-and-invert without) to the same number.
-    f = lambda t: math.exp(-t)  # noqa: E731
-    results = [
-        integrate_half_line(f, cfg, tail=tail)
-        for tail in (TailBound(1.0, 1.0), None)
-    ]
-    assert all(r.converged for r in results)
-    spread = abs(results[0].value - results[1].value)
-    budget = sum(r.error_estimate for r in results)
-    assert spread <= max(budget, 1e-13)
-
-
-def test_slow_algebraic_decay_is_never_silent(cfg):
-    # integral_0^inf (1 + t)^-1.01 dt = 100.  The inverted far piece
-    # behaves like s^-0.99, so the driver bisects towards s = 0 until 1/s
-    # overflows; there the mass near 0 cannot be sampled.  The reduction
-    # must say so rather than divide by an underflowed s^2 or drop it.
-    with pytest.raises(IntegrandEvaluationError) as exc_info:
-        integrate_half_line(lambda t: (1.0 + t) ** -1.01, cfg)
-    s = exc_info.value.abscissa
-    assert 0.0 < s < 2.0**-1023
-    # The message names the far piece and both abscissae: s, and the
-    # t = 1/s that overflowed.
-    assert exc_info.value.far_piece
-    message = str(exc_info.value)
-    assert message.startswith("far piece f(1/s)/s^2 returned nan")
-    assert f"s = {s!r}" in message
-    assert "t = 1/s = inf" in message
-
-
 SPIKE_WIDTH = 1e-6
 
 
@@ -413,11 +380,9 @@ def _spike(t: float) -> float:
     return t * math.exp(-t / SPIKE_WIDTH) / SPIKE_WIDTH**2
 
 
-@pytest.mark.parametrize(
-    "tail", [TailBound(1.0 / SPIKE_WIDTH, 1.0), None], ids=["truncated", "split"]
-)
+@pytest.mark.parametrize("tail", [TailBound(1.0 / SPIKE_WIDTH, 1.0)], ids=["truncated"])
 def test_narrow_spike_at_origin_is_found_with_its_scale(tail, cfg):
-    # The first panel, [0, T] or [0, 1], samples no t below a few 1e-3,
+    # The first panel, [0, T], samples no t below a few 1e-3,
     # where the spike has long vanished: without its scale the driver
     # sees zeros and stops at once with a value of 0.
     blind = integrate_half_line(_spike, cfg, tail=tail)
@@ -431,9 +396,10 @@ def test_narrow_spike_at_origin_is_found_with_its_scale(tail, cfg):
 def test_scale_must_be_positive(scale, cfg):
     with pytest.raises(ValueError):
         integrate_finite(math.exp, 0.0, 1.0, cfg, scale=scale)
-    for tail in (TailBound(1.0, 1.0), None):
-        with pytest.raises(ValueError):
-            integrate_half_line(lambda t: math.exp(-t), cfg, tail=tail, scale=scale)
+    with pytest.raises(ValueError):
+        integrate_half_line(
+            lambda t: math.exp(-t), cfg, tail=TailBound(1.0, 1.0), scale=scale
+        )
 
 
 def test_explicit_tail_constants_must_be_positive(cfg):

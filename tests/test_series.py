@@ -289,6 +289,9 @@ def test_tolerance_validation():
         stewart_sum_odd_weight(tol=-1e-6)
     with pytest.raises(ValueError):
         stewart_sum_plain(tol=float("nan"))
+    # Any partial sum meets an infinite tolerance, so it certifies nothing.
+    with pytest.raises(ValueError, match="finite"):
+        stewart_sum_plain(math.inf)
 
 
 def test_budget_exhaustion_carries_partial_result():

@@ -23,7 +23,6 @@ from .quadrature import (
     IntegrandEvaluationError,
     QuadConfig,
     QuadResult,
-    QuadratureNotConverged,
     TailBound,
     integrate_finite,
     integrate_half_line,
@@ -41,7 +40,6 @@ from .representations import (
 from .series import (
     GlaisherResult,
     SeriesResult,
-    TermBudgetExhausted,
     glaisher_from_integral,
     glaisher_oracle,
     series_tail_bound,
@@ -60,11 +58,9 @@ __all__ = [
     "Method",
     "QuadConfig",
     "QuadResult",
-    "QuadratureNotConverged",
     "RepresentationResult",
     "SeriesResult",
     "TailBound",
-    "TermBudgetExhausted",
     "binet_catalan_kernel",
     "catalan_binet",
     "catalan_exact",

@@ -23,12 +23,12 @@ import click
 
 from .exact import catalan_exact, ln_exact
 from .kernels import binet_catalan_kernel, malmsten_catalan_kernel
-from .quadrature import QuadConfig, QuadratureNotConverged
+from .quadrature import QuadConfig
 from .report import _fmt, build_report, to_csv, to_json, to_text
 from .representations import ROUTES, RepresentationResult, compare_representations
 from .series import (
+    TERM_BUDGET,
     SeriesResult,
-    TermBudgetExhausted,
     glaisher_from_integral,
     stewart_sum_odd_weight,
     stewart_sum_plain,
@@ -244,19 +244,23 @@ def _print_series(result: SeriesResult) -> None:
 def cmd_sumrule(which: str, tol: float) -> None:
     """Sum a Catalan series rule with a certified tail and check its target.
 
-    Exits 0 only if the certified interval is consistent with the
-    closed-form target (abs_err <= tol + tail_bound).
+    Exits 0 only if the tail bound met tol and the certified interval is
+    consistent with the closed-form target (abs_err <= tol + tail_bound).
     """
     rule = stewart_sum_odd_weight if which == "odd-weight" else stewart_sum_plain
     try:
         result = rule(tol)
-    except TermBudgetExhausted as exc:
-        click.echo(f"term budget exhausted: {exc}", err=True)
-        _print_series(exc.partial)
-        sys.exit(EXIT_VERIFICATION_FAILED)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _print_series(result)
+    if not result.converged:
+        click.echo(
+            f"term budget exhausted: tail bound {result.tail_bound:.3e} after "
+            f"{result.terms_used} terms; requested tolerance is unreachable "
+            f"within {TERM_BUDGET} terms",
+            err=True,
+        )
+        sys.exit(EXIT_VERIFICATION_FAILED)
     if not result.abs_err <= tol + result.tail_bound:
         click.echo(
             "target missed: the series does not certify to the stated closed form",
@@ -270,10 +274,14 @@ def cmd_sumrule(which: str, tol: float) -> None:
 def cmd_glaisher(abs_tol: float, rel_tol: float, max_subdivisions: int) -> None:
     """Recover the Glaisher-Kinkelin constant from the log-Gamma integral."""
     config = _config(abs_tol, rel_tol, max_subdivisions)
-    try:
-        result = glaisher_from_integral(config)
-    except QuadratureNotConverged as exc:
-        click.echo(f"quadrature failed: {exc}", err=True)
+    result = glaisher_from_integral(config)
+    if not result.converged:
+        click.echo(
+            f"quadrature failed: log-Gamma integral on [0, 1/2]: error estimate "
+            f"{result.error_estimate:.3e} did not meet tolerance after "
+            f"{result.evaluations} evaluations",
+            err=True,
+        )
         sys.exit(EXIT_VERIFICATION_FAILED)
     click.echo(f"integral_value {_fmt(result.integral_value)}")
     click.echo(f"ln_A           {_fmt(result.ln_A)}")

@@ -3,9 +3,10 @@
 The half-line integrands here all follow the Malmsten pattern: smooth
 for t > 0, a removable singularity at t = 0 with a finite analytic
 limit, and exponential decay with explicit constants.  Each kernel
-constructor returns a ``KernelSpec``: the plain function of t, the
-tail-bound constants the quadrature layer needs for sound truncation
-and the scale of the kernel near t = 0, which seeds its mesh there.
+constructor returns a ``KernelSpec``: the plain function of t and the
+tail-bound constants the quadrature layer needs for sound truncation.
+The rate c of that bound is also the one the kernel changes at near
+t = 0, so the quadrature seeds its mesh there at the width 1/c.
 
 The two Catalan kernels carry the integral factor common to both
 integral representations of C_n, ln Gamma(n + 1/2) - ln Gamma(n + 2):
@@ -90,16 +91,11 @@ def log_gamma_reference(x: float) -> float:
 
 
 class KernelSpec(NamedTuple):
-    """A half-line integrand with the constants of its tail bound.
-
-    ``scale`` is the width over which the integrand changes near t = 0,
-    passed to ``integrate_half_line`` to seed its mesh there; None when
-    the integrand has no such scale of its own.
-    """
+    """A half-line integrand and the constants of its tail bound, by
+    which ``integrate_half_line`` both truncates and seeds its mesh."""
 
     integrand: Callable[[float], float]
     tail_constants: TailBound
-    scale: float | None = None
 
 
 def binet_core(t: float) -> float:
@@ -150,7 +146,8 @@ def malmsten_catalan_kernel(n: int) -> KernelSpec:
     K = 1/2 adds margin.
 
     Scale: the factor e^{-(n + 1/2) t} sets the width 1/(n + 1/2) over
-    which the kernel changes near t = 0.
+    which the kernel changes near t = 0, the decay length 1/c of the
+    tail bound, at which the quadrature seeds its mesh.
     """
     _check_index(n)
     rate = n + 0.5
@@ -159,7 +156,7 @@ def malmsten_catalan_kernel(n: int) -> KernelSpec:
         q = math.exp(-0.5 * t)
         return math.expm1(-0.5 * t) / t * (q + 0.5) / (1.0 + q) * math.exp(-rate * t)
 
-    return KernelSpec(fn, TailBound(K=0.5, c=rate), 1.0 / rate)
+    return KernelSpec(fn, TailBound(K=0.5, c=rate))
 
 
 def binet_catalan_kernel(n: int) -> KernelSpec:
@@ -173,8 +170,8 @@ def binet_catalan_kernel(n: int) -> KernelSpec:
 
     Tail, for every t > 0: binet_core(t) <= t/12 and e^{-t/2} - e^{-2t}
     <= e^{-t/2}, so the integrand sits under e^{-(n + 1/2) t} / 12;
-    K = 1 adds margin.  The same factor e^{-(n + 1/2) t} gives the scale
-    1/(n + 1/2).
+    K = 1 adds margin.  Scale: the same factor e^{-(n + 1/2) t} sets the
+    width 1/(n + 1/2) = 1/c over which the kernel changes near t = 0.
     """
     _check_index(n)
 
@@ -182,4 +179,4 @@ def binet_catalan_kernel(n: int) -> KernelSpec:
         gap = math.expm1(-0.5 * t) - math.expm1(-2.0 * t)
         return binet_core(t) * gap * math.exp(-n * t) / t
 
-    return KernelSpec(fn, TailBound(K=1.0, c=n + 0.5), 1.0 / (n + 0.5))
+    return KernelSpec(fn, TailBound(K=1.0, c=n + 0.5))

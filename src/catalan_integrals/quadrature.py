@@ -10,15 +10,17 @@ truncation: the caller supplies an analytic tail bound
 |f(t)| <= K exp(-c t), the integral is cut at T chosen so that the
 discarded remainder (K/c) exp(-c T) is below a tenth of the absolute
 tolerance, and the remainder is added to the reported error estimate.
+The decay length 1/c also seeds the mesh on [0, T], so the bound is
+all a caller states about a half-line integrand.
 An integrand with no exponential tail bound is mapped onto a finite
 interval by its caller, who knows how fast it decays and so what the
 map loses in doubles; the Penson-Mellin route in the representations
 module shows how.
 
-A caller that knows the width over which f changes next to the lower
-end passes it as ``scale``, the one way to seed a mesh: the driver then
-starts from dyadic panels that halve down to that width instead of one
-panel.
+A caller of the finite driver that knows the width over which f
+changes next to the lower end passes it as ``scale``, the one way to
+seed a mesh: the driver then starts from dyadic panels that halve down
+to that width instead of one panel.
 
 Integrands are plain functions.  The rule is open, so an endpoint is
 never sampled, but bisection may close in on one until the panels
@@ -40,7 +42,6 @@ __all__ = [
     "IntegrandEvaluationError",
     "QuadConfig",
     "QuadResult",
-    "QuadratureNotConverged",
     "TailBound",
     "integrate_finite",
     "integrate_half_line",
@@ -61,17 +62,6 @@ class IntegrandEvaluationError(ValueError):
         self.abscissa = abscissa
         self.value = value
         super().__init__(f"integrand returned {value!r} at t = {abscissa!r}")
-
-
-class QuadratureNotConverged(RuntimeError):
-    """Raised by callers that require convergence when a QuadResult has converged=False."""
-
-    def __init__(self, result: "QuadResult", context: str):
-        self.result = result
-        super().__init__(
-            f"{context}: error estimate {result.error_estimate:.3e} "
-            f"did not meet tolerance after {result.evaluations} evaluations"
-        )
 
 
 class TailBound(NamedTuple):
@@ -119,11 +109,6 @@ class QuadResult:
     error_estimate: float
     evaluations: int
     converged: bool
-
-    def require_converged(self, context: str) -> "QuadResult":
-        if not self.converged:
-            raise QuadratureNotConverged(self, context)
-        return self
 
 
 # G7/K15 nodes and weights (positive abscissae; the rule is symmetric).
@@ -295,15 +280,14 @@ def integrate_half_line(
     f: Callable[[float], float],
     config: QuadConfig,
     tail: TailBound,
-    scale: float | None = None,
 ) -> QuadResult:
     """Integrate f over (0, inf), given the constants of an analytic
     bound |f(t)| <= K exp(-c t) as ``tail``.
 
     The integral is truncated at T and the bounded remainder is added to
-    the error estimate.  ``scale`` is the width over which f changes
-    near t = 0, when the caller knows it; it is passed to
-    ``integrate_finite`` for [0, T].
+    the error estimate.  [0, T] is seeded at the scale 1/c: an integrand
+    that decays like e^{-c t} changes over that width near t = 0, and
+    one that changes faster there states a larger c with a larger K.
     """
     if tail.K <= 0 or tail.c <= 0:
         raise ValueError(f"tail bound constants must be positive, got {tail}")
@@ -315,7 +299,7 @@ def integrate_half_line(
     # The finite pass gets half the budget so that adding the remainder
     # cannot push an otherwise-converged result past the tolerance.
     half = replace(config, abs_tol=0.5 * config.abs_tol, rel_tol=0.5 * config.rel_tol)
-    base = integrate_finite(f, 0.0, cutoff, half, scale)
+    base = integrate_finite(f, 0.0, cutoff, half, 1.0 / tail.c)
     total_err = base.error_estimate + remainder
     return QuadResult(
         value=base.value,

@@ -191,9 +191,7 @@ def _gamma_closed_form(n: int) -> _Estimate:
 
 def _half_line(spec: KernelSpec, config: QuadConfig, *terms: float) -> _Estimate:
     """ln C_n as ``terms`` plus the half-line integral of ``spec``."""
-    qr = integrate_half_line(
-        spec.integrand, config, tail=spec.tail_constants, scale=spec.scale
-    )
+    qr = integrate_half_line(spec.integrand, config, tail=spec.tail_constants)
     return _assemble(qr, qr.error_estimate, *terms, qr.value)
 
 

@@ -184,7 +184,7 @@ def log_gamma_difference_kernel(n: int) -> KernelSpec:
         num = math.expm1(-t) - math.expm1(0.5 * t)
         return (num / math.expm1(-t) * math.exp(-n * t) - 1.5) * math.exp(-t) / t
 
-    return KernelSpec(fn, TailBound(K=2.5, c=min(1.0, n + 0.5)), 1.0 / (n + 0.5))
+    return KernelSpec(fn, TailBound(K=2.5, c=min(1.0, n + 0.5)))
 
 
 def frullani_term(n: int, t: float) -> float:

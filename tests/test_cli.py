@@ -281,9 +281,22 @@ def test_sumrule_odd_weight_reports_target_miss():
 
 
 def test_sumrule_budget_exhaustion():
+    # The whole failure output: the reason on stderr, and the partial
+    # summation on stdout so that it shows how far the sum got.
     result = runner.invoke(main, ["sumrule", "plain", "--tol", "1e-30"])
     assert result.exit_code == 1
-    assert "term budget exhausted" in result.output
+    assert result.stderr == (
+        "term budget exhausted: tail bound 1.319e-14 after 20000 terms; "
+        "requested tolerance is unreachable within 20000 terms\n"
+    )
+    assert result.stdout.splitlines() == [
+        "partial_sum     1.0439776544805739",
+        "terms_used      20000",
+        "tail_bound      1.319e-14",
+        "certified_value 1.0439776544805806",
+        "target          1.043977654480579",
+        "abs_err         1.554e-15",
+    ]
 
 
 def test_sumrule_bad_tolerance_is_usage_error():
@@ -316,7 +329,11 @@ def test_glaisher_starved_quadrature_fails():
         ["glaisher", "--abs-tol", "1e-30", "--rel-tol", "1e-30", "--max-subdivisions", "2"],
     )
     assert result.exit_code == 1
-    assert "quadrature failed" in result.output
+    assert result.stderr == (
+        "quadrature failed: log-Gamma integral on [0, 1/2]: error estimate "
+        "4.758e-16 did not meet tolerance after 75 evaluations\n"
+    )
+    assert result.stdout == ""
 
 
 # --------------------------------------------------------- dump-kernel

@@ -40,3 +40,55 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+# The benchmark drives the package through perfbench/passes.py and taps
+# the names that perfbench/tracing.py's Tracer.install replaces; a name
+# deleted from the package would break it with every other test green.
+PASSES = pathlib.Path(__file__).parent.parent / "perfbench" / "passes.py"
+TAPPED = [
+    "representations.ln_exact",
+    "representations.integrate_finite",
+    "representations.integrate_half_line",
+    "series.integrate_finite",
+    "exact.CatalanTable.build",
+]
+
+
+def _benchmark_reads() -> list[str]:
+    """Every attribute that passes.py reads from a name bound by its
+    imports of the package, as a path relative to the package."""
+    tree = ast.parse(PASSES.read_text(encoding="utf-8"), filename=str(PASSES))
+    prefixes = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "catalan_integrals":
+                    prefixes[alias.asname or alias.name] = ""
+        elif isinstance(node, ast.ImportFrom) and node.module == "catalan_integrals":
+            for alias in node.names:
+                prefixes[alias.asname or alias.name] = f"{alias.name}."
+    return [
+        prefixes[node.value.id] + node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in prefixes
+    ]
+
+
+def _resolves(path: str) -> bool:
+    obj = catalan_integrals
+    for part in path.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_benchmark_entry_points_exist():
+    for name in MODULES:  # binds each submodule on the package
+        importlib.import_module(name)
+    reads = _benchmark_reads()
+    assert {"compare_representations", "report.to_json"} <= set(reads)
+    assert [path for path in reads + TAPPED if not _resolves(path)] == []

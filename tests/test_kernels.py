@@ -264,19 +264,15 @@ def test_malmsten_and_difference_kernels_agree_pointwise():
 
 
 def test_kernels_carry_the_scale_of_their_origin_factor():
-    # Both Catalan kernels carry e^{-(n + 1/2) t}.
+    # Both Catalan kernels carry e^{-(n + 1/2) t}, so their tail rate is
+    # n + 1/2 and the half-line driver seeds them at 1/(n + 1/2).
     for n in (0, 1, 7, 10_000):
-        malmsten = malmsten_catalan_kernel(n)
-        assert malmsten.scale == 1.0 / (n + 0.5)
-        assert binet_catalan_kernel(n).scale == malmsten.scale
-    # A spec built from a function and a tail bound alone has no scale.
-    assert theta_kernel(1.0).scale is None
+        assert malmsten_catalan_kernel(n).tail_constants.c == n + 0.5
+        assert binet_catalan_kernel(n).tail_constants.c == n + 0.5
 
 
 def _kernel_integral(spec: KernelSpec, cfg: QuadConfig) -> float:
-    result = integrate_half_line(
-        spec.integrand, cfg, tail=spec.tail_constants, scale=spec.scale
-    )
+    result = integrate_half_line(spec.integrand, cfg, tail=spec.tail_constants)
     assert result.converged
     return result.value
 

@@ -139,9 +139,13 @@ def _decimal_digits(value: int) -> str:
 @main.command("exact")
 @click.argument("n", type=click.IntRange(min=0))
 def cmd_exact(n: int) -> None:
-    """Print C_N exactly (all digits), then ln C_N."""
+    """Print C_N exactly (all digits), then ln C_N and its error bound."""
     click.echo(_decimal_digits(catalan_exact(n)))
-    click.echo(f"ln {_fmt(ln_exact(n))}")
+    ln_c = ln_exact(n)
+    click.echo(f"ln {_fmt(ln_c)}")
+    # The bound ln_exact's docstring proves: a relative 2^-53 of the sum
+    # for the logs of the factors, and half an ulp for its one rounding.
+    click.echo(f"ln_error {_fmt(ln_c * 2.0**-53 + 0.5 * math.ulp(ln_c))}")
 
 
 @main.command("rep")

@@ -6,7 +6,8 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
 * ``gamma_closed_form``: ln C_n = 2n ln 2 - ln(pi)/2
   + ln Gamma(n + 1/2) - ln Gamma(n + 2), from the duplication identity
   binomial(2n, n) = 4^n Gamma(n + 1/2) / (sqrt(pi) Gamma(n + 1)).
-  No quadrature; the Gamma factors come from the Stirling reference.
+  No quadrature; the Gamma factors come from the Stirling reference,
+  and the bar is its truncation plus the rounding of every term added.
 * ``malmsten``: same prefactor, with the Gamma difference evaluated as
   -(3/2) ln(n + 1/2) plus the half-line integral of the
   Malmsten-Catalan kernel: Frullani's integral takes the one term of
@@ -39,10 +40,29 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   the theta difference is exactly the Binet-Catalan kernel integral.
 * ``penson_moment``: C_n = (2/pi) 4^n integral_{-1}^{1} t^{2n}
   sqrt(1 - t^2) dt, a finite-interval moment form.  With t = cos(phi)
-  the integrand becomes cos^{2n}(phi) sin^2(phi), which is even, so
-  C_n = (4/pi) 4^n J with J = integral_0^{pi/2} cos^{2n}(phi)
-  sin^2(phi) d phi.  J is evaluated as sin^2(phi) exp(n log1p(-sin^2
-  phi)), whose rounding does not grow with n as that of cos^{2n} does.
+  the integrand becomes f(phi) = sin^2(phi) cos^{2n}(phi), which is
+  even, so C_n = (4/pi) 4^n J with J = integral_0^{pi/2} f.  f is also
+  pi-periodic: a trigonometric polynomial of degree n + 1 in
+  e^{2 i phi}, with coefficients a_k = (2 b_k - b_{k-1} - b_{k+1})/4,
+  b_k = binomial(2n, n + k)/4^n.  So J is half the M-point trapezoid
+  sum T_M over [0, pi) up to aliasing alone, T_M/2 - J =
+  pi sum_{j>=1} a_{jM}, which is 0 once M >= n + 2 (Trefethen and
+  Weideman, SIAM Review 56, 2014).  The b_k fall for k >= 0, so
+  |a_k| <= b_{k-1}/2 for k >= 1, and Hoeffding's inequality for a
+  binomial(2n, 1/2) count gives b_{k-1} <= e^{-(k-1)^2/n}: the
+  aliasing error is proved to be at most pi sum e^{-(jM-1)^2/n} over
+  the jM <= n + 1.  The route takes the least M whose bound meets the
+  relative target max(abs_tol, rel_tol), relative because an error on
+  the ln scale is J's relative error, with J bounded below by
+  Kershaw's inequality, J >= sqrt(pi)/(4 (n + 1) sqrt(n + 1/2)).  The
+  target is capped at 1/2, where the bound still keeps T_M positive.
+  f(0) = 0 and f(pi - phi) = f(phi) leave floor(M/2) samples, and M is
+  capped so that they cost no more than the adaptive driver may spend
+  on one call, 15 + 30 max_subdivisions evaluations; past the cap the
+  route reports the bound of the largest M within it and converged =
+  False.  f is evaluated as sin^2(phi) exp(n log1p(-sin^2 phi)), whose
+  rounding does not grow with n as that of cos^{2n} does, and each
+  sample carries a bound on its rounding (``catalan_penson_moment``).
 * ``penson_mellin``: C_n = (4^{n+2}/pi) integral_0^inf sqrt(t) /
   (4t + 1)^{n+2} dt.  With t = s^2 this is C_n = (4^{n+2}/pi) I with
   I = integral_0^inf 2 s^2 / (4 s^2 + 1)^{n+2} ds.  The integrand decays
@@ -58,16 +78,17 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
 The substitutions remove the algebraic singularities of the original
 integrands (sqrt(1 - t^2) at t = +-1 and sqrt(t) at t = 0), which the
 adaptive driver could only resolve by bisecting into them many times;
-the substituted integrands are smooth on their whole intervals.  Both
-peak at 0 over a width of about 1/sqrt(n + 1), which is passed to the
-quadrature as its ``scale``, so the first panels resolve the peak at
-every n.  Both are computed in linear scale (J and I are of order
-n^{-3/2}, far from the limits of a double) and only their logs enter
-the assembly, so the quadrature error estimate is propagated to the ln
-scale as estimate / value.  That estimate stays honest at every n, but
-the quadrature's target max(abs_tol, rel_tol |value|) is absolute once
-the value falls below abs_tol / rel_tol, so at large n it is loose: at
-n = 10^6 about 1e-4 on the ln scale under the default config.
+the substituted integrands are smooth on their whole intervals.  The
+Mellin integrand peaks at 0 over a width of about 1/sqrt(n + 1), which
+is passed to the quadrature as its ``scale``, so the first panels
+resolve the peak at every n.  I is computed in linear scale (it is of
+order n^{-3/2}, far from the limits of a double) and only its log
+enters the assembly, so the quadrature error estimate is propagated to
+the ln scale as estimate / value.  That estimate stays honest at every
+n, but the quadrature's target max(abs_tol, rel_tol |value|) is
+absolute once the value falls below abs_tol / rel_tol, so at large n
+it is loose: at n = 10^6 about 6e-7 on the ln scale under the default
+config.
 
 Every quadrature route sums its terms of ln C_n with ``math.fsum`` and
 adds a bound on their rounding, 4 eps times the sum of their absolute
@@ -85,12 +106,15 @@ from dataclasses import dataclass
 from .exact import _LN2, _LN_PI, _check_index, ln_exact
 from .kernels import (
     KernelSpec,
+    _log_gamma_reference_parts,
     binet_catalan_kernel,
     log_gamma_reference,
     malmsten_catalan_kernel,
 )
 from .quadrature import (
     _EPS,
+    _UFLOW,
+    IntegrandEvaluationError,
     QuadConfig,
     QuadResult,
     integrate_finite,
@@ -111,6 +135,10 @@ __all__ = [
 ]
 
 
+_U = 0.5 * _EPS  # unit roundoff, 2^-53
+_SQRT_PI = math.sqrt(math.pi)
+
+
 class Method(enum.Enum):
     """Evaluation route identifiers; values are the wire names used in reports."""
 
@@ -126,8 +154,9 @@ class RepresentationResult:
     """One route's output for one n, against the exact value.
 
     ``ln_value`` is the route's ln C_n; ``exact_ln`` the integer-backed
-    reference; ``quad_error_estimate`` the quadrature error propagated
-    to ln scale (0 for the quadrature-free closed form).  ``converged``
+    reference; ``quad_error_estimate`` the route's error bar on the ln
+    scale (for the quadrature-free closed form, the Stirling truncation
+    and the rounding of its sum).  ``converged``
     is False when the underlying quadrature gave up or the route failed
     outright (then ln_value and abs_err_ln are NaN).
     """
@@ -186,7 +215,10 @@ def _gamma_closed_form(n: int) -> _Estimate:
         + log_gamma_reference(n + 0.5)
         - log_gamma_reference(n + 2.0)
     )
-    return ln_value, 0.0, 0, True
+    truncation_a, size_a = _log_gamma_reference_parts(n + 0.5)
+    truncation_b, size_b = _log_gamma_reference_parts(n + 2.0)
+    size = 2.0 * n * _LN2 + 0.5 * _LN_PI + size_a + size_b
+    return ln_value, truncation_a + truncation_b + 8.0 * _EPS * size, 0, True
 
 
 def _half_line(spec: KernelSpec, config: QuadConfig, *terms: float) -> _Estimate:
@@ -216,22 +248,97 @@ def _binet(n: int, config: QuadConfig) -> _Estimate:
 
 
 def _penson_width(n: int) -> float:
-    """Width of the peak at 0 of both Penson integrands, 1/sqrt(n + 1)."""
+    """Width of the peak at 0 of the Penson-Mellin integrand, 1/sqrt(n + 1)."""
     return 1.0 / math.sqrt(n + 1.0)
+
+
+def _moment_floor(n: int) -> float:
+    """Kershaw's lower bound on J, sqrt(pi)/(4 (n + 1) sqrt(n + 1/2))."""
+    return _SQRT_PI / (4.0 * (n + 1.0) * math.sqrt(n + 0.5))
+
+
+def _moment_aliasing(n: int, m: int) -> float:
+    """Bound on |T_m/2 - J|: pi times the sum of e^{-(k - 1)^2/n} over the
+    multiples k of m up to n + 1, the only aliased coefficients that are
+    not 0."""
+    total = 0.0
+    for k in range(m, n + 2, m):
+        term = math.exp(-((k - 1) ** 2) / n)
+        if term == 0.0:  # and so is every later one
+            break
+        total += term
+    return math.pi * total
+
+
+def _moment_points(n: int, config: QuadConfig) -> tuple[int, float, bool]:
+    """(m, its aliasing bound, whether that meets the target): the least
+    m whose bound meets the target, or the most the budget allows."""
+    target = min(max(config.abs_tol, config.rel_tol), 0.5) * _moment_floor(n)
+    cap = 2 * (15 + 30 * config.max_subdivisions) + 1
+    # The k = m term alone needs (m - 1)^2 >= n ln(pi/target); a target
+    # that underflows to 0 is met only by m = n + 2.
+    ratio = math.pi / max(target, _UFLOW)
+    m = max(2, math.floor(1.0 + math.sqrt(n * math.log(ratio))))
+    m = min(m, n + 2, cap)
+    aliasing = _moment_aliasing(n, m)
+    while aliasing > target and m < min(n + 2, cap):
+        m += 1
+        aliasing = _moment_aliasing(n, m)
+    return m, aliasing, aliasing <= target
+
+
+def _moment_sample(n: int, phi: float) -> tuple[float, float]:
+    """sin^2(phi) cos^{2n}(phi) at a node of the trapezoid rule, and a
+    bound on its distance from the integrand at the exact node
+    (``catalan_penson_moment`` derives it)."""
+    s = math.sin(phi)
+    s2 = s * s
+    if s2 == 1.0:
+        # Within about 1e-8 of pi/2, sin(phi) rounds to 1, where
+        # log1p(-1) raises; cos^{2n}(phi) is then (1 - s2)^n = 0^n.
+        return 0.0**n, 0.0
+    power = n * math.log1p(-s2)
+    value = s2 * math.exp(power)
+    rel = _U * (21.0 + 18.0 * n * s2 / (1.0 - s2) - 5.0 * power)
+    return value, (value * rel if rel <= 1.0 / 32.0 else math.exp(-0.99 * n * s2))
+
+
+def _moment_rule(n: int, m: int) -> tuple[float, float]:
+    """Half the m-point trapezoid sum of sin^2 cos^{2n} over [0, pi), and
+    a bound on its rounding error; the ``m // 2`` samples lie in (0, pi/2]."""
+    h = math.pi / m
+    rounding = 0.0
+
+    def samples():
+        # f(0) = 0 and f(pi - phi) = f(phi): each node in (0, pi/2)
+        # stands for two, and pi/2, a node when m is even, for one.
+        nonlocal rounding
+        for j in range(1, m // 2 + 1):
+            value, error = _moment_sample(n, j * h)
+            if 2 * j == m:
+                value, error = 0.5 * value, 0.5 * error
+            rounding += error
+            yield value
+
+    total = math.fsum(samples())
+    if not math.isfinite(total):
+        for j in range(1, m // 2 + 1):
+            value = _moment_sample(n, j * h)[0]
+            if not math.isfinite(value):
+                raise IntegrandEvaluationError(j * h, value)
+    value = h * total
+    return value, h * rounding + 2.0 * _EPS * value
 
 
 def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
     _check_index(n)
-
-    def fn(phi: float) -> float:
-        s2 = math.sin(phi) ** 2
-        # Within about 1e-8 of pi/2, sin(phi) rounds to 1, where
-        # log1p(-1) raises; cos^{2n}(phi) is then (1 - s2)^n = 0^n.
-        return s2 * (math.exp(n * math.log1p(-s2)) if s2 < 1.0 else 0.0**n)
-
-    qr = integrate_finite(fn, 0.0, 0.5 * math.pi, config, _penson_width(n))
-    error = qr.error_estimate / qr.value
-    return _assemble(qr, error, 2.0 * (n + 1) * _LN2, -_LN_PI, math.log(qr.value))
+    m, aliasing, met = _moment_points(n, config)
+    value, rounding = _moment_rule(n, m)
+    relative = (aliasing + rounding) / _moment_floor(n)
+    error = -math.log1p(-relative) if relative < 1.0 else math.inf
+    ln_value = math.log(value) if value > 0.0 else -math.inf
+    qr = QuadResult(value, aliasing + rounding, m // 2, met)
+    return _assemble(qr, error, 2.0 * (n + 1) * _LN2, -_LN_PI, ln_value)
 
 
 def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
@@ -254,6 +361,17 @@ def catalan_gamma_closed_form(n: int) -> RepresentationResult:
 
     Quadrature-free; this is the fast route the integral routes are
     measured against when the exact integer is too slow to build.
+
+    Its bar is the truncation of the two Stirling series, each below
+    its first omitted term (DLMF 5.11.ii), plus 8 eps times the sum of
+    the absolute values of every term the route adds up: the prefactor,
+    and for each Gamma factor the logs of its shift and the terms of the
+    series.  That follows the rule of ``_assemble`` for a sum rounded at
+    every addition: a term passes at most 12 additions (9 in the shift,
+    1 in the reference, 2 in the route), each rounding by at most u =
+    2^-53 of a partial sum, and carries at most 2u of its own, so 14u =
+    7 eps bounds the rounding, and the eighth eps covers the float
+    evaluation of the bar itself.
     """
     return _row(n, Method.GAMMA_CLOSED_FORM, _gamma_closed_form(n), ln_exact(n))
 
@@ -285,9 +403,34 @@ def catalan_penson_moment(n: int, config: QuadConfig) -> RepresentationResult:
     J = integral_0^{pi/2} cos^{2n}(phi) sin^2(phi) d phi.
 
     J is half of the moment integral_{-1}^1 t^{2n} sqrt(1 - t^2) dt after
-    t = cos(phi), which leaves an integrand that is smooth up to both
-    ends of its interval and peaks at phi = 0 over a width of about
-    1/sqrt(n + 1), the quadrature's ``scale``.
+    t = cos(phi), and half the M-point trapezoid sum over [0, pi) up to
+    an aliasing error with a proved bound; the module docstring derives
+    the bound and the choice of M.  The error bar is proved too.
+
+    Rounding of one sample, with u = 2^-53.  The node j pi/M is computed
+    as j fl(pi/M), within a relative 3u, which moves sin(phi) by at most
+    a relative (pi/2) 3u on (0, pi/2); with the 2u of sin and the u of
+    the square, s2 = sin^2(phi) (1 + e) with |e| <= 15u.  That moves
+    log1p(-s2) by e tan^2(phi) to first order, so L = n log1p(-s2) by
+    15u n tan^2(phi); log1p and the product round by 2u and 2u of |L|
+    (one u for n itself past 2^53), and exp and the last product add 3u.
+    The sample is thus within a relative u (18 + 15 n tan^2 + 4 |L|) of
+    f at the exact node, to first order.  Where that is at most 1/32 the
+    higher orders add at most a tenth, which the constants used, 21, 18
+    and 5, cover together with the rounding of tan^2 = s2/(1 - s2) and
+    of the running sum of the bounds.  Where it is more, the error is
+    bounded by e^{-0.99 n s2}, which bounds both the computed and the
+    true sample.  At the node pi/2, where sin rounds to 1, the sample is
+    exact; any other node that close needs M > 1.4e8, so n > 1.4e8,
+    where the true sample is below the least subnormal.  The rule adds
+    these bounds in the pass that sums the samples, then 2 eps of its
+    result for the fsum, pi/M and the last product.
+
+    With delta = (aliasing bound + rounding bound) / Kershaw's lower
+    bound on J, the error of ln J is at most -ln(1 - delta), and
+    ``_assemble`` adds the rounding of the log and of the sum.  The
+    factor 2 dropped from |a_k| <= b_{k-1}/2 covers the rounding of the
+    aliasing sum and of the lower bound.
     """
     return _row(n, Method.PENSON_MOMENT, _penson_moment(n, config), ln_exact(n))
 

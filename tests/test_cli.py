@@ -9,6 +9,7 @@ import subprocess
 import sys
 from decimal import Decimal
 
+import mpmath as mp
 import pytest
 from click.testing import CliRunner
 
@@ -45,6 +46,17 @@ def test_exact_log_is_the_one_rep_prints():
     exact_line = runner.invoke(main, ["exact", "29"]).output.splitlines()[1]
     rep = runner.invoke(main, ["rep", "gamma", "29"]).output
     assert exact_line == "ln " + re.search(r"exact_ln=(\S+)", rep).group(1)
+
+
+@pytest.mark.parametrize("n", [3, 29, 100_000])
+def test_exact_prints_a_bar_that_covers_the_error(n):
+    lines = runner.invoke(main, ["exact", str(n)]).output.splitlines()
+    assert lines[2].startswith("ln_error ")
+    ln_c, bar = float(lines[1].split()[1]), float(lines[2].split()[1])
+    with mp.workdps(40):
+        exact = mp.loggamma(2 * n + 1) - mp.loggamma(n + 1) - mp.loggamma(n + 2)
+        assert abs(mp.mpf(ln_c) - exact) <= bar
+    assert bar <= 2.0 * math.ulp(ln_c)
 
 
 def test_exact_edge_and_larger_values():

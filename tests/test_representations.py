@@ -17,7 +17,11 @@ from catalan_integrals.representations import (
     catalan_penson_moment,
     compare_representations,
 )
-from catalan_integrals.quadrature import QuadConfig, integrate_finite
+from catalan_integrals.quadrature import (
+    IntegrandEvaluationError,
+    QuadConfig,
+    integrate_finite,
+)
 
 # The n = 0..200 of the benchmark's sweep.
 SWEEP = range(201)
@@ -39,7 +43,8 @@ def test_gamma_closed_form_anchors():
     assert abs(row0.ln_value) <= 1e-13
     assert row0.converged
     assert row0.evaluations == 0
-    assert row0.quad_error_estimate == 0.0
+    # The Stirling truncation and the rounding of the sum, not 0.
+    assert abs(row0.ln_value) <= row0.quad_error_estimate <= 1e-12
     row3 = catalan_gamma_closed_form(3)
     assert abs(row3.ln_value - math.log(5.0)) <= 1e-12
     row50 = catalan_gamma_closed_form(50)
@@ -112,6 +117,16 @@ def test_half_line_rows_honest_against_mpmath_at_every_n(route, cfg):
 LARGE_NS = [round(10 ** (k / 4)) for k in range(4, 25)]
 
 
+def test_gamma_rows_honest_against_mpmath(cfg):
+    # The bar is the Stirling truncation plus the rounding of every term
+    # the route adds up; at n = 1e6 the error is about 7e-10.
+    def gamma(n, _cfg):
+        return catalan_gamma_closed_form(n)
+
+    _check_against_mpmath(gamma, range(2001), cfg, 1e-11)
+    _check_against_mpmath(gamma, LARGE_NS, cfg, 1e-8)
+
+
 @pytest.mark.parametrize("route", (catalan_malmsten, catalan_binet, *PENSON_ROUTES))
 def test_large_n_rows_honest_against_mpmath(route, cfg):
     # Past a few thousand, one ulp of ln C_n is above the quadrature's
@@ -157,21 +172,26 @@ def test_penson_at_tightest_tolerance_returns_a_row(route):
         assert row.abs_err_ln <= 1e-12, n
 
 
-def test_penson_moment_integrand_is_finite_where_sin_rounds_to_one(cfg, monkeypatch):
+def test_penson_moment_integrand_is_finite_where_sin_rounds_to_one(monkeypatch):
     # Within about 1e-8 of pi/2, sin(phi) is 1.0 and log1p(-1) raises;
-    # the integrand must read (1 - 1)^n there instead.
-    integrands = []
+    # the integrand must read (1 - 1)^n there instead.  A rule with an
+    # even number of points samples phi = pi/2 itself, as its last node.
+    sample = representations._moment_sample
+    samples = []
 
-    def capture(f, *args):
-        integrands.append(f)
-        return integrate_finite(f, *args)
+    def capture(n, phi):
+        samples.append((phi, sample(n, phi)))
+        return samples[-1][1]
 
-    monkeypatch.setattr(representations, "integrate_finite", capture)
+    monkeypatch.setattr(representations, "_moment_sample", capture)
     phi = 0.5 * math.pi - 1e-9
     assert math.sin(phi) == 1.0
     for n in (0, 1, 1_000):
-        catalan_penson_moment(n, cfg)
-        assert integrands[-1](phi) == (1.0 if n == 0 else 0.0), n
+        assert sample(n, phi) == (0.0**n, 0.0), n
+        representations._moment_rule(n, 2 * (n // 2 + 1))
+        last_node, (value, _) = samples[-1]
+        assert math.sin(last_node) == 1.0, n
+        assert value == 0.0**n, n
 
 
 def test_penson_mellin_integrand_is_finite_at_both_ends(cfg, monkeypatch):
@@ -194,15 +214,105 @@ def test_penson_mellin_integrand_is_finite_at_both_ends(cfg, monkeypatch):
 # Summed integrand evaluations over n = 0..200 at the default config;
 # before the substitutions removed the endpoint singularities they were
 # 306,885 (moment) and 153,930 (Mellin), before the integrands were
-# seeded at their scale 1/sqrt(n + 1) they were 31,515 and 35,220, and
+# seeded at their scale 1/sqrt(n + 1) they were 31,515 and 35,220,
 # before the Mellin integral was mapped onto (0, 1) instead of split at
-# s = 1 with its far piece inverted, 33,165 (Mellin).
+# s = 1 with its far piece inverted, 33,165 (Mellin), and before the
+# moment integral took the trapezoid rule, 27,405 (moment).
 @pytest.mark.parametrize(
-    "route, budget", [(catalan_penson_moment, 28_000), (catalan_penson_mellin, 32_500)]
+    "route, budget", [(catalan_penson_moment, 6_000), (catalan_penson_mellin, 32_500)]
 )
 def test_penson_evaluation_budget(route, budget, cfg):
     total = sum(route(n, cfg).evaluations for n in SWEEP)
     assert total <= budget
+
+
+# ------------------------------------- the moment route's trapezoid rule
+
+
+def _moment_integral(n):
+    # J = pi C_n / 4^(n + 1), in the working precision of mpmath.
+    return mp.pi * mp.binomial(2 * n, n) / ((n + 1) * mp.mpf(4) ** (n + 1))
+
+
+def test_moment_rule_is_exact_at_n_plus_2_points():
+    # sin^2 cos^(2n) is a trigonometric polynomial of degree n + 1 in
+    # e^(2 i phi), so n + 2 points alias nothing: what is left is rounding,
+    # within the rule's own bound.
+    with mp.workdps(40):
+        for n in range(31):
+            value, rounding = representations._moment_rule(n, n + 2)
+            assert abs(mp.mpf(value) - _moment_integral(n)) <= rounding, n
+            assert rounding <= 1e-14 * value, n
+
+
+def test_moment_samples_are_within_their_rounding_bound(cfg):
+    # Each sample against sin^2 cos^(2n) at the exact node j/m of a half
+    # turn; the slack covers mpmath's rounding and samples that underflow.
+    with mp.workdps(40):
+        for n in (0, 1, 2, 10, 1_000, 1_000_000):
+            m = representations._moment_points(n, cfg)[0]
+            for points in (m, m + 1):
+                h = math.pi / points
+                for j in range(1, points // 2 + 1):
+                    value, bound = representations._moment_sample(n, j * h)
+                    x = mp.mpf(j) / points
+                    exact = mp.sinpi(x) ** 2 * mp.cospi(x) ** (2 * n)
+                    err = abs(mp.mpf(value) - exact)
+                    assert err <= bound + 1e-36 * exact + 1e-300, (n, points, j)
+
+
+@pytest.mark.parametrize("n", [10, 100, 10_000, 1_000_000])
+def test_moment_aliasing_bound_covers_the_true_error(n):
+    # The m-point trapezoid sum over every node of [0, pi), none folded
+    # by symmetry, against J; the slack covers mpmath's own rounding.
+    with mp.workdps(40):
+        exact = _moment_integral(n)
+        for rel_tol in (1e-2, 1e-5, 1e-8):
+            config = QuadConfig(abs_tol=0.0, rel_tol=rel_tol)
+            m, aliasing, met = representations._moment_points(n, config)
+            assert met, (n, rel_tol)
+            nodes = (j * mp.pi / m for j in range(m))
+            half_sum = mp.pi / (2 * m) * mp.fsum(
+                mp.sin(phi) ** 2 * mp.cos(phi) ** (2 * n) for phi in nodes
+            )
+            assert abs(half_sum - exact) <= aliasing + 1e-35 * exact, (n, rel_tol)
+
+
+def test_moment_route_reports_a_starved_budget(cfg):
+    # One subdivision buys the adaptive driver 45 evaluations, so the
+    # rule gets at most 91 points; n = 300 needs 105.
+    row = catalan_penson_moment(300, QuadConfig(max_subdivisions=1))
+    assert not row.converged
+    assert row.evaluations == 45
+    with mp.workdps(40):
+        exact = mp.loggamma(601) - mp.loggamma(301) - mp.loggamma(302)
+        assert float(abs(mp.mpf(row.ln_value) - exact)) <= row.quad_error_estimate
+
+
+def test_moment_route_at_a_tolerance_above_one():
+    # Two points read 0 at every n >= 1; the target is capped at a
+    # relative 1/2, which keeps the sum positive.
+    loose = QuadConfig(abs_tol=10.0)
+    for n in (0, 1, 2, 100, 1_000_000):
+        m, _, met = representations._moment_points(n, loose)
+        assert m >= 2 and met, n
+        row = catalan_penson_moment(n, loose)
+        assert row.converged and math.isfinite(row.ln_value), n
+        assert row.abs_err_ln <= row.quad_error_estimate, n
+
+
+def test_moment_rule_names_the_first_non_finite_sample(monkeypatch):
+    sample = representations._moment_sample
+
+    def poisoned(n, phi):
+        value, error = sample(n, phi)
+        return (math.nan if phi > 1.0 else value), error
+
+    monkeypatch.setattr(representations, "_moment_sample", poisoned)
+    # Seven points: the nodes in (0, pi/2) are pi/7, 2 pi/7 and 3 pi/7.
+    with pytest.raises(IntegrandEvaluationError) as info:
+        representations._moment_rule(5, 7)
+    assert info.value.abscissa == 3 * (math.pi / 7)
 
 
 # Summed integrand evaluations at the default config.  Before the

@@ -2,25 +2,21 @@
 
 The base rule is the 15-point Kronrod extension of 7-point Gauss
 (G7/K15) with the classical QUADPACK error estimate; the adaptive
-driver starts from one panel and bisects the panel with the worst
-estimate first.
+driver bisects the panel with the worst estimate first.
 
 A half-line integral over (0, inf) is reduced to a finite one by
 truncation: the caller supplies an analytic tail bound
 |f(t)| <= K exp(-c t), the integral is cut at T chosen so that the
 discarded remainder (K/c) exp(-c T) is below a tenth of the absolute
-tolerance, and the remainder is added to the reported error estimate.
-The decay length 1/c also seeds the mesh on [0, T], so the bound is
-all a caller states about a half-line integrand.
+tolerance (below the least normal double when that is 0), and the
+remainder is added to the reported error estimate.
+The decay length 1/c also seeds the mesh on [0, T], with dyadic panels
+that halve down to it, so the bound is all a caller states about a
+half-line integrand.  A finite integral starts from one panel.
 An integrand with no exponential tail bound is mapped onto a finite
 interval by its caller, who knows how fast it decays and so what the
-map loses in doubles; the Penson-Mellin route in the representations
-module shows how.
-
-A caller of the finite driver that knows the width over which f
-changes next to the lower end passes it as ``scale``, the one way to
-seed a mesh: the driver then starts from dyadic panels that halve down
-to that width instead of one panel.
+map loses in doubles, and who puts the width of its peak into the map;
+the Penson-Mellin route in the representations module shows how.
 
 Integrands are plain functions.  The rule is open, so an endpoint is
 never sampled, but bisection may close in on one until the panels
@@ -198,41 +194,17 @@ def _kronrod_panel(
     return value, err
 
 
-def integrate_finite(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    config: QuadConfig,
-    scale: float | None = None,
+def _adaptive(
+    f: Callable[[float], float], edges: list[float], config: QuadConfig
 ) -> QuadResult:
-    """Globally adaptive G7/K15 integration of f over [a, b].
+    """Globally adaptive G7/K15 integration over the panels between
+    consecutive ``edges``, which ascend.
 
-    Endpoints are never sampled (the rule is open), so integrable
-    endpoint behavior like sqrt(b - t) is admissible.  ``scale`` is the
-    width over which f changes next to a, when the caller knows it: the
-    driver then starts from the dyadic panels with edges a + (b - a)/2,
-    a + (b - a)/4, ... down to the last one more than 4 scale from a,
-    as QUADPACK's QAGP starts from its breakpoints, so that it does not
-    have to find that width by bisecting one panel at a time.  Without
-    it the driver starts from [a, b] alone.  Each starting panel costs
-    15 evaluations and is not a subdivision.  The driver then bisects
-    the worst-error panel until the summed estimates meet the tolerance
-    or ``max_subdivisions`` bisections have been spent; in the latter
-    case the result is returned with converged = False.
+    Each starting panel costs 15 evaluations and is not a subdivision.
+    The driver bisects the worst-error panel until the summed estimates
+    meet the tolerance or ``max_subdivisions`` bisections have been
+    spent; in the latter case converged = False.
     """
-    if not -math.inf < a < b < math.inf:  # also rejects NaN
-        raise ValueError(f"need finite a < b, got [{a}, {b}]")
-    edges = [b]
-    if scale is not None:
-        if not scale > 0:  # also rejects NaN
-            raise ValueError(f"scale must be positive, got {scale}")
-        # Halved separately so that b - a cannot overflow.
-        width = 0.5 * b - 0.5 * a
-        while width > 4.0 * scale:
-            edges.append(a + width)
-            width *= 0.5
-    edges.append(a)
-    edges.reverse()
     # Heap entries: (-error, tiebreak, a, b, value, error).
     heap = []
     for counter, (lo, hi) in enumerate(zip(edges, edges[1:])):
@@ -276,6 +248,20 @@ def integrate_finite(
     )
 
 
+def integrate_finite(
+    f: Callable[[float], float], a: float, b: float, config: QuadConfig
+) -> QuadResult:
+    """Globally adaptive G7/K15 integration of f over [a, b], starting
+    from the one panel [a, b].
+
+    Endpoints are never sampled (the rule is open), so integrable
+    endpoint behavior like sqrt(b - t) is admissible.
+    """
+    if not -math.inf < a < b < math.inf:  # also rejects NaN
+        raise ValueError(f"need finite a < b, got [{a}, {b}]")
+    return _adaptive(f, [a, b], config)
+
+
 def integrate_half_line(
     f: Callable[[float], float],
     config: QuadConfig,
@@ -285,21 +271,32 @@ def integrate_half_line(
     bound |f(t)| <= K exp(-c t) as ``tail``.
 
     The integral is truncated at T and the bounded remainder is added to
-    the error estimate.  [0, T] is seeded at the scale 1/c: an integrand
-    that decays like e^{-c t} changes over that width near t = 0, and
-    one that changes faster there states a larger c with a larger K.
+    the error estimate.  [0, T] is seeded at the decay length 1/c: an
+    integrand that decays like e^{-c t} changes over that width near
+    t = 0, and one that changes faster there states a larger c with a
+    larger K.  The driver starts from the dyadic panels with edges T/2,
+    T/4, ... down to the last one more than 4/c from 0, as QUADPACK's
+    QAGP starts from its breakpoints, so that it does not have to find
+    that width by bisecting one panel at a time.
     """
     if tail.K <= 0 or tail.c <= 0:
         raise ValueError(f"tail bound constants must be positive, got {tail}")
-    # Truncation point: remainder (K/c) exp(-c T) <= tol_ref / 10.
-    tol_ref = config.abs_tol if config.abs_tol > 0 else config.rel_tol
+    # Truncation point: remainder (K/c) exp(-c T) <= tol_ref / 10.  With
+    # no absolute target, tol_ref is the least normal double, below which
+    # the remainder is lost next to any value; the ratio may then
+    # overflow to inf, and T lands on the cap.
+    tol_ref = config.abs_tol if config.abs_tol > 0 else _UFLOW
     cutoff = math.log(max(10.0 * tail.K / (tail.c * tol_ref), 10.0)) / tail.c
     cutoff = min(cutoff, 1400.0)
     remainder = (tail.K / tail.c) * math.exp(-tail.c * cutoff)
+    edges = [cutoff]
+    while 0.5 * edges[-1] > 4.0 / tail.c:
+        edges.append(0.5 * edges[-1])
+    edges = [0.0, *reversed(edges)]
     # The finite pass gets half the budget so that adding the remainder
     # cannot push an otherwise-converged result past the tolerance.
     half = replace(config, abs_tol=0.5 * config.abs_tol, rel_tol=0.5 * config.rel_tol)
-    base = integrate_finite(f, 0.0, cutoff, half, 1.0 / tail.c)
+    base = _adaptive(f, edges, half)
     total_err = base.error_estimate + remainder
     return QuadResult(
         value=base.value,

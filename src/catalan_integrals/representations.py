@@ -67,8 +67,10 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   (4t + 1)^{n+2} dt.  With t = s^2 this is C_n = (4^{n+2}/pi) I with
   I = integral_0^inf 2 s^2 / (4 s^2 + 1)^{n+2} ds.  The integrand decays
   only algebraically, so it has no exponential tail bound; the map
-  s = u/(1 - u), as in QUADPACK's QAGI, takes I onto u in (0, 1), where
-  the integrand tends to 1/8 (n = 0) or 0 (n >= 1) at u = 1.  The
+  s = w u/(1 - u), as in QUADPACK's QAGI, takes I onto u in (0, 1),
+  where the integrand tends to 1/8 (n = 0) or 0 (n >= 1) at u = 1.  It
+  peaks at s = w/2 with w = 1/sqrt(n + 1), its width, so the map puts
+  the peak at u = 1/3 for every n, inside the first panel.  The
   substitution 4t = tan^2(phi) would map onto a finite interval as
   well, but it turns I into (1/4) integral_0^{pi/2} sin^2(phi)
   cos^{2n}(phi) d phi, exactly a quarter of the moment route's
@@ -78,17 +80,15 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
 The substitutions remove the algebraic singularities of the original
 integrands (sqrt(1 - t^2) at t = +-1 and sqrt(t) at t = 0), which the
 adaptive driver could only resolve by bisecting into them many times;
-the substituted integrands are smooth on their whole intervals.  The
-Mellin integrand peaks at 0 over a width of about 1/sqrt(n + 1), which
-is passed to the quadrature as its ``scale``, so the first panels
-resolve the peak at every n.  I is computed in linear scale (it is of
-order n^{-3/2}, far from the limits of a double) and only its log
-enters the assembly, so the quadrature error estimate is propagated to
-the ln scale as estimate / value.  That estimate stays honest at every
-n, but the quadrature's target max(abs_tol, rel_tol |value|) is
-absolute once the value falls below abs_tol / rel_tol, so at large n
-it is loose: at n = 10^6 about 6e-7 on the ln scale under the default
-config.
+the substituted integrands are smooth on their whole intervals.  I is
+computed in linear scale (it is of order n^{-3/2}, far from the limits
+of a double) and only its log enters the assembly, so the quadrature
+error estimate is propagated to the ln scale as estimate / value.
+That estimate stays honest at every n, but the quadrature's target
+max(abs_tol, rel_tol |value|) is absolute once the value falls below
+abs_tol / rel_tol, so at large n it is loose: at n = 10^6, where I is
+about 1.1e-10, it is 1.1e-3 on the ln scale under the default config,
+against a true error of 3e-9.
 
 Every quadrature route sums its terms of ln C_n with ``math.fsum`` and
 adds a bound on their rounding, 4 eps times the sum of their absolute
@@ -116,7 +116,6 @@ from .quadrature import (
     _UFLOW,
     IntegrandEvaluationError,
     QuadConfig,
-    QuadResult,
     integrate_finite,
     integrate_half_line,
 )
@@ -190,17 +189,19 @@ def _row(n: int, method: Method, estimate: _Estimate, exact: float) -> Represent
     )
 
 
-def _assemble(qr: QuadResult, ln_error: float, *terms: float) -> _Estimate:
+def _assemble(
+    evaluations: int, converged: bool, ln_error: float, *terms: float
+) -> _Estimate:
     """A quadrature route's ln C_n, the sum of ``terms``.
 
     ``math.fsum`` rounds the sum once, and each term was rounded by its
     own few operations; 4 eps sum |terms| bounds both, and is added to
     ``ln_error``, the quadrature's error estimate on the ln scale.  At
     large n, ln C_n is about 2n ln 2, and no estimate below a few ulp of
-    it could be honest.  ``converged`` stays the quadrature's flag.
+    it could be honest.
     """
     rounding = 4.0 * _EPS * math.fsum(map(abs, terms))
-    return math.fsum(terms), ln_error + rounding, qr.evaluations, qr.converged
+    return math.fsum(terms), ln_error + rounding, evaluations, converged
 
 
 def _prefactor_ln(n: int) -> float:
@@ -224,7 +225,7 @@ def _gamma_closed_form(n: int) -> _Estimate:
 def _half_line(spec: KernelSpec, config: QuadConfig, *terms: float) -> _Estimate:
     """ln C_n as ``terms`` plus the half-line integral of ``spec``."""
     qr = integrate_half_line(spec.integrand, config, tail=spec.tail_constants)
-    return _assemble(qr, qr.error_estimate, *terms, qr.value)
+    return _assemble(qr.evaluations, qr.converged, qr.error_estimate, *terms, qr.value)
 
 
 def _malmsten(n: int, config: QuadConfig) -> _Estimate:
@@ -245,11 +246,6 @@ def _binet(n: int, config: QuadConfig) -> _Estimate:
         -1.5 * math.log(n + 2.0),
         n * math.log1p(-3.0 / (2.0 * n + 4.0)),
     )
-
-
-def _penson_width(n: int) -> float:
-    """Width of the peak at 0 of the Penson-Mellin integrand, 1/sqrt(n + 1)."""
-    return 1.0 / math.sqrt(n + 1.0)
 
 
 def _moment_floor(n: int) -> float:
@@ -337,23 +333,23 @@ def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
     relative = (aliasing + rounding) / _moment_floor(n)
     error = -math.log1p(-relative) if relative < 1.0 else math.inf
     ln_value = math.log(value) if value > 0.0 else -math.inf
-    qr = QuadResult(value, aliasing + rounding, m // 2, met)
-    return _assemble(qr, error, 2.0 * (n + 1) * _LN2, -_LN_PI, ln_value)
+    return _assemble(m // 2, met, error, 2.0 * (n + 1) * _LN2, -_LN_PI, ln_value)
 
 
 def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
     _check_index(n)
     power = n + 2.0
+    w = 1.0 / math.sqrt(n + 1.0)
 
     def fn(u: float) -> float:
-        # s = u/v, ds = du/v^2; the rule never samples u = 1.
+        # s = w u/v, ds = w du/v^2; the rule never samples u = 1.
         v = 1.0 - u
-        r = (u / v) ** 2
-        return 2.0 * r / (v * v) * math.exp(-power * math.log1p(4.0 * r))
+        r = (w * u / v) ** 2
+        return 2.0 * w * r / (v * v) * math.exp(-power * math.log1p(4.0 * r))
 
-    qr = integrate_finite(fn, 0.0, 1.0, config, _penson_width(n))
-    error = qr.error_estimate / qr.value
-    return _assemble(qr, error, 2.0 * power * _LN2, -_LN_PI, math.log(qr.value))
+    qr = integrate_finite(fn, 0.0, 1.0, config)
+    terms = (2.0 * power * _LN2, -_LN_PI, math.log(qr.value))
+    return _assemble(qr.evaluations, qr.converged, qr.error_estimate / qr.value, *terms)
 
 
 def catalan_gamma_closed_form(n: int) -> RepresentationResult:
@@ -441,20 +437,21 @@ def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
     I is the Mellin-type integral_0^inf sqrt(t)/(4t + 1)^{n+2} dt after
     t = s^2, which removes the square-root singularity at 0.  The
     integrand decays like s^{-(2n + 2)}, so no exponential tail bound
-    exists; s = u/(1 - u) maps I onto (0, 1), where it reads
-    2 r/(1 - u)^2 (4r + 1)^{-(n+2)} with r = s^2, peaks at u = 0 over a
-    width of about 1/sqrt(n + 1), the quadrature's ``scale``, and stays
-    finite up to u = 1.
+    exists; s = w u/(1 - u) with w = 1/sqrt(n + 1) maps I onto (0, 1),
+    where it reads 2 w r/(1 - u)^2 (4r + 1)^{-(n+2)} with r = s^2, peaks
+    at u = 1/3 for every n, and stays finite up to u = 1.
 
     In doubles the map collapses every s beyond the last double below
-    u = 1, s = 2^53 - 1, into that one point.  The mass lost there is at
-    most integral_{2^53}^inf ds/(8 s^2) = 1/(8 2^53), about 1.4e-17,
-    which is 7.1e-17 of I at n = 0 (I = pi/16 there) and smaller
-    relative to I at every larger n.  That lies below 50 eps I, the
-    least that the panels' 50 eps resabs error floors add up to, so the
-    map loses nothing the estimate does not already cover.  The map
-    4t = tan^2(phi) is not used: it turns I into a quarter of the moment
-    route's integrand (module docstring).
+    u = 1, s = w (2^53 - 1), into that one point.  The integrand is at
+    most 2^{-2n-3} s^{-2n-2}, so the mass lost past s = w 2^53 is at
+    most 2^{-2n-3} (w 2^53)^{-2n-1}/(2n + 1).  At n = 0, where w = 1,
+    that is 1/(8 2^53), about 1.4e-17, which is 7.1e-17 of I (I = pi/16
+    there); at n = 1 it is about 4e-50, and from there on it falls
+    faster than I does, by a factor below e (n + 2) 2^-108 per step.
+    That lies below 50 eps I, the least that the panels' 50 eps resabs
+    error floors add up to, so the map loses nothing the estimate does
+    not already cover.  The map 4t = tan^2(phi) is not used: it turns I
+    into a quarter of the moment route's integrand (module docstring).
     """
     return _row(n, Method.PENSON_MELLIN, _penson_mellin(n, config), ln_exact(n))
 

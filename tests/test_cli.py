@@ -146,6 +146,12 @@ def test_rep_unreachable_tol_fails():
     assert result.exit_code == 1
 
 
+def test_rep_without_absolute_target_converges():
+    result = runner.invoke(main, ["rep", "malmsten", "1000", "--abs-tol", "0"])
+    assert result.exit_code == 0
+    assert "converged=true" in result.output
+
+
 def test_rep_bad_quad_config_is_usage_error():
     for options in (
         ["--abs-tol", "0", "--rel-tol", "0"],

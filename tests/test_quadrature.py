@@ -185,7 +185,9 @@ def _inverse_sqrt(t):
     "integrate",
     [
         lambda f, cfg: integrate_finite(f, 0.0, 1.0, cfg),
-        lambda f, cfg: integrate_finite(f, 0.0, 1.0, cfg, scale=0.02),
+        lambda f, cfg: integrate_half_line(
+            lambda t: f(t) * math.exp(-50.0 * t), cfg, tail=TailBound(1.0, 50.0)
+        ),
         lambda f, cfg: integrate_half_line(
             lambda t: f(t) * math.exp(-t), cfg, tail=TailBound(1.0, 0.5)
         ),
@@ -269,33 +271,31 @@ def test_invalid_interval_rejected(cfg):
         integrate_finite(math.exp, 1.0, 1.0, cfg)
     with pytest.raises(ValueError):
         integrate_finite(math.exp, 2.0, 1.0, cfg)
-    # An infinite end would leave the seeding loop of ``scale`` unbounded.
     with pytest.raises(ValueError):
-        integrate_finite(math.exp, 0.0, math.inf, cfg, scale=1.0)
+        integrate_finite(math.exp, 0.0, math.inf, cfg)
 
 
-def test_scale_seeds_panels_at_fifteen_evaluations_each(cfg):
-    # Edges 1.5 and 1.25 lie more than 4 scale = 0.2 above a = 1, 1.125
-    # does not: three starting panels, each smooth enough for one rule,
-    # so 45 evaluations, no bisection, the same integral.
-    result = integrate_finite(math.exp, 1.0, 2.0, cfg, scale=0.05)
+def test_scale_seeds_panels_at_fifteen_evaluations_each():
+    # The half-line driver seeds [0, T] at the decay length 1/c = 1.  At
+    # abs_tol = 1e-8, T = ln(1e9) = 20.7: edges 10.4 and 5.2 lie more
+    # than 4/c = 4 above 0, 2.6 does not, so three starting panels, each
+    # smooth enough for one rule: 45 evaluations and no bisection.
+    loose = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
+    result = integrate_half_line(lambda t: math.exp(-t), loose, tail=TailBound(1.0, 1.0))
     assert result.evaluations == 45
     assert result.converged
-    exact = math.e * (math.e - 1.0)
-    assert abs(result.value - exact) <= 10.0 * result.error_estimate
+    assert abs(result.value - 1.0) <= 10.0 * result.error_estimate
 
 
 def test_seeded_panels_are_not_subdivisions():
     # max_subdivisions limits bisections only: with one allowed, a
-    # singular integrand on the four panels that scale = 0.02 seeds
-    # (edges 1/8, 1/4, 1/2) costs 4 * 15 + 30.
+    # singular integrand on the four panels seeded at 1/c = 1 (T =
+    # ln(1e16) = 36.8, edges 4.6, 9.2 and 18.4) costs 4 * 15 + 30.
     one = QuadConfig(abs_tol=1e-15, rel_tol=0.0, max_subdivisions=1)
-    result = integrate_finite(
-        lambda x: 1.0 / math.sqrt(x) if x > 0.0 else 0.0,
-        0.0,
-        1.0,
+    result = integrate_half_line(
+        lambda t: math.exp(-t) / math.sqrt(t) if t > 0.0 else 0.0,
         one,
-        scale=0.02,
+        tail=TailBound(1.0, 1.0),
     )
     assert result.evaluations == 90
     assert not result.converged
@@ -384,12 +384,6 @@ def test_narrow_spike_at_origin_is_found_with_its_scale(tail, cfg):
     seeded = integrate_half_line(_spike, cfg, tail=fast)
     assert seeded.converged
     assert abs(seeded.value - 1.0) <= 10.0 * seeded.error_estimate
-
-
-@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
-def test_scale_must_be_positive(scale, cfg):
-    with pytest.raises(ValueError):
-        integrate_finite(math.exp, 0.0, 1.0, cfg, scale=scale)
 
 
 def test_explicit_tail_constants_must_be_positive(cfg):

@@ -100,7 +100,7 @@ def _check_against_mpmath(route, ns, cfg, max_err):
 
 @pytest.mark.parametrize("route", PENSON_ROUTES)
 def test_penson_rows_honest_against_mpmath(route, cfg):
-    # The seeded mesh depends on n through the scale 1/sqrt(n + 1).
+    # The Mellin map depends on n through the peak width 1/sqrt(n + 1).
     _check_against_mpmath(route, SWEEP, cfg, 1e-12)
 
 
@@ -131,9 +131,10 @@ def test_gamma_rows_honest_against_mpmath(cfg):
 def test_large_n_rows_honest_against_mpmath(route, cfg):
     # Past a few thousand, one ulp of ln C_n is above the quadrature's
     # own estimate: the rounding bound of the assembly keeps the row
-    # honest.  The Penson integrands peak over a width of 1/sqrt(n + 1),
-    # which one unseeded first panel misses: without their scale they
-    # read converged rows off by tens in ln C_n at n = 1e6.
+    # honest.  The Mellin integrand peaks over a width of 1/sqrt(n + 1),
+    # which one first panel over s = u/(1 - u) misses: before that width
+    # went into the map it read converged rows off by tens in ln C_n at
+    # n = 1e6.
     assert 31_623 in LARGE_NS and 100_000 in LARGE_NS
     _check_against_mpmath(route, LARGE_NS, cfg, 1e-8)
 
@@ -159,6 +160,18 @@ def test_malmsten_converges_at_1e_14():
     assert all(row.converged for row in rows)
     assert all(row.abs_err_ln <= 10.0 * row.quad_error_estimate for row in rows)
     assert sum(row.evaluations for row in rows) <= 70_000
+
+
+@pytest.mark.parametrize("route", (catalan_malmsten, catalan_binet))
+def test_half_line_rows_converge_without_an_absolute_target(route):
+    # With abs_tol = 0 the truncation remainder must vanish next to a
+    # relative target; cut where abs_tol would be, it left almost every
+    # one of these rows unconverged although accurate.
+    relative = QuadConfig(abs_tol=0.0)
+    for n in (*range(60), 1_000, 100_000):
+        row = route(n, relative)
+        assert row.converged, n
+        assert row.abs_err_ln <= 10.0 * row.quad_error_estimate, n
 
 
 @pytest.mark.parametrize("route", PENSON_ROUTES)
@@ -195,7 +208,7 @@ def test_penson_moment_integrand_is_finite_where_sin_rounds_to_one(monkeypatch):
 
 
 def test_penson_mellin_integrand_is_finite_at_both_ends(cfg, monkeypatch):
-    # s = u/(1 - u) sends the ends of (0, 1) to s = 0 and s = inf; the
+    # s = w u/(1 - u) sends the ends of (0, 1) to s = 0 and s = inf; the
     # closest samples the driver can take, the least subnormal and the
     # last double below 1, must give finite values.
     integrands = []
@@ -216,10 +229,12 @@ def test_penson_mellin_integrand_is_finite_at_both_ends(cfg, monkeypatch):
 # 306,885 (moment) and 153,930 (Mellin), before the integrands were
 # seeded at their scale 1/sqrt(n + 1) they were 31,515 and 35,220,
 # before the Mellin integral was mapped onto (0, 1) instead of split at
-# s = 1 with its far piece inverted, 33,165 (Mellin), and before the
-# moment integral took the trapezoid rule, 27,405 (moment).
+# s = 1 with its far piece inverted, 33,165 (Mellin), before the
+# moment integral took the trapezoid rule, 27,405 (moment), and before
+# the Mellin map s = w u/(1 - u) put the peak width w = 1/sqrt(n + 1)
+# in place of the seeded scale, 32,190 (Mellin).
 @pytest.mark.parametrize(
-    "route, budget", [(catalan_penson_moment, 6_000), (catalan_penson_mellin, 32_500)]
+    "route, budget", [(catalan_penson_moment, 6_000), (catalan_penson_mellin, 27_500)]
 )
 def test_penson_evaluation_budget(route, budget, cfg):
     total = sum(route(n, cfg).evaluations for n in SWEEP)

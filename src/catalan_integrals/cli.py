@@ -1,11 +1,12 @@
-"""Command-line interface.
+"""Command-line interface, on the standard library's ``argparse``.
 
 Exit codes, uniform across subcommands:
 
 * 0 -- success (all requested checks met their tolerance)
 * 1 -- a verification failure (tolerance missed, quadrature did not
        converge, or a term budget ran out)
-* 2 -- usage error (bad arguments; raised by the option parser)
+* 2 -- usage error (bad arguments): the usage line and the error go to
+       stderr, and nothing to stdout
 * 3 -- I/O failure writing requested output
 
 Numeric text output uses 17 significant digits so values round-trip
@@ -14,12 +15,12 @@ through the printed form.
 
 from __future__ import annotations
 
+import argparse
 import decimal
 import math
 import sys
 from decimal import Decimal
-
-import click
+from typing import NoReturn
 
 from .exact import catalan_exact, ln_exact
 from .kernels import binet_catalan_kernel, malmsten_catalan_kernel
@@ -47,29 +48,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _quad_options(fn):
-    fn = click.option(
-        "--abs-tol",
-        type=float,
-        default=QuadConfig.abs_tol,
-        show_default=True,
-        help="Absolute quadrature tolerance.",
-    )(fn)
-    fn = click.option(
-        "--rel-tol",
-        type=float,
-        default=QuadConfig.rel_tol,
-        show_default=True,
-        help="Relative quadrature tolerance.",
-    )(fn)
-    fn = click.option(
-        "--max-subdivisions",
-        type=int,
-        default=QuadConfig.max_subdivisions,
-        show_default=True,
-        help="Adaptive bisection budget.",
-    )(fn)
-    return fn
+class UsageError(Exception):
+    """Arguments that parsed but do not fit together; main exits 2."""
 
 
 def _config(abs_tol: float, rel_tol: float, max_subdivisions: int) -> QuadConfig:
@@ -78,30 +58,23 @@ def _config(abs_tol: float, rel_tol: float, max_subdivisions: int) -> QuadConfig
             abs_tol=abs_tol, rel_tol=rel_tol, max_subdivisions=max_subdivisions
         )
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc)) from None
 
 
-def _nonnegative_tol(
-    ctx: click.Context, param: click.Parameter, value: float
-) -> float:
-    if not 0 <= value < math.inf:
-        raise click.BadParameter(f"must be finite and >= 0, got {value}")
-    return value
+def _fail(message: str, code: int = EXIT_VERIFICATION_FAILED) -> NoReturn:
+    # Flushing first keeps the message after stdout when both share a pipe.
+    sys.stdout.flush()
+    print(message, file=sys.stderr)
+    sys.exit(code)
 
 
 def _print_row(row: RepresentationResult) -> None:
-    click.echo(
+    print(
         f"n={row.n} method={row.method.value} ln_value={_fmt(row.ln_value)} "
         f"exact_ln={_fmt(row.exact_ln)} abs_err_ln={row.abs_err_ln:.3e} "
         f"quad_error_estimate={row.quad_error_estimate:.3e} "
         f"evaluations={row.evaluations} converged={str(row.converged).lower()}"
     )
-
-
-@click.group()
-def main() -> None:
-    """Exact Catalan numbers, their integral representations, and
-    certified series identities."""
 
 
 def _decimal_digits(value: int) -> str:
@@ -136,30 +109,16 @@ def _decimal_digits(value: int) -> str:
         return str(convert(value, value.bit_length()))
 
 
-@main.command("exact")
-@click.argument("n", type=click.IntRange(min=0))
 def cmd_exact(n: int) -> None:
     """Print C_N exactly (all digits), then ln C_N and its error bound."""
-    click.echo(_decimal_digits(catalan_exact(n)))
+    print(_decimal_digits(catalan_exact(n)))
     ln_c = ln_exact(n)
-    click.echo(f"ln {_fmt(ln_c)}")
+    print(f"ln {_fmt(ln_c)}")
     # The bound ln_exact's docstring proves: a relative 2^-53 of the sum
     # for the logs of the factors, and half an ulp for its one rounding.
-    click.echo(f"ln_error {_fmt(ln_c * 2.0**-53 + 0.5 * math.ulp(ln_c))}")
+    print(f"ln_error {_fmt(ln_c * 2.0**-53 + 0.5 * math.ulp(ln_c))}")
 
 
-@main.command("rep")
-@click.argument("method", type=click.Choice(sorted(_ROUTES_BY_NAME)))
-@click.argument("n", type=click.IntRange(min=0))
-@click.option(
-    "--tol",
-    type=float,
-    default=1e-8,
-    show_default=True,
-    callback=_nonnegative_tol,
-    help="Acceptable |ln_value - exact_ln|.",
-)
-@_quad_options
 def cmd_rep(
     method: str,
     n: int,
@@ -176,30 +135,6 @@ def cmd_rep(
         sys.exit(EXIT_VERIFICATION_FAILED)
 
 
-@main.command("verify")
-@click.option("--n-max", type=click.IntRange(min=0), required=True, help="Sweep n = 0..N_MAX.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "csv", "json"]),
-    default="text",
-    show_default=True,
-)
-@click.option(
-    "--tol",
-    type=float,
-    default=1e-8,
-    show_default=True,
-    callback=_nonnegative_tol,
-    help="Per-row failure threshold on abs_err_ln.",
-)
-@click.option(
-    "--output",
-    type=str,
-    default=None,
-    help="Write the report here instead of stdout.",
-)
-@_quad_options
 def cmd_verify(
     n_max: int,
     fmt: str,
@@ -215,36 +150,26 @@ def cmd_verify(
     report = build_report(rows, config, err_threshold=tol)
     rendered = {"text": to_text, "csv": to_csv, "json": to_json}[fmt](report)
     if output is None:
-        click.echo(rendered, nl=False)
+        sys.stdout.write(rendered)
     else:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
-            click.echo(f"cannot write {output}: {exc}", err=True)
-            sys.exit(EXIT_IO)
+            _fail(f"cannot write {output}: {exc}", EXIT_IO)
     if report.summary.failures > 0:
         sys.exit(EXIT_VERIFICATION_FAILED)
 
 
 def _print_series(result: SeriesResult) -> None:
-    click.echo(f"partial_sum     {_fmt(result.partial_sum)}")
-    click.echo(f"terms_used      {result.terms_used}")
-    click.echo(f"tail_bound      {result.tail_bound:.3e}")
-    click.echo(f"certified_value {_fmt(result.certified_value)}")
-    click.echo(f"target          {_fmt(result.target)}")
-    click.echo(f"abs_err         {result.abs_err:.3e}")
+    print(f"partial_sum     {_fmt(result.partial_sum)}")
+    print(f"terms_used      {result.terms_used}")
+    print(f"tail_bound      {result.tail_bound:.3e}")
+    print(f"certified_value {_fmt(result.certified_value)}")
+    print(f"target          {_fmt(result.target)}")
+    print(f"abs_err         {result.abs_err:.3e}")
 
 
-@main.command("sumrule")
-@click.argument("which", type=click.Choice(["odd-weight", "plain"]))
-@click.option(
-    "--tol",
-    type=float,
-    default=1e-6,
-    show_default=True,
-    help="Tail-bound stopping tolerance.",
-)
 def cmd_sumrule(which: str, tol: float) -> None:
     """Sum a Catalan series rule with a certified tail and check its target.
 
@@ -255,72 +180,187 @@ def cmd_sumrule(which: str, tol: float) -> None:
     try:
         result = rule(tol)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc)) from None
     _print_series(result)
     if not result.converged:
-        click.echo(
+        _fail(
             f"term budget exhausted: tail bound {result.tail_bound:.3e} after "
             f"{result.terms_used} terms; requested tolerance is unreachable "
-            f"within {TERM_BUDGET} terms",
-            err=True,
+            f"within {TERM_BUDGET} terms"
         )
-        sys.exit(EXIT_VERIFICATION_FAILED)
     if not result.abs_err <= tol + result.tail_bound:
-        click.echo(
-            "target missed: the series does not certify to the stated closed form",
-            err=True,
-        )
-        sys.exit(EXIT_VERIFICATION_FAILED)
+        _fail("target missed: the series does not certify to the stated closed form")
 
 
-@main.command("glaisher")
-@_quad_options
 def cmd_glaisher(abs_tol: float, rel_tol: float, max_subdivisions: int) -> None:
     """Recover the Glaisher-Kinkelin constant from the log-Gamma integral."""
     config = _config(abs_tol, rel_tol, max_subdivisions)
     result = glaisher_from_integral(config)
     if not result.converged:
-        click.echo(
+        _fail(
             f"quadrature failed: log-Gamma integral on [0, 1/2]: error estimate "
             f"{result.error_estimate:.3e} did not meet tolerance after "
-            f"{result.evaluations} evaluations",
-            err=True,
+            f"{result.evaluations} evaluations"
         )
-        sys.exit(EXIT_VERIFICATION_FAILED)
-    click.echo(f"integral_value {_fmt(result.integral_value)}")
-    click.echo(f"ln_A           {_fmt(result.ln_A)}")
-    click.echo(f"oracle_ln_A    {_fmt(result.oracle_ln_A)}")
-    click.echo(f"abs_err        {result.abs_err:.3e}")
+    print(f"integral_value {_fmt(result.integral_value)}")
+    print(f"ln_A           {_fmt(result.ln_A)}")
+    print(f"oracle_ln_A    {_fmt(result.oracle_ln_A)}")
+    print(f"abs_err        {result.abs_err:.3e}")
     if not result.abs_err <= 1e-8:
         sys.exit(EXIT_VERIFICATION_FAILED)
 
 
-@main.command("dump-kernel")
-@click.argument("kernel", type=click.Choice(sorted(_KERNELS)))
-@click.argument("n", type=click.IntRange(min=0))
-@click.option(
-    "--t-min",
-    type=click.FloatRange(min=0.0, min_open=True),
-    default=1e-8,
-    show_default=True,
-)
-@click.option("--t-max", type=float, default=50.0, show_default=True)
-@click.option("--points", type=click.IntRange(min=2), default=200, show_default=True)
 def cmd_dump_kernel(
     kernel: str, n: int, t_min: float, t_max: float, points: int
 ) -> None:
     """Tabulate KERNEL at index N on a log-spaced grid, as CSV ``t,value``."""
     if not t_min < t_max < math.inf:
-        raise click.UsageError(
-            f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]"
-        )
+        raise UsageError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
     spec = _KERNELS[kernel](n)
     ratio = (t_max / t_min) ** (1.0 / (points - 1))
     grid = [t_min * ratio**k for k in range(points)]
     grid[-1] = t_max
-    click.echo("t,value")
+    print("t,value")
     for t in grid:
-        click.echo(f"{t:.17g},{spec.integrand(t):.17g}")
+        print(f"{t:.17g},{spec.integrand(t):.17g}")
+
+
+def _checked(convert, ok, requirement: str):
+    """An argparse type: ``convert`` the text, then reject values not ``ok``."""
+
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    # argparse names the type in "invalid int value: 'x'".
+    check.__name__ = convert.__name__
+    return check
+
+
+_INDEX = _checked(int, lambda n: n >= 0, ">= 0")
+_TOLERANCE = _checked(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # Long options only, spelled out in full: no -h and no abbreviations.
+    strict = {"add_help": False, "allow_abbrev": False}
+    parser = argparse.ArgumentParser(
+        prog="catalan-integrals",
+        description="Exact Catalan numbers, their integral representations, "
+        "and certified series identities.",
+        **strict,
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name: str, run) -> argparse.ArgumentParser:
+        sub = commands.add_parser(
+            name, help=run.__doc__.split("\n")[0], description=run.__doc__, **strict
+        )
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    def quad_options(sub: argparse.ArgumentParser) -> None:
+        defaults = QuadConfig()
+        for option, value, text in (
+            ("--abs-tol", defaults.abs_tol, "Absolute quadrature tolerance."),
+            ("--rel-tol", defaults.rel_tol, "Relative quadrature tolerance."),
+            ("--max-subdivisions", defaults.max_subdivisions, "Adaptive bisection budget."),
+        ):
+            text += " [default: %(default)s]"
+            sub.add_argument(option, type=type(value), default=value, help=text)
+
+    command("exact", cmd_exact).add_argument("n", metavar="N", type=_INDEX)
+
+    rep = command("rep", cmd_rep)
+    rep.add_argument(
+        "method",
+        metavar="METHOD",
+        choices=sorted(_ROUTES_BY_NAME),
+        help="One of %(choices)s.",
+    )
+    rep.add_argument("n", metavar="N", type=_INDEX)
+    rep.add_argument(
+        "--tol",
+        type=_TOLERANCE,
+        default=1e-8,
+        help="Acceptable |ln_value - exact_ln|. [default: %(default)s]",
+    )
+    quad_options(rep)
+
+    verify = command("verify", cmd_verify)
+    verify.add_argument("--n-max", type=_INDEX, required=True, help="Sweep n = 0..N_MAX.")
+    verify.add_argument(
+        "--format",
+        dest="fmt",
+        choices=["text", "csv", "json"],
+        default="text",
+        help="One of %(choices)s. [default: %(default)s]",
+    )
+    verify.add_argument(
+        "--tol",
+        type=_TOLERANCE,
+        default=1e-8,
+        help="Per-row failure threshold on abs_err_ln. [default: %(default)s]",
+    )
+    verify.add_argument("--output", help="Write the report here instead of stdout.")
+    quad_options(verify)
+
+    sumrule = command("sumrule", cmd_sumrule)
+    sumrule.add_argument(
+        "which",
+        metavar="WHICH",
+        choices=["odd-weight", "plain"],
+        help="One of %(choices)s.",
+    )
+    sumrule.add_argument(
+        "--tol",
+        type=float,
+        default=1e-6,
+        help="Tail-bound stopping tolerance. [default: %(default)s]",
+    )
+
+    quad_options(command("glaisher", cmd_glaisher))
+
+    dump = command("dump-kernel", cmd_dump_kernel)
+    dump.add_argument(
+        "kernel", metavar="KERNEL", choices=sorted(_KERNELS), help="One of %(choices)s."
+    )
+    dump.add_argument("n", metavar="N", type=_INDEX)
+    dump.add_argument(
+        "--t-min",
+        type=_checked(float, lambda t: t > 0, "> 0"),
+        default=1e-8,
+        help="[default: %(default)s]",
+    )
+    dump.add_argument("--t-max", type=float, default=50.0, help="[default: %(default)s]")
+    dump.add_argument(
+        "--points",
+        type=_checked(int, lambda k: k >= 2, ">= 2"),
+        default=200,
+        help="[default: %(default)s]",
+    )
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the command named in ``argv`` (default ``sys.argv[1:]``).
+
+    Returns when the command succeeds; otherwise exits with one of the
+    codes the module docstring lists.
+    """
+    args = vars(_PARSER.parse_args(argv))
+    run, parser = args.pop("run"), args.pop("parser")
+    try:
+        run(**args)
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

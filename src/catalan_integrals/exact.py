@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import compress, count, islice
 
 __all__ = [
@@ -185,12 +184,20 @@ def ln_exact(n: int) -> float:
     return ln_c
 
 
-@dataclass(frozen=True)
 class CatalanTable:
-    """Prefix table C_0..C_max_n, the first entries of ``catalan_numbers``."""
+    """Prefix table C_0..C_max_n, the first entries of ``catalan_numbers``.
 
-    max_n: int
-    values: tuple[int, ...]
+    Read-only: ``max_n`` and ``values`` cannot be reassigned.
+    """
+
+    __slots__ = ("max_n", "values")
+
+    def __init__(self, max_n: int, values: tuple[int, ...]):
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: CatalanTable is read-only")
 
     @classmethod
     def build(cls, max_n: int) -> "CatalanTable":

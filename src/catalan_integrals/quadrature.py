@@ -31,7 +31,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -67,8 +66,13 @@ class TailBound(NamedTuple):
     c: float
 
 
-@dataclass(frozen=True)
-class QuadConfig:
+class _QuadConfigFields(NamedTuple):
+    abs_tol: float = 1e-12
+    rel_tol: float = 1e-11
+    max_subdivisions: int = 2000
+
+
+class QuadConfig(_QuadConfigFields):
     """Tolerances and subdivision budget shared by all quadrature entry points.
 
     Convergence target is max(abs_tol, rel_tol * |value|); both
@@ -76,11 +80,10 @@ class QuadConfig:
     An infinite tolerance would accept any first estimate as converged.
     """
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-11
-    max_subdivisions: int = 2000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> QuadConfig:
+        self = super().__new__(cls, *args, **kwargs)
         # The comparisons are False for NaN as well.
         if not (0 <= self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
             raise ValueError("tolerances must be finite and nonnegative")
@@ -88,13 +91,18 @@ class QuadConfig:
             raise ValueError("at least one tolerance must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> QuadConfig:
+        # _replace builds through _make, which would skip __new__'s checks.
+        return cls(*iterable)
 
     def tolerance_for(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Outcome of one integration.
 
     ``converged`` is True only when error_estimate met the configured
@@ -295,7 +303,7 @@ def integrate_half_line(
     edges = [0.0, *reversed(edges)]
     # The finite pass gets half the budget so that adding the remainder
     # cannot push an otherwise-converged result past the tolerance.
-    half = replace(config, abs_tol=0.5 * config.abs_tol, rel_tol=0.5 * config.rel_tol)
+    half = config._replace(abs_tol=0.5 * config.abs_tol, rel_tol=0.5 * config.rel_tol)
     base = _adaptive(f, edges, half)
     total_err = base.error_estimate + remainder
     return QuadResult(

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .quadrature import QuadConfig
 from .representations import Method, RepresentationResult
@@ -63,8 +63,7 @@ ROW_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class ReportSummary:
+class ReportSummary(NamedTuple):
     """Aggregates over the rows: worst ln-scale error among converged rows,
     and the count of rows that failed (not converged, or error above the
     threshold the report was built with)."""
@@ -73,8 +72,7 @@ class ReportSummary:
     failures: int
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     schema_version: str
     generated_at: str
     config: dict
@@ -97,7 +95,7 @@ def build_report(
     return Report(
         schema_version=SCHEMA_VERSION,
         generated_at=datetime.now(timezone.utc).isoformat(),
-        config={**asdict(config), "err_threshold": err_threshold},
+        config={**config._asdict(), "err_threshold": err_threshold},
         rows=tuple(rows),
         summary=ReportSummary(max_abs_err_ln=max_err, failures=failures),
     )

@@ -101,7 +101,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import _LN2, _LN_PI, _check_index, ln_exact
 from .kernels import (
@@ -148,8 +148,7 @@ class Method(enum.Enum):
     PENSON_MELLIN = "penson_mellin"
 
 
-@dataclass(frozen=True)
-class RepresentationResult:
+class RepresentationResult(NamedTuple):
     """One route's output for one n, against the exact value.
 
     ``ln_value`` is the route's ln C_n; ``exact_ln`` the integer-backed
@@ -456,8 +455,7 @@ def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
     return _row(n, Method.PENSON_MELLIN, _penson_mellin(n, config), ln_exact(n))
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """One evaluation route: its ``Method``, its short command-line
     ``name`` and the callable ``estimate(n, config)`` that computes it."""
 

@@ -58,8 +58,8 @@ import math
 import sys
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .exact import _LN2, _LN_PI, _top_bits, catalan_exact, catalan_numbers
 from .kernels import log_gamma_reference
@@ -96,8 +96,7 @@ _TAIL_CONSTANT = 1.0 / (math.pi * 2.0 ** 1.5)
 _ROUNDING = 16 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """A certified partial summation.
 
     The true sum lies in [partial_sum, partial_sum + tail_bound]:
@@ -250,8 +249,7 @@ def stewart_sum_odd_weight(tol: float = 1e-6) -> SeriesResult:
     return _sum_rule(ODD_WEIGHT_TARGET, tol, odd_weight=True)
 
 
-@dataclass(frozen=True)
-class GlaisherResult:
+class GlaisherResult(NamedTuple):
     """Glaisher-Kinkelin extraction from the log-Gamma integral.
 
     ``integral_value`` is integral_0^{1/2} ln Gamma(x + 1) dx; ``ln_A``

@@ -11,8 +11,7 @@ test module and the sumrule command output for the measured gap.
 import math
 import time
 
-from click.testing import CliRunner
-
+from cli_runner import invoke
 from closed_forms import FINITE_CORPUS, HALF_LINE_CORPUS, kernel_origin_cases
 from oracles import (
     binet_theta,
@@ -52,9 +51,8 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_exact_values_and_enumerations():
     started = time.perf_counter()
-    runner = CliRunner()
-    cli_c3 = runner.invoke(cli_main, ["exact", "3"]).output.splitlines()[0]
-    cli_c5 = runner.invoke(cli_main, ["exact", "5"]).output.splitlines()[0]
+    cli_c3 = invoke(cli_main, ["exact", "3"]).output.splitlines()[0]
+    cli_c5 = invoke(cli_main, ["exact", "5"]).output.splitlines()[0]
     checks = (
         cli_c3 == "5",
         cli_c5 == "42",

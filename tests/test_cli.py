@@ -11,15 +11,24 @@ from decimal import Decimal
 
 import mpmath as mp
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 import catalan_integrals
 from catalan_integrals.cli import _decimal_digits, main
 from catalan_integrals.exact import catalan_exact
+from catalan_integrals.quadrature import QuadConfig
 from catalan_integrals.report import parse_report_json
-from catalan_integrals.representations import Method
+from catalan_integrals.representations import ROUTES, Method
 
-runner = CliRunner()
+# One run of every command, each of which returns when it succeeds.
+EVERY_COMMAND = [
+    ["exact", "3"],
+    ["rep", "gamma", "3"],
+    ["verify", "--n-max", "1", "--format", "csv"],
+    ["sumrule", "plain", "--tol", "1e-10"],
+    ["glaisher"],
+    ["dump-kernel", "binet", "1", "--points", "3"],
+]
 
 
 def _ln_value(output: str) -> float:
@@ -32,7 +41,7 @@ def _ln_value(output: str) -> float:
 
 
 def test_exact_prints_digits_then_log():
-    result = runner.invoke(main, ["exact", "3"])
+    result = invoke(main, ["exact", "3"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert lines[0] == "5"
@@ -43,14 +52,14 @@ def test_exact_prints_digits_then_log():
 def test_exact_log_is_the_one_rep_prints():
     # ``exact`` prints ln_exact(n), the exact_ln of every row: at n = 29
     # the log of the integer itself is 1 ulp away from it.
-    exact_line = runner.invoke(main, ["exact", "29"]).output.splitlines()[1]
-    rep = runner.invoke(main, ["rep", "gamma", "29"]).output
+    exact_line = invoke(main, ["exact", "29"]).output.splitlines()[1]
+    rep = invoke(main, ["rep", "gamma", "29"]).output
     assert exact_line == "ln " + re.search(r"exact_ln=(\S+)", rep).group(1)
 
 
 @pytest.mark.parametrize("n", [3, 29, 100_000])
 def test_exact_prints_a_bar_that_covers_the_error(n):
-    lines = runner.invoke(main, ["exact", str(n)]).output.splitlines()
+    lines = invoke(main, ["exact", str(n)]).output.splitlines()
     assert lines[2].startswith("ln_error ")
     ln_c, bar = float(lines[1].split()[1]), float(lines[2].split()[1])
     with mp.workdps(40):
@@ -60,14 +69,14 @@ def test_exact_prints_a_bar_that_covers_the_error(n):
 
 
 def test_exact_edge_and_larger_values():
-    assert runner.invoke(main, ["exact", "0"]).output.splitlines()[0] == "1"
-    assert runner.invoke(main, ["exact", "10"]).output.splitlines()[0] == "16796"
+    assert invoke(main, ["exact", "0"]).output.splitlines()[0] == "1"
+    assert invoke(main, ["exact", "10"]).output.splitlines()[0] == "16796"
 
 
 def test_exact_prints_every_digit_past_the_str_limit():
     # C_10000 has 6015 digits, more than str(int) gives by default.
     n = 10_000
-    result = runner.invoke(main, ["exact", str(n)])
+    result = invoke(main, ["exact", str(n)])
     assert result.exit_code == 0, result.output
     digits = result.output.splitlines()[0]
     c = catalan_exact(n)
@@ -90,15 +99,32 @@ def test_decimal_digits_exact_at_limb_boundaries(k):
 
 
 def test_exact_rejects_negative():
-    result = runner.invoke(main, ["exact", "--", "-1"])
+    result = invoke(main, ["exact", "--", "-1"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["exact", "-1"], "N"),
+        (["rep", "gamma", "-3"], "N"),
+        (["dump-kernel", "malmsten", "-1"], "N"),
+        (["verify", "--n-max", "-1"], "--n-max"),
+    ],
+)
+def test_negative_index_names_its_argument(args, name):
+    # A negative number is an index out of range, not an unknown option.
+    result = invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"argument {name}: must be >= 0, got -" in result.stderr
 
 
 # ----------------------------------------------------------------- rep
 
 
 def test_rep_malmsten():
-    result = runner.invoke(main, ["rep", "malmsten", "5"])
+    result = invoke(main, ["rep", "malmsten", "5"])
     assert result.exit_code == 0
     assert "method=malmsten" in result.output
     assert "converged=true" in result.output
@@ -106,19 +132,19 @@ def test_rep_malmsten():
 
 
 def test_rep_gamma_index_zero():
-    result = runner.invoke(main, ["rep", "gamma", "0"])
+    result = invoke(main, ["rep", "gamma", "0"])
     assert result.exit_code == 0
     assert abs(_ln_value(result.output)) <= 1e-12
 
 
 def test_rep_penson_mellin():
-    result = runner.invoke(main, ["rep", "penson-mellin", "3"])
+    result = invoke(main, ["rep", "penson-mellin", "3"])
     assert result.exit_code == 0
     assert abs(_ln_value(result.output) - math.log(5.0)) <= 1e-9
 
 
 def test_rep_unknown_method_is_usage_error():
-    result = runner.invoke(main, ["rep", "bogus", "5"])
+    result = invoke(main, ["rep", "bogus", "5"])
     assert result.exit_code == 2
 
 
@@ -126,28 +152,29 @@ def test_rep_penson_accepts_large_index():
     # The Penson routes carry no cap on n: at n = 1e6 they converge and
     # pass the default --tol.
     for method in ("penson-moment", "penson-mellin"):
-        result = runner.invoke(main, ["rep", method, "1000000"])
+        result = invoke(main, ["rep", method, "1000000"])
         assert result.exit_code == 0, method
         assert "converged=true" in result.output, method
 
 
 def test_rep_choices_reach_every_method():
-    choices = main.commands["rep"].params[0].type.choices
+    # Every route name must get through the parser and reach its route.
+    choices = [route.name for route in ROUTES]
     reached = set()
     for choice in choices:
-        result = runner.invoke(main, ["rep", choice, "1"])
+        result = invoke(main, ["rep", choice, "1"])
         assert result.exit_code == 0, choice
         reached.add(Method(re.search(r"method=(\S+)", result.output).group(1)))
     assert reached == set(Method)
 
 
 def test_rep_unreachable_tol_fails():
-    result = runner.invoke(main, ["rep", "malmsten", "5", "--tol", "1e-18"])
+    result = invoke(main, ["rep", "malmsten", "5", "--tol", "1e-18"])
     assert result.exit_code == 1
 
 
 def test_rep_without_absolute_target_converges():
-    result = runner.invoke(main, ["rep", "malmsten", "1000", "--abs-tol", "0"])
+    result = invoke(main, ["rep", "malmsten", "1000", "--abs-tol", "0"])
     assert result.exit_code == 0
     assert "converged=true" in result.output
 
@@ -159,14 +186,14 @@ def test_rep_bad_quad_config_is_usage_error():
         ["--abs-tol", "inf"],
         ["--rel-tol", "inf"],
     ):
-        result = runner.invoke(main, ["rep", "malmsten", "5", *options])
+        result = invoke(main, ["rep", "malmsten", "5", *options])
         assert result.exit_code == 2, options
 
 
 @pytest.mark.parametrize("args", [["verify", "--n-max", "1"], ["glaisher"]])
 @pytest.mark.parametrize("option", ["--abs-tol", "--rel-tol"])
 def test_infinite_quad_tolerance_is_usage_error(args, option):
-    result = runner.invoke(main, [*args, option, "inf"])
+    result = invoke(main, [*args, option, "inf"])
     assert result.exit_code == 2
     assert "finite" in result.output
 
@@ -174,7 +201,7 @@ def test_infinite_quad_tolerance_is_usage_error(args, option):
 @pytest.mark.parametrize("args", [["rep", "malmsten", "5"], ["verify", "--n-max", "1"]])
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_bad_tol_is_usage_error(args, tol):
-    result = runner.invoke(main, [*args, "--tol", tol])
+    result = invoke(main, [*args, "--tol", tol])
     assert result.exit_code == 2
     assert "--tol" in result.output
 
@@ -183,7 +210,7 @@ def test_bad_tol_is_usage_error(args, tol):
     "args", [["rep", "malmsten", "5"], ["verify", "--n-max", "1"], ["glaisher"]]
 )
 def test_transform_option_is_gone(args):
-    result = runner.invoke(main, [*args, "--transform", "none"])
+    result = invoke(main, [*args, "--transform", "none"])
     assert result.exit_code == 2
 
 
@@ -191,7 +218,7 @@ def test_transform_option_is_gone(args):
 
 
 def test_verify_csv_shape():
-    result = runner.invoke(main, ["verify", "--n-max", "0", "--format", "csv"])
+    result = invoke(main, ["verify", "--n-max", "0", "--format", "csv"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert lines[0].startswith("n,method,")
@@ -199,7 +226,7 @@ def test_verify_csv_shape():
 
 
 def test_verify_json_contract():
-    result = runner.invoke(main, ["verify", "--n-max", "2", "--format", "json"])
+    result = invoke(main, ["verify", "--n-max", "2", "--format", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["schema_version"] == "1"
@@ -223,19 +250,19 @@ def test_verify_json_contract():
 
 def test_verify_output_is_deterministic():
     args = ["verify", "--n-max", "1", "--format", "csv"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
+    first = invoke(main, args)
+    second = invoke(main, args)
     assert first.output == second.output
     json_args = ["verify", "--n-max", "1", "--format", "json"]
-    a = json.loads(runner.invoke(main, json_args).output)
-    b = json.loads(runner.invoke(main, json_args).output)
+    a = json.loads(invoke(main, json_args).output)
+    b = json.loads(invoke(main, json_args).output)
     a.pop("generated_at")
     b.pop("generated_at")
     assert a == b
 
 
 def test_verify_failure_exit_code():
-    result = runner.invoke(
+    result = invoke(
         main,
         [
             "verify",
@@ -254,7 +281,7 @@ def test_verify_failure_exit_code():
 
 def test_verify_writes_file(tmp_path):
     out = tmp_path / "report.json"
-    result = runner.invoke(
+    result = invoke(
         main,
         ["verify", "--n-max", "0", "--format", "json", "--output", str(out)],
     )
@@ -265,14 +292,14 @@ def test_verify_writes_file(tmp_path):
 
 def test_verify_unwritable_output_is_io_error(tmp_path):
     target = tmp_path / "missing-dir" / "report.json"
-    result = runner.invoke(
+    result = invoke(
         main, ["verify", "--n-max", "0", "--output", str(target)]
     )
     assert result.exit_code == 3
 
 
 def test_verify_requires_n_max():
-    result = runner.invoke(main, ["verify"])
+    result = invoke(main, ["verify"])
     assert result.exit_code == 2
 
 
@@ -280,7 +307,7 @@ def test_verify_requires_n_max():
 
 
 def test_sumrule_plain_passes():
-    result = runner.invoke(main, ["sumrule", "plain"])
+    result = invoke(main, ["sumrule", "plain"])
     assert result.exit_code == 0
     match = re.search(r"certified_value (\S+)", result.output)
     assert match
@@ -290,7 +317,7 @@ def test_sumrule_plain_passes():
 def test_sumrule_odd_weight_reports_target_miss():
     # The printed series misses its stated closed form by ~0.188; the
     # command must say so and fail.
-    result = runner.invoke(main, ["sumrule", "odd-weight"])
+    result = invoke(main, ["sumrule", "odd-weight"])
     assert result.exit_code == 1
     assert "target missed" in result.output
     match = re.search(r"abs_err\s+(\S+)", result.output)
@@ -301,7 +328,7 @@ def test_sumrule_odd_weight_reports_target_miss():
 def test_sumrule_budget_exhaustion():
     # The whole failure output: the reason on stderr, and the partial
     # summation on stdout so that it shows how far the sum got.
-    result = runner.invoke(main, ["sumrule", "plain", "--tol", "1e-30"])
+    result = invoke(main, ["sumrule", "plain", "--tol", "1e-30"])
     assert result.exit_code == 1
     assert result.stderr == (
         "term budget exhausted: tail bound 1.319e-14 after 20000 terms; "
@@ -321,12 +348,12 @@ def test_sumrule_bad_tolerance_is_usage_error():
     # abs_err <= inf + tail_bound holds for any sum, so an infinite
     # tolerance would pass odd-weight, whose target is missed.
     for rule, tol in (("plain", "0"), ("plain", "nan"), ("odd-weight", "inf")):
-        result = runner.invoke(main, ["sumrule", rule, "--tol", tol])
+        result = invoke(main, ["sumrule", rule, "--tol", tol])
         assert result.exit_code == 2, tol
 
 
 def test_sumrule_unknown_rule_is_usage_error():
-    result = runner.invoke(main, ["sumrule", "even-weight"])
+    result = invoke(main, ["sumrule", "even-weight"])
     assert result.exit_code == 2
 
 
@@ -334,7 +361,7 @@ def test_sumrule_unknown_rule_is_usage_error():
 
 
 def test_glaisher_passes():
-    result = runner.invoke(main, ["glaisher"])
+    result = invoke(main, ["glaisher"])
     assert result.exit_code == 0
     match = re.search(r"ln_A\s+(\S+)", result.output)
     assert match
@@ -342,7 +369,7 @@ def test_glaisher_passes():
 
 
 def test_glaisher_starved_quadrature_fails():
-    result = runner.invoke(
+    result = invoke(
         main,
         ["glaisher", "--abs-tol", "1e-30", "--rel-tol", "1e-30", "--max-subdivisions", "2"],
     )
@@ -358,7 +385,7 @@ def test_glaisher_starved_quadrature_fails():
 
 
 def test_dump_kernel_malmsten_header_and_origin():
-    result = runner.invoke(main, ["dump-kernel", "malmsten", "1", "--points", "50"])
+    result = invoke(main, ["dump-kernel", "malmsten", "1", "--points", "50"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert lines[0] == "t,value"
@@ -374,14 +401,14 @@ def test_dump_kernel_malmsten_header_and_origin():
 
 
 def test_dump_kernel_binet_origin_is_zero():
-    result = runner.invoke(main, ["dump-kernel", "binet", "3", "--points", "10"])
+    result = invoke(main, ["dump-kernel", "binet", "3", "--points", "10"])
     assert result.exit_code == 0
     first_value = float(result.output.splitlines()[1].split(",")[1])
     assert abs(first_value) <= 1e-7
 
 
 def test_dump_kernel_two_points():
-    result = runner.invoke(main, ["dump-kernel", "malmsten", "0", "--points", "2"])
+    result = invoke(main, ["dump-kernel", "malmsten", "0", "--points", "2"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert len(lines) == 3
@@ -391,14 +418,14 @@ def test_dump_kernel_two_points():
 
 def test_dump_kernel_t_min_zero_is_usage_error():
     # The grid is log-spaced and the kernels are sampled only at t > 0.
-    result = runner.invoke(
+    result = invoke(
         main, ["dump-kernel", "malmsten", "1", "--t-min", "0", "--points", "5"]
     )
     assert result.exit_code == 2
 
 
 def test_dump_kernel_bad_range_is_usage_error():
-    result = runner.invoke(
+    result = invoke(
         main, ["dump-kernel", "malmsten", "1", "--t-min", "5", "--t-max", "1"]
     )
     assert result.exit_code == 2
@@ -407,7 +434,7 @@ def test_dump_kernel_bad_range_is_usage_error():
 @pytest.mark.parametrize("t_max", ["inf", "nan"])
 def test_dump_kernel_non_finite_t_max_is_usage_error(t_max):
     # An infinite end would print inf,nan rows rather than a table.
-    result = runner.invoke(
+    result = invoke(
         main, ["dump-kernel", "binet", "0", "--t-max", t_max, "--points", "3"]
     )
     assert result.exit_code == 2
@@ -417,8 +444,35 @@ def test_dump_kernel_non_finite_t_max_is_usage_error(t_max):
 def test_dump_kernel_unknown_kernel_is_usage_error():
     # The cancelling difference form is a test oracle, not a choice.
     for kernel in ("unknown", "difference"):
-        result = runner.invoke(main, ["dump-kernel", kernel, "1"])
+        result = invoke(main, ["dump-kernel", kernel, "1"])
         assert result.exit_code == 2, kernel
+
+
+# -------------------------------------------------------------- parser
+
+
+@pytest.mark.parametrize("command", [[], *([args[0]] for args in EVERY_COMMAND)])
+def test_help_exits_zero_on_stdout(command):
+    result = invoke(main, [*command, "--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith(" ".join(["usage: catalan-integrals", *command]))
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["rep", "verify", "glaisher"])
+def test_help_shows_quadrature_defaults(command):
+    text = " ".join(invoke(main, [command, "--help"]).stdout.split())
+    for field, value in QuadConfig()._asdict().items():
+        option = "--" + field.replace("_", "-")
+        assert re.search(rf"{option} \S+ [^[]*\[default: {value}\]", text), option
+
+
+@pytest.mark.parametrize("args", [[], ["bogus"]])
+def test_missing_or_unknown_command_is_usage_error(args):
+    result = invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: catalan-integrals")
 
 
 # ------------------------------------------------------------- README
@@ -444,7 +498,7 @@ def _readme_tour() -> dict[str, list[str]]:
 def test_readme_tour_output_is_current(command):
     # These examples print their whole output in the README; it must be
     # what the command prints today.
-    result = runner.invoke(main, command.split())
+    result = invoke(main, command.split())
     assert result.exit_code == 0, result.output
     assert result.output.splitlines() == _readme_tour()[command]
 
@@ -452,17 +506,20 @@ def test_readme_tour_output_is_current(command):
 # ------------------------------------------------------------- module
 
 
-def test_runs_without_numpy():
-    # numpy is a test-only dependency: blocking its import must leave
-    # the CLI, down to the certified sum rules, fully working.
+@pytest.mark.parametrize("blocked", ["numpy", "click"])
+def test_runs_without(blocked):
+    # numpy is a test-only dependency and click no dependency at all:
+    # blocking either import must leave every command, down to the
+    # certified sum rules, fully working.
     package_root = os.path.dirname(os.path.dirname(catalan_integrals.__file__))
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p
     )
     script = (
-        "import sys; sys.modules['numpy'] = None\n"
+        f"import sys; sys.modules[{blocked!r}] = None\n"
         "from catalan_integrals.cli import main\n"
-        "main(['sumrule', 'plain', '--tol', '1e-10'])\n"
+        f"for args in {EVERY_COMMAND!r}:\n"
+        "    main(args)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -473,7 +530,25 @@ def test_runs_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert "terms_used" in proc.stdout
-    assert "numpy" not in proc.stderr
+    assert blocked not in proc.stderr
+
+
+def test_cli_import_leaves_out_click_dataclasses_and_inspect():
+    # The command line's cold start: none of these is needed to run it.
+    package_root = os.path.dirname(os.path.dirname(catalan_integrals.__file__))
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import catalan_integrals.cli\n"
+        "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script, package_root],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point():

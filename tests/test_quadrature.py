@@ -9,6 +9,7 @@ import pytest
 from closed_forms import FINITE_CORPUS, HALF_LINE_CORPUS
 from oracles import kronrod_panel_reference
 from catalan_integrals import quadrature, representations
+from catalan_integrals.exact import CatalanTable
 from catalan_integrals.kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from catalan_integrals.quadrature import (
     _XGK,
@@ -19,6 +20,19 @@ from catalan_integrals.quadrature import (
     _kronrod_panel,
     integrate_finite,
     integrate_half_line,
+)
+from catalan_integrals.report import Report, ReportSummary, build_report
+from catalan_integrals.representations import (
+    ROUTES,
+    RepresentationResult,
+    Route,
+    catalan_gamma_closed_form,
+)
+from catalan_integrals.series import (
+    GlaisherResult,
+    SeriesResult,
+    glaisher_from_integral,
+    stewart_sum_plain,
 )
 
 
@@ -339,6 +353,9 @@ def test_config_validation():
         QuadConfig(abs_tol=math.inf)
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=math.inf)
+    # _replace builds a new config and must check it as well.
+    with pytest.raises(ValueError):
+        QuadConfig()._replace(abs_tol=-1e-12)
 
 
 def test_tolerance_for_mixes_absolute_and_relative():
@@ -409,8 +426,29 @@ def test_truncation_remainder_enters_estimate(cfg):
     assert result.error_estimate > 0.0
 
 
-def test_quad_result_is_immutable(cfg):
-    result = integrate_finite(math.exp, 0.0, 1.0, cfg)
-    assert isinstance(result, QuadResult)
+def _report():
+    return build_report([catalan_gamma_closed_form(3)], QuadConfig(), err_threshold=1e-8)
+
+
+# Each record type, how to get one, and a field to try to assign.
+RECORDS = [
+    (QuadConfig, QuadConfig, "abs_tol"),
+    (QuadResult, lambda: integrate_finite(math.exp, 0.0, 1.0, QuadConfig()), "value"),
+    (RepresentationResult, lambda: catalan_gamma_closed_form(3), "ln_value"),
+    (Route, lambda: ROUTES[0], "estimate"),
+    (SeriesResult, lambda: stewart_sum_plain(1e-3), "partial_sum"),
+    (GlaisherResult, lambda: glaisher_from_integral(QuadConfig()), "ln_A"),
+    (ReportSummary, lambda: _report().summary, "failures"),
+    (Report, _report, "rows"),
+    (CatalanTable, lambda: CatalanTable.build(3), "values"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, make, field", RECORDS, ids=[kind.__name__ for kind, _, _ in RECORDS]
+)
+def test_record_is_immutable(kind, make, field):
+    record = make()
+    assert isinstance(record, kind)
     with pytest.raises(AttributeError):
-        result.value = 0.0
+        setattr(record, field, 0.0)

@@ -2,14 +2,15 @@
 
 The base rule is the 15-point Kronrod extension of 7-point Gauss
 (G7/K15) with the classical QUADPACK error estimate; the adaptive
-driver bisects the panel with the worst estimate first.
+driver bisects the panel with the worst estimate first, and is the
+only code that tests convergence.
 
 A half-line integral over (0, inf) is reduced to a finite one by
 truncation: the caller supplies an analytic tail bound
 |f(t)| <= K exp(-c t), the integral is cut at T chosen so that the
 discarded remainder (K/c) exp(-c T) is below a tenth of the absolute
-tolerance (below the least normal double when that is 0), and the
-remainder is added to the reported error estimate.
+tolerance (of the least normal double when that is less), and the
+driver counts the remainder in its error estimate from its first pass.
 The decay length 1/c also seeds the mesh on [0, T], with dyadic panels
 that halve down to it, so the bound is all a caller states about a
 half-line integrand.  A finite integral starts from one panel.
@@ -203,15 +204,20 @@ def _kronrod_panel(
 
 
 def _adaptive(
-    f: Callable[[float], float], edges: list[float], config: QuadConfig
+    f: Callable[[float], float],
+    edges: list[float],
+    config: QuadConfig,
+    remainder: float = 0.0,
 ) -> QuadResult:
     """Globally adaptive G7/K15 integration over the panels between
     consecutive ``edges``, which ascend.
 
-    Each starting panel costs 15 evaluations and is not a subdivision.
-    The driver bisects the worst-error panel until the summed estimates
-    meet the tolerance or ``max_subdivisions`` bisections have been
-    spent; in the latter case converged = False.
+    The estimate is the panels' summed estimates plus ``remainder``, a
+    part no bisection can lower, such as a truncated tail.  Each
+    starting panel costs 15 evaluations and is not a subdivision.  The
+    driver bisects the worst-error panel until the estimate meets the
+    tolerance; it stops with converged = False once ``max_subdivisions``
+    bisections are spent or the remainder alone misses the tolerance.
     """
     # Heap entries: (-error, tiebreak, a, b, value, error).
     heap = []
@@ -224,7 +230,7 @@ def _adaptive(
     total_err = math.fsum(entry[5] for entry in heap)
     subdivisions = 0
     while (
-        total_err > config.tolerance_for(total_value)
+        remainder <= config.tolerance_for(total_value) < total_err + remainder
         and subdivisions < config.max_subdivisions
     ):
         _, _, a1, b1, v1, e1 = heapq.heappop(heap)
@@ -247,7 +253,7 @@ def _adaptive(
     # Reassemble the totals with compensated summation; the incremental
     # running totals above only steer the subdivision order.
     total_value = math.fsum(entry[4] for entry in heap)
-    total_err = math.fsum(entry[5] for entry in heap)
+    total_err = math.fsum(entry[5] for entry in heap) + remainder
     return QuadResult(
         value=total_value,
         error_estimate=total_err,
@@ -278,37 +284,28 @@ def integrate_half_line(
     """Integrate f over (0, inf), given the constants of an analytic
     bound |f(t)| <= K exp(-c t) as ``tail``.
 
-    The integral is truncated at T and the bounded remainder is added to
-    the error estimate.  [0, T] is seeded at the decay length 1/c: an
-    integrand that decays like e^{-c t} changes over that width near
-    t = 0, and one that changes faster there states a larger c with a
-    larger K.  The driver starts from the dyadic panels with edges T/2,
-    T/4, ... down to the last one more than 4/c from 0, as QUADPACK's
-    QAGP starts from its breakpoints, so that it does not have to find
-    that width by bisecting one panel at a time.
+    The integral is truncated at T, and the driver counts the bounded
+    remainder in its error estimate from the first pass on.  [0, T] is
+    seeded at the decay length 1/c: an integrand that decays like
+    e^{-c t} changes over that width near t = 0, and one that changes
+    faster there states a larger c with a larger K.  The driver starts
+    from the dyadic panels with edges T/2, T/4, ... down to the last one
+    more than 4/c from 0, as QUADPACK's QAGP starts from its
+    breakpoints, so that it does not have to find that width by
+    bisecting one panel at a time.
     """
     if tail.K <= 0 or tail.c <= 0:
         raise ValueError(f"tail bound constants must be positive, got {tail}")
-    # Truncation point: remainder (K/c) exp(-c T) <= tol_ref / 10.  With
-    # no absolute target, tol_ref is the least normal double, below which
-    # the remainder is lost next to any value; the ratio may then
-    # overflow to inf, and T lands on the cap.
-    tol_ref = config.abs_tol if config.abs_tol > 0 else _UFLOW
+    # Truncation point: remainder (K/c) exp(-c T) <= tol_ref / 10.  An
+    # absolute target below the least normal double counts as that
+    # double: a remainder under it is lost next to any value, and c times
+    # a subnormal target may round to 0.  The ratio may overflow to inf,
+    # and T then lands on the cap.
+    tol_ref = max(config.abs_tol, _UFLOW)
     cutoff = math.log(max(10.0 * tail.K / (tail.c * tol_ref), 10.0)) / tail.c
     cutoff = min(cutoff, 1400.0)
     remainder = (tail.K / tail.c) * math.exp(-tail.c * cutoff)
     edges = [cutoff]
     while 0.5 * edges[-1] > 4.0 / tail.c:
         edges.append(0.5 * edges[-1])
-    edges = [0.0, *reversed(edges)]
-    # The finite pass gets half the budget so that adding the remainder
-    # cannot push an otherwise-converged result past the tolerance.
-    half = config._replace(abs_tol=0.5 * config.abs_tol, rel_tol=0.5 * config.rel_tol)
-    base = _adaptive(f, edges, half)
-    total_err = base.error_estimate + remainder
-    return QuadResult(
-        value=base.value,
-        error_estimate=total_err,
-        evaluations=base.evaluations,
-        converged=total_err <= config.tolerance_for(base.value),
-    )
+    return _adaptive(f, [0.0, *reversed(edges)], config, remainder)

@@ -93,7 +93,8 @@ against a true error of 3e-9.
 Every quadrature route sums its terms of ln C_n with ``math.fsum`` and
 adds a bound on their rounding, 4 eps times the sum of their absolute
 values, to its error estimate.  At the default config that bound is
-the larger part from n = 157 (Binet) and n = 321 (Malmsten) on.
+the larger part from n = 157 (Binet) and n = 321 (Malmsten) on, and
+the smaller one at every n below.
 """
 
 from __future__ import annotations

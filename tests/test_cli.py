@@ -179,6 +179,16 @@ def test_rep_without_absolute_target_converges():
     assert "converged=true" in result.output
 
 
+def test_rep_at_the_least_tolerance_prints_its_row():
+    # 5e-324 is a valid target far below the float floor: the command
+    # prints its unconverged row and fails, with no traceback.
+    result = invoke(main, ["rep", "malmsten", "5", "--abs-tol", "5e-324", "--rel-tol", "0"])
+    assert result.exit_code == 1
+    assert "method=malmsten" in result.stdout
+    assert "converged=false" in result.stdout
+    assert "Traceback" not in result.output
+
+
 def test_rep_bad_quad_config_is_usage_error():
     for options in (
         ["--abs-tol", "0", "--rel-tol", "0"],

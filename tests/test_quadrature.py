@@ -426,6 +426,18 @@ def test_truncation_remainder_enters_estimate(cfg):
     assert result.error_estimate > 0.0
 
 
+def test_irreducible_remainder_is_not_bisected(cfg):
+    # The cutoff of this slow tail lands on its cap, and the remainder
+    # (K/c) e^{-cT} = 1000 e^{-1.4} alone is far over the target: no
+    # bisection could meet it, so the driver stops after its first panel.
+    result = integrate_half_line(
+        lambda t: math.exp(-0.001 * t), cfg, tail=TailBound(1.0, 0.001)
+    )
+    assert not result.converged
+    assert result.evaluations == 15
+    assert abs(1000.0 - result.value) <= 10.0 * result.error_estimate
+
+
 def _report():
     return build_report([catalan_gamma_closed_form(3)], QuadConfig(), err_threshold=1e-8)
 

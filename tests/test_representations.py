@@ -154,12 +154,13 @@ def test_malmsten_converges_at_1e_14():
     # With the n-free term in closed form the kernel decays from t = 0 at
     # its own rate, and every row of this sweep converges, honestly; the
     # unsplit kernel spent 1,744,245 evaluations here and left 28 of the
-    # 29 rows unconverged.
+    # 29 rows unconverged, and a finite pass at half the tolerances
+    # spent 63,870.
     tight = QuadConfig(abs_tol=1e-14, rel_tol=1e-14)
     rows = [catalan_malmsten(n, tight) for n in range(0, 197, 7)]
     assert all(row.converged for row in rows)
     assert all(row.abs_err_ln <= 10.0 * row.quad_error_estimate for row in rows)
-    assert sum(row.evaluations for row in rows) <= 70_000
+    assert sum(row.evaluations for row in rows) <= 5_000
 
 
 @pytest.mark.parametrize("route", (catalan_malmsten, catalan_binet))
@@ -172,6 +173,25 @@ def test_half_line_rows_converge_without_an_absolute_target(route):
         row = route(n, relative)
         assert row.converged, n
         assert row.abs_err_ln <= 10.0 * row.quad_error_estimate, n
+
+
+@pytest.mark.parametrize(
+    "route, config",
+    [
+        (catalan_malmsten, QuadConfig(abs_tol=5e-324, rel_tol=0.0)),
+        (catalan_binet, QuadConfig(abs_tol=0.0, rel_tol=5e-324)),
+    ],
+    ids=["malmsten-abs", "binet-rel"],
+)
+def test_half_line_rows_at_the_least_tolerance_are_unconverged(route, config):
+    # Every valid config gives a row, even one whose only positive
+    # tolerance is the least subnormal, which no halving may turn into 0.
+    # At n = 0, c = 1/2 times a subnormal abs_tol rounds to 0, which the
+    # cutoff must not divide by.
+    for n in (0, 1, 5):
+        row = route(n, config)
+        assert not row.converged, n
+        assert row.abs_err_ln <= 1e-11, n
 
 
 @pytest.mark.parametrize("route", PENSON_ROUTES)
@@ -334,12 +354,15 @@ def test_moment_rule_names_the_first_non_finite_sample(monkeypatch):
 # half-line driver started from a dyadic mesh at the kernel's scale they
 # were 69,225 (Malmsten) and 18,225 (Binet) over n = 0..200, and 2,685
 # (Malmsten) over the large n; before the Malmsten kernel's n-free term
-# was split off in closed form, 43,035 and 1,515 (Malmsten).
+# was split off in closed form, 43,035 and 1,515 (Malmsten); before the
+# truncation remainder entered the driver's estimate from the first
+# pass, in place of a finite pass at half the tolerances, 18,405
+# (Malmsten) and 12,195 (Binet) over n = 0..200.
 @pytest.mark.parametrize(
     "route, ns, budget",
     [
-        (catalan_malmsten, SWEEP, 18_500),
-        (catalan_binet, SWEEP, 13_000),
+        (catalan_malmsten, SWEEP, 16_000),
+        (catalan_binet, SWEEP, 11_800),
         (catalan_malmsten, (1_000, 3_162, 10_000, 31_623, 100_000), 250),
     ],
     ids=["malmsten-sweep", "binet-sweep", "malmsten-large-n"],

@@ -22,7 +22,7 @@ import sys
 from decimal import Decimal
 from typing import NoReturn
 
-from .exact import catalan_exact, ln_exact
+from .exact import MAX_INDEX, catalan_exact, ln_exact
 from .kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from .quadrature import QuadConfig
 from .report import _fmt, build_report, to_csv, to_json, to_text
@@ -239,7 +239,9 @@ def _checked(convert, ok, requirement: str):
     return check
 
 
-_INDEX = _checked(int, lambda n: n >= 0, ">= 0")
+# The package's index range, checked before any work.
+_NATURAL = _checked(int, lambda n: n >= 0, ">= 0")
+_INDEX = _checked(_NATURAL, lambda n: n <= MAX_INDEX, f"<= {MAX_INDEX} (MAX_INDEX)")
 _TOLERANCE = _checked(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
 
 

@@ -10,8 +10,14 @@ truncation against closed-form targets:
 * odd-weight:  sum_{n>=0} C_{2n} C_n / ((2n + 1) 64^n)
                target 8 sqrt(2) / (3 pi)
 
-The first N terms come from exact integers and enter one compensated
-sum; closed forms with no big integers enclose the tail, in two steps:
+The first N terms are streamed in floats by their exact ratio
+
+    term(n + 1) / term(n) = (4n + 1)(4n + 3)(2n + 1) / (16 (n + 1)(2n + 3)(n + 2)),
+
+the product of C_{2n+2} (2n + 2)(2n + 3) = C_{2n} 4 (4n + 1)(4n + 3),
+C_{n+1} (n + 2) = C_n 2 (2n + 1) and 64^-1, in O(N) operations on
+doubles, and enter one compensated sum; closed forms with no big
+integers enclose the tail, in two steps:
 
 * Per-term bounds.  With L = 1/(pi 2^{3/2}) and g(n) = n^3 /
   (pi sqrt((2n + 1/2)(n + 1/2)) (2n + 1)(n + 1)), g(n)/n^3 <= term(n)
@@ -28,8 +34,40 @@ sum; closed forms with no big integers enclose the tail, in two steps:
   E = N^{1-s}/(s-1) + N^{-s}/2 + s N^{-s-1}/12 and
   E - s(s+1)(s+2) N^{-s-3}/720.
 
-Both ends are widened by 16 ulp for rounding.  The plain enclosure is
-about 0.1055/N^3 wide, so tol 1e-10 takes about 1,000 terms.
+Both ends of the tail enclosure are widened by 16 ulp for rounding.
+The plain enclosure is about 0.1055/N^3 wide, so tol 1e-10 takes about
+1,000 terms.
+
+Rounding of the partial sum, in the model of Higham (Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 2002, sec. 3.1): every
+operation is exact times 1 + d with |d| <= u = 2^-53, and
+gamma_k = k u/(1 - k u).  The ratio's numerator and denominator are
+exact ints, and int / int rounds once, so each step of the stream
+multiplies by (1 + d1)(1 + d2), one factor for the quotient and one for
+the product; the computed term(n) is within a relative gamma_{2n} of
+the true one, and within gamma_{2n+1} after the odd weight's division
+by 2n + 1.  For n < N <= TERM_BUDGET, gamma_{2n+1} <= (2n + 1) u
+(1 + 5e-12), so the N computed terms add up to within u (1 + 5e-12) S
+of the true ones, where S bounds sum (2n + 1) term(n).  By term(0) = 1
+and term(n) <= L/n^3, S <= 1 + L (2 zeta(2) + zeta(3)) = 1.5056 for the
+plain rule, and S <= 1 + L zeta(3) = 1.1353 for the odd weight, whose
+(2n + 1) term(n) is the plain term.  ``math.fsum`` rounds the exact sum
+P of its inputs once, by at most u |P|, and |P| < S (1 + 1e-11), since
+sum term(n) <= sum (2n + 1) term(n).  The result's lower end P - e and
+its width w + 2e (w the tail enclosure's width, below 0.0016 for every
+N >= 4) round by at most u |P| and 2 u w more.  So the computed interval
+[P - e, P - e + (w + 2e)] contains the true sum once e >= 3 u S + 2 u w,
+and the code takes
+
+    e = 3 u S,  with S = 1.51 (plain) and 1.14 (odd weight).
+
+The margin over the bounds above, 3 (1.51 - 1.5056) = 0.013 and
+3 (1.14 - 1.1353) = 0.014 in units of u, covers 2 u w, the factors
+1 + 1e-11, the term 2 u e that the width's rounding adds and the
+rounding of e itself.  e does not depend on N, so the stopping rule
+takes the least N whose whole width w + 2e meets tol.  Against terms
+from exact integers over n < 20,000, the streamed terms are within
+0.17 (2n + 1) u, and the two fsums agree to the bit.
 
 Note on the odd-weight target: the plain series matches its target to
 full precision, but the odd-weight series as written converges to
@@ -58,10 +96,10 @@ import math
 import sys
 from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import chain, islice
+from itertools import chain
 from typing import NamedTuple
 
-from .exact import _LN2, _LN_PI, _top_bits, catalan_exact, catalan_numbers
+from .exact import _LN2, _LN_PI, _top_bits, catalan_exact
 from .kernels import log_gamma_reference
 from .quadrature import QuadConfig, integrate_finite
 
@@ -84,9 +122,10 @@ _SQRT2 = math.sqrt(2.0)
 ODD_WEIGHT_TARGET = 8.0 * _SQRT2 / (3.0 * math.pi)
 PLAIN_TARGET = (4.0 / math.pi) * math.log(3.0 + 2.0 * _SQRT2) - ODD_WEIGHT_TARGET
 
-# Hard ceiling on terms per summation.  The enclosure width shrinks like
-# 1/N^3 and is about 1.3e-14 here, narrower than the float sum of
-# exp-rounded terms can vouch for; tighter tolerances end unconverged.
+# Hard ceiling on terms per summation.  The tail enclosure's width
+# shrinks like 1/N^3 and is about 1.3e-14 here, 13 times the 1.0e-15
+# that the rounding of the partial sum adds; tighter tolerances end
+# unconverged.
 TERM_BUDGET = 20_000
 
 _TAIL_CONSTANT = 1.0 / (math.pi * 2.0 ** 1.5)
@@ -101,8 +140,9 @@ class SeriesResult(NamedTuple):
 
     The true sum lies in [partial_sum, partial_sum + tail_bound]:
     ``partial_sum`` is the compensated sum of the first ``terms_used``
-    terms plus the lower end of the tail enclosure, and ``tail_bound``
-    is the enclosure's width.  ``certified_value`` is the midpoint of
+    streamed terms plus the lower end of the tail enclosure, less the
+    rounding bound e of the module docstring, and ``tail_bound`` is the
+    tail enclosure's width plus 2e.  ``certified_value`` is the midpoint of
     that interval and ``abs_err`` its distance to the stated
     closed-form ``target``.  ``converged`` is False when TERM_BUDGET
     terms left ``tail_bound`` above the requested tolerance; the fields
@@ -160,70 +200,58 @@ def sum_rule_term(n: int, *, odd_weight: bool = False) -> float:
     """term(n) = C_{2n} C_n / 64^n, divided by (2n + 1) for the odd weight.
 
     Computed from the exact integers to within a few ulp; the numerator
-    overflows a double already at n = 130.
+    overflows a double already at n = 130.  The leading bits of C_{2n}
+    and C_n multiply as floats, and their powers of two meet
+    64^-n = 2^-6n exactly in one ldexp, so no cancellation between large
+    logs costs accuracy as n grows.  This is the independent check on
+    the streamed terms of the sum rules.
     """
     if n < 0:
         raise ValueError(f"series index must be >= 0, got {n}")
-    return _term(n, catalan_exact(2 * n), catalan_exact(n), odd_weight)
-
-
-def _term(n: int, c_2n: int, c_n: int, odd_weight: bool) -> float:
-    """The leading bits of C_{2n} and C_n multiply as floats, and their
-    powers of two meet 64^-n = 2^-6n exactly in one ldexp, so no
-    cancellation between large logs costs accuracy as n grows."""
-    a, shift_a = _top_bits(c_2n)
-    b, shift_b = _top_bits(c_n)
+    a, shift_a = _top_bits(catalan_exact(2 * n))
+    b, shift_b = _top_bits(catalan_exact(n))
     term = math.ldexp(a * b, shift_a + shift_b - 6 * n)
-    if odd_weight:
-        term /= 2 * n + 1
-    return term
+    return term / (2 * n + 1) if odd_weight else term
 
 
-def _exact_terms(odd_weight: bool) -> Iterator[float]:
-    """term(0), term(1), ... streamed from exact integers.
+def _terms(n_stop: int, odd_weight: bool) -> Iterator[float]:
+    """term(0), ..., term(n_stop - 1) in floats, by the exact ratio.
 
-    Equal bit for bit to ``sum_rule_term``.  C_n comes from the ratio
-    recurrence and C_{2n} from its two-step form
-    C_{2n+2} (2n + 2)(2n + 3) = C_{2n} 4 (4n + 1)(4n + 3), each with a
-    checked exact division, so no binomial is built per term.
+    Each is within a relative gamma_{2n+1} of the true term (module
+    docstring); ``sum_rule_term`` is the exact-integer check on that.
     """
-    c_2n = 1
-    for n, c_n in enumerate(catalan_numbers()):
-        yield _term(n, c_2n, c_n, odd_weight)
-        step = 4 * (4 * n + 1) * (4 * n + 3)
-        c_2n, r = divmod(c_2n * step, (2 * n + 2) * (2 * n + 3))
-        if r:
-            raise ArithmeticError(
-                f"even-index recurrence left a remainder at 2n = {2 * n + 2}"
-            )
-
-
-def _terms_needed(tol: float, odd_weight: bool) -> int:
-    """Smallest N >= 4 with series_tail_bound(N) <= tol, capped at TERM_BUDGET."""
-    return 4 + bisect_left(
-        range(4, TERM_BUDGET),
-        True,
-        key=lambda n: series_tail_bound(n, odd_weight=odd_weight) <= tol,
-    )
+    term = 1.0
+    for n in range(n_stop):
+        yield term / (2 * n + 1) if odd_weight else term
+        term *= (4 * n + 1) * (4 * n + 3) * (2 * n + 1) / (
+            16 * (n + 1) * (2 * n + 3) * (n + 2)
+        )
 
 
 def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
-    """Sum term(0..N-1) for the smallest N whose tail enclosure meets tol,
-    or for N = TERM_BUDGET, unconverged, when none does.
+    """Sum term(0..N-1) for the smallest N >= 4 whose interval width
+    w + 2e meets tol, with w = series_tail_bound(N), or for
+    N = TERM_BUDGET, unconverged, when none does.
 
-    The terms come from exact integers and enter one compensated sum
-    together with the lower end of the tail enclosure.
+    The streamed terms enter one compensated sum together with the lower
+    end of the tail enclosure, and both ends of the interval are widened
+    by the rounding bound e = 3 u S of the module docstring.
     """
     # Also rejects NaN.  An infinite tol would certify any partial sum.
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    n_stop = _terms_needed(tol, odd_weight)
+    widening = 3.0 * 2.0**-53 * (1.14 if odd_weight else 1.51)
+
+    def meets(n: int) -> bool:
+        return series_tail_bound(n, odd_weight=odd_weight) + 2.0 * widening <= tol
+
+    n_stop = 4 + bisect_left(range(4, TERM_BUDGET), True, key=meets)
     lo, hi = _tail_enclosure(n_stop, odd_weight)
-    partial = math.fsum(chain(islice(_exact_terms(odd_weight), n_stop), (lo,)))
-    bound = hi - lo
-    certified = partial + 0.5 * bound
+    low = math.fsum(chain(_terms(n_stop, odd_weight), (lo,))) - widening
+    bound = hi - lo + 2.0 * widening
+    certified = low + 0.5 * bound
     return SeriesResult(
-        partial_sum=partial,
+        partial_sum=low,
         terms_used=n_stop,
         tail_bound=bound,
         certified_value=certified,

@@ -15,7 +15,8 @@ import pytest
 from cli_runner import invoke
 import catalan_integrals
 from catalan_integrals.cli import _decimal_digits, main
-from catalan_integrals.exact import catalan_exact
+from catalan_integrals import exact
+from catalan_integrals.exact import MAX_INDEX, catalan_exact
 from catalan_integrals.quadrature import QuadConfig
 from catalan_integrals.report import parse_report_json
 from catalan_integrals.representations import ROUTES, Method
@@ -118,6 +119,29 @@ def test_negative_index_names_its_argument(args, name):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert f"argument {name}: must be >= 0, got -" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["exact", str(MAX_INDEX + 1)], "N"),
+        (["rep", "gamma", str(MAX_INDEX + 1)], "N"),
+        (["rep", "malmsten", "1000000000000"], "N"),
+        (["verify", "--n-max", str(MAX_INDEX + 1)], "--n-max"),
+        (["dump-kernel", "binet", str(MAX_INDEX + 1)], "N"),
+    ],
+)
+def test_index_past_the_limit_is_a_usage_error(args, name, monkeypatch):
+    # Refused before any work: the sieve behind ln_exact, which would
+    # need n bytes, is never started.
+    def sieve(m):
+        pytest.fail(f"sieve started for m = {m}")
+
+    monkeypatch.setattr(exact, "_odd_sieve", sieve)
+    result = invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"argument {name}: must be <= {MAX_INDEX} (MAX_INDEX), got " in result.stderr
 
 
 # ----------------------------------------------------------------- rep
@@ -341,13 +365,13 @@ def test_sumrule_budget_exhaustion():
     result = invoke(main, ["sumrule", "plain", "--tol", "1e-30"])
     assert result.exit_code == 1
     assert result.stderr == (
-        "term budget exhausted: tail bound 1.319e-14 after 20000 terms; "
+        "term budget exhausted: tail bound 1.419e-14 after 20000 terms; "
         "requested tolerance is unreachable within 20000 terms\n"
     )
     assert result.stdout.splitlines() == [
-        "partial_sum     1.0439776544805739",
+        "partial_sum     1.0439776544805734",
         "terms_used      20000",
-        "tail_bound      1.319e-14",
+        "tail_bound      1.419e-14",
         "certified_value 1.0439776544805806",
         "target          1.043977654480579",
         "abs_err         1.554e-15",

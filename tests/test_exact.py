@@ -18,12 +18,17 @@ from oracles import (
 )
 from catalan_integrals import exact, representations
 from catalan_integrals.exact import (
+    MAX_INDEX,
     CatalanTable,
     _log_of_positive_int,
     catalan_exact,
     ln_exact,
 )
-from catalan_integrals.kernels import log_gamma_reference
+from catalan_integrals.kernels import (
+    binet_catalan_kernel,
+    log_gamma_reference,
+    malmsten_catalan_kernel,
+)
 
 # The classical sequence; everything below anchors to these integers.
 FIRST_VALUES = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
@@ -212,6 +217,53 @@ def test_representations_use_exact_ln_exact():
 def test_ln_exact_negative_rejected():
     with pytest.raises(ValueError):
         ln_exact(-3)
+
+
+class _SieveStarted(Exception):
+    pass
+
+
+@pytest.fixture
+def sieve_calls(monkeypatch):
+    """The sizes the sieve is asked for; a call raises _SieveStarted, so
+    no test allocates the 10^8 bytes of the limit itself."""
+    calls = []
+
+    def sieve(m):
+        calls.append(m)
+        raise _SieveStarted
+
+    monkeypatch.setattr(exact, "_odd_sieve", sieve)
+    return calls
+
+
+@pytest.mark.parametrize("route", [ln_exact, catalan_exact])
+def test_index_limit_is_checked_before_the_sieve(route, sieve_calls):
+    # Past the limit the sieve would need n bytes: 10^12 of them ended
+    # in MemoryError.  The limit itself is accepted.
+    with pytest.raises(ValueError, match=f"<= {MAX_INDEX} \\(MAX_INDEX\\)"):
+        route(MAX_INDEX + 1)
+    assert sieve_calls == []
+    with pytest.raises(_SieveStarted):
+        route(MAX_INDEX)
+    assert sieve_calls == [2 * MAX_INDEX]
+
+
+def test_every_index_taking_function_refuses_past_the_limit(cfg, sieve_calls):
+    # One index range for the whole package: each route is checked
+    # against ln_exact, so none is vouched for past its limit.
+    for call in (
+        lambda n: representations.compare_representations(n, cfg),
+        lambda n: representations.catalan_malmsten(n, cfg),
+        lambda n: representations.catalan_penson_moment(n, cfg),
+        representations.catalan_gamma_closed_form,
+        malmsten_catalan_kernel,
+        binet_catalan_kernel,
+        CatalanTable.build,
+    ):
+        with pytest.raises(ValueError, match="MAX_INDEX"):
+            call(MAX_INDEX + 1)
+    assert sieve_calls == []
 
 
 def test_wrong_exponent_raises_under_python_O():

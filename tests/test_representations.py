@@ -336,6 +336,25 @@ def test_moment_route_at_a_tolerance_above_one():
         assert row.abs_err_ln <= row.quad_error_estimate, n
 
 
+@pytest.mark.parametrize("tol", [1e-13, 1e-14])
+def test_moment_route_converged_only_when_its_whole_bar_meets_the_target(tol):
+    # Converged must mean that the aliasing and the rounding bound
+    # together meet the target.  Judged on the aliasing bound alone, 14
+    # of these rows claimed convergence past it at 1e-13, and 139 at
+    # 1e-14.  At 1e-13 the share of the target that the choice of M
+    # leaves for the rounding lets every row meet it; at 1e-14 it cannot.
+    config = QuadConfig(abs_tol=tol, rel_tol=tol)
+    unconverged = 0
+    for n in [*range(201), 1_000, 10_000, 100_000]:
+        row = catalan_penson_moment(n, config)
+        m, aliasing, _ = representations._moment_points(n, config)
+        rounding = representations._moment_rule(n, m)[1]
+        whole = (aliasing + rounding) / representations._moment_floor(n)
+        assert row.converged == (whole <= tol), n
+        unconverged += not row.converged
+    assert unconverged == (0 if tol == 1e-13 else 56)
+
+
 def test_moment_rule_names_the_first_non_finite_sample(monkeypatch):
     sample = representations._moment_sample
 

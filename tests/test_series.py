@@ -2,7 +2,6 @@
 
 import functools
 import math
-from itertools import islice
 
 import mpmath as mp
 import numpy as np
@@ -17,10 +16,10 @@ from catalan_integrals.series import (
     GlaisherResult,
     _ROUNDING,
     _TAIL_CONSTANT,
-    _exact_terms,
     _hyperfactorial_remainder,
     _tail_enclosure,
     _term_lower_factor,
+    _terms,
     _zeta_bracket,
     glaisher_from_integral,
     glaisher_oracle,
@@ -61,13 +60,29 @@ def test_first_terms():
     assert abs(sum_rule_term(2) - 7.0 / 1024.0) <= 1e-16
 
 
-# The weight enters only after the exact integers, so the odd weight
-# needs a shorter (and cheaper) run than the integer stream itself.
+def _streamed_term_bound(n: int, direct: float) -> float:
+    # The streamed term(n) is within a relative gamma_{2n+1} of the true
+    # term (the series docstring proves it), and sum_rule_term, from the
+    # exact integers, within 4 ulp of it (test_term_within_4_ulp_of_mpmath).
+    k = (2 * n + 1) * 2.0**-53
+    return k / (1.0 - k) * direct + 4.0 * math.ulp(direct)
+
+
+# The odd weight is one division after the plain stream, so it needs a
+# shorter (and cheaper) run of the exact-integer oracle.
 @pytest.mark.parametrize("odd_weight, n_max", [(False, 3000), (True, 300)])
-def test_streamed_terms_match_sum_rule_term_bitwise(odd_weight, n_max):
-    streamed = list(islice(_exact_terms(odd_weight), n_max))
-    direct = [sum_rule_term(n, odd_weight=odd_weight) for n in range(n_max)]
-    assert streamed == direct
+def test_streamed_terms_within_their_rounding_bound(odd_weight, n_max):
+    for n, term in enumerate(_terms(n_max, odd_weight)):
+        direct = sum_rule_term(n, odd_weight=odd_weight)
+        assert abs(term - direct) <= _streamed_term_bound(n, direct), n
+
+
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_last_budget_term_within_its_rounding_bound(odd_weight):
+    n = TERM_BUDGET - 1
+    *_, term = _terms(TERM_BUDGET, odd_weight)
+    direct = sum_rule_term(n, odd_weight=odd_weight)
+    assert abs(term - direct) <= _streamed_term_bound(n, direct)
 
 
 @pytest.mark.parametrize("n", [100, 1000, 20_000])
@@ -193,7 +208,7 @@ def test_zeta_bracket_contains_hurwitz_zeta(s, n_start):
 
 @pytest.mark.parametrize("odd_weight", [False, True])
 def test_tail_width_strictly_decreasing(odd_weight):
-    # The bisection in _terms_needed relies on this.
+    # The bisection in _sum_rule relies on this.
     previous = math.inf
     for n_start in range(4, max(10**5, TERM_BUDGET) + 1):
         width = series_tail_bound(n_start, odd_weight=odd_weight)
@@ -211,17 +226,21 @@ def _mpmath_limit(odd_weight: bool):
         return mp.hyper(upper, lower, 1)
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-13])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-13, 1e-30])
 @pytest.mark.parametrize("odd_weight", [False, True])
 def test_sum_interval_contains_mpmath_limit(tol, odd_weight):
+    # No slack: the interval counts the rounding of its own partial sum.
+    # At 1e-30 the term budget runs out and the tail enclosure is at its
+    # narrowest; the odd-weight limit then lies 0.36 u (u = 2^-53) below
+    # the rounded sum of the terms and the tail's lower end, and only the
+    # widening for rounding keeps it inside.
     rule = stewart_sum_odd_weight if odd_weight else stewart_sum_plain
     result = rule(tol)
-    rounding = 2 * math.ulp(result.partial_sum)
+    assert result.converged == (tol > 1e-14)
     limit = _mpmath_limit(odd_weight)
     with mp.workdps(40):
-        low = mp.mpf(result.partial_sum) - rounding
-        high = mp.mpf(result.partial_sum) + result.tail_bound + rounding
-        assert low <= limit <= high
+        low = mp.mpf(result.partial_sum)
+        assert low <= limit <= low + mp.mpf(result.tail_bound)
 
 
 # ----------------------------------------------------------- sum rules
@@ -281,6 +300,16 @@ def test_sum_stops_at_first_n_whose_bound_meets_tol(tol, odd_weight):
     n = result.terms_used
     assert series_tail_bound(n, odd_weight=odd_weight) <= tol
     assert n == 4 or series_tail_bound(n - 1, odd_weight=odd_weight) > tol
+
+
+# 2,048 terms in all: the `series` benchmark workload sums exactly these,
+# so its `series.terms` counter moves only when a stopping point does.
+@pytest.mark.parametrize(
+    "tol, plain, odd", [(1e-6, 48, 15), (1e-8, 220, 46), (1e-9, 473, 82), (1e-10, 1018, 146)]
+)
+def test_terms_used_at_benchmark_tolerances(tol, plain, odd):
+    assert stewart_sum_plain(tol).terms_used == plain
+    assert stewart_sum_odd_weight(tol).terms_used == odd
 
 
 def test_tolerance_validation():

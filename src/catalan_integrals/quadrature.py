@@ -1,9 +1,12 @@
 """Adaptive Gauss-Kronrod quadrature with a half-line reduction.
 
-The base rule is the 15-point Kronrod extension of 7-point Gauss
-(G7/K15) with the classical QUADPACK error estimate; the adaptive
-driver bisects the panel with the worst estimate first, and is the
-only code that tests convergence.
+The base rule is the 21-point Kronrod extension of 10-point Gauss
+(G10/K21) with the classical QUADPACK error estimate, the rule that
+QUADPACK's QAGS takes for smooth integrands (Piessens et al., 1983);
+the adaptive driver bisects the panel with the worst estimate first,
+and is the only code that tests convergence.  It stops short of the
+tolerance once the panels sit at their 50 eps floors, which no
+bisection lowers.
 
 A half-line integral over (0, inf) is reduced to a finite one by
 truncation: the caller supplies an analytic tail bound
@@ -12,8 +15,9 @@ discarded remainder (K/c) exp(-c T) is below a tenth of the absolute
 tolerance (of the least normal double when that is less), and the
 driver counts the remainder in its error estimate from its first pass.
 The decay length 1/c also seeds the mesh on [0, T], with dyadic panels
-that halve down to it, so the bound is all a caller states about a
-half-line integrand.  A finite integral starts from one panel.
+that halve down to a few times it, so the bound is all a caller states
+about a half-line integrand.  A finite integral starts from one panel,
+or from the panels between the breakpoints its caller names.
 An integrand with no exponential tail bound is mapped onto a finite
 interval by its caller, who knows how fast it decays and so what the
 map loses in doubles, and who puts the width of its peak into the map;
@@ -116,81 +120,100 @@ class QuadResult(NamedTuple):
     converged: bool
 
 
-# G7/K15 nodes and weights (positive abscissae; the rule is symmetric).
-# Indices 1, 3, 5 of _XGK are the Gauss points; the center completes G7.
+# G10/K21 nodes and weights (positive abscissae; the rule is symmetric),
+# as in QUADPACK's QK21.  Indices 1, 3, 5, 7 and 9 of _XGK are the Gauss
+# points; G10 has no centre node.  Each entry solves the rules' moment
+# equations to 33 digits, checked in 50-digit arithmetic.
 _XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
 )
 _WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831075,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
 )
-_WGK_CENTER = 0.209482141084727828012999174891714
+_WGK_CENTER = 0.149445554002916905664936468389821
 _WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 )
-_WG_CENTER = 0.417959183673469387755102040816327
+_PANEL_EVALUATIONS = 1 + 2 * len(_XGK)
 
 
 def _kronrod_panel(
     f: Callable[[float], float], a: float, b: float
-) -> tuple[float, float]:
-    """One G7/K15 application on [a, b]: returns (K15 value, error estimate).
+) -> tuple[float, float, float]:
+    """One G10/K21 application on [a, b]: returns (K21 value, error
+    estimate, error floor).
 
-    The estimate is |K15 - G7| sharpened by the scaled mean absolute
+    The estimate is |K21 - G10| sharpened by the scaled mean absolute
     deviation resasc (the (200 x)^1.5 rule) and floored at 50 eps times
-    the absolute integral, exactly as in the classical library routine.
-    f is sampled at the center, then at center - h x_j and center + h x_j
-    for j = 0..6, and each sum adds its terms in that order.  Finiteness
-    is checked once per panel, on the absolute sum: only when that is not
-    finite are the samples scanned, after all 15 have been taken, and the
-    error names the first non-finite one in that order.  Finite samples
-    whose sum overflows raise nothing.
+    the absolute integral resabs, exactly as in the classical library
+    routine; the floor, 50 eps resabs, is returned too, since no
+    bisection lowers it.  f is sampled at the center, then at
+    center - h x_j and center + h x_j for j = 0..9, and each sum adds its
+    terms in that order.  Finiteness is checked once per panel, on the
+    absolute sum: only when that is not finite are the samples scanned,
+    after all 21 have been taken, and the error names the first
+    non-finite one in that order.  Finite samples whose sum overflows
+    raise nothing.
     """
-    w0, w1, w2, w3, w4, w5, w6 = _WGK
-    g1, g3, g5 = _WG
+    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9 = _WGK
+    g1, g3, g5, g7, g9 = _WG
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
-    d0, d1, d2, d3, d4, d5, d6 = [h * x for x in _XGK]
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9 = [h * x for x in _XGK]
     ts = (c, c - d0, c + d0, c - d1, c + d1, c - d2, c + d2, c - d3, c + d3,
-          c - d4, c + d4, c - d5, c + d5, c - d6, c + d6)
+          c - d4, c + d4, c - d5, c + d5, c - d6, c + d6, c - d7, c + d7,
+          c - d8, c + d8, c - d9, c + d9)
     ys = [f(t) for t in ts]
-    fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = ys
-    s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
+    (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7,
+     l8, r8, l9, r9) = ys
+    s1, s3, s5, s7, s9 = l1 + r1, l3 + r3, l5 + r5, l7 + r7, l9 + r9
     resk = (
         _WGK_CENTER * fc + w0 * (l0 + r0) + w1 * s1 + w2 * (l2 + r2) + w3 * s3
-        + w4 * (l4 + r4) + w5 * s5 + w6 * (l6 + r6)
+        + w4 * (l4 + r4) + w5 * s5 + w6 * (l6 + r6) + w7 * s7
+        + w8 * (l8 + r8) + w9 * s9
     )
     resabs = (
         _WGK_CENTER * abs(fc) + w0 * (abs(l0) + abs(r0)) + w1 * (abs(l1) + abs(r1))
         + w2 * (abs(l2) + abs(r2)) + w3 * (abs(l3) + abs(r3))
         + w4 * (abs(l4) + abs(r4)) + w5 * (abs(l5) + abs(r5))
-        + w6 * (abs(l6) + abs(r6))
+        + w6 * (abs(l6) + abs(r6)) + w7 * (abs(l7) + abs(r7))
+        + w8 * (abs(l8) + abs(r8)) + w9 * (abs(l9) + abs(r9))
     )
     if not math.isfinite(resabs):
         for t, y in zip(ts, ys):
             if not math.isfinite(y):
                 raise IntegrandEvaluationError(t, y)
-    resg = _WG_CENTER * fc + g1 * s1 + g3 * s3 + g5 * s5
+    resg = g1 * s1 + g3 * s3 + g5 * s5 + g7 * s7 + g9 * s9
     k = 0.5 * resk
     resasc = (
         _WGK_CENTER * abs(fc - k) + w0 * (abs(l0 - k) + abs(r0 - k))
         + w1 * (abs(l1 - k) + abs(r1 - k)) + w2 * (abs(l2 - k) + abs(r2 - k))
         + w3 * (abs(l3 - k) + abs(r3 - k)) + w4 * (abs(l4 - k) + abs(r4 - k))
         + w5 * (abs(l5 - k) + abs(r5 - k)) + w6 * (abs(l6 - k) + abs(r6 - k))
+        + w7 * (abs(l7 - k) + abs(r7 - k)) + w8 * (abs(l8 - k) + abs(r8 - k))
+        + w9 * (abs(l9 - k) + abs(r9 - k))
     )
     value = resk * h
     resabs *= abs(h)
@@ -198,9 +221,10 @@ def _kronrod_panel(
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 50.0 * _EPS * resabs
     if resabs > _UFLOW / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
-    return value, err
+        err = max(floor, err)
+    return value, err, floor
 
 
 def _adaptive(
@@ -209,47 +233,57 @@ def _adaptive(
     config: QuadConfig,
     remainder: float = 0.0,
 ) -> QuadResult:
-    """Globally adaptive G7/K15 integration over the panels between
+    """Globally adaptive G10/K21 integration over the panels between
     consecutive ``edges``, which ascend.
 
     The estimate is the panels' summed estimates plus ``remainder``, a
     part no bisection can lower, such as a truncated tail.  Each
-    starting panel costs 15 evaluations and is not a subdivision.  The
+    starting panel costs 21 evaluations and is not a subdivision.  The
     driver bisects the worst-error panel until the estimate meets the
     tolerance; it stops with converged = False once ``max_subdivisions``
-    bisections are spent or the remainder alone misses the tolerance.
+    bisections are spent, once the remainder alone misses the tolerance,
+    or once the driver sits at the float floor: the panels' summed
+    50 eps resabs floors plus the remainder miss the tolerance, and the
+    error left above those floors is no larger than the floors.  Halves
+    carry about their parent's floor between them, so no bisection
+    could then meet the target, and none could lower the estimate by
+    more than half.
     """
-    # Heap entries: (-error, tiebreak, a, b, value, error).
+    # Heap entries: (-error, tiebreak, a, b, value, error, floor).
     heap = []
     for counter, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        value, err = _kronrod_panel(f, lo, hi)
-        heap.append((-err, counter, lo, hi, value, err))
+        value, err, floor = _kronrod_panel(f, lo, hi)
+        heap.append((-err, counter, lo, hi, value, err, floor))
     heapq.heapify(heap)
-    evaluations = 15 * len(heap)
+    evaluations = _PANEL_EVALUATIONS * len(heap)
     total_value = math.fsum(entry[4] for entry in heap)
     total_err = math.fsum(entry[5] for entry in heap)
+    total_floor = math.fsum(entry[6] for entry in heap)
     subdivisions = 0
-    while (
-        remainder <= config.tolerance_for(total_value) < total_err + remainder
-        and subdivisions < config.max_subdivisions
-    ):
-        _, _, a1, b1, v1, e1 = heapq.heappop(heap)
+    while subdivisions < config.max_subdivisions:
+        target = config.tolerance_for(total_value)
+        if total_err + remainder <= target or remainder > target:
+            break
+        if total_floor + remainder > target and total_err - total_floor <= total_floor:
+            break  # at the float floor
+        _, _, a1, b1, v1, e1, floor1 = heapq.heappop(heap)
         mid = 0.5 * (a1 + b1)
         if mid <= a1 or mid >= b1:
             # Interval at floating-point resolution; no further refinement
             # is possible, so put it back and stop.
-            heapq.heappush(heap, (-e1, counter + 1, a1, b1, v1, e1))
+            heapq.heappush(heap, (-e1, counter + 1, a1, b1, v1, e1, floor1))
             break
-        vl, el = _kronrod_panel(f, a1, mid)
-        vr, er = _kronrod_panel(f, mid, b1)
-        evaluations += 30
+        vl, el, floor_l = _kronrod_panel(f, a1, mid)
+        vr, er, floor_r = _kronrod_panel(f, mid, b1)
+        evaluations += 2 * _PANEL_EVALUATIONS
         subdivisions += 1
         total_value += vl + vr - v1
         total_err += el + er - e1
+        total_floor += floor_l + floor_r - floor1
         counter += 1
-        heapq.heappush(heap, (-el, counter, a1, mid, vl, el))
+        heapq.heappush(heap, (-el, counter, a1, mid, vl, el, floor_l))
         counter += 1
-        heapq.heappush(heap, (-er, counter, mid, b1, vr, er))
+        heapq.heappush(heap, (-er, counter, mid, b1, vr, er, floor_r))
     # Reassemble the totals with compensated summation; the incremental
     # running totals above only steer the subdivision order.
     total_value = math.fsum(entry[4] for entry in heap)
@@ -263,17 +297,27 @@ def _adaptive(
 
 
 def integrate_finite(
-    f: Callable[[float], float], a: float, b: float, config: QuadConfig
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    config: QuadConfig,
+    *,
+    breakpoints: tuple[float, ...] = (),
 ) -> QuadResult:
-    """Globally adaptive G7/K15 integration of f over [a, b], starting
-    from the one panel [a, b].
+    """Globally adaptive G10/K21 integration of f over [a, b], starting
+    from the panels between a, the ascending ``breakpoints`` and b.
 
-    Endpoints are never sampled (the rule is open), so integrable
-    endpoint behavior like sqrt(b - t) is admissible.
+    Like those of QUADPACK's QAGP, breakpoints put the panels' edges
+    where the caller knows f changes, so that the driver does not have
+    to find them by bisection.  Endpoints are never sampled (the rule is
+    open), so integrable endpoint behavior like sqrt(b - t) is
+    admissible.
     """
-    if not -math.inf < a < b < math.inf:  # also rejects NaN
-        raise ValueError(f"need finite a < b, got [{a}, {b}]")
-    return _adaptive(f, [a, b], config)
+    edges = [a, *breakpoints, b]
+    # The chained comparison also rejects NaN.
+    if not all(-math.inf < lo < hi < math.inf for lo, hi in zip(edges, edges[1:])):
+        raise ValueError(f"need finite a < breakpoints < b ascending, got {edges}")
+    return _adaptive(f, edges, config)
 
 
 def integrate_half_line(
@@ -290,9 +334,19 @@ def integrate_half_line(
     e^{-c t} changes over that width near t = 0, and one that changes
     faster there states a larger c with a larger K.  The driver starts
     from the dyadic panels with edges T/2, T/4, ... down to the last one
-    more than 4/c from 0, as QUADPACK's QAGP starts from its
+    more than 10/c from 0, as QUADPACK's QAGP starts from its
     breakpoints, so that it does not have to find that width by
     bisecting one panel at a time.
+
+    The depth 10/c is the width over which one G10/K21 panel resolves
+    e^{-c t}: on [0, w] its estimate sits at the 50 eps floor for
+    w <= 10/c, and is 2e-12 of the integral at 12/c and 1.5e-9 at 16/c.
+    So the first panel, [0, e] with e in (10/c, 20/c], needs at most one
+    bisection for the exponential factor, and each later panel [e, 2e]
+    holds less than e^{-10} of its mass.  Measured
+    on the Malmsten and Binet kernels, depths 8/c to 11/c cost the same
+    over n = 0..200, and 10/c the least over 13 log-spaced n from 10^3
+    to 10^6: 420 and 399 evaluations, against 525 and 546 at 8/c.
     """
     if tail.K <= 0 or tail.c <= 0:
         raise ValueError(f"tail bound constants must be positive, got {tail}")
@@ -306,6 +360,6 @@ def integrate_half_line(
     cutoff = min(cutoff, 1400.0)
     remainder = (tail.K / tail.c) * math.exp(-tail.c * cutoff)
     edges = [cutoff]
-    while 0.5 * edges[-1] > 4.0 / tail.c:
+    while 0.5 * edges[-1] > 10.0 / tail.c:
         edges.append(0.5 * edges[-1])
     return _adaptive(f, [0.0, *reversed(edges)], config, remainder)

@@ -60,7 +60,7 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   and reports converged only when the aliasing and rounding bounds
   together meet the target.  f(0) = 0 and f(pi - phi) = f(phi) leave
   floor(M/2) samples, and M is capped so that they cost no more than
-  the adaptive driver may spend on one call, 15 + 30 max_subdivisions
+  the adaptive driver may spend on one call, 21 + 42 max_subdivisions
   evaluations; past the cap the route reports the bound of the largest
   M within it.  f is evaluated as sin^2(phi) exp(n log1p(-sin^2 phi)),
   whose rounding does not grow with n as that of cos^{2n} does, and
@@ -73,8 +73,13 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   s = w u/(1 - u), as in QUADPACK's QAGI, takes I onto u in (0, 1),
   where the integrand tends to 1/8 (n = 0) or 0 (n >= 1) at u = 1.  It
   peaks at s = w/2 with w = 1/sqrt(n + 1), its width, so the map puts
-  the peak at u = 1/3 for every n, inside the first panel.  The
-  substitution 4t = tan^2(phi) would map onto a finite interval as
+  the peak at u = 1/3 for every n.  The driver starts from the thirds
+  [0, 1/3], [1/3, 2/3] and [2/3, 1], which put an edge on the peak
+  and one past it: at the default config none of them is bisected at
+  any n measured (0..3000 and log-spaced n up to 10^8), 63 evaluations
+  a row, where the same rule from the one panel (0, 1) took 20,979
+  over n = 0..200 and with an edge at 1/3 or 1/2 alone about 16,800.
+  The substitution 4t = tan^2(phi) would map onto a finite interval as
   well, but it turns I into (1/4) integral_0^{pi/2} sin^2(phi)
   cos^{2n}(phi) d phi, exactly a quarter of the moment route's
   integrand: the two Penson routes would then evaluate the same
@@ -117,6 +122,7 @@ from .kernels import (
 )
 from .quadrature import (
     _EPS,
+    _PANEL_EVALUATIONS,
     _UFLOW,
     IntegrandEvaluationError,
     QuadConfig,
@@ -286,7 +292,7 @@ def _moment_points(n: int, config: QuadConfig) -> tuple[int, float, bool]:
     the target wherever the target exceeds 128 eps."""
     tol = _moment_tolerance(config)
     target = max(tol - 64.0 * _EPS, 0.5 * tol) * _moment_floor(n)
-    cap = 2 * (15 + 30 * config.max_subdivisions) + 1
+    cap = 2 * _PANEL_EVALUATIONS * (1 + 2 * config.max_subdivisions) + 1
     # The k = m term alone needs (m - 1)^2 >= n ln(pi/target); a target
     # that underflows to 0 is met only by m = n + 2.
     ratio = math.pi / max(target, _UFLOW)
@@ -364,7 +370,7 @@ def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
         r = (w * u / v) ** 2
         return 2.0 * w * r / (v * v) * math.exp(-power * math.log1p(4.0 * r))
 
-    qr = integrate_finite(fn, 0.0, 1.0, config)
+    qr = integrate_finite(fn, 0.0, 1.0, config, breakpoints=(1.0 / 3.0, 2.0 / 3.0))
     terms = (2.0 * power * _LN2, -_LN_PI, math.log(qr.value))
     return _assemble(qr.evaluations, qr.converged, qr.error_estimate / qr.value, *terms)
 
@@ -456,7 +462,8 @@ def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
     integrand decays like s^{-(2n + 2)}, so no exponential tail bound
     exists; s = w u/(1 - u) with w = 1/sqrt(n + 1) maps I onto (0, 1),
     where it reads 2 w r/(1 - u)^2 (4r + 1)^{-(n+2)} with r = s^2, peaks
-    at u = 1/3 for every n, and stays finite up to u = 1.
+    at u = 1/3 for every n, and stays finite up to u = 1.  The driver
+    starts from the thirds of (0, 1) (module docstring).
 
     In doubles the map collapses every s beyond the last double below
     u = 1, s = w (2^53 - 1), into that one point.  The integrand is at

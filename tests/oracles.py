@@ -20,7 +20,7 @@ and check the Malmsten-Catalan kernel against its defining form:
   ln Gamma(n + 1/2) - ln Gamma(n + 2), before the split
 * ``frullani_term`` -- the part the split moves into closed form
 
-and keep the loop form of one G7/K15 panel, which the unrolled
+and keep the loop form of one G10/K21 panel, which the unrolled
 ``_kronrod_panel`` must reproduce bit for bit:
 
 * ``kronrod_panel_reference`` -- one panel, one sample and one check at
@@ -47,7 +47,6 @@ from catalan_integrals.quadrature import (
     _EPS,
     _UFLOW,
     _WG,
-    _WG_CENTER,
     _WGK,
     _WGK_CENTER,
     _XGK,
@@ -228,9 +227,10 @@ def _sample(f: Callable[[float], float], t: float) -> float:
 
 def kronrod_panel_reference(
     f: Callable[[float], float], a: float, b: float
-) -> tuple[float, float]:
-    """One G7/K15 application on [a, b] as a loop over the node pairs:
-    (K15 value, error estimate), the QUADPACK estimate.
+) -> tuple[float, float, float]:
+    """One G10/K21 application on [a, b] as a loop over the node pairs:
+    (K21 value, error estimate, error floor), the QUADPACK estimate and
+    its 50 eps resabs floor.
 
     Each sample is checked as it is taken, so the first non-finite one
     raises before f is asked for the next.
@@ -238,7 +238,7 @@ def kronrod_panel_reference(
     h = 0.5 * (b - a)
     center = 0.5 * (a + b)
     fc = _sample(f, center)
-    resg = _WG_CENTER * fc
+    resg = 0.0  # G10 has no centre node
     resk = _WGK_CENTER * fc
     resabs = _WGK_CENTER * abs(fc)
     pairs = []
@@ -261,9 +261,10 @@ def kronrod_panel_reference(
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 50.0 * _EPS * resabs
     if resabs > _UFLOW / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
-    return value, err
+        err = max(floor, err)
+    return value, err, floor
 
 
 def _json_safe(x: float):

@@ -410,7 +410,7 @@ def test_glaisher_starved_quadrature_fails():
     assert result.exit_code == 1
     assert result.stderr == (
         "quadrature failed: log-Gamma integral on [0, 1/2]: error estimate "
-        "4.758e-16 did not meet tolerance after 75 evaluations\n"
+        "4.758e-16 did not meet tolerance after 21 evaluations\n"
     )
     assert result.stdout == ""
 

@@ -12,6 +12,8 @@ from catalan_integrals import quadrature, representations
 from catalan_integrals.exact import CatalanTable
 from catalan_integrals.kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from catalan_integrals.quadrature import (
+    _EPS,
+    _WG,
     _XGK,
     IntegrandEvaluationError,
     QuadConfig,
@@ -39,17 +41,32 @@ from catalan_integrals.series import (
 # ---------------------------------------------------------------- panel
 
 
+def _gauss_rule(f):
+    # The G10 rule embedded in the tables, on [-1, 1].
+    return sum(w * (f(-x) + f(x)) for w, x in zip(_WG, _XGK[1::2]))
+
+
 def test_panel_polynomial_exactness():
-    # The 15-point Kronrod rule integrates polynomials of degree <= 22
-    # exactly; check every monomial against (b^{d+1} - a^{d+1})/(d + 1).
-    for degree in range(23):
-        value, _ = _kronrod_panel(lambda x, d=degree: x**d, 0.0, 1.0)
+    # The 21-point Kronrod rule integrates polynomials of degree <= 31
+    # exactly and its embedded 10-point Gauss rule those of degree <= 19;
+    # check every monomial against (b^{d+1} - a^{d+1})/(d + 1).
+    for degree in range(32):
+        value, _, _ = _kronrod_panel(lambda x, d=degree: x**d, 0.0, 1.0)
         exact = 1.0 / (degree + 1)
         assert abs(value - exact) <= 1e-13 * exact
+    for degree in range(20):
+        value = 0.5 * _gauss_rule(lambda x, d=degree: (0.5 + 0.5 * x) ** d)
+        exact = 1.0 / (degree + 1)
+        assert abs(value - exact) <= 1e-13 * exact
+    # The next even degree is missed on [-1, 1], so the tables hold
+    # these two rules and no rules of higher degree.
+    value, _, _ = _kronrod_panel(lambda x: x**32, -1.0, 1.0)
+    assert abs(value - 2.0 / 33.0) > 1e-12
+    assert abs(_gauss_rule(lambda x: x**20) - 2.0 / 21.0) > 1e-6
 
 
 def test_panel_estimate_dominates_true_error():
-    # On a single panel the sharpened |K15 - G7| estimate must not
+    # On a single panel the sharpened |K21 - G10| estimate must not
     # understate the true error for generic smooth integrands.
     cases = [
         (math.exp, 0.0, 1.0, math.e - 1.0),
@@ -57,7 +74,7 @@ def test_panel_estimate_dominates_true_error():
         (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4.0),
     ]
     for f, a, b, exact in cases:
-        value, err = _kronrod_panel(f, a, b)
+        value, err, _ = _kronrod_panel(f, a, b)
         assert abs(value - exact) <= 10.0 * err
 
 
@@ -169,11 +186,11 @@ def test_panel_overflowing_finite_samples_raise_nothing():
     # Every sample is finite, only the sums overflow: the panel reads
     # inf, as the loop form does, and the driver's tolerance decides.
     for panel in (_kronrod_panel, kronrod_panel_reference):
-        assert panel(lambda t: 1e308, 0.0, 4.0) == (math.inf, math.inf)
+        assert panel(lambda t: 1e308, 0.0, 4.0) == (math.inf, math.inf, math.inf)
 
 
 def test_panel_takes_every_sample_before_checking():
-    # All 15 samples are taken before any is checked, so an exception
+    # All 21 samples are taken before any is checked, so an exception
     # that f raises at a later node propagates ahead of the evaluation
     # error for an earlier non-finite sample; the loop form stops first.
     nodes = _panel_nodes(0.0, 1.0)
@@ -266,9 +283,9 @@ def test_linearity_on_random_polynomials(cfg):
         assert abs(rc.value - alpha * rf.value - beta * rg.value) <= slack
 
 
-def test_single_smooth_panel_costs_fifteen_evaluations(cfg):
+def test_single_smooth_panel_costs_one_rule(cfg):
     result = integrate_finite(math.exp, 0.0, 1.0, cfg)
-    assert result.evaluations == 15
+    assert result.evaluations == 21
     assert result.converged
 
 
@@ -287,31 +304,43 @@ def test_invalid_interval_rejected(cfg):
         integrate_finite(math.exp, 2.0, 1.0, cfg)
     with pytest.raises(ValueError):
         integrate_finite(math.exp, 0.0, math.inf, cfg)
+    for breakpoints in ((0.0,), (1.0,), (1.5,), (0.6, 0.4), (0.5, 0.5), (math.nan,)):
+        with pytest.raises(ValueError):
+            integrate_finite(math.exp, 0.0, 1.0, cfg, breakpoints=breakpoints)
 
 
-def test_scale_seeds_panels_at_fifteen_evaluations_each():
+def test_breakpoints_start_one_panel_each(cfg):
+    # Each breakpoint inside (a, b) adds one starting panel, which is not
+    # a subdivision; the smooth integrand needs no bisection on either.
+    result = integrate_finite(math.exp, 0.0, 1.0, cfg, breakpoints=(0.25, 0.5))
+    assert result.evaluations == 3 * 21
+    assert result.converged
+    assert abs(result.value - (math.e - 1.0)) <= 10.0 * result.error_estimate
+
+
+def test_scale_seeds_panels_at_one_rule_each():
     # The half-line driver seeds [0, T] at the decay length 1/c = 1.  At
-    # abs_tol = 1e-8, T = ln(1e9) = 20.7: edges 10.4 and 5.2 lie more
-    # than 4/c = 4 above 0, 2.6 does not, so three starting panels, each
-    # smooth enough for one rule: 45 evaluations and no bisection.
+    # abs_tol = 1e-8, T = ln(1e9) = 20.7: edge 10.4 lies more than
+    # 10/c = 10 above 0, 5.2 does not, so two starting panels, each
+    # smooth enough for one rule: 42 evaluations and no bisection.
     loose = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
     result = integrate_half_line(lambda t: math.exp(-t), loose, tail=TailBound(1.0, 1.0))
-    assert result.evaluations == 45
+    assert result.evaluations == 42
     assert result.converged
     assert abs(result.value - 1.0) <= 10.0 * result.error_estimate
 
 
 def test_seeded_panels_are_not_subdivisions():
     # max_subdivisions limits bisections only: with one allowed, a
-    # singular integrand on the four panels seeded at 1/c = 1 (T =
-    # ln(1e16) = 36.8, edges 4.6, 9.2 and 18.4) costs 4 * 15 + 30.
+    # singular integrand on the two panels seeded at 1/c = 1 (T =
+    # ln(1e16) = 36.8, edge 18.4) costs 2 * 21 + 42.
     one = QuadConfig(abs_tol=1e-15, rel_tol=0.0, max_subdivisions=1)
     result = integrate_half_line(
         lambda t: math.exp(-t) / math.sqrt(t) if t > 0.0 else 0.0,
         one,
         tail=TailBound(1.0, 1.0),
     )
-    assert result.evaluations == 90
+    assert result.evaluations == 84
     assert not result.converged
 
 
@@ -322,6 +351,29 @@ def test_non_convergence_is_reported_not_raised():
     )
     assert not result.converged
     assert result.error_estimate > tight.tolerance_for(result.value)
+
+
+def test_driver_stops_at_the_float_floor():
+    # A target below the 50 eps resabs floor of a smooth panel cannot be
+    # met by bisection, which only splits the floor between the halves:
+    # the driver returns the first panel, unconverged, in place of
+    # spending its whole budget (2,000 bisections, 84,021 evaluations).
+    below = QuadConfig(abs_tol=1e-30, rel_tol=1e-30)
+    result = integrate_finite(math.exp, 0.0, 1.0, below)
+    assert result.evaluations == 21
+    assert not result.converged
+    assert abs(result.value - (math.e - 1.0)) <= result.error_estimate
+    assert result.error_estimate <= 100.0 * _EPS * (math.e - 1.0)
+
+
+def test_driver_bisects_above_the_float_floor():
+    # The floor alone does not stop the driver: while the error left
+    # above the floors exceeds them, as next to a singularity, it bisects
+    # until its budget is spent.
+    below = QuadConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=50)
+    result = integrate_finite(_inverse_sqrt, 0.0, 1.0, below)
+    assert result.evaluations == 21 + 50 * 42
+    assert not result.converged
 
 
 def test_evaluation_error_carries_abscissa(cfg):
@@ -434,7 +486,7 @@ def test_irreducible_remainder_is_not_bisected(cfg):
         lambda t: math.exp(-0.001 * t), cfg, tail=TailBound(1.0, 0.001)
     )
     assert not result.converged
-    assert result.evaluations == 15
+    assert result.evaluations == 21
     assert abs(1000.0 - result.value) <= 10.0 * result.error_estimate
 
 

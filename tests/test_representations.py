@@ -140,9 +140,9 @@ def test_large_n_rows_honest_against_mpmath(route, cfg):
 
 
 def test_malmsten_at_tightest_tolerance_returns_a_row():
-    # At abs_tol = rel_tol = 1e-15 the quadrature bisects towards t = 0
-    # until the panels reach floating-point resolution; the kernel must
-    # stay finite there, down to subnormal t.
+    # At abs_tol = rel_tol = 1e-15 the quadrature samples close to t = 0
+    # and stops at the float floor; the kernel must stay finite there,
+    # and the row accurate.
     tight = QuadConfig(abs_tol=1e-15, rel_tol=1e-15)
     for n in (0, 1, 5):
         row = catalan_malmsten(n, tight)
@@ -196,13 +196,46 @@ def test_half_line_rows_at_the_least_tolerance_are_unconverged(route, config):
 
 @pytest.mark.parametrize("route", PENSON_ROUTES)
 def test_penson_at_tightest_tolerance_returns_a_row(route):
-    # Below the float floor the driver may spend its whole budget, but
+    # Below the float floor the driver stops short of the target, and
     # what it returns stays a finite, accurate row.
     tight = QuadConfig(abs_tol=1e-15, rel_tol=1e-15)
     for n in (0, 1, 5):
         row = route(n, tight)
         assert math.isfinite(row.ln_value), n
         assert row.abs_err_ln <= 1e-12, n
+
+
+@pytest.mark.parametrize(
+    "route, driver",
+    [
+        (catalan_malmsten, "integrate_half_line"),
+        (catalan_binet, "integrate_half_line"),
+        (catalan_penson_mellin, "integrate_finite"),
+    ],
+    ids=["malmsten", "binet", "mellin"],
+)
+def test_adaptive_rows_stop_at_the_float_floor(route, driver, monkeypatch):
+    # At abs_tol = rel_tol = 1e-15 the n = 0 rows cannot meet the target:
+    # their panels sit at the 50 eps resabs floors that no bisection
+    # lowers.  Each such row used to spend the whole budget, about 60,000
+    # evaluations; the driver now stops at the floor, unconverged.
+    tight = QuadConfig(abs_tol=1e-15, rel_tol=1e-15)
+    integrate = getattr(representations, driver)
+    results = []
+
+    def capture(*args, **kwargs):
+        results.append(integrate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(representations, driver, capture)
+    for n in (0, 1, 5):
+        row = route(n, tight)
+        qr = results[-1]
+        assert row.evaluations == qr.evaluations <= 5_000, n
+        assert row.abs_err_ln <= 1e-12, n
+        missed = qr.error_estimate > tight.tolerance_for(qr.value)
+        assert row.converged == qr.converged == (not missed), n
+    assert not route(0, tight).converged
 
 
 def test_penson_moment_integrand_is_finite_where_sin_rounds_to_one(monkeypatch):
@@ -233,9 +266,9 @@ def test_penson_mellin_integrand_is_finite_at_both_ends(cfg, monkeypatch):
     # last double below 1, must give finite values.
     integrands = []
 
-    def capture(f, *args):
+    def capture(f, *args, **kwargs):
         integrands.append(f)
-        return integrate_finite(f, *args)
+        return integrate_finite(f, *args, **kwargs)
 
     monkeypatch.setattr(representations, "integrate_finite", capture)
     for n in (0, 1, 1_000_000):
@@ -252,9 +285,11 @@ def test_penson_mellin_integrand_is_finite_at_both_ends(cfg, monkeypatch):
 # s = 1 with its far piece inverted, 33,165 (Mellin), before the
 # moment integral took the trapezoid rule, 27,405 (moment), and before
 # the Mellin map s = w u/(1 - u) put the peak width w = 1/sqrt(n + 1)
-# in place of the seeded scale, 32,190 (Mellin).
+# in place of the seeded scale, 32,190 (Mellin), and before the G10/K21
+# rule started from the thirds of (0, 1), in place of G7/K15 from the
+# one panel, 27,315 (Mellin).
 @pytest.mark.parametrize(
-    "route, budget", [(catalan_penson_moment, 6_000), (catalan_penson_mellin, 27_500)]
+    "route, budget", [(catalan_penson_moment, 6_000), (catalan_penson_mellin, 12_700)]
 )
 def test_penson_evaluation_budget(route, budget, cfg):
     total = sum(route(n, cfg).evaluations for n in SWEEP)
@@ -314,13 +349,13 @@ def test_moment_aliasing_bound_covers_the_true_error(n):
 
 
 def test_moment_route_reports_a_starved_budget(cfg):
-    # One subdivision buys the adaptive driver 45 evaluations, so the
-    # rule gets at most 91 points; n = 300 needs 105.
-    row = catalan_penson_moment(300, QuadConfig(max_subdivisions=1))
+    # One subdivision buys the adaptive driver 63 evaluations, so the
+    # rule gets at most 127 points; n = 500 needs 137.
+    row = catalan_penson_moment(500, QuadConfig(max_subdivisions=1))
     assert not row.converged
-    assert row.evaluations == 45
+    assert row.evaluations == 63
     with mp.workdps(40):
-        exact = mp.loggamma(601) - mp.loggamma(301) - mp.loggamma(302)
+        exact = mp.loggamma(1001) - mp.loggamma(501) - mp.loggamma(502)
         assert float(abs(mp.mpf(row.ln_value) - exact)) <= row.quad_error_estimate
 
 
@@ -376,13 +411,16 @@ def test_moment_rule_names_the_first_non_finite_sample(monkeypatch):
 # was split off in closed form, 43,035 and 1,515 (Malmsten); before the
 # truncation remainder entered the driver's estimate from the first
 # pass, in place of a finite pass at half the tolerances, 18,405
-# (Malmsten) and 12,195 (Binet) over n = 0..200.
+# (Malmsten) and 12,195 (Binet) over n = 0..200; before the G10/K21 rule
+# with the mesh seeded down to 10/c, in place of G7/K15 down to 4/c,
+# 15,705 (Malmsten) and 11,595 (Binet) over n = 0..200 and 225
+# (Malmsten) over the large n.
 @pytest.mark.parametrize(
     "route, ns, budget",
     [
-        (catalan_malmsten, SWEEP, 16_000),
-        (catalan_binet, SWEEP, 11_800),
-        (catalan_malmsten, (1_000, 3_162, 10_000, 31_623, 100_000), 250),
+        (catalan_malmsten, SWEEP, 9_200),
+        (catalan_binet, SWEEP, 9_600),
+        (catalan_malmsten, (1_000, 3_162, 10_000, 31_623, 100_000), 175),
     ],
     ids=["malmsten-sweep", "binet-sweep", "malmsten-large-n"],
 )

@@ -392,8 +392,10 @@ def test_glaisher_oracle_domain():
 
 
 def test_glaisher_propagates_non_convergence():
+    # A target of 1e-30 lies below the first panel's 50 eps floor, which
+    # no bisection lowers: the driver stops there, unconverged.
     starved = QuadConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2)
     result = glaisher_from_integral(starved)
     assert result.converged is False
     assert result.error_estimate > starved.tolerance_for(result.integral_value)
-    assert result.evaluations == 75
+    assert result.evaluations == 21

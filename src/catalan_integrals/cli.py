@@ -52,15 +52,6 @@ class UsageError(Exception):
     """Arguments that parsed but do not fit together; main exits 2."""
 
 
-def _config(abs_tol: float, rel_tol: float, max_subdivisions: int) -> QuadConfig:
-    try:
-        return QuadConfig(
-            abs_tol=abs_tol, rel_tol=rel_tol, max_subdivisions=max_subdivisions
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _fail(message: str, code: int = EXIT_VERIFICATION_FAILED) -> NoReturn:
     # Flushing first keeps the message after stdout when both share a pipe.
     sys.stdout.flush()
@@ -119,33 +110,18 @@ def cmd_exact(n: int) -> None:
     print(f"ln_error {_fmt(ln_c * 2.0**-53 + 0.5 * math.ulp(ln_c))}")
 
 
-def cmd_rep(
-    method: str,
-    n: int,
-    tol: float,
-    abs_tol: float,
-    rel_tol: float,
-    max_subdivisions: int,
-) -> None:
+def cmd_rep(method: str, n: int, tol: float, config: QuadConfig) -> None:
     """Evaluate one representation METHOD at index N and check it."""
-    config = _config(abs_tol, rel_tol, max_subdivisions)
-    row = _ROUTES_BY_NAME[method].evaluate(n, config)
+    row = _ROUTES_BY_NAME[method](n, config)
     _print_row(row)
     if not row.converged or not (row.abs_err_ln <= tol):
         sys.exit(EXIT_VERIFICATION_FAILED)
 
 
 def cmd_verify(
-    n_max: int,
-    fmt: str,
-    tol: float,
-    output: str | None,
-    abs_tol: float,
-    rel_tol: float,
-    max_subdivisions: int,
+    n_max: int, fmt: str, tol: float, output: str | None, config: QuadConfig
 ) -> None:
     """Cross-check every representation against exact values for n = 0..N_MAX."""
-    config = _config(abs_tol, rel_tol, max_subdivisions)
     rows = compare_representations(n_max, config)
     report = build_report(rows, config, err_threshold=tol)
     rendered = {"text": to_text, "csv": to_csv, "json": to_json}[fmt](report)
@@ -192,9 +168,8 @@ def cmd_sumrule(which: str, tol: float) -> None:
         _fail("target missed: the series does not certify to the stated closed form")
 
 
-def cmd_glaisher(abs_tol: float, rel_tol: float, max_subdivisions: int) -> None:
+def cmd_glaisher(config: QuadConfig) -> None:
     """Recover the Glaisher-Kinkelin constant from the log-Gamma integral."""
-    config = _config(abs_tol, rel_tol, max_subdivisions)
     result = glaisher_from_integral(config)
     if not result.converged:
         _fail(
@@ -360,6 +335,11 @@ def main(argv: list[str] | None = None) -> None:
     args = vars(_PARSER.parse_args(argv))
     run, parser = args.pop("run"), args.pop("parser")
     try:
+        if "abs_tol" in args:  # a command with the quadrature options
+            try:
+                args["config"] = QuadConfig(*map(args.pop, QuadConfig._fields))
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
         run(**args)
     except UsageError as exc:
         parser.error(str(exc))

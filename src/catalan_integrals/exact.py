@@ -150,7 +150,7 @@ def catalan_exact(n: int) -> int:
     """
     _check_index(n)
     c = _balanced_product(_catalan_factors(n))
-    _check_against_lgamma(n, _log_of_positive_int(c))
+    _check_against_lgamma(n, math.log(c))
     return c
 
 
@@ -175,18 +175,6 @@ def _top_bits(m: int) -> tuple[float, int]:
     number of bits shifted out."""
     shift = max(m.bit_length() - 64, 0)
     return float(m >> shift), shift
-
-
-def _log_of_positive_int(m: int) -> float:
-    """Natural log of a positive integer of any size, to ~1 ulp.
-
-    Splits m into its top 64 bits times a power of two; the dropped low
-    bits perturb the log by less than 2^-63.
-    """
-    if m <= 0:
-        raise ValueError("argument must be a positive integer")
-    top, shift = _top_bits(m)
-    return math.log(top) + shift * _LN2
 
 
 def ln_exact(n: int) -> float:

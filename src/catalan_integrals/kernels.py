@@ -68,6 +68,35 @@ _STIRLING_SHIFT = 10.0
 _STIRLING_NEXT = 3617.0 / (510.0 * 240.0)
 
 
+def _stirling(x: float) -> tuple[float, float, float]:
+    """(value, truncation, size) of the Stirling reference at x > 0.
+
+    ``value`` is ln Gamma(x), as ``log_gamma_reference`` describes.
+    ``truncation`` bounds the remainder of the Stirling series: for real
+    z > 0 it is smaller than the first omitted term, |B_16|/(16 15 z^15)
+    (DLMF 5.11.ii), under 3e-17 at z >= 10.  ``size`` is the sum of the
+    absolute values of the terms the reference adds up, the logs of the
+    shift included, which its rounding errors scale with.
+    """
+    shift = size = 0.0
+    z = x
+    while z < _STIRLING_SHIFT:
+        ln_z = math.log(z)
+        shift += ln_z
+        size += abs(ln_z)
+        z += 1.0
+    ln_z = math.log(z)
+    w = 1.0 / (z * z)
+    series = 0.0
+    for c in reversed(_STIRLING_COEFFS):
+        series = series * w + c
+    series /= z
+    value = (z - 0.5) * ln_z - z + _HALF_LN_2PI + series - shift
+    # Added left to right: size += (...) would round differently.
+    size = size + (z - 0.5) * ln_z + z + _HALF_LN_2PI + 1.0 / (12.0 * z)
+    return value, _STIRLING_NEXT / z**15, size
+
+
 def log_gamma_reference(x: float) -> float:
     """ln Gamma(x) for x > 0, by argument shift plus the Stirling series.
 
@@ -79,36 +108,7 @@ def log_gamma_reference(x: float) -> float:
     """
     if x <= 0:
         raise ValueError(f"argument must be positive, got {x}")
-    shift = 0.0
-    z = x
-    while z < _STIRLING_SHIFT:
-        shift += math.log(z)
-        z += 1.0
-    w = 1.0 / (z * z)
-    series = 0.0
-    for c in reversed(_STIRLING_COEFFS):
-        series = series * w + c
-    series /= z
-    return (z - 0.5) * math.log(z) - z + _HALF_LN_2PI + series - shift
-
-
-def _log_gamma_reference_parts(x: float) -> tuple[float, float]:
-    """(truncation, size) of ``log_gamma_reference(x)``.
-
-    ``truncation`` bounds the remainder of the Stirling series: for real
-    z > 0 it is smaller than the first omitted term, |B_16|/(16 15 z^15)
-    (DLMF 5.11.ii), under 3e-17 at z >= 10.  ``size`` is the sum of the
-    absolute values of the terms the reference adds up, the logs of the
-    shift included, which its rounding errors scale with.  It is apart
-    from the reference, which the Glaisher integrand calls at every node.
-    """
-    shift = 0.0
-    z = x
-    while z < _STIRLING_SHIFT:
-        shift += abs(math.log(z))
-        z += 1.0
-    size = shift + (z - 0.5) * math.log(z) + z + _HALF_LN_2PI + 1.0 / (12.0 * z)
-    return _STIRLING_NEXT / z**15, size
+    return _stirling(x)[0]
 
 
 class KernelSpec(NamedTuple):
@@ -182,7 +182,7 @@ def malmsten_catalan_kernel(n: int) -> KernelSpec:
 
 def binet_catalan_kernel(n: int) -> KernelSpec:
     """Kernel whose integral closes the gap between the Stirling parts of
-    ln Gamma(n + 3/2) and ln Gamma(n + 2): binet_core(t) (e^{-t/2} - e^{-2t}) e^{-n t} / t.
+    ln Gamma(n + 3/2) and ln Gamma(n + 3): binet_core(t) (e^{-t/2} - e^{-2t}) e^{-n t} / t.
 
     Equals theta-integrand(n + 1/2) - theta-integrand(n + 2) pointwise,
     so its integral is theta(n + 1/2) - theta(n + 2).  Near t = 0

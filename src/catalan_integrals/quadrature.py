@@ -81,8 +81,9 @@ class QuadConfig(_QuadConfigFields):
     """Tolerances and subdivision budget shared by all quadrature entry points.
 
     Convergence target is max(abs_tol, rel_tol * |value|); both
-    tolerances must be finite and nonnegative, and at least one positive.
-    An infinite tolerance would accept any first estimate as converged.
+    tolerances must be finite and nonnegative, and at least one positive,
+    and max_subdivisions an int >= 1.  An infinite tolerance would accept
+    any first estimate as converged.
     """
 
     __slots__ = ()
@@ -94,6 +95,11 @@ class QuadConfig(_QuadConfigFields):
             raise ValueError("tolerances must be finite and nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("at least one tolerance must be positive")
+        if not isinstance(self.max_subdivisions, int):
+            # A float budget would reach range() through the moment route.
+            raise ValueError(
+                f"max_subdivisions must be an int, got {self.max_subdivisions!r}"
+            )
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         return self

@@ -107,7 +107,6 @@ _JSON_ROW = (
     + "\n    }"
 )
 _CSV_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g,%d,%s\n"
-_METHODS = {m.value: m for m in Method}
 
 
 def _json_float(x: float) -> str:
@@ -159,8 +158,8 @@ def to_json(report: Report) -> str:
 
 def _method(value) -> Method:
     try:
-        return _METHODS[value]
-    except (KeyError, TypeError):
+        return Method(value)
+    except ValueError:
         raise ValueError(f"unknown method {value!r}") from None
 
 

@@ -65,7 +65,7 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   M within it.  f is evaluated as sin^2(phi) exp(n log1p(-sin^2 phi)),
   whose rounding does not grow with n as that of cos^{2n} does, and
   each sample carries a bound on its rounding
-  (``catalan_penson_moment``).
+  (``_penson_moment``).
 * ``penson_mellin``: C_n = (4^{n+2}/pi) integral_0^inf sqrt(t) /
   (4t + 1)^{n+2} dt.  With t = s^2 this is C_n = (4^{n+2}/pi) I with
   I = integral_0^inf 2 s^2 / (4 s^2 + 1)^{n+2} ds.  The integrand decays
@@ -115,9 +115,8 @@ from typing import NamedTuple
 from .exact import _LN2, _LN_PI, _check_index, ln_exact
 from .kernels import (
     KernelSpec,
-    _log_gamma_reference_parts,
+    _stirling,
     binet_catalan_kernel,
-    log_gamma_reference,
     malmsten_catalan_kernel,
 )
 from .quadrature import (
@@ -218,15 +217,27 @@ def _prefactor_ln(n: int) -> float:
     return 2.0 * n * _LN2 - 0.5 * _LN_PI
 
 
-def _gamma_closed_form(n: int) -> _Estimate:
+def _gamma_closed_form(n: int, config: QuadConfig) -> _Estimate:
+    """ln C_n from the Gamma closed form with Stirling-series evaluation.
+
+    Quadrature-free; this is the fast route the integral routes are
+    measured against when the exact integer is too slow to build.
+
+    Its bar is the truncation of the two Stirling series, each below
+    its first omitted term (DLMF 5.11.ii), plus 8 eps times the sum of
+    the absolute values of every term the route adds up: the prefactor,
+    and for each Gamma factor the logs of its shift and the terms of the
+    series.  That follows the rule of ``_assemble`` for a sum rounded at
+    every addition: a term passes at most 12 additions (9 in the shift,
+    1 in the reference, 2 in the route), each rounding by at most u =
+    2^-53 of a partial sum, and carries at most 2u of its own, so 14u =
+    7 eps bounds the rounding, and the eighth eps covers the float
+    evaluation of the bar itself.  ``config`` is not used.
+    """
     _check_index(n)
-    ln_value = (
-        _prefactor_ln(n)
-        + log_gamma_reference(n + 0.5)
-        - log_gamma_reference(n + 2.0)
-    )
-    truncation_a, size_a = _log_gamma_reference_parts(n + 0.5)
-    truncation_b, size_b = _log_gamma_reference_parts(n + 2.0)
+    value_a, truncation_a, size_a = _stirling(n + 0.5)
+    value_b, truncation_b, size_b = _stirling(n + 2.0)
+    ln_value = _prefactor_ln(n) + value_a - value_b
     size = 2.0 * n * _LN2 + 0.5 * _LN_PI + size_a + size_b
     return ln_value, truncation_a + truncation_b + 8.0 * _EPS * size, 0, True
 
@@ -238,6 +249,13 @@ def _half_line(spec: KernelSpec, config: QuadConfig, *terms: float) -> _Estimate
 
 
 def _malmsten(n: int, config: QuadConfig) -> _Estimate:
+    """ln C_n = ln(4^n / sqrt(pi)) - (3/2) ln(n + 1/2)
+    + integral of the Malmsten-Catalan kernel.
+
+    Malmsten's formula holds for ln Gamma(x) at every x > 0, so n = 0
+    needs no argument of its own: there the kernel integrates to
+    ln(pi)/2 - (3/2) ln 2.
+    """
     return _half_line(
         malmsten_catalan_kernel(n),
         config,
@@ -247,6 +265,13 @@ def _malmsten(n: int, config: QuadConfig) -> _Estimate:
 
 
 def _binet(n: int, config: QuadConfig) -> _Estimate:
+    """ln C_n = 3/2 + 2n ln 2 + n ln(n + 1/2) - ln(pi)/2 - (n + 3/2) ln(n + 2)
+    + integral of the Binet-Catalan kernel.
+
+    The elementary prefactor is exp(3/2) 4^n (n + 1/2)^n /
+    (sqrt(pi) (n + 2)^{n + 3/2}) in linear scale; see the module
+    docstring for how it arises from the Stirling cores.
+    """
     return _half_line(
         binet_catalan_kernel(n),
         config,
@@ -308,7 +333,7 @@ def _moment_points(n: int, config: QuadConfig) -> tuple[int, float, bool]:
 def _moment_sample(n: int, phi: float) -> tuple[float, float]:
     """sin^2(phi) cos^{2n}(phi) at a node of the trapezoid rule, and a
     bound on its distance from the integrand at the exact node
-    (``catalan_penson_moment`` derives it)."""
+    (``_penson_moment`` derives it)."""
     s = math.sin(phi)
     s2 = s * s
     if s2 == 1.0:
@@ -349,75 +374,6 @@ def _moment_rule(n: int, m: int) -> tuple[float, float]:
 
 
 def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
-    _check_index(n)
-    m, aliasing, _ = _moment_points(n, config)
-    value, rounding = _moment_rule(n, m)
-    relative = (aliasing + rounding) / _moment_floor(n)
-    error = -math.log1p(-relative) if relative < 1.0 else math.inf
-    ln_value = math.log(value) if value > 0.0 else -math.inf
-    converged = relative <= _moment_tolerance(config)
-    return _assemble(m // 2, converged, error, 2.0 * (n + 1) * _LN2, -_LN_PI, ln_value)
-
-
-def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
-    _check_index(n)
-    power = n + 2.0
-    w = 1.0 / math.sqrt(n + 1.0)
-
-    def fn(u: float) -> float:
-        # s = w u/v, ds = w du/v^2; the rule never samples u = 1.
-        v = 1.0 - u
-        r = (w * u / v) ** 2
-        return 2.0 * w * r / (v * v) * math.exp(-power * math.log1p(4.0 * r))
-
-    qr = integrate_finite(fn, 0.0, 1.0, config, breakpoints=(1.0 / 3.0, 2.0 / 3.0))
-    terms = (2.0 * power * _LN2, -_LN_PI, math.log(qr.value))
-    return _assemble(qr.evaluations, qr.converged, qr.error_estimate / qr.value, *terms)
-
-
-def catalan_gamma_closed_form(n: int) -> RepresentationResult:
-    """ln C_n from the Gamma closed form with Stirling-series evaluation.
-
-    Quadrature-free; this is the fast route the integral routes are
-    measured against when the exact integer is too slow to build.
-
-    Its bar is the truncation of the two Stirling series, each below
-    its first omitted term (DLMF 5.11.ii), plus 8 eps times the sum of
-    the absolute values of every term the route adds up: the prefactor,
-    and for each Gamma factor the logs of its shift and the terms of the
-    series.  That follows the rule of ``_assemble`` for a sum rounded at
-    every addition: a term passes at most 12 additions (9 in the shift,
-    1 in the reference, 2 in the route), each rounding by at most u =
-    2^-53 of a partial sum, and carries at most 2u of its own, so 14u =
-    7 eps bounds the rounding, and the eighth eps covers the float
-    evaluation of the bar itself.
-    """
-    return _row(n, Method.GAMMA_CLOSED_FORM, _gamma_closed_form(n), ln_exact(n))
-
-
-def catalan_malmsten(n: int, config: QuadConfig) -> RepresentationResult:
-    """ln C_n = ln(4^n / sqrt(pi)) - (3/2) ln(n + 1/2)
-    + integral of the Malmsten-Catalan kernel.
-
-    Malmsten's formula holds for ln Gamma(x) at every x > 0, so n = 0
-    needs no argument of its own: there the kernel integrates to
-    ln(pi)/2 - (3/2) ln 2.
-    """
-    return _row(n, Method.MALMSTEN, _malmsten(n, config), ln_exact(n))
-
-
-def catalan_binet(n: int, config: QuadConfig) -> RepresentationResult:
-    """ln C_n = 3/2 + 2n ln 2 + n ln(n + 1/2) - ln(pi)/2 - (n + 3/2) ln(n + 2)
-    + integral of the Binet-Catalan kernel.
-
-    The elementary prefactor is exp(3/2) 4^n (n + 1/2)^n /
-    (sqrt(pi) (n + 2)^{n + 3/2}) in linear scale; see the module
-    docstring for how it arises from the Stirling cores.
-    """
-    return _row(n, Method.BINET, _binet(n, config), ln_exact(n))
-
-
-def catalan_penson_moment(n: int, config: QuadConfig) -> RepresentationResult:
     """ln C_n = 2 ln 2 - ln pi + 2n ln 2 + ln J,
     J = integral_0^{pi/2} cos^{2n}(phi) sin^2(phi) d phi.
 
@@ -451,10 +407,17 @@ def catalan_penson_moment(n: int, config: QuadConfig) -> RepresentationResult:
     factor 2 dropped from |a_k| <= b_{k-1}/2 covers the rounding of the
     aliasing sum and of the lower bound.
     """
-    return _row(n, Method.PENSON_MOMENT, _penson_moment(n, config), ln_exact(n))
+    _check_index(n)
+    m, aliasing, _ = _moment_points(n, config)
+    value, rounding = _moment_rule(n, m)
+    relative = (aliasing + rounding) / _moment_floor(n)
+    error = -math.log1p(-relative) if relative < 1.0 else math.inf
+    ln_value = math.log(value) if value > 0.0 else -math.inf
+    converged = relative <= _moment_tolerance(config)
+    return _assemble(m // 2, converged, error, 2.0 * (n + 1) * _LN2, -_LN_PI, ln_value)
 
 
-def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
+def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
     """ln C_n = 2(n + 2) ln 2 - ln pi + ln I, I = integral_0^inf 2 s^2/(4 s^2 + 1)^{n+2} ds.
 
     I is the Mellin-type integral_0^inf sqrt(t)/(4t + 1)^{n+2} dt after
@@ -477,29 +440,48 @@ def catalan_penson_mellin(n: int, config: QuadConfig) -> RepresentationResult:
     not already cover.  The map 4t = tan^2(phi) is not used: it turns I
     into a quarter of the moment route's integrand (module docstring).
     """
-    return _row(n, Method.PENSON_MELLIN, _penson_mellin(n, config), ln_exact(n))
+    _check_index(n)
+    power = n + 2.0
+    w = 1.0 / math.sqrt(n + 1.0)
+
+    def fn(u: float) -> float:
+        # s = w u/v, ds = w du/v^2; the rule never samples u = 1.
+        v = 1.0 - u
+        r = (w * u / v) ** 2
+        return 2.0 * w * r / (v * v) * math.exp(-power * math.log1p(4.0 * r))
+
+    qr = integrate_finite(fn, 0.0, 1.0, config, breakpoints=(1.0 / 3.0, 2.0 / 3.0))
+    terms = (2.0 * power * _LN2, -_LN_PI, math.log(qr.value))
+    return _assemble(qr.evaluations, qr.converged, qr.error_estimate / qr.value, *terms)
 
 
 class Route(NamedTuple):
     """One evaluation route: its ``Method``, its short command-line
-    ``name`` and the callable ``estimate(n, config)`` that computes it."""
+    ``name`` and the callable ``estimate(n, config)`` that computes it.
+    Calling the route gives its row for n."""
 
     method: Method
     name: str
     estimate: Callable[[int, QuadConfig], _Estimate]
 
-    def evaluate(self, n: int, config: QuadConfig) -> RepresentationResult:
+    def __call__(self, n: int, config: QuadConfig = QuadConfig()) -> RepresentationResult:
         """This route's row for n, compared with ``ln_exact(n)``."""
         return _row(n, self.method, self.estimate(n, config), ln_exact(n))
 
 
+catalan_gamma_closed_form = Route(Method.GAMMA_CLOSED_FORM, "gamma", _gamma_closed_form)
+catalan_malmsten = Route(Method.MALMSTEN, "malmsten", _malmsten)
+catalan_binet = Route(Method.BINET, "binet", _binet)
+catalan_penson_moment = Route(Method.PENSON_MOMENT, "penson-moment", _penson_moment)
+catalan_penson_mellin = Route(Method.PENSON_MELLIN, "penson-mellin", _penson_mellin)
+
 # The only table of routes, in report row order.
 ROUTES = (
-    Route(Method.GAMMA_CLOSED_FORM, "gamma", lambda n, cfg: _gamma_closed_form(n)),
-    Route(Method.MALMSTEN, "malmsten", _malmsten),
-    Route(Method.BINET, "binet", _binet),
-    Route(Method.PENSON_MOMENT, "penson-moment", _penson_moment),
-    Route(Method.PENSON_MELLIN, "penson-mellin", _penson_mellin),
+    catalan_gamma_closed_form,
+    catalan_malmsten,
+    catalan_binet,
+    catalan_penson_moment,
+    catalan_penson_mellin,
 )
 
 

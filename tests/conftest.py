@@ -3,6 +3,15 @@
 import pytest
 
 from catalan_integrals.quadrature import QuadConfig
+from catalan_integrals.representations import Route
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    """Name a route parameter by its public name, ``catalan_<method>``,
+    rather than pytest's positional ``route0``, ``route1``."""
+    if isinstance(val, Route):
+        return f"catalan_{val.method.value}"
+    return None
 
 
 @pytest.fixture()

@@ -410,6 +410,15 @@ def test_config_validation():
         QuadConfig()._replace(abs_tol=-1e-12)
 
 
+@pytest.mark.parametrize("budget", [2.5, 100.0, "10", None])
+def test_config_rejects_a_non_int_budget(budget):
+    # The moment route turns the budget into a range() bound.
+    with pytest.raises(ValueError, match="max_subdivisions must be an int"):
+        QuadConfig(max_subdivisions=budget)
+    with pytest.raises(ValueError, match="max_subdivisions must be an int"):
+        QuadConfig()._replace(max_subdivisions=budget)
+
+
 def test_tolerance_for_mixes_absolute_and_relative():
     config = QuadConfig(abs_tol=1e-12, rel_tol=1e-11)
     assert config.tolerance_for(0.0) == 1e-12

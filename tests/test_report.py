@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -281,9 +282,9 @@ def test_parse_rejects_other_schema_versions(cfg):
         parse_report_json(json.dumps(payload))
 
 
-@pytest.mark.parametrize("method", ["simpson", "MALMSTEN", None])
+@pytest.mark.parametrize("method", ["simpson", "MALMSTEN", None, []])
 def test_parse_rejects_unknown_methods(cfg, method):
     payload = json.loads(to_json(REPORTS["one_row"](cfg)))
     payload["rows"][0]["method"] = method
-    with pytest.raises(ValueError, match=f"unknown method {method!r}"):
+    with pytest.raises(ValueError, match=re.escape(f"unknown method {method!r}")):
         parse_report_json(json.dumps(payload))

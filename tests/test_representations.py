@@ -5,9 +5,11 @@ import math
 import mpmath as mp
 import pytest
 
+import catalan_integrals
 from catalan_integrals import representations
 from catalan_integrals.exact import ln_exact
 from catalan_integrals.representations import (
+    ROUTES,
     Method,
     RepresentationResult,
     catalan_binet,
@@ -453,6 +455,30 @@ def test_negative_index_rejected(cfg):
         catalan_malmsten(-1, cfg)
     with pytest.raises(ValueError):
         catalan_gamma_closed_form(-1)
+
+
+def test_catalan_exports_are_the_routes():
+    # One table: each public catalan_* name is its ROUTES entry, in
+    # report row order.
+    exports = [
+        getattr(catalan_integrals, f"catalan_{method.value}") for method in METHOD_ORDER
+    ]
+    assert len(exports) == len(ROUTES)
+    assert all(export is route for export, route in zip(exports, ROUTES))
+    assert [route.method for route in ROUTES] == list(METHOD_ORDER)
+
+
+def test_route_call_is_the_sweep_row(cfg):
+    rows = compare_representations(200, cfg)
+    for n in (0, 7, 200):
+        for route in ROUTES:
+            (row,) = [r for r in rows if r.n == n and r.method is route.method]
+            assert route(n, cfg) == row, (n, route.name)
+
+
+def test_gamma_route_needs_no_config():
+    assert catalan_gamma_closed_form(7) == catalan_gamma_closed_form(7, QuadConfig())
+    assert catalan_gamma_closed_form(7).ln_value == pytest.approx(math.log(429.0))
 
 
 # --------------------------------------------------------------- sweep

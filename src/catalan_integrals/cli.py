@@ -22,7 +22,7 @@ import sys
 from decimal import Decimal
 from typing import NoReturn
 
-from .exact import MAX_INDEX, catalan_exact, ln_exact
+from .exact import MAX_INDEX, _balanced_product, _catalan_factors, ln_exact
 from .kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from .quadrature import QuadConfig
 from .report import _fmt, build_report, to_csv, to_json, to_text
@@ -68,42 +68,18 @@ def _print_row(row: RepresentationResult) -> None:
     )
 
 
-def _decimal_digits(value: int) -> str:
-    """Every decimal digit of a non-negative int, in subquadratic time.
-
-    str(int) stops at sys.int_max_str_digits (4300 digits by default on
-    CPython 3.10.7+/3.11, reached near C_7150), and both it and
-    Decimal(int) are quadratic in the digit count.  Splitting on powers
-    of two and recombining exactly in decimal, whose multiplication is
-    subquadratic, avoids both; the global settings are left alone.
-    """
-    powers: dict[int, Decimal] = {}
-
-    def two_to(k: int) -> Decimal:
-        if k not in powers:
-            powers[k] = (
-                Decimal(1 << k) if k <= 1024 else two_to(k // 2) * two_to(k - k // 2)
-            )
-        return powers[k]
-
-    def convert(v: int, bits: int) -> Decimal:
-        if bits <= 1024:
-            return Decimal(v)
-        half = bits // 2
-        high = v >> half
-        return convert(high, bits - half) * two_to(half) + convert(v - (high << half), half)
-
+def cmd_exact(n: int) -> None:
+    """Print C_N exactly (all digits), then ln C_N and its error bound."""
+    # ln_exact's lgamma witness checks the factor exponents before any
+    # digit is printed.  The digits are multiplied out in the base they
+    # are printed in, with no str(int) and its 4300-digit limit, in a
+    # local context where any rounding raises.
+    ln_c = ln_exact(n)
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        return str(convert(value, value.bit_length()))
-
-
-def cmd_exact(n: int) -> None:
-    """Print C_N exactly (all digits), then ln C_N and its error bound."""
-    print(_decimal_digits(catalan_exact(n)))
-    ln_c = ln_exact(n)
+        print(_balanced_product(map(Decimal, _catalan_factors(n))))
     print(f"ln {_fmt(ln_c)}")
     # The bound ln_exact's docstring proves: a relative 2^-53 of the sum
     # for the logs of the factors, and half an ulp for its one rounding.
@@ -114,7 +90,8 @@ def cmd_rep(method: str, n: int, tol: float, config: QuadConfig) -> None:
     """Evaluate one representation METHOD at index N and check it."""
     row = _ROUTES_BY_NAME[method](n, config)
     _print_row(row)
-    if not row.converged or not (row.abs_err_ln <= tol):
+    # The verdict of verify, applied to the one row.
+    if build_report([row], config, err_threshold=tol).summary.failures:
         sys.exit(EXIT_VERIFICATION_FAILED)
 
 
@@ -191,6 +168,8 @@ def cmd_dump_kernel(
     """Tabulate KERNEL at index N on a log-spaced grid, as CSV ``t,value``."""
     if not t_min < t_max < math.inf:
         raise UsageError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
+    if t_max / t_min == math.inf:
+        raise UsageError(f"need a finite t_max / t_min, got {t_max} / {t_min} = inf")
     spec = _KERNELS[kernel](n)
     ratio = (t_max / t_min) ** (1.0 / (points - 1))
     grid = [t_min * ratio**k for k in range(points)]

@@ -110,7 +110,8 @@ def _catalan_factors(n: int) -> Iterator[int]:
 
 
 def _balanced_product(factors: Iterable[int]) -> int:
-    """Product of a stream of integers, multiplied as a balanced tree.
+    """Product of a stream of ints, or of Decimals in an exact context,
+    multiplied as a balanced tree.
 
     The stack is a binary counter of partial products over 1, 2, 4, ...
     factors; two of equal count merge as soon as they meet.  Every

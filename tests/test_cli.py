@@ -14,7 +14,7 @@ import pytest
 
 from cli_runner import invoke
 import catalan_integrals
-from catalan_integrals.cli import _decimal_digits, main
+from catalan_integrals.cli import main
 from catalan_integrals import exact
 from catalan_integrals.exact import MAX_INDEX, catalan_exact
 from catalan_integrals.quadrature import QuadConfig
@@ -74,29 +74,27 @@ def test_exact_edge_and_larger_values():
     assert invoke(main, ["exact", "10"]).output.splitlines()[0] == "16796"
 
 
-def test_exact_prints_every_digit_past_the_str_limit():
-    # C_10000 has 6015 digits, more than str(int) gives by default.
-    n = 10_000
-    result = invoke(main, ["exact", str(n)])
-    assert result.exit_code == 0, result.output
-    digits = result.output.splitlines()[0]
-    c = catalan_exact(n)
-    assert digits.isdigit()
-    assert 10 ** (len(digits) - 1) <= c < 10 ** len(digits)
-    assert int(digits[-18:]) == c % 10**18
-    assert digits == str(Decimal(c))
-
-
-@pytest.mark.parametrize("k", [1, 300, 308, 309, 1024, 1025, 5000, 20_000])
-def test_decimal_digits_exact_at_limb_boundaries(k):
-    # 10^k has a low half of binary zeros and 10^k - 1 a decimal run of
-    # nines; the split points of 2^k fall exactly on the powers of two.
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 9, 100, 7150, 30_000])
+def test_exact_prints_every_digit_past_the_str_limit(n):
+    # C_7150 has 4,299 digits, one below str(int)'s default limit, and
+    # C_30000 has 18,055.
     precision = decimal.getcontext().prec
     str_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    for value in (10**k - 1, 10**k, 2**k - 1, 2**k, 2**k + 1):
-        assert _decimal_digits(value) == str(Decimal(value)), value
+    result = invoke(main, ["exact", str(n)])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[0] == str(Decimal(catalan_exact(n)))
     assert decimal.getcontext().prec == precision
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == str_digits
+
+
+def test_exact_checks_the_factors_before_printing(monkeypatch, capsys):
+    def fail(n, ln_c):
+        raise ArithmeticError(f"witness failed at n = {n}")
+
+    monkeypatch.setattr(exact, "_check_against_lgamma", fail)
+    with pytest.raises(ArithmeticError):
+        main(["exact", "5"])
+    assert capsys.readouterr().out == ""
 
 
 def test_exact_rejects_negative():
@@ -465,12 +463,19 @@ def test_dump_kernel_bad_range_is_usage_error():
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("t_max", ["inf", "nan"])
-def test_dump_kernel_non_finite_t_max_is_usage_error(t_max):
-    # An infinite end would print inf,nan rows rather than a table.
-    result = invoke(
-        main, ["dump-kernel", "binet", "0", "--t-max", t_max, "--points", "3"]
-    )
+@pytest.mark.parametrize(
+    "t_min, t_max",
+    [
+        pytest.param("1e-8", "inf", id="inf"),
+        pytest.param("1e-8", "nan", id="nan"),
+        pytest.param("1e-300", "1e300", id="ratio-overflow"),
+    ],
+)
+def test_dump_kernel_non_finite_t_max_is_usage_error(t_min, t_max):
+    # An infinite end, or a ratio t_max / t_min that overflows, would
+    # print t = inf rows rather than a table.
+    args = ["dump-kernel", "binet", "0", "--t-min", t_min, "--t-max", t_max]
+    result = invoke(main, [*args, "--points", "3"])
     assert result.exit_code == 2
     assert "t,value" not in result.output
 

@@ -1,4 +1,8 @@
-"""Log-Gamma integral kernels and a Stirling-series reference evaluator.
+"""Log-Gamma integral kernels and Binet's correction by the Stirling series.
+
+``_binet_theta`` gives Binet's correction theta(x) to Stirling's
+formula, with a proved error bound, to ``log_gamma_reference`` and the
+gamma route; the Binet route integrates theta instead.
 
 The half-line integrands here all follow the Malmsten pattern: smooth
 for t > 0, a removable singularity at t = 0 with a finite analytic
@@ -38,7 +42,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from .exact import _check_index
-from .quadrature import TailBound
+from .quadrature import _EPS, _UFLOW, TailBound
 
 __all__ = [
     "KernelSpec",
@@ -50,10 +54,8 @@ __all__ = [
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Stirling coefficients B_{2k} / (2k (2k-1)) for k = 1..7; the series
-# runs in inverse odd powers z^-1 .. z^-13.  With the z >= 10 shift
-# threshold the first omitted term is ~3e-17, far below the 1e-14
-# accuracy budget of this reference.
+# Stirling coefficients B_{2k} / (2k (2k-1)) for k = 1..7, of the
+# inverse odd powers z^-1 .. z^-13.
 _STIRLING_COEFFS = (
     1.0 / 12.0,
     -1.0 / 360.0,
@@ -68,47 +70,54 @@ _STIRLING_SHIFT = 10.0
 _STIRLING_NEXT = 3617.0 / (510.0 * 240.0)
 
 
-def _stirling(x: float) -> tuple[float, float, float]:
-    """(value, truncation, size) of the Stirling reference at x > 0.
+def _binet_theta(x: float) -> tuple[float, float]:
+    """(theta(x), a bound on its error) for normal x > 0, with Binet's
+    theta(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2, equally
+    ln Gamma(x + 1) - x ln x + x - ln(2 pi x)/2.
 
-    ``value`` is ln Gamma(x), as ``log_gamma_reference`` describes.
-    ``truncation`` bounds the remainder of the Stirling series: for real
-    z > 0 it is smaller than the first omitted term, |B_16|/(16 15 z^15)
-    (DLMF 5.11.ii), under 3e-17 at z >= 10.  ``size`` is the sum of the
-    absolute values of the terms the reference adds up, the logs of the
-    shift included, which its rounding errors scale with.
+    Below 10, x is raised by theta(x) = theta(x + 1) + d(x),
+    d(x) = (x + 1/2) log1p(1/x) - 1 > 0 (from Gamma(x + 1) = x Gamma(x));
+    from z >= 10 on the Stirling series of ``_STIRLING_COEFFS`` is
+    summed, whose remainder is below its first omitted term,
+    |B_16|/(16 15 z^15) (DLMF 5.11.ii).
+
+    Rounding, with u = 2^-53 and log1p within one ulp (2u).  A step's
+    p = (x + 1/2) log1p(1/x) is within 5u p: u each for 1/x (which moves
+    log1p by at most as much, relatively), x + 1/2 and the product, and
+    2u for log1p; p - 1 is exact for p <= 2 (Sterbenz) and adds u p
+    above, so d is within 6u (1 + d).  x + 1 rounds by at most 8u below
+    16, which moves theta(x + 1) by under 8u |theta'(1)| < 0.7u.  The
+    m <= 10 steps' d add up to s with (m - 1) u s of rounding, and
+    s + series to theta with u theta more.  The series is within 3.1u of
+    its value: u each for the leading coefficient, its addition and the
+    division by z, and 0.1u for all that w = z^-2 <= 1/100 scales.  So
+    the error is at most the truncation plus u (6.7 m + (6 + m) s
+    + 4.1 series) to first order; with m <= 10 the returned
+    truncation + 4 eps (m + 2 theta) covers it, and its spare 1.3u a
+    step and 11.9u series take the higher orders and the rounding of
+    the truncation bound.
     """
-    shift = size = 0.0
-    z = x
-    while z < _STIRLING_SHIFT:
-        ln_z = math.log(z)
-        shift += ln_z
-        size += abs(ln_z)
-        z += 1.0
-    ln_z = math.log(z)
-    w = 1.0 / (z * z)
+    steps, shift = 0, 0.0
+    while x < _STIRLING_SHIFT:
+        shift += (x + 0.5) * math.log1p(1.0 / x) - 1.0
+        x += 1.0
+        steps += 1
+    w = 1.0 / (x * x)
     series = 0.0
     for c in reversed(_STIRLING_COEFFS):
         series = series * w + c
-    series /= z
-    value = (z - 0.5) * ln_z - z + _HALF_LN_2PI + series - shift
-    # Added left to right: size += (...) would round differently.
-    size = size + (z - 0.5) * ln_z + z + _HALF_LN_2PI + 1.0 / (12.0 * z)
-    return value, _STIRLING_NEXT / z**15, size
+    theta = series / x + shift
+    return theta, _STIRLING_NEXT * w**7 / x + 4.0 * _EPS * (steps + 2.0 * theta)
 
 
 def log_gamma_reference(x: float) -> float:
-    """ln Gamma(x) for x > 0, by argument shift plus the Stirling series.
-
-    Arguments below 10 are raised by the recurrence
-    ln Gamma(x) = ln Gamma(x + m) - sum ln(x + k); the asymptotic series
-    then converges to well under 1e-14.  Purely elementary operations,
-    so it is an arithmetic-independent reference for the integral
-    representations.
-    """
-    if x <= 0:
-        raise ValueError(f"argument must be positive, got {x}")
-    return _stirling(x)[0]
+    """ln Gamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + theta(x) for finite
+    normal x > 0: elementary operations only, so an arithmetic-independent
+    reference for the integral representations."""
+    # Also rejects NaN; below the least normal double 1/x overflows.
+    if not _UFLOW <= x < math.inf:
+        raise ValueError(f"argument must be positive, normal and finite, got {x}")
+    return (x - 0.5) * math.log(x) - x + _HALF_LN_2PI + _binet_theta(x)[0]
 
 
 class KernelSpec(NamedTuple):

@@ -6,8 +6,8 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
 * ``gamma_closed_form``: ln C_n = 2n ln 2 - ln(pi)/2
   + ln Gamma(n + 1/2) - ln Gamma(n + 2), from the duplication identity
   binomial(2n, n) = 4^n Gamma(n + 1/2) / (sqrt(pi) Gamma(n + 1)).
-  No quadrature; the Gamma factors come from the Stirling reference,
-  and the bar is its truncation plus the rounding of every term added.
+  No quadrature: the elementary part of the Binet route below, plus
+  theta(n + 1/2) - theta(n + 2) from the Stirling series.
 * ``malmsten``: same prefactor, with the Gamma difference evaluated as
   -(3/2) ln(n + 1/2) plus the half-line integral of the
   Malmsten-Catalan kernel: Frullani's integral takes the one term of
@@ -98,11 +98,11 @@ abs_tol / rel_tol, so at large n it is loose: at n = 10^6, where I is
 about 1.1e-10, it is 1.1e-3 on the ln scale under the default config,
 against a true error of 3e-9.
 
-Every quadrature route sums its terms of ln C_n with ``math.fsum`` and
-adds a bound on their rounding, 4 eps times the sum of their absolute
-values, to its error estimate.  At the default config that bound is
-the larger part from n = 157 (Binet) and n = 321 (Malmsten) on, and
-the smaller one at every n below.
+Every route sums its terms of ln C_n with ``math.fsum`` and adds a
+bound on their rounding, 4 eps times the sum of their absolute values,
+to its error estimate (``_assemble``).  At the default config that
+bound is the larger part from n = 4 (gamma), n = 157 (Binet) and
+n = 321 (Malmsten) on, and the smaller one at every n below.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ from typing import NamedTuple
 from .exact import _LN2, _LN_PI, _check_index, ln_exact
 from .kernels import (
     KernelSpec,
-    _stirling,
+    _binet_theta,
     binet_catalan_kernel,
     malmsten_catalan_kernel,
 )
@@ -162,8 +162,8 @@ class RepresentationResult(NamedTuple):
 
     ``ln_value`` is the route's ln C_n; ``exact_ln`` the integer-backed
     reference; ``quad_error_estimate`` the route's error bar on the ln
-    scale (for the quadrature-free closed form, the Stirling truncation
-    and the rounding of its sum).  ``converged``
+    scale (for the quadrature-free closed form, the bounds of its
+    Stirling series and the rounding of its sum).  ``converged``
     is False when the underlying quadrature gave up or the route failed
     outright (then ln_value and abs_err_ln are NaN).
     """
@@ -200,13 +200,14 @@ def _row(n: int, method: Method, estimate: _Estimate, exact: float) -> Represent
 def _assemble(
     evaluations: int, converged: bool, ln_error: float, *terms: float
 ) -> _Estimate:
-    """A quadrature route's ln C_n, the sum of ``terms``.
+    """A route's ln C_n, the sum of ``terms``.
 
     ``math.fsum`` rounds the sum once, and each term was rounded by its
     own few operations; 4 eps sum |terms| bounds both, and is added to
-    ``ln_error``, the quadrature's error estimate on the ln scale.  At
-    large n, ln C_n is about 2n ln 2, and no estimate below a few ulp of
-    it could be honest.
+    ``ln_error``, the terms' own error on the ln scale (a quadrature's
+    estimate, or the gamma route's series bounds).  At large n, ln C_n
+    is about 2n ln 2, and no estimate below a few ulp of it could be
+    honest.
     """
     rounding = 4.0 * _EPS * math.fsum(map(abs, terms))
     return math.fsum(terms), ln_error + rounding, evaluations, converged
@@ -217,29 +218,27 @@ def _prefactor_ln(n: int) -> float:
     return 2.0 * n * _LN2 - 0.5 * _LN_PI
 
 
+def _binet_terms(n: int) -> tuple[float, ...]:
+    """The terms of Binet's elementary part, ln C_n less theta(n + 1/2)
+    - theta(n + 2): 3/2, ln(4^n / sqrt(pi)), -(3/2) ln(n + 2) and
+    n log1p(-3/(2n + 4)), the sum the module docstring derives."""
+    log_ratio = n * math.log1p(-3.0 / (2.0 * n + 4.0))
+    return 1.5, _prefactor_ln(n), -1.5 * math.log(n + 2.0), log_ratio
+
+
 def _gamma_closed_form(n: int, config: QuadConfig) -> _Estimate:
-    """ln C_n from the Gamma closed form with Stirling-series evaluation.
+    """ln C_n = Binet's elementary part + theta(n + 1/2) - theta(n + 2).
 
     Quadrature-free; this is the fast route the integral routes are
-    measured against when the exact integer is too slow to build.
-
-    Its bar is the truncation of the two Stirling series, each below
-    its first omitted term (DLMF 5.11.ii), plus 8 eps times the sum of
-    the absolute values of every term the route adds up: the prefactor,
-    and for each Gamma factor the logs of its shift and the terms of the
-    series.  That follows the rule of ``_assemble`` for a sum rounded at
-    every addition: a term passes at most 12 additions (9 in the shift,
-    1 in the reference, 2 in the route), each rounding by at most u =
-    2^-53 of a partial sum, and carries at most 2u of its own, so 14u =
-    7 eps bounds the rounding, and the eighth eps covers the float
-    evaluation of the bar itself.  ``config`` is not used.
+    measured against when the exact integer is too slow to build.  The
+    bounds of the two theta values (``kernels._binet_theta``) take the
+    place of a quadrature estimate in ``_assemble``.  ``config`` is not
+    used.
     """
     _check_index(n)
-    value_a, truncation_a, size_a = _stirling(n + 0.5)
-    value_b, truncation_b, size_b = _stirling(n + 2.0)
-    ln_value = _prefactor_ln(n) + value_a - value_b
-    size = 2.0 * n * _LN2 + 0.5 * _LN_PI + size_a + size_b
-    return ln_value, truncation_a + truncation_b + 8.0 * _EPS * size, 0, True
+    theta_a, bound_a = _binet_theta(n + 0.5)
+    theta_b, bound_b = _binet_theta(n + 2.0)
+    return _assemble(0, True, bound_a + bound_b, *_binet_terms(n), theta_a, -theta_b)
 
 
 def _half_line(spec: KernelSpec, config: QuadConfig, *terms: float) -> _Estimate:
@@ -265,21 +264,8 @@ def _malmsten(n: int, config: QuadConfig) -> _Estimate:
 
 
 def _binet(n: int, config: QuadConfig) -> _Estimate:
-    """ln C_n = 3/2 + 2n ln 2 + n ln(n + 1/2) - ln(pi)/2 - (n + 3/2) ln(n + 2)
-    + integral of the Binet-Catalan kernel.
-
-    The elementary prefactor is exp(3/2) 4^n (n + 1/2)^n /
-    (sqrt(pi) (n + 2)^{n + 3/2}) in linear scale; see the module
-    docstring for how it arises from the Stirling cores.
-    """
-    return _half_line(
-        binet_catalan_kernel(n),
-        config,
-        1.5,
-        _prefactor_ln(n),
-        -1.5 * math.log(n + 2.0),
-        n * math.log1p(-3.0 / (2.0 * n + 4.0)),
-    )
+    """ln C_n = Binet's elementary part + integral of the Binet-Catalan kernel."""
+    return _half_line(binet_catalan_kernel(n), config, *_binet_terms(n))
 
 
 def _moment_floor(n: int) -> float:

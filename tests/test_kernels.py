@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -15,7 +16,10 @@ from oracles import (
     theta_kernel,
 )
 from catalan_integrals.kernels import (
+    _STIRLING_COEFFS,
+    _STIRLING_NEXT,
     KernelSpec,
+    _binet_theta,
     binet_catalan_kernel,
     binet_core,
     log_gamma_reference,
@@ -65,6 +69,44 @@ def test_reference_rejects_nonpositive():
         log_gamma_reference(0.0)
     with pytest.raises(ValueError):
         log_gamma_reference(-1.5)
+    # NaN and the infinities are no positive reals; below the least
+    # normal, 1/x overflows.
+    for x in (math.nan, math.inf, -math.inf, 1e-310):
+        with pytest.raises(ValueError):
+            log_gamma_reference(x)
+
+
+def _bernoulli(m: int) -> list[Fraction]:
+    """B_0 .. B_m from sum_{j<=k} binomial(k + 1, j) B_j = 0, in exact rationals."""
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
+
+
+def test_stirling_coefficients_are_rounded_bernoulli_ratios():
+    # float(Fraction) rounds correctly, so the tables must match exactly.
+    b = _bernoulli(16)
+    ratios = [b[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, 9)]
+    assert _STIRLING_COEFFS == tuple(float(r) for r in ratios[:7])
+    assert _STIRLING_NEXT == float(abs(ratios[7]))
+
+
+# Log-spaced from 0.05 to 50, with the edges of the series regime.
+THETA_XS = [0.05 * 1000 ** (k / 60) for k in range(61)] + [9.0, 9.999, 10.0, 10.5]
+
+
+def test_binet_theta_within_its_bound_of_mpmath():
+    # Independent oracle: theta(x) = ln Gamma(x + 1) - x ln x + x
+    # - ln(2 pi x)/2 at 40 digits.  Below 10 the recurrence runs, from
+    # 10 on the series alone.
+    with mp.workdps(40):
+        for x in THETA_XS:
+            theta, bound = _binet_theta(x)
+            xm = mp.mpf(x)
+            exact = mp.loggamma(xm + 1) - xm * mp.log(xm) + xm - mp.log(2 * mp.pi * xm) / 2
+            err = float(abs(mp.mpf(theta) - exact))
+            assert err <= bound <= 2e-14, (x, err, bound)
 
 
 # ------------------------------------------------- log-Gamma via kernel

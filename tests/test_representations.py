@@ -129,6 +129,25 @@ def test_gamma_rows_honest_against_mpmath(cfg):
     _check_against_mpmath(gamma, LARGE_NS, cfg, 1e-8)
 
 
+def test_gamma_route_within_its_bar_and_ulps_of_mpmath():
+    # Four per decade from 1 to MAX_INDEX = 1e8.  The route's estimate is
+    # called directly, so no sieve runs; the bar must hold outright, and
+    # from n = 1000 on, where the theta bounds are far below an ulp, the
+    # error stays within 2 ulp of ln C_n and the bar within 10.
+    with mp.workdps(40):
+        for n in (round(10 ** (k / 4)) for k in range(33)):
+            ln_value, bar, evaluations, converged = representations._gamma_closed_form(
+                n, QuadConfig()
+            )
+            exact = mp.loggamma(2 * n + 1) - mp.loggamma(n + 1) - mp.loggamma(n + 2)
+            err = float(abs(mp.mpf(ln_value) - exact))
+            assert converged and evaluations == 0
+            assert err <= bar, (n, err, bar)
+            if n >= 1000:
+                ulp = math.ulp(float(exact))
+                assert err <= 2.0 * ulp and bar <= 10.0 * ulp, (n, err / ulp, bar / ulp)
+
+
 @pytest.mark.parametrize("route", (catalan_malmsten, catalan_binet, *PENSON_ROUTES))
 def test_large_n_rows_honest_against_mpmath(route, cfg):
     # Past a few thousand, one ulp of ln C_n is above the quadrature's

@@ -41,11 +41,9 @@ from .series import (
     GlaisherResult,
     SeriesResult,
     glaisher_from_integral,
-    glaisher_oracle,
     series_tail_bound,
     stewart_sum_odd_weight,
     stewart_sum_plain,
-    sum_rule_term,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +69,6 @@ __all__ = [
     "catalan_penson_moment",
     "compare_representations",
     "glaisher_from_integral",
-    "glaisher_oracle",
     "integrate_finite",
     "integrate_half_line",
     "ln_exact",
@@ -80,5 +77,4 @@ __all__ = [
     "series_tail_bound",
     "stewart_sum_odd_weight",
     "stewart_sum_plain",
-    "sum_rule_term",
 ]

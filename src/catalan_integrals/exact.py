@@ -170,14 +170,6 @@ def catalan_numbers() -> Iterator[int]:
             raise ArithmeticError(f"ratio recurrence left a remainder at n = {k + 1}")
 
 
-def _top_bits(m: int) -> tuple[float, int]:
-    """(f, k) with m = f 2^k to a relative 2^-63 + 2^-53, for m >= 0 of
-    any size: f is the top 64 bits of m rounded to a float, and k the
-    number of bits shifted out."""
-    shift = max(m.bit_length() - 64, 0)
-    return float(m >> shift), shift
-
-
 def ln_exact(n: int) -> float:
     """ln C_n from the exact prime factorisation, for every n up to MAX_INDEX.
 

@@ -95,8 +95,10 @@ error estimate is propagated to the ln scale as estimate / value.
 That estimate stays honest at every n, but the quadrature's target
 max(abs_tol, rel_tol |value|) is absolute once the value falls below
 abs_tol / rel_tol, so at large n it is loose: at n = 10^6, where I is
-about 1.1e-10, it is 1.1e-3 on the ln scale under the default config,
-against a true error of 3e-9.
+about 1.1e-10, a row that bisected would accept about 1% of I under
+the default config.  The thirds keep the row from bisecting, so its
+bar there is 9.9e-9 on the ln scale, after 63 evaluations, against a
+true error of 1.6e-11, below one ulp of ln C_n (2.3e-10).
 
 Every route sums its terms of ln C_n with ``math.fsum`` and adds a
 bound on their rounding, 4 eps times the sum of their absolute values,

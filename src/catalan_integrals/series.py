@@ -85,9 +85,8 @@ ln A enters through the closed form
         = -1/2 - (7/24) ln 2 + (1/4) ln pi + (3/2) ln A,
 
 inverted here as ln A = (2/3)(I + 1/2 + (7/24) ln 2 - (1/4) ln pi).
-The independent oracle is the hyperfactorial limit
-ln A = lim (sum_{k<=m} k ln k - (m^2/2 + m/2 + 1/12) ln m + m^2/4),
-accelerated by Richardson extrapolation in 1/m^2.
+The check is ln A correctly rounded to a double, so the reported error
+is the result's own.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ from collections.abc import Iterator
 from itertools import chain
 from typing import NamedTuple
 
-from .exact import _LN2, _LN_PI, MAX_INDEX, _top_bits, catalan_exact
+from .exact import _LN2, _LN_PI
 from .kernels import log_gamma_reference
 from .quadrature import QuadConfig, integrate_finite
 
@@ -110,11 +109,9 @@ __all__ = [
     "SeriesResult",
     "TERM_BUDGET",
     "glaisher_from_integral",
-    "glaisher_oracle",
     "series_tail_bound",
     "stewart_sum_odd_weight",
     "stewart_sum_plain",
-    "sum_rule_term",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -130,8 +127,8 @@ TERM_BUDGET = 20_000
 
 _TAIL_CONSTANT = 1.0 / (math.pi * 2.0 ** 1.5)
 
-# glaisher_oracle() at its default m = 100, which a test recomputes.
-_LN_A_ORACLE = 0.24875447703377768
+# ln A correctly rounded, from 40-digit mpmath, which a test recomputes.
+_LN_A_ORACLE = 0.24875447703378425
 
 # Relative widening of each enclosure end: it covers fewer than thirty
 # float roundings of at most 2^-53 each, and the error of math.pi.
@@ -199,29 +196,12 @@ def series_tail_bound(n_start: int, *, odd_weight: bool = False) -> float:
     return hi - lo
 
 
-def sum_rule_term(n: int, *, odd_weight: bool = False) -> float:
-    """term(n) = C_{2n} C_n / 64^n, divided by (2n + 1) for the odd weight.
-
-    Computed from the exact integers to within a few ulp; the numerator
-    overflows a double already at n = 130.  The leading bits of C_{2n}
-    and C_n multiply as floats, and their powers of two meet
-    64^-n = 2^-6n exactly in one ldexp, so no cancellation between large
-    logs costs accuracy as n grows.  This is the independent check on
-    the streamed terms of the sum rules.
-    """
-    if not 0 <= n <= MAX_INDEX // 2:
-        raise ValueError(f"series index must be in 0..{MAX_INDEX // 2}, got {n}")
-    a, shift_a = _top_bits(catalan_exact(2 * n))
-    b, shift_b = _top_bits(catalan_exact(n))
-    term = math.ldexp(a * b, shift_a + shift_b - 6 * n)
-    return term / (2 * n + 1) if odd_weight else term
-
-
 def _terms(n_stop: int, odd_weight: bool) -> Iterator[float]:
     """term(0), ..., term(n_stop - 1) in floats, by the exact ratio.
 
     Each is within a relative gamma_{2n+1} of the true term (module
-    docstring); ``sum_rule_term`` is the exact-integer check on that.
+    docstring); ``tests/oracles.py`` builds term(n) from exact integers
+    as the check on that.
     """
     term = 1.0
     for n in range(n_stop):
@@ -284,8 +264,8 @@ class GlaisherResult(NamedTuple):
     """Glaisher-Kinkelin extraction from the log-Gamma integral.
 
     ``integral_value`` is integral_0^{1/2} ln Gamma(x + 1) dx; ``ln_A``
-    the constant recovered from it; ``oracle_ln_A`` the independent
-    hyperfactorial-limit value; ``abs_err`` their difference.
+    the constant recovered from it; ``oracle_ln_A`` ln A correctly
+    rounded to a double; ``abs_err`` their difference.
     ``error_estimate``, ``evaluations`` and ``converged`` are those of
     the integral's quadrature.
     """
@@ -297,38 +277,6 @@ class GlaisherResult(NamedTuple):
     error_estimate: float
     evaluations: int
     converged: bool
-
-
-def _hyperfactorial_remainder(m: int) -> float:
-    """a(m) = sum_{k<=m} k ln k - (m^2/2 + m/2 + 1/12) ln m + m^2/4, stably.
-
-    The literal form cancels about eight digits at m = 1000; regrouping
-    the ln m weight into the sum gives the equivalent
-    a(m) = sum_{k<=m} k ln(k/m) + m^2/4 - (ln m)/12 whose summands stay
-    O(m), and fsum removes accumulation error on top.
-    """
-    pieces = [k * math.log(k / m) for k in range(1, m)]
-    pieces.append(0.25 * m * m)
-    return math.fsum(pieces) - math.log(m) / 12.0
-
-
-def glaisher_oracle(m: int = 100) -> float:
-    """ln A from the hyperfactorial limit at m, 2m, 4m with Richardson extrapolation.
-
-    The remainder behaves like ln A + c_2/m^2 + c_4/m^4 + ..., so two
-    extrapolation stages in 1/m^2 (weights 4/3 and 16/15) cancel both
-    leading error terms.  Rounding, which grows with m, is what is left:
-    against 40-digit mpmath the result is off by 6.6e-15 at m = 100 (at
-    most 7.1e-13 over m = 60..140) but by 7.7e-12 at m = 1000.
-    """
-    if m < 10:
-        raise ValueError(f"oracle needs m >= 10, got {m}")
-    a1 = _hyperfactorial_remainder(m)
-    a2 = _hyperfactorial_remainder(2 * m)
-    a4 = _hyperfactorial_remainder(4 * m)
-    r1 = (4.0 * a2 - a1) / 3.0
-    r2 = (4.0 * a4 - a2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
 
 
 def glaisher_from_integral(config: QuadConfig) -> GlaisherResult:

@@ -22,6 +22,7 @@ from oracles import (
     frullani_term,
     log_gamma_difference_kernel,
     log_gamma_malmsten,
+    sum_rule_term,
 )
 from catalan_integrals.cli import main as cli_main
 from catalan_integrals.exact import catalan_exact, ln_exact
@@ -37,7 +38,6 @@ from catalan_integrals.series import (
     glaisher_from_integral,
     stewart_sum_odd_weight,
     stewart_sum_plain,
-    sum_rule_term,
 )
 
 CFG = QuadConfig()

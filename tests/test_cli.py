@@ -545,11 +545,12 @@ def test_readme_tour_output_is_current(command):
 # ------------------------------------------------------------- module
 
 
-@pytest.mark.parametrize("blocked", ["numpy", "click"])
+@pytest.mark.parametrize("blocked", ["numpy", "click", "mpmath"])
 def test_runs_without(blocked):
-    # numpy is a test-only dependency and click no dependency at all:
-    # blocking either import must leave every command, down to the
-    # certified sum rules, fully working.
+    # numpy and mpmath are test-only dependencies, mpmath the tests'
+    # oracle library, and click no dependency at all: blocking any of
+    # these imports must leave every command, down to the certified sum
+    # rules, fully working.
     package_root = os.path.dirname(os.path.dirname(catalan_integrals.__file__))
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p

@@ -16,10 +16,8 @@ through the printed form.
 from __future__ import annotations
 
 import argparse
-import decimal
 import math
 import sys
-from decimal import Decimal
 from typing import NoReturn
 
 from .exact import MAX_INDEX, _balanced_product, _catalan_factors, ln_exact
@@ -73,13 +71,16 @@ def cmd_exact(n: int) -> None:
     # ln_exact's lgamma witness checks the factor exponents before any
     # digit is printed.  The digits are multiplied out in the base they
     # are printed in, with no str(int) and its 4300-digit limit, in a
-    # local context where any rounding raises.
+    # local context where any rounding raises.  Only this command needs
+    # decimal, so it is imported here and not at the CLI's start-up.
+    import decimal
+
     ln_c = ln_exact(n)
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        print(_balanced_product(map(Decimal, _catalan_factors(n))))
+        print(_balanced_product(map(decimal.Decimal, _catalan_factors(n))))
     print(f"ln {_fmt(ln_c)}")
     # The bound ln_exact's docstring proves: a relative 2^-53 of the sum
     # for the logs of the factors, and half an ulp for its one rounding.

@@ -65,7 +65,8 @@ class IntegrandEvaluationError(ValueError):
 
 
 class TailBound(NamedTuple):
-    """Constants of an analytic bound |f(t)| <= K exp(-c t) valid for large t."""
+    """Constants of an analytic bound |f(t)| <= K exp(-c t) valid for large
+    t; both must be positive and finite."""
 
     K: float
     c: float
@@ -354,8 +355,11 @@ def integrate_half_line(
     over n = 0..200, and 10/c the least over 13 log-spaced n from 10^3
     to 10^6: 420 and 399 evaluations, against 525 and 546 at 8/c.
     """
-    if tail.K <= 0 or tail.c <= 0:
-        raise ValueError(f"tail bound constants must be positive, got {tail}")
+    # The chained comparison also rejects NaN.
+    if not (0.0 < tail.K < math.inf and 0.0 < tail.c < math.inf):
+        raise ValueError(
+            f"tail bound constants must be positive and finite, got {tail}"
+        )
     # Truncation point: remainder (K/c) exp(-c T) <= tol_ref / 10.  An
     # absolute target below the least normal double counts as that
     # double: a remainder under it is lost next to any value, and c times

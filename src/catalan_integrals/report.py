@@ -3,8 +3,9 @@
 A ``Report`` is the machine-readable product of a representation sweep:
 one row per (n, method) pair plus a summary.  Serializations are
 deterministic byte for byte given the same rows and configuration,
-except for the ``generated_at`` timestamp, and their layout is part of
-that byte-stable contract:
+except for the ``generated_at`` timestamp, the UTC time to the whole
+second as ``YYYY-MM-DDTHH:MM:SS+00:00``.  Their layout is part of that
+byte-stable contract:
 
 * JSON: one top-level object in the layout of ``json.dumps(payload,
   indent=2)``: 2-space indent, fixed key order (``schema_version``,
@@ -21,7 +22,9 @@ The header and the summary of the JSON go through ``json.dumps``.  The
 rows, which are nearly all of the bytes, are written one format string
 per row, in the same layout: with an indent, CPython's ``json`` never
 reaches its C encoder, and its pure-Python one would cost more than
-building the rows.  CSV rows are one format string each as well.
+building the rows.  A row's method is a ``Method`` value, an identifier
+of ``[a-z_]`` characters, so it is quoted as it stands: JSON has nothing
+in it to escape.  CSV rows are one format string each as well.
 ``tests/oracles.py`` keeps the stdlib-encoder forms that both must
 match byte for byte.
 """
@@ -30,8 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
+import time
 from typing import NamedTuple
 
 from .quadrature import QuadConfig
@@ -94,7 +96,7 @@ def build_report(
     max_err = max(converged_errs) if converged_errs else 0.0
     return Report(
         schema_version=SCHEMA_VERSION,
-        generated_at=datetime.now(timezone.utc).isoformat(),
+        generated_at=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         config={**config._asdict(), "err_threshold": err_threshold},
         rows=tuple(rows),
         summary=ReportSummary(max_abs_err_ln=max_err, failures=failures),
@@ -140,7 +142,7 @@ def to_json(report: Report) -> str:
             _JSON_ROW
             % (
                 r.n,
-                encode_basestring_ascii(r.method.value),
+                '"%s"' % r.method.value,
                 _json_float(r.ln_value),
                 _json_float(r.exact_ln),
                 _json_float(r.abs_err_ln),

@@ -27,6 +27,60 @@ def test_exports_resolve(name):
     assert [export for export in exports if not hasattr(module, export)] == []
 
 
+LIBRARY = ["exact", "kernels", "quadrature", "representations", "series"]
+
+# The 28 names the package exported when its __init__ listed them by hand.
+HAND_LISTED = [
+    "CatalanTable",
+    "GlaisherResult",
+    "IntegrandEvaluationError",
+    "KernelSpec",
+    "Method",
+    "QuadConfig",
+    "QuadResult",
+    "RepresentationResult",
+    "SeriesResult",
+    "TailBound",
+    "binet_catalan_kernel",
+    "catalan_binet",
+    "catalan_exact",
+    "catalan_gamma_closed_form",
+    "catalan_malmsten",
+    "catalan_numbers",
+    "catalan_penson_mellin",
+    "catalan_penson_moment",
+    "compare_representations",
+    "glaisher_from_integral",
+    "integrate_finite",
+    "integrate_half_line",
+    "ln_exact",
+    "log_gamma_reference",
+    "malmsten_catalan_kernel",
+    "series_tail_bound",
+    "stewart_sum_odd_weight",
+    "stewart_sum_plain",
+]
+
+
+def test_package_republishes_its_library_modules():
+    joined = [
+        export
+        for name in LIBRARY
+        for export in importlib.import_module(f"catalan_integrals.{name}").__all__
+    ]
+    assert catalan_integrals.__all__ == joined
+    assert set(HAND_LISTED) <= set(joined)
+    assert set(joined) - set(HAND_LISTED) == {
+        "MAX_INDEX",
+        "ROUTES",
+        "Route",
+        "binet_core",
+        "ODD_WEIGHT_TARGET",
+        "PLAIN_TARGET",
+        "TERM_BUDGET",
+    }
+
+
 PACKAGE = pathlib.Path(catalan_integrals.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 

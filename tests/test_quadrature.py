@@ -464,15 +464,30 @@ def test_narrow_spike_at_origin_is_found_with_its_scale(tail, cfg):
     assert abs(seeded.value - 1.0) <= 10.0 * seeded.error_estimate
 
 
-def test_explicit_tail_constants_must_be_positive(cfg):
-    with pytest.raises(ValueError):
-        integrate_half_line(
-            lambda t: math.exp(-t), cfg, tail=TailBound(0.0, 1.0)
-        )
-    with pytest.raises(ValueError):
-        integrate_half_line(
-            lambda t: math.exp(-t), cfg, tail=TailBound(1.0, -2.0)
-        )
+@pytest.mark.parametrize(
+    "tail",
+    [
+        TailBound(0.0, 1.0),
+        TailBound(1.0, -2.0),
+        TailBound(math.nan, 1.0),
+        TailBound(1.0, math.nan),
+        TailBound(math.inf, 1.0),
+        TailBound(1.0, math.inf),
+    ],
+    ids=["zero_K", "negative_c", "nan_K", "nan_c", "inf_K", "inf_c"],
+)
+def test_explicit_tail_constants_must_be_positive(cfg, tail):
+    # IntegrandEvaluationError is a ValueError too: the message must name
+    # the tail bound, and the integrand must never be called.
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.exp(-t)
+
+    with pytest.raises(ValueError, match="tail bound constants"):
+        integrate_half_line(f, cfg, tail=tail)
+    assert calls == []
 
 
 def test_truncation_remainder_enters_estimate(cfg):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -150,6 +151,16 @@ def test_config_echo(cfg):
         "max_subdivisions",
         "err_threshold",
     ]
+
+
+def test_generated_at_is_an_iso_utc_time(cfg):
+    stamp = datetime.fromisoformat(_sample_report(cfg).generated_at)
+    assert stamp.utcoffset() == timedelta(0)
+
+
+def test_method_values_need_no_json_escaping():
+    # to_json quotes a method as it stands, with no escaping.
+    assert all(re.fullmatch("[a-z_]+", method.value) for method in Method)
 
 
 def test_reports_identical_up_to_timestamp(cfg):

@@ -15,10 +15,10 @@ up to 2n:
   only consumer of it (the sum rules of ``series`` stream their terms
   in floats)
 
-``ln_exact`` and ``catalan_exact`` accept n up to ``MAX_INDEX`` = 10^8
-and raise ``ValueError`` past it, before any work, and so does every
-function of the package that takes a Catalan index: each row is
-checked against ``ln_exact``, and no route is vouched for past it.
+``ln_exact`` and ``catalan_exact`` accept integers n up to ``MAX_INDEX``
+= 10^8 and raise ``ValueError`` past it, before any work, as does every
+function of the package that takes a Catalan index: each row is checked
+against ``ln_exact``, and no route is vouched for past it.
 Their sieve up to 2n holds n bytes, and a pass over it costs about
 62 ns per n: ``ln_exact`` took 0.62 s and a peak of 32 MB at n = 10^7,
 1.95 s and 71 MB at 3 10^7, and 6.3 s and 204 MB at 10^8 (one Xeon
@@ -52,7 +52,9 @@ MAX_INDEX = 10**8
 
 
 def _check_index(n: int) -> None:
-    """Every Catalan index the package takes lies in 0..MAX_INDEX."""
+    """Every Catalan index is an integer (what operator.index takes) in 0..MAX_INDEX."""
+    if not hasattr(type(n), "__index__"):
+        raise TypeError(f"Catalan index must be an integer, got {n!r}")
     if not 0 <= n <= MAX_INDEX:
         limit = ">= 0" if n < 0 else f"<= {MAX_INDEX} (MAX_INDEX)"
         raise ValueError(f"Catalan index must be {limit}, got {n}")

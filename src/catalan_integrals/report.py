@@ -22,9 +22,9 @@ The header and the summary of the JSON go through ``json.dumps``.  The
 rows, which are nearly all of the bytes, are written one format string
 per row, in the same layout: with an indent, CPython's ``json`` never
 reaches its C encoder, and its pure-Python one would cost more than
-building the rows.  A row's method is a ``Method`` value, an identifier
-of ``[a-z_]`` characters, so it is quoted as it stands: JSON has nothing
-in it to escape.  CSV rows are one format string each as well.
+building the rows.  A row's method is written as its route's ``value``,
+of ``[a-z_]`` characters only, so it is quoted as it stands: JSON has
+nothing in it to escape.  CSV rows are one format string each as well.
 ``tests/oracles.py`` keeps the stdlib-encoder forms that both must
 match byte for byte.
 """
@@ -34,10 +34,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from .quadrature import QuadConfig
-from .representations import Method, RepresentationResult
+from .representations import ROUTES, RepresentationResult
 
 __all__ = [
     "ROW_FIELDS",
@@ -53,16 +53,7 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
-ROW_FIELDS = (
-    "n",
-    "method",
-    "ln_value",
-    "exact_ln",
-    "abs_err_ln",
-    "quad_error_estimate",
-    "evaluations",
-    "converged",
-)
+ROW_FIELDS = RepresentationResult._fields
 
 
 class ReportSummary(NamedTuple):
@@ -158,39 +149,55 @@ def to_json(report: Report) -> str:
     return f'{head[:-2]},\n  "rows": {rows},\n{summary[2:]}\n'
 
 
-def _method(value) -> Method:
-    try:
-        return Method(value)
-    except ValueError:
-        raise ValueError(f"unknown method {value!r}") from None
+_ROUTES_BY_VALUE = {route.value: route for route in ROUTES}
+_ROW_KEYS = frozenset(ROW_FIELDS)
+# A parsed row's values have exactly the types of RepresentationResult.
+_ROW_TYPES = tuple(get_type_hints(RepresentationResult).values())
+
+
+def _parse_row(r: object) -> RepresentationResult:
+    """The row that a JSON row stands for, if to_json could have written it."""
+    if type(r) is not dict:
+        raise ValueError(f"a row must be an object, got {r!r}")
+    if r.keys() != _ROW_KEYS:
+        odd = sorted(r.keys() ^ _ROW_KEYS)
+        raise ValueError(f"row keys differ from ROW_FIELDS in {odd}")
+    method = r["method"]
+    route = _ROUTES_BY_VALUE.get(method) if type(method) is str else None
+    if route is None:
+        raise ValueError(f"unknown method {method!r}")
+    row = RepresentationResult(
+        r["n"], route, r["ln_value"], r["exact_ln"], r["abs_err_ln"],
+        r["quad_error_estimate"], r["evaluations"], r["converged"],
+    )
+    if tuple(map(type, row)) != _ROW_TYPES:
+        # A NaN float is written as null.
+        row = row._replace(**{f: math.nan for f in ROW_FIELDS[2:6] if r[f] is None})
+        for field, x, t in zip(ROW_FIELDS, row, _ROW_TYPES):
+            if type(x) is not t:
+                raise ValueError(f"row field {field!r} cannot be {r[field]!r}")
+    return row
 
 
 def parse_report_json(text: str) -> Report:
     """Inverse of to_json (null fields come back as NaN).
 
-    Raises ValueError on a ``schema_version`` other than
-    ``SCHEMA_VERSION`` and on an unknown ``method``, naming the value.
+    Raises ValueError, naming the value or field, on a ``schema_version``
+    other than ``SCHEMA_VERSION``, a missing top-level key, ``rows`` that
+    is not a list, a row whose keys are not ``ROW_FIELDS`` or whose field
+    has the wrong JSON type, and an unknown ``method``.
     """
     payload = json.loads(text)
+    if missing := set(Report._fields) - payload.keys():
+        raise ValueError(f"report lacks {sorted(missing)}")
     schema = payload["schema_version"]
     if schema != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported schema_version {schema!r}, expected {SCHEMA_VERSION!r}"
         )
-    nan = math.nan
-    rows = tuple(
-        RepresentationResult(
-            n=r["n"],
-            method=_method(r["method"]),
-            ln_value=nan if (x := r["ln_value"]) is None else x,
-            exact_ln=nan if (x := r["exact_ln"]) is None else x,
-            abs_err_ln=nan if (x := r["abs_err_ln"]) is None else x,
-            quad_error_estimate=nan if (x := r["quad_error_estimate"]) is None else x,
-            evaluations=r["evaluations"],
-            converged=r["converged"],
-        )
-        for r in payload["rows"]
-    )
+    if type(payload["rows"]) is not list:
+        raise ValueError(f"rows must be a list, got {payload['rows']!r}")
+    rows = tuple(map(_parse_row, payload["rows"]))
     max_err = payload["summary"]["max_abs_err_ln"]
     return Report(
         schema_version=schema,
@@ -198,7 +205,7 @@ def parse_report_json(text: str) -> Report:
         config=payload["config"],
         rows=rows,
         summary=ReportSummary(
-            max_abs_err_ln=nan if max_err is None else max_err,
+            max_abs_err_ln=math.nan if max_err is None else max_err,
             failures=payload["summary"]["failures"],
         ),
     )

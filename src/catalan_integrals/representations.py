@@ -109,7 +109,6 @@ n = 321 (Malmsten) on, and the smaller one at every n below.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Callable
 from typing import NamedTuple
@@ -133,7 +132,6 @@ from .quadrature import (
 
 __all__ = [
     "ROUTES",
-    "Method",
     "RepresentationResult",
     "Route",
     "catalan_binet",
@@ -149,29 +147,20 @@ _U = 0.5 * _EPS  # unit roundoff, 2^-53
 _SQRT_PI = math.sqrt(math.pi)
 
 
-class Method(enum.Enum):
-    """Evaluation route identifiers; values are the wire names used in reports."""
-
-    GAMMA_CLOSED_FORM = "gamma_closed_form"
-    MALMSTEN = "malmsten"
-    BINET = "binet"
-    PENSON_MOMENT = "penson_moment"
-    PENSON_MELLIN = "penson_mellin"
-
-
 class RepresentationResult(NamedTuple):
     """One route's output for one n, against the exact value.
 
-    ``ln_value`` is the route's ln C_n; ``exact_ln`` the integer-backed
-    reference; ``quad_error_estimate`` the route's error bar on the ln
-    scale (for the quadrature-free closed form, the bounds of its
-    Stirling series and the rounding of its sum).  ``converged``
-    is False when the underlying quadrature gave up or the route failed
-    outright (then ln_value and abs_err_ln are NaN).
+    ``method`` is the ``Route`` that computed it; ``ln_value`` the
+    route's ln C_n; ``exact_ln`` the integer-backed reference;
+    ``quad_error_estimate`` the route's error bar on the ln scale (for
+    the quadrature-free closed form, the bounds of its Stirling series
+    and the rounding of its sum).  ``converged`` is False when the
+    underlying quadrature gave up or the route failed outright (then
+    ln_value and abs_err_ln are NaN).
     """
 
     n: int
-    method: Method
+    method: Route
     ln_value: float
     exact_ln: float
     abs_err_ln: float
@@ -185,17 +174,10 @@ class RepresentationResult(NamedTuple):
 _Estimate = tuple[float, float, int, bool]
 
 
-def _row(n: int, method: Method, estimate: _Estimate, exact: float) -> RepresentationResult:
-    ln_value, quad_error_estimate, evaluations, converged = estimate
+def _row(n: int, route: Route, estimate: _Estimate, exact: float) -> RepresentationResult:
+    ln_value, error, evaluations, converged = estimate
     return RepresentationResult(
-        n=n,
-        method=method,
-        ln_value=ln_value,
-        exact_ln=exact,
-        abs_err_ln=abs(ln_value - exact),
-        quad_error_estimate=quad_error_estimate,
-        evaluations=evaluations,
-        converged=converged,
+        n, route, ln_value, exact, abs(ln_value - exact), error, evaluations, converged
     )
 
 
@@ -294,15 +276,14 @@ def _moment_tolerance(config: QuadConfig) -> float:
     return min(max(config.abs_tol, config.rel_tol), 0.5)
 
 
-def _moment_points(n: int, config: QuadConfig) -> tuple[int, float, bool]:
-    """(m, its aliasing bound, whether that meets the aliasing's share of
-    the target): the least m whose bound meets the share, or the most
-    the budget allows.  The share leaves the rest of the target to the
-    rounding bound: 64 eps of Kershaw's floor, or half the target when
-    that is less.  The rounding bound stayed below 47 eps of the floor
-    at every n measured (n = 0..200 and log-spaced n up to 10^7, where
-    it tends to 30 eps), so a met share leaves the whole bar within
-    the target wherever the target exceeds 128 eps."""
+def _moment_points(n: int, config: QuadConfig) -> tuple[int, float]:
+    """(m, its aliasing bound): the least m whose bound meets the
+    aliasing's share of the target, or the most the budget allows.  The
+    share leaves the rest of the target to the rounding bound: 64 eps of
+    Kershaw's floor, or half the target if less.  The rounding bound
+    stayed below 47 eps of the floor at every n measured (n = 0..200 and
+    log-spaced n up to 10^7, where it tends to 30 eps), so a met share
+    leaves the whole bar within the target wherever it exceeds 128 eps."""
     tol = _moment_tolerance(config)
     target = max(tol - 64.0 * _EPS, 0.5 * tol) * _moment_floor(n)
     cap = 2 * _PANEL_EVALUATIONS * (1 + 2 * config.max_subdivisions) + 1
@@ -315,7 +296,7 @@ def _moment_points(n: int, config: QuadConfig) -> tuple[int, float, bool]:
     while aliasing > target and m < min(n + 2, cap):
         m += 1
         aliasing = _moment_aliasing(n, m)
-    return m, aliasing, aliasing <= target
+    return m, aliasing
 
 
 def _moment_sample(n: int, phi: float) -> tuple[float, float]:
@@ -396,7 +377,7 @@ def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
     aliasing sum and of the lower bound.
     """
     _check_index(n)
-    m, aliasing, _ = _moment_points(n, config)
+    m, aliasing = _moment_points(n, config)
     value, rounding = _moment_rule(n, m)
     relative = (aliasing + rounding) / _moment_floor(n)
     error = -math.log1p(-relative) if relative < 1.0 else math.inf
@@ -444,24 +425,28 @@ def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
 
 
 class Route(NamedTuple):
-    """One evaluation route: its ``Method``, its short command-line
-    ``name`` and the callable ``estimate(n, config)`` that computes it.
-    Calling the route gives its row for n."""
+    """One evaluation route, the ``method`` of each row it computes: its
+    name in reports, ``value``; its command-line ``name``; and the callable
+    ``estimate(n, config)``.  Calling the route gives its row for n; its
+    repr is its public name, ``catalan_<value>``."""
 
-    method: Method
+    value: str
     name: str
     estimate: Callable[[int, QuadConfig], _Estimate]
 
     def __call__(self, n: int, config: QuadConfig = QuadConfig()) -> RepresentationResult:
         """This route's row for n, compared with ``ln_exact(n)``."""
-        return _row(n, self.method, self.estimate(n, config), ln_exact(n))
+        return _row(n, self, self.estimate(n, config), ln_exact(n))
+
+    def __repr__(self) -> str:
+        return f"catalan_{self.value}"
 
 
-catalan_gamma_closed_form = Route(Method.GAMMA_CLOSED_FORM, "gamma", _gamma_closed_form)
-catalan_malmsten = Route(Method.MALMSTEN, "malmsten", _malmsten)
-catalan_binet = Route(Method.BINET, "binet", _binet)
-catalan_penson_moment = Route(Method.PENSON_MOMENT, "penson-moment", _penson_moment)
-catalan_penson_mellin = Route(Method.PENSON_MELLIN, "penson-mellin", _penson_mellin)
+catalan_gamma_closed_form = Route("gamma_closed_form", "gamma", _gamma_closed_form)
+catalan_malmsten = Route("malmsten", "malmsten", _malmsten)
+catalan_binet = Route("binet", "binet", _binet)
+catalan_penson_moment = Route("penson_moment", "penson-moment", _penson_moment)
+catalan_penson_mellin = Route("penson_mellin", "penson-mellin", _penson_mellin)
 
 # The only table of routes, in report row order.
 ROUTES = (
@@ -493,5 +478,5 @@ def compare_representations(
                 estimate = route.estimate(n, config)
             except Exception:
                 estimate = failed
-            rows.append(_row(n, route.method, estimate, exact))
+            rows.append(_row(n, route, estimate, exact))
     return rows

@@ -7,10 +7,10 @@ from catalan_integrals.representations import Route
 
 
 def pytest_make_parametrize_id(config, val, argname):
-    """Name a route parameter by its public name, ``catalan_<method>``,
+    """Name a route parameter by its public name, ``catalan_<value>``,
     rather than pytest's positional ``route0``, ``route1``."""
     if isinstance(val, Route):
-        return f"catalan_{val.method.value}"
+        return f"catalan_{val.value}"
     return None
 
 

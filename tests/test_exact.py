@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -97,10 +98,18 @@ def test_routes_agree_through_200():
         assert catalan_hypergeometric(n) == c
 
 
+# A Catalan index is what operator.index accepts: a float is refused as
+# such, before any work, even when it is integral.
+NON_INTEGERS = (5.0, 2.5, math.nan)
+
+
 @pytest.mark.parametrize("route", [catalan_exact, catalan_segner, catalan_hypergeometric])
 def test_negative_index_rejected(route):
     with pytest.raises(ValueError):
         route(-1)
+    for n in NON_INTEGERS:
+        with pytest.raises(TypeError, match=re.escape(f"an integer, got {n!r}")):
+            route(n)
 
 
 def test_balanced_parentheses_matches_closed_form():
@@ -216,6 +225,9 @@ def test_representations_use_exact_ln_exact():
 def test_ln_exact_negative_rejected():
     with pytest.raises(ValueError):
         ln_exact(-3)
+    for n in NON_INTEGERS:
+        with pytest.raises(TypeError, match=re.escape(f"an integer, got {n!r}")):
+            ln_exact(n)
 
 
 class _SieveStarted(Exception):

@@ -22,7 +22,7 @@ from catalan_integrals.report import (
     to_text,
 )
 from catalan_integrals.representations import (
-    Method,
+    ROUTES,
     RepresentationResult,
     catalan_binet,
     catalan_malmsten,
@@ -57,7 +57,7 @@ def test_failure_counting(cfg):
     rows = list(compare_representations(0, cfg))
     bad = RepresentationResult(
         n=99,
-        method=Method.MALMSTEN,
+        method=catalan_malmsten,
         ln_value=1.0,
         exact_ln=2.0,
         abs_err_ln=1.0,
@@ -74,7 +74,7 @@ def test_failure_counting(cfg):
 def test_nan_rows_count_as_failures(cfg):
     nan_row = RepresentationResult(
         n=7,
-        method=Method.BINET,
+        method=catalan_binet,
         ln_value=math.nan,
         exact_ln=2.0,
         abs_err_ln=math.nan,
@@ -97,7 +97,7 @@ def test_json_round_trip(cfg):
 def test_json_is_plain_and_nan_free(cfg):
     nan_row = RepresentationResult(
         n=7,
-        method=Method.BINET,
+        method=catalan_binet,
         ln_value=math.nan,
         exact_ln=2.0,
         abs_err_ln=math.nan,
@@ -160,7 +160,7 @@ def test_generated_at_is_an_iso_utc_time(cfg):
 
 def test_method_values_need_no_json_escaping():
     # to_json quotes a method as it stands, with no escaping.
-    assert all(re.fullmatch("[a-z_]+", method.value) for method in Method)
+    assert all(re.fullmatch("[a-z_]+", route.value) for route in ROUTES)
 
 
 def test_reports_identical_up_to_timestamp(cfg):
@@ -176,7 +176,7 @@ def test_reports_identical_up_to_timestamp(cfg):
 # ------------------------------------------------ byte identity with json/csv
 
 
-def _row(n, method=Method.MALMSTEN, converged=True, **fields):
+def _row(n, method=catalan_malmsten, converged=True, **fields):
     values = dict(
         ln_value=1.5, exact_ln=1.5, abs_err_ln=0.0, quad_error_estimate=1e-12
     )
@@ -198,7 +198,7 @@ def _non_finite_rows():
     rows.append(
         _row(
             len(rows),
-            Method.BINET,
+            catalan_binet,
             ln_value=-0.0,
             exact_ln=5e-324,
             abs_err_ln=1e300,
@@ -243,9 +243,8 @@ def test_empty_report_prints_an_empty_row_list(cfg):
 
 
 def _synthetic_report(n_rows):
-    methods = list(Method)
     rows = tuple(
-        _row(k // 5, methods[k % 5], ln_value=k / 7) for k in range(n_rows)
+        _row(k // 5, ROUTES[k % 5], ln_value=k / 7) for k in range(n_rows)
     )
     return Report(
         schema_version=SCHEMA_VERSION,
@@ -299,3 +298,42 @@ def test_parse_rejects_unknown_methods(cfg, method):
     payload["rows"][0]["method"] = method
     with pytest.raises(ValueError, match=re.escape(f"unknown method {method!r}")):
         parse_report_json(json.dumps(payload))
+
+
+def _payload_with(cfg, edit):
+    payload = json.loads(to_json(REPORTS["one_row"](cfg)))
+    edit(payload)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.update(rows=[[3]]), "a row must be an object, got [3]"),
+        (lambda p: p["rows"][0].update(extra=1), "differ from ROW_FIELDS in ['extra']"),
+        (lambda p: p["rows"][0].pop("n"), "differ from ROW_FIELDS in ['n']"),
+        (lambda p: p["rows"][0].update(n=3.0), "row field 'n' cannot be 3.0"),
+        (lambda p: p["rows"][0].update(n=True), "row field 'n' cannot be True"),
+        (lambda p: p["rows"][0].update(evaluations="45"), "'evaluations' cannot be '45'"),
+        (lambda p: p["rows"][0].update(converged="yes"), "'converged' cannot be 'yes'"),
+        (lambda p: p["rows"][0].update(converged=1), "'converged' cannot be 1"),
+        (lambda p: p["rows"][0].update(ln_value="abc"), "'ln_value' cannot be 'abc'"),
+        (lambda p: p["rows"][0].update(abs_err_ln=0), "'abs_err_ln' cannot be 0"),
+        (lambda p: p.update(rows={}), "rows must be a list, got {}"),
+        (lambda p: p.pop("summary"), "report lacks ['summary']"),
+    ],
+)
+def test_parse_rejects_rows_to_json_cannot_write(cfg, edit, message):
+    # A report is input from outside the program: a row that to_json
+    # could not have written is refused, naming its field, rather than
+    # parsed into a wrongly typed row.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_report_json(_payload_with(cfg, edit))
+
+
+def test_rows_name_their_route(cfg):
+    text = to_json(_sample_report(cfg, n_max=0))
+    for row, route in zip(parse_report_json(text).rows, ROUTES):
+        assert row.method is route
+        assert "0x" not in repr(row)
+        assert f"method=catalan_{route.value}," in repr(row)

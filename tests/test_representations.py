@@ -1,6 +1,7 @@
 """Five routes to ln C_n and the cross-checking sweep."""
 
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -8,9 +9,9 @@ import pytest
 import catalan_integrals
 from catalan_integrals import representations
 from catalan_integrals.exact import ln_exact
+from catalan_integrals.kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from catalan_integrals.representations import (
     ROUTES,
-    Method,
     RepresentationResult,
     catalan_binet,
     catalan_gamma_closed_form,
@@ -28,13 +29,8 @@ from catalan_integrals.quadrature import (
 # The n = 0..200 of the benchmark's sweep.
 SWEEP = range(201)
 
-METHOD_ORDER = (
-    Method.GAMMA_CLOSED_FORM,
-    Method.MALMSTEN,
-    Method.BINET,
-    Method.PENSON_MOMENT,
-    Method.PENSON_MELLIN,
-)
+# The routes' report names, in report row order.
+ROUTE_VALUES = ("gamma_closed_form", "malmsten", "binet", "penson_moment", "penson_mellin")
 
 
 # -------------------------------------------------------- single routes
@@ -352,6 +348,12 @@ def test_moment_samples_are_within_their_rounding_bound(cfg):
                     assert err <= bound + 1e-36 * exact + 1e-300, (n, points, j)
 
 
+def _aliasing_share(tol, n):
+    """The share of the target on J that the choice of M leaves to the
+    aliasing, for a capped target ``tol`` above 128 eps."""
+    return (tol - 64.0 * representations._EPS) * representations._moment_floor(n)
+
+
 @pytest.mark.parametrize("n", [10, 100, 10_000, 1_000_000])
 def test_moment_aliasing_bound_covers_the_true_error(n):
     # The m-point trapezoid sum over every node of [0, pi), none folded
@@ -360,8 +362,8 @@ def test_moment_aliasing_bound_covers_the_true_error(n):
         exact = _moment_integral(n)
         for rel_tol in (1e-2, 1e-5, 1e-8):
             config = QuadConfig(abs_tol=0.0, rel_tol=rel_tol)
-            m, aliasing, met = representations._moment_points(n, config)
-            assert met, (n, rel_tol)
+            m, aliasing = representations._moment_points(n, config)
+            assert aliasing <= _aliasing_share(rel_tol, n), (n, rel_tol)
             nodes = (j * mp.pi / m for j in range(m))
             half_sum = mp.pi / (2 * m) * mp.fsum(
                 mp.sin(phi) ** 2 * mp.cos(phi) ** (2 * n) for phi in nodes
@@ -385,8 +387,8 @@ def test_moment_route_at_a_tolerance_above_one():
     # relative 1/2, which keeps the sum positive.
     loose = QuadConfig(abs_tol=10.0)
     for n in (0, 1, 2, 100, 1_000_000):
-        m, _, met = representations._moment_points(n, loose)
-        assert m >= 2 and met, n
+        m, aliasing = representations._moment_points(n, loose)
+        assert m >= 2 and aliasing <= _aliasing_share(0.5, n), n
         row = catalan_penson_moment(n, loose)
         assert row.converged and math.isfinite(row.ln_value), n
         assert row.abs_err_ln <= row.quad_error_estimate, n
@@ -403,7 +405,7 @@ def test_moment_route_converged_only_when_its_whole_bar_meets_the_target(tol):
     unconverged = 0
     for n in [*range(201), 1_000, 10_000, 100_000]:
         row = catalan_penson_moment(n, config)
-        m, aliasing, _ = representations._moment_points(n, config)
+        m, aliasing = representations._moment_points(n, config)
         rounding = representations._moment_rule(n, m)[1]
         whole = (aliasing + rounding) / representations._moment_floor(n)
         assert row.converged == (whole <= tol), n
@@ -463,6 +465,15 @@ def test_sweep_computes_exact_reference_once_per_n(cfg, monkeypatch):
     assert all(row.exact_ln == ln_exact(row.n) for row in rows)
 
 
+# What operator.index refuses is refused before any work, even when it
+# is an integral float.
+NON_INTEGERS = (5.0, 2.5, math.nan)
+
+
+def _refused(n):
+    return pytest.raises(TypeError, match=re.escape(f"an integer, got {n!r}"))
+
+
 def test_penson_range_guards(cfg):
     for route in PENSON_ROUTES:
         with pytest.raises(ValueError):
@@ -474,24 +485,31 @@ def test_negative_index_rejected(cfg):
         catalan_malmsten(-1, cfg)
     with pytest.raises(ValueError):
         catalan_gamma_closed_form(-1)
+    for n in NON_INTEGERS:
+        for route in ROUTES:
+            with _refused(n):
+                route(n, cfg)
+        for kernel in (malmsten_catalan_kernel, binet_catalan_kernel):
+            with _refused(n):
+                kernel(n)
 
 
 def test_catalan_exports_are_the_routes():
     # One table: each public catalan_* name is its ROUTES entry, in
     # report row order.
     exports = [
-        getattr(catalan_integrals, f"catalan_{method.value}") for method in METHOD_ORDER
+        getattr(catalan_integrals, f"catalan_{value}") for value in ROUTE_VALUES
     ]
     assert len(exports) == len(ROUTES)
     assert all(export is route for export, route in zip(exports, ROUTES))
-    assert [route.method for route in ROUTES] == list(METHOD_ORDER)
+    assert [route.value for route in ROUTES] == list(ROUTE_VALUES)
 
 
 def test_route_call_is_the_sweep_row(cfg):
     rows = compare_representations(200, cfg)
     for n in (0, 7, 200):
         for route in ROUTES:
-            (row,) = [r for r in rows if r.n == n and r.method is route.method]
+            (row,) = [r for r in rows if r.n == n and r.method is route]
             assert route(n, cfg) == row, (n, route.name)
 
 
@@ -506,10 +524,8 @@ def test_gamma_route_needs_no_config():
 def test_sweep_structure_and_accuracy(cfg):
     rows = compare_representations(5, cfg)
     assert len(rows) == 30  # six indices, five methods
-    # Rows arrive sorted by n, with methods in declaration order.
-    expected_keys = [
-        (n, method) for n in range(6) for method in METHOD_ORDER
-    ]
+    # Rows arrive sorted by n, with routes in ROUTES order.
+    expected_keys = [(n, route) for n in range(6) for route in ROUTES]
     assert [(r.n, r.method) for r in rows] == expected_keys
     for row in rows:
         assert row.converged, (row.n, row.method)
@@ -553,10 +569,10 @@ def test_routes_agree_pairwise(cfg):
 def test_ln_catalan_is_strictly_increasing_from_one(cfg):
     # C_0 = C_1 = 1, then the sequence grows strictly.
     rows = compare_representations(8, cfg)
-    for method in METHOD_ORDER:
-        seq = [row.ln_value for row in rows if row.method is method]
+    for route in ROUTES:
+        seq = [row.ln_value for row in rows if row.method is route]
         for n in range(1, len(seq) - 1):
-            assert seq[n + 1] > seq[n], (method, n)
+            assert seq[n + 1] > seq[n], (route, n)
 
 
 def test_prefactor_identity():
@@ -584,10 +600,13 @@ def test_failure_rows_are_recorded_not_raised():
     assert any(not row.converged for row in rows)
     # The closed-form route needs no quadrature, so it still converges.
     for row in rows:
-        if row.method is Method.GAMMA_CLOSED_FORM:
+        if row.method is catalan_gamma_closed_form:
             assert row.converged
 
 
 def test_sweep_rejects_negative(cfg):
     with pytest.raises(ValueError):
         compare_representations(-1, cfg)
+    for n in NON_INTEGERS:
+        with _refused(n):
+            compare_representations(n, cfg)

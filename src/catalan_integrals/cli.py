@@ -20,7 +20,7 @@ import math
 import sys
 from typing import NoReturn
 
-from .exact import MAX_INDEX, _balanced_product, _catalan_factors, ln_exact
+from .exact import MAX_INDEX, _balanced_product, _catalan_factors, _ln_from_factors
 from .kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from .quadrature import QuadConfig
 from .report import _fmt, build_report, to_csv, to_json, to_text
@@ -68,22 +68,24 @@ def _print_row(row: RepresentationResult) -> None:
 
 def cmd_exact(n: int) -> None:
     """Print C_N exactly (all digits), then ln C_N and its error bound."""
-    # ln_exact's lgamma witness checks the factor exponents before any
-    # digit is printed.  The digits are multiplied out in the base they
-    # are printed in, with no str(int) and its 4300-digit limit, in a
-    # local context where any rounding raises.  Only this command needs
-    # decimal, so it is imported here and not at the CLI's start-up.
+    # The sum of logs, whose lgamma witness checks the factor exponents
+    # before any digit is printed; ln_exact reads the factors only up to
+    # its crossover.  The digits are multiplied out in the base they are
+    # printed in, with no str(int) and its 4300-digit limit, in a local
+    # context where any rounding raises.  decimal is imported here, not
+    # at the CLI's start-up.
     import decimal
 
-    ln_c = ln_exact(n)
+    ln_c = _ln_from_factors(n)
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
         print(_balanced_product(map(decimal.Decimal, _catalan_factors(n))))
     print(f"ln {_fmt(ln_c)}")
-    # The bound ln_exact's docstring proves: a relative 2^-53 of the sum
-    # for the logs of the factors, and half an ulp for its one rounding.
+    # The bound _ln_from_factors' docstring proves: a relative 2^-53 of
+    # the sum for the logs of the factors, and half an ulp for its one
+    # rounding.
     print(f"ln_error {_fmt(ln_c * 2.0**-53 + 0.5 * math.ulp(ln_c))}")
 
 

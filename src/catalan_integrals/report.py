@@ -36,6 +36,7 @@ import math
 import time
 from typing import NamedTuple, get_type_hints
 
+from .exact import MAX_INDEX
 from .quadrature import QuadConfig
 from .representations import ROUTES, RepresentationResult
 
@@ -176,18 +177,42 @@ def _parse_row(r: object) -> RepresentationResult:
         for field, x, t in zip(ROW_FIELDS, row, _ROW_TYPES):
             if type(x) is not t:
                 raise ValueError(f"row field {field!r} cannot be {r[field]!r}")
+    if not 0 <= row.n <= MAX_INDEX:
+        raise ValueError(f"row field 'n' cannot be {row.n!r}")
     return row
+
+
+def _summary(summary: object) -> ReportSummary:
+    """The summary that a JSON summary stands for, if to_json could have
+    written it (a NaN maximum is written as null)."""
+    if type(summary) is not dict:
+        raise ValueError(f"summary must be an object, got {summary!r}")
+    if missing := set(ReportSummary._fields) - summary.keys():
+        raise ValueError(f"summary lacks {sorted(missing)}")
+    max_err, failures = summary["max_abs_err_ln"], summary["failures"]
+    if max_err is not None and type(max_err) is not float:
+        raise ValueError(f"summary field 'max_abs_err_ln' cannot be {max_err!r}")
+    if type(failures) is not int or failures < 0:
+        raise ValueError(f"summary field 'failures' cannot be {failures!r}")
+    return ReportSummary(math.nan if max_err is None else max_err, failures)
 
 
 def parse_report_json(text: str) -> Report:
     """Inverse of to_json (null fields come back as NaN).
 
-    Raises ValueError, naming the value or field, on a ``schema_version``
-    other than ``SCHEMA_VERSION``, a missing top-level key, ``rows`` that
-    is not a list, a row whose keys are not ``ROW_FIELDS`` or whose field
-    has the wrong JSON type, and an unknown ``method``.
+    Raises ValueError, naming the value or field, on a report that is not
+    a JSON object, a ``schema_version`` other than ``SCHEMA_VERSION``, a
+    missing top-level key, a ``generated_at`` that is not a string, a
+    ``config`` that is not an object, ``rows`` that is not a list, a row
+    whose keys are not ``ROW_FIELDS``, whose field has the wrong JSON
+    type or whose ``n`` lies outside 0..MAX_INDEX, an unknown ``method``,
+    and a ``summary`` that is not an object, lacks a field, or holds a
+    ``max_abs_err_ln`` that is neither a float nor null or a
+    ``failures`` that is not an int >= 0.
     """
     payload = json.loads(text)
+    if type(payload) is not dict:
+        raise ValueError(f"a report must be an object, got {type(payload).__name__}")
     if missing := set(Report._fields) - payload.keys():
         raise ValueError(f"report lacks {sorted(missing)}")
     schema = payload["schema_version"]
@@ -195,19 +220,19 @@ def parse_report_json(text: str) -> Report:
         raise ValueError(
             f"unsupported schema_version {schema!r}, expected {SCHEMA_VERSION!r}"
         )
-    if type(payload["rows"]) is not list:
-        raise ValueError(f"rows must be a list, got {payload['rows']!r}")
-    rows = tuple(map(_parse_row, payload["rows"]))
-    max_err = payload["summary"]["max_abs_err_ln"]
+    for key, kind, name in (
+        ("generated_at", str, "a string"),
+        ("config", dict, "an object"),
+        ("rows", list, "a list"),
+    ):
+        if type(payload[key]) is not kind:
+            raise ValueError(f"{key} must be {name}, got {payload[key]!r}")
     return Report(
         schema_version=schema,
         generated_at=payload["generated_at"],
         config=payload["config"],
-        rows=rows,
-        summary=ReportSummary(
-            max_abs_err_ln=math.nan if max_err is None else max_err,
-            failures=payload["summary"]["failures"],
-        ),
+        rows=tuple(map(_parse_row, payload["rows"])),
+        summary=_summary(payload["summary"]),
     )
 
 

@@ -151,7 +151,7 @@ class RepresentationResult(NamedTuple):
     """One route's output for one n, against the exact value.
 
     ``method`` is the ``Route`` that computed it; ``ln_value`` the
-    route's ln C_n; ``exact_ln`` the integer-backed reference;
+    route's ln C_n; ``exact_ln`` the reference, ``ln_exact(n)``;
     ``quad_error_estimate`` the route's error bar on the ln scale (for
     the quadrature-free closed form, the bounds of its Stirling series
     and the rounding of its sum).  ``converged`` is False when the
@@ -213,11 +213,12 @@ def _binet_terms(n: int) -> tuple[float, ...]:
 def _gamma_closed_form(n: int, config: QuadConfig) -> _Estimate:
     """ln C_n = Binet's elementary part + theta(n + 1/2) - theta(n + 2).
 
-    Quadrature-free; this is the fast route the integral routes are
-    measured against when the exact integer is too slow to build.  The
-    bounds of the two theta values (``kernels._binet_theta``) take the
-    place of a quadrature estimate in ``_assemble``.  ``config`` is not
-    used.
+    Quadrature-free, and so the cheapest route at every n.  The bounds
+    of the two theta values (``kernels._binet_theta``) take the place of
+    a quadrature estimate in ``_assemble``.  ``config`` is not used.
+    Above ``ln_exact``'s crossover its reference sums the same Stirling
+    series in decimal, so there this row checks the doubles' arithmetic
+    and bounds, not the series itself.
     """
     _check_index(n)
     theta_a, bound_a = _binet_theta(n + 0.5)

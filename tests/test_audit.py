@@ -1,0 +1,95 @@
+"""Seeded audit of the honesty contract over the index range the API accepts.
+
+The other tests check n = 0..200, a dozen larger n and a few configs.
+Here a fixed seed draws n log-uniform over 0..MAX_INDEX, with small n
+one time in five, and random quadrature configs, and calls every route
+directly; the reference is 40-digit ``mpmath.loggamma``.  The seed and
+the draw count were fixed before the audit first ran.
+"""
+
+import math
+import random
+
+import mpmath
+
+from catalan_integrals import quadrature
+from catalan_integrals.exact import MAX_INDEX, _SIEVE_MAX
+from catalan_integrals.quadrature import QuadConfig
+from catalan_integrals.representations import (
+    ROUTES,
+    catalan_gamma_closed_form,
+    catalan_penson_moment,
+)
+
+SEED = 11
+DRAWS = 300
+PANEL = 21  # evaluations of one G10/K21 panel
+SUBDIVISIONS = (1, 2, 3, 10, 50, 200)
+# Routes whose bars are proved bounds rather than quadrature estimates.
+PROVED = (catalan_gamma_closed_form, catalan_penson_moment)
+
+
+def _tolerance(rng: random.Random) -> float:
+    return 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-15.0, -6.0)
+
+
+def _draws():
+    rng = random.Random(SEED)
+    for _ in range(DRAWS):
+        if rng.random() < 0.2:
+            n = rng.randrange(50)
+        else:
+            n = min(round(math.expm1(rng.uniform(0.0, math.log1p(MAX_INDEX)))), MAX_INDEX)
+        abs_tol, rel_tol = _tolerance(rng), _tolerance(rng)
+        if abs_tol == rel_tol == 0.0:
+            abs_tol = 1e-12
+        yield n, QuadConfig(abs_tol, rel_tol, rng.choice(SUBDIVISIONS))
+
+
+def test_no_route_is_dishonest_on_random_draws(monkeypatch):
+    starting_panels = []
+    adaptive = quadrature._adaptive
+
+    def counting(f, edges, config, remainder=0.0):
+        starting_panels.append(len(edges) - 1)
+        return adaptive(f, edges, config, remainder)
+
+    monkeypatch.setattr(quadrature, "_adaptive", counting)
+    ctx = mpmath.mp.clone()
+    ctx.dps = 40
+    worst = {route: 0.0 for route in ROUTES}
+    converged = {route: 0 for route in ROUTES}
+    for n, config in _draws():
+        truth = ctx.loggamma(2 * n + 1) - ctx.loggamma(n + 1) - ctx.loggamma(n + 2)
+        for route in ROUTES:
+            starting_panels.clear()
+            row = route(n, config)  # no route may raise
+            where = f"{route!r} at n = {n}, {config}"
+            # The reference column: correctly rounded above the crossover,
+            # within 1 ulp below it.
+            if n > _SIEVE_MAX:
+                assert row.exact_ln == float(truth), where
+            else:
+                assert abs(ctx.mpf(row.exact_ln) - truth) <= math.ulp(row.exact_ln), where
+            if route is catalan_penson_moment:
+                budget = PANEL + 2 * PANEL * config.max_subdivisions
+            else:
+                budget = PANEL * sum(starting_panels) + 2 * PANEL * config.max_subdivisions
+            assert row.evaluations <= budget, where
+            if not row.converged:
+                continue
+            converged[route] += 1
+            error = abs(ctx.mpf(row.ln_value) - truth)
+            bar = row.quad_error_estimate
+            assert error <= (1.0 if route in PROVED else 10.0) * bar, where
+            ratio = float(error / bar) if bar > 0 else (0.0 if error == 0 else math.inf)
+            worst[route] = max(worst[route], ratio)
+    # Shown with -s, and with the failure report, so a drift shows
+    # before it fails.
+    for route in ROUTES:
+        print(
+            f"[audit] {route!r}: worst error/bar {worst[route]:.3f} "
+            f"over {converged[route]} of {DRAWS} converged rows"
+        )
+    assert all(converged[route] > 0 for route in ROUTES)
+

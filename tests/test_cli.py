@@ -570,25 +570,29 @@ def test_runs_without(blocked):
     assert blocked not in proc.stderr
 
 
-def test_cli_import_leaves_out_click_dataclasses_inspect_datetime_and_decimal():
+def test_cli_import_leaves_out_click_dataclasses_inspect_datetime_and_decimal(tmp_path):
     # The command line's cold start: none of these is needed to run it.
-    # decimal is imported by the one command that uses it, exact N, and
-    # the report's timestamp comes from time, not datetime.
+    # decimal is imported by exact N and by ln_exact above its crossover,
+    # so a sweep below the crossover never loads it either; the report's
+    # timestamp comes from time, not datetime.
     package_root = os.path.dirname(os.path.dirname(catalan_integrals.__file__))
     script = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
         "import catalan_integrals.cli\n"
-        "print(sorted({'click', 'dataclasses', 'inspect', 'datetime', '_datetime',"
-        " 'decimal', '_decimal'} & set(sys.modules)))\n"
+        "unneeded = {'click', 'dataclasses', 'inspect', 'datetime', '_datetime',"
+        " 'decimal', '_decimal'}\n"
+        "print(sorted(unneeded & set(sys.modules)))\n"
+        "catalan_integrals.cli.main(['verify', '--n-max', '200', '--output', sys.argv[2]])\n"
+        "print(sorted(unneeded & set(sys.modules)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", script, package_root],
+        [sys.executable, "-I", "-c", script, package_root, str(tmp_path / "report.txt")],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_module_entry_point():

@@ -1,7 +1,9 @@
 """Exact integer routes, combinatorial oracles, and the log table."""
 
+import decimal
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -191,16 +193,100 @@ def test_ln_exact_cross_checks_stirling():
         assert abs(ln_exact(n) - via_gamma) <= 1e-10
 
 
+_MP40 = mpmath.mp.clone()
+_MP40.dps = 40
+
+
+def _ln_catalan_mpmath(n):
+    """ln C_n from 40-digit mpmath.loggamma."""
+    lg = _MP40.loggamma
+    return lg(2 * n + 1) - lg(n + 1) - lg(n + 2)
+
+
 def test_ln_exact_matches_mpmath_loggamma():
     # One compensated sum of positive logs, each of an integer <= 2n,
     # stays within 1 ulp; the log of the top bits of C_n did not
-    # (1.22 ulp at n = 88).
-    ctx = mpmath.mp.clone()
-    ctx.dps = 40
+    # (1.22 ulp at n = 88).  ln_exact takes it up to its crossover, and
+    # `exact N` at every N.
     for n in (*range(2, 2001), 3162, 10**4, 31_623, 10**5, 316_228, 10**6):
-        truth = ctx.loggamma(2 * n + 1) - ctx.loggamma(n + 1) - ctx.loggamma(n + 2)
-        ulp = math.ulp(float(truth))
-        assert abs(ctx.mpf(ln_exact(n)) - truth) <= ulp, n
+        truth = _ln_catalan_mpmath(n)
+        ln_c = exact._ln_from_factors(n)
+        assert abs(mpmath.mpf(ln_c) - truth) <= math.ulp(float(truth)), n
+        if n <= exact._SIEVE_MAX:
+            assert ln_exact(n) == ln_c, n
+
+
+def test_ln_exact_is_correctly_rounded_above_the_crossover():
+    # Every n from the crossover to 3,000, log-spaced n up to the limit,
+    # and seeded random n: float() of the 40-digit value rounds it
+    # correctly unless it lies within 1e-40 of a midpoint.
+    rng = random.Random(9)
+    ns = (
+        *range(exact._SIEVE_MAX + 1, 3001),
+        *sorted({round(10 ** (k / 8)) for k in range(28, 65)}),
+        *(rng.randrange(exact._SIEVE_MAX + 1, MAX_INDEX + 1) for _ in range(300)),
+    )
+    for n in ns:
+        assert ln_exact(n) == float(_ln_catalan_mpmath(n)), n
+
+
+def test_ln_constants_of_the_decimal_path():
+    # Both literals are correctly rounded to 100 decimals.
+    ctx = mpmath.mp.clone()
+    ctx.dps = 120
+    half_unit = ctx.mpf(10) ** -100 / 2
+    assert abs(ctx.mpf(exact._LN2_DIGITS) - ctx.log(2)) <= half_unit
+    assert abs(ctx.mpf(exact._LN_PI_DIGITS) - ctx.log(ctx.pi)) <= half_unit
+    assert [len(d.split(".")[1]) for d in (exact._LN2_DIGITS, exact._LN_PI_DIGITS)] == [100, 100]
+
+
+def test_ziv_loop_raises_the_precision_until_the_ends_agree(monkeypatch):
+    # At 19 digits the enclosure is about a tenth of an ulp wide, so it
+    # straddles a rounding boundary at some n; a second pass at 40 digits
+    # settles each of them, and with no second pass they raise.  Where
+    # 19 digits decide, the narrow margin still holds ln C_n.
+    ns = range(exact._SIEVE_MAX + 1, 1500)
+    monkeypatch.setattr(exact, "_ZIV_PRECISIONS", (19,))
+    undecided = []
+    for n in ns:
+        try:
+            assert exact._ln_stirling(n) == float(_ln_catalan_mpmath(n)), n
+        except ArithmeticError as exc:
+            assert "not proved to round to one double at 19 digits" in str(exc)
+            undecided.append(n)
+    assert 0 < len(undecided) < len(ns) // 4
+    monkeypatch.setattr(exact, "_ZIV_PRECISIONS", (19, 40))
+    for n in undecided:
+        assert ln_exact(n) == float(_ln_catalan_mpmath(n)), n
+
+
+def test_lgamma_witness_runs_on_both_paths(monkeypatch):
+    witness = exact._check_against_lgamma
+    seen = []
+
+    def recording(n, ln_c, *source):
+        seen.append(n)
+        witness(n, ln_c, *source)
+
+    monkeypatch.setattr(exact, "_check_against_lgamma", recording)
+    ln_exact(exact._SIEVE_MAX)
+    ln_exact(exact._SIEVE_MAX + 1)
+    assert seen == [exact._SIEVE_MAX, exact._SIEVE_MAX + 1]
+    # A wrong constant on the decimal path moves ln C_n by 2n 1e-4.
+    monkeypatch.setattr(exact, "_LN2_DIGITS", "0.6932")
+    with pytest.raises(ArithmeticError, match="Stirling's series .* disagrees with lgamma"):
+        ln_exact(10**6)
+
+
+def test_ln_exact_leaves_the_decimal_context_alone():
+    # The decimal path works in a context of its own, whatever the
+    # caller's: neither its precision nor its traps reach it.
+    expected = ln_exact(10**6)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        ctx.traps[decimal.Inexact] = True
+        assert ln_exact(10**6) == expected
+        assert ctx.prec == 5 and ctx.traps[decimal.Inexact]
 
 
 def test_ln_exact_builds_no_big_integer(monkeypatch):
@@ -248,16 +334,26 @@ def sieve_calls(monkeypatch):
     return calls
 
 
+# ln C_(MAX_INDEX) correctly rounded, from 40-digit mpmath.loggamma.
+LN_C_MAX_INDEX = 138629407.90860298
+
+
 @pytest.mark.parametrize("route", [ln_exact, catalan_exact])
 def test_index_limit_is_checked_before_the_sieve(route, sieve_calls):
     # Past the limit the sieve would need n bytes: 10^12 of them ended
-    # in MemoryError.  The limit itself is accepted.
+    # in MemoryError.  The limit itself is accepted: catalan_exact sieves
+    # up to 2 MAX_INDEX, and ln_exact answers from Stirling's series
+    # without starting a sieve.
     with pytest.raises(ValueError, match=f"<= {MAX_INDEX} \\(MAX_INDEX\\)"):
         route(MAX_INDEX + 1)
     assert sieve_calls == []
-    with pytest.raises(_SieveStarted):
-        route(MAX_INDEX)
-    assert sieve_calls == [2 * MAX_INDEX]
+    if route is ln_exact:
+        assert ln_exact(MAX_INDEX) == LN_C_MAX_INDEX
+        assert sieve_calls == []
+    else:
+        with pytest.raises(_SieveStarted):
+            route(MAX_INDEX)
+        assert sieve_calls == [2 * MAX_INDEX]
 
 
 def test_every_index_taking_function_refuses_past_the_limit(cfg, sieve_calls):
@@ -279,23 +375,28 @@ def test_every_index_taking_function_refuses_past_the_limit(cfg, sieve_calls):
 
 def test_wrong_exponent_raises_under_python_O():
     # One extra factor 2 moves ln C_50 from 62.85 to 63.55.  The lgamma
-    # witness must catch it even under -O, which strips assert statements.
+    # witness must catch it even under -O, which strips assert statements:
+    # in ln_exact below its crossover, and in `exact N` above it, where
+    # ln_exact no longer reads the factors that `exact N` multiplies out.
     package_root = os.path.dirname(os.path.dirname(exact.__file__))
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p
     )
-    script = (
-        "from catalan_integrals import exact\n"
-        "factors = exact._catalan_factors\n"
-        "exact._catalan_factors = lambda n: iter([*factors(n), 2])\n"
-        "exact.ln_exact(50)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    )
-    assert proc.returncode == 1
-    assert "ArithmeticError: prime factorisation of C_n disagrees" in proc.stderr
+    assert 5000 > exact._SIEVE_MAX
+    for call in ("exact.ln_exact(50)", "cli.main(['exact', '5000'])"):
+        script = (
+            "from catalan_integrals import cli, exact\n"
+            "factors = exact._catalan_factors\n"
+            "exact._catalan_factors = lambda n: iter([*factors(n), 2])\n"
+            f"{call}\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == 1, call
+        assert proc.stdout == "", call
+        assert "ArithmeticError: prime factorisation of C_n disagrees" in proc.stderr

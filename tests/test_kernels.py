@@ -15,6 +15,7 @@ from oracles import (
     log_gamma_malmsten,
     theta_kernel,
 )
+from catalan_integrals.exact import _STIRLING
 from catalan_integrals.kernels import (
     _STIRLING_COEFFS,
     _STIRLING_NEXT,
@@ -85,11 +86,13 @@ def _bernoulli(m: int) -> list[Fraction]:
 
 
 def test_stirling_coefficients_are_rounded_bernoulli_ratios():
-    # float(Fraction) rounds correctly, so the tables must match exactly.
-    b = _bernoulli(16)
-    ratios = [b[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, 9)]
+    # float(Fraction) rounds correctly, so the tables must match exactly;
+    # ln_exact's decimal path holds the ratios themselves, in lowest terms.
+    b = _bernoulli(2 * len(_STIRLING))
+    ratios = [b[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, len(_STIRLING) + 1)]
     assert _STIRLING_COEFFS == tuple(float(r) for r in ratios[:7])
     assert _STIRLING_NEXT == float(abs(ratios[7]))
+    assert _STIRLING == tuple((r.numerator, r.denominator) for r in ratios)
 
 
 # Log-spaced from 0.05 to 50, with the edges of the series regime.

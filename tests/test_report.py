@@ -9,6 +9,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from catalan_integrals.exact import MAX_INDEX
 from catalan_integrals.quadrature import QuadConfig
 from catalan_integrals.report import (
     ROW_FIELDS,
@@ -321,14 +322,33 @@ def _payload_with(cfg, edit):
         (lambda p: p["rows"][0].update(abs_err_ln=0), "'abs_err_ln' cannot be 0"),
         (lambda p: p.update(rows={}), "rows must be a list, got {}"),
         (lambda p: p.pop("summary"), "report lacks ['summary']"),
+        (lambda p: p["rows"][0].update(n=-5), "row field 'n' cannot be -5"),
+        (lambda p: p["rows"][0].update(n=MAX_INDEX + 1), f"'n' cannot be {MAX_INDEX + 1}"),
+        (lambda p: p.update(generated_at=5), "generated_at must be a string, got 5"),
+        (lambda p: p.update(config=[1e-12]), "config must be an object, got [1e-12]"),
+        (lambda p: p.update(summary=[0.0, 0]), "summary must be an object, got [0.0, 0]"),
+        (lambda p: p["summary"].pop("max_abs_err_ln"), "summary lacks ['max_abs_err_ln']"),
+        (
+            lambda p: p["summary"].update(max_abs_err_ln="abc"),
+            "summary field 'max_abs_err_ln' cannot be 'abc'",
+        ),
+        (lambda p: p["summary"].update(failures="many"), "'failures' cannot be 'many'"),
+        (lambda p: p["summary"].update(failures=-1), "'failures' cannot be -1"),
+        (lambda p: p["summary"].update(failures=False), "'failures' cannot be False"),
     ],
 )
 def test_parse_rejects_rows_to_json_cannot_write(cfg, edit, message):
-    # A report is input from outside the program: a row that to_json
-    # could not have written is refused, naming its field, rather than
-    # parsed into a wrongly typed row.
+    # A report is input from outside the program: a row or a summary that
+    # to_json could not have written is refused, naming its field, rather
+    # than parsed into a wrongly typed or out-of-range value.
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_report_json(_payload_with(cfg, edit))
+
+
+@pytest.mark.parametrize("text", ["[]", "[1, 2]", '"report"', "3", "null"])
+def test_parse_rejects_a_report_that_is_not_an_object(text):
+    with pytest.raises(ValueError, match="a report must be an object"):
+        parse_report_json(text)
 
 
 def test_rows_name_their_route(cfg):

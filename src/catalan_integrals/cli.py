@@ -20,14 +20,13 @@ import math
 import sys
 from typing import NoReturn
 
-from .exact import MAX_INDEX, _balanced_product, _catalan_factors, _ln_from_factors
+from .exact import MAX_INDEX, _catalan_digits, ln_exact
 from .kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from .quadrature import QuadConfig
 from .report import _fmt, build_report, to_csv, to_json, to_text
 from .representations import ROUTES, RepresentationResult, compare_representations
 from .series import (
     TERM_BUDGET,
-    SeriesResult,
     glaisher_from_integral,
     stewart_sum_odd_weight,
     stewart_sum_plain,
@@ -40,9 +39,7 @@ _KERNELS = {
     "binet": binet_catalan_kernel,
 }
 
-EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
-EXIT_USAGE = 2
 EXIT_IO = 3
 
 
@@ -68,24 +65,14 @@ def _print_row(row: RepresentationResult) -> None:
 
 def cmd_exact(n: int) -> None:
     """Print C_N exactly (all digits), then ln C_N and its error bound."""
-    # The sum of logs, whose lgamma witness checks the factor exponents
-    # before any digit is printed; ln_exact reads the factors only up to
-    # its crossover.  The digits are multiplied out in the base they are
-    # printed in, with no str(int) and its 4300-digit limit, in a local
-    # context where any rounding raises.  decimal is imported here, not
-    # at the CLI's start-up.
-    import decimal
-
-    ln_c = _ln_from_factors(n)
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        print(_balanced_product(map(decimal.Decimal, _catalan_factors(n))))
+    # Both lgamma witnesses run before anything is printed.  The ln line
+    # is ln_exact(N), the exact_ln of every row.
+    digits = _catalan_digits(n)
+    ln_c = ln_exact(n)
+    print(digits)
     print(f"ln {_fmt(ln_c)}")
-    # The bound _ln_from_factors' docstring proves: a relative 2^-53 of
-    # the sum for the logs of the factors, and half an ulp for its one
-    # rounding.
+    # The bound ln_exact's docstring proves for its sum of logs, which
+    # covers the correctly rounded series as well.
     print(f"ln_error {_fmt(ln_c * 2.0**-53 + 0.5 * math.ulp(ln_c))}")
 
 
@@ -117,15 +104,6 @@ def cmd_verify(
         sys.exit(EXIT_VERIFICATION_FAILED)
 
 
-def _print_series(result: SeriesResult) -> None:
-    print(f"partial_sum     {_fmt(result.partial_sum)}")
-    print(f"terms_used      {result.terms_used}")
-    print(f"tail_bound      {result.tail_bound:.3e}")
-    print(f"certified_value {_fmt(result.certified_value)}")
-    print(f"target          {_fmt(result.target)}")
-    print(f"abs_err         {result.abs_err:.3e}")
-
-
 def cmd_sumrule(which: str, tol: float) -> None:
     """Sum a Catalan series rule with a certified tail and check its target.
 
@@ -137,7 +115,12 @@ def cmd_sumrule(which: str, tol: float) -> None:
         result = rule(tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _print_series(result)
+    print(f"partial_sum     {_fmt(result.partial_sum)}")
+    print(f"terms_used      {result.terms_used}")
+    print(f"tail_bound      {result.tail_bound:.3e}")
+    print(f"certified_value {_fmt(result.certified_value)}")
+    print(f"target          {_fmt(result.target)}")
+    print(f"abs_err         {result.abs_err:.3e}")
     if not result.converged:
         _fail(
             f"term budget exhausted: tail bound {result.tail_bound:.3e} after "

@@ -26,12 +26,12 @@ per n: the sum of logs took 0.62 s and a peak of 32 MB at n = 10^7,
 1.95 s and 71 MB at 3 10^7, and 6.3 s and 204 MB at 10^8 (one Xeon
 core, peak resident size of the whole process).  ``ln_exact`` pays that
 only up to n = 450; above it a call costs 15-100 us at every n, and
-importing ``decimal`` 2.3 ms once.  ``catalan_exact``, and ``exact N``
-on the command line, still sieve, and also multiply out C_n, about 2n
-bits, which grows faster: 0.65 s at 10^6 and 5.7 s at 4 10^6, near
-n^1.6.  Past the limit the sieve alone would need n bytes, 10^12 of
-them at n = 10^12.  The lgamma witness of the exponents holds up to the
-limit too (``_check_against_lgamma``).
+importing ``decimal`` 2.3 ms once.  ``catalan_exact``, and the digits
+of ``exact N`` on the command line, still sieve, and also multiply out
+C_n, about 2n bits, which grows faster: 0.65 s at 10^6 and 5.7 s at
+4 10^6, near n^1.6.  Past the limit the sieve alone would need n bytes,
+10^12 of them at n = 10^12.  The lgamma witness of the exponents holds
+up to the limit too (``_check_against_lgamma``).
 """
 
 from __future__ import annotations
@@ -202,21 +202,18 @@ def catalan_numbers() -> Iterator[int]:
             raise ArithmeticError(f"ratio recurrence left a remainder at n = {k + 1}")
 
 
-def _ln_from_factors(n: int) -> float:
-    """ln C_n as one compensated sum of the logs of its prime factors.
+def _catalan_digits(n: int) -> str:
+    """The decimal digits of C_n, multiplied out as Decimals in a context
+    where any rounding raises (str(int) would stop at 4300 digits), and
+    checked against lgamma: their leading 17 and their count give ln C_n."""
+    _check_index(n)
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 
-    C_n is never built: the factors from ``_catalan_factors`` are
-    integers of at most 2n, and ``math.fsum`` adds their logs exactly
-    and rounds once.  Each log is positive and rounded to a relative
-    2^-53, so the errors of all terms add up to at most a relative
-    2^-53 of the sum, and the result lies within 1 ulp of ln C_n.
-    Checked against lgamma, which witnesses the exponents of the
-    factors for ``ln_exact`` up to the crossover and for ``exact N``
-    at every N.
-    """
-    ln_c = math.fsum(map(math.log, _catalan_factors(n)))
+    with localcontext(Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+        digits = str(_balanced_product(map(Decimal, _catalan_factors(n))))
+    ln_c = math.log(int(digits[:17])) + math.log(10.0) * max(len(digits) - 17, 0)
     _check_against_lgamma(n, ln_c)
-    return ln_c
+    return digits
 
 
 def _ln_stirling(n: int) -> float:
@@ -293,9 +290,12 @@ def ln_exact(n: int) -> float:
     """ln C_n as a double, for every n up to MAX_INDEX.
 
     Two paths, chosen by n.  Up to the crossover ``_SIEVE_MAX`` = 450,
-    the compensated sum of the logs of the prime factors of C_n
-    (``_ln_from_factors``), within 1 ulp of ln C_n: one byte of sieve
-    and about 62 ns per n, 35-85 us a call at n = 300..450.  Above it,
+    one compensated sum of the logs of the prime factors of C_n, with no
+    C_n built: 62 ns and one byte of sieve per n, 35-85 us a call at
+    n = 300..450.  The factors are integers of at most 2n, and
+    ``math.fsum`` adds their logs exactly and rounds once; each log is
+    positive and within a relative 2^-53, so their errors add up to at
+    most a relative 2^-53 of the sum, within 1 ulp of ln C_n.  Above it,
     Stirling's series in decimal (``_ln_stirling``), correctly rounded:
     15-100 us a call at every n up to MAX_INDEX, most of it in one
     decimal ln, and 2.3 ms once to import decimal (2-vCPU Xeon host,
@@ -313,7 +313,9 @@ def ln_exact(n: int) -> float:
     """
     _check_index(n)
     if n <= _SIEVE_MAX:
-        return _ln_from_factors(n)
+        ln_c = math.fsum(map(math.log, _catalan_factors(n)))
+        _check_against_lgamma(n, ln_c)
+        return ln_c
     ln_c = _ln_stirling(n)
     _check_against_lgamma(n, ln_c, "Stirling's series for ln C_n")
     return ln_c

@@ -41,7 +41,7 @@ import math
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .exact import _check_index
+from .exact import _STIRLING, _check_index
 from .quadrature import _EPS, _UFLOW, TailBound
 
 __all__ = [
@@ -55,19 +55,11 @@ __all__ = [
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Stirling coefficients B_{2k} / (2k (2k-1)) for k = 1..7, of the
-# inverse odd powers z^-1 .. z^-13.
-_STIRLING_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
+# inverse odd powers z^-1 .. z^-13, each correctly rounded.
+_STIRLING_COEFFS = tuple(num / den for num, den in _STIRLING[:7])
 _STIRLING_SHIFT = 10.0
 # |B_16| / (16 * 15), the coefficient of z^-15, the first omitted term.
-_STIRLING_NEXT = 3617.0 / (510.0 * 240.0)
+_STIRLING_NEXT = -_STIRLING[7][0] / _STIRLING[7][1]
 
 
 def _binet_theta(x: float) -> tuple[float, float]:

@@ -79,13 +79,9 @@ def build_report(
 ) -> Report:
     """Assemble a Report; a row fails if it did not converge or its
     abs_err_ln exceeds ``err_threshold``."""
-    failures = sum(
-        1
-        for r in rows
-        if not r.converged or not (r.abs_err_ln <= err_threshold)
-    )
-    converged_errs = [r.abs_err_ln for r in rows if r.converged]
-    max_err = max(converged_errs) if converged_errs else 0.0
+    # A NaN error fails the comparison, and so the row.
+    failures = sum(not (r.converged and r.abs_err_ln <= err_threshold) for r in rows)
+    max_err = max((r.abs_err_ln for r in rows if r.converged), default=0.0)
     return Report(
         schema_version=SCHEMA_VERSION,
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
@@ -152,6 +148,7 @@ def to_json(report: Report) -> str:
 
 _ROUTES_BY_VALUE = {route.value: route for route in ROUTES}
 _ROW_KEYS = frozenset(ROW_FIELDS)
+_CONFIG_KEYS = frozenset((*QuadConfig._fields, "err_threshold"))
 # A parsed row's values have exactly the types of RepresentationResult.
 _ROW_TYPES = tuple(get_type_hints(RepresentationResult).values())
 
@@ -202,8 +199,10 @@ def parse_report_json(text: str) -> Report:
 
     Raises ValueError, naming the value or field, on a report that is not
     a JSON object, a ``schema_version`` other than ``SCHEMA_VERSION``, a
-    missing top-level key, a ``generated_at`` that is not a string, a
-    ``config`` that is not an object, ``rows`` that is not a list, a row
+    missing or unknown top-level key, a ``generated_at`` that is not a
+    string, a ``config`` that is not an object, lacks or adds a field, or
+    holds values ``QuadConfig`` refuses or an ``err_threshold`` that is
+    not a finite number >= 0, ``rows`` that is not a list, a row
     whose keys are not ``ROW_FIELDS``, whose field has the wrong JSON
     type or whose ``n`` lies outside 0..MAX_INDEX, an unknown ``method``,
     and a ``summary`` that is not an object, lacks a field, or holds a
@@ -215,6 +214,8 @@ def parse_report_json(text: str) -> Report:
         raise ValueError(f"a report must be an object, got {type(payload).__name__}")
     if missing := set(Report._fields) - payload.keys():
         raise ValueError(f"report lacks {sorted(missing)}")
+    if unknown := payload.keys() - set(Report._fields):
+        raise ValueError(f"report has unknown keys {sorted(unknown)}")
     schema = payload["schema_version"]
     if schema != SCHEMA_VERSION:
         raise ValueError(
@@ -227,10 +228,21 @@ def parse_report_json(text: str) -> Report:
     ):
         if type(payload[key]) is not kind:
             raise ValueError(f"{key} must be {name}, got {payload[key]!r}")
+    config = payload["config"]
+    if config.keys() != _CONFIG_KEYS:
+        raise ValueError(f"config keys differ in {sorted(config.keys() ^ _CONFIG_KEYS)}")
+    quad = {field: config[field] for field in QuadConfig._fields}
+    try:
+        QuadConfig(**quad)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config fields {quad} are refused: {exc}") from None
+    threshold = config["err_threshold"]
+    if type(threshold) not in (int, float) or not 0 <= threshold < math.inf:
+        raise ValueError(f"config field 'err_threshold' cannot be {threshold!r}")
     return Report(
         schema_version=schema,
         generated_at=payload["generated_at"],
-        config=payload["config"],
+        config=config,
         rows=tuple(map(_parse_row, payload["rows"])),
         summary=_summary(payload["summary"]),
     )

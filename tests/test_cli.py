@@ -50,11 +50,13 @@ def test_exact_prints_digits_then_log():
     assert abs(float(lines[1].split()[1]) - math.log(5.0)) <= 1e-15
 
 
-def test_exact_log_is_the_one_rep_prints():
+@pytest.mark.parametrize("n", [29, 478, 549, 100_000])
+def test_exact_log_is_the_one_rep_prints(n):
     # ``exact`` prints ln_exact(n), the exact_ln of every row: at n = 29
-    # the log of the integer itself is 1 ulp away from it.
-    exact_line = invoke(main, ["exact", "29"]).output.splitlines()[1]
-    rep = invoke(main, ["rep", "gamma", "29"]).output
+    # the log of the integer itself is 1 ulp away from it, and at 478
+    # and 549, above ln_exact's crossover, so is the sum of logs.
+    exact_line = invoke(main, ["exact", str(n)]).output.splitlines()[1]
+    rep = invoke(main, ["rep", "gamma", str(n)]).output
     assert exact_line == "ln " + re.search(r"exact_ln=(\S+)", rep).group(1)
 
 
@@ -94,6 +96,15 @@ def test_exact_checks_the_factors_before_printing(monkeypatch, capsys):
     monkeypatch.setattr(exact, "_check_against_lgamma", fail)
     with pytest.raises(ArithmeticError):
         main(["exact", "5"])
+    assert capsys.readouterr().out == ""
+
+
+def test_exact_checks_ln_exact_before_printing(monkeypatch, capsys):
+    # Above the crossover the digits pass their witness, and the ln line
+    # still has its own, which runs before the digits are printed.
+    monkeypatch.setattr(exact, "_ln_stirling", lambda n: 0.0)
+    with pytest.raises(ArithmeticError, match="Stirling's series for ln C_n disagrees"):
+        main(["exact", "1000"])
     assert capsys.readouterr().out == ""
 
 

@@ -206,11 +206,10 @@ def _ln_catalan_mpmath(n):
 def test_ln_exact_matches_mpmath_loggamma():
     # One compensated sum of positive logs, each of an integer <= 2n,
     # stays within 1 ulp; the log of the top bits of C_n did not
-    # (1.22 ulp at n = 88).  ln_exact takes it up to its crossover, and
-    # `exact N` at every N.
+    # (1.22 ulp at n = 88).  ln_exact is that sum up to its crossover.
     for n in (*range(2, 2001), 3162, 10**4, 31_623, 10**5, 316_228, 10**6):
         truth = _ln_catalan_mpmath(n)
-        ln_c = exact._ln_from_factors(n)
+        ln_c = math.fsum(map(math.log, exact._catalan_factors(n)))
         assert abs(mpmath.mpf(ln_c) - truth) <= math.ulp(float(truth)), n
         if n <= exact._SIEVE_MAX:
             assert ln_exact(n) == ln_c, n
@@ -377,7 +376,8 @@ def test_wrong_exponent_raises_under_python_O():
     # One extra factor 2 moves ln C_50 from 62.85 to 63.55.  The lgamma
     # witness must catch it even under -O, which strips assert statements:
     # in ln_exact below its crossover, and in `exact N` above it, where
-    # ln_exact no longer reads the factors that `exact N` multiplies out.
+    # ln_exact no longer reads the factors and the witness checks the
+    # digits that `exact N` multiplies out.
     package_root = os.path.dirname(os.path.dirname(exact.__file__))
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p

@@ -93,6 +93,15 @@ def test_stirling_coefficients_are_rounded_bernoulli_ratios():
     assert _STIRLING_COEFFS == tuple(float(r) for r in ratios[:7])
     assert _STIRLING_NEXT == float(abs(ratios[7]))
     assert _STIRLING == tuple((r.numerator, r.denominator) for r in ratios)
+    # binet_core's branch below t = 0.2 sums B_2k t^(2k - 1) / (2k)!
+    # = c_k t^(2k - 1) / (2k - 2)!, k = 1..4, with c_k from the same table.
+    taylor = [
+        Fraction(num, den) / math.factorial(2 * k - 2)
+        for k, (num, den) in enumerate(_STIRLING[:4], 1)
+    ]
+    for t in (1e-300, 1e-8, 0.01, 0.05, 0.1, 0.15, 0.19, 0.1999):
+        poly = sum(c * Fraction(t) ** (2 * k - 1) for k, c in enumerate(taylor, 1))
+        assert abs(binet_core(t) - poly) <= 2 * math.ulp(float(poly)), t
 
 
 # Log-spaced from 0.05 to 50, with the edges of the series regime.

@@ -326,6 +326,24 @@ def _payload_with(cfg, edit):
         (lambda p: p["rows"][0].update(n=MAX_INDEX + 1), f"'n' cannot be {MAX_INDEX + 1}"),
         (lambda p: p.update(generated_at=5), "generated_at must be a string, got 5"),
         (lambda p: p.update(config=[1e-12]), "config must be an object, got [1e-12]"),
+        (lambda p: p.update(extra=1), "report has unknown keys ['extra']"),
+        (
+            lambda p: p.update(config={"x": "y"}),
+            "config keys differ in ['abs_tol', 'err_threshold', 'max_subdivisions', "
+            "'rel_tol', 'x']",
+        ),
+        (lambda p: p["config"].pop("err_threshold"), "config keys differ in ['err_threshold']"),
+        (lambda p: p["config"].update(abs_tol=-1.0), "'abs_tol': -1.0, 'rel_tol'"),
+        (lambda p: p["config"].update(rel_tol="y"), "'rel_tol': 'y', 'max_subdivisions'"),
+        (lambda p: p["config"].update(max_subdivisions=2.5), "'max_subdivisions': 2.5}"),
+        (
+            lambda p: p["config"].update(abs_tol=0.0, rel_tol=0.0),
+            "at least one tolerance must be positive",
+        ),
+        (lambda p: p["config"].update(err_threshold=-1.0), "'err_threshold' cannot be -1.0"),
+        (lambda p: p["config"].update(err_threshold=True), "'err_threshold' cannot be True"),
+        (lambda p: p["config"].update(err_threshold="0"), "'err_threshold' cannot be '0'"),
+        (lambda p: p["config"].update(err_threshold=None), "'err_threshold' cannot be None"),
         (lambda p: p.update(summary=[0.0, 0]), "summary must be an object, got [0.0, 0]"),
         (lambda p: p["summary"].pop("max_abs_err_ln"), "summary lacks ['max_abs_err_ln']"),
         (

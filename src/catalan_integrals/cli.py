@@ -71,9 +71,8 @@ def cmd_exact(n: int) -> None:
     ln_c = ln_exact(n)
     print(digits)
     print(f"ln {_fmt(ln_c)}")
-    # The bound ln_exact's docstring proves for its sum of logs, which
-    # covers the correctly rounded series as well.
-    print(f"ln_error {_fmt(ln_c * 2.0**-53 + 0.5 * math.ulp(ln_c))}")
+    # ln_exact rounds correctly, so it errs by at most half an ulp.
+    print(f"ln_error {_fmt(0.5 * math.ulp(ln_c))}")
 
 
 def cmd_rep(method: str, n: int, tol: float, config: QuadConfig) -> None:

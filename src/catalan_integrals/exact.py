@@ -1,16 +1,15 @@
-"""Exact integer Catalan numbers, and ln C_n from their prime
-factorisation or from Stirling's series.
+"""Exact integer Catalan numbers, and ln C_n correctly rounded.
 
 C_n = (2n)! / (n! (n + 1)!) is factorised exactly, read off an odd-only
 sieve up to 2n:
 
 * ``catalan_exact``    -- C_n as the balanced product of its factors,
   with no big-integer division
-* ``ln_exact``         -- ln C_n as a double, valid far past the range
-  where C_n fits in one, without ever building C_n: up to n = 450 one
-  compensated sum of the logs of those factors, within 1 ulp; above it
-  Stirling's series in ``decimal``, correctly rounded by Ziv's test, in
-  O(1)
+* ``ln_exact``         -- ln C_n as a correctly rounded double, valid far
+  past the range where C_n fits in one: one fixed-point evaluation in
+  Python integers, of the log of the exact C_n up to n = 200 and of
+  Stirling's series above it, rounded once by Ziv's test, in O(1) above
+  the crossover; it needs no sieve
 * ``catalan_numbers``  -- C_0, C_1, ... streamed by the exact ratio
   recurrence
 * ``CatalanTable``     -- prefix table of that stream, and the package's
@@ -21,17 +20,13 @@ sieve up to 2n:
 = 10^8 and raise ``ValueError`` past it, before any work, as does every
 function of the package that takes a Catalan index: each row is checked
 against ``ln_exact``, and no route is vouched for past it.
-The sieve up to 2n holds n bytes, and a pass over it costs about 62 ns
-per n: the sum of logs took 0.62 s and a peak of 32 MB at n = 10^7,
-1.95 s and 71 MB at 3 10^7, and 6.3 s and 204 MB at 10^8 (one Xeon
-core, peak resident size of the whole process).  ``ln_exact`` pays that
-only up to n = 450; above it a call costs 15-100 us at every n, and
-importing ``decimal`` 2.3 ms once.  ``catalan_exact``, and the digits
-of ``exact N`` on the command line, still sieve, and also multiply out
-C_n, about 2n bits, which grows faster: 0.65 s at 10^6 and 5.7 s at
-4 10^6, near n^1.6.  Past the limit the sieve alone would need n bytes,
-10^12 of them at n = 10^12.  The lgamma witness of the exponents holds
-up to the limit too (``_check_against_lgamma``).
+``ln_exact`` costs 3-31 us a call at every n up to the limit.
+``catalan_exact``, and the digits of ``exact N`` on the command line,
+sieve up to 2n, which holds n bytes and costs about 62 ns per n, and
+multiply out C_n, about 2n bits, which grows faster: 0.65 s at 10^6 and
+5.7 s at 4 10^6, near n^1.6.  Past the limit the sieve alone would need
+n bytes, 10^12 of them at n = 10^12.  The lgamma witness of the
+exponents holds up to the limit too (``_check_against_lgamma``).
 """
 
 from __future__ import annotations
@@ -55,19 +50,17 @@ _LN_PI = math.log(math.pi)
 # takes a Catalan index, accept (module docstring).
 MAX_INDEX = 10**8
 
-# ln_exact sieves up to this n and sums Stirling's series above it
-# (ln_exact's docstring gives the measurement).
-_SIEVE_MAX = 450
-# The precisions, in decimal digits, of _ln_stirling's Ziv loop.
-_ZIV_PRECISIONS = (40, 80)
-# ln 2 and ln pi to 100 decimals, correctly rounded.
-_LN2_DIGITS = (
-    "0.69314718055994530941723212145817656807"
-    "55001343602552541206800094933936219696947156058633269964186875"
-)
-_LN_PI_DIGITS = (
-    "1.14472988584940017414342735135305871164"
-    "72948129153115715136230714721377698848260797836232702754897077"
+# ln_exact takes the log of the exact C_n up to this n and sums Stirling's
+# series above it (ln_exact's docstring gives the measurement).
+_COMB_MAX = 200
+# The bits of ln_exact's first pass; a second pass, if needed, doubles them.
+_PRECISION = 160
+# round(2^320 ln 2) and round(2^320 ln pi), which serve every pass up to
+# 320 = 2 _PRECISION bits.
+_FIXED_BITS = 320
+_LN2_FIXED, _LN_PI_FIXED = (
+    0xB17217F7D1CF79ABC9E3B39803F2F6AF40F343267298B62D8A0D175B8BAAFA2BE7B876206DEBAC98,
+    0x1250D048E7A1BD0BD5F956C6A843F49985E6DDBF3B3F2606E33802ECAEFA9308E5AA6C4DF523160E7,
 )
 # Stirling's coefficients B_2k / (2k (2k - 1)), k = 1..17, in lowest terms.
 _STIRLING = (
@@ -166,9 +159,9 @@ def _check_against_lgamma(
 ) -> None:
     """Witness for the exponents: one wrong exponent moves ln C_n by at
     least ln 2, outside the 1e-9 (1 + ln C_n) tolerance for every
-    n <= MAX_INDEX = 10^8, where that tolerance is below 0.14.  On the
-    Stirling path it catches a gross slip in the series or its
-    constants within the same tolerance; ``source`` names the path."""
+    n <= MAX_INDEX = 10^8, where that tolerance is below 0.14.  In
+    ``ln_exact`` it catches a gross slip in the fixed-point arithmetic or
+    its constants within the same tolerance; ``source`` names the path."""
     via_lgamma = math.lgamma(2 * n + 1) - math.lgamma(n + 1) - math.lgamma(n + 2)
     if not abs(ln_c - via_lgamma) <= 1e-9 * (1.0 + via_lgamma):
         raise ArithmeticError(f"{source} disagrees with lgamma at n = {n}")
@@ -216,109 +209,119 @@ def _catalan_digits(n: int) -> str:
     return digits
 
 
-def _ln_stirling(n: int) -> float:
-    """ln C_n correctly rounded, for n > _SIEVE_MAX, from Stirling's series.
-
-    With ln Gamma(x + 1) = x ln x - x + ln(2 pi x)/2 + S(x) and
-    S(x) = sum_k c_k / x^(2k - 1), c_k = B_2k / (2k (2k - 1)) in
-    ``_STIRLING``, the three factorials of C_n leave
-
-        ln C_n = 2n ln 2 - ln(pi n (n + 1)^2) / 2 + S(2n) - 2 S(n),
-
-    and S(2n) - 2 S(n) = sum_k t_k, t_k = c_k (1 - 4^k) / (2n)^(2k - 1).
-    It is evaluated in a local decimal context of p digits, p from
-    ``_ZIV_PRECISIONS``, and enclosed:
-
-    * Truncation.  For x > 0 the remainder of S after K terms has the
-      sign of c_(K+1) and at most its size, |c_(K+1)| / x^(2K+1)
-      (DLMF 5.11.ii), so that of S(2n) - 2 S(n) is at most
-      2 |c_(K+1)| / n^(2K+1) = |t_(K+1)| / (1 - 2^-(2K+2)), below
-      2 |t_(K+1)| with its rounding.  The sum stops at the first t_k
-      with 2 |t_k| <= ``bound``, or at the last coefficient, and counts
-      2 |t_k|.
-    * Rounding.  Each operation rounds to nearest, within u = 5 10^-p
-      of its result; Decimal(int) is exact, and the literals lie within
-      10^-100 of ln 2 and ln pi.  With a = 2n ln 2 and
-      L = ln(n (n + 1)^2) < 56, the product 2n ln 2 errs by u a; ln m,
-      its sum with ln pi and the halving by u (1.5 L + 1.2) in all; the
-      subtraction and the addition of the series by u a each; the
-      series' own roundings, of terms whose sizes sum to below 1/(7n),
-      by under u; and each end of the enclosure by 1.01 u a.  That is
-      u (4.01 a + 1.5 L + 2.2), below 4.15 u a = 28.8 n 10^-p for
-      n > 450, and the literals add under 10^-91.  So
-      ``bound`` = 40 n 10^-p covers the rounding up to p = 80.
-
-    Ziv's rounding test (Ziv, ACM TOMS 17, 1991): float() rounds a
-    Decimal correctly, so when both ends of value +- (bound + 2 |t_k|)
-    give the same double, ln C_n gives it too.  Otherwise the precision
-    doubles.  For n >= 2, ln C_n is the log of an integer above 1, so it
-    is transcendental (Lindemann) and lies on no midpoint between two
-    doubles: some precision decides.  At 40 digits the enclosure is
-    within 6e-39 of ln C_n, relatively, so a second pass is needed with
-    a chance of about 1e-22 per n; at 80 digits, which the coefficients
-    and literals cover for every n > 450, within 6e-79.  A ln C_n that
-    close to a midpoint raises ArithmeticError rather than return a
-    double that is not proved.
-    """
-    import decimal
-
-    m = n * (n + 1) ** 2
-    for prec in _ZIV_PRECISIONS:
-        context = decimal.Context(prec=prec, rounding=decimal.ROUND_HALF_EVEN)
-        with decimal.localcontext(context):
-            bound = decimal.Decimal(40 * n).scaleb(-prec)
-            series = decimal.Decimal(0)
-            power = 2 * n  # (2n)^(2k - 1)
-            for k, (num, den) in enumerate(_STIRLING, 1):
-                term = decimal.Decimal(num * (1 - 4**k)) / (den * power)
-                if 2 * abs(term) <= bound or k == len(_STIRLING):
-                    break
-                series += term
-                power *= 4 * n * n
-            half = (decimal.Decimal(_LN_PI_DIGITS) + decimal.Decimal(m).ln()) / 2
-            value = decimal.Decimal(_LN2_DIGITS) * (2 * n) - half + series
-            width = bound + 2 * abs(term)
-            lo, hi = float(value - width), float(value + width)
-        if lo == hi:
-            return lo
-    raise ArithmeticError(
-        f"ln C_n at n = {n} is not proved to round to one double at {prec} digits"
-    )
+def _fixed_log(m: int, p: int) -> int:
+    """2^p ln m, for an integer m >= 1, as k 2^p ln 2 + 2^(p+1) atanh(x),
+    x = (m - 2^k) / (m + 2^k); ``ln_exact``'s docstring bounds its error."""
+    k = (m + (m >> 1)).bit_length() - 1  # m / 2^k in [2/3, 3/2], so |x| < 1/5
+    r, s = m - (1 << k), m + (1 << k)
+    y = (abs(r) << p) // s
+    y2 = y * y >> p
+    total, term, j = 0, y, 1
+    while term:
+        total += term // j
+        term = term * y2 >> p
+        j += 2
+    return (k * _LN2_FIXED >> (_FIXED_BITS - p)) + (2 * total if r >= 0 else -2 * total)
 
 
 def ln_exact(n: int) -> float:
-    """ln C_n as a double, for every n up to MAX_INDEX.
+    """ln C_n as a double, correctly rounded, for every n up to MAX_INDEX.
 
-    Two paths, chosen by n.  Up to the crossover ``_SIEVE_MAX`` = 450,
-    one compensated sum of the logs of the prime factors of C_n, with no
-    C_n built: 62 ns and one byte of sieve per n, 35-85 us a call at
-    n = 300..450.  The factors are integers of at most 2n, and
-    ``math.fsum`` adds their logs exactly and rounds once; each log is
-    positive and within a relative 2^-53, so their errors add up to at
-    most a relative 2^-53 of the sum, within 1 ulp of ln C_n.  Above it,
-    Stirling's series in decimal (``_ln_stirling``), correctly rounded:
-    15-100 us a call at every n up to MAX_INDEX, most of it in one
-    decimal ln, and 2.3 ms once to import decimal (2-vCPU Xeon host,
-    whose speed varied by up to 2x between runs).  The crossover is
-    where the two costs meet: over bands of 50 n from 300 to 750, 30
-    random n each, the median call on one Xeon core was cheaper by the
-    sieve up to n = 450 and by the series from there on.
+    C_0 = C_1 = 1.  For n >= 2 it computes an integer V with
+    |V - 2^p ln C_n| <= E at p = ``_PRECISION`` = 160 bits, and rounds
+    once.  One fixed-point log serves it: ``_fixed_log`` writes
+    ln m = k ln 2 + 2 atanh(x), x = (m - 2^k) / (m + 2^k), with k chosen
+    so that m / 2^k lies in [2/3, 3/2] and |x| < 1/5, and sums
+    atanh(x) = sum_i x^(2i+1) / (2i + 1).  Which m depends on n:
 
-    Both paths are checked against lgamma.  Above the crossover the
-    value no longer comes from the factorisation: the gamma route is
-    then checked against a higher-precision evaluation of the same
-    asymptotic series that it sums in doubles, and only the integral
-    routes (Malmsten, Binet and both Penson forms) stay independent of
-    it.  Raises ValueError past MAX_INDEX.
+    * Up to the crossover ``_COMB_MAX`` = 200, the exact integer
+      C_n = ``math.comb(2n, n) // (n + 1)``.
+    * Above it, Stirling's series.  With ln Gamma(x + 1) = x ln x - x
+      + ln(2 pi x)/2 + S(x) and S(x) = sum_k c_k / x^(2k - 1),
+      c_k = B_2k / (2k (2k - 1)) in ``_STIRLING``, the three factorials
+      of C_n leave
+
+          ln C_n = 2n ln 2 - ln(pi n (n + 1)^2) / 2 + S(2n) - 2 S(n),
+
+      and S(2n) - 2 S(n) = sum_k t_k, t_k = c_k (1 - 4^k) / (2n)^(2k - 1),
+      each term an integer quotient.  So m = n (n + 1)^2, below 2^80.
+
+    The error, in units of 2^-p for any p <= 320.  Python's // and >>
+    floor, so each division or shift errs by under 1.  ``_LN2_FIXED``
+    and ``_LN_PI_FIXED`` lie within 1/2 of 2^320 ln 2 and 2^320 ln pi,
+    so (a ``_LN2_FIXED``) >> (320 - p) lies within 1 + a/2 of
+    2^p a ln 2 for an integer a >= 0.
+
+    * atanh.  u_0 = floor(2^p |x|), y2 = u_0^2 >> p and
+      u_(i+1) = u_i y2 >> p, summed as u_i // (2i + 1) until u_J = 0.
+      With T_i = 2^p |x|^(2i+1) and q = 2^p x^2: y2 > q - 1 - 2|x|, and
+      by induction 0 <= T_i - u_i < 1 + 1.4 x^2 + 1.4 |x|^(2i+1) < 1.4.
+      So each summed term errs by under 1 + 1.4 = 2.4, and the tail by
+      under T_J / ((2J + 1)(1 - x^2)) < 1.05, as T_0 < 1 and T_J < 1.4.
+      T_i < 2^p 5^-(2i+1) gives J <= p / 4.64 + 0.5, so 2^(p+1) atanh(x)
+      is within 4.8 J + 2.1 <= 1.04 p + 5.
+    * Up to the crossover, C_n < 4^n, so k <= 2n and V is within
+      1 + n + 1.04 p + 5 of 2^p ln C_n.
+    * Above it, 4n ln 2 - ln pi comes from one shift, within
+      1 + (4n + 1)/2; ln m, with k <= 80, within 41 + 1.04 p + 5; their
+      difference is halved by one shift, under 1 more.  Each of at most
+      16 summed t_k errs by under 1.  The sum stops before the first t_k
+      with |t_k| <= 1, or before the last coefficient, and the rest of
+      the series is below 2 |t_k| + 2: the remainder of S after K terms
+      has the sign of c_(K+1) and at most its size (DLMF 5.11.ii), so
+      that of S(2n) - 2 S(n) is at most 2 |c_(K+1)| / n^(2K+1) =
+      |t_(K+1)| / (1 - 2^-(2K+2)), and the computed t_k is within 1.
+      In all, n + 0.52 p + 43 + 2 |t_k|.
+
+    So E = n + 2p + 64 + 2 |t_k| (t_k = 0 up to the crossover) holds V
+    on both paths.  Ziv's rounding test (Ziv, ACM TOMS 17, 1991): int /
+    int rounds correctly in CPython, so when (V - E) / 2^p and
+    (V + E) / 2^p give the same double, ln C_n gives it too.  Otherwise
+    p doubles, once.  For n >= 2, ln C_n is the log of an integer above
+    1, so it is transcendental (Lindemann) and lies on no midpoint
+    between two doubles: some precision, with enough terms of the
+    series, decides.  At 160 bits the enclosure is within 4e-46 of
+    ln C_n, relatively, so a second pass is needed with a chance of
+    about 1e-29 per n; at 320 bits within 6e-70, the worst at n = 201,
+    where the last coefficient's term dominates.  A ln C_n that close
+    to a midpoint raises ArithmeticError rather than return a double
+    that is not proved.
+
+    Cost, on a 2-vCPU x86_64 host with Python 3.11 whose speed varied by
+    up to 2x between runs: 3-31 us a call up to the crossover, growing
+    with n as ``math.comb`` does, and 10-30 us above it at every n up to
+    MAX_INDEX, the lgamma witness included.  The crossover is where the
+    two costs meet: over bands of 20 n from 140 to 260, 15 random n
+    each, the median call was cheaper by the exact C_n below n = 200
+    and by the series from there on.
+
+    The value is checked against lgamma, a witness for gross slips.
+    Above the crossover it no longer comes from C_n itself: the gamma
+    route is then checked against a higher-precision evaluation of the
+    same asymptotic series that it sums in doubles, and only the
+    integral routes (Malmsten, Binet and both Penson forms) stay
+    independent of it.  Raises ValueError past MAX_INDEX.
     """
     _check_index(n)
-    if n <= _SIEVE_MAX:
-        ln_c = math.fsum(map(math.log, _catalan_factors(n)))
-        _check_against_lgamma(n, ln_c)
-        return ln_c
-    ln_c = _ln_stirling(n)
-    _check_against_lgamma(n, ln_c, "Stirling's series for ln C_n")
-    return ln_c
+    if n < 2:
+        return 0.0
+    m = math.comb(2 * n, n) // (n + 1) if n <= _COMB_MAX else n * (n + 1) ** 2
+    for p in (_PRECISION, 2 * _PRECISION):
+        value, term = _fixed_log(m, p), 0
+        if n > _COMB_MAX:
+            twice = (4 * n * _LN2_FIXED - _LN_PI_FIXED) >> (_FIXED_BITS - p)
+            value = (twice - value) >> 1
+            for k, (num, den) in enumerate(_STIRLING, 1):
+                term = (num * (1 - 4**k) << p) // (den * (2 * n) ** (2 * k - 1))
+                if abs(term) <= 1 or k == len(_STIRLING):
+                    break
+                value += term
+        error = n + 2 * p + 64 + 2 * abs(term)
+        lo, hi = (value - error) / (1 << p), (value + error) / (1 << p)
+        if lo == hi:
+            _check_against_lgamma(n, lo, "fixed-point ln C_n")
+            return lo
+    raise ArithmeticError(f"ln C_{n} is not proved to round to one double at {p} bits")
 
 
 class CatalanTable:

@@ -83,14 +83,16 @@ class QuadConfig(_QuadConfigFields):
 
     Convergence target is max(abs_tol, rel_tol * |value|); both
     tolerances must be finite and nonnegative, and at least one positive,
-    and max_subdivisions an int >= 1.  An infinite tolerance would accept
-    any first estimate as converged.
+    and max_subdivisions an int >= 1; no field may be a bool.  An
+    infinite tolerance would accept any first estimate as converged.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> QuadConfig:
         self = super().__new__(cls, *args, **kwargs)
+        if bool in map(type, self):  # True and False would pass every check as 1 and 0
+            raise ValueError(f"no field may be a bool, got {self!r}")
         # The comparisons are False for NaN as well.
         if not (0 <= self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
             raise ValueError("tolerances must be finite and nonnegative")

@@ -216,9 +216,12 @@ def _gamma_closed_form(n: int, config: QuadConfig) -> _Estimate:
     Quadrature-free, and so the cheapest route at every n.  The bounds
     of the two theta values (``kernels._binet_theta``) take the place of
     a quadrature estimate in ``_assemble``.  ``config`` is not used.
-    Above ``ln_exact``'s crossover its reference sums the same Stirling
-    series in decimal, so there this row checks the doubles' arithmetic
-    and bounds, not the series itself.
+    Up to ``ln_exact``'s crossover (n = 200) its reference is the log of
+    the exact C_n, independent of this route.  Above it the reference
+    sums the same Stirling series, from the same ``exact._STIRLING``, in
+    integer fixed point, so there this row checks the doubles'
+    arithmetic and bounds, not the series itself.  The four integral
+    routes stay independent of the reference at every n.
     """
     _check_index(n)
     theta_a, bound_a = _binet_theta(n + 0.5)

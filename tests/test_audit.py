@@ -13,7 +13,7 @@ import random
 import mpmath
 
 from catalan_integrals import quadrature
-from catalan_integrals.exact import MAX_INDEX, _SIEVE_MAX
+from catalan_integrals.exact import MAX_INDEX
 from catalan_integrals.quadrature import QuadConfig
 from catalan_integrals.representations import (
     ROUTES,
@@ -65,12 +65,8 @@ def test_no_route_is_dishonest_on_random_draws(monkeypatch):
             starting_panels.clear()
             row = route(n, config)  # no route may raise
             where = f"{route!r} at n = {n}, {config}"
-            # The reference column: correctly rounded above the crossover,
-            # within 1 ulp below it.
-            if n > _SIEVE_MAX:
-                assert row.exact_ln == float(truth), where
-            else:
-                assert abs(ctx.mpf(row.exact_ln) - truth) <= math.ulp(row.exact_ln), where
+            # The reference column is correctly rounded at every n.
+            assert row.exact_ln == float(truth), where
             if route is catalan_penson_moment:
                 budget = PANEL + 2 * PANEL * config.max_subdivisions
             else:

@@ -54,21 +54,24 @@ def test_exact_prints_digits_then_log():
 def test_exact_log_is_the_one_rep_prints(n):
     # ``exact`` prints ln_exact(n), the exact_ln of every row: at n = 29
     # the log of the integer itself is 1 ulp away from it, and at 478
-    # and 549, above ln_exact's crossover, so is the sum of logs.
+    # and 549 so is the sum of the logs of the prime factors.
     exact_line = invoke(main, ["exact", str(n)]).output.splitlines()[1]
     rep = invoke(main, ["rep", "gamma", str(n)]).output
     assert exact_line == "ln " + re.search(r"exact_ln=(\S+)", rep).group(1)
 
 
-@pytest.mark.parametrize("n", [3, 29, 100_000])
+@pytest.mark.parametrize("n", [3, 29, 256, 100_000])
 def test_exact_prints_a_bar_that_covers_the_error(n):
+    # ln is correctly rounded, so its bar is half an ulp.  At n = 29 and
+    # 256 a sum of the logs of the prime factors is 1 ulp off.
     lines = invoke(main, ["exact", str(n)]).output.splitlines()
     assert lines[2].startswith("ln_error ")
     ln_c, bar = float(lines[1].split()[1]), float(lines[2].split()[1])
     with mp.workdps(40):
         exact = mp.loggamma(2 * n + 1) - mp.loggamma(n + 1) - mp.loggamma(n + 2)
+        assert ln_c == float(exact)
         assert abs(mp.mpf(ln_c) - exact) <= bar
-    assert bar <= 2.0 * math.ulp(ln_c)
+    assert bar == 0.5 * math.ulp(ln_c)
 
 
 def test_exact_edge_and_larger_values():
@@ -100,10 +103,11 @@ def test_exact_checks_the_factors_before_printing(monkeypatch, capsys):
 
 
 def test_exact_checks_ln_exact_before_printing(monkeypatch, capsys):
-    # Above the crossover the digits pass their witness, and the ln line
-    # still has its own, which runs before the digits are printed.
-    monkeypatch.setattr(exact, "_ln_stirling", lambda n: 0.0)
-    with pytest.raises(ArithmeticError, match="Stirling's series for ln C_n disagrees"):
+    # The digits pass their witness, and the ln line still has its own,
+    # which runs before the digits are printed: a fixed-point log that
+    # returns 0 moves ln C_1000 by ln(1000 * 1001^2) / 2.
+    monkeypatch.setattr(exact, "_fixed_log", lambda m, p: 0)
+    with pytest.raises(ArithmeticError, match="fixed-point ln C_n disagrees"):
         main(["exact", "1000"])
     assert capsys.readouterr().out == ""
 
@@ -141,8 +145,8 @@ def test_negative_index_names_its_argument(args, name):
     ],
 )
 def test_index_past_the_limit_is_a_usage_error(args, name, monkeypatch):
-    # Refused before any work: the sieve behind ln_exact, which would
-    # need n bytes, is never started.
+    # Refused before any work: the sieve behind catalan_exact and exact N,
+    # which would need n bytes, is never started.
     def sieve(m):
         pytest.fail(f"sieve started for m = {m}")
 
@@ -583,8 +587,8 @@ def test_runs_without(blocked):
 
 def test_cli_import_leaves_out_click_dataclasses_inspect_datetime_and_decimal(tmp_path):
     # The command line's cold start: none of these is needed to run it.
-    # decimal is imported by exact N and by ln_exact above its crossover,
-    # so a sweep below the crossover never loads it either; the report's
+    # Only exact N imports decimal, to print the digits of C_N, so neither
+    # a sweep nor ln_exact far above its crossover loads it; the report's
     # timestamp comes from time, not datetime.
     package_root = os.path.dirname(os.path.dirname(catalan_integrals.__file__))
     script = (
@@ -595,6 +599,8 @@ def test_cli_import_leaves_out_click_dataclasses_inspect_datetime_and_decimal(tm
         "print(sorted(unneeded & set(sys.modules)))\n"
         "catalan_integrals.cli.main(['verify', '--n-max', '200', '--output', sys.argv[2]])\n"
         "print(sorted(unneeded & set(sys.modules)))\n"
+        "catalan_integrals.cli.main(['rep', 'gamma', '100000'])\n"
+        "print(sorted(unneeded & set(sys.modules)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-c", script, package_root, str(tmp_path / "report.txt")],
@@ -603,7 +609,9 @@ def test_cli_import_leaves_out_click_dataclasses_inspect_datetime_and_decimal(tm
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n[]\n"
+    empty, after_verify, row, after_rep = proc.stdout.splitlines()
+    assert [empty, after_verify, after_rep] == ["[]", "[]", "[]"]
+    assert row.startswith("n=100000 method=gamma_closed_form ")
 
 
 def test_module_entry_point():

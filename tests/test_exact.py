@@ -1,6 +1,5 @@
 """Exact integer routes, combinatorial oracles, and the log table."""
 
-import decimal
 import math
 import os
 import random
@@ -167,8 +166,8 @@ def test_ln_exact_basics():
 
 
 def test_ln_exact_matches_float_log():
-    # Wherever the integer still fits in a double, the top-bits splitting
-    # must agree with log(float(C_n)) to full precision.
+    # Wherever the integer still fits in a double, ln_exact must agree
+    # with log(float(C_n)) to full precision.
     n = 0
     while True:
         c = catalan_exact(n)
@@ -204,59 +203,67 @@ def _ln_catalan_mpmath(n):
 
 
 def test_ln_exact_matches_mpmath_loggamma():
-    # One compensated sum of positive logs, each of an integer <= 2n,
-    # stays within 1 ulp; the log of the top bits of C_n did not
-    # (1.22 ulp at n = 88).  ln_exact is that sum up to its crossover.
-    for n in (*range(2, 2001), 3162, 10**4, 31_623, 10**5, 316_228, 10**6):
-        truth = _ln_catalan_mpmath(n)
-        ln_c = math.fsum(map(math.log, exact._catalan_factors(n)))
-        assert abs(mpmath.mpf(ln_c) - truth) <= math.ulp(float(truth)), n
-        if n <= exact._SIEVE_MAX:
-            assert ln_exact(n) == ln_c, n
-
-
-def test_ln_exact_is_correctly_rounded_above_the_crossover():
-    # Every n from the crossover to 3,000, log-spaced n up to the limit,
-    # and seeded random n: float() of the 40-digit value rounds it
-    # correctly unless it lies within 1e-40 of a midpoint.
+    # Every n to 3,000, across the crossover, log-spaced n up to the
+    # limit, and seeded random n: float() of the 40-digit value rounds
+    # it correctly unless it lies within 1e-40 of a midpoint.  A
+    # compensated sum of the logs of the prime factors lands 1 ulp away
+    # at n = 29, 36, 37, 71, 132, 153, 176, 183 and 256.
     rng = random.Random(9)
     ns = (
-        *range(exact._SIEVE_MAX + 1, 3001),
+        *range(3001),
         *sorted({round(10 ** (k / 8)) for k in range(28, 65)}),
-        *(rng.randrange(exact._SIEVE_MAX + 1, MAX_INDEX + 1) for _ in range(300)),
+        *(rng.randrange(MAX_INDEX + 1) for _ in range(300)),
     )
+    assert 3000 > exact._COMB_MAX and MAX_INDEX in ns
     for n in ns:
         assert ln_exact(n) == float(_ln_catalan_mpmath(n)), n
 
 
-def test_ln_constants_of_the_decimal_path():
-    # Both literals are correctly rounded to 100 decimals.
+def test_ln_constants_of_the_fixed_point_path():
+    # Both literals are 2^320 ln 2 and 2^320 ln pi rounded to integers,
+    # and 320 bits serve the second pass.
     ctx = mpmath.mp.clone()
-    ctx.dps = 120
-    half_unit = ctx.mpf(10) ** -100 / 2
-    assert abs(ctx.mpf(exact._LN2_DIGITS) - ctx.log(2)) <= half_unit
-    assert abs(ctx.mpf(exact._LN_PI_DIGITS) - ctx.log(ctx.pi)) <= half_unit
-    assert [len(d.split(".")[1]) for d in (exact._LN2_DIGITS, exact._LN_PI_DIGITS)] == [100, 100]
+    ctx.prec = 400
+    scale = ctx.mpf(2) ** exact._FIXED_BITS
+    assert exact._LN2_FIXED == int(ctx.nint(ctx.log(2) * scale))
+    assert exact._LN_PI_FIXED == int(ctx.nint(ctx.log(ctx.pi) * scale))
+    assert exact._FIXED_BITS == 2 * exact._PRECISION
 
 
 def test_ziv_loop_raises_the_precision_until_the_ends_agree(monkeypatch):
-    # At 19 digits the enclosure is about a tenth of an ulp wide, so it
-    # straddles a rounding boundary at some n; a second pass at 40 digits
-    # settles each of them, and with no second pass they raise.  Where
-    # 19 digits decide, the narrow margin still holds ln C_n.
-    ns = range(exact._SIEVE_MAX + 1, 1500)
-    monkeypatch.setattr(exact, "_ZIV_PRECISIONS", (19,))
-    undecided = []
-    for n in ns:
+    # E is about 2^11 units, so a first pass at 58 bits leaves an
+    # enclosure a fair fraction of an ulp of ln C_n wide: it straddles a
+    # rounding boundary at some n, and a second pass at 116 bits settles
+    # each of them.  From a first pass at 30 bits, the second, at 60,
+    # still straddles one at some n, and those raise.  Wherever a pass
+    # decides, the narrow margin still holds ln C_n, on both paths.
+    passes = []
+    fixed_log = exact._fixed_log
+
+    def recording(m, p):
+        passes.append(p)
+        return fixed_log(m, p)
+
+    monkeypatch.setattr(exact, "_fixed_log", recording)
+    truth = {n: float(_ln_catalan_mpmath(n)) for n in range(2, 1500)}
+    monkeypatch.setattr(exact, "_PRECISION", 58)
+    second = []
+    for n in truth:
+        passes.clear()
+        assert ln_exact(n) == truth[n], n
+        if passes != [58]:
+            assert passes == [58, 116], n
+            second.append(n)
+    assert 0 < len(second) < len(truth) // 4
+    monkeypatch.setattr(exact, "_PRECISION", 30)
+    raised = []
+    for n in truth:
         try:
-            assert exact._ln_stirling(n) == float(_ln_catalan_mpmath(n)), n
+            assert ln_exact(n) == truth[n], n
         except ArithmeticError as exc:
-            assert "not proved to round to one double at 19 digits" in str(exc)
-            undecided.append(n)
-    assert 0 < len(undecided) < len(ns) // 4
-    monkeypatch.setattr(exact, "_ZIV_PRECISIONS", (19, 40))
-    for n in undecided:
-        assert ln_exact(n) == float(_ln_catalan_mpmath(n)), n
+            assert "not proved to round to one double at 60 bits" in str(exc)
+            raised.append(n)
+    assert 0 < len(raised) < len(truth) // 4
 
 
 def test_lgamma_witness_runs_on_both_paths(monkeypatch):
@@ -268,29 +275,20 @@ def test_lgamma_witness_runs_on_both_paths(monkeypatch):
         witness(n, ln_c, *source)
 
     monkeypatch.setattr(exact, "_check_against_lgamma", recording)
-    ln_exact(exact._SIEVE_MAX)
-    ln_exact(exact._SIEVE_MAX + 1)
-    assert seen == [exact._SIEVE_MAX, exact._SIEVE_MAX + 1]
-    # A wrong constant on the decimal path moves ln C_n by 2n 1e-4.
-    monkeypatch.setattr(exact, "_LN2_DIGITS", "0.6932")
-    with pytest.raises(ArithmeticError, match="Stirling's series .* disagrees with lgamma"):
-        ln_exact(10**6)
-
-
-def test_ln_exact_leaves_the_decimal_context_alone():
-    # The decimal path works in a context of its own, whatever the
-    # caller's: neither its precision nor its traps reach it.
-    expected = ln_exact(10**6)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 5
-        ctx.traps[decimal.Inexact] = True
-        assert ln_exact(10**6) == expected
-        assert ctx.prec == 5 and ctx.traps[decimal.Inexact]
+    ln_exact(exact._COMB_MAX)
+    ln_exact(exact._COMB_MAX + 1)
+    assert seen == [exact._COMB_MAX, exact._COMB_MAX + 1]
+    # A wrong ln 2, off by 2^-12, moves ln C_n by k 2^-12 below the
+    # crossover, k the bit length of C_n, and by 2n 2^-12 above it.
+    monkeypatch.setattr(exact, "_LN2_FIXED", exact._LN2_FIXED + (1 << 308))
+    for n in (exact._COMB_MAX, 10**6):
+        with pytest.raises(ArithmeticError, match="fixed-point ln C_n disagrees with lgamma"):
+            ln_exact(n)
 
 
 def test_ln_exact_builds_no_big_integer(monkeypatch):
-    # ln C_n comes from the prime exponents alone: neither C_n nor any
-    # partial product of its factors is formed.
+    # Above the crossover ln C_n comes from Stirling's series: neither
+    # C_n nor any partial product of its factors is formed.
     def no_product(*args):
         raise RuntimeError("C_n was built")
 
@@ -375,15 +373,13 @@ def test_every_index_taking_function_refuses_past_the_limit(cfg, sieve_calls):
 def test_wrong_exponent_raises_under_python_O():
     # One extra factor 2 moves ln C_50 from 62.85 to 63.55.  The lgamma
     # witness must catch it even under -O, which strips assert statements:
-    # in ln_exact below its crossover, and in `exact N` above it, where
-    # ln_exact no longer reads the factors and the witness checks the
-    # digits that `exact N` multiplies out.
+    # in catalan_exact, and in the digits that `exact N` multiplies out.
+    # ln_exact reads no factors.
     package_root = os.path.dirname(os.path.dirname(exact.__file__))
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p
     )
-    assert 5000 > exact._SIEVE_MAX
-    for call in ("exact.ln_exact(50)", "cli.main(['exact', '5000'])"):
+    for call in ("exact.catalan_exact(50)", "cli.main(['exact', '5000'])"):
         script = (
             "from catalan_integrals import cli, exact\n"
             "factors = exact._catalan_factors\n"

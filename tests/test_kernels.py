@@ -87,7 +87,7 @@ def _bernoulli(m: int) -> list[Fraction]:
 
 def test_stirling_coefficients_are_rounded_bernoulli_ratios():
     # float(Fraction) rounds correctly, so the tables must match exactly;
-    # ln_exact's decimal path holds the ratios themselves, in lowest terms.
+    # ln_exact's fixed-point path holds the ratios themselves, in lowest terms.
     b = _bernoulli(2 * len(_STIRLING))
     ratios = [b[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, len(_STIRLING) + 1)]
     assert _STIRLING_COEFFS == tuple(float(r) for r in ratios[:7])

@@ -408,6 +408,14 @@ def test_config_validation():
     # _replace builds a new config and must check it as well.
     with pytest.raises(ValueError):
         QuadConfig()._replace(abs_tol=-1e-12)
+    # bool is an int, so True and False would pass the range checks as 1 and 0.
+    for field in QuadConfig._fields:
+        for value in (True, False):
+            message = rf"no field may be a bool, got QuadConfig\(.*{field}={value}"
+            with pytest.raises(ValueError, match=message):
+                QuadConfig(**{field: value})
+            with pytest.raises(ValueError, match=message):
+                QuadConfig()._replace(**{field: value})
 
 
 @pytest.mark.parametrize("budget", [2.5, 100.0, "10", None])

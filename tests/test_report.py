@@ -337,6 +337,12 @@ def _payload_with(cfg, edit):
         (lambda p: p["config"].update(rel_tol="y"), "'rel_tol': 'y', 'max_subdivisions'"),
         (lambda p: p["config"].update(max_subdivisions=2.5), "'max_subdivisions': 2.5}"),
         (
+            lambda p: p["config"].update(max_subdivisions=True),
+            "'max_subdivisions': True} are refused: no field may be a bool",
+        ),
+        (lambda p: p["config"].update(rel_tol=False), "'rel_tol': False, 'max_subdivisions'"),
+        (lambda p: p["config"].update(abs_tol=True), "{'abs_tol': True, 'rel_tol'"),
+        (
             lambda p: p["config"].update(abs_tol=0.0, rel_tol=0.0),
             "at least one tolerance must be positive",
         ),

@@ -203,18 +203,24 @@ def _ln_catalan_mpmath(n):
 
 
 def test_ln_exact_matches_mpmath_loggamma():
-    # Every n to 3,000, across the crossover, log-spaced n up to the
-    # limit, and seeded random n: float() of the 40-digit value rounds
-    # it correctly unless it lies within 1e-40 of a midpoint.  A
-    # compensated sum of the logs of the prime factors lands 1 ulp away
-    # at n = 29, 36, 37, 71, 132, 153, 176, 183 and 256.
+    # Every n to 3,000, on both sides of the crossover: float() of the
+    # 40-digit value rounds it correctly unless it lies within 1e-40 of
+    # a midpoint.  A compensated sum of the logs of the prime factors
+    # lands 1 ulp away at n = 29, 36, 37, 71, 132, 153, 176, 183 and 256.
+    assert 3000 > exact._COMB_MAX
+    for n in range(3001):
+        assert ln_exact(n) == float(_ln_catalan_mpmath(n)), n
+
+
+def test_ln_exact_is_correctly_rounded_above_the_crossover():
+    # Log-spaced n up to the limit and seeded random n above the
+    # crossover, where ln_exact sums Stirling's series.
     rng = random.Random(9)
     ns = (
-        *range(3001),
         *sorted({round(10 ** (k / 8)) for k in range(28, 65)}),
-        *(rng.randrange(MAX_INDEX + 1) for _ in range(300)),
+        *(rng.randrange(exact._COMB_MAX + 1, MAX_INDEX + 1) for _ in range(300)),
     )
-    assert 3000 > exact._COMB_MAX and MAX_INDEX in ns
+    assert min(ns) > exact._COMB_MAX and MAX_INDEX in ns
     for n in ns:
         assert ln_exact(n) == float(_ln_catalan_mpmath(n)), n
 

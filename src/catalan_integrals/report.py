@@ -18,15 +18,20 @@ byte-stable contract:
   non-finite, lowercase true/false.
 * text: an aligned table for humans, same ordering.
 
-The header and the summary of the JSON go through ``json.dumps``.  The
-rows, which are nearly all of the bytes, are written one format string
-per row, in the same layout: with an indent, CPython's ``json`` never
-reaches its C encoder, and its pure-Python one would cost more than
-building the rows.  A row's method is written as its route's ``value``,
-of ``[a-z_]`` characters only, so it is quoted as it stands: JSON has
+``to_json`` dumps the document without its rows in one ``json.dumps``
+call and puts the rows in before its ``summary`` line.  The rows, which
+are nearly all of the bytes, are written one format string per row, in
+the same layout: with an indent, CPython's ``json`` never reaches its C
+encoder, and its pure-Python one would cost more than building the
+rows.  A row's method is written as its route's ``value``, of
+``[a-z_]`` characters only, so it is quoted as it stands: JSON has
 nothing in it to escape.  CSV rows are one format string each as well.
 ``tests/oracles.py`` keeps the stdlib-encoder forms that both must
 match byte for byte.
+
+``build_report`` and ``parse_report_json`` share the checks of what a
+report may hold: ``_object`` for the report, its ``config``, each row
+and the ``summary``, and ``_check_threshold`` for ``err_threshold``.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ __all__ = [
 SCHEMA_VERSION = "1"
 
 ROW_FIELDS = RepresentationResult._fields
+# A parsed row's values have exactly the types of RepresentationResult.
+_ROW_TYPES = tuple(get_type_hints(RepresentationResult).values())
 
 
 class ReportSummary(NamedTuple):
@@ -78,7 +85,8 @@ def build_report(
     rows: list[RepresentationResult], config: QuadConfig, err_threshold: float
 ) -> Report:
     """Assemble a Report; a row fails if it did not converge or its
-    abs_err_ln exceeds ``err_threshold``."""
+    abs_err_ln exceeds ``err_threshold``, a finite number >= 0."""
+    _check_threshold(err_threshold)
     # A NaN error fails the comparison, and so the row.
     failures = sum(not (r.converged and r.abs_err_ln <= err_threshold) for r in rows)
     max_err = max((r.abs_err_ln for r in rows if r.converged), default=0.0)
@@ -91,12 +99,19 @@ def build_report(
     )
 
 
+def _check_threshold(threshold: object) -> None:
+    if type(threshold) not in (int, float) or not 0 <= threshold < math.inf:
+        raise ValueError(f"config field 'err_threshold' cannot be {threshold!r}")
+
+
 _JSON_ROW = (
     "    {\n"
     + ",\n".join(f'      "{field}": %s' for field in ROW_FIELDS)
     + "\n    }"
 )
-_CSV_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g,%d,%s\n"
+_CSV_ROW = ",".join({int: "%d", float: "%.17g"}.get(t, "%s") for t in _ROW_TYPES) + "\n"
+# The row fields that to_json writes as null when they are not finite.
+_FLOAT_FIELDS = tuple(f for f, t in zip(ROW_FIELDS, _ROW_TYPES) if t is float)
 
 
 def _json_float(x: float) -> str:
@@ -105,22 +120,16 @@ def _json_float(x: float) -> str:
 
 
 def to_json(report: Report) -> str:
-    head = json.dumps(
+    max_err = report.summary.max_abs_err_ln
+    document = json.dumps(
         {
             "schema_version": report.schema_version,
             "generated_at": report.generated_at,
             "config": report.config,
-        },
-        indent=2,
-        allow_nan=False,
-    )
-    max_err = report.summary.max_abs_err_ln
-    summary = json.dumps(
-        {
             "summary": {
                 "max_abs_err_ln": max_err if math.isfinite(max_err) else None,
                 "failures": report.summary.failures,
-            }
+            },
         },
         indent=2,
         allow_nan=False,
@@ -142,35 +151,47 @@ def to_json(report: Report) -> str:
         ]
     )
     rows = f"[\n{rows}\n  ]" if rows else "[]"
-    # head ends in "\n}" and summary starts with "{\n": the rows go between.
-    return f'{head[:-2]},\n  "rows": {rows},\n{summary[2:]}\n'
+    # Only a top-level key starts a line with two spaces of indent.
+    head, key, summary = document.rpartition('\n  "summary": ')
+    return f'{head}\n  "rows": {rows},{key}{summary}\n'
 
 
 _ROUTES_BY_VALUE = {route.value: route for route in ROUTES}
-_ROW_KEYS = frozenset(ROW_FIELDS)
+_REPORT_KEYS = frozenset(Report._fields)
 _CONFIG_KEYS = frozenset((*QuadConfig._fields, "err_threshold"))
-# A parsed row's values have exactly the types of RepresentationResult.
-_ROW_TYPES = tuple(get_type_hints(RepresentationResult).values())
+_ROW_KEYS = frozenset(ROW_FIELDS)
+_SUMMARY_KEYS = frozenset(ReportSummary._fields)
+
+
+def _object(value: object, name: str, keys: frozenset[str]) -> dict:
+    """``value``, if it is a JSON object with exactly ``keys``, as to_json
+    writes the object ``name``."""
+    if type(value) is not dict:
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    if value.keys() != keys:
+        raise ValueError(f"{name} keys differ in {sorted(value.keys() ^ keys)}")
+    return value
+
+
+def _refuse_constant(name: str) -> None:
+    raise ValueError(f"a report cannot hold {name}: to_json writes null for it")
 
 
 def _parse_row(r: object) -> RepresentationResult:
     """The row that a JSON row stands for, if to_json could have written it."""
-    if type(r) is not dict:
-        raise ValueError(f"a row must be an object, got {r!r}")
-    if r.keys() != _ROW_KEYS:
-        odd = sorted(r.keys() ^ _ROW_KEYS)
-        raise ValueError(f"row keys differ from ROW_FIELDS in {odd}")
+    _object(r, "a row", _ROW_KEYS)
     method = r["method"]
-    route = _ROUTES_BY_VALUE.get(method) if type(method) is str else None
-    if route is None:
-        raise ValueError(f"unknown method {method!r}")
+    try:
+        route = _ROUTES_BY_VALUE[method]
+    except (KeyError, TypeError):  # TypeError: a list or an object
+        raise ValueError(f"unknown method {method!r}") from None
     row = RepresentationResult(
         r["n"], route, r["ln_value"], r["exact_ln"], r["abs_err_ln"],
         r["quad_error_estimate"], r["evaluations"], r["converged"],
     )
     if tuple(map(type, row)) != _ROW_TYPES:
         # A NaN float is written as null.
-        row = row._replace(**{f: math.nan for f in ROW_FIELDS[2:6] if r[f] is None})
+        row = row._replace(**{f: math.nan for f in _FLOAT_FIELDS if r[f] is None})
         for field, x, t in zip(ROW_FIELDS, row, _ROW_TYPES):
             if type(x) is not t:
                 raise ValueError(f"row field {field!r} cannot be {r[field]!r}")
@@ -182,10 +203,7 @@ def _parse_row(r: object) -> RepresentationResult:
 def _summary(summary: object) -> ReportSummary:
     """The summary that a JSON summary stands for, if to_json could have
     written it (a NaN maximum is written as null)."""
-    if type(summary) is not dict:
-        raise ValueError(f"summary must be an object, got {summary!r}")
-    if missing := set(ReportSummary._fields) - summary.keys():
-        raise ValueError(f"summary lacks {sorted(missing)}")
+    _object(summary, "summary", _SUMMARY_KEYS)
     max_err, failures = summary["max_abs_err_ln"], summary["failures"]
     if max_err is not None and type(max_err) is not float:
         raise ValueError(f"summary field 'max_abs_err_ln' cannot be {max_err!r}")
@@ -197,48 +215,35 @@ def _summary(summary: object) -> ReportSummary:
 def parse_report_json(text: str) -> Report:
     """Inverse of to_json (null fields come back as NaN).
 
-    Raises ValueError, naming the value or field, on a report that is not
-    a JSON object, a ``schema_version`` other than ``SCHEMA_VERSION``, a
-    missing or unknown top-level key, a ``generated_at`` that is not a
-    string, a ``config`` that is not an object, lacks or adds a field, or
-    holds values ``QuadConfig`` refuses or an ``err_threshold`` that is
-    not a finite number >= 0, ``rows`` that is not a list, a row
-    whose keys are not ``ROW_FIELDS``, whose field has the wrong JSON
-    type or whose ``n`` lies outside 0..MAX_INDEX, an unknown ``method``,
-    and a ``summary`` that is not an object, lacks a field, or holds a
-    ``max_abs_err_ln`` that is neither a float nor null or a
-    ``failures`` that is not an int >= 0.
+    Raises ValueError, naming the value, field or constant, on what
+    to_json could not have written: the constants ``NaN``, ``Infinity``
+    and ``-Infinity``; a report, ``config``, row or ``summary`` that is
+    not a JSON object or lacks or adds a key; a ``schema_version`` other
+    than ``SCHEMA_VERSION``; a ``generated_at`` that is not a string;
+    ``config`` values that ``QuadConfig`` refuses, or an
+    ``err_threshold`` that is not a finite number >= 0; ``rows`` that is
+    not a list; a row field of the wrong JSON type, an ``n`` outside
+    0..MAX_INDEX or an unknown ``method``; and a ``max_abs_err_ln`` that
+    is neither a float nor null or ``failures`` that is not an int >= 0.
     """
-    payload = json.loads(text)
-    if type(payload) is not dict:
-        raise ValueError(f"a report must be an object, got {type(payload).__name__}")
-    if missing := set(Report._fields) - payload.keys():
-        raise ValueError(f"report lacks {sorted(missing)}")
-    if unknown := payload.keys() - set(Report._fields):
-        raise ValueError(f"report has unknown keys {sorted(unknown)}")
+    payload = _object(
+        json.loads(text, parse_constant=_refuse_constant), "a report", _REPORT_KEYS
+    )
     schema = payload["schema_version"]
     if schema != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported schema_version {schema!r}, expected {SCHEMA_VERSION!r}"
         )
-    for key, kind, name in (
-        ("generated_at", str, "a string"),
-        ("config", dict, "an object"),
-        ("rows", list, "a list"),
-    ):
+    for key, kind, name in (("generated_at", str, "a string"), ("rows", list, "a list")):
         if type(payload[key]) is not kind:
             raise ValueError(f"{key} must be {name}, got {payload[key]!r}")
-    config = payload["config"]
-    if config.keys() != _CONFIG_KEYS:
-        raise ValueError(f"config keys differ in {sorted(config.keys() ^ _CONFIG_KEYS)}")
+    config = _object(payload["config"], "config", _CONFIG_KEYS)
     quad = {field: config[field] for field in QuadConfig._fields}
     try:
         QuadConfig(**quad)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config fields {quad} are refused: {exc}") from None
-    threshold = config["err_threshold"]
-    if type(threshold) not in (int, float) or not 0 <= threshold < math.inf:
-        raise ValueError(f"config field 'err_threshold' cannot be {threshold!r}")
+    _check_threshold(config["err_threshold"])
     return Report(
         schema_version=schema,
         generated_at=payload["generated_at"],

@@ -323,25 +323,20 @@ def _moment_rule(n: int, m: int) -> tuple[float, float]:
     """Half the m-point trapezoid sum of sin^2 cos^{2n} over [0, pi), and
     a bound on its rounding error; the ``m // 2`` samples lie in (0, pi/2]."""
     h = math.pi / m
+    values = []
     rounding = 0.0
-
-    def samples():
-        # f(0) = 0 and f(pi - phi) = f(phi): each node in (0, pi/2)
-        # stands for two, and pi/2, a node when m is even, for one.
-        nonlocal rounding
-        for j in range(1, m // 2 + 1):
-            value, error = _moment_sample(n, j * h)
-            if 2 * j == m:
-                value, error = 0.5 * value, 0.5 * error
-            rounding += error
-            yield value
-
-    total = math.fsum(samples())
+    # f(0) = 0 and f(pi - phi) = f(phi): each node in (0, pi/2) stands
+    # for two, and pi/2, a node when m is even, for one.
+    for j in range(1, m // 2 + 1):
+        value, error = _moment_sample(n, j * h)
+        if 2 * j == m:
+            value, error = 0.5 * value, 0.5 * error
+        values.append(value)
+        rounding += error
+    total = math.fsum(values)
     if not math.isfinite(total):
-        for j in range(1, m // 2 + 1):
-            value = _moment_sample(n, j * h)[0]
-            if not math.isfinite(value):
-                raise IntegrandEvaluationError(j * h, value)
+        j, value = next((j, v) for j, v in enumerate(values, 1) if not math.isfinite(v))
+        raise IntegrandEvaluationError(j * h, value)
     value = h * total
     return value, h * rounding + 2.0 * _EPS * value
 

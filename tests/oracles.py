@@ -27,6 +27,8 @@ against:
 * ``sum_rule_term`` -- one sum-rule term C_{2n} C_n / 64^n from exact
   integers, through ``_top_bits``, the leading bits of an int of any
   size
+* ``sum_rule_limit`` -- the limit of either sum rule as a 40-digit
+  mpmath hypergeometric value
 * ``glaisher_oracle`` -- ln A from the hyperfactorial limit, through
   ``_hyperfactorial_remainder``, with Richardson extrapolation
 
@@ -45,11 +47,14 @@ reproduce byte for byte:
 """
 
 import csv
+import functools
 import io
 import json
 import math
 from fractions import Fraction
 from typing import Callable
+
+import mpmath
 
 from catalan_integrals.exact import _check_index, catalan_exact
 from catalan_integrals.kernels import KernelSpec, binet_core
@@ -250,6 +255,17 @@ def sum_rule_term(n: int, *, odd_weight: bool = False) -> float:
     b, shift_b = _top_bits(catalan_exact(n))
     term = math.ldexp(a * b, shift_a + shift_b - 6 * n)
     return term / (2 * n + 1) if odd_weight else term
+
+
+@functools.cache
+def sum_rule_limit(odd_weight: bool) -> mpmath.mpf:
+    """The sum of term(n) over all n, at 40 digits."""
+    # term(n) = (1/4)_n (3/4)_n (1/2)_n / ((3/2)_n (2)_n n!), and the odd
+    # weight 1/(2n + 1) = (1/2)_n / (3/2)_n adds one more pair.
+    upper = [0.25, 0.75, 0.5] + ([0.5] if odd_weight else [])
+    lower = [1.5, 2] + ([1.5] if odd_weight else [])
+    with mpmath.mp.workdps(40):
+        return mpmath.hyper(upper, lower, 1)
 
 
 def _hyperfactorial_remainder(m: int) -> float:

@@ -3,8 +3,11 @@
 The other tests check n = 0..200, a dozen larger n and a few configs.
 Here a fixed seed draws n log-uniform over 0..MAX_INDEX, with small n
 one time in five, and random quadrature configs, and calls every route
-directly; the reference is 40-digit ``mpmath.loggamma``.  The seed and
-the draw count were fixed before the audit first ran.
+directly; the reference is 40-digit ``mpmath.loggamma``.  The same seed
+draws tolerances log-uniform over [1e-13, 1e-4] for both sum rules,
+checked against the 40-digit limit, and random configs for the Glaisher
+integral, checked against 40-digit ln A.  The seed and the draw counts
+were fixed before each audit first ran.
 """
 
 import math
@@ -20,9 +23,17 @@ from catalan_integrals.representations import (
     catalan_gamma_closed_form,
     catalan_penson_moment,
 )
+from catalan_integrals.series import (
+    glaisher_from_integral,
+    stewart_sum_odd_weight,
+    stewart_sum_plain,
+)
+
+from oracles import sum_rule_limit
 
 SEED = 11
 DRAWS = 300
+SUM_RULE_DRAWS = 200
 PANEL = 21  # evaluations of one G10/K21 panel
 SUBDIVISIONS = (1, 2, 3, 10, 50, 200)
 # Routes whose bars are proved bounds rather than quadrature estimates.
@@ -33,6 +44,13 @@ def _tolerance(rng: random.Random) -> float:
     return 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-15.0, -6.0)
 
 
+def _config(rng: random.Random) -> QuadConfig:
+    abs_tol, rel_tol = _tolerance(rng), _tolerance(rng)
+    if abs_tol == rel_tol == 0.0:
+        abs_tol = 1e-12
+    return QuadConfig(abs_tol, rel_tol, rng.choice(SUBDIVISIONS))
+
+
 def _draws():
     rng = random.Random(SEED)
     for _ in range(DRAWS):
@@ -40,10 +58,7 @@ def _draws():
             n = rng.randrange(50)
         else:
             n = min(round(math.expm1(rng.uniform(0.0, math.log1p(MAX_INDEX)))), MAX_INDEX)
-        abs_tol, rel_tol = _tolerance(rng), _tolerance(rng)
-        if abs_tol == rel_tol == 0.0:
-            abs_tol = 1e-12
-        yield n, QuadConfig(abs_tol, rel_tol, rng.choice(SUBDIVISIONS))
+        yield n, _config(rng)
 
 
 def test_no_route_is_dishonest_on_random_draws(monkeypatch):
@@ -89,3 +104,40 @@ def test_no_route_is_dishonest_on_random_draws(monkeypatch):
         )
     assert all(converged[route] > 0 for route in ROUTES)
 
+
+
+def test_sum_rule_intervals_contain_the_limit_on_random_tolerances():
+    rng = random.Random(SEED)
+    for _ in range(SUM_RULE_DRAWS):
+        tol = 10.0 ** rng.uniform(-13.0, -4.0)
+        for rule, odd_weight in ((stewart_sum_plain, False), (stewart_sum_odd_weight, True)):
+            result = rule(tol)
+            where = f"{rule.__name__}({tol!r})"
+            assert result.converged, where
+            # No slack: the interval counts the rounding of its own sum.
+            with mpmath.mp.workdps(40):
+                low = mpmath.mpf(result.partial_sum)
+                assert low <= sum_rule_limit(odd_weight) <= low + result.tail_bound, where
+
+
+def test_glaisher_is_honest_on_random_configs():
+    rng = random.Random(SEED)
+    with mpmath.mp.workdps(40):
+        ln_a = mpmath.log(mpmath.glaisher)
+    worst, converged = 0.0, 0
+    for _ in range(DRAWS):
+        config = _config(rng)
+        result = glaisher_from_integral(config)
+        if not result.converged:
+            continue
+        converged += 1
+        with mpmath.mp.workdps(40):
+            error = abs(mpmath.mpf(result.ln_A) - ln_a)
+            assert error <= 10 * result.error_estimate, config
+            if result.error_estimate > 0:
+                worst = max(worst, float(error / result.error_estimate))
+    print(
+        f"[audit] glaisher: worst error/estimate {worst:.3f} "
+        f"over {converged} of {DRAWS} converged draws"
+    )
+    assert converged > 0

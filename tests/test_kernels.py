@@ -17,6 +17,12 @@ from oracles import (
 )
 from catalan_integrals.exact import _STIRLING
 from catalan_integrals.kernels import (
+    _B1,
+    _B3,
+    _B5,
+    _B7,
+    _B9,
+    _B11,
     _STIRLING_COEFFS,
     _STIRLING_NEXT,
     KernelSpec,
@@ -85,6 +91,12 @@ def _bernoulli(m: int) -> list[Fraction]:
     return b
 
 
+# The edges of binet_core's series branch, and 96 points log-spaced over
+# [1e-8, 0.2).
+BINET_CORE_TS = (1e-300, 1e-8, 0.01, 0.05, 0.1, 0.15, 0.19, 0.1999, math.nextafter(0.2, 0.0))
+BINET_CORE_TS += tuple(1e-8 * (0.2e8) ** (k / 96) for k in range(96))
+
+
 def test_stirling_coefficients_are_rounded_bernoulli_ratios():
     # float(Fraction) rounds correctly, so the tables must match exactly;
     # ln_exact's fixed-point path holds the ratios themselves, in lowest terms.
@@ -94,14 +106,20 @@ def test_stirling_coefficients_are_rounded_bernoulli_ratios():
     assert _STIRLING_NEXT == float(abs(ratios[7]))
     assert _STIRLING == tuple((r.numerator, r.denominator) for r in ratios)
     # binet_core's branch below t = 0.2 sums B_2k t^(2k - 1) / (2k)!
-    # = c_k t^(2k - 1) / (2k - 2)!, k = 1..4, with c_k from the same table.
-    taylor = [
-        Fraction(num, den) / math.factorial(2 * k - 2)
-        for k, (num, den) in enumerate(_STIRLING[:4], 1)
-    ]
-    for t in (1e-300, 1e-8, 0.01, 0.05, 0.1, 0.15, 0.19, 0.1999):
-        poly = sum(c * Fraction(t) ** (2 * k - 1) for k, c in enumerate(taylor, 1))
-        assert abs(binet_core(t) - poly) <= 2 * math.ulp(float(poly)), t
+    # = c_k t^(2k - 1) / (2k - 2)!, k = 1..6, with c_k from the same
+    # table.  It must hold within 2 ulp of the function itself,
+    # 1/(e^t - 1) - 1/t + 1/2 at 40 digits, from t = 1e-8 on, and below
+    # that of its exact series, whose first terms hold it far below an ulp.
+    taylor = [b[2 * k] / math.factorial(2 * k) for k in range(1, 7)]
+    assert (_B1, _B3, _B5, _B7, _B9, _B11) == tuple(float(c) for c in taylor)
+    for t in BINET_CORE_TS:
+        if t < 1e-8:
+            exact = float(sum(c * Fraction(t) ** (2 * k - 1) for k, c in enumerate(taylor, 1)))
+        else:
+            with mp.workdps(40):
+                x = mp.mpf(t)
+                exact = float(1 / mp.expm1(x) - 1 / x + mp.mpf(1) / 2)
+        assert abs(binet_core(t) - exact) <= 2 * math.ulp(exact), t
 
 
 # Log-spaced from 0.05 to 50, with the edges of the series regime.

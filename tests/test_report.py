@@ -6,6 +6,7 @@ import json
 import math
 import re
 from datetime import datetime, timedelta
+from typing import NamedTuple
 
 import pytest
 
@@ -339,8 +340,17 @@ def test_parse_rejects_unknown_methods(cfg, method):
         parse_report_json(json.dumps(payload))
 
 
+class _Repeat(NamedTuple):
+    """An edit of the written text, where a dict cannot hold it: the
+    first ``"key": value`` pair written, ``pair``, is written twice."""
+
+    pair: str
+
+
 def _payload_with(cfg, edit):
     payload = json.loads(to_json(REPORTS["one_row"](cfg)))
+    if isinstance(edit, _Repeat):
+        return json.dumps(payload).replace(edit.pair, f"{edit.pair}, {edit.pair}", 1)
     edit(payload)
     return json.dumps(payload)
 
@@ -363,6 +373,11 @@ def _payload_with(cfg, edit):
         (lambda p: p["rows"][0].update(n=-5), "row field 'n' cannot be -5"),
         (lambda p: p["rows"][0].update(n=MAX_INDEX + 1), f"'n' cannot be {MAX_INDEX + 1}"),
         (lambda p: p.update(generated_at=5), "generated_at must be a string, got 5"),
+        (
+            lambda p: p.update(generated_at="yesterday"),
+            "generated_at must read YYYY-MM-DDTHH:MM:SS+00:00, got 'yesterday'",
+        ),
+        (lambda p: p.update(generated_at="2000-01-01T00:00:00Z"), "got '2000-01-01T00:00:00Z'"),
         (lambda p: p.update(config=[1e-12]), "config must be an object, got [1e-12]"),
         (lambda p: p.update(extra=1), "a report keys differ in ['extra']"),
         (
@@ -404,6 +419,8 @@ def _payload_with(cfg, edit):
         (lambda p: p["rows"][0].update(ln_value=math.nan), "cannot hold NaN"),
         (lambda p: p["summary"].update(max_abs_err_ln=math.inf), "cannot hold Infinity"),
         (lambda p: p["config"].update(err_threshold=-math.inf), "cannot hold -Infinity"),
+        (_Repeat('"n": 3'), "a report object repeats the key 'n'"),
+        (_Repeat('"schema_version": "1"'), "repeats the key 'schema_version'"),
     ],
 )
 def test_parse_rejects_rows_to_json_cannot_write(cfg, edit, message):

@@ -8,7 +8,7 @@ import pytest
 
 import catalan_integrals
 from catalan_integrals import representations
-from catalan_integrals.exact import ln_exact
+from catalan_integrals.exact import MAX_INDEX, ln_exact
 from catalan_integrals.kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from catalan_integrals.representations import (
     ROUTES,
@@ -21,10 +21,14 @@ from catalan_integrals.representations import (
     compare_representations,
 )
 from catalan_integrals.quadrature import (
+    _UFLOW,
     IntegrandEvaluationError,
     QuadConfig,
     integrate_finite,
 )
+
+from oracles import moment_points_search
+from test_audit import _draws
 
 # The n = 0..200 of the benchmark's sweep.
 SWEEP = range(201)
@@ -255,28 +259,6 @@ def test_adaptive_rows_stop_at_the_float_floor(route, driver, monkeypatch):
     assert not route(0, tight).converged
 
 
-def test_penson_moment_integrand_is_finite_where_sin_rounds_to_one(monkeypatch):
-    # Within about 1e-8 of pi/2, sin(phi) is 1.0 and log1p(-1) raises;
-    # the integrand must read (1 - 1)^n there instead.  A rule with an
-    # even number of points samples phi = pi/2 itself, as its last node.
-    sample = representations._moment_sample
-    samples = []
-
-    def capture(n, phi):
-        samples.append((phi, sample(n, phi)))
-        return samples[-1][1]
-
-    monkeypatch.setattr(representations, "_moment_sample", capture)
-    phi = 0.5 * math.pi - 1e-9
-    assert math.sin(phi) == 1.0
-    for n in (0, 1, 1_000):
-        assert sample(n, phi) == (0.0**n, 0.0), n
-        representations._moment_rule(n, 2 * (n // 2 + 1))
-        last_node, (value, _) = samples[-1]
-        assert math.sin(last_node) == 1.0, n
-        assert value == 0.0**n, n
-
-
 def test_penson_mellin_integrand_is_finite_at_both_ends(cfg, monkeypatch):
     # s = w u/(1 - u) sends the ends of (0, 1) to s = 0 and s = inf; the
     # closest samples the driver can take, the least subnormal and the
@@ -315,6 +297,54 @@ def test_penson_evaluation_budget(route, budget, cfg):
 
 # ------------------------------------- the moment route's trapezoid rule
 
+# Eight per decade from 1 to MAX_INDEX = 1e8.
+LOG_SPACED_N = tuple(round(10 ** (k / 8)) for k in range(65))
+
+
+def test_moment_points_match_the_stepping_search():
+    # The closed form takes the odd count at or just above the least m
+    # the old search stepped to, so it costs the same m // 2 samples,
+    # and its aliasing bound is no larger: the multiples of a larger M
+    # are fewer and each lies further out.  Where the target underflows
+    # the two may part, and every row there is unconverged either way.
+    def check(n, config):
+        k, aliasing = representations._moment_points(n, config)
+        m, searched = moment_points_search(n, config)
+        assert 2 * k + 1 == m | 1, (n, config)
+        assert aliasing <= searched, (n, config)
+
+    defaults = (QuadConfig(), QuadConfig(1e-14, 1e-14), QuadConfig(1e-6, 1e-6))
+    for n in (*range(3001), *LOG_SPACED_N):
+        for config in defaults:
+            check(n, config)
+    # The audit's configs, at its n and at the log-spaced n, wherever the
+    # aliasing's share of the target is a normal double.
+    for drawn, config in _draws():
+        tol = representations._moment_tolerance(config)
+        share = max(tol - 64.0 * representations._EPS, 0.5 * tol)
+        for n in (drawn, *LOG_SPACED_N):
+            if share * representations._moment_floor(n) >= _UFLOW:
+                check(n, config)
+
+
+def test_moment_rule_never_samples_where_sin_rounds_to_one():
+    # Within about 1.05e-8 of pi/2, sin(phi) is 1.0 and log1p(-1) raises.
+    # The rule is odd, so its node nearest pi/2 lies pi/(2M) below it,
+    # and M stays far below the 1.49e8 that would put it that close.  The
+    # largest M comes at the largest n, with a target below the least
+    # normal double and a budget that does not cap it.
+    widest = QuadConfig(abs_tol=5e-324, rel_tol=0.0, max_subdivisions=10**6)
+    top = representations._moment_points(MAX_INDEX, widest)[0]
+    assert 2 * top + 1 == 266_375
+    configs = (QuadConfig(), QuadConfig(1e-14, 1e-14), QuadConfig(max_subdivisions=10**6))
+    for n in (*range(101), *LOG_SPACED_N):
+        for config in (*configs, widest):
+            assert representations._moment_points(n, config)[0] <= top, (n, config)
+    # Every odd M up to it, at the node k fl(pi/M) the rule computes.
+    for k in range(1, top + 1):
+        assert math.sin(k * (math.pi / (2 * k + 1))) < 1.0, k
+    assert math.isfinite(catalan_penson_moment(MAX_INDEX, widest).ln_value)
+
 
 def _moment_integral(n):
     # J = pi C_n / 4^(n + 1), in the working precision of mpmath.
@@ -324,10 +354,11 @@ def _moment_integral(n):
 def test_moment_rule_is_exact_at_n_plus_2_points():
     # sin^2 cos^(2n) is a trigonometric polynomial of degree n + 1 in
     # e^(2 i phi), so n + 2 points alias nothing: what is left is rounding,
-    # within the rule's own bound.
+    # within the rule's own bound.  The least odd M >= n + 2 is
+    # 2k + 1 with k = (n + 2) // 2.
     with mp.workdps(40):
         for n in range(31):
-            value, rounding = representations._moment_rule(n, n + 2)
+            value, rounding = representations._moment_rule(n, (n + 2) // 2)
             assert abs(mp.mpf(value) - _moment_integral(n)) <= rounding, n
             assert rounding <= 1e-14 * value, n
 
@@ -337,8 +368,8 @@ def test_moment_samples_are_within_their_rounding_bound(cfg):
     # turn; the slack covers mpmath's rounding and samples that underflow.
     with mp.workdps(40):
         for n in (0, 1, 2, 10, 1_000, 1_000_000):
-            m = representations._moment_points(n, cfg)[0]
-            for points in (m, m + 1):
+            k = representations._moment_points(n, cfg)[0]
+            for points in (2 * k + 1, 2 * k + 3):
                 h = math.pi / points
                 for j in range(1, points // 2 + 1):
                     value, bound = representations._moment_sample(n, j * h)
@@ -362,8 +393,9 @@ def test_moment_aliasing_bound_covers_the_true_error(n):
         exact = _moment_integral(n)
         for rel_tol in (1e-2, 1e-5, 1e-8):
             config = QuadConfig(abs_tol=0.0, rel_tol=rel_tol)
-            m, aliasing = representations._moment_points(n, config)
+            k, aliasing = representations._moment_points(n, config)
             assert aliasing <= _aliasing_share(rel_tol, n), (n, rel_tol)
+            m = 2 * k + 1
             nodes = (j * mp.pi / m for j in range(m))
             half_sum = mp.pi / (2 * m) * mp.fsum(
                 mp.sin(phi) ** 2 * mp.cos(phi) ** (2 * n) for phi in nodes
@@ -383,12 +415,11 @@ def test_moment_route_reports_a_starved_budget(cfg):
 
 
 def test_moment_route_at_a_tolerance_above_one():
-    # Two points read 0 at every n >= 1; the target is capped at a
-    # relative 1/2, which keeps the sum positive.
+    # The target is capped at a relative 1/2, which keeps the sum positive.
     loose = QuadConfig(abs_tol=10.0)
     for n in (0, 1, 2, 100, 1_000_000):
-        m, aliasing = representations._moment_points(n, loose)
-        assert m >= 2 and aliasing <= _aliasing_share(0.5, n), n
+        k, aliasing = representations._moment_points(n, loose)
+        assert k >= 1 and aliasing <= _aliasing_share(0.5, n), n
         row = catalan_penson_moment(n, loose)
         assert row.converged and math.isfinite(row.ln_value), n
         assert row.abs_err_ln <= row.quad_error_estimate, n
@@ -405,12 +436,12 @@ def test_moment_route_converged_only_when_its_whole_bar_meets_the_target(tol):
     unconverged = 0
     for n in [*range(201), 1_000, 10_000, 100_000]:
         row = catalan_penson_moment(n, config)
-        m, aliasing = representations._moment_points(n, config)
-        rounding = representations._moment_rule(n, m)[1]
+        k, aliasing = representations._moment_points(n, config)
+        rounding = representations._moment_rule(n, k)[1]
         whole = (aliasing + rounding) / representations._moment_floor(n)
         assert row.converged == (whole <= tol), n
         unconverged += not row.converged
-    assert unconverged == (0 if tol == 1e-13 else 56)
+    assert unconverged == (0 if tol == 1e-13 else 29)
 
 
 def test_moment_rule_names_the_first_non_finite_sample(monkeypatch):
@@ -423,7 +454,7 @@ def test_moment_rule_names_the_first_non_finite_sample(monkeypatch):
     monkeypatch.setattr(representations, "_moment_sample", poisoned)
     # Seven points: the nodes in (0, pi/2) are pi/7, 2 pi/7 and 3 pi/7.
     with pytest.raises(IntegrandEvaluationError) as info:
-        representations._moment_rule(5, 7)
+        representations._moment_rule(5, 3)
     assert info.value.abscissa == 3 * (math.pi / 7)
 
 

@@ -8,9 +8,10 @@ The half-line integrands here all follow the Malmsten pattern: smooth
 for t > 0, a removable singularity at t = 0 with a finite analytic
 limit, and exponential decay with explicit constants.  Each kernel
 constructor returns a ``KernelSpec``: the plain function of t and the
-tail-bound constants the quadrature layer needs for sound truncation.
-The rate c of that bound is also the one the kernel changes at near
-t = 0, so the quadrature seeds its mesh there at the width 1/c.
+tail-bound constants by which the quadrature layer maps the half line
+onto (0, 1).  The rate c of that bound is also the one the kernel
+changes at near t = 0, so the map's one scale, 8/c, fits the kernel
+both there and in its tail.
 
 The two Catalan kernels carry the integral factor common to both
 integral representations of C_n, ln Gamma(n + 1/2) - ln Gamma(n + 2):
@@ -28,11 +29,11 @@ Both are written so that no two nearly equal terms are subtracted, so
 they hold their accuracy at every t > 0 a quadrature rule may sample,
 down to the smallest normal double, and need no special case at the
 origin.  Both decay like e^{-(n + 1/2) t}, and their tail bounds hold
-for every t > 0, as they must: the truncation point falls below t = 1
-from n of about 26 on at the default config.  The test suite checks
-each kernel's origin limit and slope, derived by hand from its Taylor
-expansion, against the formula itself, and the Malmsten kernel against
-its defining form.
+for every t > 0, although the map needs them only past about
+294/(n + 1/2), where it folds the rest of the line away.  The test
+suite checks each kernel's origin limit and slope, derived by hand from
+its Taylor expansion, against the formula itself, and the Malmsten
+kernel against its defining form.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def log_gamma_reference(x: float) -> float:
 
 class KernelSpec(NamedTuple):
     """A half-line integrand and the constants of its tail bound, by
-    which ``integrate_half_line`` both truncates and seeds its mesh."""
+    which ``integrate_half_line`` maps the half line onto (0, 1) and
+    bounds the mass the map folds away."""
 
     integrand: Callable[[float], float]
     tail_constants: TailBound
@@ -175,7 +177,10 @@ def malmsten_catalan_kernel(n: int) -> KernelSpec:
 
     Scale: the factor e^{-(n + 1/2) t} sets the width 1/(n + 1/2) over
     which the kernel changes near t = 0, the decay length 1/c of the
-    tail bound, at which the quadrature seeds its mesh.
+    tail bound, and the quadrature's map t = -(8/c) ln(1 - u) turns that
+    factor into (1 - u)^8: at the default config one 21-point panel on
+    u in [0, 1] holds the kernel at every n from 1 on that was measured
+    (1..200 and four per decade from 10 to 1e8).
     """
     _check_index(n)
     rate = n + 0.5
@@ -199,7 +204,9 @@ def binet_catalan_kernel(n: int) -> KernelSpec:
     Tail, for every t > 0: binet_core(t) <= t/12 and e^{-t/2} - e^{-2t}
     <= e^{-t/2}, so the integrand sits under e^{-(n + 1/2) t} / 12;
     K = 1 adds margin.  Scale: the same factor e^{-(n + 1/2) t} sets the
-    width 1/(n + 1/2) = 1/c over which the kernel changes near t = 0.
+    width 1/(n + 1/2) = 1/c over which the kernel changes near t = 0,
+    and the quadrature's map, at the scale 8/c, holds this kernel in one
+    panel at the same n as the Malmsten kernel.
     """
     _check_index(n)
 

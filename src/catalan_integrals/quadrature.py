@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature with a half-line reduction.
+"""Adaptive Gauss-Kronrod quadrature, with a map of the half line onto (0, 1).
 
 The base rule is the 21-point Kronrod extension of 10-point Gauss
 (G10/K21) with the classical QUADPACK error estimate, the rule that
@@ -8,25 +8,26 @@ and is the only code that tests convergence.  It stops short of the
 tolerance once the panels sit at their 50 eps floors, which no
 bisection lowers.
 
-A half-line integral over (0, inf) is reduced to a finite one by
-truncation: the caller supplies an analytic tail bound
-|f(t)| <= K exp(-c t), the integral is cut at T chosen so that the
-discarded remainder (K/c) exp(-c T) is below a tenth of the absolute
-tolerance (of the least normal double when that is less), and the
-driver counts the remainder in its error estimate from its first pass.
-The decay length 1/c also seeds the mesh on [0, T], with dyadic panels
-that halve down to a few times it, so the bound is all a caller states
-about a half-line integrand.  A finite integral starts from one panel,
-or from the panels between the breakpoints its caller names.
-An integrand with no exponential tail bound is mapped onto a finite
-interval by its caller, who knows how fast it decays and so what the
-map loses in doubles, and who puts the width of its peak into the map;
-the Penson-Mellin route in the representations module shows how.
+The driver only ever sees finite panels: every infinite integral is
+mapped onto (0, 1) before it reaches the driver, as in QUADPACK's
+QAGI.  A half-line integral over (0, inf) whose caller supplies an
+analytic tail bound |f(t)| <= K exp(-c t) is mapped here, by
+t = -(8/c) ln(1 - u), which turns e^{-c t} into the polynomial
+(1 - u)^8 and starts from the one panel [0, 1]; the driver counts the
+mass the map folds away in doubles, at most (K/c) 2^-424, in its
+error estimate from its first pass.  So the bound is all a caller
+states about a half-line integrand.  A finite integral starts from one
+panel, or from the panels between the breakpoints its caller names.
+An integrand with no exponential tail bound is mapped onto (0, 1) by
+its caller, who knows how fast it decays and so what the map loses in
+doubles, and who puts the width of its peak into the map; the
+Penson-Mellin route in the representations module shows how.
 
 Integrands are plain functions.  The rule is open, so an endpoint is
 never sampled, but bisection may close in on one until the panels
 reach floating-point resolution, which next to t = 0 means subnormal
-t.  An integrand with a removable singularity at t = 0 must therefore
+t (and on the half line t = 0 itself, once 8u/c underflows).  An
+integrand with a removable singularity at t = 0 must therefore
 stay accurate and finite down to there on its own; the kernels module
 shows how.
 """
@@ -246,7 +247,7 @@ def _adaptive(
     consecutive ``edges``, which ascend.
 
     The estimate is the panels' summed estimates plus ``remainder``, a
-    part no bisection can lower, such as a truncated tail.  Each
+    part no bisection can lower, such as the mass a map folds away.  Each
     starting panel costs 21 evaluations and is not a subdivision.  The
     driver bisects the worst-error panel until the estimate meets the
     tolerance; it stops with converged = False once ``max_subdivisions``
@@ -337,41 +338,48 @@ def integrate_half_line(
     """Integrate f over (0, inf), given the constants of an analytic
     bound |f(t)| <= K exp(-c t) as ``tail``.
 
-    The integral is truncated at T, and the driver counts the bounded
-    remainder in its error estimate from the first pass on.  [0, T] is
-    seeded at the decay length 1/c: an integrand that decays like
-    e^{-c t} changes over that width near t = 0, and one that changes
-    faster there states a larger c with a larger K.  The driver starts
-    from the dyadic panels with edges T/2, T/4, ... down to the last one
-    more than 10/c from 0, as QUADPACK's QAGP starts from its
-    breakpoints, so that it does not have to find that width by
-    bisecting one panel at a time.
+    The map t = -(8/c) ln(1 - u), dt = (8/c) du/(1 - u), takes the half
+    line onto u in (0, 1), where the integrand reads
+    g(u) = f(t) (8/c)/(1 - u), and the driver starts from the one panel
+    [0, 1].  The map turns e^{-c t} into (1 - u)^8, so the bound gives
+    |g(u)| <= (8K/c)(1 - u)^7: g tends to 0 at u = 1, and a node that
+    rounds to 1 gets that value, where t itself would be infinite.
 
-    The depth 10/c is the width over which one G10/K21 panel resolves
-    e^{-c t}: on [0, w] its estimate sits at the 50 eps floor for
-    w <= 10/c, and is 2e-12 of the integral at 12/c and 1.5e-9 at 16/c.
-    So the first panel, [0, e] with e in (10/c, 20/c], needs at most one
-    bisection for the exponential factor, and each later panel [e, 2e]
-    holds less than e^{-10} of its mass.  Measured
-    on the Malmsten and Binet kernels, depths 8/c to 11/c cost the same
-    over n = 0..200, and 10/c the least over 13 log-spaced n from 10^3
-    to 10^6: 420 and 399 evaluations, against 525 and 546 at 8/c.
+    In doubles the map folds every t past the image of the last double
+    below 1, u = 1 - 2^-53, t = (8/c) 53 ln 2 (about 294/c), into that
+    point.  The mass there is at most (K/c) e^{-8 53 ln 2} = (K/c)
+    2^-424, and the driver counts it in its estimate as a remainder no
+    bisection lowers.  So the bound need only hold that far out, and f
+    is sampled no further, but f must stay finite up to there.
+
+    Why the scale is 8: under t = -(s/c) ln(1 - u), e^{-c t} with its
+    Jacobian is (s/c)(1 - u)^{s - 1}, a polynomial that G10 integrates
+    exactly for s <= 20 and K21 for s <= 32.  What f carries besides its
+    exponential, such as a kernel's 1/t, becomes a function of
+    ln(1 - u), which is not smooth at u = 1, and the factor
+    (1 - u)^{s - 1} flattens it there, more as s grows.  The Malmsten
+    and Binet kernels' evaluations, summed over n = 0..200, were:
+
+        scale   QuadConfig()   abs_tol = 0
+          4        14,070        39,690
+          6         8,526        15,960
+          8         8,526         8,526
+         12         8,652         8,652
+
+    8 is the least scale whose count does not grow when the target is
+    relative alone.  There every row takes one panel, 21 evaluations,
+    except n = 0, which takes one bisection.
     """
     # The chained comparison also rejects NaN.
     if not (0.0 < tail.K < math.inf and 0.0 < tail.c < math.inf):
         raise ValueError(
             f"tail bound constants must be positive and finite, got {tail}"
         )
-    # Truncation point: remainder (K/c) exp(-c T) <= tol_ref / 10.  An
-    # absolute target below the least normal double counts as that
-    # double: a remainder under it is lost next to any value, and c times
-    # a subnormal target may round to 0.  The ratio may overflow to inf,
-    # and T then lands on the cap.
-    tol_ref = max(config.abs_tol, _UFLOW)
-    cutoff = math.log(max(10.0 * tail.K / (tail.c * tol_ref), 10.0)) / tail.c
-    cutoff = min(cutoff, 1400.0)
-    remainder = (tail.K / tail.c) * math.exp(-tail.c * cutoff)
-    edges = [cutoff]
-    while 0.5 * edges[-1] > 10.0 / tail.c:
-        edges.append(0.5 * edges[-1])
-    return _adaptive(f, [0.0, *reversed(edges)], config, remainder)
+    scale = 8.0 / tail.c
+
+    def mapped(u: float) -> float:
+        if u >= 1.0:  # t is infinite there, and g tends to 0
+            return 0.0
+        return f(-scale * math.log1p(-u)) * scale / (1.0 - u)
+
+    return _adaptive(mapped, [0.0, 1.0], config, tail.K / tail.c * 2.0**-424)

@@ -91,8 +91,9 @@ FINITE_CORPUS = (
 )
 
 # (label, integrand, tail constants, exact value) on [0, inf).
-# Tail constants are analytic bounds |f(t)| <= K exp(-c t) for t >= T,
-# the truncation point, which is about 30 at the default tolerances:
+# Tail constants are analytic bounds |f(t)| <= K exp(-c t) for large t;
+# the half-line map needs them only past about 294/c, where it folds
+# the rest of the line away:
 #   t exp(-t) <= (2/e) exp(-t/2)           -> K = 1,   c = 1/2
 #   exp(-t^2) <= exp(1/4) exp(-t)          -> K = 1.3, c = 1
 #   exp(-t)/sqrt(t) <= exp(-t) for t >= 1  -> K = 1,   c = 1

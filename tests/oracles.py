@@ -197,12 +197,12 @@ def log_gamma_difference_kernel(n: int) -> KernelSpec:
     integral, evaluated on a deliberately different arithmetic path.
     It subtracts nearly equal terms as t -> 0 and loses about
     log10(1/t) digits there, and e^{t/2} overflows past t = 1420, far
-    beyond any truncation point its tail bound gives.
+    beyond the 294/c <= 588 up to which the half-line map samples it.
     Tail: for t >= 1 the two exponential terms sit under
     1.5 e^{-c t} with c = min(1, n + 1/2), and dividing by t >= 1 keeps
     their difference under that same envelope; K = 2.5 adds margin.
-    With c <= 1 the quadrature truncates no earlier than t = ln 10 > 1,
-    so a bound proved for t >= 1 is enough.
+    With c <= 1 the map needs the bound only past 294/c > 1, so a bound
+    proved for t >= 1 is enough.
     """
     _check_index(n)
 

@@ -252,9 +252,9 @@ def test_origin_extrapolation_matches_declared_data():
 
 
 def test_tail_bounds_hold_pointwise():
-    # |f(t)| <= K e^{-c t} for every t > 0, not only far out: at large n
-    # the truncation point falls below t = 1, so the bound must hold
-    # down to the origin.  Checked on a log grid from 1e-6 to 40.
+    # |f(t)| <= K e^{-c t} for every t > 0, as the kernels state it, not
+    # only past 294/c, where the half-line map folds the rest away.
+    # Checked on a log grid from 1e-6 to 40.
     specs = [
         (kernel.__name__, n, kernel(n))
         for kernel in (malmsten_catalan_kernel, binet_catalan_kernel)
@@ -337,7 +337,7 @@ def test_malmsten_and_difference_kernels_agree_pointwise():
 
 def test_kernels_carry_the_scale_of_their_origin_factor():
     # Both Catalan kernels carry e^{-(n + 1/2) t}, so their tail rate is
-    # n + 1/2 and the half-line driver seeds them at 1/(n + 1/2).
+    # n + 1/2 and the half-line map takes them at the scale 8/(n + 1/2).
     for n in (0, 1, 7, 10_000):
         assert malmsten_catalan_kernel(n).tail_constants.c == n + 0.5
         assert binet_catalan_kernel(n).tail_constants.c == n + 0.5

@@ -318,29 +318,34 @@ def test_breakpoints_start_one_panel_each(cfg):
     assert abs(result.value - (math.e - 1.0)) <= 10.0 * result.error_estimate
 
 
-def test_scale_seeds_panels_at_one_rule_each():
-    # The half-line driver seeds [0, T] at the decay length 1/c = 1.  At
-    # abs_tol = 1e-8, T = ln(1e9) = 20.7: edge 10.4 lies more than
-    # 10/c = 10 above 0, 5.2 does not, so two starting panels, each
-    # smooth enough for one rule: 42 evaluations and no bisection.
-    loose = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
-    result = integrate_half_line(lambda t: math.exp(-t), loose, tail=TailBound(1.0, 1.0))
-    assert result.evaluations == 42
+@pytest.mark.parametrize("c", [1e-3, 0.5, 1.0, 1e4, 1e8], ids=repr)
+def test_map_takes_an_exponential_in_one_panel(c, cfg):
+    # t = -(8/c) ln(1 - u) turns e^{-c t} dt into (8/c)(1 - u)^7 du,
+    # which one G10/K21 panel integrates exactly, whatever the rate.
+    result = integrate_half_line(lambda t: math.exp(-c * t), cfg, tail=TailBound(1.0, c))
+    assert result.evaluations == 21
     assert result.converged
-    assert abs(result.value - 1.0) <= 10.0 * result.error_estimate
+    assert abs(result.value - 1.0 / c) <= 10.0 * result.error_estimate
 
 
-def test_seeded_panels_are_not_subdivisions():
+def test_the_one_panel_is_not_a_subdivision():
     # max_subdivisions limits bisections only: with one allowed, a
-    # singular integrand on the two panels seeded at 1/c = 1 (T =
-    # ln(1e16) = 36.8, edge 18.4) costs 2 * 21 + 42.
+    # singular integrand costs the panel [0, 1] and one bisection.
     one = QuadConfig(abs_tol=1e-15, rel_tol=0.0, max_subdivisions=1)
     result = integrate_half_line(
         lambda t: math.exp(-t) / math.sqrt(t) if t > 0.0 else 0.0,
         one,
         tail=TailBound(1.0, 1.0),
     )
-    assert result.evaluations == 84
+    assert result.evaluations == 21 + 42
+    assert not result.converged
+
+
+def test_a_false_tail_bound_is_unconverged_not_raised(cfg):
+    # f = 1 breaks the bound: mapped, it is 8/(1 - u), which bisection
+    # chases into u = 1.  A node that rounds to 1 reads 0 there instead
+    # of reaching log1p(-1), and the driver stops unconverged.
+    result = integrate_half_line(lambda t: 1.0, cfg, tail=TailBound(1.0, 1.0))
     assert not result.converged
 
 
@@ -458,18 +463,18 @@ def _spike(t: float) -> float:
 
 @pytest.mark.parametrize("tail", [TailBound(1.0 / SPIKE_WIDTH, 1.0)], ids=["truncated"])
 def test_narrow_spike_at_origin_is_found_with_its_scale(tail, cfg):
-    # The driver seeds [0, T] at 1/c.  Stated with c = 1, the spike's
-    # first panel samples no t below a few 1e-3, where the spike has
-    # long vanished: the driver sees zeros and stops at once with a
-    # value of 0.
+    # The map's scale is 8/c.  Stated with c = 1, the spike's first
+    # panel samples no t below about 0.02, where the spike has long
+    # vanished: the driver sees zeros and stops at once with a value
+    # of 0.
     blind = integrate_half_line(_spike, cfg, tail=tail)
     assert abs(blind.value) <= 1e-12
     # t e^{-t/w} / w^2 <= (2 / (e w)) e^{-t/(2w)}, so c = 1/(2w) is a
-    # valid rate too, and it seeds the mesh at the spike's own width.
+    # valid rate too, and it puts the spike's own width into the map.
     fast = TailBound(1.0 / SPIKE_WIDTH, 0.5 / SPIKE_WIDTH)
-    seeded = integrate_half_line(_spike, cfg, tail=fast)
-    assert seeded.converged
-    assert abs(seeded.value - 1.0) <= 10.0 * seeded.error_estimate
+    scaled = integrate_half_line(_spike, cfg, tail=fast)
+    assert scaled.converged
+    assert abs(scaled.value - 1.0) <= 10.0 * scaled.error_estimate
 
 
 @pytest.mark.parametrize(
@@ -499,9 +504,9 @@ def test_explicit_tail_constants_must_be_positive(cfg, tail):
 
 
 def test_truncation_remainder_enters_estimate(cfg):
-    # With an exact tail bound K e^{-ct}, the truncated piece contributes
-    # (K/c) e^{-cT} to the estimate; the result must still certify the
-    # true error honestly.
+    # With an exact tail bound K e^{-ct}, the piece the map folds away
+    # contributes (K/c) 2^-424 to the estimate; the result must still
+    # certify the true error honestly.
     result = integrate_half_line(
         lambda t: math.exp(-t), cfg, tail=TailBound(1.0, 1.0)
     )
@@ -511,15 +516,13 @@ def test_truncation_remainder_enters_estimate(cfg):
 
 
 def test_irreducible_remainder_is_not_bisected(cfg):
-    # The cutoff of this slow tail lands on its cap, and the remainder
-    # (K/c) e^{-cT} = 1000 e^{-1.4} alone is far over the target: no
-    # bisection could meet it, so the driver stops after its first panel.
-    result = integrate_half_line(
-        lambda t: math.exp(-0.001 * t), cfg, tail=TailBound(1.0, 0.001)
-    )
+    # A loose bound for e^{-t}, K = 1e130, puts the fold remainder
+    # (K/c) 2^-424 at about 236, far over the target: no bisection could
+    # meet it, so the driver stops after its first panel.
+    result = integrate_half_line(lambda t: math.exp(-t), cfg, tail=TailBound(1e130, 1.0))
     assert not result.converged
     assert result.evaluations == 21
-    assert abs(1000.0 - result.value) <= 10.0 * result.error_estimate
+    assert abs(1.0 - result.value) <= 10.0 * result.error_estimate
 
 
 def _report():

@@ -108,8 +108,8 @@ def test_penson_rows_honest_against_mpmath(route, cfg):
 
 @pytest.mark.parametrize("route", (catalan_malmsten, catalan_binet))
 def test_half_line_rows_honest_against_mpmath_at_every_n(route, cfg):
-    # The seeded mesh depends on n through the kernel's scale 1/(n + 1/2),
-    # so every n of the sweep gets a partition of its own.
+    # The map depends on n through the kernel's scale 8/(n + 1/2), so
+    # every n of the sweep gets nodes of its own.
     _check_against_mpmath(route, SWEEP, cfg, 1e-12)
 
 
@@ -186,9 +186,8 @@ def test_malmsten_converges_at_1e_14():
 
 @pytest.mark.parametrize("route", (catalan_malmsten, catalan_binet))
 def test_half_line_rows_converge_without_an_absolute_target(route):
-    # With abs_tol = 0 the truncation remainder must vanish next to a
-    # relative target; cut where abs_tol would be, it left almost every
-    # one of these rows unconverged although accurate.
+    # With abs_tol = 0 the target is relative alone, and the mass the
+    # map folds away, (K/c) 2^-424, must vanish next to it.
     relative = QuadConfig(abs_tol=0.0)
     for n in (*range(60), 1_000, 100_000):
         row = route(n, relative)
@@ -207,8 +206,6 @@ def test_half_line_rows_converge_without_an_absolute_target(route):
 def test_half_line_rows_at_the_least_tolerance_are_unconverged(route, config):
     # Every valid config gives a row, even one whose only positive
     # tolerance is the least subnormal, which no halving may turn into 0.
-    # At n = 0, c = 1/2 times a subnormal abs_tol rounds to 0, which the
-    # cutoff must not divide by.
     for n in (0, 1, 5):
         row = route(n, config)
         assert not row.converged, n
@@ -458,23 +455,16 @@ def test_moment_rule_names_the_first_non_finite_sample(monkeypatch):
     assert info.value.abscissa == 3 * (math.pi / 7)
 
 
-# Summed integrand evaluations at the default config.  Before the
-# half-line driver started from a dyadic mesh at the kernel's scale they
-# were 69,225 (Malmsten) and 18,225 (Binet) over n = 0..200, and 2,685
-# (Malmsten) over the large n; before the Malmsten kernel's n-free term
-# was split off in closed form, 43,035 and 1,515 (Malmsten); before the
-# truncation remainder entered the driver's estimate from the first
-# pass, in place of a finite pass at half the tolerances, 18,405
-# (Malmsten) and 12,195 (Binet) over n = 0..200; before the G10/K21 rule
-# with the mesh seeded down to 10/c, in place of G7/K15 down to 4/c,
-# 15,705 (Malmsten) and 11,595 (Binet) over n = 0..200 and 225
-# (Malmsten) over the large n.
+# Summed integrand evaluations at the default config, at most 5% above
+# what the map onto (0, 1) takes: 4,263 for each kernel over
+# n = 0..200 (one panel a row, and one bisection at n = 0) and 105 for
+# Malmsten over the large n.
 @pytest.mark.parametrize(
     "route, ns, budget",
     [
-        (catalan_malmsten, SWEEP, 9_200),
-        (catalan_binet, SWEEP, 9_600),
-        (catalan_malmsten, (1_000, 3_162, 10_000, 31_623, 100_000), 175),
+        (catalan_malmsten, SWEEP, 4_470),
+        (catalan_binet, SWEEP, 4_470),
+        (catalan_malmsten, (1_000, 3_162, 10_000, 31_623, 100_000), 110),
     ],
     ids=["malmsten-sweep", "binet-sweep", "malmsten-large-n"],
 )

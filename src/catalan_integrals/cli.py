@@ -8,6 +8,8 @@ Exit codes, uniform across subcommands:
 * 2 -- usage error (bad arguments): the usage line and the error go to
        stderr, and nothing to stdout
 * 3 -- I/O failure writing requested output
+* 4 -- a crash: the command raised an exception, whose traceback goes
+       to stderr (an import failure before ``main`` runs still exits 1)
 
 Numeric text output uses 17 significant digits so values round-trip
 through the printed form.
@@ -41,6 +43,7 @@ _KERNELS = {
 
 EXIT_VERIFICATION_FAILED = 1
 EXIT_IO = 3
+EXIT_CRASH = 4
 
 
 class UsageError(Exception):
@@ -307,6 +310,12 @@ def main(argv: list[str] | None = None) -> None:
         run(**args)
     except UsageError as exc:
         parser.error(str(exc))
+    except Exception:
+        # A crash, told apart from a failed check; the traceback prints as
+        # Python would print it, after what the command wrote to stdout.
+        sys.stdout.flush()
+        sys.excepthook(*sys.exc_info())
+        sys.exit(EXIT_CRASH)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ QUADPACK's QAGS takes for smooth integrands (Piessens et al., 1983);
 the adaptive driver bisects the panel with the worst estimate first,
 and is the only code that tests convergence.  It stops short of the
 tolerance once the panels sit at their 50 eps floors, which no
-bisection lowers.
+bisection lowers, once the worst panel reaches float resolution, or
+once its subdivision budget is spent; a remainder that alone misses
+the tolerance does not stop it.
 
 The driver only ever sees finite panels: every infinite integral is
 mapped onto (0, 1) before it reaches the driver, as in QUADPACK's
@@ -249,55 +251,53 @@ def _adaptive(
     The estimate is the panels' summed estimates plus ``remainder``, a
     part no bisection can lower, such as the mass a map folds away.  Each
     starting panel costs 21 evaluations and is not a subdivision.  The
-    driver bisects the worst-error panel until the estimate meets the
-    tolerance; it stops with converged = False once ``max_subdivisions``
-    bisections are spent, once the remainder alone misses the tolerance,
-    or once the driver sits at the float floor: the panels' summed
-    50 eps resabs floors plus the remainder miss the tolerance, and the
-    error left above those floors is no larger than the floors.  Halves
-    carry about their parent's floor between them, so no bisection
-    could then meet the target, and none could lower the estimate by
-    more than half.
+    driver bisects the worst-error panel, and stops at the first of:
+
+    * target met: the estimate meets the tolerance;
+    * float floor: the panels' summed 50 eps resabs floors plus the
+      remainder miss the tolerance, and the error left above those
+      floors is no larger than the floors.  Halves carry about their
+      parent's floor between them, so no bisection could then meet the
+      target, and none could lower the estimate by more than half;
+    * resolution: the worst panel has no double between its edges;
+    * budget: ``max_subdivisions`` bisections are spent.
+
+    A remainder over the tolerance stops nothing by itself: the panels
+    are bisected to their floors all the same.
     """
-    # Heap entries: (-error, tiebreak, a, b, value, error, floor).
+    # Heap entries: (-error, a, b, value, floor).  Disjoint panels have
+    # distinct left edges, which order equal errors.
     heap = []
-    for counter, (lo, hi) in enumerate(zip(edges, edges[1:])):
+    for lo, hi in zip(edges, edges[1:]):
         value, err, floor = _kronrod_panel(f, lo, hi)
-        heap.append((-err, counter, lo, hi, value, err, floor))
+        heap.append((-err, lo, hi, value, floor))
     heapq.heapify(heap)
-    evaluations = _PANEL_EVALUATIONS * len(heap)
-    total_value = math.fsum(entry[4] for entry in heap)
-    total_err = math.fsum(entry[5] for entry in heap)
-    total_floor = math.fsum(entry[6] for entry in heap)
-    subdivisions = 0
-    while subdivisions < config.max_subdivisions:
+    total_value = math.fsum(entry[3] for entry in heap)
+    total_err = math.fsum(-entry[0] for entry in heap)
+    total_floor = math.fsum(entry[4] for entry in heap)
+    for _ in range(config.max_subdivisions):
         target = config.tolerance_for(total_value)
-        if total_err + remainder <= target or remainder > target:
+        if total_err + remainder <= target:
             break
         if total_floor + remainder > target and total_err - total_floor <= total_floor:
             break  # at the float floor
-        _, _, a1, b1, v1, e1, floor1 = heapq.heappop(heap)
-        mid = 0.5 * (a1 + b1)
-        if mid <= a1 or mid >= b1:
-            # Interval at floating-point resolution; no further refinement
-            # is possible, so put it back and stop.
-            heapq.heappush(heap, (-e1, counter + 1, a1, b1, v1, e1, floor1))
-            break
-        vl, el, floor_l = _kronrod_panel(f, a1, mid)
-        vr, er, floor_r = _kronrod_panel(f, mid, b1)
-        evaluations += 2 * _PANEL_EVALUATIONS
-        subdivisions += 1
-        total_value += vl + vr - v1
-        total_err += el + er - e1
-        total_floor += floor_l + floor_r - floor1
-        counter += 1
-        heapq.heappush(heap, (-el, counter, a1, mid, vl, el, floor_l))
-        counter += 1
-        heapq.heappush(heap, (-er, counter, mid, b1, vr, er, floor_r))
+        neg_err, a, b, value, floor = heap[0]
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break  # at float resolution
+        vl, el, floor_l = _kronrod_panel(f, a, mid)
+        vr, er, floor_r = _kronrod_panel(f, mid, b)
+        total_value += vl + vr - value
+        total_err += el + er + neg_err
+        total_floor += floor_l + floor_r - floor
+        heapq.heapreplace(heap, (-el, a, mid, vl, floor_l))
+        heapq.heappush(heap, (-er, mid, b, vr, floor_r))
     # Reassemble the totals with compensated summation; the incremental
     # running totals above only steer the subdivision order.
-    total_value = math.fsum(entry[4] for entry in heap)
-    total_err = math.fsum(entry[5] for entry in heap) + remainder
+    total_value = math.fsum(entry[3] for entry in heap)
+    total_err = math.fsum(-entry[0] for entry in heap) + remainder
+    # Each bisection evaluates two panels and adds one to the heap.
+    evaluations = _PANEL_EVALUATIONS * (2 * len(heap) - (len(edges) - 1))
     return QuadResult(
         value=total_value,
         error_estimate=total_err,
@@ -351,6 +351,11 @@ def integrate_half_line(
     2^-424, and the driver counts it in its estimate as a remainder no
     bisection lowers.  So the bound need only hold that far out, and f
     is sampled no further, but f must stay finite up to there.
+
+    Nothing checks the samples against the bound, so a bound that f
+    breaks is not detected, only paid for: f = 1 under TailBound(1, 1)
+    bisects 8/(1 - u) toward u = 1 until the default budget is spent,
+    84,021 evaluations, and returns unconverged, near the fold point.
 
     Why the scale is 8: under t = -(s/c) ln(1 - u), e^{-c t} with its
     Jacobian is (s/c)(1 - u)^{s - 1}, a polynomial that G10 integrates

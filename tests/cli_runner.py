@@ -3,8 +3,8 @@
 ``invoke(main, args)`` calls ``main(args)`` with stdout and stderr
 redirected and returns a ``Result`` with the exit status, each stream,
 and ``output``: both streams together, in the order they were written.
-Any exception other than SystemExit propagates, so a crash cannot pass
-for an exit status.
+Any exception other than SystemExit propagates; ``cli.main`` itself
+turns an exception a command raises into exit status 4.
 """
 
 import contextlib

@@ -15,7 +15,7 @@ import pytest
 from cli_runner import invoke
 import catalan_integrals
 from catalan_integrals.cli import main
-from catalan_integrals import exact
+from catalan_integrals import cli, exact
 from catalan_integrals.exact import MAX_INDEX, catalan_exact
 from catalan_integrals.quadrature import QuadConfig
 from catalan_integrals.report import parse_report_json
@@ -92,24 +92,40 @@ def test_exact_prints_every_digit_past_the_str_limit(n):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == str_digits
 
 
-def test_exact_checks_the_factors_before_printing(monkeypatch, capsys):
+def test_exact_checks_the_factors_before_printing(monkeypatch):
     def fail(n, ln_c):
         raise ArithmeticError(f"witness failed at n = {n}")
 
     monkeypatch.setattr(exact, "_check_against_lgamma", fail)
-    with pytest.raises(ArithmeticError):
-        main(["exact", "5"])
-    assert capsys.readouterr().out == ""
+    result = invoke(main, ["exact", "5"])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert "ArithmeticError: witness failed at n = 5" in result.stderr
 
 
-def test_exact_checks_ln_exact_before_printing(monkeypatch, capsys):
+def test_exact_checks_ln_exact_before_printing(monkeypatch):
     # The digits pass their witness, and the ln line still has its own,
     # which runs before the digits are printed: a fixed-point log that
     # returns 0 moves ln C_1000 by ln(1000 * 1001^2) / 2.
     monkeypatch.setattr(exact, "_fixed_log", lambda m, p: 0)
-    with pytest.raises(ArithmeticError, match="fixed-point ln C_n disagrees"):
-        main(["exact", "1000"])
-    assert capsys.readouterr().out == ""
+    result = invoke(main, ["exact", "1000"])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert "fixed-point ln C_n disagrees" in result.stderr
+
+
+def test_a_crash_exits_4_after_what_the_command_printed(monkeypatch):
+    # A crash is not a failed check (exit 1): the traceback follows the
+    # lines already printed, and names the exception.
+    def fail(value):
+        raise RuntimeError("formatter broke")
+
+    monkeypatch.setattr(cli, "_fmt", fail)
+    result = invoke(main, ["exact", "5"])
+    assert result.exit_code == 4
+    assert result.stdout == "42\n"
+    assert result.output.startswith("42\nTraceback (most recent call last):")
+    assert result.stderr.endswith("RuntimeError: formatter broke\n")
 
 
 def test_exact_rejects_negative():

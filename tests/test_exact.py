@@ -380,12 +380,16 @@ def test_wrong_exponent_raises_under_python_O():
     # One extra factor 2 moves ln C_50 from 62.85 to 63.55.  The lgamma
     # witness must catch it even under -O, which strips assert statements:
     # in catalan_exact, and in the digits that `exact N` multiplies out.
-    # ln_exact reads no factors.
+    # ln_exact reads no factors.  The bare call dies as Python does, with
+    # exit 1; the command line exits 4, its code for a crash.
     package_root = os.path.dirname(os.path.dirname(exact.__file__))
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p
     )
-    for call in ("exact.catalan_exact(50)", "cli.main(['exact', '5000'])"):
+    for call, code in (
+        ("exact.catalan_exact(50)", 1),
+        ("cli.main(['exact', '5000'])", 4),
+    ):
         script = (
             "from catalan_integrals import cli, exact\n"
             "factors = exact._catalan_factors\n"
@@ -399,6 +403,6 @@ def test_wrong_exponent_raises_under_python_O():
             timeout=60,
             env={**os.environ, "PYTHONPATH": pythonpath},
         )
-        assert proc.returncode == 1, call
+        assert proc.returncode == code, call
         assert proc.stdout == "", call
         assert "ArithmeticError: prime factorisation of C_n disagrees" in proc.stderr

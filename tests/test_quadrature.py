@@ -517,12 +517,32 @@ def test_truncation_remainder_enters_estimate(cfg):
 
 def test_irreducible_remainder_is_not_bisected(cfg):
     # A loose bound for e^{-t}, K = 1e130, puts the fold remainder
-    # (K/c) 2^-424 at about 236, far over the target: no bisection could
-    # meet it, so the driver stops after its first panel.
+    # (K/c) 2^-424 at about 231, far over the target.  The map turns
+    # e^{-t} into 8 (1 - u)^7, a polynomial that both rules integrate
+    # exactly, so the first panel's error is its own 50 eps floor, and
+    # the float-floor rule stops the driver there.
     result = integrate_half_line(lambda t: math.exp(-t), cfg, tail=TailBound(1e130, 1.0))
     assert not result.converged
     assert result.evaluations == 21
     assert abs(1.0 - result.value) <= 10.0 * result.error_estimate
+
+
+def test_remainder_over_the_target_still_bisects_to_the_float_floor():
+    # An absolute target far below the fold remainder (K/c) 2^-424, about
+    # 2.3e-127, cannot be met, yet the panels' own error can still fall
+    # to their floors: the remainder alone stops nothing, and the inverse
+    # square root next to t = 0 is bisected until the float-floor rule
+    # ends the call.
+    result = integrate_half_line(
+        lambda t: math.exp(-100.0 * t) / math.sqrt(t),
+        QuadConfig(abs_tol=1e-300, rel_tol=0.0),
+        tail=TailBound(1e3, 100.0),
+    )
+    truth = math.sqrt(math.pi) / 10.0
+    assert abs(result.value - truth) <= 1e-15
+    assert not result.converged
+    assert abs(result.value - truth) <= 10.0 * result.error_estimate
+    assert result.evaluations < 5000
 
 
 def _report():

@@ -25,13 +25,15 @@ its caller, who knows how fast it decays and so what the map loses in
 doubles, and who puts the width of its peak into the map; the
 Penson-Mellin route in the representations module shows how.
 
-Integrands are plain functions.  The rule is open, so an endpoint is
-never sampled, but bisection may close in on one until the panels
-reach floating-point resolution, which next to t = 0 means subnormal
-t (and on the half line t = 0 itself, once 8u/c underflows).  An
-integrand with a removable singularity at t = 0 must therefore
-stay accurate and finite down to there on its own; the kernels module
-shows how.
+Integrands are plain functions.  The rule is open, but bisection may
+close in on an endpoint until the panels reach floating-point
+resolution, and there a node can round onto the endpoint itself:
+1/sqrt(1 - t) on [0, 1] is sampled at t = 1.0.  So an integrand must
+be finite at both endpoints.  Next to t = 0, resolution means
+subnormal t (and on the half line t = 0 itself, once 8u/c underflows),
+so 1/sqrt(t) on [0, 1] is never sampled at 0.  An integrand with a
+removable singularity at t = 0 must stay accurate and finite down to
+there on its own; the kernels module shows how.
 """
 
 from __future__ import annotations
@@ -319,9 +321,10 @@ def integrate_finite(
 
     Like those of QUADPACK's QAGP, breakpoints put the panels' edges
     where the caller knows f changes, so that the driver does not have
-    to find them by bisection.  Endpoints are never sampled (the rule is
-    open), so integrable endpoint behavior like sqrt(b - t) is
-    admissible.
+    to find them by bisection.  The rule is open, but a node can round
+    onto an endpoint once the panels next to it reach floating-point
+    resolution, so f must be finite at a and b: integrable endpoint
+    behavior like sqrt(b - t) is admissible, 1/sqrt(b - t) is not.
     """
     edges = [a, *breakpoints, b]
     # The chained comparison also rejects NaN.

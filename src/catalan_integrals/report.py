@@ -36,7 +36,6 @@ and the ``summary``, and ``_check_threshold`` for ``err_threshold``.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import time
@@ -121,6 +120,10 @@ def _json_float(x: float) -> str:
 
 
 def to_json(report: Report) -> str:
+    # Imported here, like parse_report_json's, so that a CLI call that
+    # writes no JSON does not load json.
+    import json
+
     max_err = report.summary.max_abs_err_ln
     document = json.dumps(
         {
@@ -188,8 +191,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return value
 
 
-# What build_report writes as generated_at.
-_TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", re.ASCII)
+# What build_report writes as generated_at: a pattern string, which
+# re compiles and caches on the first parse, not at import.
+_TIMESTAMP = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00"
 
 
 def _parse_row(r: object) -> RepresentationResult:
@@ -242,6 +246,8 @@ def parse_report_json(text: str) -> Report:
     0..MAX_INDEX or an unknown ``method``; and a ``max_abs_err_ln`` that
     is neither a float nor null or ``failures`` that is not an int >= 0.
     """
+    import json
+
     payload = json.loads(text, parse_constant=_refuse_constant, object_pairs_hook=_unique_keys)
     payload = _object(payload, "a report", _REPORT_KEYS)
     schema = payload["schema_version"]
@@ -253,7 +259,7 @@ def parse_report_json(text: str) -> Report:
         if type(payload[key]) is not kind:
             raise ValueError(f"{key} must be {name}, got {payload[key]!r}")
     stamp = payload["generated_at"]
-    if not _TIMESTAMP.fullmatch(stamp):
+    if not re.fullmatch(_TIMESTAMP, stamp, re.ASCII):
         raise ValueError(f"generated_at must read YYYY-MM-DDTHH:MM:SS+00:00, got {stamp!r}")
     config = _object(payload["config"], "config", _CONFIG_KEYS)
     quad = {field: config[field] for field in QuadConfig._fields}

@@ -35,23 +35,27 @@ integers enclose the tail, in two steps:
   E - s(s+1)(s+2) N^{-s-3}/720.
 
 Both ends of the tail enclosure are widened by 16 ulp for rounding.
-The plain enclosure is about 0.1055/N^3 wide, so tol 1e-10 takes about
-1,000 terms.
+Its width tends to kappa/N^p from below: to 15 L/(16 N^3) = 0.1055/N^3
+for the plain rule, so tol 1e-10 takes about 1,000 terms, and to
+19 L/(48 N^4) = 0.04455/N^4 for the odd weight, both from
+g(N) = L (1 - 15/(8N) + O(N^-2)).
 
 Rounding of the partial sum, in the model of Higham (Accuracy and
 Stability of Numerical Algorithms, 2nd ed., 2002, sec. 3.1): every
 operation is exact times 1 + d with |d| <= u = 2^-53, and
 gamma_k = k u/(1 - k u).  The ratio's numerator and denominator are
-exact ints, and int / int rounds once, so each step of the stream
-multiplies by (1 + d1)(1 + d2), one factor for the quotient and one for
-the product; the computed term(n) is within a relative gamma_{2n} of
-the true one, and within gamma_{2n+1} after the odd weight's division
-by 2n + 1.  For n < N <= TERM_BUDGET, gamma_{2n+1} <= (2n + 1) u
-(1 + 5e-12), so the N computed terms add up to within u (1 + 5e-12) S
-of the true ones, where S bounds sum (2n + 1) term(n).  By term(0) = 1
-and term(n) <= L/n^3, S <= 1 + L (2 zeta(2) + zeta(3)) = 1.5056 for the
-plain rule, and S <= 1 + L zeta(3) = 1.1353 for the odd weight, whose
-(2n + 1) term(n) is the plain term.  ``math.fsum`` rounds the exact sum
+integers below 2^53 for n < TERM_BUDGET, as are all their partial
+products, so doubles hold them exactly and their quotient rounds once;
+each step of the stream multiplies by (1 + d1)(1 + d2), one factor for
+the quotient and one for the product; the computed term(n) is within a
+relative gamma_{2n} of the true one, and within gamma_{2n+1} after the
+odd weight's division by 2n + 1.  For n < N <= TERM_BUDGET,
+gamma_{2n+1} <= (2n + 1) u (1 + 5e-12), so the N computed terms add
+up to within u (1 + 5e-12) S of the true ones, where S bounds
+sum (2n + 1) term(n).  By term(0) = 1 and term(n) <= L/n^3,
+S <= 1 + L (2 zeta(2) + zeta(3)) = 1.5056 for the plain rule, and
+S <= 1 + L zeta(3) = 1.1353 for the odd weight, whose (2n + 1) term(n)
+is the plain term.  ``math.fsum`` rounds the exact sum
 P of its inputs once, by at most u |P|, and |P| < S (1 + 1e-11), since
 sum term(n) <= sum (2n + 1) term(n).  The result's lower end P - e and
 its width w + 2e (w the tail enclosure's width, below 0.0016 for every
@@ -93,7 +97,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from collections.abc import Iterator
 from itertools import chain
 from typing import NamedTuple
@@ -122,10 +125,18 @@ PLAIN_TARGET = (4.0 / math.pi) * math.log(3.0 + 2.0 * _SQRT2) - ODD_WEIGHT_TARGE
 # Hard ceiling on terms per summation.  The tail enclosure's width
 # shrinks like 1/N^3 and is about 1.3e-14 here, 13 times the 1.0e-15
 # that the rounding of the partial sum adds; tighter tolerances end
-# unconverged.
+# unconverged.  The stream's ratio is exact in doubles only while its
+# denominator 16 (n + 1)(2n + 3)(n + 2) stays below 2^53, that is for
+# n < 65,535: the budget must stay below that.
 TERM_BUDGET = 20_000
 
 _TAIL_CONSTANT = 1.0 / (math.pi * 2.0 ** 1.5)
+
+# (kappa, p) of the tail width's asymptote kappa / N^p, by odd_weight.
+_WIDTH_ASYMPTOTE = {
+    False: (15.0 / 16.0 * _TAIL_CONSTANT, 3),
+    True: (19.0 / 48.0 * _TAIL_CONSTANT, 4),
+}
 
 # ln A correctly rounded, from 40-digit mpmath, which a test recomputes.
 _LN_A_ORACLE = 0.24875447703378425
@@ -188,7 +199,7 @@ def series_tail_bound(n_start: int, *, odd_weight: bool = False) -> float:
     """Width of the certified enclosure of sum_{n >= n_start} of the sum-rule terms.
 
     It falls strictly with N = n_start, towards 15 L / (16 N^3) for the
-    plain series; the stopping rule starts its search at N = 4.
+    plain series and 19 L / (48 N^4) for the odd weight.
     """
     if n_start < 4:
         raise ValueError(f"tail bound requires n_start >= 4, got {n_start}")
@@ -199,16 +210,29 @@ def series_tail_bound(n_start: int, *, odd_weight: bool = False) -> float:
 def _terms(n_stop: int, odd_weight: bool) -> Iterator[float]:
     """term(0), ..., term(n_stop - 1) in floats, by the exact ratio.
 
-    Each is within a relative gamma_{2n+1} of the true term (module
-    docstring); ``tests/oracles.py`` builds term(n) from exact integers
-    as the check on that.
+    n is held as a double x: every factor and partial product of the
+    ratio is an integer below 2^53 (see TERM_BUDGET), so the terms are
+    those of the ratio in exact ints, to the bit.  Each is within a
+    relative gamma_{2n+1} of the true term (module docstring);
+    ``tests/oracles.py`` builds term(n) from exact integers as the check
+    on that.
     """
     term = 1.0
-    for n in range(n_stop):
-        yield term / (2 * n + 1) if odd_weight else term
-        term *= (4 * n + 1) * (4 * n + 3) * (2 * n + 1) / (
-            16 * (n + 1) * (2 * n + 3) * (n + 2)
+    for x in map(float, range(n_stop)):
+        yield term / (2.0 * x + 1.0) if odd_weight else term
+        term *= (4.0 * x + 1.0) * (4.0 * x + 3.0) * (2.0 * x + 1.0) / (
+            16.0 * (x + 1.0) * (2.0 * x + 3.0) * (x + 2.0)
         )
+
+
+def _widening(odd_weight: bool) -> float:
+    """The rounding bound e = 3 u S of the module docstring."""
+    return 3.0 * 2.0**-53 * (1.14 if odd_weight else 1.51)
+
+
+def _meets(n: int, tol: float, odd_weight: bool) -> bool:
+    """Whether the interval width w + 2e at N = n meets tol."""
+    return series_tail_bound(n, odd_weight=odd_weight) + 2.0 * _widening(odd_weight) <= tol
 
 
 def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
@@ -216,19 +240,31 @@ def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
     w + 2e meets tol, with w = series_tail_bound(N), or for
     N = TERM_BUDGET, unconverged, when none does.
 
+    The search for N starts where the width's asymptote kappa / N^p
+    (module docstring) meets tol - 2e, clamped to [4, TERM_BUDGET], steps
+    up while N misses tol and down while N - 1 meets it.  The width falls
+    strictly, so that is the least N whatever the start, which sets only
+    the number of widths computed: two or three per call for tol from
+    1e-6 to 1e-10.  When tol <= 2e no N meets it.
+
     The streamed terms enter one compensated sum together with the lower
     end of the tail enclosure, and both ends of the interval are widened
-    by the rounding bound e = 3 u S of the module docstring.
+    by the rounding bound e.
     """
     # Also rejects NaN.  An infinite tol would certify any partial sum.
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    widening = 3.0 * 2.0**-53 * (1.14 if odd_weight else 1.51)
-
-    def meets(n: int) -> bool:
-        return series_tail_bound(n, odd_weight=odd_weight) + 2.0 * widening <= tol
-
-    n_stop = 4 + bisect_left(range(4, TERM_BUDGET), True, key=meets)
+    widening = _widening(odd_weight)
+    room = tol - 2.0 * widening
+    if room <= 0.0:
+        n_stop = TERM_BUDGET
+    else:
+        kappa, p = _WIDTH_ASYMPTOTE[odd_weight]
+        n_stop = max(4, math.ceil(min((kappa / room) ** (1.0 / p), TERM_BUDGET)))
+        while n_stop < TERM_BUDGET and not _meets(n_stop, tol, odd_weight):
+            n_stop += 1
+        while n_stop > 4 and _meets(n_stop - 1, tol, odd_weight):
+            n_stop -= 1
     lo, hi = _tail_enclosure(n_stop, odd_weight)
     low = math.fsum(chain(_terms(n_stop, odd_weight), (lo,))) - widening
     bound = hi - lo + 2.0 * widening

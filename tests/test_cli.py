@@ -20,6 +20,7 @@ from catalan_integrals.exact import MAX_INDEX, catalan_exact
 from catalan_integrals.quadrature import QuadConfig
 from catalan_integrals.report import parse_report_json
 from catalan_integrals.representations import ROUTES
+from catalan_integrals.series import GlaisherResult
 
 # One run of every command, each of which returns when it succeeds.
 EVERY_COMMAND = [
@@ -441,6 +442,29 @@ def test_glaisher_starved_quadrature_fails():
     assert result.stdout == ""
 
 
+def test_glaisher_converged_but_off_fails_after_its_lines(monkeypatch):
+    # No quadrature config reaches this branch (abs_err is 2.8e-17 even
+    # at tolerance 10), so the result is made 1e-7 off by hand.
+    off = GlaisherResult(
+        integral_value=-0.04,
+        ln_A=0.24875447703378425 + 1e-7,
+        oracle_ln_A=0.24875447703378425,
+        abs_err=1e-7,
+        error_estimate=1e-15,
+        evaluations=21,
+        converged=True,
+    )
+    monkeypatch.setattr(cli, "glaisher_from_integral", lambda config: off)
+    result = invoke(main, ["glaisher"])
+    assert result.exit_code == 1
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "integral_value", "ln_A", "oracle_ln_A", "abs_err",
+    ]
+    assert lines[-1] == "abs_err        1.000e-07"
+
+
 # --------------------------------------------------------- dump-kernel
 
 
@@ -605,29 +629,41 @@ def test_cli_import_leaves_out_click_dataclasses_inspect_datetime_and_decimal(tm
     # The command line's cold start: none of these is needed to run it.
     # Only exact N imports decimal, to print the digits of C_N, so neither
     # a sweep nor ln_exact far above its crossover loads it; the report's
-    # timestamp comes from time, not datetime.
+    # timestamp comes from time, not datetime.  Only a JSON report and
+    # its parser load json.
     package_root = os.path.dirname(os.path.dirname(catalan_integrals.__file__))
     script = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
         "import catalan_integrals.cli\n"
         "unneeded = {'click', 'dataclasses', 'inspect', 'datetime', '_datetime',"
-        " 'decimal', '_decimal'}\n"
+        " 'decimal', '_decimal', 'json', '_json', 'json.decoder', 'json.encoder',"
+        " 'json.scanner'}\n"
         "print(sorted(unneeded & set(sys.modules)))\n"
         "catalan_integrals.cli.main(['verify', '--n-max', '200', '--output', sys.argv[2]])\n"
         "print(sorted(unneeded & set(sys.modules)))\n"
         "catalan_integrals.cli.main(['rep', 'gamma', '100000'])\n"
         "print(sorted(unneeded & set(sys.modules)))\n"
+        "catalan_integrals.cli.main(['verify', '--n-max', '20', '--format', 'json',"
+        " '--output', sys.argv[3]])\n"
+        "print('json' in sys.modules)\n"
     )
+    report_json = tmp_path / "report.json"
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", script, package_root, str(tmp_path / "report.txt")],
+        [
+            sys.executable, "-I", "-c", script, package_root,
+            str(tmp_path / "report.txt"), str(report_json),
+        ],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    empty, after_verify, row, after_rep = proc.stdout.splitlines()
+    empty, after_verify, row, after_rep, json_loaded = proc.stdout.splitlines()
     assert [empty, after_verify, after_rep] == ["[]", "[]", "[]"]
     assert row.startswith("n=100000 method=gamma_closed_form ")
+    assert json_loaded == "True"
+    report = parse_report_json(report_json.read_text(encoding="utf-8"))
+    assert len(report.rows) == 5 * 21
 
 
 def test_module_entry_point():

@@ -390,6 +390,33 @@ def test_evaluation_error_carries_abscissa(cfg):
     assert 0.4 < exc_info.value.abscissa < 0.6
 
 
+def test_a_node_rounds_onto_the_right_endpoint():
+    # Bisection closes in on t = 1 until a node rounds onto it, so an
+    # integrand must be finite at both endpoints; 1/sqrt(1 - t) is not.
+    def f(t):
+        return 1.0 / math.sqrt(1.0 - t) if t < 1.0 else math.inf
+
+    with pytest.raises(IntegrandEvaluationError) as exc_info:
+        integrate_finite(f, 0.0, 1.0, QuadConfig())
+    assert exc_info.value.abscissa == 1.0
+
+
+def test_no_node_rounds_onto_the_left_endpoint_at_zero():
+    # Next to t = 0 float resolution is subnormal, so 1/sqrt(t) is
+    # never sampled at 0 (where it would raise) and converges.
+    samples = []
+
+    def f(t):
+        samples.append(t)
+        return 1.0 / math.sqrt(t)
+
+    result = integrate_finite(f, 0.0, 1.0, QuadConfig())
+    assert result.converged
+    assert abs(result.value - 2.0) <= 1e-12
+    assert result.evaluations == len(samples) == 3003
+    assert min(samples) > 0.0
+
+
 # -------------------------------------------------------- configuration
 
 

@@ -1,6 +1,7 @@
 """Certified sum rules and the Glaisher-Kinkelin extraction."""
 
 import math
+from bisect import bisect_left
 
 import mpmath as mp
 import numpy as np
@@ -22,9 +23,11 @@ from catalan_integrals.series import (
     _LN_A_ORACLE,
     _ROUNDING,
     _TAIL_CONSTANT,
+    _meets,
     _tail_enclosure,
     _term_lower_factor,
     _terms,
+    _widening,
     _zeta_bracket,
     glaisher_from_integral,
     series_tail_bound,
@@ -86,6 +89,32 @@ def test_last_budget_term_within_its_rounding_bound(odd_weight):
     *_, term = _terms(TERM_BUDGET, odd_weight)
     direct = sum_rule_term(n, odd_weight=odd_weight)
     assert abs(term - direct) <= _streamed_term_bound(n, direct)
+
+
+def test_term_budget_keeps_the_ratio_exact_in_doubles():
+    # _terms holds n as a double; its ratio's factors and partial
+    # products are integers, exact in doubles while below 2^53.  The
+    # last ratio the stream forms is at n = TERM_BUDGET - 1.
+    n = TERM_BUDGET - 1
+    assert (4 * n + 1) * (4 * n + 3) * (2 * n + 1) < 2**53
+    assert 16 * (n + 1) * (2 * n + 3) * (n + 2) < 2**53
+
+
+def _int_ratio_terms(n_stop: int, odd_weight: bool):
+    # The stream with the ratio in exact ints, whose int / int rounds once.
+    term = 1.0
+    for n in range(n_stop):
+        yield term / (2 * n + 1) if odd_weight else term
+        term *= (4 * n + 1) * (4 * n + 3) * (2 * n + 1) / (
+            16 * (n + 1) * (2 * n + 3) * (n + 2)
+        )
+
+
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_streamed_terms_equal_the_exact_int_ratio_stream(odd_weight):
+    streamed = list(_terms(TERM_BUDGET, odd_weight))
+    assert streamed == list(_int_ratio_terms(TERM_BUDGET, odd_weight))
+    assert len(streamed) == TERM_BUDGET
 
 
 @pytest.mark.parametrize("n", [100, 1000, 20_000])
@@ -211,7 +240,7 @@ def test_zeta_bracket_contains_hurwitz_zeta(s, n_start):
 
 @pytest.mark.parametrize("odd_weight", [False, True])
 def test_tail_width_strictly_decreasing(odd_weight):
-    # The bisection in _sum_rule relies on this.
+    # The search for N in _sum_rule relies on this.
     previous = math.inf
     for n_start in range(4, max(10**5, TERM_BUDGET) + 1):
         width = series_tail_bound(n_start, odd_weight=odd_weight)
@@ -303,6 +332,33 @@ def test_sum_stops_at_first_n_whose_bound_meets_tol(tol, odd_weight):
 def test_terms_used_at_benchmark_tolerances(tol, plain, odd):
     assert stewart_sum_plain(tol).terms_used == plain
     assert stewart_sum_odd_weight(tol).terms_used == odd
+
+
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_search_from_the_asymptote_finds_the_bisection_n(odd_weight):
+    # The search starts at the width's asymptote and steps; over a grid
+    # of tolerances from 1e-2 to 1e-14.75, which crosses the budget, it
+    # lands where a bisection over [4, TERM_BUDGET) does.
+    rule = stewart_sum_odd_weight if odd_weight else stewart_sum_plain
+    for k in range(8, 60):
+        tol = 10 ** (-k / 4)
+        expected = 4 + bisect_left(
+            range(4, TERM_BUDGET), True, key=lambda n: _meets(n, tol, odd_weight)
+        )
+        assert rule(tol).terms_used == expected, tol
+
+
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_search_ends_of_the_range(odd_weight):
+    rule = stewart_sum_odd_weight if odd_weight else stewart_sum_plain
+    # Above the width at N = 4, and at or below 2e, which no N meets.
+    assert rule(1.0).terms_used == 4
+    assert rule(1e300).converged
+    floor = 2.0 * _widening(odd_weight)
+    for tol in (floor, floor / 2, 5e-324):
+        result = rule(tol)
+        assert result.terms_used == TERM_BUDGET
+        assert not result.converged
 
 
 def test_tolerance_validation():

@@ -10,35 +10,51 @@ truncation against closed-form targets:
 * odd-weight:  sum_{n>=0} C_{2n} C_n / ((2n + 1) 64^n)
                target 8 sqrt(2) / (3 pi)
 
-The first N terms are streamed in floats by their exact ratio
+The first N + 1 terms are streamed in floats by their exact ratio
 
-    term(n + 1) / term(n) = (4n + 1)(4n + 3)(2n + 1) / (16 (n + 1)(2n + 3)(n + 2)),
+    r(n) = term(n + 1) / term(n)
+         = (4n + 1)(4n + 3)(2n + 1) / (16 (n + 1)(2n + 3)(n + 2)),
 
 the product of C_{2n+2} (2n + 2)(2n + 3) = C_{2n} 4 (4n + 1)(4n + 3),
-C_{n+1} (n + 2) = C_n 2 (2n + 1) and 64^-1, in O(N) operations on
-doubles, and enter one compensated sum; closed forms with no big
-integers enclose the tail, in two steps:
+C_{n+1} (n + 2) = C_n 2 (2n + 1) and 64^-1 (times (2n + 1)/(2n + 3)
+with the odd weight), in O(N) operations on doubles.  The first N
+enter one compensated sum, and term(N) sets the tail, which closed
+forms with no big integers enclose:
 
-* Per-term bounds.  With L = 1/(pi 2^{3/2}) and g(n) = n^3 /
-  (pi sqrt((2n + 1/2)(n + 1/2)) (2n + 1)(n + 1)), g(n)/n^3 <= term(n)
-  <= L/n^3 for n >= 1, from 4^m/sqrt(pi (m + 1/2)) <= binomial(2m, m)
-  <= 4^m/sqrt(pi m) at m = n and 2n (the lower bound is Kershaw's
-  gamma-ratio inequality, Math. Comp. 41, 1983, at s = 1/2).  g is
-  increasing, as the product of the increasing sqrt(n/(2n + 1/2)),
-  sqrt(n/(n + 1/2)), n/(2n + 1) and n/(n + 1), so the tail lies in
-  [g(N) zeta(3, N), L zeta(3, N)] with zeta(s, N) = sum_{n>=N} n^{-s};
-  with the odd weight 1/(2n + 1) < 1/(2n), in
-  [g(N) N/(2N + 1) zeta(4, N), (L/2) zeta(4, N)].
+* Telescoping.  The terms are hypergeometric, so, as in Gosper's
+  algorithm (PNAS 75, 1978), a rational R(n) = a n + b + c/n + d/n^2
+  nearly solves R(n) - r(n) R(n + 1) = 1.  With the defect
+  D(n) = R(n) - r(n) R(n + 1) - 1,
+  term(n) R(n) - term(n + 1) R(n + 1) = term(n) (1 + D(n)), and
+  term(n) R(n) -> 0, so summing from N gives the exact
+
+      sum_{n>=N} term(n) = term(N) R(N) - sum_{n>=N} term(n) D(n).
+
+  (a, b, c, d) cancel D through n^-3: (1/2, 25/32, 435/2048,
+  -3699/32768) for the plain rule, where D(n) = 9 (114 n^3 -
+  51823 n^2 - 90160 n - 39456) / (524288 n^2 (n + 1)^3 (n + 2)
+  (2n + 3)), and (1/3, 131/192, 1603/5120, -5465/32768) for the odd
+  weight.  Write D = num/den with den > 0.  kappa den -+ n^4 num has
+  only nonnegative coefficients as a polynomial in m = n - 4, for
+  kappa = 0.041 (plain) and 0.378 (odd weight), so |D(n)| <= kappa/n^4
+  for every n >= 4 (n^4 |D(n)| peaks at 0.0407 at n = 4 for the plain
+  rule, and approaches 0.3777 for the odd weight).
+* Per-term bound.  term(n) <= L/n^3 for n >= 1, with
+  L = 1/(pi 2^{3/2}), from binomial(2m, m) <= 4^m/sqrt(pi m) at m = n
+  and 2n; with the odd weight, 1/(2n + 1) < 1/(2n) gives
+  term(n) <= (L/2)/n^4.  So the sum of term(n) D(n) is at most
+  kappa L zeta(7, N) in size, or kappa (L/2) zeta(8, N), with
+  zeta(s, N) = sum_{n>=N} n^{-s}, and the tail lies within that of the
+  centre term(N) R(N).
 * Zeta bracket.  The derivatives of x^{-s} alternate in sign, so the
   Euler-Maclaurin remainders do too and zeta(s, N) lies between
   E = N^{1-s}/(s-1) + N^{-s}/2 + s N^{-s-1}/12 and
   E - s(s+1)(s+2) N^{-s-3}/720.
 
-Both ends of the tail enclosure are widened by 16 ulp for rounding.
-Its width tends to kappa/N^p from below: to 15 L/(16 N^3) = 0.1055/N^3
-for the plain rule, so tol 1e-10 takes about 1,000 terms, and to
-19 L/(48 N^4) = 0.04455/N^4 for the odd weight, both from
-g(N) = L (1 - 15/(8N) + O(N^-2)).
+The enclosure's width w is 2 kappa L E at s = 7, or kappa L E at
+s = 8, widened by 16 ulp for rounding.  It falls strictly with N, like
+2 kappa L/(6 N^6) = 0.00154/N^6 for the plain rule and kappa L/(7 N^7)
+= 0.00608/N^7 for the odd weight: tol 1e-10 takes 17 and 14 terms.
 
 Rounding of the partial sum, in the model of Higham (Accuracy and
 Stability of Numerical Algorithms, 2nd ed., 2002, sec. 3.1): every
@@ -49,29 +65,48 @@ products, so doubles hold them exactly and their quotient rounds once;
 each step of the stream multiplies by (1 + d1)(1 + d2), one factor for
 the quotient and one for the product; the computed term(n) is within a
 relative gamma_{2n} of the true one, and within gamma_{2n+1} after the
-odd weight's division by 2n + 1.  For n < N <= TERM_BUDGET,
-gamma_{2n+1} <= (2n + 1) u (1 + 5e-12), so the N computed terms add
-up to within u (1 + 5e-12) S of the true ones, where S bounds
-sum (2n + 1) term(n).  By term(0) = 1 and term(n) <= L/n^3,
-S <= 1 + L (2 zeta(2) + zeta(3)) = 1.5056 for the plain rule, and
-S <= 1 + L zeta(3) = 1.1353 for the odd weight, whose (2n + 1) term(n)
-is the plain term.  ``math.fsum`` rounds the exact sum
-P of its inputs once, by at most u |P|, and |P| < S (1 + 1e-11), since
-sum term(n) <= sum (2n + 1) term(n).  The result's lower end P - e and
-its width w + 2e (w the tail enclosure's width, below 0.0016 for every
-N >= 4) round by at most u |P| and 2 u w more.  So the computed interval
-[P - e, P - e + (w + 2e)] contains the true sum once e >= 3 u S + 2 u w,
-and the code takes
+odd weight's division by 2n + 1.  For n <= N <= TERM_BUDGET,
+gamma_{2n+7} <= (2n + 7) u (1 + 5e-12).  The errors are:
 
-    e = 3 u S,  with S = 1.51 (plain) and 1.14 (odd weight).
+* Terms.  The N computed terms add up to within u (1 + 5e-12) S of
+  the true ones, where S bounds sum (2n + 1) term(n).  By term(0) = 1
+  and term(n) <= L/n^3, S <= 1 + L (2 zeta(2) + zeta(3)) = 1.5056 for
+  the plain rule, and S <= 1 + L zeta(3) = 1.1353 for the odd weight,
+  whose (2n + 1) term(n) is the plain term.
+* Centre.  R(N) is evaluated as (a N + b) + (c + d/N)/N.  All of it
+  adds positive numbers but c + d/N, which cancels by a factor below
+  1.31 for N >= 4; so, with the odd weight's rounded a, b and c, the
+  computed R(N) is within gamma_5 of R(N), and the centre, with the
+  streamed term(N) and one product, within gamma_{2N+7}.  R(N) <=
+  N/2 + 1 (plain) and N/3 + 1 (odd weight), so the centre is off by at
+  most (2N + 7)(N/2 + 1) L/N^3 (1 + 5e-12) u, or (2N + 7)(N/3 + 1)
+  L/(2 N^4) (1 + 5e-12) u.  Both fall with N, from 0.0792 u and
+  0.0077 u at N = 4.
+* Ends.  The enclosure's ends are the centre less and plus the reach
+  w/2 + e; rounding the reach and the lower end adds at most
+  u (centre + w/2 + e) (1 + 1e-15) < 0.006 u, as the centre is at most
+  (N/2 + 1) L/N^3 <= 3 L/64 = 0.0053 (plain), or (N/3 + 1) L/(2 N^4)
+  <= 0.0006 (odd weight).
+* The sum.  ``math.fsum`` rounds the exact sum P of the N terms and
+  the lower end once, by at most u |P|, and |P| < S, since
+  sum term(n) <= sum (2n + 1) term(n); the width w + 2e rounds by at
+  most u (w + 2e) < 1e-5 u more, as w < 1e-6 for every N >= 4.
 
-The margin over the bounds above, 3 (1.51 - 1.5056) = 0.013 and
-3 (1.14 - 1.1353) = 0.014 in units of u, covers 2 u w, the factors
-1 + 1e-11, the term 2 u e that the width's rounding adds and the
-rounding of e itself.  e does not depend on N, so the stopping rule
-takes the least N whose whole width w + 2e meets tol.  Against terms
-from exact integers over n < 20,000, the streamed terms are within
-0.17 (2n + 1) u, and the two fsums agree to the bit.
+So the computed interval, from the rounded P to that plus the rounded
+w + 2e, contains the true sum once e is at least the sum of these
+bounds:
+
+    e = u (2 S + C),  with S = 1.51, C = 0.1 (plain),
+                      and S = 1.14, C = 0.01 (odd weight).
+
+The margins over the bounds above, 2 (1.51 - 1.5056) + 0.1 - 0.0792
+- 0.006 = 0.023 and 2 (1.14 - 1.1353) + 0.01 - 0.0077 - 0.0006 =
+0.011 in units of u, cover the rounding of the width and of e itself
+and the factors 1 + 5e-12.  e does not depend on N, so the stopping
+rule takes the least N whose whole width w + 2e meets tol.  Against
+terms from exact integers over n < 20,000, the streamed terms are
+within 0.17 (2n + 1) u; against the 40-digit limit, the interval of
+every N from 4 to TERM_BUDGET holds it at least 1.5 u inside each end.
 
 Note on the odd-weight target: the plain series matches its target to
 full precision, but the odd-weight series as written converges to
@@ -98,7 +133,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
-from itertools import chain
 from typing import NamedTuple
 
 from .exact import _LN2, _LN_PI
@@ -123,26 +157,30 @@ ODD_WEIGHT_TARGET = 8.0 * _SQRT2 / (3.0 * math.pi)
 PLAIN_TARGET = (4.0 / math.pi) * math.log(3.0 + 2.0 * _SQRT2) - ODD_WEIGHT_TARGET
 
 # Hard ceiling on terms per summation.  The tail enclosure's width
-# shrinks like 1/N^3 and is about 1.3e-14 here, 13 times the 1.0e-15
-# that the rounding of the partial sum adds; tighter tolerances end
-# unconverged.  The stream's ratio is exact in doubles only while its
+# shrinks like 1/N^6 (1/N^7 with the odd weight) and is below the
+# 2e = 6.9e-16 (5.1e-16) that the rounding of the partial sum adds from
+# N = 115 (75) on; a tolerance at or below 2e ends unconverged here.
+# The stream's ratio is exact in doubles only while its
 # denominator 16 (n + 1)(2n + 3)(n + 2) stays below 2^53, that is for
 # n < 65,535: the budget must stay below that.
 TERM_BUDGET = 20_000
 
 _TAIL_CONSTANT = 1.0 / (math.pi * 2.0 ** 1.5)
 
-# (kappa, p) of the tail width's asymptote kappa / N^p, by odd_weight.
-_WIDTH_ASYMPTOTE = {
-    False: (15.0 / 16.0 * _TAIL_CONSTANT, 3),
-    True: (19.0 / 48.0 * _TAIL_CONSTANT, 4),
+# By odd_weight: the coefficients (a, b, c, d) of R(n) = a n + b + c/n +
+# d/n^2, kappa with |D(n)| <= kappa/n^4, and (M, s) with term(n) <=
+# M/n^(s-4), so that the enclosure's width is 2 kappa M zeta(s, N)
+# (module docstring).
+_TELESCOPE = {
+    False: ((0.5, 25 / 32, 435 / 2048, -3699 / 32768), 0.041, _TAIL_CONSTANT, 7),
+    True: ((1 / 3, 131 / 192, 1603 / 5120, -5465 / 32768), 0.378, 0.5 * _TAIL_CONSTANT, 8),
 }
 
 # ln A correctly rounded, from 40-digit mpmath, which a test recomputes.
 _LN_A_ORACLE = 0.24875447703378425
 
-# Relative widening of each enclosure end: it covers fewer than thirty
-# float roundings of at most 2^-53 each, and the error of math.pi.
+# Relative widening of the tail enclosure's width: it covers fewer than
+# thirty float roundings of at most 2^-53 each, and the error of math.pi.
 _ROUNDING = 16 * sys.float_info.epsilon
 
 
@@ -151,12 +189,13 @@ class SeriesResult(NamedTuple):
 
     The true sum lies in [partial_sum, partial_sum + tail_bound]:
     ``partial_sum`` is the compensated sum of the first ``terms_used``
-    streamed terms plus the lower end of the tail enclosure, less the
-    rounding bound e of the module docstring, and ``tail_bound`` is the
-    tail enclosure's width plus 2e.  ``certified_value`` is the midpoint of
-    that interval and ``abs_err`` its distance to the stated
-    closed-form ``target``.  ``converged`` is False when TERM_BUDGET
-    terms left ``tail_bound`` above the requested tolerance; the fields
+    streamed terms and of the lower end of the tail enclosure, which
+    lies the rounding bound e of the module docstring below the tail's,
+    and ``tail_bound`` is the tail enclosure's width plus 2e.
+    ``certified_value`` is the midpoint of that interval and ``abs_err``
+    its distance to the stated closed-form ``target``.  ``converged`` is
+    False when TERM_BUDGET terms left ``tail_bound`` above the requested
+    tolerance, as they do for any tolerance at or below 2e; the fields
     then say how far the summation got.
     """
 
@@ -169,12 +208,6 @@ class SeriesResult(NamedTuple):
     converged: bool
 
 
-def _term_lower_factor(n: int) -> float:
-    """g(n), increasing in n, with g(n) / n^3 <= term(n)."""
-    root = math.sqrt((2 * n + 0.5) * (n + 0.5))
-    return n**3 / (math.pi * root * ((2 * n + 1) * (n + 1)))
-
-
 def _zeta_bracket(s: int, n: int) -> tuple[float, float]:
     """Lower and upper Euler-Maclaurin bounds on zeta(s, n) = sum_{k>=n} k^-s."""
     x = float(n)
@@ -182,29 +215,44 @@ def _zeta_bracket(s: int, n: int) -> tuple[float, float]:
     return upper - s * (s + 1) * (s + 2) * x ** (-s - 3) / 720.0, upper
 
 
-def _tail_enclosure(n_start: int, odd_weight: bool) -> tuple[float, float]:
-    """[lo, hi] containing sum_{n >= n_start} term(n), widened for rounding."""
-    g = _term_lower_factor(n_start)
-    if odd_weight:
-        z_lo, z_hi = _zeta_bracket(4, n_start)
-        lo = g * (n_start / (2 * n_start + 1)) * z_lo
-        hi = 0.5 * _TAIL_CONSTANT * z_hi
-    else:
-        z_lo, z_hi = _zeta_bracket(3, n_start)
-        lo, hi = g * z_lo, _TAIL_CONSTANT * z_hi
-    return lo * (1.0 - _ROUNDING), hi * (1.0 + _ROUNDING)
-
-
 def series_tail_bound(n_start: int, *, odd_weight: bool = False) -> float:
     """Width of the certified enclosure of sum_{n >= n_start} of the sum-rule terms.
 
-    It falls strictly with N = n_start, towards 15 L / (16 N^3) for the
-    plain series and 19 L / (48 N^4) for the odd weight.
+    The enclosure is centred on term(N) R(N), N = n_start, and the
+    remainder sum_{n>=N} term(n) D(n) is at most kappa M zeta(s, N) in
+    size, since |D(n)| <= kappa/n^4 and term(n) <= M/n^(s-4): kappa =
+    0.041, M = L and s = 7 for the plain series, and kappa = 0.378,
+    M = L/2 and s = 8 for the odd weight (module docstring).  The width
+    2 kappa M zeta(s, N) takes zeta by its upper Euler-Maclaurin bound
+    and is widened for rounding; it falls strictly with N, towards
+    0.00154/N^6 and 0.00608/N^7.
     """
+    if isinstance(n_start, bool) or not isinstance(n_start, int):
+        raise ValueError(f"tail bound requires an int n_start, got {n_start!r}")
     if n_start < 4:
         raise ValueError(f"tail bound requires n_start >= 4, got {n_start}")
-    lo, hi = _tail_enclosure(n_start, odd_weight)
-    return hi - lo
+    _, kappa, m, s = _TELESCOPE[odd_weight]
+    return 2.0 * kappa * m * _zeta_bracket(s, n_start)[1] * (1.0 + _ROUNDING)
+
+
+def _widening(odd_weight: bool) -> float:
+    """The rounding bound e = u (2 S + C) of the module docstring."""
+    return 2.0**-53 * (2.0 * 1.14 + 0.01 if odd_weight else 2.0 * 1.51 + 0.1)
+
+
+def _tail_enclosure(n_start: int, term: float, odd_weight: bool) -> tuple[float, float]:
+    """[lo, hi] around the centre term R(N), given term = term(N), N = n_start.
+
+    Its ends lie the tail enclosure's half-width plus the rounding bound
+    e from the centre, so that P + lo <= sum_{n>=0} term(n) <= P + hi
+    for P the sum of the streamed term(0..N-1), roundings included
+    (module docstring).
+    """
+    (a, b, c, d), *_ = _TELESCOPE[odd_weight]
+    x = float(n_start)
+    centre = term * ((a * x + b) + (c + d / x) / x)
+    reach = 0.5 * series_tail_bound(n_start, odd_weight=odd_weight) + _widening(odd_weight)
+    return centre - reach, centre + reach
 
 
 def _terms(n_stop: int, odd_weight: bool) -> Iterator[float]:
@@ -225,11 +273,6 @@ def _terms(n_stop: int, odd_weight: bool) -> Iterator[float]:
         )
 
 
-def _widening(odd_weight: bool) -> float:
-    """The rounding bound e = 3 u S of the module docstring."""
-    return 3.0 * 2.0**-53 * (1.14 if odd_weight else 1.51)
-
-
 def _meets(n: int, tol: float, odd_weight: bool) -> bool:
     """Whether the interval width w + 2e at N = n meets tol."""
     return series_tail_bound(n, odd_weight=odd_weight) + 2.0 * _widening(odd_weight) <= tol
@@ -240,34 +283,45 @@ def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
     w + 2e meets tol, with w = series_tail_bound(N), or for
     N = TERM_BUDGET, unconverged, when none does.
 
-    The search for N starts where the width's asymptote kappa / N^p
-    (module docstring) meets tol - 2e, clamped to [4, TERM_BUDGET], steps
-    up while N misses tol and down while N - 1 meets it.  The width falls
-    strictly, so that is the least N whatever the start, which sets only
-    the number of widths computed: two or three per call for tol from
-    1e-6 to 1e-10.  When tol <= 2e no N meets it.
+    The search for N starts where 2 kappa M (N - 1/2)^(1-s) / (s - 1),
+    the width with zeta(s, N) taken as the integral of x^-s from
+    N - 1/2 (module docstring), meets tol - 2e, clamped to
+    [4, TERM_BUDGET], steps up while N misses tol and down while N - 1
+    meets it.  The width falls strictly, so that is the least N whatever
+    the start, which sets only the number of widths computed: two per
+    call from 1e-6 to 1e-10.  When tol <= 2e no N meets it.
 
-    The streamed terms enter one compensated sum together with the lower
-    end of the tail enclosure, and both ends of the interval are widened
-    by the rounding bound e.
+    The stream runs one term further, to term(N), which sets the tail
+    enclosure.  The first N terms enter one compensated sum together
+    with the enclosure's lower end, which lies the rounding bound e below
+    the tail's, and the interval's width is w + 2e.
     """
-    # Also rejects NaN.  An infinite tol would certify any partial sum.
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    # A bool is an int, an int past the largest float has no float to
+    # round to, and the comparisons are False for NaN.  An infinite tol
+    # would certify any partial sum.
+    if (
+        isinstance(tol, bool)
+        or not isinstance(tol, (int, float))
+        or not 0 < tol <= sys.float_info.max
+    ):
+        raise ValueError(f"tolerance must be a positive finite float, got {tol!r}")
     widening = _widening(odd_weight)
     room = tol - 2.0 * widening
     if room <= 0.0:
         n_stop = TERM_BUDGET
     else:
-        kappa, p = _WIDTH_ASYMPTOTE[odd_weight]
-        n_stop = max(4, math.ceil(min((kappa / room) ** (1.0 / p), TERM_BUDGET)))
+        _, kappa, m, s = _TELESCOPE[odd_weight]
+        guess = 0.5 + (2.0 * kappa * m / ((s - 1) * room)) ** (1.0 / (s - 1))
+        n_stop = max(4, math.ceil(min(guess, TERM_BUDGET)))
         while n_stop < TERM_BUDGET and not _meets(n_stop, tol, odd_weight):
             n_stop += 1
         while n_stop > 4 and _meets(n_stop - 1, tol, odd_weight):
             n_stop -= 1
-    lo, hi = _tail_enclosure(n_stop, odd_weight)
-    low = math.fsum(chain(_terms(n_stop, odd_weight), (lo,))) - widening
-    bound = hi - lo + 2.0 * widening
+    *terms, last = _terms(n_stop + 1, odd_weight)
+    lo, _ = _tail_enclosure(n_stop, last, odd_weight)
+    terms.append(lo)
+    low = math.fsum(terms)
+    bound = series_tail_bound(n_stop, odd_weight=odd_weight) + 2.0 * widening
     certified = low + 0.5 * bound
     return SeriesResult(
         partial_sum=low,
@@ -276,7 +330,8 @@ def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
         certified_value=certified,
         target=target,
         abs_err=abs(certified - target),
-        converged=bound <= tol,
+        # w > 0, so no width meets tol <= 2e, even where w + 2e rounds to 2e.
+        converged=room > 0.0 and bound <= tol,
     )
 
 

@@ -134,7 +134,8 @@ def _checkpoint_containment(limit: float, odd_weight: bool) -> bool:
         partial = math.fsum(
             sum_rule_term(n, odd_weight=odd_weight) for n in range(checkpoint)
         )
-        lo, hi = _tail_enclosure(checkpoint, odd_weight)
+        term = sum_rule_term(checkpoint, odd_weight=odd_weight)
+        lo, hi = _tail_enclosure(checkpoint, term, odd_weight)
         if not partial + lo <= limit <= partial + hi:
             return False
     return True

@@ -392,16 +392,16 @@ def test_sumrule_budget_exhaustion():
     result = invoke(main, ["sumrule", "plain", "--tol", "1e-30"])
     assert result.exit_code == 1
     assert result.stderr == (
-        "term budget exhausted: tail bound 1.419e-14 after 20000 terms; "
+        "term budget exhausted: tail bound 6.928e-16 after 20000 terms; "
         "requested tolerance is unreachable within 20000 terms\n"
     )
     assert result.stdout.splitlines() == [
-        "partial_sum     1.0439776544805734",
+        "partial_sum     1.0439776544805788",
         "terms_used      20000",
-        "tail_bound      1.419e-14",
-        "certified_value 1.0439776544805806",
+        "tail_bound      6.928e-16",
+        "certified_value 1.0439776544805792",
         "target          1.043977654480579",
-        "abs_err         1.554e-15",
+        "abs_err         2.220e-16",
     ]
 
 

@@ -381,6 +381,25 @@ def test_driver_bisects_above_the_float_floor():
     assert not result.converged
 
 
+def test_driver_stops_at_float_resolution():
+    # On [1, nextafter(1, 2)] the midpoint rounds onto an endpoint, so
+    # the panel cannot be bisected.  Its one nonzero sample, at t = 1,
+    # leaves an error of 8.3e-17 against a 50 eps floor of 1.8e-30, so
+    # the float-floor stop does not take it: the resolution stop does,
+    # after the first panel, unconverged.
+    b = math.nextafter(1.0, 2.0)
+
+    def spike(t):
+        return 1.0 if t == 1.0 else 0.0
+
+    _, err, floor = _kronrod_panel(spike, 1.0, b)
+    assert err - floor > floor
+    result = integrate_finite(spike, 1.0, b, QuadConfig(1e-300, 0))
+    assert result.evaluations == 21
+    assert not result.converged
+    assert result.error_estimate == err
+
+
 def test_evaluation_error_carries_abscissa(cfg):
     def bad(x):
         return float("inf") if 0.4 < x < 0.6 else x

@@ -1,7 +1,9 @@
 """Certified sum rules and the Glaisher-Kinkelin extraction."""
 
+import functools
 import math
 from bisect import bisect_left
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -23,9 +25,9 @@ from catalan_integrals.series import (
     _LN_A_ORACLE,
     _ROUNDING,
     _TAIL_CONSTANT,
+    _TELESCOPE,
     _meets,
     _tail_enclosure,
-    _term_lower_factor,
     _terms,
     _widening,
     _zeta_bracket,
@@ -146,17 +148,25 @@ def test_tail_bound_positive_and_decreasing():
 
 
 def test_tail_bound_odd_weight_divides():
-    # The odd weight divides term(n) by 2n + 1 > 2N, and its enclosure is
-    # narrower than the plain one by more than a factor N (about 2.4 N).
+    # The odd weight divides term(n) by 2n + 1 > 2N, so its remainder is
+    # bounded through zeta(8, N) where the plain one takes zeta(7, N);
+    # with its larger kappa, its width is the plain one's times 4.35/N
+    # at N = 4, falling towards 3.95/N.
     for n_start in (4, 50, 1000):
         plain = series_tail_bound(n_start)
         odd = series_tail_bound(n_start, odd_weight=True)
-        assert 0.0 < odd < plain / n_start
+        assert 0.0 < odd < 4.4 * plain / n_start
 
 
 def test_tail_bound_domain():
     with pytest.raises(ValueError):
         series_tail_bound(3)
+
+
+@pytest.mark.parametrize("n_start", [4.5, 4.0, True, "4"])
+def test_tail_bound_refuses_a_start_that_is_not_an_int(n_start):
+    with pytest.raises(ValueError, match="int n_start"):
+        series_tail_bound(n_start)
 
 
 def _brute_tail(n_start: int, n_stop: int, odd_weight: bool) -> float:
@@ -192,40 +202,199 @@ def test_tail_bound_dominates_brute_force(n_start, odd_weight):
     # L / (2 (10^6 - 1)^2) by the integral comparison for L n^-3.
     brute = _brute_tail(n_start, 1_000_000, odd_weight)
     left_out = _TAIL_CONSTANT / (2.0 * (1_000_000 - 1) ** 2)
-    lo, hi = _tail_enclosure(n_start, odd_weight)
+    term = sum_rule_term(n_start, odd_weight=odd_weight)
+    lo, hi = _tail_enclosure(n_start, term, odd_weight)
     assert lo <= brute + left_out
     assert brute <= hi
-    assert hi - lo == series_tail_bound(n_start, odd_weight=odd_weight)
-    # The enclosure is tight: its width is about 1.9 / N (plain) or
-    # 2.4 / N (odd weight) of the tail itself.
-    assert hi - lo <= 3.0 * brute / n_start
+    # The ends lie w/2 + e from the centre, each rounded once.
+    width = series_tail_bound(n_start, odd_weight=odd_weight)
+    assert abs(hi - lo - (width + 2.0 * _widening(odd_weight))) <= 2.0 * math.ulp(hi)
+    # The enclosure is tight: its width is about 0.027 / N^4 (plain) or
+    # 0.32 / N^4 (odd weight) of the tail itself.
+    assert width <= brute / n_start**4
 
 
 @pytest.mark.parametrize("n_start", [10_000, 100_000])
 def test_tail_bound_asymptote(n_start):
-    # width(N) N^3 -> 15 L / 16 = 0.1055..., from L - g(N) ~ 15 L / (8 N)
-    # and zeta(3, N) ~ 1 / (2 N^2).
-    limit = 15.0 / (16.0 * math.pi * 2.0**1.5)
-    scaled = series_tail_bound(n_start) * n_start**3
-    assert abs(scaled - limit) <= 1e-3 * limit
+    # width(N) N^p -> 2 kappa M / p, from zeta(p + 1, N) ~ 1 / (p N^p):
+    # 2 (0.041) L / 6 = 0.00154 for the plain rule and 2 (0.378) (L / 2)
+    # / 7 = 0.00608 for the odd weight.
+    tail_constant = 1.0 / (math.pi * 2.0**1.5)
+    for odd_weight, limit, p in (
+        (False, 2.0 * 0.041 * tail_constant / 6, 6),
+        (True, 0.378 * tail_constant / 7, 7),
+    ):
+        scaled = series_tail_bound(n_start, odd_weight=odd_weight) * n_start**p
+        assert abs(scaled - limit) <= 1e-3 * limit, odd_weight
+
+
+@functools.cache
+def _catalan_numbers(m_max: int) -> tuple[int, ...]:
+    # C_0..C_{m_max} from their own ratio recurrence
+    # C_{m+1} = C_m 2 (2m + 1) / (m + 2), not from the package.
+    catalan = [1]
+    for m in range(m_max):
+        catalan.append(catalan[m] * 2 * (2 * m + 1) // (m + 2))
+    return tuple(catalan)
 
 
 def test_term_bounds_from_exact_integers():
-    # g(n) / n^3 <= term(n) <= L / n^3, with term(n) from exact integers
-    # at 40 digits.  C_0..C_4000 come from their own ratio recurrence
-    # C_{m+1} = C_m 2 (2m + 1) / (m + 2), not from the package.
-    catalan = [1]
-    for m in range(4000):
-        catalan.append(catalan[m] * 2 * (2 * m + 1) // (m + 2))
+    # term(n) <= L / n^3, with term(n) from exact integers at 40 digits.
+    catalan = _catalan_numbers(4000)
     with mp.workdps(40):
         for n in range(1, 2001):
             term = mp.ldexp(catalan[2 * n] * catalan[n], -6 * n)
-            cube = mp.mpf(n) ** 3
-            assert mp.mpf(_term_lower_factor(n)) / cube <= term, n
-            assert term <= mp.mpf(_TAIL_CONSTANT) / cube, n
+            assert term <= mp.mpf(_TAIL_CONSTANT) / mp.mpf(n) ** 3, n
 
 
-@pytest.mark.parametrize("s", [3, 4])
+# ------------------------------------------------------ telescoped tail
+#
+# Polynomials in n are tuples of exact coefficients, lowest degree first.
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _poly_add(p, q):
+    size = max(len(p), len(q))
+    out = [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(size)]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _poly_scale(c, p):
+    return tuple(c * a for a in p)
+
+
+def _poly_product(*factors):
+    out = (1,)
+    for factor in factors:
+        out = _poly_mul(out, factor)
+    return out
+
+
+def _poly_shift(p, h):
+    """p(n + h), by Horner's rule."""
+    out = (0,)
+    for a in reversed(p):
+        out = _poly_add(_poly_mul(out, (h, 1)), (a,))
+    return out
+
+
+def _poly_at(p, n):
+    return sum(a * n**i for i, a in enumerate(p))
+
+
+# (a, b, c, d) of R(n) and kappa with |D(n)| <= kappa / n^4, as exact
+# rationals, by odd_weight.
+_EXACT_TELESCOPE = {
+    False: (
+        (Fraction(1, 2), Fraction(25, 32), Fraction(435, 2048), Fraction(-3699, 32768)),
+        Fraction(41, 1000),
+    ),
+    True: (
+        (Fraction(1, 3), Fraction(131, 192), Fraction(1603, 5120), Fraction(-5465, 32768)),
+        Fraction(378, 1000),
+    ),
+}
+
+
+def _ratio_polys(odd_weight: bool):
+    """(P, Q) with term(n + 1) / term(n) = P(n) / Q(n)."""
+    p = _poly_product((1, 4), (3, 4), (1, 2))
+    q = _poly_scale(16, _poly_product((1, 1), (3, 2), (2, 1)))
+    if odd_weight:
+        p, q = _poly_mul(p, (1, 2)), _poly_mul(q, (3, 2))
+    return p, q
+
+
+def _defect_polys(odd_weight: bool):
+    """(num, den) with D(n) = R(n) - r(n) R(n + 1) - 1 = num(n) / den(n).
+
+    With R(n) = A(n) / n^2, A(n) = a n^3 + b n^2 + c n + d, and
+    r = P / Q, den = Q n^2 (n + 1)^2 and
+    num = A(n) Q (n + 1)^2 - P A(n + 1) n^2 - Q n^2 (n + 1)^2.
+    """
+    (a, b, c, d), _ = _EXACT_TELESCOPE[odd_weight]
+    big_a = (d, c, b, a)
+    p, q = _ratio_polys(odd_weight)
+    n_sq, n1_sq = (0, 0, 1), (1, 2, 1)
+    subtracted = _poly_mul(
+        n_sq, _poly_add(_poly_mul(p, _poly_shift(big_a, 1)), _poly_mul(q, n1_sq))
+    )
+    num = _poly_add(_poly_product(big_a, q, n1_sq), _poly_scale(-1, subtracted))
+    return num, _poly_product(q, n_sq, n1_sq)
+
+
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_telescope_coefficients_are_the_exact_rationals(odd_weight):
+    (coefficients, kappa), (floats, kappa_float, *_) = (
+        _EXACT_TELESCOPE[odd_weight], _TELESCOPE[odd_weight]
+    )
+    assert floats == tuple(map(float, coefficients))
+    assert kappa_float == float(kappa)
+
+
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_defect_certificate(odd_weight):
+    # |D(n)| <= kappa / n^4 for every real n >= 4: den > 0 there, and
+    # kappa den -+ n^4 num, as polynomials in m = n - 4, have only
+    # nonnegative coefficients, so they are nonnegative for m >= 0.
+    num, den = _defect_polys(odd_weight)
+    _, kappa = _EXACT_TELESCOPE[odd_weight]
+    n4_num = _poly_mul((0, 0, 0, 0, 1), num)
+    assert all(c >= 0 for c in _poly_shift(den, 4)) and _poly_at(den, 4) > 0
+    for sign in (1, -1):
+        certificate = _poly_add(_poly_scale(kappa, den), _poly_scale(-sign, n4_num))
+        assert all(c >= 0 for c in _poly_shift(certificate, 4)), sign
+
+
+def test_plain_defect_closed_form():
+    # D(n) = 9 (114 n^3 - 51823 n^2 - 90160 n - 39456)
+    #        / (524288 n^2 (n + 1)^3 (n + 2) (2n + 3)), the module docstring's.
+    num, den = _defect_polys(odd_weight=False)
+    closed_num = _poly_scale(9, (-39456, -90160, -51823, 114))
+    closed_den = _poly_scale(
+        524288, _poly_product((0, 0, 1), (1, 1), (1, 1), (1, 1), (2, 1), (3, 2))
+    )
+    assert _poly_mul(num, closed_den) == _poly_mul(closed_num, den)
+
+
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_telescoping_identity_on_exact_terms(odd_weight):
+    # term(n) R(n) - term(n + 1) R(n + 1) = term(n) (1 + D(n)) in exact
+    # rationals, with term(n) from the exact integers C_{2n} C_n that
+    # oracles.sum_rule_term rounds; both sides are scaled by 64^(n+1).
+    (a, b, c, d), _ = _EXACT_TELESCOPE[odd_weight]
+    num, den = _defect_polys(odd_weight)
+    catalan = _catalan_numbers(4002)
+
+    def scaled_term(n, shift):
+        # term(n) 64^(n + shift)
+        value = Fraction(catalan[2 * n] * catalan[n] * 64**shift)
+        return value / (2 * n + 1) if odd_weight else value
+
+    def big_r(n):
+        return a * n + b + c / n + d / n**2
+
+    for n in range(4, 2001):
+        here, there = scaled_term(n, 1), scaled_term(n + 1, 0)
+        defect = Fraction(_poly_at(num, n), _poly_at(den, n))
+        assert here * big_r(n) - there * big_r(n + 1) == here * (1 + defect), n
+        # The oracle's float is that exact term, rounded.
+        if n % 500 == 0:
+            assert sum_rule_term(n, odd_weight=odd_weight) == pytest.approx(
+                float(here / 64 ** (n + 1)), rel=1e-15
+            )
+
+
+@pytest.mark.parametrize("s", [3, 4, 7, 8])
 @pytest.mark.parametrize("n_start", [4, 10, 10**3, 10**6])
 def test_zeta_bracket_contains_hurwitz_zeta(s, n_start):
     lo, hi = _zeta_bracket(s, n_start)
@@ -253,9 +422,9 @@ def test_tail_width_strictly_decreasing(odd_weight):
 def test_sum_interval_contains_mpmath_limit(tol, odd_weight):
     # No slack: the interval counts the rounding of its own partial sum.
     # At 1e-30 the term budget runs out and the tail enclosure is at its
-    # narrowest; the odd-weight limit then lies 0.36 u (u = 2^-53) below
-    # the rounded sum of the terms and the tail's lower end, and only the
-    # widening for rounding keeps it inside.
+    # narrowest, far below the rounding bound e; the interval is then 2e
+    # wide, and the odd-weight limit lies 1.5 u (u = 2^-53) below its
+    # upper end, where e = 2.29 u.
     rule = stewart_sum_odd_weight if odd_weight else stewart_sum_plain
     result = rule(tol)
     assert result.converged == (tol > 1e-14)
@@ -284,7 +453,7 @@ def test_plain_sum_certifies_target():
 @pytest.mark.parametrize("checkpoint", [10, 100, 1000])
 def test_plain_checkpoints_bracket_target(checkpoint):
     partial = math.fsum(sum_rule_term(n) for n in range(checkpoint))
-    lo, hi = _tail_enclosure(checkpoint, odd_weight=False)
+    lo, hi = _tail_enclosure(checkpoint, sum_rule_term(checkpoint), odd_weight=False)
     assert partial + lo <= PLAIN_TARGET <= partial + hi
 
 
@@ -295,7 +464,8 @@ def test_odd_checkpoints_bracket_the_series_limit(checkpoint):
     # lies outside these intervals; that discrepancy is the subject of
     # the failing acceptance criterion, not a machinery defect.)
     partial = math.fsum(sum_rule_term(n, odd_weight=True) for n in range(checkpoint))
-    lo, hi = _tail_enclosure(checkpoint, odd_weight=True)
+    term = sum_rule_term(checkpoint, odd_weight=True)
+    lo, hi = _tail_enclosure(checkpoint, term, odd_weight=True)
     assert partial + lo <= ODD_SERIES_LIMIT <= partial + hi
 
 
@@ -324,10 +494,10 @@ def test_sum_stops_at_first_n_whose_bound_meets_tol(tol, odd_weight):
     assert n == 4 or series_tail_bound(n - 1, odd_weight=odd_weight) > tol
 
 
-# 2,048 terms in all: the `series` benchmark workload sums exactly these,
+# 77 terms in all: the `series` benchmark workload sums exactly these,
 # so its `series.terms` counter moves only when a stopping point does.
 @pytest.mark.parametrize(
-    "tol, plain, odd", [(1e-6, 48, 15), (1e-8, 220, 46), (1e-9, 473, 82), (1e-10, 1018, 146)]
+    "tol, plain, odd", [(1e-6, 4, 4), (1e-8, 8, 8), (1e-9, 12, 10), (1e-10, 17, 14)]
 )
 def test_terms_used_at_benchmark_tolerances(tol, plain, odd):
     assert stewart_sum_plain(tol).terms_used == plain
@@ -371,6 +541,30 @@ def test_tolerance_validation():
     # Any partial sum meets an infinite tolerance, so it certifies nothing.
     with pytest.raises(ValueError, match="finite"):
         stewart_sum_plain(math.inf)
+
+
+@pytest.mark.parametrize("tol", [True, False])
+def test_tolerance_refuses_a_bool(tol):
+    # True would pass every check as 1.0.
+    with pytest.raises(ValueError, match="float"):
+        stewart_sum_plain(tol)
+
+
+def test_tolerance_refuses_an_int_past_the_largest_float():
+    with pytest.raises(ValueError, match="finite"):
+        stewart_sum_plain(10**400)
+    with pytest.raises(ValueError, match="finite"):
+        stewart_sum_odd_weight(2**1024)
+
+
+@pytest.mark.parametrize("tol", ["1e-6", None, 1e-6j])
+def test_tolerance_refuses_what_is_not_a_number(tol):
+    with pytest.raises(ValueError, match="float"):
+        stewart_sum_plain(tol)
+
+
+def test_tolerance_takes_an_int_as_its_float():
+    assert stewart_sum_plain(1) == stewart_sum_plain(1.0)
 
 
 def test_budget_exhaustion_carries_partial_result():

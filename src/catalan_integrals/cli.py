@@ -4,7 +4,7 @@ Exit codes, uniform across subcommands:
 
 * 0 -- success (all requested checks met their tolerance)
 * 1 -- a verification failure (tolerance missed, quadrature did not
-       converge, or a term budget ran out)
+       converge, or a sum rule reached its rounding floor)
 * 2 -- usage error (bad arguments): the usage line and the error go to
        stderr, and nothing to stdout
 * 3 -- I/O failure writing requested output
@@ -28,7 +28,7 @@ from .quadrature import QuadConfig
 from .report import _fmt, build_report, to_csv, to_json, to_text
 from .representations import ROUTES, RepresentationResult, compare_representations
 from .series import (
-    TERM_BUDGET,
+    _widening,
     glaisher_from_integral,
     stewart_sum_odd_weight,
     stewart_sum_plain,
@@ -125,9 +125,9 @@ def cmd_sumrule(which: str, tol: float) -> None:
     print(f"abs_err         {result.abs_err:.3e}")
     if not result.converged:
         _fail(
-            f"term budget exhausted: tail bound {result.tail_bound:.3e} after "
-            f"{result.terms_used} terms; requested tolerance is unreachable "
-            f"within {TERM_BUDGET} terms"
+            f"tolerance unreachable: tail bound {result.tail_bound:.3e} after "
+            f"{result.terms_used} terms, within 0.1% of the rounding floor "
+            f"2e = {2.0 * _widening(which == 'odd-weight'):.3e}"
         )
     if not result.abs_err <= tol + result.tail_bound:
         _fail("target missed: the series does not certify to the stated closed form")

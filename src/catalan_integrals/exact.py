@@ -17,9 +17,10 @@ sieve up to 2n:
   in floats)
 
 ``ln_exact`` and ``catalan_exact`` accept integers n up to ``MAX_INDEX``
-= 10^8 and raise ``ValueError`` past it, before any work, as does every
-function of the package that takes a Catalan index: each row is checked
-against ``ln_exact``, and no route is vouched for past it.
+= 10^8 and raise ``ValueError`` past it, and ``TypeError`` for a bool,
+before any work, as does every function of the package that takes a
+Catalan index: each row is checked against ``ln_exact``, and no route
+is vouched for past it.
 ``ln_exact`` costs 3-31 us a call at every n up to the limit.
 ``catalan_exact``, and the digits of ``exact N`` on the command line,
 sieve up to 2n, which holds n bytes and costs about 62 ns per n, and
@@ -73,8 +74,9 @@ _STIRLING = (
 
 
 def _check_index(n: int) -> None:
-    """Every Catalan index is an integer (what operator.index takes) in 0..MAX_INDEX."""
-    if not hasattr(type(n), "__index__"):
+    """Every Catalan index is an integer (what operator.index takes) in
+    0..MAX_INDEX, and no bool, which would pass as 0 or 1."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
         raise TypeError(f"Catalan index must be an integer, got {n!r}")
     if not 0 <= n <= MAX_INDEX:
         limit = ">= 0" if n < 0 else f"<= {MAX_INDEX} (MAX_INDEX)"

@@ -87,9 +87,10 @@ class QuadConfig(_QuadConfigFields):
     """Tolerances and subdivision budget shared by all quadrature entry points.
 
     Convergence target is max(abs_tol, rel_tol * |value|); both
-    tolerances must be finite and nonnegative, and at least one positive,
-    and max_subdivisions an int >= 1; no field may be a bool.  An
-    infinite tolerance would accept any first estimate as converged.
+    tolerances must lie between 0 and the largest float, and at least
+    one be positive, and max_subdivisions must be an int >= 1; no field
+    may be a bool.  An infinite tolerance, or an int past the largest
+    float, would accept any first estimate as converged.
     """
 
     __slots__ = ()
@@ -98,9 +99,10 @@ class QuadConfig(_QuadConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         if bool in map(type, self):  # True and False would pass every check as 1 and 0
             raise ValueError(f"no field may be a bool, got {self!r}")
-        # The comparisons are False for NaN as well.
-        if not (0 <= self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
-            raise ValueError("tolerances must be finite and nonnegative")
+        # The comparisons are False for NaN as well, and an int past the
+        # largest float has no float to round to.
+        if not all(0 <= tol <= sys.float_info.max for tol in (self.abs_tol, self.rel_tol)):
+            raise ValueError("tolerances must be finite, >= 0 and at most the largest float")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("at least one tolerance must be positive")
         if not isinstance(self.max_subdivisions, int):

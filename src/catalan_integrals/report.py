@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import time
 from typing import NamedTuple, get_type_hints
 
@@ -85,7 +86,8 @@ def build_report(
     rows: list[RepresentationResult], config: QuadConfig, err_threshold: float
 ) -> Report:
     """Assemble a Report; a row fails if it did not converge or its
-    abs_err_ln exceeds ``err_threshold``, a finite number >= 0."""
+    abs_err_ln exceeds ``err_threshold``, a number from 0 to the largest
+    float."""
     _check_threshold(err_threshold)
     # A NaN error fails the comparison, and so the row.
     failures = sum(not (r.converged and r.abs_err_ln <= err_threshold) for r in rows)
@@ -100,7 +102,8 @@ def build_report(
 
 
 def _check_threshold(threshold: object) -> None:
-    if type(threshold) not in (int, float) or not 0 <= threshold < math.inf:
+    # An int past the largest float would compare finite.
+    if type(threshold) not in (int, float) or not 0 <= threshold <= sys.float_info.max:
         raise ValueError(f"config field 'err_threshold' cannot be {threshold!r}")
 
 
@@ -241,10 +244,11 @@ def parse_report_json(text: str) -> Report:
     adds a key; a ``schema_version`` other than ``SCHEMA_VERSION``; a
     ``generated_at`` that is not a string in build_report's layout;
     ``config`` values that ``QuadConfig`` refuses, or an
-    ``err_threshold`` that is not a finite number >= 0; ``rows`` that is
-    not a list; a row field of the wrong JSON type, an ``n`` outside
-    0..MAX_INDEX or an unknown ``method``; and a ``max_abs_err_ln`` that
-    is neither a float nor null or ``failures`` that is not an int >= 0.
+    ``err_threshold`` that is not a number from 0 to the largest float;
+    ``rows`` that is not a list; a row field of the wrong JSON type, an
+    ``n`` outside 0..MAX_INDEX or an unknown ``method``; and a
+    ``max_abs_err_ln`` that is neither a float nor null or ``failures``
+    that is not an int >= 0.
     """
     import json
 

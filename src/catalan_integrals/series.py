@@ -49,7 +49,7 @@ forms with no big integers enclose:
 * Zeta bracket.  The derivatives of x^{-s} alternate in sign, so the
   Euler-Maclaurin remainders do too and zeta(s, N) lies between
   E = N^{1-s}/(s-1) + N^{-s}/2 + s N^{-s-1}/12 and
-  E - s(s+1)(s+2) N^{-s-3}/720.
+  E - s(s+1)(s+2) N^{-s-3}/720; the width takes E.
 
 The enclosure's width w is 2 kappa L E at s = 7, or kappa L E at
 s = 8, widened by 16 ulp for rounding.  It falls strictly with N, like
@@ -60,13 +60,14 @@ Rounding of the partial sum, in the model of Higham (Accuracy and
 Stability of Numerical Algorithms, 2nd ed., 2002, sec. 3.1): every
 operation is exact times 1 + d with |d| <= u = 2^-53, and
 gamma_k = k u/(1 - k u).  The ratio's numerator and denominator are
-integers below 2^53 for n < TERM_BUDGET, as are all their partial
+integers below 2^53 for n < 65,535, as are all their partial
 products, so doubles hold them exactly and their quotient rounds once;
 each step of the stream multiplies by (1 + d1)(1 + d2), one factor for
 the quotient and one for the product; the computed term(n) is within a
 relative gamma_{2n} of the true one, and within gamma_{2n+1} after the
-odd weight's division by 2n + 1.  For n <= N <= TERM_BUDGET,
-gamma_{2n+7} <= (2n + 7) u (1 + 5e-12).  The errors are:
+odd weight's division by 2n + 1.  The sum stops at N <= 364 (see
+below), and for n <= N <= 364, gamma_{2n+7} <= (2n + 7) u (1 + 5e-12).
+The errors are:
 
 * Terms.  The N computed terms add up to within u (1 + 5e-12) S of
   the true ones, where S bounds sum (2n + 1) term(n).  By term(0) = 1
@@ -102,11 +103,15 @@ bounds:
 The margins over the bounds above, 2 (1.51 - 1.5056) + 0.1 - 0.0792
 - 0.006 = 0.023 and 2 (1.14 - 1.1353) + 0.01 - 0.0077 - 0.0006 =
 0.011 in units of u, cover the rounding of the width and of e itself
-and the factors 1 + 5e-12.  e does not depend on N, so the stopping
-rule takes the least N whose whole width w + 2e meets tol.  Against
-terms from exact integers over n < 20,000, the streamed terms are
-within 0.17 (2n + 1) u; against the 40-digit limit, the interval of
-every N from 4 to TERM_BUDGET holds it at least 1.5 u inside each end.
+and the factors 1 + 5e-12.  e does not depend on N, so the sum
+stops at the least N whose whole width w + 2e meets tol, or else at
+the least N whose w is at most 2e 2^-10: N = 364 for the plain rule
+and 200 for the odd weight, past which no term could narrow the
+interval by more than 0.1%.  No N meets a tol at or below 2e, so such
+a sum stops there, unconverged.  Against terms from exact integers
+over n <= 364, the streamed terms are within 0.17 (2n + 1) u; against
+the 40-digit limit, the interval of every N from 4 to 364 (200 with
+the odd weight) holds it at least 1.5 u inside each end.
 
 Note on the odd-weight target: the plain series matches its target to
 full precision, but the odd-weight series as written converges to
@@ -133,6 +138,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
+from itertools import count
 from typing import NamedTuple
 
 from .exact import _LN2, _LN_PI
@@ -144,7 +150,6 @@ __all__ = [
     "ODD_WEIGHT_TARGET",
     "PLAIN_TARGET",
     "SeriesResult",
-    "TERM_BUDGET",
     "glaisher_from_integral",
     "series_tail_bound",
     "stewart_sum_odd_weight",
@@ -155,15 +160,6 @@ _SQRT2 = math.sqrt(2.0)
 
 ODD_WEIGHT_TARGET = 8.0 * _SQRT2 / (3.0 * math.pi)
 PLAIN_TARGET = (4.0 / math.pi) * math.log(3.0 + 2.0 * _SQRT2) - ODD_WEIGHT_TARGET
-
-# Hard ceiling on terms per summation.  The tail enclosure's width
-# shrinks like 1/N^6 (1/N^7 with the odd weight) and is below the
-# 2e = 6.9e-16 (5.1e-16) that the rounding of the partial sum adds from
-# N = 115 (75) on; a tolerance at or below 2e ends unconverged here.
-# The stream's ratio is exact in doubles only while its
-# denominator 16 (n + 1)(2n + 3)(n + 2) stays below 2^53, that is for
-# n < 65,535: the budget must stay below that.
-TERM_BUDGET = 20_000
 
 _TAIL_CONSTANT = 1.0 / (math.pi * 2.0 ** 1.5)
 
@@ -194,9 +190,10 @@ class SeriesResult(NamedTuple):
     and ``tail_bound`` is the tail enclosure's width plus 2e.
     ``certified_value`` is the midpoint of that interval and ``abs_err``
     its distance to the stated closed-form ``target``.  ``converged`` is
-    False when TERM_BUDGET terms left ``tail_bound`` above the requested
-    tolerance, as they do for any tolerance at or below 2e; the fields
-    then say how far the summation got.
+    False when ``tail_bound`` stays above the requested tolerance, as it
+    does for any tolerance at or below 2e: the sum then stops where
+    ``tail_bound`` is within 0.1% of 2e, and the fields say how far it
+    got.
     """
 
     partial_sum: float
@@ -208,11 +205,10 @@ class SeriesResult(NamedTuple):
     converged: bool
 
 
-def _zeta_bracket(s: int, n: int) -> tuple[float, float]:
-    """Lower and upper Euler-Maclaurin bounds on zeta(s, n) = sum_{k>=n} k^-s."""
+def _zeta_upper(s: int, n: int) -> float:
+    """The upper Euler-Maclaurin bound E on zeta(s, n) = sum_{k>=n} k^-s."""
     x = float(n)
-    upper = x ** (1 - s) / (s - 1) + 0.5 * x**-s + s * x ** (-s - 1) / 12.0
-    return upper - s * (s + 1) * (s + 2) * x ** (-s - 3) / 720.0, upper
+    return x ** (1 - s) / (s - 1) + 0.5 * x**-s + s * x ** (-s - 1) / 12.0
 
 
 def series_tail_bound(n_start: int, *, odd_weight: bool = False) -> float:
@@ -231,8 +227,13 @@ def series_tail_bound(n_start: int, *, odd_weight: bool = False) -> float:
         raise ValueError(f"tail bound requires an int n_start, got {n_start!r}")
     if n_start < 4:
         raise ValueError(f"tail bound requires n_start >= 4, got {n_start}")
+    return _width(n_start, odd_weight)
+
+
+def _width(n: int, odd_weight: bool) -> float:
+    """series_tail_bound(n), without its argument checks."""
     _, kappa, m, s = _TELESCOPE[odd_weight]
-    return 2.0 * kappa * m * _zeta_bracket(s, n_start)[1] * (1.0 + _ROUNDING)
+    return 2.0 * kappa * m * _zeta_upper(s, n) * (1.0 + _ROUNDING)
 
 
 def _widening(odd_weight: bool) -> float:
@@ -240,61 +241,53 @@ def _widening(odd_weight: bool) -> float:
     return 2.0**-53 * (2.0 * 1.14 + 0.01 if odd_weight else 2.0 * 1.51 + 0.1)
 
 
-def _tail_enclosure(n_start: int, term: float, odd_weight: bool) -> tuple[float, float]:
-    """[lo, hi] around the centre term R(N), given term = term(N), N = n_start.
+def _tail_enclosure(n: int, term: float, width: float, odd_weight: bool) -> tuple[float, float]:
+    """[lo, hi] around the centre term R(N), given term = term(N) and the
+    tail enclosure's width = series_tail_bound(N), N = n.
 
-    Its ends lie the tail enclosure's half-width plus the rounding bound
-    e from the centre, so that P + lo <= sum_{n>=0} term(n) <= P + hi
-    for P the sum of the streamed term(0..N-1), roundings included
-    (module docstring).
+    Its ends lie the half-width plus the rounding bound e from the
+    centre, so that P + lo <= sum_{k>=0} term(k) <= P + hi for P the sum
+    of the streamed term(0..N-1), roundings included (module docstring).
     """
     (a, b, c, d), *_ = _TELESCOPE[odd_weight]
-    x = float(n_start)
+    x = float(n)
     centre = term * ((a * x + b) + (c + d / x) / x)
-    reach = 0.5 * series_tail_bound(n_start, odd_weight=odd_weight) + _widening(odd_weight)
+    reach = 0.5 * width + _widening(odd_weight)
     return centre - reach, centre + reach
 
 
-def _terms(n_stop: int, odd_weight: bool) -> Iterator[float]:
-    """term(0), ..., term(n_stop - 1) in floats, by the exact ratio.
+def _terms(odd_weight: bool) -> Iterator[float]:
+    """term(0), term(1), ... in floats, by the exact ratio, without end.
 
     n is held as a double x: every factor and partial product of the
-    ratio is an integer below 2^53 (see TERM_BUDGET), so the terms are
-    those of the ratio in exact ints, to the bit.  Each is within a
-    relative gamma_{2n+1} of the true term (module docstring);
+    ratio is an integer below 2^53 for n < 65,535, far past the N = 364
+    at which a sum rule stops at the latest, so the terms are those of
+    the ratio in exact ints, to the bit.  Each is within a relative
+    gamma_{2n+1} of the true term (module docstring);
     ``tests/oracles.py`` builds term(n) from exact integers as the check
     on that.
     """
     term = 1.0
-    for x in map(float, range(n_stop)):
+    for x in count(0.0):
         yield term / (2.0 * x + 1.0) if odd_weight else term
         term *= (4.0 * x + 1.0) * (4.0 * x + 3.0) * (2.0 * x + 1.0) / (
             16.0 * (x + 1.0) * (2.0 * x + 3.0) * (x + 2.0)
         )
 
 
-def _meets(n: int, tol: float, odd_weight: bool) -> bool:
-    """Whether the interval width w + 2e at N = n meets tol."""
-    return series_tail_bound(n, odd_weight=odd_weight) + 2.0 * _widening(odd_weight) <= tol
-
-
 def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
-    """Sum term(0..N-1) for the smallest N >= 4 whose interval width
-    w + 2e meets tol, with w = series_tail_bound(N), or for
-    N = TERM_BUDGET, unconverged, when none does.
+    """Sum term(0..N-1) for the least N >= 4 whose interval width
+    w + 2e meets tol, with w = series_tail_bound(N), or, if that comes
+    first, whose w is at most 2e 2^-10: N = 364 for the plain rule and
+    200 for the odd weight, which no tol <= 2e meets.
 
-    The search for N starts where 2 kappa M (N - 1/2)^(1-s) / (s - 1),
-    the width with zeta(s, N) taken as the integral of x^-s from
-    N - 1/2 (module docstring), meets tol - 2e, clamped to
-    [4, TERM_BUDGET], steps up while N misses tol and down while N - 1
-    meets it.  The width falls strictly, so that is the least N whatever
-    the start, which sets only the number of widths computed: two per
-    call from 1e-6 to 1e-10.  When tol <= 2e no N meets it.
-
-    The stream runs one term further, to term(N), which sets the tail
+    One pass reads the stream and computes w once for each N from 4 on.
+    w falls strictly with N, so the first N that meets tol is the least,
+    and past the first w <= 2e 2^-10 no term could narrow the interval
+    by more than 0.1%.  The stream's next term, term(N), sets the tail
     enclosure.  The first N terms enter one compensated sum together
-    with the enclosure's lower end, which lies the rounding bound e below
-    the tail's, and the interval's width is w + 2e.
+    with the enclosure's lower end, which lies the rounding bound e
+    below the tail's, and the interval's width is w + 2e.
     """
     # A bool is an int, an int past the largest float has no float to
     # round to, and the comparisons are False for NaN.  An infinite tol
@@ -305,33 +298,28 @@ def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
         or not 0 < tol <= sys.float_info.max
     ):
         raise ValueError(f"tolerance must be a positive finite float, got {tol!r}")
-    widening = _widening(odd_weight)
-    room = tol - 2.0 * widening
-    if room <= 0.0:
-        n_stop = TERM_BUDGET
-    else:
-        _, kappa, m, s = _TELESCOPE[odd_weight]
-        guess = 0.5 + (2.0 * kappa * m / ((s - 1) * room)) ** (1.0 / (s - 1))
-        n_stop = max(4, math.ceil(min(guess, TERM_BUDGET)))
-        while n_stop < TERM_BUDGET and not _meets(n_stop, tol, odd_weight):
-            n_stop += 1
-        while n_stop > 4 and _meets(n_stop - 1, tol, odd_weight):
-            n_stop -= 1
-    *terms, last = _terms(n_stop + 1, odd_weight)
-    lo, _ = _tail_enclosure(n_stop, last, odd_weight)
-    terms.append(lo)
+    floor = 2.0 * _widening(odd_weight)
+    terms = []
+    for n, term in enumerate(_terms(odd_weight)):
+        if n >= 4:
+            width = _width(n, odd_weight)
+            if width + floor <= tol or width <= floor * 2.0**-10:
+                break
+        terms.append(term)
+    terms.append(_tail_enclosure(n, term, width, odd_weight)[0])
     low = math.fsum(terms)
-    bound = series_tail_bound(n_stop, odd_weight=odd_weight) + 2.0 * widening
+    bound = width + floor
     certified = low + 0.5 * bound
     return SeriesResult(
         partial_sum=low,
-        terms_used=n_stop,
+        terms_used=n,
         tail_bound=bound,
         certified_value=certified,
         target=target,
         abs_err=abs(certified - target),
-        # w > 0, so no width meets tol <= 2e, even where w + 2e rounds to 2e.
-        converged=room > 0.0 and bound <= tol,
+        # w stays near 2e 2^-10 or above, far above half an ulp of 2e, so
+        # w + 2e > 2e and no tol <= 2e is met.
+        converged=bound <= tol,
     )
 
 

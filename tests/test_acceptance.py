@@ -36,6 +36,7 @@ from catalan_integrals.representations import catalan_malmsten, compare_represen
 from catalan_integrals.series import (
     _tail_enclosure,
     glaisher_from_integral,
+    series_tail_bound,
     stewart_sum_odd_weight,
     stewart_sum_plain,
 )
@@ -135,7 +136,8 @@ def _checkpoint_containment(limit: float, odd_weight: bool) -> bool:
             sum_rule_term(n, odd_weight=odd_weight) for n in range(checkpoint)
         )
         term = sum_rule_term(checkpoint, odd_weight=odd_weight)
-        lo, hi = _tail_enclosure(checkpoint, term, odd_weight)
+        width = series_tail_bound(checkpoint, odd_weight=odd_weight)
+        lo, hi = _tail_enclosure(checkpoint, term, width, odd_weight)
         if not partial + lo <= limit <= partial + hi:
             return False
     return True

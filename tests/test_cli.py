@@ -392,13 +392,13 @@ def test_sumrule_budget_exhaustion():
     result = invoke(main, ["sumrule", "plain", "--tol", "1e-30"])
     assert result.exit_code == 1
     assert result.stderr == (
-        "term budget exhausted: tail bound 6.928e-16 after 20000 terms; "
-        "requested tolerance is unreachable within 20000 terms\n"
+        "tolerance unreachable: tail bound 6.934e-16 after 364 terms, "
+        "within 0.1% of the rounding floor 2e = 6.928e-16\n"
     )
     assert result.stdout.splitlines() == [
         "partial_sum     1.0439776544805788",
-        "terms_used      20000",
-        "tail_bound      6.928e-16",
+        "terms_used      364",
+        "tail_bound      6.934e-16",
         "certified_value 1.0439776544805792",
         "target          1.043977654480579",
         "abs_err         2.220e-16",

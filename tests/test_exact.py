@@ -30,6 +30,7 @@ from catalan_integrals.kernels import (
     log_gamma_reference,
     malmsten_catalan_kernel,
 )
+from catalan_integrals.quadrature import QuadConfig
 
 # The classical sequence; everything below anchors to these integers.
 FIRST_VALUES = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
@@ -111,6 +112,19 @@ def test_negative_index_rejected(route):
     for n in NON_INTEGERS:
         with pytest.raises(TypeError, match=re.escape(f"an integer, got {n!r}")):
             route(n)
+
+
+@pytest.mark.parametrize("n", [True, False])
+def test_a_bool_is_not_a_catalan_index(n):
+    # A bool is an int, and would pass as 1 or 0.
+    for call in (
+        lambda: ln_exact(n),
+        lambda: catalan_exact(n),
+        lambda: representations.catalan_malmsten(n, QuadConfig()),
+        lambda: representations.compare_representations(n, QuadConfig()),
+    ):
+        with pytest.raises(TypeError, match=re.escape(f"an integer, got {n!r}")):
+            call()
 
 
 def test_balanced_parentheses_matches_closed_form():

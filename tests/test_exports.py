@@ -77,7 +77,6 @@ def test_package_republishes_its_library_modules():
         "binet_core",
         "ODD_WEIGHT_TARGET",
         "PLAIN_TARGET",
-        "TERM_BUDGET",
     }
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -456,6 +457,12 @@ def test_config_validation():
         QuadConfig(abs_tol=math.inf)
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=math.inf)
+    # An int past the largest float compares below inf, and would accept
+    # any first estimate as converged just the same.
+    for abs_tol, rel_tol in ((10**400, 0), (0, 2**1024)):
+        with pytest.raises(ValueError, match="at most the largest float"):
+            QuadConfig(abs_tol, rel_tol)
+    assert QuadConfig(sys.float_info.max, 0).abs_tol == sys.float_info.max
     # _replace builds a new config and must check it as well.
     with pytest.raises(ValueError):
         QuadConfig()._replace(abs_tol=-1e-12)

@@ -440,6 +440,20 @@ def test_build_report_refuses_a_threshold_to_json_cannot_write(cfg, threshold):
         build_report(rows, cfg, threshold)
 
 
+def test_an_int_past_the_largest_float_is_refused(cfg):
+    # 10**400 compares below inf, yet has no float to round to: as a
+    # threshold it would pass every row, and as a tolerance accept any
+    # estimate.
+    rows = compare_representations(0, cfg)
+    with pytest.raises(ValueError, match="'err_threshold' cannot be 1000"):
+        build_report(rows, cfg, 10**400)
+    for field in ("abs_tol", "err_threshold"):
+        text = _payload_with(cfg, lambda p: p["config"].update({field: 10**400}))
+        assert f'"{field}": 1{"0" * 400}' in text
+        with pytest.raises(ValueError, match="largest float|cannot be 1000"):
+            parse_report_json(text)
+
+
 @pytest.mark.parametrize("text", ["[]", "[1, 2]", '"report"', "3", "null"])
 def test_parse_rejects_a_report_that_is_not_an_object(text):
     with pytest.raises(ValueError, match="a report must be an object"):

@@ -2,8 +2,10 @@
 
 import functools
 import math
+import sys
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 import numpy as np
@@ -20,17 +22,15 @@ from catalan_integrals.quadrature import QuadConfig
 from catalan_integrals.series import (
     ODD_WEIGHT_TARGET,
     PLAIN_TARGET,
-    TERM_BUDGET,
     GlaisherResult,
     _LN_A_ORACLE,
     _ROUNDING,
     _TAIL_CONSTANT,
     _TELESCOPE,
-    _meets,
     _tail_enclosure,
     _terms,
     _widening,
-    _zeta_bracket,
+    _zeta_upper,
     glaisher_from_integral,
     series_tail_bound,
     stewart_sum_odd_weight,
@@ -47,6 +47,9 @@ PLAIN_TARGET_REF = 1.043977654480579082469279
 ODD_SERIES_LIMIT = 1.012419737804257542935
 LN_A_REF = 0.2487544770337842625473  # ln of the Glaisher-Kinkelin constant
 GLAISHER_INTEGRAL_REF = -0.04285374065029094455662  # integral on [0, 1/2]
+# By odd_weight: the least N whose tail width is at most 2e 2^-10, where a
+# sum stops when no N meets its tolerance.
+FLOOR_N = {False: 364, True: 200}
 
 
 # --------------------------------------------------------------- terms
@@ -80,26 +83,29 @@ def _streamed_term_bound(n: int, direct: float) -> float:
 # shorter (and cheaper) run of the exact-integer oracle.
 @pytest.mark.parametrize("odd_weight, n_max", [(False, 3000), (True, 300)])
 def test_streamed_terms_within_their_rounding_bound(odd_weight, n_max):
-    for n, term in enumerate(_terms(n_max, odd_weight)):
+    for n, term in enumerate(islice(_terms(odd_weight), n_max)):
         direct = sum_rule_term(n, odd_weight=odd_weight)
         assert abs(term - direct) <= _streamed_term_bound(n, direct), n
 
 
 @pytest.mark.parametrize("odd_weight", [False, True])
 def test_last_budget_term_within_its_rounding_bound(odd_weight):
-    n = TERM_BUDGET - 1
-    *_, term = _terms(TERM_BUDGET, odd_weight)
+    # term(N) at the floor N is the last term a sum reads.
+    n = FLOOR_N[odd_weight]
+    (term,) = islice(_terms(odd_weight), n, n + 1)
     direct = sum_rule_term(n, odd_weight=odd_weight)
     assert abs(term - direct) <= _streamed_term_bound(n, direct)
 
 
-def test_term_budget_keeps_the_ratio_exact_in_doubles():
+def test_stream_ratio_exact_in_doubles_to_the_floor_n():
     # _terms holds n as a double; its ratio's factors and partial
-    # products are integers, exact in doubles while below 2^53.  The
-    # last ratio the stream forms is at n = TERM_BUDGET - 1.
-    n = TERM_BUDGET - 1
-    assert (4 * n + 1) * (4 * n + 3) * (2 * n + 1) < 2**53
-    assert 16 * (n + 1) * (2 * n + 3) * (n + 2) < 2**53
+    # products are integers, exact in doubles while below 2^53, which
+    # holds for n < 65,535 and so at every n a sum reaches.
+    for n in (*FLOOR_N.values(), 65_534):
+        assert (4 * n + 1) * (4 * n + 3) * (2 * n + 1) < 2**53, n
+        assert 16 * (n + 1) * (2 * n + 3) * (n + 2) < 2**53, n
+    n = 65_535
+    assert 16 * (n + 1) * (2 * n + 3) * (n + 2) >= 2**53
 
 
 def _int_ratio_terms(n_stop: int, odd_weight: bool):
@@ -114,9 +120,11 @@ def _int_ratio_terms(n_stop: int, odd_weight: bool):
 
 @pytest.mark.parametrize("odd_weight", [False, True])
 def test_streamed_terms_equal_the_exact_int_ratio_stream(odd_weight):
-    streamed = list(_terms(TERM_BUDGET, odd_weight))
-    assert streamed == list(_int_ratio_terms(TERM_BUDGET, odd_weight))
-    assert len(streamed) == TERM_BUDGET
+    # term(0..N) at the floor N: every term a sum reads.
+    n_stop = FLOOR_N[odd_weight] + 1
+    streamed = list(islice(_terms(odd_weight), n_stop))
+    assert streamed == list(_int_ratio_terms(n_stop, odd_weight))
+    assert len(streamed) == n_stop
 
 
 @pytest.mark.parametrize("n", [100, 1000, 20_000])
@@ -203,11 +211,11 @@ def test_tail_bound_dominates_brute_force(n_start, odd_weight):
     brute = _brute_tail(n_start, 1_000_000, odd_weight)
     left_out = _TAIL_CONSTANT / (2.0 * (1_000_000 - 1) ** 2)
     term = sum_rule_term(n_start, odd_weight=odd_weight)
-    lo, hi = _tail_enclosure(n_start, term, odd_weight)
+    width = series_tail_bound(n_start, odd_weight=odd_weight)
+    lo, hi = _tail_enclosure(n_start, term, width, odd_weight)
     assert lo <= brute + left_out
     assert brute <= hi
     # The ends lie w/2 + e from the centre, each rounded once.
-    width = series_tail_bound(n_start, odd_weight=odd_weight)
     assert abs(hi - lo - (width + 2.0 * _widening(odd_weight))) <= 2.0 * math.ulp(hi)
     # The enclosure is tight: its width is about 0.027 / N^4 (plain) or
     # 0.32 / N^4 (odd weight) of the tail itself.
@@ -397,7 +405,9 @@ def test_telescoping_identity_on_exact_terms(odd_weight):
 @pytest.mark.parametrize("s", [3, 4, 7, 8])
 @pytest.mark.parametrize("n_start", [4, 10, 10**3, 10**6])
 def test_zeta_bracket_contains_hurwitz_zeta(s, n_start):
-    lo, hi = _zeta_bracket(s, n_start)
+    hi = _zeta_upper(s, n_start)
+    # The lower end of the module docstring's bracket.
+    lo = hi - s * (s + 1) * (s + 2) * float(n_start) ** (-s - 3) / 720.0
     with mp.workdps(40):
         exact = mp.zeta(s, n_start)
         assert lo * (1.0 - _ROUNDING) <= exact <= hi * (1.0 + _ROUNDING)
@@ -409,9 +419,9 @@ def test_zeta_bracket_contains_hurwitz_zeta(s, n_start):
 
 @pytest.mark.parametrize("odd_weight", [False, True])
 def test_tail_width_strictly_decreasing(odd_weight):
-    # The search for N in _sum_rule relies on this.
+    # _sum_rule relies on this: the first N that meets tol is the least.
     previous = math.inf
-    for n_start in range(4, max(10**5, TERM_BUDGET) + 1):
+    for n_start in range(4, 10**5 + 1):
         width = series_tail_bound(n_start, odd_weight=odd_weight)
         assert 0.0 < width < previous, n_start
         previous = width
@@ -421,10 +431,10 @@ def test_tail_width_strictly_decreasing(odd_weight):
 @pytest.mark.parametrize("odd_weight", [False, True])
 def test_sum_interval_contains_mpmath_limit(tol, odd_weight):
     # No slack: the interval counts the rounding of its own partial sum.
-    # At 1e-30 the term budget runs out and the tail enclosure is at its
-    # narrowest, far below the rounding bound e; the interval is then 2e
-    # wide, and the odd-weight limit lies 1.5 u (u = 2^-53) below its
-    # upper end, where e = 2.29 u.
+    # At 1e-30 the sum stops at its floor N, where the tail enclosure is
+    # at most 2^-10 of the rounding bound 2e; the interval is then just
+    # over 2e wide, and the odd-weight limit lies 1.5 u (u = 2^-53) below
+    # its upper end, where e = 2.29 u.
     rule = stewart_sum_odd_weight if odd_weight else stewart_sum_plain
     result = rule(tol)
     assert result.converged == (tol > 1e-14)
@@ -453,7 +463,8 @@ def test_plain_sum_certifies_target():
 @pytest.mark.parametrize("checkpoint", [10, 100, 1000])
 def test_plain_checkpoints_bracket_target(checkpoint):
     partial = math.fsum(sum_rule_term(n) for n in range(checkpoint))
-    lo, hi = _tail_enclosure(checkpoint, sum_rule_term(checkpoint), odd_weight=False)
+    term, width = sum_rule_term(checkpoint), series_tail_bound(checkpoint)
+    lo, hi = _tail_enclosure(checkpoint, term, width, odd_weight=False)
     assert partial + lo <= PLAIN_TARGET <= partial + hi
 
 
@@ -465,7 +476,8 @@ def test_odd_checkpoints_bracket_the_series_limit(checkpoint):
     # the failing acceptance criterion, not a machinery defect.)
     partial = math.fsum(sum_rule_term(n, odd_weight=True) for n in range(checkpoint))
     term = sum_rule_term(checkpoint, odd_weight=True)
-    lo, hi = _tail_enclosure(checkpoint, term, odd_weight=True)
+    width = series_tail_bound(checkpoint, odd_weight=True)
+    lo, hi = _tail_enclosure(checkpoint, term, width, odd_weight=True)
     assert partial + lo <= ODD_SERIES_LIMIT <= partial + hi
 
 
@@ -505,15 +517,26 @@ def test_terms_used_at_benchmark_tolerances(tol, plain, odd):
 
 
 @pytest.mark.parametrize("odd_weight", [False, True])
-def test_search_from_the_asymptote_finds_the_bisection_n(odd_weight):
-    # The search starts at the width's asymptote and steps; over a grid
-    # of tolerances from 1e-2 to 1e-14.75, which crosses the budget, it
-    # lands where a bisection over [4, TERM_BUDGET) does.
+def test_floor_n_is_the_first_width_within_2e_over_1024(odd_weight):
+    floor = 2.0 * _widening(odd_weight)
+    n = FLOOR_N[odd_weight]
+    assert series_tail_bound(n, odd_weight=odd_weight) <= floor * 2.0**-10
+    assert series_tail_bound(n - 1, odd_weight=odd_weight) > floor * 2.0**-10
+
+
+@pytest.mark.parametrize("odd_weight", [False, True])
+def test_sum_stops_at_the_bisection_n(odd_weight):
+    # Over a grid of tolerances from 1e-2 to 1e-14.75, the one pass stops
+    # where a bisection of the interval width w + 2e over [4, floor N]
+    # does.
     rule = stewart_sum_odd_weight if odd_weight else stewart_sum_plain
+    floor = 2.0 * _widening(odd_weight)
     for k in range(8, 60):
         tol = 10 ** (-k / 4)
         expected = 4 + bisect_left(
-            range(4, TERM_BUDGET), True, key=lambda n: _meets(n, tol, odd_weight)
+            range(4, FLOOR_N[odd_weight] + 1),
+            True,
+            key=lambda n: series_tail_bound(n, odd_weight=odd_weight) + floor <= tol,
         )
         assert rule(tol).terms_used == expected, tol
 
@@ -521,14 +544,20 @@ def test_search_from_the_asymptote_finds_the_bisection_n(odd_weight):
 @pytest.mark.parametrize("odd_weight", [False, True])
 def test_search_ends_of_the_range(odd_weight):
     rule = stewart_sum_odd_weight if odd_weight else stewart_sum_plain
-    # Above the width at N = 4, and at or below 2e, which no N meets.
+    # Above the width at N = 4, and at or below 2e, which no N meets: the
+    # sum stops at the floor N, and its interval still holds the limit.
     assert rule(1.0).terms_used == 4
     assert rule(1e300).converged
+    assert rule(sys.float_info.max).terms_used == 4
     floor = 2.0 * _widening(odd_weight)
-    for tol in (floor, floor / 2, 5e-324):
+    limit = sum_rule_limit(odd_weight)
+    for tol in (floor, floor / 2, 1e-30, 5e-324):
         result = rule(tol)
-        assert result.terms_used == TERM_BUDGET
+        assert result.terms_used == FLOOR_N[odd_weight], tol
         assert not result.converged
+        with mp.workdps(40):
+            low = mp.mpf(result.partial_sum)
+            assert low <= limit <= low + mp.mpf(result.tail_bound), tol
 
 
 def test_tolerance_validation():
@@ -568,10 +597,13 @@ def test_tolerance_takes_an_int_as_its_float():
 
 
 def test_budget_exhaustion_carries_partial_result():
+    # No N meets 1e-30: the sum stops at the floor N, where the interval
+    # is within 0.1% of the rounding floor 2e.
     partial = stewart_sum_plain(tol=1e-30)
     assert not partial.converged
-    assert partial.terms_used == TERM_BUDGET
-    assert partial.tail_bound > 1e-30
+    assert partial.terms_used == FLOOR_N[False]
+    floor = 2.0 * _widening(odd_weight=False)
+    assert floor < partial.tail_bound <= floor * (1.0 + 2.0**-10)
     # Even the abandoned run is numerically fine, just uncertifiable at
     # the requested tolerance.
     assert abs(partial.certified_value - PLAIN_TARGET) <= 1e-9

@@ -21,7 +21,7 @@ sieve up to 2n:
 before any work, as does every function of the package that takes a
 Catalan index: each row is checked against ``ln_exact``, and no route
 is vouched for past it.
-``ln_exact`` costs 3-31 us a call at every n up to the limit.
+``ln_exact`` costs 3-23 us a call at every n up to the limit.
 ``catalan_exact``, and the digits of ``exact N`` on the command line,
 sieve up to 2n, which holds n bytes and costs about 62 ns per n, and
 multiply out C_n, about 2n bits, which grows faster: 0.65 s at 10^6 and
@@ -55,13 +55,13 @@ MAX_INDEX = 10**8
 # series above it (ln_exact's docstring gives the measurement).
 _COMB_MAX = 200
 # The bits of ln_exact's first pass; a second pass, if needed, doubles them.
-_PRECISION = 160
-# round(2^320 ln 2) and round(2^320 ln pi), which serve every pass up to
-# 320 = 2 _PRECISION bits.
-_FIXED_BITS = 320
+_PRECISION = 96
+# round(2^192 ln 2) and round(2^192 ln pi), which serve every pass up to
+# 192 = 2 _PRECISION bits.
+_FIXED_BITS = 192
 _LN2_FIXED, _LN_PI_FIXED = (
-    0xB17217F7D1CF79ABC9E3B39803F2F6AF40F343267298B62D8A0D175B8BAAFA2BE7B876206DEBAC98,
-    0x1250D048E7A1BD0BD5F956C6A843F49985E6DDBF3B3F2606E33802ECAEFA9308E5AA6C4DF523160E7,
+    0xB17217F7D1CF79ABC9E3B39803F2F6AF40F343267298B62E,
+    0x1250D048E7A1BD0BD5F956C6A843F49985E6DDBF3B3F2606E,
 )
 # Stirling's coefficients B_2k / (2k (2k - 1)), k = 1..17, in lowest terms.
 _STIRLING = (
@@ -230,7 +230,7 @@ def ln_exact(n: int) -> float:
     """ln C_n as a double, correctly rounded, for every n up to MAX_INDEX.
 
     C_0 = C_1 = 1.  For n >= 2 it computes an integer V with
-    |V - 2^p ln C_n| <= E at p = ``_PRECISION`` = 160 bits, and rounds
+    |V - 2^p ln C_n| <= E at p = ``_PRECISION`` = 96 bits, and rounds
     once.  One fixed-point log serves it: ``_fixed_log`` writes
     ln m = k ln 2 + 2 atanh(x), x = (m - 2^k) / (m + 2^k), with k chosen
     so that m / 2^k lies in [2/3, 3/2] and |x| < 1/5, and sums
@@ -248,10 +248,10 @@ def ln_exact(n: int) -> float:
       and S(2n) - 2 S(n) = sum_k t_k, t_k = c_k (1 - 4^k) / (2n)^(2k - 1),
       each term an integer quotient.  So m = n (n + 1)^2, below 2^80.
 
-    The error, in units of 2^-p for any p <= 320.  Python's // and >>
+    The error, in units of 2^-p for any p <= 192.  Python's // and >>
     floor, so each division or shift errs by under 1.  ``_LN2_FIXED``
-    and ``_LN_PI_FIXED`` lie within 1/2 of 2^320 ln 2 and 2^320 ln pi,
-    so (a ``_LN2_FIXED``) >> (320 - p) lies within 1 + a/2 of
+    and ``_LN_PI_FIXED`` lie within 1/2 of 2^192 ln 2 and 2^192 ln pi,
+    so (a ``_LN2_FIXED``) >> (192 - p) lies within 1 + a/2 of
     2^p a ln 2 for an integer a >= 0.
 
     * atanh.  u_0 = floor(2^p |x|), y2 = u_0^2 >> p and
@@ -282,20 +282,28 @@ def ln_exact(n: int) -> float:
     p doubles, once.  For n >= 2, ln C_n is the log of an integer above
     1, so it is transcendental (Lindemann) and lies on no midpoint
     between two doubles: some precision, with enough terms of the
-    series, decides.  At 160 bits the enclosure is within 4e-46 of
-    ln C_n, relatively, so a second pass is needed with a chance of
-    about 1e-29 per n; at 320 bits within 6e-70, the worst at n = 201,
-    where the last coefficient's term dominates.  A ln C_n that close
-    to a midpoint raises ArithmeticError rather than return a double
-    that is not proved.
+    series, decides.  At 96 bits the enclosure is within 5e-27 of
+    ln C_n, relatively, and a second pass is needed with a chance below
+    about 1e-10 per n: 2E 2^-p is at most 6e-11 of an ulp of ln C_n,
+    at n = 2, the worst.  None was needed at n = 0..5000 or at 20,000
+    random n up to MAX_INDEX.  At 192 bits the enclosure is within
+    1.1e-55, again the worst at n = 2; above the crossover the series
+    reaches a t_k with |t_k| <= 1 before its last coefficient at both
+    precisions, from n = 201 on.  A ln C_n that close to a midpoint
+    raises ArithmeticError rather than return a double that is not
+    proved.
 
-    Cost, on a 2-vCPU x86_64 host with Python 3.11 whose speed varied by
-    up to 2x between runs: 3-31 us a call up to the crossover, growing
-    with n as ``math.comb`` does, and 10-30 us above it at every n up to
-    MAX_INDEX, the lgamma witness included.  The crossover is where the
-    two costs meet: over bands of 20 n from 140 to 260, 15 random n
-    each, the median call was cheaper by the exact C_n below n = 200
-    and by the series from there on.
+    Cost, on a 2-vCPU x86_64 host with Python 3.11 (fastest of 5
+    timeit repeats, the lgamma witness included): 3-23 us a call up to
+    the crossover, growing with n as ``math.comb`` does, and 10-12 us
+    above it at every n up to MAX_INDEX.  At 160 bits these were 3-26
+    and 16-21 us.  The crossover was set where the two costs met at
+    160 bits: over bands of 20 n from 140 to 260, 15 random n each, the
+    median call was cheaper by the exact C_n below n = 200 and by the
+    series from there on.  At 96 bits the series is the cheaper from
+    n = 140 on (about 14 against 16 us there), but the crossover stays
+    at 200, so that the reference over the benchmark's n = 0..200 is
+    the exact C_n, independent of every route.
 
     The value is checked against lgamma, a witness for gross slips.
     Above the crossover it no longer comes from C_n itself: the gamma

@@ -71,7 +71,7 @@ class IntegrandEvaluationError(ValueError):
 
 class TailBound(NamedTuple):
     """Constants of an analytic bound |f(t)| <= K exp(-c t) valid for large
-    t; both must be positive and finite."""
+    t; both must be positive and at most the largest float."""
 
     K: float
     c: float
@@ -329,8 +329,10 @@ def integrate_finite(
     behavior like sqrt(b - t) is admissible, 1/sqrt(b - t) is not.
     """
     edges = [a, *breakpoints, b]
-    # The chained comparison also rejects NaN.
-    if not all(-math.inf < lo < hi < math.inf for lo, hi in zip(edges, edges[1:])):
+    # The chained comparison also rejects NaN, and an int past the
+    # largest float, which has no float to round to.
+    top = sys.float_info.max
+    if not all(-top <= lo < hi <= top for lo, hi in zip(edges, edges[1:])):
         raise ValueError(f"need finite a < breakpoints < b ascending, got {edges}")
     return _adaptive(f, edges, config)
 
@@ -380,8 +382,9 @@ def integrate_half_line(
     relative alone.  There every row takes one panel, 21 evaluations,
     except n = 0, which takes one bisection.
     """
-    # The chained comparison also rejects NaN.
-    if not (0.0 < tail.K < math.inf and 0.0 < tail.c < math.inf):
+    # The chained comparison also rejects NaN, and an int past the
+    # largest float.
+    if not all(0.0 < bound <= sys.float_info.max for bound in tail):
         raise ValueError(
             f"tail bound constants must be positive and finite, got {tail}"
         )

@@ -240,8 +240,8 @@ def test_ln_exact_is_correctly_rounded_above_the_crossover():
 
 
 def test_ln_constants_of_the_fixed_point_path():
-    # Both literals are 2^320 ln 2 and 2^320 ln pi rounded to integers,
-    # and 320 bits serve the second pass.
+    # Both literals are 2^192 ln 2 and 2^192 ln pi rounded to integers,
+    # and 192 bits serve the second pass.
     ctx = mpmath.mp.clone()
     ctx.prec = 400
     scale = ctx.mpf(2) ** exact._FIXED_BITS

@@ -305,6 +305,10 @@ def test_invalid_interval_rejected(cfg):
         integrate_finite(math.exp, 2.0, 1.0, cfg)
     with pytest.raises(ValueError):
         integrate_finite(math.exp, 0.0, math.inf, cfg)
+    # An int past the largest float compares below inf, and would raise
+    # OverflowError on its way into a float.
+    with pytest.raises(ValueError, match="need finite"):
+        integrate_finite(lambda x: 1.0, 0, 10**400, cfg)
     for breakpoints in ((0.0,), (1.0,), (1.5,), (0.6, 0.4), (0.5, 0.5), (math.nan,)):
         with pytest.raises(ValueError):
             integrate_finite(math.exp, 0.0, 1.0, cfg, breakpoints=breakpoints)
@@ -539,8 +543,14 @@ def test_narrow_spike_at_origin_is_found_with_its_scale(tail, cfg):
         TailBound(1.0, math.nan),
         TailBound(math.inf, 1.0),
         TailBound(1.0, math.inf),
+        # An int past the largest float compares below inf, and would
+        # raise OverflowError on its way into a float.
+        TailBound(10**400, 1.0),
+        TailBound(1.0, 10**400),
     ],
-    ids=["zero_K", "negative_c", "nan_K", "nan_c", "inf_K", "inf_c"],
+    ids=[
+        "zero_K", "negative_c", "nan_K", "nan_c", "inf_K", "inf_c", "huge_int_K", "huge_int_c"
+    ],
 )
 def test_explicit_tail_constants_must_be_positive(cfg, tail):
     # IntegrandEvaluationError is a ValueError too: the message must name

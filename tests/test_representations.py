@@ -486,6 +486,37 @@ def test_sweep_computes_exact_reference_once_per_n(cfg, monkeypatch):
     assert all(row.exact_ln == ln_exact(row.n) for row in rows)
 
 
+def test_sweep_runs_each_route_over_every_n_in_turn(cfg, monkeypatch):
+    # The rows are ordered by (n, route), but the sweep evaluates by
+    # route: every ln_exact first, then each route over ascending n, in
+    # ROUTES order, one estimate per (n, route).  Interleaving the six
+    # code paths at every n measured slower (compare_representations).
+    calls: list[tuple[str, int]] = []
+
+    def exact(n):
+        calls.append(("ln_exact", n))
+        return ln_exact(n)
+
+    def recorded(route):
+        def estimate(n, config):
+            calls.append((route.value, n))
+            return route.estimate(n, config)
+
+        return route._replace(estimate=estimate)
+
+    monkeypatch.setattr(representations, "ln_exact", exact)
+    monkeypatch.setattr(representations, "ROUTES", tuple(map(recorded, ROUTES)))
+    n_max = 6
+    rows = compare_representations(n_max, cfg)
+    ns = range(n_max + 1)
+    assert calls == [("ln_exact", n) for n in ns] + [
+        (value, n) for value in ROUTE_VALUES for n in ns
+    ]
+    assert [(row.n, row.method.value) for row in rows] == [
+        (n, value) for n in ns for value in ROUTE_VALUES
+    ]
+
+
 # What operator.index refuses is refused before any work, even when it
 # is an integral float.
 NON_INTEGERS = (5.0, 2.5, math.nan)

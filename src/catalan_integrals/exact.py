@@ -9,7 +9,8 @@ sieve up to 2n:
   past the range where C_n fits in one: one fixed-point evaluation in
   Python integers, of the log of the exact C_n up to n = 200 and of
   Stirling's series above it, rounded once by Ziv's test, in O(1) above
-  the crossover; it needs no sieve
+  the crossover, where a first pass of the same series in doubles
+  decides most n; it needs no sieve
 * ``catalan_numbers``  -- C_0, C_1, ... streamed by the exact ratio
   recurrence
 * ``CatalanTable``     -- prefix table of that stream, and the package's
@@ -21,7 +22,9 @@ sieve up to 2n:
 before any work, as does every function of the package that takes a
 Catalan index: each row is checked against ``ln_exact``, and no route
 is vouched for past it.
-``ln_exact`` costs 3-23 us a call at every n up to the limit.
+``ln_exact`` costs 3-23 us a call up to n = 200 and about 2 us above
+it, at every n up to the limit, where a first pass in doubles decides
+most n.
 ``catalan_exact``, and the digits of ``exact N`` on the command line,
 sieve up to 2n, which holds n bytes and costs about 62 ns per n, and
 multiply out C_n, about 2n bits, which grows faster: 0.65 s at 10^6 and
@@ -70,6 +73,15 @@ _STIRLING = (
     (77683, 5796), (-236364091, 1506960), (657931, 300),
     (-3392780147, 93960), (1723168255201, 2492028),
     (-7709321041217, 505920), (151628697551, 396),
+)
+# For ln_exact's double pass: ln 2 as a 24-bit head, so that 2n _LN2_HI is
+# exact for 2n < 2^28, and the rest of _LN2_FIXED; ln(pi) / 2; and the
+# c_k (1 - 4^k) of _STIRLING.  Each is rounded once, by int / int.
+_LN2_HI = (_LN2_FIXED >> (_FIXED_BITS - 24)) / (1 << 24)
+_LN2_LO = (_LN2_FIXED % (1 << (_FIXED_BITS - 24))) / (1 << _FIXED_BITS)
+_HALF_LN_PI = _LN_PI_FIXED / (1 << (_FIXED_BITS + 1))
+_STIRLING_DOUBLE = tuple(
+    num * (1 - 4**k) / den for k, (num, den) in enumerate(_STIRLING, 1)
 )
 
 
@@ -226,13 +238,39 @@ def _fixed_log(m: int, p: int) -> int:
     return (k * _LN2_FIXED >> (_FIXED_BITS - p)) + (2 * total if r >= 0 else -2 * total)
 
 
+def _ln_double(n: int) -> float | None:
+    """ln C_n for n > ``_COMB_MAX`` from Stirling's series in doubles, or
+    None when the enclosure of half-width delta straddles a rounding
+    boundary; ``ln_exact``'s docstring derives delta."""
+    power = 0.5 / n  # (2n)^-(2k - 1), for the k-th term
+    square = power * power
+    p = 2 * n * _LN2_LO
+    s = math.log1p(n)
+    terms = [p, -_HALF_LN_PI, -0.5 * math.log(n), -s]
+    for coef in _STIRLING_DOUBLE:
+        term = coef * power
+        if abs(term) < 2.0**-64:
+            break
+        terms.append(term)
+        power *= square
+    else:  # no term small enough to bound the remainder
+        return None
+    c = math.fsum(terms)
+    delta = 2.0**-50 * (1.25 * s + abs(p) + 0.5) + 3.0 * abs(term)
+    a = 2 * n * _LN2_HI
+    lo = a + (c - delta)
+    return lo if lo == a + (c + delta) else None
+
+
 def ln_exact(n: int) -> float:
     """ln C_n as a double, correctly rounded, for every n up to MAX_INDEX.
 
-    C_0 = C_1 = 1.  For n >= 2 it computes an integer V with
-    |V - 2^p ln C_n| <= E at p = ``_PRECISION`` = 96 bits, and rounds
-    once.  One fixed-point log serves it: ``_fixed_log`` writes
-    ln m = k ln 2 + 2 atanh(x), x = (m - 2^k) / (m + 2^k), with k chosen
+    C_0 = C_1 = 1.  Above the crossover ``_COMB_MAX`` = 200 a pass in
+    doubles comes first and decides most n (the double pass, below).
+    Where it does not, and at every n >= 2 up to the crossover, it
+    computes an integer V with |V - 2^p ln C_n| <= E at
+    p = ``_PRECISION`` = 96 bits, and rounds once.  One fixed-point log
+    serves it: ``_fixed_log`` writes ln m = k ln 2 + 2 atanh(x), x = (m - 2^k) / (m + 2^k), with k chosen
     so that m / 2^k lies in [2/3, 3/2] and |x| < 1/5, and sums
     atanh(x) = sum_i x^(2i+1) / (2i + 1).  Which m depends on n:
 
@@ -293,11 +331,57 @@ def ln_exact(n: int) -> float:
     raises ArithmeticError rather than return a double that is not
     proved.
 
+    The double pass (``_ln_double``), above the crossover only, is the
+    cheap first rung of the same Ziv ladder, on the same formula.
+    a = 2n ``_LN2_HI`` is exact: ``_LN2_HI`` is the 24-bit head of
+    ``_LN2_FIXED``, and 2n < 2^28.  One ``math.fsum`` adds the rest into
+    c: p = 2n ``_LN2_LO``, -ln(pi)/2, -ln(n)/2 (``math.log``),
+    -ln(n + 1) (``math.log1p``) and the t_k in doubles, up to and not
+    including the first t_(K+1) with |t_(K+1)| < 2^-64.  The pass
+    returns fl(a + fl(c - delta)) when it equals fl(a + fl(c + delta)).
+    Rounding to nearest is monotone, so when fl(c - delta) <= c* <=
+    fl(c + delta) for the exact rest c* = ln C_n - a, both ends round
+    to the double that ln C_n rounds to.  With u = 2^-53,
+    s = ln(n + 1) >= 5.3 and P = |p| < 12, each end errs by at most:
+
+    * libm's log and log1p are within one ulp, 2u of their value, as
+      ``kernels._binet_theta``'s proof assumes; with a margin of one ulp
+      more, ln(n)/2 and ln(n + 1) are within 2u s and 4u s;
+    * ln(pi)/2 is rounded once, within 0.58u;
+    * ``_LN2_LO`` is the rest of ``_LN2_FIXED``, within 2^-193 of
+      ln 2 - ``_LN2_HI``, rounded once, and its product with 2n rounds
+      once more: within 2.01u P;
+    * each t_k comes from x = fl(1/(2n)), x^2, k - 1 products by it, a
+      rounded coefficient and one product, so within (4k + 1)u |t_k|
+      <= 70u |t_k|; the |t_k| add up to under 2 |t_1| = 1/(4n), so all
+      are within 0.09u;
+    * Stirling's remainder is at most 2 |t_(K+1)| (DLMF 5.11.ii, as
+      above), and the computed t_(K+1) is within 70u of it: under
+      3 |t_(K+1)|;
+    * ``fsum`` rounds c once, within u |c|, and |c| <= 1.5 s + P + 0.59;
+    * c - delta and c + delta each round once, within u (|c| + delta).
+
+    So each end needs delta >= u (9 s + 4.01 P + 1.85 + delta)
+    + 3 |t_(K+1)|, and delta = 2^-50 (1.25 s + P + 0.5) + 3 |t_(K+1)|
+    = u (10 s + 8 P + 4) + 3 |t_(K+1)| exceeds that by over u s > 5u,
+    which also covers the rounding of delta itself and the second-order
+    terms.  When the ends round apart, or no t_k falls below 2^-64 (one
+    does, by the fifth, at every n > 200), the fixed-point passes run
+    as above.  That happened at 11.9% of n in 201..10^3,
+    2.4% in 10^3..10^4, 0.26% in 10^4..10^5, 0.04% in 10^5..10^6 and at
+    none above (20,000 seeded random n a decade), and at 215 of the
+    4,800 n from 201 to 5000.  The pass uses neither
+    ``kernels._binet_theta`` nor the gamma route's terms.
+
     Cost, on a 2-vCPU x86_64 host with Python 3.11 (fastest of 5
     timeit repeats, the lgamma witness included): 3-23 us a call up to
     the crossover, growing with n as ``math.comb`` does, and 10-12 us
-    above it at every n up to MAX_INDEX.  At 160 bits these were 3-26
-    and 16-21 us.  The crossover was set where the two costs met at
+    above it at every n up to MAX_INDEX for the fixed-point pass; at
+    160 bits these were 3-26 and 16-21 us.  The double pass brings a
+    call above the crossover to 1.5-1.8 us at every n up to MAX_INDEX
+    (fastest of 7 repeats, where the fixed-point pass took 5.6-8.0 us in
+    the same run), and an n it leaves to the fixed-point pass pays for
+    both.  The crossover was set where the two costs met at
     160 bits: over bands of 20 n from 140 to 260, 15 random n each, the
     median call was cheaper by the exact C_n below n = 200 and by the
     series from there on.  At 96 bits the series is the cheaper from
@@ -307,14 +391,18 @@ def ln_exact(n: int) -> float:
 
     The value is checked against lgamma, a witness for gross slips.
     Above the crossover it no longer comes from C_n itself: the gamma
-    route is then checked against a higher-precision evaluation of the
-    same asymptotic series that it sums in doubles, and only the
+    route is then checked against another evaluation of the same
+    asymptotic series that it sums in doubles, an enclosure in doubles
+    or a higher-precision sum in integers, and only the
     integral routes (Malmsten, Binet and both Penson forms) stay
     independent of it.  Raises ValueError past MAX_INDEX.
     """
     _check_index(n)
     if n < 2:
         return 0.0
+    if n > _COMB_MAX and (value := _ln_double(n)) is not None:
+        _check_against_lgamma(n, value, "double-precision ln C_n")
+        return value
     m = math.comb(2 * n, n) // (n + 1) if n <= _COMB_MAX else n * (n + 1) ** 2
     for p in (_PRECISION, 2 * _PRECISION):
         value, term = _fixed_log(m, p), 0

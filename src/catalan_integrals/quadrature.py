@@ -126,8 +126,8 @@ class QuadConfig(_QuadConfigFields):
 class QuadResult(NamedTuple):
     """Outcome of one integration.
 
-    ``converged`` is True only when error_estimate met the configured
-    tolerance; callers decide whether non-convergence is fatal.
+    ``converged`` is True only when error_estimate is finite and met the
+    configured tolerance; callers decide whether non-convergence is fatal.
     """
 
     value: float
@@ -306,7 +306,10 @@ def _adaptive(
         value=total_value,
         error_estimate=total_err,
         evaluations=evaluations,
-        converged=total_err <= config.tolerance_for(total_value),
+        # An infinite estimate bounds nothing, though it meets the
+        # infinite target that an infinite value sets.
+        converged=math.isfinite(total_err)
+        and total_err <= config.tolerance_for(total_value),
     )
 
 
@@ -383,10 +386,12 @@ def integrate_half_line(
     except n = 0, which takes one bisection.
     """
     # The chained comparison also rejects NaN, and an int past the
-    # largest float.
-    if not all(0.0 < bound <= sys.float_info.max for bound in tail):
+    # largest float; a bool would pass it as 1.
+    if bool in map(type, tail) or not all(
+        0.0 < bound <= sys.float_info.max for bound in tail
+    ):
         raise ValueError(
-            f"tail bound constants must be positive and finite, got {tail}"
+            f"tail bound constants must be positive and finite, and no bool, got {tail}"
         )
     scale = 8.0 / tail.c
 

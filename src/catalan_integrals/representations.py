@@ -219,9 +219,10 @@ def _gamma_closed_form(n: int, config: QuadConfig) -> _Estimate:
     a quadrature estimate in ``_assemble``.  ``config`` is not used.
     Up to ``ln_exact``'s crossover (n = 200) its reference is the log of
     the exact C_n, independent of this route.  Above it the reference
-    sums the same Stirling series, from the same ``exact._STIRLING``, in
-    integer fixed point, so there this row checks the doubles'
-    arithmetic and bounds, not the series itself.  The four integral
+    sums the same Stirling series, from the same ``exact._STIRLING``,
+    within a proved enclosure in doubles or in integer fixed point, so
+    there this row checks the doubles' arithmetic and bounds, not the
+    series itself.  The four integral
     routes stay independent of the reference at every n.
     """
     _check_index(n)

@@ -107,7 +107,9 @@ def test_exact_checks_the_factors_before_printing(monkeypatch):
 def test_exact_checks_ln_exact_before_printing(monkeypatch):
     # The digits pass their witness, and the ln line still has its own,
     # which runs before the digits are printed: a fixed-point log that
-    # returns 0 moves ln C_1000 by ln(1000 * 1001^2) / 2.
+    # returns 0 moves ln C_1000 by ln(1000 * 1001^2) / 2.  The double
+    # pass, which would decide n = 1000 first, is switched off.
+    monkeypatch.setattr(exact, "_ln_double", lambda n: None)
     monkeypatch.setattr(exact, "_fixed_log", lambda m, p: 0)
     result = invoke(main, ["exact", "1000"])
     assert result.exit_code == 4

@@ -257,6 +257,9 @@ def test_ziv_loop_raises_the_precision_until_the_ends_agree(monkeypatch):
     # each of them.  From a first pass at 30 bits, the second, at 60,
     # still straddles one at some n, and those raise.  Wherever a pass
     # decides, the narrow margin still holds ln C_n, on both paths.
+    # Above the crossover the double pass decides most n before the
+    # fixed-point passes run; switched off, every n reaches them.
+    monkeypatch.setattr(exact, "_ln_double", lambda n: None)
     passes = []
     fixed_log = exact._fixed_log
 
@@ -287,6 +290,9 @@ def test_ziv_loop_raises_the_precision_until_the_ends_agree(monkeypatch):
 
 
 def test_lgamma_witness_runs_on_both_paths(monkeypatch):
+    # Both paths of the fixed-point passes: the double pass, switched off
+    # here, has its own test below.
+    monkeypatch.setattr(exact, "_ln_double", lambda n: None)
     witness = exact._check_against_lgamma
     seen = []
 
@@ -300,9 +306,87 @@ def test_lgamma_witness_runs_on_both_paths(monkeypatch):
     assert seen == [exact._COMB_MAX, exact._COMB_MAX + 1]
     # A wrong ln 2, off by 2^-12, moves ln C_n by k 2^-12 below the
     # crossover, k the bit length of C_n, and by 2n 2^-12 above it.
-    monkeypatch.setattr(exact, "_LN2_FIXED", exact._LN2_FIXED + (1 << 308))
+    monkeypatch.setattr(exact, "_LN2_FIXED", exact._LN2_FIXED + (1 << (exact._FIXED_BITS - 12)))
     for n in (exact._COMB_MAX, 10**6):
         with pytest.raises(ArithmeticError, match="fixed-point ln C_n disagrees with lgamma"):
+            ln_exact(n)
+
+
+def _fixed_point_ln(n, monkeypatch):
+    """ln_exact(n) with the double pass switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_ln_double", lambda n: None)
+        return ln_exact(n)
+
+
+def test_double_pass_matches_the_fixed_point_path(monkeypatch):
+    # Every n from the crossover to 5,000, where an ulp of ln C_n is
+    # narrowest against the pass's enclosure, and seeded random n up to
+    # the limit: where the double pass decides, it gives the fixed-point
+    # path's double, and it decides at most n.
+    rng = random.Random(40)
+    ns = (
+        *range(exact._COMB_MAX + 1, 5001),
+        *(rng.randrange(5001, MAX_INDEX + 1) for _ in range(2000)),
+        MAX_INDEX,
+    )
+    decided = 0
+    for n in ns:
+        value = exact._ln_double(n)
+        if value is not None:
+            assert value == _fixed_point_ln(n, monkeypatch), n
+            assert ln_exact(n) == value, n
+            decided += 1
+    assert decided > 0.9 * len(ns)
+
+
+def test_a_fall_through_returns_the_fixed_point_double(monkeypatch):
+    # Where the double pass cannot decide, ln_exact runs the 96-bit pass
+    # and returns its double, the correctly rounded one.
+    undecided = [n for n in range(exact._COMB_MAX + 1, 1000) if exact._ln_double(n) is None]
+    assert 0 < len(undecided) < 250
+    passes = []
+    fixed_log = exact._fixed_log
+
+    def recording(m, p):
+        passes.append(p)
+        return fixed_log(m, p)
+
+    monkeypatch.setattr(exact, "_fixed_log", recording)
+    for n in undecided[:20]:
+        passes.clear()
+        assert ln_exact(n) == _fixed_point_ln(n, monkeypatch) == float(_ln_catalan_mpmath(n)), n
+        assert passes[0] == exact._PRECISION, n
+
+
+def test_constants_of_the_double_pass():
+    # 2n _LN2_HI is exact: a 24-bit head times 2n < 2^28 fits in 53 bits.
+    assert (exact._LN2_HI * 2**24).is_integer() and 2 * MAX_INDEX < 2**28
+    ctx = mpmath.mp.clone()
+    ctx.prec = 400
+    ln2_rest = ctx.log(2) - exact._LN2_HI
+    assert 0 < exact._LN2_LO < 2.0**-24
+    assert abs(exact._LN2_LO - ln2_rest) <= 2.0**-53 * exact._LN2_LO
+    assert exact._HALF_LN_PI == float(ctx.log(ctx.pi) / 2)
+    for k, ((num, den), coef) in enumerate(zip(exact._STIRLING, exact._STIRLING_DOUBLE), 1):
+        assert coef == float(ctx.mpf(num * (1 - 4**k)) / den), k
+
+
+def test_lgamma_witness_checks_the_double_pass(monkeypatch):
+    seen = []
+    witness = exact._check_against_lgamma
+
+    def recording(n, ln_c, *source):
+        seen.append(source)
+        witness(n, ln_c, *source)
+
+    monkeypatch.setattr(exact, "_check_against_lgamma", recording)
+    ln_exact(10**6)
+    assert seen == [("double-precision ln C_n",)]
+    # A head of ln 2 off by 2^-12 moves ln C_n by 2n 2^-12.
+    monkeypatch.setattr(exact, "_LN2_HI", exact._LN2_HI + 2.0**-12)
+    for n in (exact._COMB_MAX + 1, 10**6):
+        with pytest.raises(ArithmeticError, match="double-precision ln C_n disagrees with lgamma"):
             ln_exact(n)
 
 

@@ -363,6 +363,17 @@ def test_non_convergence_is_reported_not_raised():
     assert result.error_estimate > tight.tolerance_for(result.value)
 
 
+def test_an_infinite_estimate_is_not_converged(cfg):
+    # A constant over the whole double range integrates to inf, with an
+    # infinite estimate: an infinite value makes the relative target
+    # infinite as well, and inf <= inf must not count as converged.
+    top = sys.float_info.max
+    result = integrate_finite(lambda x: 1.0, -top, top, cfg)
+    assert result.value == result.error_estimate == math.inf
+    assert result.evaluations == 21
+    assert not result.converged
+
+
 def test_driver_stops_at_the_float_floor():
     # A target below the 50 eps resabs floor of a smooth panel cannot be
     # met by bisection, which only splits the floor between the halves:
@@ -547,9 +558,13 @@ def test_narrow_spike_at_origin_is_found_with_its_scale(tail, cfg):
         # raise OverflowError on its way into a float.
         TailBound(10**400, 1.0),
         TailBound(1.0, 10**400),
+        # A bool is an int, and would pass the range check as 1.
+        TailBound(True, 1.0),
+        TailBound(1.0, True),
     ],
     ids=[
-        "zero_K", "negative_c", "nan_K", "nan_c", "inf_K", "inf_c", "huge_int_K", "huge_int_c"
+        "zero_K", "negative_c", "nan_K", "nan_c", "inf_K", "inf_c", "huge_int_K", "huge_int_c",
+        "bool_K", "bool_c",
     ],
 )
 def test_explicit_tail_constants_must_be_positive(cfg, tail):

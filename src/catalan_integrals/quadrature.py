@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
     "IntegrandEvaluationError",
@@ -201,7 +201,7 @@ def _kronrod_panel(
     ts = (c, c - d0, c + d0, c - d1, c + d1, c - d2, c + d2, c - d3, c + d3,
           c - d4, c + d4, c - d5, c + d5, c - d6, c + d6, c - d7, c + d7,
           c - d8, c + d8, c - d9, c + d9)
-    ys = [f(t) for t in ts]
+    ys = list(map(f, ts))
     (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7,
      l8, r8, l9, r9) = ys
     s1, s3, s5, s7, s9 = l1 + r1, l3 + r3, l5 + r5, l7 + r7, l9 + r9
@@ -243,6 +243,15 @@ def _kronrod_panel(
     return value, err, floor
 
 
+def _fsum(values: Sequence[float]) -> float:
+    """``math.fsum``, or the plain sum where fsum cannot finish: finite
+    values that overflow on the way, or +inf and -inf together."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values)
+
+
 def _adaptive(
     f: Callable[[float], float],
     edges: list[float],
@@ -255,7 +264,10 @@ def _adaptive(
     The estimate is the panels' summed estimates plus ``remainder``, a
     part no bisection can lower, such as the mass a map folds away.  Each
     starting panel costs 21 evaluations and is not a subdivision.  The
-    driver bisects the worst-error panel, and stops at the first of:
+    first pass sums the starting panels once; where that meets the
+    tolerance, as it does for most calls, the driver returns it and
+    builds no heap.  Otherwise it bisects the worst-error panel, and
+    stops at the first of:
 
     * target met: the estimate meets the tolerance;
     * float floor: the panels' summed 50 eps resabs floors plus the
@@ -267,50 +279,54 @@ def _adaptive(
     * budget: ``max_subdivisions`` bisections are spent.
 
     A remainder over the tolerance stops nothing by itself: the panels
-    are bisected to their floors all the same.
+    are bisected to their floors all the same.  Finite samples whose
+    panels sum past the largest float, or to inf - inf, give an infinite
+    or NaN value, with an infinite estimate: unconverged, not bisected.
     """
-    # Heap entries: (-error, a, b, value, floor).  Disjoint panels have
-    # distinct left edges, which order equal errors.
-    heap = []
-    for lo, hi in zip(edges, edges[1:]):
-        value, err, floor = _kronrod_panel(f, lo, hi)
-        heap.append((-err, lo, hi, value, floor))
-    heapq.heapify(heap)
-    total_value = math.fsum(entry[3] for entry in heap)
-    total_err = math.fsum(-entry[0] for entry in heap)
-    total_floor = math.fsum(entry[4] for entry in heap)
-    for _ in range(config.max_subdivisions):
+    panels = [_kronrod_panel(f, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    values, errors, floors = zip(*panels)
+    total_value = _fsum(values)
+    total_err = _fsum(errors)
+    count = len(panels)
+    target = config.tolerance_for(total_value)
+    if math.isfinite(total_value) and total_err + remainder > target:
+        # Heap entries: (-error, a, b, value, floor).  Disjoint panels
+        # have distinct left edges, which order equal errors.
+        heap = [(-err, lo, hi, value, floor)
+                for lo, hi, (value, err, floor) in zip(edges, edges[1:], panels)]
+        heapq.heapify(heap)
+        total_floor = _fsum(floors)
+        for _ in range(config.max_subdivisions):
+            target = config.tolerance_for(total_value)
+            if total_err + remainder <= target:
+                break
+            if total_floor + remainder > target and total_err - total_floor <= total_floor:
+                break  # at the float floor
+            neg_err, a, b, value, floor = heap[0]
+            mid = 0.5 * (a + b)
+            if mid <= a or mid >= b:
+                break  # at float resolution
+            vl, el, floor_l = _kronrod_panel(f, a, mid)
+            vr, er, floor_r = _kronrod_panel(f, mid, b)
+            total_value += vl + vr - value
+            total_err += el + er + neg_err
+            total_floor += floor_l + floor_r - floor
+            heapq.heapreplace(heap, (-el, a, mid, vl, floor_l))
+            heapq.heappush(heap, (-er, mid, b, vr, floor_r))
+        # Reassemble the totals with compensated summation; the
+        # incremental running totals above only steer the subdivision
+        # order.
+        total_value = _fsum([entry[3] for entry in heap])
+        total_err = _fsum([-entry[0] for entry in heap])
+        count = len(heap)
         target = config.tolerance_for(total_value)
-        if total_err + remainder <= target:
-            break
-        if total_floor + remainder > target and total_err - total_floor <= total_floor:
-            break  # at the float floor
-        neg_err, a, b, value, floor = heap[0]
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break  # at float resolution
-        vl, el, floor_l = _kronrod_panel(f, a, mid)
-        vr, er, floor_r = _kronrod_panel(f, mid, b)
-        total_value += vl + vr - value
-        total_err += el + er + neg_err
-        total_floor += floor_l + floor_r - floor
-        heapq.heapreplace(heap, (-el, a, mid, vl, floor_l))
-        heapq.heappush(heap, (-er, mid, b, vr, floor_r))
-    # Reassemble the totals with compensated summation; the incremental
-    # running totals above only steer the subdivision order.
-    total_value = math.fsum(entry[3] for entry in heap)
-    total_err = math.fsum(-entry[0] for entry in heap) + remainder
+    total_err = total_err + remainder if math.isfinite(total_value) else math.inf
     # Each bisection evaluates two panels and adds one to the heap.
-    evaluations = _PANEL_EVALUATIONS * (2 * len(heap) - (len(edges) - 1))
-    return QuadResult(
-        value=total_value,
-        error_estimate=total_err,
-        evaluations=evaluations,
-        # An infinite estimate bounds nothing, though it meets the
-        # infinite target that an infinite value sets.
-        converged=math.isfinite(total_err)
-        and total_err <= config.tolerance_for(total_value),
-    )
+    evaluations = _PANEL_EVALUATIONS * (2 * count - len(panels))
+    # An infinite estimate bounds nothing, though it meets the infinite
+    # target that an infinite value sets.
+    converged = math.isfinite(total_err) and total_err <= target
+    return QuadResult(total_value, total_err, evaluations, converged)
 
 
 def integrate_finite(

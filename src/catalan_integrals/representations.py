@@ -59,11 +59,24 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   f(pi - phi) = f(phi) leave k samples, in (0, pi/2), and no node at
   pi/2.  The route takes, in closed form, the least odd M whose first
   aliased term meets the target less a share kept for the rounding
-  (``_moment_points``), and reports converged only when the aliasing
-  and rounding bounds together meet the target.  k is capped at what
-  the adaptive driver may spend on one call, 21 + 42 max_subdivisions
-  evaluations; past the cap the route reports the bound of the largest
-  M within it.  f is evaluated as sin^2(phi) exp(n log1p(-sin^2 phi)),
+  (``_moment_points``).  Of the k samples it sums only the first j0, a
+  window of width O(1/sqrt(n)) around phi = 0 (``_moment_window``):
+  at the nodes, sin(phi) >= 2 phi/pi gives
+  f(j pi/M) <= e^{-n (2j/M)^2}, a Gaussian in j whose terms past j0
+  fall at least geometrically, so their sum is bounded by the first of
+  them over one less the ratio.  j0 is found in closed form, with one
+  check of the bound, for a share of u/4 of Kershaw's floor, and M is
+  about sqrt(n) times a log, so j0 + 1 is about
+  (M/2) sqrt(ln(pi/(M target))/n), a few dozen at every n: 20, 23 and 27
+  samples at n = 10^3, 10^5 and 10^8, where k is 98, 1,056 and 37,054.
+  The share is u/4 at every tolerance: the rounding bound alone is at
+  least 12 eps of the floor, so no row converges below that, and a
+  smaller share would only cost samples.  The route reports converged
+  only when the aliasing, rounding and window bounds together meet the
+  target.  j0 is capped at what the adaptive driver may spend on one
+  call, 21 + 42 max_subdivisions evaluations; a window cut short
+  reports the bound from the cut.  f is evaluated as
+  sin^2(phi) exp(n log1p(-sin^2 phi)),
   whose rounding does not grow with n as that of cos^{2n} does, and
   each sample carries a bound on its rounding
   (``_penson_moment``).
@@ -286,13 +299,13 @@ def _moment_points(n: int, config: QuadConfig) -> tuple[int, float]:
     """(k, the aliasing bound of the rule on M = 2k + 1 points).  M is
     the least odd number whose first aliased term meets the aliasing's
     share of the target, or the least odd number from n + 2 on, which
-    aliases nothing, if that is less; k is at most the budget.  The
-    share leaves the rest of the target to the rounding bound: 64 eps
-    of Kershaw's floor, or half the target if less.  At the default
-    config the rounding bound stayed below 47 eps of the floor at every
-    n measured (n = 0..200 and log-spaced n up to 10^8; 46.6 eps at
-    n = 1, and it tends to 29.75 eps), so a met share leaves the whole
-    bar within the target wherever it exceeds 128 eps."""
+    aliases nothing, if that is less.  The share leaves the rest of the
+    target to the rounding and window bounds: 64 eps of Kershaw's floor,
+    or half the target if less.  At the default config the rounding
+    bound stayed below 47 eps of the floor at every n measured
+    (n = 0..200 and log-spaced n up to 10^8; 46.6 eps at n = 1, and it
+    tends to 29.75 eps), and the window's is at most u/4, so a met share
+    leaves the whole bar within the target wherever it exceeds 128 eps."""
     tol = _moment_tolerance(config)
     target = max(tol - 64.0 * _EPS, 0.5 * tol) * _moment_floor(n)
     # The first aliased term alone needs (M - 1)^2 >= n ln(pi/target),
@@ -300,8 +313,56 @@ def _moment_points(n: int, config: QuadConfig) -> tuple[int, float]:
     # taken as the least normal double.
     ratio = math.pi / max(target, _UFLOW)
     m = max(2, math.ceil(1.0 + math.sqrt(n * math.log(ratio))))
-    k = min(m // 2, (n + 2) // 2, _PANEL_EVALUATIONS * (1 + 2 * config.max_subdivisions))
+    k = min(m // 2, (n + 2) // 2)
     return k, _moment_aliasing(n, 2 * k + 1)
+
+
+def _moment_window(n: int, k: int, target: float, budget: int) -> tuple[int, float]:
+    """(j0, a bound on what the rule on M = 2k + 1 points loses when it
+    sums only its first j0 samples): the least j0 <= k whose bound meets
+    ``target`` wherever the condition on r below does not bind, or
+    ``budget`` if that is less.
+
+    At the exact nodes phi_j = j pi/M <= pi/2, sin(phi) >= 2 phi/pi
+    gives f(phi_j) <= cos^{2n}(phi_j) <= e^{-n sin^2 phi_j} <= e^{-x j^2},
+    x = n (2/M)^2.  From j0 + 1 on, consecutive terms of e^{-x j^2} fall
+    by at least r = e^{-x (2 j0 + 3)}, so the omitted samples weigh at
+    most h e0/(1 - r), h = pi/M and e0 = e^{-x (j0 + 1)^2}.  In closed
+    form, j0 + 1 is the least integer with e0 <= target/h and
+    2 x (j0 + 1) >= ln 2, which makes r <= 1/2 and the bound at most
+    twice the target.  One check of the bound follows: where it misses,
+    one more sample multiplies it by at most r <= 1/2, which meets the
+    target.  Where ``budget`` cuts j0 short the bound is the one from
+    the cut; where j0 = k the rule is whole and the bound is 0, as at
+    n = 0, where f = sin^2 does not decay.
+
+    In doubles, x and the exponents carry a relative 5u, and exp and
+    h = fl(pi/M) add 2u each.  The route's target, u/4 of Kershaw's
+    floor, is above 1e-29 and h below 2, so the exponents stay below
+    100: e0 is within a relative 1.2e-13 and never underflows, and
+    1 - r (r <= 1/2), h and the last operations add a few u more.  The
+    factor 1 + 1e-12 covers all of it.
+    """
+    if n == 0:
+        return k, 0.0
+    m = 2 * k + 1
+    h = math.pi / m
+    x = n * (2.0 / m) ** 2
+
+    def bound(j0: int) -> float:
+        if j0 >= k:
+            return 0.0
+        e0 = math.exp(-x * (j0 + 1) ** 2)
+        return (1.0 + 1e-12) * h * e0 / (1.0 - math.exp(-x * (2 * j0 + 3)))
+
+    cap = min(k, budget)
+    need = max(math.sqrt(math.log(h / target) / x), _LN2 / (2.0 * x))
+    j0 = min(math.ceil(need) - 1, cap)
+    window = bound(j0)
+    if window > target and j0 < cap:
+        j0 += 1
+        window = bound(j0)
+    return j0, window
 
 
 def _moment_sample(n: int, phi: float) -> tuple[float, float]:
@@ -316,19 +377,20 @@ def _moment_sample(n: int, phi: float) -> tuple[float, float]:
     return value, (value * rel if rel <= 1.0 / 32.0 else math.exp(-0.99 * n * s2))
 
 
-def _moment_rule(n: int, k: int) -> tuple[float, float]:
+def _moment_rule(n: int, k: int, j0: int) -> tuple[float, float]:
     """Half the (2k + 1)-point trapezoid sum of sin^2 cos^{2n} over
-    [0, pi), and a bound on its rounding error.  f(0) = 0 and
-    f(pi - phi) = f(phi), so each of the k samples, at the nodes in
-    (0, pi/2), stands for two."""
+    [0, pi) from its first j0 >= 1 samples, and a bound on their
+    rounding error.  f(0) = 0 and f(pi - phi) = f(phi), so each sample, at a node
+    in (0, pi/2), stands for two; the samples past j0 are left to
+    ``_moment_window``'s bound."""
     h = math.pi / (2 * k + 1)
-    samples = [_moment_sample(n, j * h) for j in range(1, k + 1)]
-    total = math.fsum(value for value, _ in samples)
+    values, errors = zip(*[_moment_sample(n, j * h) for j in range(1, j0 + 1)])
+    total = math.fsum(values)
     if not math.isfinite(total):
-        j = next(j for j, (v, _) in enumerate(samples, 1) if not math.isfinite(v))
-        raise IntegrandEvaluationError(j * h, samples[j - 1][0])
+        j = next(j for j, v in enumerate(values, 1) if not math.isfinite(v))
+        raise IntegrandEvaluationError(j * h, values[j - 1])
     value = h * total
-    return value, h * math.fsum(error for _, error in samples) + 2.0 * _EPS * value
+    return value, h * math.fsum(errors) + 2.0 * _EPS * value
 
 
 def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
@@ -360,26 +422,38 @@ def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
     so no node is pi/2: the nearest, k pi/M, lies pi/(2M) below it, and
     computing it as k fl(pi/M) moves it by under 3u.  sin(phi) rounds to
     1 only within sqrt(u), about 1.05e-8, of pi/2, where 1 - cos of the
-    distance falls below u/2; so a node there needs M > 1.49e8.  But
+    distance falls below u/2; so a node there needs M > 1.49e8.
     ``_moment_points`` takes M <= m + 1, where m is at most
-    ceil(1 + sqrt(n ln(pi/lam))), lam the least normal double, and at
-    n <= MAX_INDEX = 10^8 that is M <= 266,375, whatever the config.
-    Raising the index limit means deriving this again.
+    ceil(1 + sqrt(n ln(pi/lam))), lam the least normal double; no budget
+    caps M, and at n <= MAX_INDEX = 10^8 that is M <= 266,375, whatever
+    the config.  Besides, the rule samples only the nodes j pi/M with
+    j <= j0 (``_moment_window``), which lie within j0 pi/M of 0.  The
+    closed form and its one check give j0 <= ceil(w), with
+    w = (M/2) max(sqrt(ln(h/target)/n), ln 2 M/(4n)), so the nodes stay
+    within (pi/2) max(sqrt(ln(h/target)/n), ln 2 M/(4n)) + pi/M of 0:
+    0.00115 at n = 10^8, at every config tried.  The rule is whole,
+    j0 = k, only where the Gaussian has not decayed by pi/2, which needs
+    n below about ln(h/target), under 70 up to MAX_INDEX: at every
+    config tried the last such n is 47.  So raising the index limit
+    leaves the sampled nodes far from pi/2.
 
-    With delta = (aliasing bound + rounding bound) / Kershaw's lower
-    bound on J, the error of ln J is at most -ln(1 - delta), and
-    ``_assemble`` adds the rounding of the log and of the sum.  The
-    factor 2 dropped from |a_k| <= b_{k-1}/2 covers the rounding of the
-    aliasing sum and of the lower bound.
+    With delta = (aliasing bound + rounding bound + window bound) /
+    Kershaw's lower bound on J, the error of ln J is at most
+    -ln(1 - delta), and ``_assemble`` adds the rounding of the log and
+    of the sum.  The factor 2 dropped from |a_k| <= b_{k-1}/2 covers the
+    rounding of the aliasing sum and of the lower bound.
     """
     _check_index(n)
     k, aliasing = _moment_points(n, config)
-    value, rounding = _moment_rule(n, k)
-    relative = (aliasing + rounding) / _moment_floor(n)
+    floor = _moment_floor(n)
+    budget = _PANEL_EVALUATIONS * (1 + 2 * config.max_subdivisions)
+    j0, window = _moment_window(n, k, 0.25 * _U * floor, budget)
+    value, rounding = _moment_rule(n, k, j0)
+    relative = (aliasing + rounding + window) / floor
     error = -math.log1p(-relative) if relative < 1.0 else math.inf
     ln_value = math.log(value) if value > 0.0 else -math.inf
     converged = relative <= _moment_tolerance(config)
-    return _assemble(k, converged, error, 2.0 * (n + 1) * _LN2, -_LN_PI, ln_value)
+    return _assemble(j0, converged, error, 2.0 * (n + 1) * _LN2, -_LN_PI, ln_value)
 
 
 def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:

@@ -15,8 +15,9 @@ from catalan_integrals.quadrature import TailBound
 
 # (label, integrand, a, b, exact value) on a finite interval.  The
 # corpus deliberately mixes smooth, oscillatory, and integrable-endpoint
-# cases; the rule is open, so endpoint singularities are never sampled,
-# but the guards keep the entries safe under any evaluation scheme.
+# cases.  The rule is open, but bisection can close in on an endpoint
+# until a node rounds onto it (the quadrature module's docstring), so
+# each integrand is guarded to stay finite at both endpoints.
 FINITE_CORPUS = (
     ("monomial x^2", lambda x: x * x, 0.0, 1.0, 1.0 / 3.0),
     ("exponential", math.exp, 0.0, 1.0, math.e - 1.0),

@@ -79,7 +79,6 @@ from catalan_integrals.quadrature import (
 )
 from catalan_integrals.report import ROW_FIELDS, Report
 from catalan_integrals.representations import (
-    _PANEL_EVALUATIONS,
     _moment_aliasing,
     _moment_floor,
     _moment_tolerance,
@@ -314,18 +313,16 @@ def glaisher_oracle(m: int = 100) -> float:
 
 def moment_points_search(n: int, config: QuadConfig) -> tuple[int, float]:
     """(m, its aliasing bound): the least m whose bound meets the
-    aliasing's share of the target, or the most the budget allows, found
-    by stepping m up from the first term's estimate.  The m-point rule
-    samples m // 2 nodes in (0, pi/2], at most the adaptive driver's
-    21 + 42 max_subdivisions evaluations."""
+    aliasing's share of the target, or n + 2, which aliases nothing,
+    found by stepping m up from the first term's estimate.  The budget
+    caps the samples the rule sums, not m."""
     tol = _moment_tolerance(config)
     target = max(tol - 64.0 * _EPS, 0.5 * tol) * _moment_floor(n)
-    cap = 2 * _PANEL_EVALUATIONS * (1 + 2 * config.max_subdivisions) + 1
     ratio = math.pi / max(target, _UFLOW)
     m = max(2, math.floor(1.0 + math.sqrt(n * math.log(ratio))))
-    m = min(m, n + 2, cap)
+    m = min(m, n + 2)
     aliasing = _moment_aliasing(n, m)
-    while aliasing > target and m < min(n + 2, cap):
+    while aliasing > target and m < n + 2:
         m += 1
         aliasing = _moment_aliasing(n, m)
     return m, aliasing

@@ -74,6 +74,7 @@ def test_no_route_is_dishonest_on_random_draws(monkeypatch):
     ctx.dps = 40
     worst = {route: 0.0 for route in ROUTES}
     converged = {route: 0 for route in ROUTES}
+    largest = {route: -1 for route in ROUTES}
     for n, config in _draws():
         truth = ctx.loggamma(2 * n + 1) - ctx.loggamma(n + 1) - ctx.loggamma(n + 2)
         for route in ROUTES:
@@ -87,12 +88,17 @@ def test_no_route_is_dishonest_on_random_draws(monkeypatch):
             else:
                 budget = PANEL * sum(starting_panels) + 2 * PANEL * config.max_subdivisions
             assert row.evaluations <= budget, where
-            if not row.converged:
+            # The moment route's bar, with the window's, is proved at
+            # every budget and tolerance: it holds at every draw.
+            if not row.converged and route is not catalan_penson_moment:
                 continue
-            converged[route] += 1
             error = abs(ctx.mpf(row.ln_value) - truth)
             bar = row.quad_error_estimate
             assert error <= (1.0 if route in PROVED else 10.0) * bar, where
+            if not row.converged:
+                continue
+            converged[route] += 1
+            largest[route] = max(largest[route], n)
             ratio = float(error / bar) if bar > 0 else (0.0 if error == 0 else math.inf)
             worst[route] = max(worst[route], ratio)
     # Shown with -s, and with the failure report, so a drift shows
@@ -100,9 +106,13 @@ def test_no_route_is_dishonest_on_random_draws(monkeypatch):
     for route in ROUTES:
         print(
             f"[audit] {route!r}: worst error/bar {worst[route]:.3f} "
-            f"over {converged[route]} of {DRAWS} converged rows"
+            f"over {converged[route]} of {DRAWS} converged rows, "
+            f"the largest at n = {largest[route]}"
         )
     assert all(converged[route] > 0 for route in ROUTES)
+    # The window takes the moment route to the index limit on the
+    # driver's budgets: without it no draw past n = 6.3e6 converged.
+    assert largest[catalan_penson_moment] > 10**7
 
 
 

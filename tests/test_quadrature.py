@@ -374,6 +374,38 @@ def test_an_infinite_estimate_is_not_converged(cfg):
     assert not result.converged
 
 
+@pytest.mark.parametrize(
+    "f, value",
+    [(lambda x: 1.0, math.inf), (lambda x: math.copysign(2.0, x), math.nan)],
+    ids=["overflow", "inf-minus-inf"],
+)
+def test_panels_that_sum_past_the_largest_float_are_not_converged(f, value, cfg):
+    # Split at 0, each half of the double range holds finite samples, but
+    # the two panel values sum past the largest float (math.fsum raised
+    # OverflowError here), or are +inf and -inf (fsum raised ValueError).
+    # Either way the call returns like the one without the breakpoint:
+    # the value, an infinite estimate, unconverged, and no bisection.
+    top = sys.float_info.max
+    result = integrate_finite(f, -top, top, cfg, breakpoints=(0.0,))
+    assert math.isnan(result.value) if math.isnan(value) else result.value == value
+    assert result.error_estimate == math.inf
+    assert result.evaluations == 42
+    assert not result.converged
+
+
+def test_a_first_pass_that_meets_the_target_builds_no_heap(cfg, monkeypatch):
+    class NoHeap:
+        def __getattr__(self, name):
+            raise AssertionError(f"heapq.{name} called")
+
+    monkeypatch.setattr(quadrature, "heapq", NoHeap())
+    result = integrate_finite(math.exp, 0.0, 1.0, cfg, breakpoints=(0.5,))
+    assert result.converged and result.evaluations == 42
+    assert abs(result.value - (math.e - 1.0)) <= result.error_estimate
+    with pytest.raises(AssertionError, match="heapq"):
+        integrate_finite(lambda x: abs(x - 0.3), 0.0, 1.0, cfg)
+
+
 def test_driver_stops_at_the_float_floor():
     # A target below the 50 eps resabs floor of a smooth panel cannot be
     # met by bisection, which only splits the floor between the halves:

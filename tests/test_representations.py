@@ -21,6 +21,7 @@ from catalan_integrals.representations import (
     compare_representations,
 )
 from catalan_integrals.quadrature import (
+    _EPS,
     _UFLOW,
     IntegrandEvaluationError,
     QuadConfig,
@@ -29,6 +30,8 @@ from catalan_integrals.quadrature import (
 
 from oracles import moment_points_search
 from test_audit import _draws
+
+_U = 0.5 * _EPS  # unit roundoff, 2^-53
 
 # The n = 0..200 of the benchmark's sweep.
 SWEEP = range(201)
@@ -283,7 +286,9 @@ def test_penson_mellin_integrand_is_finite_at_both_ends(cfg, monkeypatch):
 # the Mellin map s = w u/(1 - u) put the peak width w = 1/sqrt(n + 1)
 # in place of the seeded scale, 32,190 (Mellin), and before the G10/K21
 # rule started from the thirds of (0, 1), in place of G7/K15 from the
-# one panel, 27,315 (Mellin).
+# one panel, 27,315 (Mellin).  The moment rule took 5,562 before it
+# stopped at its Gaussian window and 3,518 since; the window tests pin
+# its count.
 @pytest.mark.parametrize(
     "route, budget", [(catalan_penson_moment, 6_000), (catalan_penson_mellin, 12_700)]
 )
@@ -355,7 +360,8 @@ def test_moment_rule_is_exact_at_n_plus_2_points():
     # 2k + 1 with k = (n + 2) // 2.
     with mp.workdps(40):
         for n in range(31):
-            value, rounding = representations._moment_rule(n, (n + 2) // 2)
+            k = (n + 2) // 2
+            value, rounding = representations._moment_rule(n, k, k)
             assert abs(mp.mpf(value) - _moment_integral(n)) <= rounding, n
             assert rounding <= 1e-14 * value, n
 
@@ -402,13 +408,21 @@ def test_moment_aliasing_bound_covers_the_true_error(n):
 
 def test_moment_route_reports_a_starved_budget(cfg):
     # One subdivision buys the adaptive driver 63 evaluations, so the
-    # rule gets at most 127 points; n = 500 needs 137.
-    row = catalan_penson_moment(500, QuadConfig(max_subdivisions=1))
+    # rule sums at most 63 samples.  At a target near 1e-300, M at
+    # n = 10^4 is 2,661 points, and the window there needs 90 samples;
+    # cut at 63, it reports the bound on the samples past the cut.
+    starved = QuadConfig(abs_tol=1e-300, rel_tol=0.0, max_subdivisions=1)
+    row = catalan_penson_moment(10_000, starved)
     assert not row.converged
     assert row.evaluations == 63
+    window = _moment_bounds(10_000, starved)[3]
+    assert row.quad_error_estimate >= window / representations._moment_floor(10_000) > 1e-7
     with mp.workdps(40):
-        exact = mp.loggamma(1001) - mp.loggamma(501) - mp.loggamma(502)
+        exact = mp.loggamma(20_001) - mp.loggamma(10_001) - mp.loggamma(10_002)
         assert float(abs(mp.mpf(row.ln_value) - exact)) <= row.quad_error_estimate
+    unstarved = catalan_penson_moment(10_000, QuadConfig(abs_tol=1e-300, rel_tol=0.0))
+    assert unstarved.evaluations == 90
+    assert unstarved.quad_error_estimate < row.quad_error_estimate
 
 
 def test_moment_route_at_a_tolerance_above_one():
@@ -422,9 +436,19 @@ def test_moment_route_at_a_tolerance_above_one():
         assert row.abs_err_ln <= row.quad_error_estimate, n
 
 
+def _moment_bounds(n, config):
+    """(samples, aliasing, rounding, window): the parts of the moment
+    route's bar on J, recomputed from its helpers."""
+    k, aliasing = representations._moment_points(n, config)
+    floor = representations._moment_floor(n)
+    budget = 21 * (1 + 2 * config.max_subdivisions)
+    j0, window = representations._moment_window(n, k, 0.25 * _U * floor, budget)
+    return j0, aliasing, representations._moment_rule(n, k, j0)[1], window
+
+
 @pytest.mark.parametrize("tol", [1e-13, 1e-14])
 def test_moment_route_converged_only_when_its_whole_bar_meets_the_target(tol):
-    # Converged must mean that the aliasing and the rounding bound
+    # Converged must mean that the aliasing, rounding and window bounds
     # together meet the target.  Judged on the aliasing bound alone, 14
     # of these rows claimed convergence past it at 1e-13, and 139 at
     # 1e-14.  At 1e-13 the share of the target that the choice of M
@@ -433,12 +457,75 @@ def test_moment_route_converged_only_when_its_whole_bar_meets_the_target(tol):
     unconverged = 0
     for n in [*range(201), 1_000, 10_000, 100_000]:
         row = catalan_penson_moment(n, config)
-        k, aliasing = representations._moment_points(n, config)
-        rounding = representations._moment_rule(n, k)[1]
-        whole = (aliasing + rounding) / representations._moment_floor(n)
+        j0, aliasing, rounding, window = _moment_bounds(n, config)
+        whole = (aliasing + rounding + window) / representations._moment_floor(n)
         assert row.converged == (whole <= tol), n
+        assert row.evaluations == j0, n
         unconverged += not row.converged
     assert unconverged == (0 if tol == 1e-13 else 29)
+
+
+# The n of the window checks: below the window (n = 1, 10), at the top
+# of the sweep, and three that the window cuts to a few dozen samples.
+WINDOW_NS = (1, 10, 200, 10_000, 1_000_000, 100_000_000)
+WINDOW_CONFIGS = (QuadConfig(), QuadConfig(1e-14, 1e-14))
+
+
+@pytest.mark.parametrize("config", WINDOW_CONFIGS, ids=["default", "1e-14"])
+def test_moment_window_covers_the_omitted_samples(config):
+    # The samples past j0 against 40-digit sin^2 cos^(2n) at the exact
+    # nodes j pi/M.  Past the peak at tan^2 = 1/n the samples fall, so
+    # once one is below 1e-60 of the running sum, the k - j samples left
+    # weigh at most k - j times it; that upper estimate must lie within
+    # the bound.
+    with mp.workdps(40):
+        for n in WINDOW_NS:
+            k = representations._moment_points(n, config)[0]
+            j0, window = _moment_bounds(n, config)[::3]
+            m = 2 * k + 1
+            omitted = mp.mpf(0)
+            for j in range(j0 + 1, k + 1):
+                x = mp.mpf(j) / m
+                term = mp.sinpi(x) ** 2 * mp.cospi(x) ** (2 * n)
+                omitted += term
+                if term < 1e-60 * omitted:
+                    assert n * mp.tan(mp.pi * (j0 + 1) / m) ** 2 >= 1, n
+                    omitted += (k - j) * term
+                    break
+            omitted *= mp.pi / m
+            assert (window == 0.0) == (j0 == k), n
+            assert omitted <= window, (n, omitted, window)
+
+
+def test_moment_window_is_the_least_that_meets_its_share():
+    # The closed form and its one check give the least j0 whose bound
+    # meets the share: cut one sample earlier by the budget, the bound
+    # misses it.
+    for n in (*range(1, 3001), *LOG_SPACED_N):
+        k = representations._moment_points(n, QuadConfig())[0]
+        share = 0.25 * _U * representations._moment_floor(n)
+        j0, window = representations._moment_window(n, k, share, k)
+        assert window <= share, n
+        if j0 < k:
+            assert representations._moment_window(n, k, share, j0 - 1)[1] > share, n
+
+
+@pytest.mark.parametrize("config", WINDOW_CONFIGS, ids=["default", "1e-14"])
+def test_windowed_moment_rows_are_within_their_bar(config):
+    # The bar is proved, so it holds at 1 x, converged or not.
+    with mp.workdps(40):
+        for n in WINDOW_NS:
+            ln_value, bar, evaluations, converged = representations._penson_moment(n, config)
+            exact = mp.loggamma(2 * n + 1) - mp.loggamma(n + 1) - mp.loggamma(n + 2)
+            assert abs(mp.mpf(ln_value) - exact) <= bar, n
+
+
+def test_moment_route_takes_a_few_dozen_samples_at_the_index_limit():
+    # Without the window the rule summed all 37,054 samples of its
+    # 74,109 points at n = 10^8.
+    row = catalan_penson_moment(MAX_INDEX, QuadConfig())
+    assert row.converged
+    assert row.evaluations <= 32
 
 
 def test_moment_rule_names_the_first_non_finite_sample(monkeypatch):
@@ -451,7 +538,7 @@ def test_moment_rule_names_the_first_non_finite_sample(monkeypatch):
     monkeypatch.setattr(representations, "_moment_sample", poisoned)
     # Seven points: the nodes in (0, pi/2) are pi/7, 2 pi/7 and 3 pi/7.
     with pytest.raises(IntegrandEvaluationError) as info:
-        representations._moment_rule(5, 3)
+        representations._moment_rule(5, 3, 3)
     assert info.value.abscissa == 3 * (math.pi / 7)
 
 

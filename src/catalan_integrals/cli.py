@@ -22,12 +22,13 @@ import math
 import sys
 from typing import NoReturn
 
-from .exact import MAX_INDEX, _catalan_digits, ln_exact
+from .exact import _catalan_digits, _check_index, _check_real, ln_exact
 from .kernels import binet_catalan_kernel, malmsten_catalan_kernel
 from .quadrature import QuadConfig
-from .report import _fmt, build_report, to_csv, to_json, to_text
+from .report import _check_threshold, _fmt, build_report, to_csv, to_json, to_text
 from .representations import ROUTES, RepresentationResult, compare_representations
 from .series import (
+    _check_tol,
     _widening,
     glaisher_from_integral,
     stewart_sum_odd_weight,
@@ -113,10 +114,7 @@ def cmd_sumrule(which: str, tol: float) -> None:
     consistent with the closed-form target (abs_err <= tol + tail_bound).
     """
     rule = stewart_sum_odd_weight if which == "odd-weight" else stewart_sum_plain
-    try:
-        result = rule(tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = rule(tol)
     print(f"partial_sum     {_fmt(result.partial_sum)}")
     print(f"terms_used      {result.terms_used}")
     print(f"tail_bound      {result.tail_bound:.3e}")
@@ -154,37 +152,41 @@ def cmd_dump_kernel(
     kernel: str, n: int, t_min: float, t_max: float, points: int
 ) -> None:
     """Tabulate KERNEL at index N on a log-spaced grid, as CSV ``t,value``."""
-    if not t_min < t_max < math.inf:
-        raise UsageError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
+    if not t_min < t_max:
+        raise UsageError(f"need t_min < t_max, got [{t_min}, {t_max}]")
     if t_max / t_min == math.inf:
         raise UsageError(f"need a finite t_max / t_min, got {t_max} / {t_min} = inf")
-    spec = _KERNELS[kernel](n)
-    ratio = (t_max / t_min) ** (1.0 / (points - 1))
-    grid = [t_min * ratio**k for k in range(points)]
-    grid[-1] = t_max
+    integrand = _KERNELS[kernel](n).integrand
+    # int / int: points past the largest float has no float to round to.
+    ratio = (t_max / t_min) ** (1 / (points - 1))
     print("t,value")
-    for t in grid:
-        print(f"{t:.17g},{spec.integrand(t):.17g}")
+    # Each row is printed as it is computed, and the last t is t_max.
+    for k in range(points):
+        t = t_min * ratio**k if k < points - 1 else t_max
+        print(f"{t:.17g},{integrand(t):.17g}")
 
 
-def _checked(convert, ok, requirement: str):
-    """An argparse type: ``convert`` the text, then reject values not ``ok``."""
+def _checked(convert, check, *bounds):
+    """An argparse type: ``convert`` the text, then pass it through the
+    library's ``check`` (with ``bounds``), whose ValueError becomes a
+    usage error; so no range is stated here that the library states."""
 
-    def check(text: str):
+    def parse(text: str):
         value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
-        return value
+        try:
+            return check(value, *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     # argparse names the type in "invalid int value: 'x'".
-    check.__name__ = convert.__name__
-    return check
+    parse.__name__ = convert.__name__
+    return parse
 
 
-# The package's index range, checked before any work.
-_NATURAL = _checked(int, lambda n: n >= 0, ">= 0")
-_INDEX = _checked(_NATURAL, lambda n: n <= MAX_INDEX, f"<= {MAX_INDEX} (MAX_INDEX)")
-_TOLERANCE = _checked(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
+# Checked before any work: the package's index range and a report's
+# err_threshold.
+_INDEX = _checked(int, _check_index)
+_THRESHOLD = _checked(float, _check_threshold)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -229,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("n", metavar="N", type=_INDEX)
     rep.add_argument(
         "--tol",
-        type=_TOLERANCE,
+        type=_THRESHOLD,
         default=1e-8,
         help="Acceptable |ln_value - exact_ln|. [default: %(default)s]",
     )
@@ -246,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--tol",
-        type=_TOLERANCE,
+        type=_THRESHOLD,
         default=1e-8,
         help="Per-row failure threshold on abs_err_ln. [default: %(default)s]",
     )
@@ -262,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sumrule.add_argument(
         "--tol",
-        type=float,
+        type=_checked(float, _check_tol),
         default=1e-6,
         help="Tail-bound stopping tolerance. [default: %(default)s]",
     )
@@ -274,16 +276,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "kernel", metavar="KERNEL", choices=sorted(_KERNELS), help="One of %(choices)s."
     )
     dump.add_argument("n", metavar="N", type=_INDEX)
-    dump.add_argument(
-        "--t-min",
-        type=_checked(float, lambda t: t > 0, "> 0"),
-        default=1e-8,
-        help="[default: %(default)s]",
-    )
-    dump.add_argument("--t-max", type=float, default=50.0, help="[default: %(default)s]")
+    positive = (math.ulp(0.0), sys.float_info.max)
+    for option, name, default in (("--t-min", "t_min", 1e-8), ("--t-max", "t_max", 50.0)):
+        dump.add_argument(
+            option,
+            type=_checked(float, _check_real, *positive, name),
+            default=default,
+            help="[default: %(default)s]",
+        )
     dump.add_argument(
         "--points",
-        type=_checked(int, lambda k: k >= 2, ">= 2"),
+        type=_checked(int, _check_index, math.inf, "points", 2),
         default=200,
         help="[default: %(default)s]",
     )

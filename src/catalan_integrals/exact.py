@@ -17,11 +17,14 @@ sieve up to 2n:
   only consumer of it (the sum rules of ``series`` stream their terms
   in floats)
 
-``ln_exact`` and ``catalan_exact`` accept integers n up to ``MAX_INDEX``
-= 10^8 and raise ``ValueError`` past it, and ``TypeError`` for a bool,
-before any work, as does every function of the package that takes a
-Catalan index: each row is checked against ``ln_exact``, and no route
-is vouched for past it.
+``ln_exact`` and ``catalan_exact`` accept integers n from 0 to
+``MAX_INDEX`` = 10^8 (any type that ``operator.index`` takes, such as
+``numpy.int64``, and no bool), and raise ``ValueError`` for anything
+else, before any work, as does every function of the package that takes
+a Catalan index: each row is checked against ``ln_exact``, and no route
+is vouched for past it.  ``_check_index`` and ``_check_real`` are the
+package's only checks of a numeric argument, with one wording, and
+every other module calls them.
 ``ln_exact`` costs 3-23 us a call up to n = 200 and about 2 us above
 it, at every n up to the limit, where a first pass in doubles decides
 most n.
@@ -36,6 +39,7 @@ exponents holds up to the limit too (``_check_against_lgamma``).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from itertools import compress, count, islice
 
@@ -85,14 +89,46 @@ _STIRLING_DOUBLE = tuple(
 )
 
 
-def _check_index(n: int) -> None:
-    """Every Catalan index is an integer (what operator.index takes) in
-    0..MAX_INDEX, and no bool, which would pass as 0 or 1."""
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
-        raise TypeError(f"Catalan index must be an integer, got {n!r}")
-    if not 0 <= n <= MAX_INDEX:
-        limit = ">= 0" if n < 0 else f"<= {MAX_INDEX} (MAX_INDEX)"
-        raise ValueError(f"Catalan index must be {limit}, got {n}")
+def _check_index(
+    n: int, most: float = MAX_INDEX, name: str = "Catalan index", least: int = 0
+) -> int:
+    """``n`` as a plain int, if it is an integer (what operator.index
+    takes) from ``least`` to ``most``, and no bool, which would pass as 0
+    or 1; otherwise ValueError.  ``most`` may be ``math.inf``, for no
+    upper limit.  The package's one check of an integer argument, and
+    on the per-row path, so its success path is two tests."""
+    index = n
+    if type(n) is not int:  # a bool's type is bool, so it lands here too
+        try:
+            if isinstance(n, bool):
+                raise TypeError
+            index = operator.index(n)
+        except TypeError:
+            raise ValueError(_refusal(n, "an integer", least, most, name)) from None
+    if least <= index <= most:
+        return index
+    raise ValueError(_refusal(n, "an integer", least, most, name))
+
+
+def _check_real(x: float, least: float, most: float, name: str) -> float:
+    """``x``, if it is an int or a float from ``least`` to ``most``, and
+    no bool; otherwise ValueError.  The comparisons are False for NaN,
+    and exact for an int past the largest float, so with ``most`` the
+    largest float they refuse both; ``least = math.ulp(0.0)`` means
+    "> 0" for ints and floats alike.  The package's one check of a real
+    argument."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and least <= x <= most:
+        return x
+    raise ValueError(_refusal(x, "a real number", least, most, name))
+
+
+def _refusal(value: object, kind: str, least: float, most: float, name: str) -> str:
+    """The one wording of both checks: the name, the value and the range."""
+    try:
+        shown = repr(value)
+    except ValueError:  # an int with more digits than str() may print
+        shown = f"an int of {value.bit_length()} bits"
+    return f"{name} cannot be {shown}: must be {kind} from {least!r} to {most!r}"
 
 
 def _odd_sieve(m: int) -> bytearray:
@@ -188,7 +224,7 @@ def catalan_exact(n: int) -> int:
     (2n)! / (n! (n + 1)!), with no big-integer division, and checked
     against lgamma.  Raises ValueError past MAX_INDEX.
     """
-    _check_index(n)
+    n = _check_index(n)
     c = _balanced_product(_catalan_factors(n))
     _check_against_lgamma(n, math.log(c))
     return c
@@ -213,7 +249,7 @@ def _catalan_digits(n: int) -> str:
     """The decimal digits of C_n, multiplied out as Decimals in a context
     where any rounding raises (str(int) would stop at 4300 digits), and
     checked against lgamma: their leading 17 and their count give ln C_n."""
-    _check_index(n)
+    n = _check_index(n)
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 
     with localcontext(Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
@@ -397,7 +433,7 @@ def ln_exact(n: int) -> float:
     integral routes (Malmsten, Binet and both Penson forms) stay
     independent of it.  Raises ValueError past MAX_INDEX.
     """
-    _check_index(n)
+    n = _check_index(n)
     if n < 2:
         return 0.0
     if n > _COMB_MAX and (value := _ln_double(n)) is not None:
@@ -439,7 +475,7 @@ class CatalanTable:
 
     @classmethod
     def build(cls, max_n: int) -> "CatalanTable":
-        _check_index(max_n)
+        max_n = _check_index(max_n)
         return cls(max_n=max_n, values=tuple(islice(catalan_numbers(), max_n + 1)))
 
     def __len__(self) -> int:

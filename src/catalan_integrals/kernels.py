@@ -42,8 +42,8 @@ import math
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .exact import _STIRLING, _check_index
-from .quadrature import _EPS, _UFLOW, TailBound
+from .exact import _STIRLING, _check_index, _check_real
+from .quadrature import _EPS, _TOP, _UFLOW, TailBound
 
 __all__ = [
     "KernelSpec",
@@ -110,12 +110,12 @@ def _binet_theta(x: float) -> tuple[float, float]:
 
 
 def log_gamma_reference(x: float) -> float:
-    """ln Gamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + theta(x) for finite
-    normal x > 0: elementary operations only, so an arithmetic-independent
-    reference for the integral representations."""
-    # Also rejects NaN; below the least normal double 1/x overflows.
-    if not _UFLOW <= x < math.inf:
-        raise ValueError(f"argument must be positive, normal and finite, got {x}")
+    """ln Gamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + theta(x) for an
+    int or a float x from the least normal double, below which 1/x
+    overflows, to the largest float: elementary operations only, so an
+    arithmetic-independent reference for the integral representations.
+    An int is taken as its float: its square could overflow."""
+    x = float(_check_real(x, _UFLOW, _TOP, "x"))
     return (x - 0.5) * math.log(x) - x + _HALF_LN_2PI + _binet_theta(x)[0]
 
 
@@ -182,7 +182,7 @@ def malmsten_catalan_kernel(n: int) -> KernelSpec:
     u in [0, 1] holds the kernel at every n from 1 on that was measured
     (1..200 and four per decade from 10 to 1e8).
     """
-    _check_index(n)
+    n = _check_index(n)
     rate = n + 0.5
 
     def fn(t: float) -> float:
@@ -208,7 +208,7 @@ def binet_catalan_kernel(n: int) -> KernelSpec:
     and the quadrature's map, at the scale 8/c, holds this kernel in one
     panel at the same n as the Malmsten kernel.
     """
-    _check_index(n)
+    n = _check_index(n)
 
     def fn(t: float) -> float:
         gap = math.expm1(-0.5 * t) - math.expm1(-2.0 * t)

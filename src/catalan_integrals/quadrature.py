@@ -43,6 +43,8 @@ import math
 import sys
 from typing import Callable, NamedTuple, Sequence
 
+from .exact import _check_index, _check_real
+
 __all__ = [
     "IntegrandEvaluationError",
     "QuadConfig",
@@ -54,6 +56,7 @@ __all__ = [
 
 _EPS = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
+_TOP = sys.float_info.max
 
 
 class IntegrandEvaluationError(ValueError):
@@ -71,7 +74,9 @@ class IntegrandEvaluationError(ValueError):
 
 class TailBound(NamedTuple):
     """Constants of an analytic bound |f(t)| <= K exp(-c t) valid for large
-    t; both must be positive and at most the largest float."""
+    t; ``integrate_half_line`` takes each as an int or a float, at most
+    the largest float, K positive and c at least 8 over the largest
+    float, so that the map's scale 8/c is finite."""
 
     K: float
     c: float
@@ -86,33 +91,25 @@ class _QuadConfigFields(NamedTuple):
 class QuadConfig(_QuadConfigFields):
     """Tolerances and subdivision budget shared by all quadrature entry points.
 
-    Convergence target is max(abs_tol, rel_tol * |value|); both
-    tolerances must lie between 0 and the largest float, and at least
-    one be positive, and max_subdivisions must be an int >= 1; no field
-    may be a bool.  An infinite tolerance, or an int past the largest
-    float, would accept any first estimate as converged.
+    Convergence target is max(abs_tol, rel_tol * |value|).  Each
+    tolerance is an int or a float from 0 to the largest float, and at
+    least one is positive; max_subdivisions is an integer >= 1 (any type
+    that operator.index takes, stored as a plain int).  No field may be
+    a bool, and anything else raises ValueError.  An infinite tolerance,
+    or an int past the largest float, would accept any first estimate as
+    converged.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> QuadConfig:
-        self = super().__new__(cls, *args, **kwargs)
-        if bool in map(type, self):  # True and False would pass every check as 1 and 0
-            raise ValueError(f"no field may be a bool, got {self!r}")
-        # The comparisons are False for NaN as well, and an int past the
-        # largest float has no float to round to.
-        if not all(0 <= tol <= sys.float_info.max for tol in (self.abs_tol, self.rel_tol)):
-            raise ValueError("tolerances must be finite, >= 0 and at most the largest float")
-        if self.abs_tol == 0 and self.rel_tol == 0:
+        fields = _QuadConfigFields(*args, **kwargs)
+        abs_tol = _check_real(fields.abs_tol, 0, _TOP, "abs_tol")
+        rel_tol = _check_real(fields.rel_tol, 0, _TOP, "rel_tol")
+        if abs_tol == 0 and rel_tol == 0:
             raise ValueError("at least one tolerance must be positive")
-        if not isinstance(self.max_subdivisions, int):
-            # A float budget would reach range() through the moment route.
-            raise ValueError(
-                f"max_subdivisions must be an int, got {self.max_subdivisions!r}"
-            )
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        return self
+        budget = _check_index(fields.max_subdivisions, math.inf, "max_subdivisions", 1)
+        return super().__new__(cls, abs_tol, rel_tol, budget)
 
     @classmethod
     def _make(cls, iterable) -> QuadConfig:
@@ -339,6 +336,8 @@ def integrate_finite(
 ) -> QuadResult:
     """Globally adaptive G10/K21 integration of f over [a, b], starting
     from the panels between a, the ascending ``breakpoints`` and b.
+    Each edge is an int or a float within the largest float of 0, and no
+    bool; anything else, or edges out of order, raises ValueError.
 
     Like those of QUADPACK's QAGP, breakpoints put the panels' edges
     where the caller knows f changes, so that the driver does not have
@@ -347,12 +346,10 @@ def integrate_finite(
     resolution, so f must be finite at a and b: integrable endpoint
     behavior like sqrt(b - t) is admissible, 1/sqrt(b - t) is not.
     """
-    edges = [a, *breakpoints, b]
-    # The chained comparison also rejects NaN, and an int past the
-    # largest float, which has no float to round to.
-    top = sys.float_info.max
-    if not all(-top <= lo < hi <= top for lo, hi in zip(edges, edges[1:])):
-        raise ValueError(f"need finite a < breakpoints < b ascending, got {edges}")
+    # An int edge is taken as its float: b - a could overflow as an int.
+    edges = [float(_check_real(t, -_TOP, _TOP, "an interval edge")) for t in (a, *breakpoints, b)]
+    if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
+        raise ValueError(f"need a < breakpoints < b ascending, got {edges}")
     return _adaptive(f, edges, config)
 
 
@@ -362,7 +359,10 @@ def integrate_half_line(
     tail: TailBound,
 ) -> QuadResult:
     """Integrate f over (0, inf), given the constants of an analytic
-    bound |f(t)| <= K exp(-c t) as ``tail``.
+    bound |f(t)| <= K exp(-c t) as ``tail``.  K and c are each an int or
+    a float, at most the largest float, and no bool; K is positive and c
+    at least 8 over the largest float, where the scale 8/c below is
+    still finite.  Anything else raises ValueError before f is sampled.
 
     The map t = -(8/c) ln(1 - u), dt = (8/c) du/(1 - u), takes the half
     line onto u in (0, 1), where the integrand reads
@@ -401,19 +401,13 @@ def integrate_half_line(
     relative alone.  There every row takes one panel, 21 evaluations,
     except n = 0, which takes one bisection.
     """
-    # The chained comparison also rejects NaN, and an int past the
-    # largest float; a bool would pass it as 1.
-    if bool in map(type, tail) or not all(
-        0.0 < bound <= sys.float_info.max for bound in tail
-    ):
-        raise ValueError(
-            f"tail bound constants must be positive and finite, and no bool, got {tail}"
-        )
-    scale = 8.0 / tail.c
+    k = _check_real(tail.K, math.ulp(0.0), _TOP, "TailBound.K")
+    c = _check_real(tail.c, 8.0 / _TOP, _TOP, "TailBound.c")
+    scale = 8.0 / c
 
     def mapped(u: float) -> float:
         if u >= 1.0:  # t is infinite there, and g tends to 0
             return 0.0
         return f(-scale * math.log1p(-u)) * scale / (1.0 - u)
 
-    return _adaptive(mapped, [0.0, 1.0], config, tail.K / tail.c * 2.0**-424)
+    return _adaptive(mapped, [0.0, 1.0], config, k / c * 2.0**-424)

@@ -31,7 +31,9 @@ match byte for byte.
 
 ``build_report`` and ``parse_report_json`` share the checks of what a
 report may hold: ``_object`` for the report, its ``config``, each row
-and the ``summary``, and ``_check_threshold`` for ``err_threshold``.
+and the ``summary``, and ``_check_threshold`` for ``err_threshold``,
+which is the package's ``exact._check_real`` over 0 to the largest
+float; a row's ``n`` goes through ``exact._check_index``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import sys
 import time
 from typing import NamedTuple, get_type_hints
 
-from .exact import MAX_INDEX
+from .exact import _check_index, _check_real
 from .quadrature import QuadConfig
 from .representations import ROUTES, RepresentationResult
 
@@ -86,9 +88,9 @@ def build_report(
     rows: list[RepresentationResult], config: QuadConfig, err_threshold: float
 ) -> Report:
     """Assemble a Report; a row fails if it did not converge or its
-    abs_err_ln exceeds ``err_threshold``, a number from 0 to the largest
-    float."""
-    _check_threshold(err_threshold)
+    abs_err_ln exceeds ``err_threshold``, an int or a float from 0 to the
+    largest float, and no bool."""
+    err_threshold = _check_threshold(err_threshold)
     # A NaN error fails the comparison, and so the row.
     failures = sum(not (r.converged and r.abs_err_ln <= err_threshold) for r in rows)
     max_err = max((r.abs_err_ln for r in rows if r.converged), default=0.0)
@@ -101,10 +103,9 @@ def build_report(
     )
 
 
-def _check_threshold(threshold: object) -> None:
-    # An int past the largest float would compare finite.
-    if type(threshold) not in (int, float) or not 0 <= threshold <= sys.float_info.max:
-        raise ValueError(f"config field 'err_threshold' cannot be {threshold!r}")
+def _check_threshold(threshold: float) -> float:
+    """An ``err_threshold``: an int or a float from 0 to the largest float."""
+    return _check_real(threshold, 0, sys.float_info.max, "config field 'err_threshold'")
 
 
 _JSON_ROW = (
@@ -217,8 +218,7 @@ def _parse_row(r: object) -> RepresentationResult:
         for field, x, t in zip(ROW_FIELDS, row, _ROW_TYPES):
             if type(x) is not t:
                 raise ValueError(f"row field {field!r} cannot be {r[field]!r}")
-    if not 0 <= row.n <= MAX_INDEX:
-        raise ValueError(f"row field 'n' cannot be {row.n!r}")
+    _check_index(row.n, name="row field 'n'")
     return row
 
 
@@ -244,11 +244,11 @@ def parse_report_json(text: str) -> Report:
     adds a key; a ``schema_version`` other than ``SCHEMA_VERSION``; a
     ``generated_at`` that is not a string in build_report's layout;
     ``config`` values that ``QuadConfig`` refuses, or an
-    ``err_threshold`` that is not a number from 0 to the largest float;
-    ``rows`` that is not a list; a row field of the wrong JSON type, an
-    ``n`` outside 0..MAX_INDEX or an unknown ``method``; and a
-    ``max_abs_err_ln`` that is neither a float nor null or ``failures``
-    that is not an int >= 0.
+    ``err_threshold`` that is not an int or a float from 0 to the
+    largest float; ``rows`` that is not a list; a row field of the wrong
+    JSON type, an ``n`` outside 0..MAX_INDEX or an unknown ``method``;
+    and a ``max_abs_err_ln`` that is neither a float nor null or
+    ``failures`` that is not an int >= 0.
     """
     import json
 
@@ -269,7 +269,7 @@ def parse_report_json(text: str) -> Report:
     quad = {field: config[field] for field in QuadConfig._fields}
     try:
         QuadConfig(**quad)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"config fields {quad} are refused: {exc}") from None
     _check_threshold(config["err_threshold"])
     return Report(

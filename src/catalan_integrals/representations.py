@@ -238,7 +238,7 @@ def _gamma_closed_form(n: int, config: QuadConfig) -> _Estimate:
     series itself.  The four integral
     routes stay independent of the reference at every n.
     """
-    _check_index(n)
+    n = _check_index(n)
     theta_a, bound_a = _binet_theta(n + 0.5)
     theta_b, bound_b = _binet_theta(n + 2.0)
     return _assemble(0, True, bound_a + bound_b, *_binet_terms(n), theta_a, -theta_b)
@@ -443,7 +443,7 @@ def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
     of the sum.  The factor 2 dropped from |a_k| <= b_{k-1}/2 covers the
     rounding of the aliasing sum and of the lower bound.
     """
-    _check_index(n)
+    n = _check_index(n)
     k, aliasing = _moment_points(n, config)
     floor = _moment_floor(n)
     budget = _PANEL_EVALUATIONS * (1 + 2 * config.max_subdivisions)
@@ -479,7 +479,7 @@ def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
     not already cover.  The map 4t = tan^2(phi) is not used: it turns I
     into a quarter of the moment route's integrand (module docstring).
     """
-    _check_index(n)
+    n = _check_index(n)
     power = n + 2.0
     w = 1.0 / math.sqrt(n + 1.0)
 
@@ -505,7 +505,9 @@ class Route(NamedTuple):
     estimate: Callable[[int, QuadConfig], _Estimate]
 
     def __call__(self, n: int, config: QuadConfig = QuadConfig()) -> RepresentationResult:
-        """This route's row for n, compared with ``ln_exact(n)``."""
+        """This route's row for n, compared with ``ln_exact(n)``; the row
+        holds n as a plain int, whatever integer type it came as."""
+        n = _check_index(n)
         return _row(n, self, self.estimate(n, config), ln_exact(n))
 
     def __repr__(self) -> str:
@@ -555,7 +557,7 @@ def compare_representations(
     overflow the instruction cache and branch predictors.  Keep the
     order when refactoring this loop.
     """
-    _check_index(n_max)
+    n_max = _check_index(n_max)
     failed = (float("nan"), float("inf"), 0, False)
     exact = [ln_exact(n) for n in range(n_max + 1)]
     width = len(ROUTES)

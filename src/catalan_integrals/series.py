@@ -141,7 +141,7 @@ from collections.abc import Iterator
 from itertools import count
 from typing import NamedTuple
 
-from .exact import _LN2, _LN_PI
+from .exact import _LN2, _LN_PI, _check_index, _check_real
 from .kernels import log_gamma_reference
 from .quadrature import QuadConfig, integrate_finite
 
@@ -221,13 +221,10 @@ def series_tail_bound(n_start: int, *, odd_weight: bool = False) -> float:
     M = L/2 and s = 8 for the odd weight (module docstring).  The width
     2 kappa M zeta(s, N) takes zeta by its upper Euler-Maclaurin bound
     and is widened for rounding; it falls strictly with N, towards
-    0.00154/N^6 and 0.00608/N^7.
+    0.00154/N^6 and 0.00608/N^7.  n_start is an integer from 4 to the
+    largest float, and no bool; anything else raises ValueError.
     """
-    if isinstance(n_start, bool) or not isinstance(n_start, int):
-        raise ValueError(f"tail bound requires an int n_start, got {n_start!r}")
-    if n_start < 4:
-        raise ValueError(f"tail bound requires n_start >= 4, got {n_start}")
-    return _width(n_start, odd_weight)
+    return _width(_check_index(n_start, sys.float_info.max, "n_start", 4), odd_weight)
 
 
 def _width(n: int, odd_weight: bool) -> float:
@@ -275,6 +272,12 @@ def _terms(odd_weight: bool) -> Iterator[float]:
         )
 
 
+def _check_tol(tol: float) -> float:
+    """A sum rule's tol: an int or a float, positive and at most the
+    largest float.  An infinite tol would certify any partial sum."""
+    return _check_real(tol, math.ulp(0.0), sys.float_info.max, "tol")
+
+
 def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
     """Sum term(0..N-1) for the least N >= 4 whose interval width
     w + 2e meets tol, with w = series_tail_bound(N), or, if that comes
@@ -289,15 +292,7 @@ def _sum_rule(target: float, tol: float, odd_weight: bool) -> SeriesResult:
     with the enclosure's lower end, which lies the rounding bound e
     below the tail's, and the interval's width is w + 2e.
     """
-    # A bool is an int, an int past the largest float has no float to
-    # round to, and the comparisons are False for NaN.  An infinite tol
-    # would certify any partial sum.
-    if (
-        isinstance(tol, bool)
-        or not isinstance(tol, (int, float))
-        or not 0 < tol <= sys.float_info.max
-    ):
-        raise ValueError(f"tolerance must be a positive finite float, got {tol!r}")
+    tol = _check_tol(tol)
     floor = 2.0 * _widening(odd_weight)
     terms = []
     for n, term in enumerate(_terms(odd_weight)):

@@ -96,7 +96,7 @@ def catalan_segner(n: int) -> int:
     C_0 = 1 and C_{k+1} = sum_{i=0..k} C_i C_{k-i}; an O(n^2) route
     that shares no arithmetic with the closed form.
     """
-    _check_index(n)
+    n = _check_index(n)
     values = [1]
     for k in range(n):
         values.append(sum(values[i] * values[k - i] for i in range(k + 1)))
@@ -110,7 +110,7 @@ def catalan_hypergeometric(n: int) -> int:
     Fractions; both numerator parameters are nonpositive integers, so
     the series stops after n terms (a single term 1 when n = 0).
     """
-    _check_index(n)
+    n = _check_index(n)
     if n == 0:
         return 1
     total = Fraction(0)
@@ -203,7 +203,7 @@ def log_gamma_difference_kernel(n: int) -> KernelSpec:
     With c <= 1 the map needs the bound only past 294/c > 1, so a bound
     proved for t >= 1 is enough.
     """
-    _check_index(n)
+    n = _check_index(n)
 
     def fn(t: float) -> float:
         num = math.expm1(-t) - math.expm1(0.5 * t)

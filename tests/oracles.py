@@ -20,6 +20,12 @@ and check the Malmsten-Catalan kernel against its defining form:
   ln Gamma(n + 1/2) - ln Gamma(n + 2), before the split
 * ``frullani_term`` -- the part the split moves into closed form
 
+and compose a plain kernel with the half-line map, node by node, which
+each kernel's fused panel form must reproduce bit for bit:
+
+* ``compose_map`` -- f(t) scale/(1 - u) at t = -scale ln(1 - u), as a
+  ``KernelSpec.mapped``
+
 check the streamed sum-rule terms against exact integers, and keep an
 independent route to the ln A that ``glaisher_from_integral`` checks
 against:
@@ -42,7 +48,7 @@ and keep the loop form of one G10/K21 panel, which the unrolled
 ``_kronrod_panel`` must reproduce bit for bit:
 
 * ``kronrod_panel_reference`` -- one panel, one sample and one check at
-  a time
+  a time, each sample a call of the panel function on that node alone
 
 and keep the stdlib-encoder forms of the two byte-stable report
 serializations, which the format-string writers in ``report`` must
@@ -58,7 +64,7 @@ import io
 import json
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import mpmath
 
@@ -186,6 +192,29 @@ def log_gamma_malmsten(x: float, config: QuadConfig) -> QuadResult:
     return integrate_half_line(fn, config, tail=tail)
 
 
+def compose_map(
+    fn: Callable[[float], float],
+) -> Callable[[float], Callable[[Sequence[float]], list[float]]]:
+    """``fn`` after the half-line map, in the form of ``KernelSpec.mapped``:
+    given the scale, the panel function that takes g(u) = fn(t) scale/(1 - u)
+    at t = -scale ln(1 - u) at each node u, and 0 at u >= 1, one call
+    of fn a node."""
+
+    def mapped(scale: float) -> Callable[[Sequence[float]], list[float]]:
+        def panel(us: Sequence[float]) -> list[float]:
+            ys = []
+            for u in us:
+                if u >= 1.0:
+                    ys.append(0.0)
+                else:
+                    ys.append(fn(-scale * math.log1p(-u)) * scale / (1.0 - u))
+            return ys
+
+        return panel
+
+    return mapped
+
+
 def log_gamma_difference_kernel(n: int) -> KernelSpec:
     """Malmsten's integrand for ln Gamma(n + 1/2) - ln Gamma(n + 2) in its
     defining form, [(e^{-t} - e^{t/2}) / (e^{-t} - 1) e^{-n t} - 3/2] e^{-t} / t.
@@ -209,7 +238,7 @@ def log_gamma_difference_kernel(n: int) -> KernelSpec:
         num = math.expm1(-t) - math.expm1(0.5 * t)
         return (num / math.expm1(-t) * math.exp(-n * t) - 1.5) * math.exp(-t) / t
 
-    return KernelSpec(fn, TailBound(K=2.5, c=min(1.0, n + 0.5)))
+    return KernelSpec(fn, TailBound(K=2.5, c=min(1.0, n + 0.5)), compose_map(fn))
 
 
 def frullani_term(n: int, t: float) -> float:
@@ -229,7 +258,7 @@ def theta_kernel(x: float) -> KernelSpec:
     def fn(t: float) -> float:
         return binet_core(t) * math.exp(-x * t) / t
 
-    return KernelSpec(fn, TailBound(K=1.0, c=x))
+    return KernelSpec(fn, TailBound(K=1.0, c=x), compose_map(fn))
 
 
 def binet_theta(x: float, config: QuadConfig) -> QuadResult:
@@ -328,22 +357,24 @@ def moment_points_search(n: int, config: QuadConfig) -> tuple[int, float]:
     return m, aliasing
 
 
-def _sample(f: Callable[[float], float], t: float) -> float:
-    y = f(t)
+def _sample(f: Callable[[Sequence[float]], Sequence[float]], t: float) -> float:
+    (y,) = f((t,))
     if not math.isfinite(y):
         raise IntegrandEvaluationError(t, y)
     return y
 
 
 def kronrod_panel_reference(
-    f: Callable[[float], float], a: float, b: float
+    f: Callable[[Sequence[float]], Sequence[float]], a: float, b: float
 ) -> tuple[float, float, float]:
     """One G10/K21 application on [a, b] as a loop over the node pairs:
     (K21 value, error estimate, error floor), the QUADPACK estimate and
     its 50 eps resabs floor.
 
-    Each sample is checked as it is taken, so the first non-finite one
-    raises before f is asked for the next.
+    f is a panel function, as ``_kronrod_panel`` takes it, but each node
+    is passed to it alone, as a 1-tuple, and each sample is checked as
+    it is taken, so the first non-finite one raises before f is asked
+    for the next.
     """
     h = 0.5 * (b - a)
     center = 0.5 * (a + b)

@@ -96,9 +96,9 @@ LIBRARY = [
     ("build_report err_threshold", lambda v: build_report([], QuadConfig(), v), _NON_NEGATIVE),
     # From the least normal double: below it 1/x overflows.
     ("log_gamma_reference", log_gamma_reference, {"max"}),
-    # Each edge within the largest float of 0, and ascending.  The
-    # integrand is finite at +-inf: on [-1, the largest float] a node
-    # rounds to inf once the driver bisects.
+    # Each edge within the largest float of 0, and ascending.  No node
+    # is infinite on such edges, however the driver bisects them
+    # (test_quadrature's test_no_node_is_infinite_next_to_the_largest_float).
     ("integrate_finite a", lambda v: _edges(v, 1.0), {"-0.0", "5e-324"}),
     ("integrate_finite b", lambda v: _edges(-1.0, v), _NON_NEGATIVE),
     ("integrate_finite breakpoint", lambda v: _edges(-1.0, v, 1.0), {"-0.0", "5e-324"}),

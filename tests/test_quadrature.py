@@ -43,6 +43,11 @@ from catalan_integrals.series import (
 # ---------------------------------------------------------------- panel
 
 
+def _each(f):
+    """The panel function that samples the plain function f at each node."""
+    return lambda ts: [f(t) for t in ts]
+
+
 def _gauss_rule(f):
     # The G10 rule embedded in the tables, on [-1, 1].
     return sum(w * (f(-x) + f(x)) for w, x in zip(_WG, _XGK[1::2]))
@@ -53,7 +58,7 @@ def test_panel_polynomial_exactness():
     # exactly and its embedded 10-point Gauss rule those of degree <= 19;
     # check every monomial against (b^{d+1} - a^{d+1})/(d + 1).
     for degree in range(32):
-        value, _, _ = _kronrod_panel(lambda x, d=degree: x**d, 0.0, 1.0)
+        value, _, _ = _kronrod_panel(_each(lambda x, d=degree: x**d), 0.0, 1.0)
         exact = 1.0 / (degree + 1)
         assert abs(value - exact) <= 1e-13 * exact
     for degree in range(20):
@@ -62,7 +67,7 @@ def test_panel_polynomial_exactness():
         assert abs(value - exact) <= 1e-13 * exact
     # The next even degree is missed on [-1, 1], so the tables hold
     # these two rules and no rules of higher degree.
-    value, _, _ = _kronrod_panel(lambda x: x**32, -1.0, 1.0)
+    value, _, _ = _kronrod_panel(_each(lambda x: x**32), -1.0, 1.0)
     assert abs(value - 2.0 / 33.0) > 1e-12
     assert abs(_gauss_rule(lambda x: x**20) - 2.0 / 21.0) > 1e-6
 
@@ -76,7 +81,7 @@ def test_panel_estimate_dominates_true_error():
         (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4.0),
     ]
     for f, a, b, exact in cases:
-        value, err, _ = _kronrod_panel(f, a, b)
+        value, err, _ = _kronrod_panel(_each(f), a, b)
         assert abs(value - exact) <= 10.0 * err
 
 
@@ -85,13 +90,14 @@ def test_panel_flags_non_finite_samples():
         return float("nan") if x < 0.2 else 1.0
 
     with pytest.raises(IntegrandEvaluationError) as exc_info:
-        _kronrod_panel(bad, 0.0, 1.0)
+        _kronrod_panel(_each(bad), 0.0, 1.0)
     assert 0.0 < exc_info.value.abscissa < 0.2
 
 
 def _recorded_panels(monkeypatch):
     """Route every panel the driver takes through a recorder: the list
-    fills with (f, a, b, result) as integrations run."""
+    fills with (f, a, b, result) as integrations run, f the panel
+    function the driver was given."""
     panels = []
 
     def recording(f, a, b):
@@ -119,7 +125,11 @@ BIT_IDENTITY_NS = (0, 1, 7, 200, 100_000)
 def test_panel_is_bit_identical_to_loop_on_kernels(kernel, n, cfg, monkeypatch):
     panels = _recorded_panels(monkeypatch)
     spec = kernel(n)
+    # The scalar kernel composed with the map, then its fused form, as
+    # the routes integrate it.
     integrate_half_line(spec.integrand, cfg, tail=spec.tail_constants)
+    quadrature._integrate_mapped(spec.mapped, cfg, spec.tail_constants)
+    assert len({id(f) for f, *_ in panels}) == 2
     _assert_panels_match_reference(panels)
 
 
@@ -143,7 +153,7 @@ def test_panel_is_bit_identical_to_loop_on_finite_corpus(cfg, monkeypatch):
 
 def _panel_nodes(a, b):
     nodes = []
-    _kronrod_panel(lambda t: nodes.append(t) or t, a, b)
+    _kronrod_panel(lambda ts: nodes.extend(ts) or list(ts), a, b)
     return nodes
 
 
@@ -165,7 +175,7 @@ def test_panel_names_each_non_finite_node(bad):
 
         for panel in (_kronrod_panel, kronrod_panel_reference):
             with pytest.raises(IntegrandEvaluationError) as exc_info:
-                panel(f, -1.0, 3.0)
+                panel(_each(f), -1.0, 3.0)
             assert exc_info.value.abscissa == node
             assert repr(exc_info.value.value) == repr(bad)
 
@@ -179,7 +189,7 @@ def test_panel_names_the_first_of_two_non_finite_nodes():
             return bad.get(t, t)
 
         with pytest.raises(IntegrandEvaluationError) as exc_info:
-            _kronrod_panel(f, -1.0, 3.0)
+            _kronrod_panel(_each(f), -1.0, 3.0)
         assert exc_info.value.abscissa == first
         assert math.isnan(exc_info.value.value)
 
@@ -188,13 +198,14 @@ def test_panel_overflowing_finite_samples_raise_nothing():
     # Every sample is finite, only the sums overflow: the panel reads
     # inf, as the loop form does, and the driver's tolerance decides.
     for panel in (_kronrod_panel, kronrod_panel_reference):
-        assert panel(lambda t: 1e308, 0.0, 4.0) == (math.inf, math.inf, math.inf)
+        assert panel(_each(lambda t: 1e308), 0.0, 4.0) == (math.inf, math.inf, math.inf)
 
 
 def test_panel_takes_every_sample_before_checking():
-    # All 21 samples are taken before any is checked, so an exception
-    # that f raises at a later node propagates ahead of the evaluation
-    # error for an earlier non-finite sample; the loop form stops first.
+    # All 21 samples are taken, in one call, before any is checked, so an
+    # exception that f raises at a later node propagates ahead of the
+    # evaluation error for an earlier non-finite sample; the loop form,
+    # one node a call, stops first.
     nodes = _panel_nodes(0.0, 1.0)
 
     def f(t):
@@ -205,9 +216,9 @@ def test_panel_takes_every_sample_before_checking():
         return t
 
     with pytest.raises(ZeroDivisionError):
-        _kronrod_panel(f, 0.0, 1.0)
+        _kronrod_panel(_each(f), 0.0, 1.0)
     with pytest.raises(IntegrandEvaluationError):
-        kronrod_panel_reference(f, 0.0, 1.0)
+        kronrod_panel_reference(_each(f), 0.0, 1.0)
 
 
 def _inverse_sqrt(t):
@@ -397,6 +408,36 @@ def test_panels_that_sum_past_the_largest_float_are_not_converged(f, value, cfg)
     assert not result.converged
 
 
+@pytest.mark.parametrize("a", [-1.0, -sys.float_info.max], ids=["-1", "-max"])
+def test_no_node_is_infinite_next_to_the_largest_float(a, cfg):
+    # On [-1, max] the centre 0.5 (a + b) of the panel [max/2, max],
+    # after one bisection, overflowed to inf, in the panel and in the
+    # driver's midpoint, and on [-max, max] so did the half-width
+    # 0.5 (b - a) of the first panel: math.cos raised a bare ValueError
+    # at the infinite node.  Both are now taken without overflow.
+    top = sys.float_info.max
+    nodes = []
+
+    def cos(t):
+        nodes.append(t)
+        return math.cos(t)
+
+    result = integrate_finite(cos, a, top, cfg)
+    assert isinstance(result, QuadResult)
+    assert result.evaluations == len(nodes)
+    assert all(a <= t <= top for t in nodes)
+    assert integrate_finite(math.cos, a, top, cfg) == result
+
+
+def test_panel_centre_keeps_its_bits_where_the_edges_sum_finitely():
+    # Only a sum or a difference that overflows takes the halved edges:
+    # on subnormal edges 0.5 a + 0.5 b would round differently.
+    a, b = 5e-324, 1e-323
+    assert 0.5 * a + 0.5 * b != 0.5 * (a + b)
+    assert quadrature._midpoint(a, b) == 0.5 * (a + b)
+    assert _panel_nodes(a, b)[0] == 0.5 * (a + b)
+
+
 def test_a_first_pass_that_meets_the_target_builds_no_heap(cfg, monkeypatch):
     class NoHeap:
         def __getattr__(self, name):
@@ -444,7 +485,7 @@ def test_driver_stops_at_float_resolution():
     def spike(t):
         return 1.0 if t == 1.0 else 0.0
 
-    _, err, floor = _kronrod_panel(spike, 1.0, b)
+    _, err, floor = _kronrod_panel(_each(spike), 1.0, b)
     assert err - floor > floor
     result = integrate_finite(spike, 1.0, b, QuadConfig(1e-300, 0))
     assert result.evaluations == 21

@@ -25,7 +25,6 @@ from catalan_integrals.quadrature import (
     _UFLOW,
     IntegrandEvaluationError,
     QuadConfig,
-    integrate_finite,
 )
 
 from oracles import moment_points_search
@@ -229,9 +228,9 @@ def test_penson_at_tightest_tolerance_returns_a_row(route):
 @pytest.mark.parametrize(
     "route, driver",
     [
-        (catalan_malmsten, "integrate_half_line"),
-        (catalan_binet, "integrate_half_line"),
-        (catalan_penson_mellin, "integrate_finite"),
+        (catalan_malmsten, "_integrate_mapped"),
+        (catalan_binet, "_integrate_mapped"),
+        (catalan_penson_mellin, "_adaptive"),
     ],
     ids=["malmsten", "binet", "mellin"],
 )
@@ -263,17 +262,20 @@ def test_penson_mellin_integrand_is_finite_at_both_ends(cfg, monkeypatch):
     # s = w u/(1 - u) sends the ends of (0, 1) to s = 0 and s = inf; the
     # closest samples the driver can take, the least subnormal and the
     # last double below 1, must give finite values.
+    # The integrand is the panel function the route hands the driver.
     integrands = []
+    adaptive = representations._adaptive
 
     def capture(f, *args, **kwargs):
         integrands.append(f)
-        return integrate_finite(f, *args, **kwargs)
+        return adaptive(f, *args, **kwargs)
 
-    monkeypatch.setattr(representations, "integrate_finite", capture)
+    monkeypatch.setattr(representations, "_adaptive", capture)
     for n in (0, 1, 1_000_000):
         catalan_penson_mellin(n, cfg)
         for u in (5e-324, 1.0 - 2.0**-53):
-            assert math.isfinite(integrands[-1](u)), (n, u)
+            (value,) = integrands[-1]((u,))
+            assert math.isfinite(value), (n, u)
 
 
 # Summed integrand evaluations over n = 0..200 at the default config;
@@ -374,8 +376,8 @@ def test_moment_samples_are_within_their_rounding_bound(cfg):
             k = representations._moment_points(n, cfg)[0]
             for points in (2 * k + 1, 2 * k + 3):
                 h = math.pi / points
-                for j in range(1, points // 2 + 1):
-                    value, bound = representations._moment_sample(n, j * h)
+                samples = representations._moment_samples(n, h, points // 2)
+                for j, (value, bound) in enumerate(zip(*samples), 1):
                     x = mp.mpf(j) / points
                     exact = mp.sinpi(x) ** 2 * mp.cospi(x) ** (2 * n)
                     err = abs(mp.mpf(value) - exact)
@@ -549,13 +551,13 @@ def test_moment_route_takes_a_few_dozen_samples_at_the_index_limit():
 
 
 def test_moment_rule_names_the_first_non_finite_sample(monkeypatch):
-    sample = representations._moment_sample
+    samples = representations._moment_samples
 
-    def poisoned(n, phi):
-        value, error = sample(n, phi)
-        return (math.nan if phi > 1.0 else value), error
+    def poisoned(n, h, j0):
+        values, errors = samples(n, h, j0)
+        return [math.nan if j * h > 1.0 else v for j, v in enumerate(values, 1)], errors
 
-    monkeypatch.setattr(representations, "_moment_sample", poisoned)
+    monkeypatch.setattr(representations, "_moment_samples", poisoned)
     # Seven points: the nodes in (0, pi/2) are pi/7, 2 pi/7 and 3 pi/7.
     with pytest.raises(IntegrandEvaluationError) as info:
         representations._moment_rule(5, 3, 3)

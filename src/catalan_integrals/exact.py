@@ -306,8 +306,9 @@ def ln_exact(n: int) -> float:
     Where it does not, and at every n >= 2 up to the crossover, it
     computes an integer V with |V - 2^p ln C_n| <= E at
     p = ``_PRECISION`` = 96 bits, and rounds once.  One fixed-point log
-    serves it: ``_fixed_log`` writes ln m = k ln 2 + 2 atanh(x), x = (m - 2^k) / (m + 2^k), with k chosen
-    so that m / 2^k lies in [2/3, 3/2] and |x| < 1/5, and sums
+    serves it: ``_fixed_log`` writes ln m = k ln 2 + 2 atanh(x),
+    x = (m - 2^k) / (m + 2^k), with k chosen so that m / 2^k lies in
+    [2/3, 3/2] and |x| < 1/5, and sums
     atanh(x) = sum_i x^(2i+1) / (2i + 1).  Which m depends on n:
 
     * Up to the crossover ``_COMB_MAX`` = 200, the exact integer

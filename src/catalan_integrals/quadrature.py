@@ -27,17 +27,20 @@ Penson-Mellin route in the representations module shows how.
 
 The driver calls its integrand once per panel: a panel function takes
 the tuple of a panel's 21 nodes and returns their 21 values, in the
-same order, so that a route can evaluate a whole panel in one loop of
-its own, with no call per node.  The public entry points take a plain
-function of t and adapt it to that contract themselves.  The rule is
-open, but bisection may close in on an endpoint until the panels reach
-floating-point resolution, and there a node can round onto the
-endpoint itself: 1/sqrt(1 - t) on [0, 1] is sampled at t = 1.0.  So an
-integrand must be finite at both endpoints.  Next to t = 0, resolution
-means subnormal t (and on the half line t = 0 itself, once 8u/c
-underflows), so 1/sqrt(t) on [0, 1] is never sampled at 0.  An
-integrand with a removable singularity at t = 0 must stay accurate and
-finite down to there on its own; the kernels module shows how.
+same order.  The public entry points take a plain function of t and
+adapt it to that contract themselves, ``integrate_half_line`` in the
+one loop that also maps the half line, so the kernels stay plain
+functions of t.  A caller that maps its own integrand, as the
+Penson-Mellin route does, may hand the driver a panel function of its
+own.  The rule is open, but bisection may close in on an endpoint
+until the panels reach floating-point resolution, and there a node can
+round onto the endpoint itself: 1/sqrt(1 - t) on [0, 1] is sampled at
+t = 1.0.  So an integrand must be finite at both endpoints.  Next to
+t = 0, resolution means subnormal t (and on the half line t = 0
+itself, once 8u/c underflows), so 1/sqrt(t) on [0, 1] is never sampled
+at 0.  An integrand with a removable singularity at t = 0 must stay
+finite down to there on its own, and accurate wherever its error could
+move the integral; the kernels module shows how.
 """
 
 from __future__ import annotations
@@ -203,8 +206,8 @@ def _kronrod_panel(f: Panel, a: float, b: float) -> tuple[float, float, float]:
     overflows, so no node is infinite on a panel with finite edges.
     Finiteness is checked once per panel, on the absolute sum: only when
     that is not finite are the samples scanned, after all 21 have been
-    taken, and the error names the first non-finite one in that order.  Finite samples whose sum overflows
-    raise nothing.
+    taken, and the error names the first non-finite one in that order.
+    Finite samples whose sum overflows raise nothing.
     """
     w0, w1, w2, w3, w4, w5, w6, w7, w8, w9 = _WGK
     g1, g3, g5, g7, g9 = _WG
@@ -419,25 +422,12 @@ def integrate_half_line(
     relative alone.  There every row takes one panel, 21 evaluations,
     except n = 0, which takes one bisection.
     """
-
-    def mapped(scale: float) -> Panel:
-        # At u >= 1, t is infinite, and g tends to 0.
-        return lambda us: [
-            0.0 if u >= 1.0 else f(-scale * math.log1p(-u)) * scale / (1.0 - u) for u in us
-        ]
-
-    return _integrate_mapped(mapped, config, tail)
-
-
-def _integrate_mapped(
-    mapped: Callable[[float], Panel], config: QuadConfig, tail: TailBound
-) -> QuadResult:
-    """The half-line integral of ``integrate_half_line``, for an integrand
-    already mapped: ``mapped(scale)`` is g(u) = f(t) scale/(1 - u) at
-    t = -scale ln(1 - u) as a panel function, 0 at u >= 1.  Checks
-    ``tail``, takes the scale 8/c, and counts the fold remainder
-    (K/c) 2^-424 in the estimate.  The kernel routes come in here with
-    their fused forms (``kernels.KernelSpec.mapped``)."""
     k = _check_real(tail.K, math.ulp(0.0), _TOP, "TailBound.K")
     c = _check_real(tail.c, 8.0 / _TOP, _TOP, "TailBound.c")
-    return _adaptive(mapped(8.0 / c), [0.0, 1.0], config, k / c * 2.0**-424)
+    scale = 8.0 / c
+
+    def mapped(us: tuple[float, ...]) -> list[float]:
+        # At u >= 1, t is infinite, and g tends to 0.
+        return [0.0 if u >= 1.0 else f(-scale * math.log1p(-u)) * scale / (1.0 - u) for u in us]
+
+    return _adaptive(mapped, [0.0, 1.0], config, k / c * 2.0**-424)

@@ -142,10 +142,10 @@ from .quadrature import (
     Panel,
     QuadConfig,
     _adaptive,
-    _integrate_mapped,
-    # The routes reach the driver through the two private entries above;
-    # these two stay bound here because the benchmark's tracer taps them
-    # by name (perfbench/tracing.py).
+    # No route calls integrate_finite: the Penson-Mellin route calls the
+    # driver on its own panels.  It stays bound here because the
+    # benchmark's tracer taps it by name (perfbench/tracing.py), as it
+    # taps integrate_half_line, which the kernel routes call.
     integrate_finite,
     integrate_half_line,
 )
@@ -251,10 +251,10 @@ def _gamma_closed_form(n: int, config: QuadConfig) -> _Estimate:
 
 
 def _half_line(spec: KernelSpec, config: QuadConfig, *terms: float) -> _Estimate:
-    """ln C_n as ``terms`` plus the half-line integral of ``spec``, the
-    integral of ``integrate_half_line`` taken through the kernel's fused
-    form ``spec.mapped``, bit for bit."""
-    qr = _integrate_mapped(spec.mapped, config, spec.tail_constants)
+    """ln C_n as ``terms`` plus the half-line integral of ``spec``, taken
+    by ``integrate_half_line``, which maps the half line and adds the
+    remainder it folds away."""
+    qr = integrate_half_line(spec.integrand, config, spec.tail_constants)
     return _assemble(qr.evaluations, qr.converged, qr.error_estimate, *terms, qr.value)
 
 
@@ -572,18 +572,18 @@ def compare_representations(
     kernels) interleaved at every n ran slower than the same work done
     one path at a time.  On a 2-vCPU x86_64 host with CPython 3.11, the
     sweep over n = 0..200, warm and in one process, took 1.19-1.22 times
-    as long interleaved (about 27 against 23 ms), and still 1.24 times
-    once the kernels were fused into their panels (medians of 30 runs,
-    22.9 against 18.4 ms).  The benchmark's ``sweep`` workload, which
-    adds a report round trip, took 47.6 ms against 54.3 ms interleaved
-    before that fusion (medians of 10 alternating pairs of 30 s runs,
-    route-major faster in all 10; the latest root BENCH_*.json has the
-    figure since).  About 1.3 ms of that saving came from
-    ``ln_exact``'s first pass moving from 160 to 96 bits: its traced self
-    time fell from 3.4 to 2.1 ms.  The likely cause, not verified for
-    want of hardware counters, is that the paths together overflow the
-    instruction cache and branch predictors.  Keep the order when
-    refactoring this loop.
+    as long interleaved (about 27 against 23 ms), and 1.18-1.19 times
+    with the routes as they are now (two sets of 30 alternating runs,
+    medians 22.5-22.7 against 18.9-19.2 ms).  The benchmark's ``sweep``
+    workload, which adds a report round trip, took 47.6 ms against
+    54.3 ms interleaved at the first of those measurements (medians of
+    10 alternating pairs of 30 s runs, route-major faster in all 10; the
+    latest root BENCH_*.json has the figure since).  About 1.3 ms of
+    that saving came from ``ln_exact``'s first pass moving from 160 to
+    96 bits: its traced self time fell from 3.4 to 2.1 ms.  The likely
+    cause, not verified for want of hardware counters, is that the paths
+    together overflow the instruction cache and branch predictors.  Keep
+    the order when refactoring this loop.
     """
     n_max = _check_index(n_max)
     failed = (float("nan"), float("inf"), 0, False)

@@ -20,12 +20,6 @@ and check the Malmsten-Catalan kernel against its defining form:
   ln Gamma(n + 1/2) - ln Gamma(n + 2), before the split
 * ``frullani_term`` -- the part the split moves into closed form
 
-and compose a plain kernel with the half-line map, node by node, which
-each kernel's fused panel form must reproduce bit for bit:
-
-* ``compose_map`` -- f(t) scale/(1 - u) at t = -scale ln(1 - u), as a
-  ``KernelSpec.mapped``
-
 check the streamed sum-rule terms against exact integers, and keep an
 independent route to the ln A that ``glaisher_from_integral`` checks
 against:
@@ -192,29 +186,6 @@ def log_gamma_malmsten(x: float, config: QuadConfig) -> QuadResult:
     return integrate_half_line(fn, config, tail=tail)
 
 
-def compose_map(
-    fn: Callable[[float], float],
-) -> Callable[[float], Callable[[Sequence[float]], list[float]]]:
-    """``fn`` after the half-line map, in the form of ``KernelSpec.mapped``:
-    given the scale, the panel function that takes g(u) = fn(t) scale/(1 - u)
-    at t = -scale ln(1 - u) at each node u, and 0 at u >= 1, one call
-    of fn a node."""
-
-    def mapped(scale: float) -> Callable[[Sequence[float]], list[float]]:
-        def panel(us: Sequence[float]) -> list[float]:
-            ys = []
-            for u in us:
-                if u >= 1.0:
-                    ys.append(0.0)
-                else:
-                    ys.append(fn(-scale * math.log1p(-u)) * scale / (1.0 - u))
-            return ys
-
-        return panel
-
-    return mapped
-
-
 def log_gamma_difference_kernel(n: int) -> KernelSpec:
     """Malmsten's integrand for ln Gamma(n + 1/2) - ln Gamma(n + 2) in its
     defining form, [(e^{-t} - e^{t/2}) / (e^{-t} - 1) e^{-n t} - 3/2] e^{-t} / t.
@@ -238,7 +209,7 @@ def log_gamma_difference_kernel(n: int) -> KernelSpec:
         num = math.expm1(-t) - math.expm1(0.5 * t)
         return (num / math.expm1(-t) * math.exp(-n * t) - 1.5) * math.exp(-t) / t
 
-    return KernelSpec(fn, TailBound(K=2.5, c=min(1.0, n + 0.5)), compose_map(fn))
+    return KernelSpec(fn, TailBound(K=2.5, c=min(1.0, n + 0.5)))
 
 
 def frullani_term(n: int, t: float) -> float:
@@ -258,7 +229,7 @@ def theta_kernel(x: float) -> KernelSpec:
     def fn(t: float) -> float:
         return binet_core(t) * math.exp(-x * t) / t
 
-    return KernelSpec(fn, TailBound(K=1.0, c=x), compose_map(fn))
+    return KernelSpec(fn, TailBound(K=1.0, c=x))
 
 
 def binet_theta(x: float, config: QuadConfig) -> QuadResult:

@@ -10,7 +10,6 @@ import pytest
 from closed_forms import kernel_origin_cases
 from oracles import (
     binet_theta,
-    compose_map,
     frullani_term,
     log_gamma_difference_kernel,
     log_gamma_malmsten,
@@ -36,7 +35,6 @@ from catalan_integrals.kernels import (
 )
 from catalan_integrals.quadrature import QuadConfig, integrate_half_line
 from catalan_integrals.representations import catalan_binet, catalan_malmsten
-from test_quadrature import _panel_nodes
 
 # Frozen from 40-digit evaluations.
 THETA_HALF = 0.1534264097200273452914  # theta(1/2)
@@ -380,18 +378,21 @@ def test_binet_kernel_integral_is_theta_difference(cfg):
     assert abs(value - THETA_HALF_MINUS_TWO) <= 1e-11
 
 
-# ------------------------------------------------- fused panel forms
+# ------------------------------------------------- the kernel routes
 
-# The kernel routes integrate each kernel's fused form, KernelSpec.mapped,
-# which must give the same doubles as the scalar kernel under the map:
-# over the sweep, the benchmark's large n, 10^6 and 10^8, at the default
-# config, where the driver bisects (1e-14) and where it is starved.
-FUSED_NS = (*range(201), 1_000, 3_162, 10_000, 31_623, 100_000, 10**6, 10**8)
-FUSED_CONFIGS = (QuadConfig(), QuadConfig(1e-14, 1e-14), QuadConfig(0, 1e-16, 1))
+# The kernel routes integrate each plain kernel through
+# representations.integrate_half_line, the name the benchmark's tracer
+# taps (perfbench/tracing.py): one call a row, with the kernel's own
+# integrand and tail constants, so that no second form of a kernel can
+# take the routes' quadratures out of the benchmark's sight.  Over the
+# sweep, the benchmark's large n, 10^6 and 10^8, at the default config,
+# where the driver bisects (1e-14) and where it is starved.
+ROUTE_NS = (*range(201), 1_000, 3_162, 10_000, 31_623, 100_000, 10**6, 10**8)
+ROUTE_CONFIGS = (QuadConfig(), QuadConfig(1e-14, 1e-14), QuadConfig(0, 1e-16, 1))
 
 
-def _bits(result):
-    return tuple(map(repr, result))
+def _captured(fn):
+    return [cell.cell_contents for cell in fn.__closure__ or ()]
 
 
 @pytest.mark.parametrize(
@@ -399,50 +400,25 @@ def _bits(result):
     [(catalan_malmsten, malmsten_catalan_kernel), (catalan_binet, binet_catalan_kernel)],
     ids=["malmsten", "binet"],
 )
-@pytest.mark.parametrize("config", FUSED_CONFIGS, ids=["default", "1e-14", "starved"])
+@pytest.mark.parametrize("config", ROUTE_CONFIGS, ids=["default", "1e-14", "starved"])
 def test_kernel_routes_integrate_as_the_scalar_kernel_does(route, kernel, config, monkeypatch):
-    results = []
-    integrate = representations._integrate_mapped
+    calls = []
+    integrate = representations.integrate_half_line
 
-    def capture(*args):
-        results.append(integrate(*args))
-        return results[-1]
+    def capture(f, config, tail):
+        calls.append((f, config, tail, integrate(f, config, tail)))
+        return calls[-1][-1]
 
-    monkeypatch.setattr(representations, "_integrate_mapped", capture)
-    for n in FUSED_NS:
-        route(n, config)
+    monkeypatch.setattr(representations, "integrate_half_line", capture)
+    for n in ROUTE_NS:
+        calls.clear()
+        row = route(n, config)
+        assert len(calls) == 1, n
+        f, passed, tail, result = calls[0]
         spec = kernel(n)
-        scalar = integrate_half_line(spec.integrand, config, spec.tail_constants)
-        assert _bits(results[-1]) == _bits(scalar), n
-    assert len(results) == len(FUSED_NS)
-
-
-def _fused_nodes():
-    """Nodes of (0, 1) as the driver takes them, from the one panel [0, 1]
-    down to panels of width 2^-40 at both ends, with u = 1 and past it."""
-    nodes = [1.0, math.nextafter(1.0, 2.0), 2.0]
-    for depth in range(41):
-        width = 2.0**-depth
-        for lo in (0.0, 0.5 - width / 2, 1.0 - width):
-            nodes += _panel_nodes(lo, lo + width)
-    return tuple(nodes)
-
-
-@pytest.mark.parametrize("kernel", [malmsten_catalan_kernel, binet_catalan_kernel])
-def test_fused_kernel_values_are_the_scalar_kernel_under_the_map(kernel):
-    # Node by node, including Binet's switch to its series at t = 0.2
-    # and u at and past 1, where both read 0.
-    nodes = _fused_nodes()
-    for n in (0, 1, 2, 7, 50, 200, 1_000, 31_623, 10**6, 10**8):
-        spec = kernel(n)
-        scale = 8.0 / spec.tail_constants.c
-        fused = spec.mapped(scale)(nodes)
-        composed = compose_map(spec.integrand)(scale)(nodes)
-        assert len(fused) == len(nodes)
-        for u, y, z in zip(nodes, fused, composed):
-            assert repr(y) == repr(z), (n, u)
-        switch = -math.expm1(-0.2 / scale)  # t = 0.2 in u, and its neighbours
-        near = (math.nextafter(switch, 0.0), switch, math.nextafter(switch, 1.0))
-        assert list(map(repr, spec.mapped(scale)(near))) == list(
-            map(repr, compose_map(spec.integrand)(scale)(near))
-        ), n
+        # The kernel's own integrand: the same code over the same values.
+        assert f.__code__ is spec.integrand.__code__, n
+        assert _captured(f) == _captured(spec.integrand), n
+        assert tail == spec.tail_constants, n
+        assert passed == config, n
+        assert row.evaluations == result.evaluations, n

@@ -125,11 +125,9 @@ BIT_IDENTITY_NS = (0, 1, 7, 200, 100_000)
 def test_panel_is_bit_identical_to_loop_on_kernels(kernel, n, cfg, monkeypatch):
     panels = _recorded_panels(monkeypatch)
     spec = kernel(n)
-    # The scalar kernel composed with the map, then its fused form, as
-    # the routes integrate it.
+    # The plain kernel under the map, as the routes integrate it.
     integrate_half_line(spec.integrand, cfg, tail=spec.tail_constants)
-    quadrature._integrate_mapped(spec.mapped, cfg, spec.tail_constants)
-    assert len({id(f) for f, *_ in panels}) == 2
+    assert len({id(f) for f, *_ in panels}) == 1
     _assert_panels_match_reference(panels)
 
 
@@ -692,6 +690,23 @@ def test_truncation_remainder_enters_estimate(cfg):
     assert result.converged
     assert abs(result.value - 1.0) <= 10.0 * result.error_estimate
     assert result.error_estimate > 0.0
+
+
+@pytest.mark.parametrize(
+    "k, c, converged",
+    [(1.0, 1.0, True), (0.5, 0.5, True), (3.0, 1e-3, True), (1.0, 1e8, True), (1e130, 1.0, False)],
+    ids=["1-1", "0.5-0.5", "3-1e-3", "1-1e8", "1e130-1"],
+)
+def test_fold_remainder_is_the_whole_estimate_for_a_zero_integrand(k, c, converged):
+    # f = 0 leaves every panel without error, so the estimate is the fold
+    # remainder (K/c) 2^-424 to the bit, and the call converges exactly
+    # when that meets the default target, abs_tol = 1e-12: at
+    # K/c = 1e130 it is about 231.
+    cfg = QuadConfig()
+    result = integrate_half_line(lambda t: 0.0, cfg, tail=TailBound(k, c))
+    assert result.value == 0.0
+    assert result.error_estimate == k / c * 2.0**-424
+    assert result.converged is converged
 
 
 def test_irreducible_remainder_is_not_bisected(cfg):

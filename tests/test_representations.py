@@ -228,8 +228,8 @@ def test_penson_at_tightest_tolerance_returns_a_row(route):
 @pytest.mark.parametrize(
     "route, driver",
     [
-        (catalan_malmsten, "_integrate_mapped"),
-        (catalan_binet, "_integrate_mapped"),
+        (catalan_malmsten, "integrate_half_line"),
+        (catalan_binet, "integrate_half_line"),
         (catalan_penson_mellin, "_adaptive"),
     ],
     ids=["malmsten", "binet", "mellin"],

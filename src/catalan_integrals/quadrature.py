@@ -27,20 +27,20 @@ Penson-Mellin route in the representations module shows how.
 
 The driver calls its integrand once per panel: a panel function takes
 the tuple of a panel's 21 nodes and returns their 21 values, in the
-same order.  The public entry points take a plain function of t and
-adapt it to that contract themselves, ``integrate_half_line`` in the
-one loop that also maps the half line, so the kernels stay plain
-functions of t.  A caller that maps its own integrand, as the
-Penson-Mellin route does, may hand the driver a panel function of its
-own.  The rule is open, but bisection may close in on an endpoint
-until the panels reach floating-point resolution, and there a node can
-round onto the endpoint itself: 1/sqrt(1 - t) on [0, 1] is sampled at
-t = 1.0.  So an integrand must be finite at both endpoints.  Next to
-t = 0, resolution means subnormal t (and on the half line t = 0
-itself, once 8u/c underflows), so 1/sqrt(t) on [0, 1] is never sampled
-at 0.  An integrand with a removable singularity at t = 0 must stay
-finite down to there on its own, and accurate wherever its error could
-move the integral; the kernels module shows how.
+same order.  That contract is private to this module.  The two public
+entry points, the only ways into the driver, take a plain function of
+t and adapt it to the contract themselves, ``integrate_half_line`` in
+the one loop that also maps the half line, so every integrand the
+package hands them is a plain function.  The rule is open, but
+bisection may close in on an endpoint until the panels reach
+floating-point resolution, and there a node can round onto the
+endpoint itself: 1/sqrt(1 - t) on [0, 1] is sampled at t = 1.0.  So
+an integrand must be finite at both endpoints.  Next to t = 0,
+resolution means subnormal t (and on the half line t = 0 itself, once
+8u/c underflows), so 1/sqrt(t) on [0, 1] is never sampled at 0.  An
+integrand with a removable singularity at t = 0 must stay finite down
+to there on its own, and accurate wherever its error could move the
+integral; the kernels module shows how.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ import math
 import re
 import sys
 import time
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple, Sequence, get_type_hints
 
 from .exact import _check_index, _check_real
 from .quadrature import QuadConfig
@@ -91,16 +91,24 @@ def build_report(
     abs_err_ln exceeds ``err_threshold``, an int or a float from 0 to the
     largest float, and no bool."""
     err_threshold = _check_threshold(err_threshold)
-    # A NaN error fails the comparison, and so the row.
-    failures = sum(not (r.converged and r.abs_err_ln <= err_threshold) for r in rows)
-    max_err = max((r.abs_err_ln for r in rows if r.converged), default=0.0)
     return Report(
         schema_version=SCHEMA_VERSION,
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         config={**config._asdict(), "err_threshold": err_threshold},
         rows=tuple(rows),
-        summary=ReportSummary(max_abs_err_ln=max_err, failures=failures),
+        summary=_summarize(rows, err_threshold),
     )
+
+
+def _summarize(rows: Sequence[RepresentationResult], err_threshold: float) -> ReportSummary:
+    """The summary of ``rows``.  A converged row's error that is not
+    finite, which to_json writes as null and a parse reads back as NaN,
+    fails its row and makes the maximum NaN, so that parsed rows give
+    the summary they were written with."""
+    errors = [r.abs_err_ln for r in rows if r.converged]
+    passed = sum(math.isfinite(e) and e <= err_threshold for e in errors)
+    max_err = max(errors, default=0.0) if all(map(math.isfinite, errors)) else math.nan
+    return ReportSummary(max_abs_err_ln=max_err, failures=len(rows) - passed)
 
 
 def _check_threshold(threshold: float) -> float:
@@ -123,21 +131,25 @@ def _json_float(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else "null"
 
 
+def _written_summary(summary: ReportSummary) -> dict:
+    """``summary`` as to_json writes it, with null for a maximum that is
+    not finite."""
+    max_err = summary.max_abs_err_ln
+    return {"max_abs_err_ln": max_err if math.isfinite(max_err) else None,
+            "failures": summary.failures}
+
+
 def to_json(report: Report) -> str:
     # Imported here, like parse_report_json's, so that a CLI call that
     # writes no JSON does not load json.
     import json
 
-    max_err = report.summary.max_abs_err_ln
     document = json.dumps(
         {
             "schema_version": report.schema_version,
             "generated_at": report.generated_at,
             "config": report.config,
-            "summary": {
-                "max_abs_err_ln": max_err if math.isfinite(max_err) else None,
-                "failures": report.summary.failures,
-            },
+            "summary": _written_summary(report.summary),
         },
         indent=2,
         allow_nan=False,
@@ -247,8 +259,10 @@ def parse_report_json(text: str) -> Report:
     ``err_threshold`` that is not an int or a float from 0 to the
     largest float; ``rows`` that is not a list; a row field of the wrong
     JSON type, an ``n`` outside 0..MAX_INDEX or an unknown ``method``;
-    and a ``max_abs_err_ln`` that is neither a float nor null or
-    ``failures`` that is not an int >= 0.
+    a ``max_abs_err_ln`` that is neither a float nor null or
+    ``failures`` that is not an int >= 0; and, checked last, a summary
+    that differs, as written, from the one build_report gives the rows
+    and ``err_threshold``.
     """
     import json
 
@@ -271,14 +285,16 @@ def parse_report_json(text: str) -> Report:
         QuadConfig(**quad)
     except ValueError as exc:
         raise ValueError(f"config fields {quad} are refused: {exc}") from None
-    _check_threshold(config["err_threshold"])
-    return Report(
-        schema_version=schema,
-        generated_at=payload["generated_at"],
-        config=config,
-        rows=tuple(map(_parse_row, payload["rows"])),
-        summary=_summary(payload["summary"]),
+    threshold = _check_threshold(config["err_threshold"])
+    rows = tuple(map(_parse_row, payload["rows"]))
+    report = Report(schema, stamp, config, rows, _summary(payload["summary"]))
+    # Floats as repr, as to_json writes them: -0.0 is not 0.0 here.
+    written, recomputed = (
+        json.dumps(_written_summary(s)) for s in (report.summary, _summarize(rows, threshold))
     )
+    if written != recomputed:
+        raise ValueError(f"summary {written} contradicts its rows, which give {recomputed}")
+    return report
 
 
 def _fmt(x: float) -> str:

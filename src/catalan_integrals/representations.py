@@ -87,12 +87,14 @@ overflows a double near n = 260 (and the 4^n prefactors even earlier):
   s = w u/(1 - u), as in QUADPACK's QAGI, takes I onto u in (0, 1),
   where the integrand tends to 1/8 (n = 0) or 0 (n >= 1) at u = 1.  It
   peaks at s = w/2 with w = 1/sqrt(n + 1), its width, so the map puts
-  the peak at u = 1/3 for every n.  The driver starts from the thirds
-  [0, 1/3], [1/3, 2/3] and [2/3, 1], which put an edge on the peak
-  and one past it: at the default config none of them is bisected at
-  any n measured (0..3000 and log-spaced n up to 10^8), 63 evaluations
-  a row, where the same rule from the one panel (0, 1) took 20,979
-  over n = 0..200 and with an edge at 1/3 or 1/2 alone about 16,800.
+  the peak at u = 1/3 for every n.  The route hands the mapped
+  integrand to ``integrate_finite`` with the breakpoints 1/3 and 2/3,
+  so the driver starts from the thirds [0, 1/3], [1/3, 2/3] and
+  [2/3, 1], which put an edge on the peak and one past it: at the
+  default config none of them is bisected at any n measured (0..3000
+  and log-spaced n up to 10^8), 63 evaluations a row, where the same
+  rule from the one panel (0, 1) took 20,979 over n = 0..200 and with
+  an edge at 1/3 or 1/2 alone about 16,800.
   The substitution 4t = tan^2(phi) would map onto a finite interval as
   well, but it turns I into (1/4) integral_0^{pi/2} sin^2(phi)
   cos^{2n}(phi) d phi, exactly a quarter of the moment route's
@@ -134,18 +136,16 @@ from .kernels import (
     binet_catalan_kernel,
     malmsten_catalan_kernel,
 )
+# The routes reach the driver through these two public entry points
+# only: the kernel routes through integrate_half_line, the Penson-Mellin
+# route through integrate_finite.  The benchmark's tracer taps both by
+# their names here (perfbench/tracing.py).
 from .quadrature import (
     _EPS,
     _PANEL_EVALUATIONS,
     _UFLOW,
     IntegrandEvaluationError,
-    Panel,
     QuadConfig,
-    _adaptive,
-    # No route calls integrate_finite: the Penson-Mellin route calls the
-    # driver on its own panels.  It stays bound here because the
-    # benchmark's tracer taps it by name (perfbench/tracing.py), as it
-    # taps integrate_half_line, which the kernel routes call.
     integrate_finite,
     integrate_half_line,
 )
@@ -478,8 +478,9 @@ def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
     integrand decays like s^{-(2n + 2)}, so no exponential tail bound
     exists; s = w u/(1 - u) with w = 1/sqrt(n + 1) maps I onto (0, 1),
     where it reads 2 w r/(1 - u)^2 (4r + 1)^{-(n+2)} with r = s^2, peaks
-    at u = 1/3 for every n, and stays finite up to u = 1.  The driver
-    starts from the thirds of (0, 1) (module docstring).
+    at u = 1/3 for every n, and stays finite up to u = 1.
+    ``integrate_finite`` takes it, a plain function of u, from the
+    thirds of (0, 1), its breakpoints 1/3 and 2/3 (module docstring).
 
     In doubles the map collapses every s beyond the last double below
     u = 1, s = w (2^53 - 1), into that one point.  The integrand is at
@@ -494,29 +495,25 @@ def _penson_mellin(n: int, config: QuadConfig) -> _Estimate:
     into a quarter of the moment route's integrand (module docstring).
     """
     n = _check_index(n)
-    qr = _adaptive(_mellin_panel(n), [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0], config)
+    qr = integrate_finite(_mellin_integrand(n), 0.0, 1.0, config, breakpoints=(1 / 3, 2 / 3))
     terms = (2.0 * (n + 2.0) * _LN2, -_LN_PI, math.log(qr.value))
     return _assemble(qr.evaluations, qr.converged, qr.error_estimate / qr.value, *terms)
 
 
-def _mellin_panel(n: int) -> Panel:
-    """The Penson-Mellin integrand on u in (0, 1), after s = w u/(1 - u),
-    as a panel function: 2 w r/(1 - u)^2 (4r + 1)^{-(n+2)}, r = s^2, at
-    each node of the tuple it is given."""
-    power = n + 2.0
+def _mellin_integrand(n: int) -> Callable[[float], float]:
+    """The Penson-Mellin integrand on u in (0, 1), after s = w u/(1 - u):
+    2 w r/(1 - u)^2 (4r + 1)^{-(n+2)}, r = s^2."""
     w = 1.0 / math.sqrt(n + 1.0)
+    two_w, minus_power = 2.0 * w, -(n + 2.0)
     exp, log1p = math.exp, math.log1p
 
-    def panel(us: tuple[float, ...]) -> list[float]:
-        ys = []
-        for u in us:
-            # s = w u/v, ds = w du/v^2; the rule never samples u = 1.
-            v = 1.0 - u
-            r = (w * u / v) ** 2
-            ys.append(2.0 * w * r / (v * v) * exp(-power * log1p(4.0 * r)))
-        return ys
+    def integrand(u: float) -> float:
+        # s = w u/v, ds = w du/v^2; the rule never samples u = 1.
+        v = 1.0 - u
+        r = (w * u / v) ** 2
+        return two_w * r / (v * v) * exp(minus_power * log1p(4.0 * r))
 
-    return panel
+    return integrand
 
 
 class Route(NamedTuple):

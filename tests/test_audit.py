@@ -15,7 +15,7 @@ import random
 
 import mpmath
 
-from catalan_integrals import quadrature, representations
+from catalan_integrals import quadrature
 from catalan_integrals.exact import MAX_INDEX
 from catalan_integrals.quadrature import QuadConfig
 from catalan_integrals.representations import (
@@ -69,10 +69,7 @@ def test_no_route_is_dishonest_on_random_draws(monkeypatch):
         starting_panels.append(len(edges) - 1)
         return adaptive(f, edges, config, remainder)
 
-    # The kernel routes reach the driver inside quadrature, the Mellin
-    # route by its own import of it.
     monkeypatch.setattr(quadrature, "_adaptive", counting)
-    monkeypatch.setattr(representations, "_adaptive", counting)
     ctx = mpmath.mp.clone()
     ctx.dps = 40
     worst = {route: 0.0 for route in ROUTES}

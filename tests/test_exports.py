@@ -5,10 +5,18 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import types
 
 import pytest
 
 import catalan_integrals
+from catalan_integrals.quadrature import QuadConfig
+from catalan_integrals.representations import (
+    catalan_binet,
+    catalan_malmsten,
+    catalan_penson_mellin,
+    compare_representations,
+)
 
 # The package and its modules, less __main__, which runs the command line
 # on import.
@@ -98,7 +106,8 @@ def test_no_assert_statements(path):
 # The benchmark drives the package through perfbench/passes.py and taps
 # the names that perfbench/tracing.py's Tracer.install replaces; a name
 # deleted from the package would break it with every other test green.
-PASSES = pathlib.Path(__file__).parent.parent / "perfbench" / "passes.py"
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+PASSES = PERFBENCH / "passes.py"
 TAPPED = [
     "representations.ln_exact",
     "representations.integrate_finite",
@@ -145,3 +154,48 @@ def test_benchmark_entry_points_exist():
     reads = _benchmark_reads()
     assert {"compare_representations", "report.to_json"} <= set(reads)
     assert [path for path in reads + TAPPED if not _resolves(path)] == []
+
+
+def _owner(path: str):
+    """The module or class that holds the last name of ``path``."""
+    obj = catalan_integrals
+    for part in path.split(".")[:-1]:
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_the_benchmark_sees_every_route_quadrature(monkeypatch):
+    # A route that reaches the driver by a name the tracer does not tap
+    # drops its quadratures from the benchmark with every other test
+    # green.  tracing.py is executed from its source, which writes
+    # nothing under perfbench/.
+    source = PERFBENCH / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(source.read_text(encoding="utf-8"), str(source), "exec"), vars(tracing))
+    for name in MODULES:
+        importlib.import_module(name)
+    before = {}
+    for path in TAPPED:
+        owner, attr = _owner(path), path.rsplit(".", 1)[-1]
+        before[path] = vars(owner)[attr]
+        # Recorded, so that the tap is undone after the test.
+        monkeypatch.setattr(owner, attr, before[path])
+    tracer = tracing.Tracer(timed=False)
+    tracer.install(
+        catalan_integrals.representations,
+        catalan_integrals.series,
+        catalan_integrals.exact.CatalanTable,
+    )
+    replaced = [p for p in TAPPED if vars(_owner(p))[p.rsplit(".", 1)[-1]] is not before[p]]
+    assert replaced == TAPPED
+    assert tracer.missing == []
+    rows = compare_representations(3, QuadConfig())
+    routes = (catalan_malmsten, catalan_binet, catalan_penson_mellin)
+    expected = [
+        ("representations", row.evaluations, row.converged)
+        for route in routes
+        for row in rows
+        if row.method is route
+    ]
+    assert len(expected) == 12
+    assert tracer.quadratures == expected

@@ -34,7 +34,11 @@ from catalan_integrals.kernels import (
     malmsten_catalan_kernel,
 )
 from catalan_integrals.quadrature import QuadConfig, integrate_half_line
-from catalan_integrals.representations import catalan_binet, catalan_malmsten
+from catalan_integrals.representations import (
+    catalan_binet,
+    catalan_malmsten,
+    catalan_penson_mellin,
+)
 
 # Frozen from 40-digit evaluations.
 THETA_HALF = 0.1534264097200273452914  # theta(1/2)
@@ -381,12 +385,14 @@ def test_binet_kernel_integral_is_theta_difference(cfg):
 # ------------------------------------------------- the kernel routes
 
 # The kernel routes integrate each plain kernel through
-# representations.integrate_half_line, the name the benchmark's tracer
-# taps (perfbench/tracing.py): one call a row, with the kernel's own
-# integrand and tail constants, so that no second form of a kernel can
-# take the routes' quadratures out of the benchmark's sight.  Over the
-# sweep, the benchmark's large n, 10^6 and 10^8, at the default config,
-# where the driver bisects (1e-14) and where it is starved.
+# representations.integrate_half_line, and the Penson-Mellin route its
+# mapped integrand through representations.integrate_finite, the names
+# the benchmark's tracer taps (perfbench/tracing.py): one call a row,
+# with the route's own integrand, so that no second form of an integrand
+# and no private way into the driver can take the routes' quadratures
+# out of the benchmark's sight.  Over the sweep, the benchmark's large
+# n, 10^6 and 10^8, at the default config, where the driver bisects
+# (1e-14) and where it is starved.
 ROUTE_NS = (*range(201), 1_000, 3_162, 10_000, 31_623, 100_000, 10**6, 10**8)
 ROUTE_CONFIGS = (QuadConfig(), QuadConfig(1e-14, 1e-14), QuadConfig(0, 1e-16, 1))
 
@@ -420,5 +426,28 @@ def test_kernel_routes_integrate_as_the_scalar_kernel_does(route, kernel, config
         assert f.__code__ is spec.integrand.__code__, n
         assert _captured(f) == _captured(spec.integrand), n
         assert tail == spec.tail_constants, n
+        assert passed == config, n
+        assert row.evaluations == result.evaluations, n
+
+
+@pytest.mark.parametrize("config", ROUTE_CONFIGS, ids=["default", "1e-14", "starved"])
+def test_mellin_route_integrates_its_integrand_from_the_thirds(config, monkeypatch):
+    calls = []
+    integrate = representations.integrate_finite
+
+    def capture(f, a, b, config, **kwargs):
+        calls.append((f, a, b, config, kwargs, integrate(f, a, b, config, **kwargs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(representations, "integrate_finite", capture)
+    for n in ROUTE_NS:
+        calls.clear()
+        row = catalan_penson_mellin(n, config)
+        assert len(calls) == 1, n
+        f, a, b, passed, kwargs, result = calls[0]
+        own = representations._mellin_integrand(n)
+        assert f.__code__ is own.__code__, n
+        assert _captured(f) == _captured(own), n
+        assert (a, b, kwargs) == (0.0, 1.0, {"breakpoints": (1 / 3, 2 / 3)}), n
         assert passed == config, n
         assert row.evaluations == result.evaluations, n

@@ -278,6 +278,19 @@ def test_non_finite_report_covers_every_case(cfg):
     assert '"max_abs_err_ln": null' in to_json(report)
 
 
+@pytest.mark.parametrize("error", [math.nan, math.inf, -math.inf])
+def test_a_converged_row_with_a_non_finite_error_fails(cfg, error):
+    # to_json writes each of these as null, which parses back as NaN, so
+    # the summary may depend neither on which it was nor on row order.
+    rows = [_row(1, abs_err_ln=error), _row(2, abs_err_ln=1e-9)]
+    for order in (rows, rows[::-1]):
+        report = build_report(order, cfg, 1e-8)
+        assert report.summary.failures == 1
+        assert math.isnan(report.summary.max_abs_err_ln)
+        text = to_json(report)
+        assert to_json(parse_report_json(text)) == text
+
+
 def test_empty_report_prints_an_empty_row_list(cfg):
     report = REPORTS["empty"](cfg)
     assert '"rows": [],' in to_json(report)
@@ -446,6 +459,16 @@ def _payload_with(cfg, edit):
         (lambda p: p["config"].update(err_threshold=-math.inf), "cannot hold -Infinity"),
         (_Repeat('"n": 3'), "a report object repeats the key 'n'"),
         (_Repeat('"schema_version": "1"'), "repeats the key 'schema_version'"),
+        (
+            lambda p: p["summary"].update(failures=7),
+            'summary {"max_abs_err_ln": 0.0, "failures": 7} contradicts its rows, which give '
+            '{"max_abs_err_ln": 0.0, "failures": 0}',
+        ),
+        (
+            lambda p: p["summary"].update(max_abs_err_ln=1e-9),
+            'summary {"max_abs_err_ln": 1e-09, "failures": 0} contradicts its rows, which give '
+            '{"max_abs_err_ln": 0.0, "failures": 0}',
+        ),
     ],
 )
 def test_parse_rejects_rows_to_json_cannot_write(cfg, edit, message):

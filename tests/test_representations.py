@@ -230,7 +230,7 @@ def test_penson_at_tightest_tolerance_returns_a_row(route):
     [
         (catalan_malmsten, "integrate_half_line"),
         (catalan_binet, "integrate_half_line"),
-        (catalan_penson_mellin, "_adaptive"),
+        (catalan_penson_mellin, "integrate_finite"),
     ],
     ids=["malmsten", "binet", "mellin"],
 )
@@ -262,20 +262,19 @@ def test_penson_mellin_integrand_is_finite_at_both_ends(cfg, monkeypatch):
     # s = w u/(1 - u) sends the ends of (0, 1) to s = 0 and s = inf; the
     # closest samples the driver can take, the least subnormal and the
     # last double below 1, must give finite values.
-    # The integrand is the panel function the route hands the driver.
+    # The integrand is the one the route hands integrate_finite.
     integrands = []
-    adaptive = representations._adaptive
+    integrate = representations.integrate_finite
 
     def capture(f, *args, **kwargs):
         integrands.append(f)
-        return adaptive(f, *args, **kwargs)
+        return integrate(f, *args, **kwargs)
 
-    monkeypatch.setattr(representations, "_adaptive", capture)
+    monkeypatch.setattr(representations, "integrate_finite", capture)
     for n in (0, 1, 1_000_000):
         catalan_penson_mellin(n, cfg)
         for u in (5e-324, 1.0 - 2.0**-53):
-            (value,) = integrands[-1]((u,))
-            assert math.isfinite(value), (n, u)
+            assert math.isfinite(integrands[-1](u)), (n, u)
 
 
 # Summed integrand evaluations over n = 0..200 at the default config;

@@ -277,7 +277,9 @@ def _fixed_log(m: int, p: int) -> int:
 def _ln_double(n: int) -> float | None:
     """ln C_n for n > ``_COMB_MAX`` from Stirling's series in doubles, or
     None when the enclosure of half-width delta straddles a rounding
-    boundary; ``ln_exact``'s docstring derives delta."""
+    boundary; ``ln_exact``'s docstring derives delta.  delta takes libm's
+    log and log1p within 2 ulp, a margin of one ulp over the hypothesis
+    that ``tests/test_libm.py`` checks on the host."""
     power = 0.5 / n  # (2n)^-(2k - 1), for the k-th term
     square = power * power
     p = 2 * n * _LN2_LO

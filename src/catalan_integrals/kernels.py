@@ -97,7 +97,8 @@ def _binet_theta(x: float) -> tuple[float, float]:
     summed, whose remainder is below its first omitted term,
     |B_16|/(16 15 z^15) (DLMF 5.11.ii).
 
-    Rounding, with u = 2^-53 and log1p within one ulp (2u).  A step's
+    Rounding, with u = 2^-53 and log1p within one ulp (2u), which
+    ``tests/test_libm.py`` checks on the host.  A step's
     p = (x + 1/2) log1p(1/x) is within 5u p: u each for 1/x (which moves
     log1p by at most as much, relatively), x + 1/2 and the product, and
     2u for log1p; p - 1 is exact for p <= 2 (Sterbenz) and adds u p

@@ -207,11 +207,12 @@ def _assemble(
     """A route's ln C_n, the sum of ``terms``.
 
     ``math.fsum`` rounds the sum once, and each term was rounded by its
-    own few operations; 4 eps sum |terms| bounds both, and is added to
-    ``ln_error``, the terms' own error on the ln scale (a quadrature's
-    estimate, or the gamma route's series bounds).  At large n, ln C_n
-    is about 2n ln 2, and no estimate below a few ulp of it could be
-    honest.
+    own few operations, libm's log taken within one ulp (checked on the
+    host by ``tests/test_libm.py``); 4 eps sum |terms| bounds both, and
+    is added to ``ln_error``, the terms' own error on the ln scale (a
+    quadrature's estimate, or the gamma route's series bounds).  At
+    large n, ln C_n is about 2n ln 2, and no estimate below a few ulp of
+    it could be honest.
     """
     rounding = 4.0 * _EPS * math.fsum(map(abs, terms))
     return math.fsum(terms), ln_error + rounding, evaluations, converged
@@ -416,7 +417,9 @@ def _penson_moment(n: int, config: QuadConfig) -> _Estimate:
     an aliasing error with a proved bound; the module docstring derives
     the bound and the choice of M.  The error bar is proved too.
 
-    Rounding of one sample, with u = 2^-53.  The node j pi/M is computed
+    Rounding of one sample, with u = 2^-53 and libm's sin, log1p and exp
+    within one ulp, 2u (``tests/test_libm.py`` checks them on the host
+    over the window's arguments).  The node j pi/M is computed
     as j fl(pi/M), within a relative 3u, which moves sin(phi) by at most
     a relative (pi/2) 3u on (0, pi/2); with the 2u of sin and the u of
     the square, s2 = sin^2(phi) (1 + e) with |e| <= 15u.  That moves

@@ -1,6 +1,7 @@
 """Five routes to ln C_n and the cross-checking sweep."""
 
 import math
+import random
 import re
 
 import mpmath as mp
@@ -160,6 +161,36 @@ def test_large_n_rows_honest_against_mpmath(route, cfg):
     # n = 1e6.
     assert 31_623 in LARGE_NS and 100_000 in LARGE_NS
     _check_against_mpmath(route, LARGE_NS, cfg, 1e-8)
+
+
+def _recurrence_ns():
+    """0, 1, 2, the crossover's neighbours 199..201, MAX_INDEX - 1 and 200
+    seeded n log-uniform below MAX_INDEX."""
+    rng = random.Random(23)
+    drawn = (round(math.expm1(rng.uniform(0.0, math.log(MAX_INDEX)))) for _ in range(200))
+    return sorted({0, 1, 2, 199, 200, 201, MAX_INDEX - 1, *drawn})
+
+
+@pytest.mark.parametrize(
+    "config", (QuadConfig(), QuadConfig(1e-14, 1e-14)), ids=["default", "1e-14"]
+)
+@pytest.mark.parametrize("route", ROUTES)
+def test_consecutive_rows_keep_the_recurrence(route, config):
+    """A witness that needs no reference: C_{n+1} / C_n = 2(2n + 1)/(n + 2),
+    so wherever both rows converged, their step lies within the two bars
+    and 2 ulp (the ratio's rounding and the log's) of the ratio's log.  A
+    bias smooth in n cancels in the step, so this adds to the mpmath
+    oracle and replaces none of it."""
+    checked = 0
+    for n in _recurrence_ns():
+        row, after = route(n, config), route(n + 1, config)
+        if row.converged and after.converged:
+            step = math.log(2 * (2 * n + 1) / (n + 2))
+            slack = row.quad_error_estimate + after.quad_error_estimate + 2 * math.ulp(step)
+            assert abs(after.ln_value - row.ln_value - step) <= slack, n
+            checked += 1
+    # The moment route converges at 1e-14 only up to n of a few thousand.
+    assert checked >= 50
 
 
 def test_malmsten_at_tightest_tolerance_returns_a_row():

@@ -9,8 +9,8 @@ sieve up to 2n:
   past the range where C_n fits in one: one fixed-point evaluation in
   Python integers, of the log of the exact C_n up to n = 200 and of
   Stirling's series above it, rounded once by Ziv's test, in O(1) above
-  the crossover, where a first pass of the same series in doubles
-  decides most n; it needs no sieve
+  the crossover; on both sides a first pass of the same formula in
+  doubles decides most n; it needs no sieve
 * ``catalan_numbers``  -- C_0, C_1, ... streamed by the exact ratio
   recurrence
 * ``CatalanTable``     -- prefix table of that stream, and the package's
@@ -25,9 +25,9 @@ a Catalan index: each row is checked against ``ln_exact``, and no route
 is vouched for past it.  ``_check_index`` and ``_check_real`` are the
 package's only checks of a numeric argument, with one wording, and
 every other module calls them.
-``ln_exact`` costs 3-23 us a call up to n = 200 and about 2 us above
-it, at every n up to the limit, where a first pass in doubles decides
-most n.
+``ln_exact`` costs 1.5-9.4 us a call up to n = 200, growing with
+``math.comb``, and about 1.5-1.9 us above it, at every n up to the
+limit (its docstring gives the host and the BENCH file).
 ``catalan_exact``, and the digits of ``exact N`` on the command line,
 sieve up to 2n, which holds n bytes and costs about 62 ns per n, and
 multiply out C_n, about 2n bits, which grows faster: 0.65 s at 10^6 and
@@ -274,6 +274,18 @@ def _fixed_log(m: int, p: int) -> int:
     return (k * _LN2_FIXED >> (_FIXED_BITS - p)) + (2 * total if r >= 0 else -2 * total)
 
 
+def _log_double(m: int) -> float | None:
+    """ln m for an integer 2 <= m < 2^400, the exact C_n up to
+    ``_COMB_MAX``, in doubles, or None when the enclosure of half-width
+    delta = 5 2^-53 straddles a rounding boundary; ``ln_exact``'s
+    docstring derives delta."""
+    k = m.bit_length() - 1
+    a = k * _LN2_HI
+    c = k * _LN2_LO + math.log(m / (1 << k))
+    lo = a + (c - 5 * 2.0**-53)
+    return lo if lo == a + (c + 5 * 2.0**-53) else None
+
+
 def _ln_double(n: int) -> float | None:
     """ln C_n for n > ``_COMB_MAX`` from Stirling's series in doubles, or
     None when the enclosure of half-width delta straddles a rounding
@@ -303,10 +315,10 @@ def _ln_double(n: int) -> float | None:
 def ln_exact(n: int) -> float:
     """ln C_n as a double, correctly rounded, for every n up to MAX_INDEX.
 
-    C_0 = C_1 = 1.  Above the crossover ``_COMB_MAX`` = 200 a pass in
-    doubles comes first and decides most n (the double pass, below).
-    Where it does not, and at every n >= 2 up to the crossover, it
-    computes an integer V with |V - 2^p ln C_n| <= E at
+    C_0 = C_1 = 1.  On both sides of the crossover ``_COMB_MAX`` = 200
+    a pass in doubles comes first and decides most n (the double
+    passes, below).  Where it does not, it computes an integer V with
+    |V - 2^p ln C_n| <= E at
     p = ``_PRECISION`` = 96 bits, and rounds once.  One fixed-point log
     serves it: ``_fixed_log`` writes ln m = k ln 2 + 2 atanh(x),
     x = (m - 2^k) / (m + 2^k), with k chosen so that m / 2^k lies in
@@ -370,8 +382,8 @@ def ln_exact(n: int) -> float:
     raises ArithmeticError rather than return a double that is not
     proved.
 
-    The double pass (``_ln_double``), above the crossover only, is the
-    cheap first rung of the same Ziv ladder, on the same formula.
+    The double pass above the crossover (``_ln_double``) is the cheap
+    first rung of the same Ziv ladder, on the same formula.
     a = 2n ``_LN2_HI`` is exact: ``_LN2_HI`` is the 24-bit head of
     ``_LN2_FIXED``, and 2n < 2^28.  One ``math.fsum`` adds the rest into
     c: p = 2n ``_LN2_LO``, -ln(pi)/2, -ln(n)/2 (``math.log``),
@@ -412,12 +424,44 @@ def ln_exact(n: int) -> float:
     4,800 n from 201 to 5000.  The pass uses neither
     ``kernels._binet_theta`` nor the gamma route's terms.
 
+    The double pass up to the crossover (``_log_double``) is the same
+    rung on the exact integer m = C_n.  With k = ``m.bit_length()`` - 1,
+    so that 2^k <= m < 2^(k+1) and k < 2n <= 400, a = k ``_LN2_HI`` is
+    exact, as k < 2^29, and c = k ``_LN2_LO`` + log(m / 2^k) carries the
+    exact rest c* = ln C_n - a.  The pass returns fl(a + fl(c - delta))
+    when it equals fl(a + fl(c + delta)), which then is the double that
+    ln C_n rounds to, by the same monotone argument.  With u = 2^-53, c
+    errs from c* by at most:
+
+    * m / 2^k is an int / int, rounded correctly into [1, 2]: within u,
+      which moves its log by at most u, as the log's slope is <= 1 there;
+    * libm's log is within one ulp, and ln(m / 2^k) <= ln 2 < 1, where
+      an ulp is at most u; with a margin of one ulp more, 2u;
+    * ``_LN2_LO`` is within 2^-193 + u 2^-24 of ln 2 - ``_LN2_HI``
+      < 2^-24, and its product with k rounds once: in all under
+      10^-4 u, as k < 400;
+    * the sum c rounds once, and |c| < 1, so within u/2.
+
+    So |c - c*| < 3.51u, and c - delta and c + delta each round once
+    more, within u/2 as |c +- delta| < 1: fl(c - delta) <= c* <=
+    fl(c + delta) holds for any delta >= 4.01u, and delta = 5u keeps a
+    margin of 0.99u.  It decides at 167 of the 199 n in 2..200 and
+    leaves 2..14 and 19 n up to 176 to the fixed-point pass, where an
+    ulp of ln C_n is narrow against 10u; each of the 167 gives the
+    fixed-point pass's double (``tests/test_exact.py``).
+
     Cost, on a 2-vCPU x86_64 host with Python 3.11 (fastest of 5
     timeit repeats, the lgamma witness included): 3-23 us a call up to
     the crossover, growing with n as ``math.comb`` does, and 10-12 us
     above it at every n up to MAX_INDEX for the fixed-point pass; at
-    160 bits these were 3-26 and 16-21 us.  The double pass brings a
-    call above the crossover to 1.5-1.8 us at every n up to MAX_INDEX
+    160 bits these were 3-26 and 16-21 us.  The double pass up to the
+    crossover brings a call at n = 50, 100, 150 and 200 from 4.5, 5.7,
+    8.7 and 12.3-15.6 us to 1.6, 3.1, 5.6 and 9.1-9.4 us, ``math.comb``
+    most of what is left, and the 201 calls for n = 0..200 from
+    1.4-1.9 to 0.93-0.99 ms; an n it leaves to the fixed-point pass pays
+    0.3-0.4 us more (fastest of 7 repeats, BENCH_47.json, on the same
+    kind of host).  The double pass above the crossover brings a call
+    there to 1.5-1.8 us at every n up to MAX_INDEX
     (fastest of 7 repeats, where the fixed-point pass took 5.6-8.0 us in
     the same run), and an n it leaves to the fixed-point pass pays for
     both.  The crossover was set where the two costs met at
@@ -439,10 +483,16 @@ def ln_exact(n: int) -> float:
     n = _check_index(n)
     if n < 2:
         return 0.0
-    if n > _COMB_MAX and (value := _ln_double(n)) is not None:
-        _check_against_lgamma(n, value, "double-precision ln C_n")
+    if n <= _COMB_MAX:
+        m = math.comb(2 * n, n) // (n + 1)
+        value, source = _log_double(m), "double-precision log of the exact C_n"
+    else:
+        value, source = _ln_double(n), "double-precision ln C_n"
+    if value is not None:
+        _check_against_lgamma(n, value, source)
         return value
-    m = math.comb(2 * n, n) // (n + 1) if n <= _COMB_MAX else n * (n + 1) ** 2
+    if n > _COMB_MAX:
+        m = n * (n + 1) ** 2
     for p in (_PRECISION, 2 * _PRECISION):
         value, term = _fixed_log(m, p), 0
         if n > _COMB_MAX:

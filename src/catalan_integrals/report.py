@@ -23,9 +23,22 @@ call and puts the rows in before its ``summary`` line.  The rows, which
 are nearly all of the bytes, are written one format string per row, in
 the same layout: with an indent, CPython's ``json`` never reaches its C
 encoder, and its pure-Python one would cost more than building the
-rows.  A row's method is written as its route's ``value``, of
-``[a-z_]`` characters only, so it is quoted as it stands: JSON has
+rows.  The five rows of one n from ``compare_representations`` share
+one ``exact_ln`` object, so ``to_json`` and ``to_csv`` write it once
+for each run of rows that holds the same object: matched by identity,
+not value, since 0.0 and -0.0 print apart.  A row whose other three
+float fields are finite floats, as in every converged row, takes no
+call per field: ``%s`` writes a float as its repr, and one
+``math.isfinite`` of their sum tests all three, since a NaN or an inf
+in any leaves the sum non-finite.  A non-finite field or a float
+subclass, whose repr may differ (numpy 2 writes ``np.float64(x)``),
+goes through ``_json_float``.  A row's method is written as its route's ``value``,
+of ``[a-z_]`` characters only, so it is quoted as it stands: JSON has
 nothing in it to escape.  CSV rows are one format string each as well.
+Over the 1,005 rows of n = 0..200, warm on a 2-vCPU x86_64 host with
+CPython 3.11, ``to_json`` took 2.8-3.1 ms against 3.8-4.8 ms with a
+call per float field, and ``to_csv`` 1.8-1.9 against 2.1-2.7 ms
+(fastest of 7 repeats, 3 runs a side, BENCH_47.json).
 ``tests/oracles.py`` keeps the stdlib-encoder forms that both must
 match byte for byte.
 
@@ -104,9 +117,10 @@ def _summarize(rows: Sequence[RepresentationResult], err_threshold: float) -> Re
     """The summary of ``rows``.  A converged row's error that is not
     finite, which to_json writes as null and a parse reads back as NaN,
     fails its row and makes the maximum NaN, so that parsed rows give
-    the summary they were written with."""
+    the summary they were written with.  ``failures`` is an int even for
+    numpy errors, whose comparisons give numpy bools."""
     errors = [r.abs_err_ln for r in rows if r.converged]
-    passed = sum(math.isfinite(e) and e <= err_threshold for e in errors)
+    passed = sum(1 for e in errors if math.isfinite(e) and e <= err_threshold)
     max_err = max(errors, default=0.0) if all(map(math.isfinite, errors)) else math.nan
     return ReportSummary(max_abs_err_ln=max_err, failures=len(rows) - passed)
 
@@ -116,12 +130,17 @@ def _check_threshold(threshold: float) -> float:
     return _check_real(threshold, 0, sys.float_info.max, "config field 'err_threshold'")
 
 
+# Both row formats take exact_ln as a string, written once per run of
+# rows that share it, and the method as its route's value.
 _JSON_ROW = (
     "    {\n"
-    + ",\n".join(f'      "{field}": %s' for field in ROW_FIELDS)
+    + ",\n".join(f'      "{f}": ' + ('"%s"' if f == "method" else "%s") for f in ROW_FIELDS)
     + "\n    }"
 )
-_CSV_ROW = ",".join({int: "%d", float: "%.17g"}.get(t, "%s") for t in _ROW_TYPES) + "\n"
+_CSV_ROW = ",".join(
+    "%s" if f == "exact_ln" else {int: "%d", float: "%.17g"}.get(t, "%s")
+    for f, t in zip(ROW_FIELDS, _ROW_TYPES)
+) + "\n"
 # The row fields that to_json writes as null when they are not finite.
 _FLOAT_FIELDS = tuple(f for f, t in zip(ROW_FIELDS, _ROW_TYPES) if t is float)
 
@@ -154,22 +173,24 @@ def to_json(report: Report) -> str:
         indent=2,
         allow_nan=False,
     )
-    rows = ",\n".join(
-        [
+    written = []
+    shared = exact = object()  # matches no row's exact_ln
+    for n, method, value, exact_ln, error, estimate, evaluations, converged in report.rows:
+        if exact_ln is not shared:
+            shared, exact = exact_ln, _json_float(exact_ln)
+        # %s writes a float as its repr; a NaN or an inf in any of the
+        # three makes their sum non-finite.
+        if not (
+            type(value) is type(error) is type(estimate) is float
+            and math.isfinite(value + error + estimate)
+        ):
+            value, error, estimate = map(_json_float, (value, error, estimate))
+        written.append(
             _JSON_ROW
-            % (
-                r.n,
-                '"%s"' % r.method.value,
-                _json_float(r.ln_value),
-                _json_float(r.exact_ln),
-                _json_float(r.abs_err_ln),
-                _json_float(r.quad_error_estimate),
-                r.evaluations,
-                "true" if r.converged else "false",
-            )
-            for r in report.rows
-        ]
-    )
+            % (n, method.value, value, exact, error, estimate, evaluations,
+               "true" if converged else "false")
+        )
+    rows = ",\n".join(written)
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     # Only a top-level key starts a line with two spaces of indent.
     head, key, summary = document.rpartition('\n  "summary": ')
@@ -214,7 +235,8 @@ _TIMESTAMP = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00"
 
 def _parse_row(r: object) -> RepresentationResult:
     """The row that a JSON row stands for, if to_json could have written it."""
-    _object(r, "a row", _ROW_KEYS)
+    if type(r) is not dict or r.keys() != _ROW_KEYS:
+        _object(r, "a row", _ROW_KEYS)  # raises, saying which
     method = r["method"]
     try:
         route = _ROUTES_BY_VALUE[method]
@@ -302,23 +324,17 @@ def _fmt(x: float) -> str:
 
 
 def to_csv(report: Report) -> str:
-    rows = "".join(
-        [
+    written = [",".join(ROW_FIELDS) + "\n"]
+    shared = exact = object()  # matches no row's exact_ln
+    for n, method, value, exact_ln, error, estimate, evaluations, converged in report.rows:
+        if exact_ln is not shared:
+            shared, exact = exact_ln, _fmt(exact_ln)
+        written.append(
             _CSV_ROW
-            % (
-                r.n,
-                r.method.value,
-                r.ln_value,
-                r.exact_ln,
-                r.abs_err_ln,
-                r.quad_error_estimate,
-                r.evaluations,
-                "true" if r.converged else "false",
-            )
-            for r in report.rows
-        ]
-    )
-    return ",".join(ROW_FIELDS) + "\n" + rows
+            % (n, method.value, value, exact, error, estimate, evaluations,
+               "true" if converged else "false")
+        )
+    return "".join(written)
 
 
 def to_text(report: Report) -> str:

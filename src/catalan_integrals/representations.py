@@ -563,7 +563,8 @@ def compare_representations(
     Returns exactly 5 (n_max + 1) rows ordered by (n, route); a route
     failure is recorded as a non-converged NaN row rather than aborting
     the sweep, so one bad pair cannot mask the rest of the table.  The
-    exact reference is computed once per n and shared by its rows.
+    exact reference is computed once per n and shared by its rows, as
+    one float object, which ``report`` writes once per n.
 
     The order of evaluation is deliberate, and is not the order of the
     rows: first ``ln_exact`` for every n, then each route of ``ROUTES``
@@ -580,7 +581,9 @@ def compare_representations(
     10 alternating pairs of 30 s runs, route-major faster in all 10; the
     latest root BENCH_*.json has the figure since).  About 1.3 ms of
     that saving came from ``ln_exact``'s first pass moving from 160 to
-    96 bits: its traced self time fell from 3.4 to 2.1 ms.  The likely
+    96 bits: its traced self time fell from 3.4 to 2.1 ms, and to
+    1.4 ms (from 2.3) with the pass in doubles up to n = 200 (two 10 s
+    traced runs a side, BENCH_47.json, same host).  The likely
     cause, not verified for want of hardware counters, is that the paths
     together overflow the instruction cache and branch predictors.  Keep
     the order when refactoring this loop.

@@ -3,13 +3,15 @@
     PYTHONPATH=src python tests/ledger.py            # this tree's ledger
     PYTHONPATH=src python tests/ledger.py BASE/src   # what moves from BASE
 
-The ledger names the package directory it imported, then 32 sections,
+The ledger names the package directory it imported, then 34 sections,
 each headed ``### <what>``, with ``(exit <code>)`` after a command.  A
-command's body is what it prints, both streams merged; the other
-bodies are the repr of each value:
+command's body is what it prints, both streams merged, with the
+``generated_at`` value of a JSON report masked, as the one field that
+may differ; the other bodies are the repr of each value:
 
 * ``verify --n-max 200 --format csv`` at three configs: the default, one
   where the quadrature bisects, and one where 804 of the 1,005 rows fail;
+* ``verify --n-max 200`` as JSON and as text at the default config;
 * each route's row at eight large n, at the same configs;
 * ``dump-kernel`` for both kernels at four n, on the default grid and on
   401 points around Binet's switch to its series at t = 0.2;
@@ -23,9 +25,12 @@ from outside its own ``src/``, a command exits with a code its section
 does not allow, a section has other than its line count, or any
 ``ln_exact`` line moves: ln_exact is correctly rounded, so no change
 may move it.  Other moved lines are listed, not failed on, since a
-change may move them on purpose.  Both sides run on one host, so a libm
-that differs from another host's by an ulp moves nothing here, where a
-golden ledger file would fail.  tests/test_ledger.py runs this program.
+change may move them on purpose.  Each moved section lists at most its
+first ``SHOWN`` diff lines, which keeps the Markdown under the 1 MiB
+that a CI job summary may hold; the ledger of either side has them all.
+Both sides run on one host, so a libm that differs from another host's
+by an ulp moves nothing here, where a golden ledger file would fail.
+tests/test_ledger.py runs this program.
 """
 
 import difflib
@@ -47,6 +52,9 @@ CONFIGS = {
     "--abs-tol 0 --rel-tol 1e-16 --max-subdivisions 1": QuadConfig(0, 1e-16, 1),
 }
 HEADER = re.compile(r"### (.+?)(?: \(exit (\d+)\))?")
+GENERATED_AT = re.compile(r'^  "generated_at": "[^"\n]*"', re.MULTILINE)
+# The diff lines listed per moved section.
+SHOWN = 100
 
 
 def _route_rows():
@@ -73,6 +81,8 @@ def _specs():
     section, None where the old checks fixed neither."""
     for options in CONFIGS:
         yield f"verify --n-max 200 --format csv {options}".rstrip(), {0, 1}, 1006
+    yield "verify --n-max 200 --format json", {0}, 10066
+    yield "verify --n-max 200 --format text", {0}, 1011
     yield "route rows at large n", None, 120
     for kernel in ("malmsten", "binet"):
         for n in (0, 7, 200, 100_000_000):
@@ -100,7 +110,8 @@ def ledger() -> str:
             parts += [f"### {title}\n", *(line + "\n" for line in PYTHON_SECTIONS[title]())]
         else:
             result = invoke(cli.main, title.split())
-            parts += [f"### {title} (exit {result.exit_code})\n", result.output]
+            output = GENERATED_AT.sub('  "generated_at": "(masked)"', result.output, 1)
+            parts += [f"### {title} (exit {result.exit_code})\n", output]
     return "".join(parts)
 
 
@@ -153,12 +164,20 @@ def compare(base_src: str) -> int:
     ]
     print("### Ledger sections this change moves\n")
     moved = [title for title, section in head[1].items() if base[1].get(title) != section]
+    cut = False
     for title in moved:
         old, new = _lines(base, title), _lines(head, title)
-        diff = difflib.unified_diff(old, new, "base", "head", n=0, lineterm="")
-        print(f"<details><summary><code>{title}</code></summary>\n\n```diff", *diff, sep="\n")
+        diff = list(difflib.unified_diff(old, new, "base", "head", n=0, lineterm=""))
+        print(f"<details><summary><code>{title}</code></summary>\n\n```diff")
+        print(*diff[:SHOWN], sep="\n")
+        if len(diff) > SHOWN:
+            cut = True
+            print(f"… and {len(diff) - SHOWN} more diff lines")
         print("```\n</details>\n")
     print(f"{len(moved)} of {len(head[1])} sections moved.\n")
+    if cut:
+        print(f"Each section lists its first {SHOWN} diff lines; `tests/ledger.py` run on")
+        print("either side prints its full ledger.\n")
     if "ln_exact" in moved:
         failures.append("`ln_exact` moved: it is correctly rounded, so no change may move it")
     if failures:

@@ -263,9 +263,9 @@ def test_ziv_loop_raises_the_precision_until_the_ends_agree(monkeypatch):
     # each of them.  From a first pass at 30 bits, the second, at 60,
     # still straddles one at some n, and those raise.  Wherever a pass
     # decides, the narrow margin still holds ln C_n, on both paths.
-    # Above the crossover the double pass decides most n before the
-    # fixed-point passes run; switched off, every n reaches them.
-    monkeypatch.setattr(exact, "_ln_double", lambda n: None)
+    # On both sides of the crossover a pass in doubles decides most n
+    # before the fixed-point passes run; switched off, every n reaches them.
+    _no_double_pass(monkeypatch)
     passes = []
     fixed_log = exact._fixed_log
 
@@ -295,10 +295,16 @@ def test_ziv_loop_raises_the_precision_until_the_ends_agree(monkeypatch):
     assert 0 < len(raised) < len(truth) // 4
 
 
+def _no_double_pass(patch):
+    """Switch off both passes in doubles, below and above the crossover."""
+    patch.setattr(exact, "_log_double", lambda m: None)
+    patch.setattr(exact, "_ln_double", lambda n: None)
+
+
 def test_lgamma_witness_runs_on_both_paths(monkeypatch):
-    # Both paths of the fixed-point passes: the double pass, switched off
-    # here, has its own test below.
-    monkeypatch.setattr(exact, "_ln_double", lambda n: None)
+    # Both paths of the fixed-point passes: the double passes, switched
+    # off here, have their own tests below.
+    _no_double_pass(monkeypatch)
     witness = exact._check_against_lgamma
     seen = []
 
@@ -319,10 +325,26 @@ def test_lgamma_witness_runs_on_both_paths(monkeypatch):
 
 
 def _fixed_point_ln(n, monkeypatch):
-    """ln_exact(n) with the double pass switched off."""
+    """ln_exact(n) with the double passes switched off."""
     with monkeypatch.context() as patch:
-        patch.setattr(exact, "_ln_double", lambda n: None)
+        _no_double_pass(patch)
         return ln_exact(n)
+
+
+def test_double_pass_below_the_crossover_matches_the_fixed_point_path(monkeypatch):
+    # Every n from 2 to the crossover: where the log of the exact C_n in
+    # doubles decides, it gives the fixed-point path's double, and so
+    # does ln_exact.  It decides at most n, and leaves the small n, where
+    # an ulp of ln C_n is narrowest against its enclosure, to the
+    # fixed-point pass.
+    decided = []
+    for n in range(2, exact._COMB_MAX + 1):
+        value = exact._log_double(catalan_exact(n))
+        if value is not None:
+            assert value == _fixed_point_ln(n, monkeypatch) == ln_exact(n), n
+            decided.append(n)
+    assert 0.75 * (exact._COMB_MAX - 1) < len(decided) < exact._COMB_MAX - 1
+    assert 2 not in decided
 
 
 def test_double_pass_matches_the_fixed_point_path(monkeypatch):
@@ -389,10 +411,19 @@ def test_lgamma_witness_checks_the_double_pass(monkeypatch):
     monkeypatch.setattr(exact, "_check_against_lgamma", recording)
     ln_exact(10**6)
     assert seen == [("double-precision ln C_n",)]
-    # A head of ln 2 off by 2^-12 moves ln C_n by 2n 2^-12.
+    seen.clear()
+    ln_exact(exact._COMB_MAX)
+    assert seen == [("double-precision log of the exact C_n",)]
+    # A head of ln 2 off by 2^-12 moves ln C_n by 2n 2^-12 above the
+    # crossover, and by k 2^-12 below it, k the bit length of C_n less 1.
     monkeypatch.setattr(exact, "_LN2_HI", exact._LN2_HI + 2.0**-12)
     for n in (exact._COMB_MAX + 1, 10**6):
         with pytest.raises(ArithmeticError, match="double-precision ln C_n disagrees with lgamma"):
+            ln_exact(n)
+    below = [n for n in range(100, 201) if exact._log_double(catalan_exact(n)) is not None]
+    assert below
+    for n in below[:5]:
+        with pytest.raises(ArithmeticError, match="log of the exact C_n disagrees with lgamma"):
             ln_exact(n)
 
 

@@ -2,9 +2,9 @@
 
 Every proved error bound in the package takes libm's log, log1p, exp,
 sin and expm1 to be within one ulp of the true value over the arguments
-the proof reaches: ``exact._ln_double``, ``kernels._binet_theta``,
-``representations._penson_moment`` and ``representations._assemble``
-say which.  Each case draws seeded points over one such range and
+the proof reaches: ``exact._log_double``, ``exact._ln_double``,
+``kernels._binet_theta``, ``representations._penson_moment`` and
+``representations._assemble`` say which.  Each case draws seeded points over one such range and
 compares the double with 40-digit mpmath.  A failure means the proved
 bars need not hold on this host; the base-against-head ledger
 (tests/ledger.py) stays valid there, since both sides share the libm.
@@ -28,7 +28,9 @@ CASES = {
     "log": ("log", _log_uniform(2.0**-44, 2.0**53)),
     # _binet_theta's log1p(1/x) for normal x below 10.
     "log1p-binet": ("log1p", _log_uniform(0.1, 2.0**1022)),
-    # ln_exact's double pass: ln(n + 1) above its crossover.
+    # ln_exact's passes in doubles: ln(C_n / 2^k) in [1, 2] up to its
+    # crossover, ln(n + 1) above it.
+    "log-ln_exact": ("log", lambda rng: rng.uniform(1.0, 2.0)),
     "log1p-ln_exact": ("log1p", _log_uniform(201.0, 1e8)),
     # The moment route's samples: log1p(-sin^2), exp of n times it, and
     # the sine at the nodes of (0, pi/2).

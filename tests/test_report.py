@@ -9,6 +9,7 @@ import sys
 from datetime import datetime, timedelta
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from catalan_integrals import representations
@@ -229,11 +230,14 @@ def _row(n, method=catalan_malmsten, converged=True, **fields):
     )
 
 
+_FLOAT_FIELDS = ("ln_value", "exact_ln", "abs_err_ln", "quad_error_estimate")
+
+
 def _non_finite_rows():
     """NaN, +inf and -inf in each float field, alternating converged, and
     a few finite floats whose repr is unusual."""
     rows = []
-    for field in ("ln_value", "exact_ln", "abs_err_ln", "quad_error_estimate"):
+    for field in _FLOAT_FIELDS:
         for value in (math.nan, math.inf, -math.inf):
             rows.append(
                 _row(len(rows), converged=len(rows) % 2 == 1, **{field: value})
@@ -262,13 +266,94 @@ REPORTS = {
 }
 
 
-@pytest.mark.parametrize("name", REPORTS)
-def test_serializations_match_the_stdlib_encoders(cfg, name):
-    report = REPORTS[name](cfg)
+def _matches_the_stdlib_encoders(report):
     text = to_json(report)
     assert text == to_json_reference(report)
     assert to_csv(report) == to_csv_reference(report)
     assert to_json(parse_report_json(text)) == text
+    return text
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_serializations_match_the_stdlib_encoders(cfg, name):
+    _matches_the_stdlib_encoders(REPORTS[name](cfg))
+
+
+class _Shown(float):
+    """A float that prints itself otherwise, in str as in repr."""
+
+    def __repr__(self):
+        return f"_Shown({float.__repr__(self)})"
+
+    __str__ = __repr__
+
+
+@pytest.mark.parametrize("kind", [np.float64, _Shown])
+@pytest.mark.parametrize("value", [1.5, 1e-20, 1e16, 5e-324, -0.0, 1.7e308])
+def test_float_subclasses_are_written_as_plain_floats(cfg, kind, value):
+    # numpy 2 writes repr(np.float64(x)) as "np.float64(x)", so a row
+    # holding a float subclass must not take the path that writes a float
+    # as %s does.
+    x = kind(value)
+    rows = [
+        _row(1, ln_value=x, exact_ln=x, abs_err_ln=x, quad_error_estimate=x),
+        *(_row(k, **{field: x}) for k, field in enumerate(_FLOAT_FIELDS, 2)),
+    ]
+    text = _matches_the_stdlib_encoders(build_report(rows, cfg, 1e-8))
+    assert "np." not in text and "_Shown" not in text
+
+
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_a_non_finite_field_is_written_as_null(cfg, field, value):
+    rows = [_row(1), _row(2, **{field: value}), _row(3)]
+    text = _matches_the_stdlib_encoders(build_report(rows, cfg, 1e-8))
+    assert [row[field] is None for row in json.loads(text)["rows"]] == [False, True, False]
+
+
+def test_finite_fields_whose_sum_is_not_finite(cfg):
+    # The sum of three finite fields may overflow, and +inf and -inf sum
+    # to NaN: either way every field is written as it is.
+    rows = [
+        _row(1, ln_value=1.7e308, abs_err_ln=1.7e308, quad_error_estimate=1.7e308),
+        _row(2, ln_value=math.inf, quad_error_estimate=-math.inf),
+        _row(3, ln_value=-1.7e308, abs_err_ln=1.7e308, quad_error_estimate=1e-300),
+    ]
+    text = _matches_the_stdlib_encoders(build_report(rows, cfg, 1e-8))
+    assert json.loads(text)["rows"][0]["ln_value"] == 1.7e308
+
+
+def test_shared_and_equal_exact_ln_objects(cfg):
+    # The rows of one n from compare_representations share one exact_ln
+    # object, which the writers format once.  Equal values in distinct
+    # objects, 0.0 and -0.0 among them, are each written as they are.
+    sweep = compare_representations(1, cfg)
+    assert sweep[0].exact_ln is sweep[4].exact_ln
+    shared, equal, zero, minus_zero = float("2.5"), float("2.5"), 0.0, -0.0
+    assert shared == equal and shared is not equal
+    assert zero == minus_zero and math.copysign(1.0, minus_zero) < 0
+    exact = [shared, shared, equal, shared, zero, minus_zero, minus_zero, zero,
+             math.nan, math.nan, np.float64(2.5), np.float64(-0.0), shared]
+    report = build_report([_row(k, exact_ln=x) for k, x in enumerate(exact)], cfg, 1e-8)
+    text = _matches_the_stdlib_encoders(report)
+    written = [line.split(": ")[1] for line in text.splitlines() if '"exact_ln"' in line]
+    assert written == ["2.5,"] * 4 + ["0.0,", "-0.0,", "-0.0,", "0.0,"] + ["null,"] * 2 + [
+        "2.5,", "-0.0,", "2.5,"
+    ]
+    written = [line.split(",")[3] for line in to_csv(report).splitlines()[1:]]
+    assert written == ["2.5"] * 4 + ["0", "-0", "-0", "0", "nan", "nan", "2.5", "-0", "2.5"]
+
+
+def test_parse_accepts_reordered_row_keys(cfg):
+    report = REPORTS["one_row"](cfg)
+    payload = json.loads(to_json(report))
+    payload["rows"] = [dict(reversed(row.items())) for row in payload["rows"]]
+    text = json.dumps(payload, indent=2)
+    assert text.index('"converged"') < text.index('"n"')
+    assert parse_report_json(text).rows == report.rows
+    repeated = text.replace('"converged": true', '"converged": true, "converged": true', 1)
+    with pytest.raises(ValueError, match="^a report object repeats the key 'converged'$"):
+        parse_report_json(repeated)
 
 
 def test_non_finite_report_covers_every_case(cfg):

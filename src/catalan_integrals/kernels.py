@@ -3,6 +3,8 @@
 ``_binet_theta`` gives Binet's correction theta(x) to Stirling's
 formula, with a proved error bound, to ``log_gamma_reference`` and the
 gamma route; the Binet route integrates theta instead.
+``log_gamma_reference`` has no caller in the package: it is the tests'
+arithmetic-independent reference for ln Gamma.
 
 The half-line integrands here all follow the Malmsten pattern: smooth
 for t > 0, a removable singularity at t = 0 with a finite analytic

@@ -631,6 +631,17 @@ def test_glaisher_recovery(cfg):
     assert result.ln_A > 0.0
     assert abs(result.ln_A - LN_A_REF) <= 1e-9
     assert abs(result.integral_value - GLAISHER_INTEGRAL_REF) <= 1e-11
+    # The integral itself, not only ln A, within its estimate, with no
+    # factor of slack, at the default config and at 1e-14.
+    with mp.workdps(40):
+        integral = (
+            -0.5 - mp.mpf(7) / 24 * mp.log(2) + mp.log(mp.pi) / 4 + 1.5 * mp.log(mp.glaisher)
+        )
+    for config in (cfg, QuadConfig(abs_tol=1e-14, rel_tol=1e-14)):
+        result = glaisher_from_integral(config)
+        with mp.workdps(40):
+            error = abs(mp.mpf(result.integral_value) - integral)
+        assert error <= result.error_estimate, (config, float(error), result.error_estimate)
 
 
 def test_glaisher_inversion_round_trip(cfg):
